@@ -19,6 +19,6 @@ pub mod lru;
 pub mod partitioned;
 pub mod pool;
 
-pub use lru::LruList;
+pub use lru::{LruList, Reference};
 pub use partitioned::{PartitionedPool, QuotaError};
-pub use pool::{AccessOutcome, BufferPool, ClassCounters};
+pub use pool::{AccessOutcome, BufferPool, ClassAccess, ClassCounters};

@@ -4,8 +4,9 @@
 //! property, paper §2), so the pool's policy and the MRC tracker must
 //! agree — a property the test suite checks explicitly.
 
+use odlb_sim::FastMap;
 use odlb_storage::PageId;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 const NIL: u32 = u32::MAX;
 
@@ -16,56 +17,19 @@ struct Node {
     next: u32,
 }
 
-/// A fixed-capacity LRU list of pages.
+/// The recency chain: a slab of nodes linked MRU→LRU. Kept apart from
+/// the index so a reference can relink while it holds an index entry.
 #[derive(Clone, Debug)]
-pub struct LruList {
+struct Chain {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    index: HashMap<PageId, u32>,
     head: u32, // MRU
     tail: u32, // LRU
-    capacity: usize,
 }
 
-impl LruList {
-    /// Creates a list holding at most `capacity` pages.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "an LRU list needs capacity >= 1");
-        LruList {
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
-            free: Vec::new(),
-            index: HashMap::with_capacity(capacity.min(1 << 20)),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    /// Number of resident pages.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when no page is resident.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True when `page` is resident (no recency update).
-    pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
-    }
-
+impl Chain {
     fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
+        let Node { prev, next, .. } = self.nodes[idx as usize];
         if prev != NIL {
             self.nodes[prev as usize].next = next;
         } else {
@@ -90,64 +54,157 @@ impl LruList {
         }
     }
 
+    fn promote(&mut self, idx: u32) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+    }
+
+    /// A detached node holding `page`, from the free list or a new slot.
+    fn alloc(&mut self, page: PageId) -> u32 {
+        let node = Node {
+            page,
+            prev: NIL,
+            next: NIL,
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        }
+    }
+}
+
+/// What one reference to a page found (see [`LruList::reference`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reference {
+    /// The page was already resident.
+    Resident,
+    /// The page was installed at MRU, evicting `evicted` if the list
+    /// was full.
+    Installed {
+        /// The LRU page that made room, if any.
+        evicted: Option<PageId>,
+    },
+}
+
+/// A fixed-capacity LRU list of pages.
+#[derive(Clone, Debug)]
+pub struct LruList {
+    chain: Chain,
+    index: FastMap<PageId, u32>,
+    capacity: usize,
+}
+
+impl LruList {
+    /// Creates a list holding at most `capacity` pages.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "an LRU list needs capacity >= 1");
+        let reserve = capacity.min(1 << 20);
+        LruList {
+            chain: Chain {
+                nodes: Vec::with_capacity(reserve),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+            },
+            // One spare entry: a reference installs the new page before
+            // it drops the evicted one.
+            index: FastMap::with_capacity_and_hasher(reserve + 1, Default::default()),
+            capacity,
+        }
+    }
+
+    /// Number of resident pages.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no page is resident.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The configured capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// True when `page` is resident (no recency update).
+    pub fn contains(&self, page: PageId) -> bool {
+        self.index.contains_key(&page)
+    }
+
     /// Promotes `page` to MRU if resident. Returns whether it was a hit.
     pub fn touch(&mut self, page: PageId) -> bool {
-        match self.index.get(&page).copied() {
-            Some(idx) => {
-                if self.head != idx {
-                    self.unlink(idx);
-                    self.push_front(idx);
-                }
+        match self.index.get(&page) {
+            Some(&idx) => {
+                self.chain.promote(idx);
                 true
             }
             None => false,
         }
     }
 
+    /// References `page` with one index probe: a resident page is
+    /// promoted to MRU when `promote` is set and otherwise left where it
+    /// is; a missing page is installed at MRU, the LRU page giving up its
+    /// slot (and one index removal) when the list is full.
+    pub fn reference(&mut self, page: PageId, promote: bool) -> Reference {
+        let full = self.index.len() >= self.capacity;
+        let slot = match self.index.entry(page) {
+            Entry::Occupied(e) => {
+                if promote {
+                    self.chain.promote(*e.get());
+                }
+                return Reference::Resident;
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let chain = &mut self.chain;
+        let evicted = if full {
+            // Reuse the LRU node in place for the incoming page
+            // (capacity >= 1, so a full list has a tail).
+            let idx = chain.tail;
+            let victim = std::mem::replace(&mut chain.nodes[idx as usize].page, page);
+            chain.promote(idx);
+            slot.insert(idx);
+            self.index.remove(&victim);
+            Some(victim)
+        } else {
+            let idx = chain.alloc(page);
+            chain.push_front(idx);
+            slot.insert(idx);
+            None
+        };
+        Reference::Installed { evicted }
+    }
+
     /// Inserts `page` at MRU, evicting the LRU page if full. Returns the
     /// evicted page, if any. Inserting a resident page just promotes it.
     pub fn insert(&mut self, page: PageId) -> Option<PageId> {
-        if self.touch(page) {
-            return None;
+        match self.reference(page, true) {
+            Reference::Resident => None,
+            Reference::Installed { evicted } => evicted,
         }
-        let evicted = if self.index.len() >= self.capacity {
-            self.evict_lru()
-        } else {
-            None
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Node {
-                    page,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    page,
-                    prev: NIL,
-                    next: NIL,
-                });
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        self.index.insert(page, idx);
-        self.push_front(idx);
-        evicted
     }
 
     /// Evicts and returns the LRU page, if any.
     pub fn evict_lru(&mut self) -> Option<PageId> {
-        if self.tail == NIL {
+        if self.chain.tail == NIL {
             return None;
         }
-        let idx = self.tail;
-        let page = self.nodes[idx as usize].page;
-        self.unlink(idx);
+        let idx = self.chain.tail;
+        let page = self.chain.nodes[idx as usize].page;
+        self.chain.unlink(idx);
         self.index.remove(&page);
-        self.free.push(idx);
+        self.chain.free.push(idx);
         Some(page)
     }
 
@@ -155,8 +212,8 @@ impl LruList {
     pub fn remove(&mut self, page: PageId) -> bool {
         match self.index.remove(&page) {
             Some(idx) => {
-                self.unlink(idx);
-                self.free.push(idx);
+                self.chain.unlink(idx);
+                self.chain.free.push(idx);
                 true
             }
             None => false,
@@ -178,10 +235,10 @@ impl LruList {
     /// Pages from MRU to LRU (debugging/tests; O(len)).
     pub fn pages_mru_to_lru(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.index.len());
-        let mut cur = self.head;
+        let mut cur = self.chain.head;
         while cur != NIL {
-            out.push(self.nodes[cur as usize].page);
-            cur = self.nodes[cur as usize].next;
+            out.push(self.chain.nodes[cur as usize].page);
+            cur = self.chain.nodes[cur as usize].next;
         }
         out
     }
@@ -214,6 +271,55 @@ mod tests {
         l.insert(pid(3));
         assert!(l.touch(pid(1)));
         assert_eq!(l.insert(pid(4)), Some(pid(2)), "2 became LRU after touch");
+    }
+
+    #[test]
+    fn reference_installs_promotes_or_leaves_in_place() {
+        let mut l = LruList::new(3);
+        for i in 1..=3 {
+            assert_eq!(
+                l.reference(pid(i), true),
+                Reference::Installed { evicted: None }
+            );
+        }
+        // Resident without promotion: order untouched (the prefetch rule).
+        assert_eq!(l.reference(pid(1), false), Reference::Resident);
+        assert_eq!(l.pages_mru_to_lru(), vec![pid(3), pid(2), pid(1)]);
+        // Resident with promotion.
+        assert_eq!(l.reference(pid(1), true), Reference::Resident);
+        assert_eq!(l.pages_mru_to_lru(), vec![pid(1), pid(3), pid(2)]);
+        // Full: the LRU page gives up its slot, with or without promotion.
+        assert_eq!(
+            l.reference(pid(4), false),
+            Reference::Installed {
+                evicted: Some(pid(2))
+            }
+        );
+        assert_eq!(l.pages_mru_to_lru(), vec![pid(4), pid(1), pid(3)]);
+        assert!(!l.contains(pid(2)));
+        assert_eq!(l.len(), 3);
+    }
+
+    #[test]
+    fn reference_reuses_the_victims_slot() {
+        // A full list churns without growing the slab, and shrinking then
+        // regrowing goes through the free list.
+        let mut l = LruList::new(4);
+        for i in 0..1000 {
+            l.reference(pid(i), true);
+        }
+        assert_eq!(l.chain.nodes.len(), 4);
+        assert!(l.chain.free.is_empty());
+        l.set_capacity(2);
+        assert_eq!(l.chain.free.len(), 2);
+        l.set_capacity(4);
+        l.reference(pid(5000), true);
+        l.reference(pid(5001), true);
+        assert_eq!(l.chain.nodes.len(), 4);
+        assert_eq!(
+            l.pages_mru_to_lru(),
+            vec![pid(5001), pid(5000), pid(999), pid(998)]
+        );
     }
 
     #[test]

@@ -11,18 +11,18 @@
 //! Capacity invariant: the general partition plus all quota partitions
 //! always sum to the configured total.
 
-use crate::pool::{AccessOutcome, BufferPool, ClassCounters};
+use crate::pool::{AccessOutcome, BufferPool, ClassAccess, ClassCounters};
 use odlb_metrics::ClassId;
+use odlb_sim::FastMap;
 use odlb_storage::PageId;
-use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
-use std::collections::HashMap;
+use odlb_telemetry::{SharedSpanProfiler, Telemetry};
 
 /// A buffer pool with optional per-class quota partitions.
 #[derive(Clone, Debug)]
 pub struct PartitionedPool {
     total_pages: usize,
     general: BufferPool,
-    quotas: HashMap<ClassId, BufferPool>,
+    quotas: FastMap<ClassId, BufferPool>,
     profiler: Option<SharedSpanProfiler>,
 }
 
@@ -48,7 +48,7 @@ impl PartitionedPool {
         PartitionedPool {
             total_pages,
             general: BufferPool::new(total_pages),
-            quotas: HashMap::new(),
+            quotas: FastMap::default(),
             profiler: None,
         }
     }
@@ -120,24 +120,28 @@ impl PartitionedPool {
         }
     }
 
+    /// Resolves `class` once for a run of page references: the partition
+    /// that serves it (its dedicated one if it has a quota, else the
+    /// general one) and its counter slot there. The engine takes one per
+    /// query; [`PartitionedPool::access`] and
+    /// [`PartitionedPool::prefetch`] are the per-page forms.
+    pub fn class_access(&mut self, class: ClassId) -> ClassAccess<'_> {
+        let partition = match self.quotas.get_mut(&class) {
+            Some(p) => p,
+            None => &mut self.general,
+        };
+        partition.class_access(class, &self.profiler)
+    }
+
     /// Accesses one page: routed to the class's dedicated partition if it
     /// has one, otherwise to the general partition.
     pub fn access(&mut self, class: ClassId, page: PageId) -> AccessOutcome {
-        match self.quotas.get_mut(&class) {
-            Some(p) => p.access(class, page),
-            None => self.general.access(class, page),
-        }
+        self.class_access(class).access(page)
     }
 
     /// Prefetches pages on behalf of `class` into its routed partition.
     pub fn prefetch(&mut self, class: ClassId, pages: impl IntoIterator<Item = PageId>) -> u64 {
-        let _span = enter_span(&self.profiler, "bufferpool_prefetch");
-        let inserted = match self.quotas.get_mut(&class) {
-            Some(p) => p.prefetch(class, pages),
-            None => self.general.prefetch(class, pages),
-        };
-        span_units(&self.profiler, inserted);
-        inserted
+        self.class_access(class).prefetch(pages)
     }
 
     /// Counters for one class (from whichever partition serves it).

@@ -1,9 +1,10 @@
 //! A single-partition buffer pool with per-class accounting.
 
-use crate::lru::LruList;
+use crate::lru::{LruList, Reference};
 use odlb_metrics::ClassId;
+use odlb_sim::FastMap;
 use odlb_storage::PageId;
-use std::collections::HashMap;
+use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 
 /// The result of one page access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,11 +52,59 @@ impl ClassCounters {
 #[derive(Clone, Debug)]
 pub struct BufferPool {
     lru: LruList,
-    counters: HashMap<ClassId, ClassCounters>,
+    counters: FastMap<ClassId, ClassCounters>,
     /// Lifetime pages evicted by capacity pressure. Unlike the per-class
     /// counters this is never drained or moved, so it can back a monotone
     /// telemetry counter.
     evictions: u64,
+}
+
+/// One class's view of a pool for a run of page references: the LRU
+/// list, the class's counter slot and the eviction counter, resolved
+/// once (per query) instead of once per page.
+#[derive(Debug)]
+pub struct ClassAccess<'a> {
+    lru: &'a mut LruList,
+    counters: &'a mut ClassCounters,
+    evictions: &'a mut u64,
+    profiler: &'a Option<SharedSpanProfiler>,
+}
+
+impl ClassAccess<'_> {
+    /// Accesses one page. On a miss the page is installed at MRU (the
+    /// caller performs the disk read).
+    pub fn access(&mut self, page: PageId) -> AccessOutcome {
+        self.counters.accesses += 1;
+        match self.lru.reference(page, true) {
+            Reference::Resident => {
+                self.counters.hits += 1;
+                AccessOutcome::Hit
+            }
+            Reference::Installed { evicted } => {
+                self.counters.misses += 1;
+                *self.evictions += evicted.is_some() as u64;
+                AccessOutcome::Miss
+            }
+        }
+    }
+
+    /// Installs prefetched pages (read-ahead) without counting them as
+    /// accesses. Already-resident pages are skipped *without* promotion
+    /// (prefetch must not distort recency). Returns how many pages were
+    /// actually installed.
+    pub fn prefetch(&mut self, pages: impl IntoIterator<Item = PageId>) -> u64 {
+        let _span = enter_span(self.profiler, "bufferpool_prefetch");
+        let mut installed = 0;
+        for page in pages {
+            if let Reference::Installed { evicted } = self.lru.reference(page, false) {
+                *self.evictions += evicted.is_some() as u64;
+                installed += 1;
+            }
+        }
+        self.counters.prefetched += installed;
+        span_units(self.profiler, installed);
+        installed
+    }
 }
 
 impl BufferPool {
@@ -63,7 +112,7 @@ impl BufferPool {
     pub fn new(capacity_pages: usize) -> Self {
         BufferPool {
             lru: LruList::new(capacity_pages),
-            counters: HashMap::new(),
+            counters: FastMap::default(),
             evictions: 0,
         }
     }
@@ -78,21 +127,26 @@ impl BufferPool {
         self.lru.len()
     }
 
+    /// Resolves `class` once — its counter slot in this pool — for a run
+    /// of page references (one query's page list). `profiler`, when
+    /// present, receives a `bufferpool_prefetch` span per prefetch batch.
+    pub fn class_access<'a>(
+        &'a mut self,
+        class: ClassId,
+        profiler: &'a Option<SharedSpanProfiler>,
+    ) -> ClassAccess<'a> {
+        ClassAccess {
+            lru: &mut self.lru,
+            counters: self.counters.entry(class).or_default(),
+            evictions: &mut self.evictions,
+            profiler,
+        }
+    }
+
     /// Accesses one page on behalf of `class`. On a miss the page is
     /// installed at MRU (the caller performs the disk read).
     pub fn access(&mut self, class: ClassId, page: PageId) -> AccessOutcome {
-        let c = self.counters.entry(class).or_default();
-        c.accesses += 1;
-        if self.lru.touch(page) {
-            c.hits += 1;
-            AccessOutcome::Hit
-        } else {
-            c.misses += 1;
-            if self.lru.insert(page).is_some() {
-                self.evictions += 1;
-            }
-            AccessOutcome::Miss
-        }
+        self.class_access(class, &None).access(page)
     }
 
     /// Installs prefetched pages (read-ahead) on behalf of `class` without
@@ -100,17 +154,7 @@ impl BufferPool {
     /// *without* promotion (prefetch must not distort recency). Returns
     /// how many pages were actually installed.
     pub fn prefetch(&mut self, class: ClassId, pages: impl IntoIterator<Item = PageId>) -> u64 {
-        let mut installed = 0;
-        for page in pages {
-            if !self.lru.contains(page) {
-                if self.lru.insert(page).is_some() {
-                    self.evictions += 1;
-                }
-                installed += 1;
-            }
-        }
-        self.counters.entry(class).or_default().prefetched += installed;
-        installed
+        self.class_access(class, &None).prefetch(pages)
     }
 
     /// True when `page` is resident (no recency update).
@@ -137,7 +181,7 @@ impl BufferPool {
 
     /// Drains and returns all class counters (interval close), keeping
     /// resident pages untouched.
-    pub fn drain_counters(&mut self) -> HashMap<ClassId, ClassCounters> {
+    pub fn drain_counters(&mut self) -> FastMap<ClassId, ClassCounters> {
         std::mem::take(&mut self.counters)
     }
 

@@ -178,9 +178,6 @@ pub struct Simulation {
     telemetry: Telemetry,
     profiler: Option<SharedSpanProfiler>,
     interval_seq: u64,
-    /// Recycled routing scratch (per-instance outstanding counts) — the
-    /// hot path fills it in place instead of allocating per query.
-    route_loads: Vec<usize>,
     /// Recycled page buffer for sampled query specs: each issued query
     /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
     /// back after dispatch, so steady-state sampling never allocates.
@@ -205,7 +202,6 @@ impl Simulation {
             telemetry: Telemetry::inactive(),
             profiler: None,
             interval_seq: 0,
-            route_loads: Vec::new(),
             spec_pages: Vec::new(),
             events_processed: 0,
         }
@@ -1033,26 +1029,18 @@ impl Simulation {
         client: Option<u64>,
         spec: QuerySpec,
     ) -> bool {
-        // Routing scratch: refill the recycled per-instance load vector
-        // instead of collecting a fresh one per query.
-        let route = {
-            let mut loads = std::mem::take(&mut self.route_loads);
-            loads.clear();
-            loads.extend(self.instances.iter().map(|i| i.outstanding));
-            let outstanding = |i: InstanceId| loads[i.0 as usize];
-            let route = if spec.is_write {
-                self.apps[app]
-                    .scheduler
-                    .route_write(spec.class, outstanding)
-                    .map(|r| (r.primary, r.applies))
-            } else {
-                self.apps[app]
-                    .scheduler
-                    .route_read(spec.class, outstanding)
-                    .map(|p| (p, Vec::new()))
-            };
-            self.route_loads = loads;
-            route
+        let instances = &self.instances;
+        let outstanding = |i: InstanceId| instances[i.0 as usize].outstanding;
+        let route = if spec.is_write {
+            self.apps[app]
+                .scheduler
+                .route_write(spec.class, outstanding)
+                .map(|r| (r.primary, r.applies))
+        } else {
+            self.apps[app]
+                .scheduler
+                .route_read(spec.class, outstanding)
+                .map(|p| (p, Vec::new()))
         };
         let Some((primary, applies)) = route else {
             self.recycle_pages(spec.pages);

@@ -8,7 +8,8 @@ use odlb_metrics::{
     ClassId, ClassStatsCollector, IntervalReport, PrivateLogBuffer, QueryLogRecord, WindowRegistry,
 };
 use odlb_mrc::MissRatioCurve;
-use odlb_sim::{SimTime, Station};
+use odlb_sim::station::Admission;
+use odlb_sim::{SimDuration, SimTime, Station};
 use odlb_storage::{DomainId, IoKind, ReadAheadDetector, SharedIoPath, EXTENT_PAGES};
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
 use std::collections::btree_map::Entry;
@@ -57,6 +58,42 @@ struct ClassSeries {
     buffer_misses: odlb_telemetry::Counter,
     io_requests: odlb_telemetry::Counter,
     readaheads: odlb_telemetry::Counter,
+}
+
+/// What playing a query's page sequence cost: the I/O it issued and when
+/// the last read it must wait for completes.
+struct PageWork {
+    misses: u64,
+    io_requests: u64,
+    readaheads: u64,
+    last_io_done: SimTime,
+    io_service: SimDuration,
+}
+
+impl PageWork {
+    fn starting(now: SimTime) -> Self {
+        PageWork {
+            misses: 0,
+            io_requests: 0,
+            readaheads: 0,
+            last_io_done: now,
+            io_service: SimDuration::ZERO,
+        }
+    }
+
+    /// A buffer miss, served by the blocking random read `read`.
+    fn miss(&mut self, read: Admission) {
+        self.misses += 1;
+        self.io_requests += 1;
+        self.io_service += read.completion.since(read.start);
+        self.last_io_done = self.last_io_done.max(read.completion);
+    }
+
+    /// A triggered read-ahead (its extent read does not block).
+    fn readahead(&mut self) {
+        self.readaheads += 1;
+        self.io_requests += 1;
+    }
 }
 
 /// One simulated database engine (one MySQL instance in the paper).
@@ -145,36 +182,44 @@ impl DbEngine {
         domain: DomainId,
     ) -> ExecutionResult {
         let class = spec.class;
-        let mut misses = 0u64;
-        let mut io_requests = 0u64;
-        let mut readaheads = 0u64;
-        let mut last_io_done = now;
-
-        let mut io_service = odlb_sim::SimDuration::ZERO;
+        let mut work = PageWork::starting(now);
         let pages_span = enter_span(&self.profiler, "pages");
         span_units(&self.profiler, spec.pages.len() as u64);
-        for &page in &spec.pages {
-            self.windows.push(class, page);
-            if self.pool.access(class, page).is_miss() {
-                misses += 1;
-                io_requests += 1;
-                let adm = io.read(domain, now, IoKind::Random, 1, false);
-                io_service += adm.completion.since(adm.start);
-                last_io_done = last_io_done.max(adm.completion);
-            }
-            if let Some(start) = self.readahead.observe(class.as_u64(), page) {
-                readaheads += 1;
-                io_requests += 1;
-                // Asynchronous prefetch: occupies the disk, does not block.
-                io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                self.pool
-                    .prefetch(class, (0..EXTENT_PAGES).map(|i| start.offset(i)));
+        // Everything that is constant for the query is resolved here,
+        // once, not per page: the class's window, its pool partition and
+        // counter slot, and its read-ahead runs. (A query without pages
+        // leaves no trace in any of them.)
+        if !spec.pages.is_empty() {
+            self.windows.window_mut(class).extend(&spec.pages);
+            let mut pool = self.pool.class_access(class);
+            let mut runs = self.readahead.consumer(class.as_u64());
+            for &page in &spec.pages {
+                if pool.access(page).is_miss() {
+                    work.miss(io.read(domain, now, IoKind::Random, 1, false));
+                }
+                if let Some(start) = runs.observe(page) {
+                    work.readahead();
+                    // Asynchronous prefetch: occupies the disk, does not block.
+                    io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
+                    pool.prefetch((0..EXTENT_PAGES).map(|i| start.offset(i)));
+                }
             }
         }
         drop(pages_span);
+        self.complete(now, spec, cpu, work)
+    }
 
+    /// The part of execution after the page sequence: CPU, locks and the
+    /// instrumentation record.
+    fn complete(
+        &mut self,
+        now: SimTime,
+        spec: &QuerySpec,
+        cpu: &mut Station,
+        work: PageWork,
+    ) -> ExecutionResult {
         let cpu_adm = cpu.submit(now, spec.cpu_demand());
-        let mut completion = cpu_adm.completion.max(last_io_done);
+        let mut completion = cpu_adm.completion.max(work.last_io_done);
         // Writes acquire exclusive locks on their update target for the
         // duration of execution; conflicting writers queue FCFS, and the
         // waiting time surfaces as the per-class LockWaits metric.
@@ -184,20 +229,20 @@ impl DbEngine {
         // and manufacture lock convoys whenever the disk queues.
         let locked = spec.locked_pages();
         let lock_wait = if locked.is_empty() {
-            odlb_sim::SimDuration::ZERO
+            SimDuration::ZERO
         } else {
-            let hold = spec.cpu_demand().max(io_service);
+            let hold = spec.cpu_demand().max(work.io_service);
             self.locks.acquire(now, locked, hold)
         };
         completion += lock_wait;
         let record = QueryLogRecord {
-            class,
+            class: spec.class,
             completed_at: completion,
             latency: completion.since(now),
             page_accesses: spec.pages.len() as u64,
-            buffer_misses: misses,
-            io_requests,
-            readaheads,
+            buffer_misses: work.misses,
+            io_requests: work.io_requests,
+            readaheads: work.readaheads,
             lock_wait,
         };
         ExecutionResult { completion, record }
@@ -510,6 +555,116 @@ mod tests {
         assert!(prom.contains("odlb_query_latency_us_count{class=\"app0#1\",instance=\"inst0\"} 3"));
         assert!(prom.contains("odlb_pool_pages{instance=\"inst0\",partition=\"general\"}"));
         odlb_telemetry::validate_prometheus(&prom).expect("valid exposition");
+    }
+
+    /// The per-page formulation `execute` replaced: every page resolves
+    /// its class's window, partition, counter slot and read-ahead run
+    /// again, through the per-page entry points.
+    fn execute_per_page(
+        eng: &mut DbEngine,
+        now: SimTime,
+        spec: &QuerySpec,
+        cpu: &mut Station,
+        io: &mut SharedIoPath,
+        domain: DomainId,
+    ) -> ExecutionResult {
+        let class = spec.class;
+        let mut work = PageWork::starting(now);
+        for &page in &spec.pages {
+            eng.windows.push(class, page);
+            if eng.pool.access(class, page).is_miss() {
+                work.miss(io.read(domain, now, IoKind::Random, 1, false));
+            }
+            if let Some(start) = eng.readahead.observe(class.as_u64(), page) {
+                work.readahead();
+                io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
+                eng.pool
+                    .prefetch(class, (0..EXTENT_PAGES).map(|i| start.offset(i)));
+            }
+        }
+        eng.complete(now, spec, cpu, work)
+    }
+
+    #[test]
+    fn per_query_resolution_equals_the_per_page_loop() {
+        // Random multi-space page lists (sequential stretches that fire
+        // read-ahead, random jumps, empty lists, writes with locks) for
+        // five classes, one of them quota-partitioned part of the time,
+        // against a pool and windows small enough to overflow.
+        let config = EngineConfig {
+            pool_pages: 300,
+            readahead_trigger: 8,
+            window_capacity: 400,
+            logbuf_capacity: 4,
+        };
+        let rig = || {
+            (
+                DbEngine::new(config, SimTime::ZERO),
+                Station::new(2),
+                SharedIoPath::new(DiskModel::default()),
+            )
+        };
+        let (mut fast, mut fast_cpu, mut fast_io) = rig();
+        let (mut slow, mut slow_cpu, mut slow_io) = rig();
+        let mut rng = odlb_sim::SimRng::new(0x0D1B);
+        let mut cursor = [[0u64; 3]; 5];
+        let mut now = SimTime::ZERO;
+        for step in 0..1500 {
+            match step {
+                200 => {
+                    fast.set_quota(class(2), 60).unwrap();
+                    slow.set_quota(class(2), 60).unwrap();
+                }
+                700 => {
+                    fast.forget_class(class(2));
+                    slow.forget_class(class(2));
+                }
+                _ => {}
+            }
+            let template = rng.below(5) as usize;
+            let mut pages = Vec::new();
+            for _segment in 0..rng.below(4) {
+                let space = rng.below(3) as usize;
+                let at = &mut cursor[template][space];
+                if rng.below(3) == 0 {
+                    *at = rng.below(2_000);
+                }
+                for _ in 0..rng.below(30) {
+                    pages.push(PageId::new(SpaceId(space as u32), *at));
+                    *at += 1;
+                }
+            }
+            let is_write = rng.below(5) == 0 && !pages.is_empty();
+            let q = QuerySpec {
+                class: class(template as u32),
+                lock_prefix: if is_write { 1 } else { 0 },
+                is_write,
+                pages,
+                cpu_base: SimDuration::from_micros(200),
+                cpu_per_page: SimDuration::from_micros(20),
+            };
+            now += SimDuration::from_micros(rng.below(3_000));
+            let a = fast.execute(now, &q, &mut fast_cpu, &mut fast_io, DomainId(1));
+            let b = execute_per_page(&mut slow, now, &q, &mut slow_cpu, &mut slow_io, DomainId(1));
+            assert_eq!(a.record, b.record, "step {step}");
+            assert_eq!(a.completion, b.completion, "step {step}");
+        }
+        assert!(fast.readahead.issued() > 50, "read-ahead must be exercised");
+        assert!(fast.pool.evictions() > 1_000, "the pool must overflow");
+        assert_eq!(fast.readahead.issued(), slow.readahead.issued());
+        assert_eq!(fast.pool.evictions(), slow.pool.evictions());
+        assert_eq!(fast.resident_pages(), slow.resident_pages());
+        assert_eq!(fast.windows.classes(), slow.windows.classes());
+        for t in 0..5 {
+            assert_eq!(fast.pool_counters(class(t)), slow.pool_counters(class(t)));
+            let window = |e: &DbEngine| {
+                e.windows
+                    .get(class(t))
+                    .map(|w| w.iter().collect::<Vec<_>>())
+            };
+            assert_eq!(window(&fast), window(&slow), "window of class {t}");
+        }
+        assert_eq!(fast_io.total_counters(), slow_io.total_counters());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D01  | no wall-clock (`Instant::now`, `SystemTime`, `std::time`) outside the profiler and the bench harness |
-//! | D02  | no iteration over `HashMap`/`HashSet` in digest/export-feeding crates unless immediately sorted |
+//! | D02  | no iteration over `HashMap`/`HashSet` (or an alias: `FastMap`/`FastSet`, `use … as`, `type`) in digest/export-feeding crates unless immediately sorted |
 //! | D03  | no float formatted into an artifact without an explicit precision or the shared formatter |
 //! | D04  | no `thread::spawn` and no ambient randomness outside the sim RNG |
 //! | D05  | no folded-stacks dumps rendered outside the validated exporter path |
@@ -369,13 +369,54 @@ fn rule_d01(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
     }
 }
 
-/// Identifiers bound to a `HashMap`/`HashSet` in this file: struct
+/// Names an unordered hash table goes by anywhere in the workspace:
+/// std's types and the `odlb_sim::hash` aliases over them (a fixed
+/// hasher still gives an arbitrary iteration order).
+const UNORDERED_NAMES: [&str; 4] = ["HashMap", "HashSet", "FastMap", "FastSet"];
+
+/// [`UNORDERED_NAMES`] plus every other name this file gives one of
+/// them: `use … HashMap as Table` renames and `type Table = FastMap<…>`
+/// aliases (of aliases, to a fixed point).
+fn unordered_names(toks: &[Token]) -> BTreeSet<String> {
+    let mut names: BTreeSet<String> = UNORDERED_NAMES.iter().map(|n| n.to_string()).collect();
+    loop {
+        let before = names.len();
+        for i in 0..toks.len() {
+            if toks[i].kind != TokKind::Ident {
+                continue;
+            }
+            if names.contains(&toks[i].text)
+                && toks.get(i + 1).is_some_and(|t| t.is_ident("as"))
+                && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
+            {
+                names.insert(toks[i + 2].text.clone());
+            }
+            if toks[i].is_ident("type") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+            {
+                let aliased = toks[i + 2..]
+                    .iter()
+                    .take_while(|t| !t.is_punct(';'))
+                    .skip_while(|t| !t.is_punct('='))
+                    .any(|t| t.kind == TokKind::Ident && names.contains(&t.text));
+                if aliased {
+                    names.insert(toks[i + 1].text.clone());
+                }
+            }
+        }
+        if names.len() == before {
+            return names;
+        }
+    }
+}
+
+/// Identifiers bound to an unordered hash table in this file: struct
 /// fields (`name: HashMap<…>`), annotated lets / params
-/// (`name: &mut HashMap<…>`) and inferred lets (`name = HashMap::new()`).
+/// (`name: &mut FastMap<…>`) and inferred lets (`name = HashMap::new()`).
 pub(crate) fn hash_bound_idents(toks: &[Token]) -> BTreeSet<String> {
+    let names = unordered_names(toks);
     let mut bound = BTreeSet::new();
     for i in 0..toks.len() {
-        if !(toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet")) {
+        if toks[i].kind != TokKind::Ident || !names.contains(&toks[i].text) {
             continue;
         }
         // Walk back over `&`, `mut` and lifetimes to the binder.
@@ -812,6 +853,32 @@ fn f(m: &HashMap<u32, u32>) {
 }";
         let got = run(src, ALL);
         assert!(got.iter().all(|(_, r)| *r != "D02"), "{got:?}");
+    }
+
+    #[test]
+    fn d02_sees_through_aliases_and_renames() {
+        // The workspace alias, a `use … as` rename and a local `type`
+        // alias (of the alias) all still iterate in hasher order.
+        let src = "\
+use std::collections::HashMap as Table;
+type Slots = FastMap<u32, u32>;
+type Nested = Slots;
+struct S { a: FastMap<u32, u32>, b: Table<u32, u32>, c: Nested, d: BTreeMap<u32, u32> }
+impl S {
+    fn a(&self) -> Vec<u32> { self.a.keys().copied().collect() }
+    fn b(&self) -> Vec<u32> { self.b.values().copied().collect() }
+    fn c(&self) { for (k, v) in &self.c { use_it(k, v); } }
+    fn d(&self) -> Vec<u32> { self.d.keys().copied().collect() }
+    fn sized() -> Vec<u32> { let m = FastMap::with_capacity_and_hasher(8, Default::default()); let v = m.into_keys().collect(); v }
+    fn sorted(&self) -> Vec<u32> { self.a.keys().copied().collect::<Vec<_>>().sort() }
+}";
+        let got = run(src, ALL);
+        let d02: Vec<u32> = got
+            .iter()
+            .filter(|(_, r)| *r == "D02")
+            .map(|(l, _)| *l)
+            .collect();
+        assert_eq!(d02, vec![6, 7, 8, 10], "{got:?}");
     }
 
     #[test]

@@ -764,6 +764,44 @@ mod tests {
     }
 
     #[test]
+    fn hash_order_source_sees_the_fast_map_alias() {
+        // A fixed hasher still gives an arbitrary order: the workspace
+        // alias is a hash-order source exactly like `HashMap`.
+        let bad = unit(
+            "crates/a/src/lib.rs",
+            "pub fn dump(m: &FastMap<u32, u32>, t: &Tracer) { for (k, v) in m.iter() { t.emit(k, v); } }",
+        );
+        let got = run(vec![bad]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].rule, "T03");
+
+        let renamed = unit(
+            "crates/a/src/lib.rs",
+            "use std::collections::HashSet as Seen;\n\
+             pub fn dump(s: &Seen<u32>, t: &Tracer) { for k in s.iter() { t.emit(k, 0); } }",
+        );
+        let got = run(vec![renamed]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].rule, "T03");
+
+        let sorted = unit(
+            "crates/a/src/lib.rs",
+            "pub fn dump(m: &FastMap<u32, u32>, t: &Tracer) {\n\
+                 let mut v: Vec<u32> = m.keys().copied().collect();\n\
+                 v.sort_unstable();\n\
+                 t.emit(0, v[0]);\n\
+             }",
+        );
+        assert!(run(vec![sorted]).is_empty());
+
+        let summed = unit(
+            "crates/a/src/lib.rs",
+            "pub fn dump(m: &FastMap<u32, u64>, t: &Tracer) { let s: u64 = m.values().sum(); t.emit(0, s); }",
+        );
+        assert!(run(vec![summed]).is_empty());
+    }
+
+    #[test]
     fn report_is_at_the_meeting_point_only() {
         // caller -> meeting -> {source, sink}: one diagnostic, at meeting.
         let units = vec![unit(

@@ -48,6 +48,17 @@ fn d02_hash_iteration_fixture() {
 }
 
 #[test]
+fn d02_alias_iteration_fixture() {
+    // `FastMap`/`FastSet`, a `use … as` rename and a local `type` alias
+    // are all still hash tables: iteration is flagged (lines 18, 22, 25,
+    // 31); the in-statement sort (36) and the point lookup (41) are not.
+    assert_eq!(
+        lint_fixture("d02_alias_iter.rs"),
+        vec![(18, "D02"), (22, "D02"), (25, "D02"), (31, "D02")]
+    );
+}
+
+#[test]
 fn d03_float_format_fixture() {
     assert_eq!(
         lint_fixture("d03_float_fmt.rs"),

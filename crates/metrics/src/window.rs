@@ -40,6 +40,16 @@ impl AccessWindow {
         self.observed += 1;
     }
 
+    /// Records a run of page accesses, oldest first — one query's page
+    /// list in one step. Same result as pushing each page in turn.
+    pub fn extend(&mut self, pages: &[PageId]) {
+        self.observed += pages.len() as u64;
+        let kept = &pages[pages.len().saturating_sub(self.capacity)..];
+        let overflow = (self.pages.len() + kept.len()).saturating_sub(self.capacity);
+        self.pages.drain(..overflow);
+        self.pages.extend(kept);
+    }
+
     /// Accesses currently retained.
     pub fn len(&self) -> usize {
         self.pages.len()
@@ -91,12 +101,17 @@ impl WindowRegistry {
         }
     }
 
-    /// Records an access for a class, creating its window on first sight.
-    pub fn push(&mut self, class: ClassId, page: PageId) {
+    /// The window for `class`, created on first sight. The engine
+    /// resolves it once per query and records the whole page list.
+    pub fn window_mut(&mut self, class: ClassId) -> &mut AccessWindow {
         self.windows
             .entry(class)
             .or_insert_with(|| AccessWindow::new(self.capacity_per_class))
-            .push(page);
+    }
+
+    /// Records an access for a class, creating its window on first sight.
+    pub fn push(&mut self, class: ClassId, page: PageId) {
+        self.window_mut(class).push(page);
     }
 
     /// The window for `class`, if it has been seen.
@@ -136,6 +151,33 @@ mod tests {
         assert_eq!(kept, vec![2, 3, 4]);
         assert_eq!(w.observed(), 5);
         assert_eq!(w.len(), 3);
+    }
+
+    #[test]
+    fn extend_equals_pushing_each_page() {
+        // Runs shorter than, equal to and longer than the capacity, into
+        // windows that are empty, part-full and full.
+        for run_len in [0usize, 1, 3, 5, 6, 13] {
+            for prefill in [0u64, 2, 5, 9] {
+                let mut pushed = AccessWindow::new(5);
+                let mut extended = AccessWindow::new(5);
+                for i in 0..prefill {
+                    pushed.push(pid(i));
+                    extended.push(pid(i));
+                }
+                let run: Vec<PageId> = (0..run_len as u64).map(|i| pid(100 + i)).collect();
+                for &p in &run {
+                    pushed.push(p);
+                }
+                extended.extend(&run);
+                assert_eq!(
+                    extended.iter().collect::<Vec<_>>(),
+                    pushed.iter().collect::<Vec<_>>(),
+                    "run {run_len} after {prefill}"
+                );
+                assert_eq!(extended.observed(), pushed.observed());
+            }
+        }
     }
 
     #[test]

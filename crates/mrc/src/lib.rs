@@ -60,13 +60,7 @@ where
     I: IntoIterator<Item = K>,
 {
     match mode {
-        MrcMode::Exact => {
-            let mut t = MattsonTracker::new(cap_pages);
-            for k in keys {
-                t.access(k);
-            }
-            t.into_curve()
-        }
+        MrcMode::Exact => MattsonTracker::replay(cap_pages, keys).into_curve(),
         MrcMode::Bucketed => {
             let mut t = BucketedTracker::new(cap_pages, MrcMode::DEFAULT_BUCKET_RATIO);
             for k in keys {

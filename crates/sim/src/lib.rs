@@ -19,6 +19,9 @@
 //!   model CPU sockets and disks. Latency under load emerges from queueing
 //!   at these stations, exactly the mechanism behind the paper's CPU
 //!   saturation and I/O interference scenarios.
+//! * [`hash`] — [`FastMap`] / [`FastSet`]: std hash tables placed by a
+//!   deterministic multiply-rotate hasher, for the hot-path tables keyed
+//!   by the simulator's own integer ids.
 //! * [`stats`] — online statistics (Welford mean/variance, percentiles,
 //!   time-series recorders) used by the measurement layer.
 //!
@@ -36,12 +39,14 @@
 //! assert_eq!(ev, Ev::Tick(0));
 //! ```
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod station;
 pub mod stats;
 pub mod time;
 
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use queue::{BinaryHeapEventQueue, EventQueue};
 pub use rng::SimRng;
 pub use station::Station;

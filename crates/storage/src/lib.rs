@@ -27,5 +27,5 @@ pub mod shared;
 
 pub use disk::{Disk, DiskModel, IoKind};
 pub use page::{PageId, SpaceId};
-pub use readahead::{ReadAheadDetector, EXTENT_PAGES};
+pub use readahead::{ConsumerRuns, ReadAheadDetector, EXTENT_PAGES};
 pub use shared::{DomainId, SharedIoPath};

@@ -12,8 +12,8 @@
 //! run tracking, a trigger threshold within the extent, and one prefetch of
 //! the following extent per trigger.
 
-use crate::page::PageId;
-use std::collections::HashMap;
+use crate::page::{PageId, SpaceId};
+use odlb_sim::FastMap;
 
 /// Pages per extent (InnoDB constant).
 pub const EXTENT_PAGES: u64 = 64;
@@ -32,6 +32,10 @@ struct RunState {
     triggered_extent: Option<u64>,
 }
 
+/// One consumer's runs, one per tablespace it has touched (a handful, so
+/// a linear scan beats a table).
+type SpaceRuns = Vec<(SpaceId, RunState)>;
+
 /// Detects linear scans and decides when to issue read-ahead.
 ///
 /// Keyed by an opaque `consumer` id (the engine keys by query class) and
@@ -40,13 +44,55 @@ struct RunState {
 #[derive(Clone, Debug)]
 pub struct ReadAheadDetector {
     trigger: u32,
-    runs: HashMap<(u64, u32), RunState>,
+    runs: FastMap<u64, SpaceRuns>,
     issued: u64,
 }
 
 impl Default for ReadAheadDetector {
     fn default() -> Self {
         Self::new(DEFAULT_TRIGGER)
+    }
+}
+
+/// One consumer's view of the detector for a run of page accesses (one
+/// query's page list): the consumer is resolved once, and its run for a
+/// tablespace is looked up again only when the tablespace changes.
+#[derive(Debug)]
+pub struct ConsumerRuns<'a> {
+    trigger: u32,
+    spaces: &'a mut SpaceRuns,
+    /// Index in `spaces` of the tablespace last observed.
+    current: usize,
+    issued: &'a mut u64,
+}
+
+impl ConsumerRuns<'_> {
+    /// Observes one page access. Returns the first page of the extent to
+    /// prefetch (64 pages starting there) when the linear read-ahead
+    /// heuristic fires, else `None`.
+    pub fn observe(&mut self, page: PageId) -> Option<PageId> {
+        if self.spaces.get(self.current).map(|r| r.0) != Some(page.space) {
+            self.current = match self.spaces.iter().position(|r| r.0 == page.space) {
+                Some(i) => i,
+                None => {
+                    self.spaces.push((page.space, RunState::default()));
+                    self.spaces.len() - 1
+                }
+            };
+        }
+        let state = &mut self.spaces[self.current].1;
+        let sequential = state.last_page == Some(page.page_no.wrapping_sub(1));
+        state.run_len = if sequential { state.run_len + 1 } else { 1 };
+        state.last_page = Some(page.page_no);
+
+        let extent = page.page_no / EXTENT_PAGES;
+        if state.run_len >= self.trigger && state.triggered_extent != Some(extent) {
+            state.triggered_extent = Some(extent);
+            *self.issued += 1;
+            let next_extent_start = (extent + 1) * EXTENT_PAGES;
+            return Some(PageId::new(page.space, next_extent_start));
+        }
+        None
     }
 }
 
@@ -60,8 +106,18 @@ impl ReadAheadDetector {
         );
         ReadAheadDetector {
             trigger,
-            runs: HashMap::new(),
+            runs: FastMap::default(),
             issued: 0,
+        }
+    }
+
+    /// Resolves `consumer` once for a run of page accesses.
+    pub fn consumer(&mut self, consumer: u64) -> ConsumerRuns<'_> {
+        ConsumerRuns {
+            trigger: self.trigger,
+            spaces: self.runs.entry(consumer).or_default(),
+            current: 0,
+            issued: &mut self.issued,
         }
     }
 
@@ -69,20 +125,7 @@ impl ReadAheadDetector {
     /// the extent to prefetch (64 pages starting there) when the linear
     /// read-ahead heuristic fires, else `None`.
     pub fn observe(&mut self, consumer: u64, page: PageId) -> Option<PageId> {
-        let key = (consumer, page.space.0);
-        let state = self.runs.entry(key).or_default();
-        let sequential = state.last_page == Some(page.page_no.wrapping_sub(1));
-        state.run_len = if sequential { state.run_len + 1 } else { 1 };
-        state.last_page = Some(page.page_no);
-
-        let extent = page.page_no / EXTENT_PAGES;
-        if state.run_len >= self.trigger && state.triggered_extent != Some(extent) {
-            state.triggered_extent = Some(extent);
-            self.issued += 1;
-            let next_extent_start = (extent + 1) * EXTENT_PAGES;
-            return Some(PageId::new(page.space, next_extent_start));
-        }
-        None
+        self.consumer(consumer).observe(page)
     }
 
     /// Total read-ahead requests issued since creation.
@@ -92,7 +135,7 @@ impl ReadAheadDetector {
 
     /// Drops all run state (e.g. when a consumer is re-placed elsewhere).
     pub fn reset_consumer(&mut self, consumer: u64) {
-        self.runs.retain(|&(c, _), _| c != consumer);
+        self.runs.remove(&consumer);
     }
 }
 
@@ -186,6 +229,37 @@ mod tests {
         }
         // Same consumer, other space: separate run, no trigger.
         assert_eq!(d.observe(1, pid(9, 3)), None);
+    }
+
+    #[test]
+    fn resolved_consumer_equals_per_page_observation() {
+        // One consumer hopping between three tablespaces mid-run: the
+        // per-query view (space looked up again only on a change) must
+        // fire exactly where per-page observation does.
+        let mut per_page = ReadAheadDetector::new(4);
+        let mut resolved = ReadAheadDetector::new(4);
+        let mut x: u64 = 0xFEED;
+        let mut next = [0u64; 3];
+        for _query in 0..200 {
+            let mut view = resolved.consumer(7);
+            for _ in 0..(x % 23) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let space = ((x >> 40) % 3) as usize;
+                // Mostly sequential within a space, sometimes a jump.
+                next[space] = if (x >> 20).is_multiple_of(11) {
+                    (x >> 50) % 500
+                } else {
+                    next[space] + 1
+                };
+                let page = pid(space as u32, next[space]);
+                assert_eq!(view.observe(page), per_page.observe(7, page));
+            }
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        }
+        assert_eq!(resolved.issued(), per_page.issued());
+        assert!(resolved.issued() > 0, "the trace must exercise the trigger");
     }
 
     #[test]

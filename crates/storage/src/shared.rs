@@ -12,9 +12,8 @@
 
 use crate::disk::{Disk, DiskModel, IoCounters, IoKind};
 use odlb_sim::station::Admission;
-use odlb_sim::{SimDuration, SimTime};
+use odlb_sim::{FastMap, SimDuration, SimTime};
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
-use std::collections::HashMap;
 
 /// Identifies a VM domain on one physical machine. Domain 0 is the control
 /// domain; guests are 1, 2, ….
@@ -25,7 +24,7 @@ pub struct DomainId(pub u32);
 #[derive(Clone, Debug)]
 pub struct SharedIoPath {
     disk: Disk,
-    per_domain: HashMap<DomainId, IoCounters>,
+    per_domain: FastMap<DomainId, IoCounters>,
     profiler: Option<SharedSpanProfiler>,
 }
 
@@ -34,7 +33,7 @@ impl SharedIoPath {
     pub fn new(model: DiskModel) -> Self {
         SharedIoPath {
             disk: Disk::new(model),
-            per_domain: HashMap::new(),
+            per_domain: FastMap::default(),
             profiler: None,
         }
     }
@@ -106,7 +105,7 @@ impl SharedIoPath {
 
     /// Exports per-domain I/O counters into a telemetry registry (domains
     /// iterated in sorted order, so export stays deterministic despite the
-    /// `HashMap`). The counters are cumulative, so `set_total` keeps the
+    /// `FastMap`). The counters are cumulative, so `set_total` keeps the
     /// telemetry series monotone. No-op when `telemetry` is inactive.
     pub fn export_telemetry(&self, telemetry: &Telemetry, machine: &str) {
         if !telemetry.is_active() {
