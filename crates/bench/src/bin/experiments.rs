@@ -7,14 +7,14 @@
 //!              ablation-mrc-threshold|ablation-mrc-approx|
 //!              ablation-mrc-sampled|all]
 //!             [--jobs <N>] [--trace <path>] [--metrics <dir>]
-//!             [--profile-folded <path>] [--bench-json]
+//!             [--profile-folded <path>]
 //! experiments --list
 //! experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>]
-//!             [--no-memo] [--max-cells <K>] [--bench-json]
+//!             [--no-memo] [--max-cells <K>]
 //! ```
 //!
-//! `--list` prints the figure/ablation registry (name, traced/counted
-//! flags, description) — the authoritative metadata sweep matrices and
+//! `--list` prints the figure/ablation registry (name, traced flag,
+//! description) — the authoritative metadata sweep matrices and
 //! CI selections are authored against.
 //!
 //! `sweep <matrix.toml>` runs a parameter matrix as a resumable
@@ -60,11 +60,6 @@
 //! The wall-clock folded dump and flat overhead report go to *stderr*;
 //! stdout and all artifacts stay byte-identical to an unprofiled run.
 //!
-//! `--bench-json` records per-figure and total wall-clock time into
-//! `BENCH_experiments.json` (the `Bench::named` JSON shape), with every
-//! entry prefixed `jobs=<N>/`, so the parallel speedup is diffable
-//! across commits.
-//!
 //! `--serve <port>` additionally serves the live exposition at
 //! `GET http://127.0.0.1:<port>/metrics` (port 0 = ephemeral; the bound
 //! port is printed on startup). Each instrumented figure's final
@@ -74,169 +69,117 @@
 //! scrape lands (or the timeout passes) — the CI smoke test uses it to
 //! fetch without racing the run.
 
-use odlb_bench::harness::Bench;
 use odlb_bench::{runner, suite, sweep};
 use odlb_telemetry::{MetricsServer, SpanProfiler};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::str::FromStr;
 use std::time::Duration;
 
+/// Prints `message` to stderr and exits with `code` (2 = usage, 1 = I/O).
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code)
+}
+
+/// The parsed value of a value-taking flag; a missing or unparsable
+/// value prints `<flag> requires <what>` and exits 2.
+fn flag_value<T: FromStr>(flag: &str, value: Option<String>, what: &str) -> T {
+    let parsed = value.and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| fail(2, format!("{flag} requires {what}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
     let mut jobs: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics_dir: Option<String> = None;
     let mut profile_folded: Option<String> = None;
-    let mut bench_json = false;
     let mut serve_port: Option<u16> = None;
     let mut serve_hold_ms: u64 = 0;
     let mut list = false;
     let mut sweep_out: Option<String> = None;
     let mut no_memo = false;
     let mut max_cells: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--jobs" {
-            let Some(n) = args
-                .get(i + 1)
-                .and_then(|p| p.parse().ok())
-                .filter(|&n| n > 0)
-            else {
-                eprintln!("--jobs requires a positive worker count");
-                std::process::exit(2);
-            };
-            jobs = Some(n);
-            i += 2;
-        } else if args[i] == "--trace" {
-            if i + 1 >= args.len() {
-                eprintln!("--trace requires a path");
-                std::process::exit(2);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--jobs" => {
+                let n: NonZeroUsize = flag_value(flag, args.next(), "a positive worker count");
+                jobs = Some(n.get());
             }
-            trace_path = Some(args[i + 1].clone());
-            i += 2;
-        } else if args[i] == "--metrics" {
-            if i + 1 >= args.len() {
-                eprintln!("--metrics requires a directory");
-                std::process::exit(2);
+            "--trace" => trace_path = Some(flag_value(flag, args.next(), "a path")),
+            "--metrics" => metrics_dir = Some(flag_value(flag, args.next(), "a directory")),
+            "--profile-folded" => profile_folded = Some(flag_value(flag, args.next(), "a path")),
+            "--serve" => {
+                serve_port = Some(flag_value(flag, args.next(), "a port (0 = ephemeral)"));
             }
-            metrics_dir = Some(args[i + 1].clone());
-            i += 2;
-        } else if args[i] == "--profile-folded" {
-            if i + 1 >= args.len() {
-                eprintln!("--profile-folded requires a path");
-                std::process::exit(2);
+            "--serve-hold" => {
+                serve_hold_ms = flag_value(flag, args.next(), "a duration in milliseconds");
             }
-            profile_folded = Some(args[i + 1].clone());
-            i += 2;
-        } else if args[i] == "--bench-json" {
-            bench_json = true;
-            i += 1;
-        } else if args[i] == "--serve" {
-            let Some(port) = args.get(i + 1).and_then(|p| p.parse().ok()) else {
-                eprintln!("--serve requires a port (0 = ephemeral)");
-                std::process::exit(2);
-            };
-            serve_port = Some(port);
-            i += 2;
-        } else if args[i] == "--serve-hold" {
-            let Some(ms) = args.get(i + 1).and_then(|p| p.parse().ok()) else {
-                eprintln!("--serve-hold requires a duration in milliseconds");
-                std::process::exit(2);
-            };
-            serve_hold_ms = ms;
-            i += 2;
-        } else if args[i] == "--list" {
-            list = true;
-            i += 1;
-        } else if args[i] == "--out" {
-            if i + 1 >= args.len() {
-                eprintln!("--out requires a directory");
-                std::process::exit(2);
+            "--out" => sweep_out = Some(flag_value(flag, args.next(), "a directory")),
+            "--max-cells" => {
+                let n: NonZeroUsize = flag_value(flag, args.next(), "a positive cell count");
+                max_cells = Some(n.get());
             }
-            sweep_out = Some(args[i + 1].clone());
-            i += 2;
-        } else if args[i] == "--no-memo" {
-            no_memo = true;
-            i += 1;
-        } else if args[i] == "--max-cells" {
-            let Some(n) = args
-                .get(i + 1)
-                .and_then(|p| p.parse().ok())
-                .filter(|&n: &usize| n > 0)
-            else {
-                eprintln!("--max-cells requires a positive cell count");
-                std::process::exit(2);
-            };
-            max_cells = Some(n);
-            i += 2;
-        } else if positional.len() < 2 {
-            positional.push(args[i].clone());
-            i += 1;
-        } else {
-            eprintln!("unexpected argument '{}'", args[i]);
-            std::process::exit(2);
+            "--list" => list = true,
+            "--no-memo" => no_memo = true,
+            _ if positional.len() < 2 && !flag.starts_with("--") => positional.push(arg),
+            _ => fail(2, format!("unexpected argument '{flag}'")),
         }
     }
     if list {
         print!("{}", suite::render_list());
         return;
     }
+    let jobs = jobs.unwrap_or_else(runner::default_jobs);
     if positional.first().map(String::as_str) == Some("sweep") {
         let Some(matrix_path) = positional.get(1) else {
-            eprintln!("usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--no-memo] [--max-cells <K>] [--bench-json]");
-            std::process::exit(2);
+            fail(2, "usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--no-memo] [--max-cells <K>]");
         };
-        run_sweep_command(
-            matrix_path,
-            jobs.unwrap_or_else(runner::default_jobs),
-            sweep_out,
-            no_memo,
-            max_cells,
-            bench_json,
-        );
+        run_sweep_command(matrix_path, jobs, sweep_out, no_memo, max_cells);
         return;
     }
     if sweep_out.is_some() || no_memo || max_cells.is_some() {
-        eprintln!("--out/--no-memo/--max-cells only apply to the sweep subcommand");
-        std::process::exit(2);
+        fail(
+            2,
+            "--out/--no-memo/--max-cells only apply to the sweep subcommand",
+        );
     }
     let arg = positional
         .first()
         .cloned()
         .unwrap_or_else(|| "all".to_string());
     if let Some(extra) = positional.get(1) {
-        eprintln!("unexpected argument '{extra}'");
-        std::process::exit(2);
+        fail(2, format!("unexpected argument '{extra}'"));
     }
     let Some(selection) = suite::resolve(&arg) else {
-        eprintln!(
+        fail(
+            2,
+            format!(
             "unknown experiment '{arg}'; valid: fig3 fig3-mini fig4 fig5 fig6 table1 table2 table3 \
              fig-scale fig-scale-mini \
              ablation-fences ablation-weights ablation-coarse ablation-mrc-threshold \
              ablation-mrc-approx ablation-mrc-sampled all"
+        ),
         );
-        std::process::exit(2);
     };
-    let jobs = jobs.unwrap_or_else(runner::default_jobs);
     let server: Option<Rc<MetricsServer>> =
         serve_port.map(|port| match MetricsServer::bind(port) {
             Ok(server) => {
                 println!("serving /metrics on 127.0.0.1:{}", server.port());
                 Rc::new(server)
             }
-            Err(e) => {
-                eprintln!("--serve {port}: cannot bind: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(2, format!("--serve {port}: cannot bind: {e}")),
         });
     // The metrics directory is created up front (and only it): a bad
     // `--trace` path must keep failing with a `file: error` exit, not be
     // silently papered over by creating its parent directories.
     if let Some(dir) = &metrics_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("{dir}: cannot create metrics dir: {e}");
-            std::process::exit(1);
+            fail(1, format!("{dir}: cannot create metrics dir: {e}"));
         }
     }
     let cfg = suite::SuiteConfig {
@@ -255,15 +198,11 @@ fn main() {
     let mut merged_profile = SpanProfiler::new();
     let mut instrumented_wall = Duration::ZERO;
     let mut any_profile = false;
-    let mut total_elements = 0u64;
-    let mut bench = bench_json.then(|| Bench::collector("experiments"));
-    let suite_start = std::time::Instant::now();
     suite::run_suite(&selection, &cfg, |out| {
         print!("{}", out.stdout);
         for (path, bytes) in &out.files {
             if let Err(e) = std::fs::write(path, bytes) {
-                eprintln!("{}: cannot write: {e}", path.display());
-                std::process::exit(1);
+                fail(1, format!("{}: cannot write: {e}", path.display()));
             }
         }
         if let (Some(server), Some(exposition)) = (&server, out.publish) {
@@ -274,19 +213,7 @@ fn main() {
             instrumented_wall += out.wall;
             any_profile = true;
         }
-        total_elements += out.elements;
-        if let Some(b) = &mut bench {
-            let name = format!("jobs={jobs}/{}", out.name);
-            if out.elements > 0 {
-                // Figures that count work units (fig-scale: events
-                // dispatched) get a throughput-readable record.
-                b.record_wall_elements(&name, out.wall, out.elements);
-            } else {
-                b.record_wall(&name, out.wall);
-            }
-        }
     });
-    let total_wall = suite_start.elapsed();
     if any_profile {
         // Real wall-clock timings: stderr only, so stdout stays
         // byte-identical across runs and job counts.
@@ -295,56 +222,38 @@ fn main() {
     if let Some(path) = &profile_folded {
         let folded = merged_profile.folded_sim();
         if let Err(e) = odlb_telemetry::validate_folded(&folded) {
-            eprintln!("{path}: refusing to write invalid folded dump: {e}");
-            std::process::exit(1);
+            fail(
+                1,
+                format!("{path}: refusing to write invalid folded dump: {e}"),
+            );
         }
         if let Err(e) = std::fs::write(path, &folded) {
-            eprintln!("{path}: cannot write: {e}");
-            std::process::exit(1);
+            fail(1, format!("{path}: cannot write: {e}"));
         }
         // The wall-clock flamegraph of the same stacks: stderr only,
         // since wall timings vary run to run.
         eprint!("{}", merged_profile.folded_wall());
         eprintln!("profile: wrote {path} ({} stacks)", folded.lines().count());
     }
-    if let Some(b) = &mut bench {
-        // Elements are the selection's total simulated events, so the
-        // suite-level events/sec is derivable from this one record.
-        b.record_wall_elements(&format!("jobs={jobs}/total"), total_wall, total_elements);
-    }
-    drop(bench); // a collector writes BENCH_experiments.json on drop
-
     hold_for_scrape(&server, serve_hold_ms);
 }
 
 /// `experiments sweep <matrix.toml>`: parses the matrix, runs (or
 /// resumes) the sweep on the ordered worker pool, prints the
-/// deterministic cell log plus completion lines, and with `--bench-json`
-/// merges per-cell wall clocks and the whole-sweep events/sec into
-/// `BENCH_experiments.json`. Stdout carries no wall-clock content, so a
-/// given starting state prints byte-identically at any `--jobs` count.
+/// deterministic cell log plus completion lines. Stdout carries no
+/// wall-clock content, so a given starting state prints byte-identically
+/// at any `--jobs` count.
 fn run_sweep_command(
     matrix_path: &str,
     jobs: usize,
     out_dir: Option<String>,
     no_memo: bool,
     max_cells: Option<usize>,
-    bench_json: bool,
 ) {
-    let text = match std::fs::read_to_string(matrix_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{matrix_path}: cannot read: {e}");
-            std::process::exit(1);
-        }
-    };
-    let spec = match sweep::parse_matrix(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{matrix_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = std::fs::read_to_string(matrix_path)
+        .unwrap_or_else(|e| fail(1, format!("{matrix_path}: cannot read: {e}")));
+    let spec =
+        sweep::parse_matrix(&text).unwrap_or_else(|e| fail(2, format!("{matrix_path}: {e}")));
     let out_dir = PathBuf::from(out_dir.unwrap_or_else(|| format!("sweep-{}", spec.name)));
     let opts = sweep::SweepOptions {
         jobs,
@@ -353,13 +262,7 @@ fn run_sweep_command(
         max_cells,
     };
     let start = std::time::Instant::now();
-    let outcome = match sweep::run_sweep(&spec, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = sweep::run_sweep(&spec, &opts).unwrap_or_else(|e| fail(1, format!("sweep: {e}")));
     let wall = start.elapsed();
     print!("{}", outcome.log);
     let dup = if outcome.duplicates > 0 {
@@ -385,13 +288,6 @@ fn run_sweep_command(
             "sweep {}: {} simulated events in {:.2?}",
             spec.name, outcome.events, wall
         );
-    }
-    if bench_json {
-        let mut b = Bench::merged("experiments");
-        for (cell, cell_wall) in &outcome.cell_walls {
-            b.record_wall(&format!("sweep/{}/cell/{cell}", spec.name), *cell_wall);
-        }
-        b.record_wall_elements(&format!("sweep/{}/total", spec.name), wall, outcome.events);
     }
 }
 

@@ -350,8 +350,8 @@ pub fn controller_ablation(
             "selective-retuning",
             Box::new(SelectiveRetuningController::new(ControllerConfig::default())),
         ),
-        run_with("coarse-grained", Box::new(CoarseGrainedController::new(3))),
-        run_with("cpu-only", Box::new(CpuOnlyController::new(0.9, 3))),
+        run_with("coarse-grained", Box::new(CoarseGrainedController::new())),
+        run_with("cpu-only", Box::new(CpuOnlyController::new(0.9))),
     ]
 }
 

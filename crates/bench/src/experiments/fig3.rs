@@ -13,7 +13,7 @@
 //! is CPU-dominated exactly as in the testbed.
 
 use odlb_cluster::{Simulation, SimulationConfig};
-use odlb_core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
+use odlb_core::{Action, ClusterController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::Sla;
 use odlb_sim::SimDuration;
@@ -173,23 +173,7 @@ pub fn run_instrumented(
         },
     );
     sim.assign_replica(app, inst);
-    sim.set_tracer(tracer.clone());
-    if telemetry.is_active() {
-        sim.set_telemetry(telemetry.clone());
-    }
-    if let Some(profiler) = &profiler {
-        sim.set_profiler(profiler.clone());
-    }
-    sim.start();
-
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    controller.set_tracer(tracer.clone());
-    if telemetry.is_active() {
-        controller.set_telemetry(telemetry.clone());
-    }
-    if let Some(profiler) = profiler {
-        controller.set_profiler(profiler);
-    }
+    let mut controller = super::start_instrumented(&mut sim, &tracer, telemetry, profiler);
     let mut result = Fig3Result {
         load: Vec::new(),
         machines: Vec::new(),

@@ -16,7 +16,7 @@
 //!   parameters changed, and a quota is enforced for it.
 
 use odlb_cluster::{Simulation, SimulationConfig};
-use odlb_core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
+use odlb_core::{Action, ClusterController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{MetricKind, Sla};
 use odlb_storage::DomainId;
@@ -110,23 +110,7 @@ pub fn run_instrumented(
         LoadFunction::Constant(clients),
     );
     sim.assign_replica(app, inst);
-    sim.set_tracer(tracer.clone());
-    if telemetry.is_active() {
-        sim.set_telemetry(telemetry.clone());
-    }
-    if let Some(profiler) = &profiler {
-        sim.set_profiler(profiler.clone());
-    }
-    sim.start();
-
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    controller.set_tracer(tracer.clone());
-    if telemetry.is_active() {
-        controller.set_telemetry(telemetry.clone());
-    }
-    if let Some(profiler) = profiler {
-        controller.set_profiler(profiler);
-    }
+    let mut controller = super::start_instrumented(&mut sim, &tracer, telemetry, profiler);
     let mut latency_before = f64::NAN;
     let mut stable_metrics: BTreeMap<u32, [f64; 4]> = BTreeMap::new();
     for _ in 0..stable_intervals {

@@ -10,10 +10,9 @@
 //! event.
 //!
 //! The rendered table is fully deterministic (no wall-clock content), so
-//! suite runs are byte-identical at any `--jobs` count; the wall-clock
-//! side (events/sec) is carried out of band via
-//! [`crate::suite::FigureOutput::elements`] and lands in
-//! `BENCH_experiments.json`.
+//! suite runs are byte-identical at any `--jobs` count; events/sec for
+//! this regime is `work_per_sec` of the `scale_point` / `scale_write`
+//! workloads in `benchmark/`.
 
 use odlb_cluster::{Simulation, SimulationConfig};
 use odlb_engine::EngineConfig;
@@ -56,8 +55,7 @@ pub struct ScaleResult {
 }
 
 impl ScaleResult {
-    /// Events dispatched across the whole sweep (the `elements` count
-    /// behind the suite's events/sec record).
+    /// Events dispatched across the whole sweep.
     pub fn total_events(&self) -> u64 {
         self.rows.iter().map(|r| r.events).sum()
     }
@@ -250,8 +248,7 @@ fn run_sweep(
 }
 
 /// Renders the sweep table. Deterministic by construction: event counts
-/// and simulated metrics only — wall-clock throughput goes to the bench
-/// ledger, never to stdout.
+/// and simulated metrics only, never wall-clock throughput.
 pub fn render(r: &ScaleResult) -> String {
     let mut out = String::new();
     out.push_str("fig-scale: event hot-path scaling (calendar queue, hierarchical aggregation)\n");

@@ -26,7 +26,6 @@
 //! content-addressed cell caching and shared-trace memoization.
 
 pub mod experiments;
-pub mod harness;
 pub mod runner;
 pub mod suite;
 pub mod sweep;

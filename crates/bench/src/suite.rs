@@ -29,8 +29,6 @@ pub struct FigureInfo {
     pub title: &'static str,
     /// Runs with a tracer attached (prints a run-digest line).
     pub traced: bool,
-    /// Counts work units (`elements`) for the bench ledger.
-    pub counted: bool,
     /// Included in the `all` selection (extras are CI-scale smoke runs
     /// and the capacity sweep).
     pub in_all: bool,
@@ -43,112 +41,96 @@ pub const REGISTRY: [FigureInfo; 16] = [
         name: "fig5",
         title: "Fig. 5 — MRC of BestSeller (normal configuration); paper: acceptable 6982 pages",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "fig6",
         title: "Fig. 6 — MRC of SearchItemsByRegion; paper: acceptable 7906 pages",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "table1",
         title: "Table 1 — buffer pool management algorithms (index dropped)",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "fig3",
         title: "Fig. 3 — CPU saturation under sinusoid load",
         traced: true,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "fig4",
         title: "Fig. 4 — dropping the O_DATE index",
         traced: true,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "table2",
         title: "Table 2 — memory contention in a shared buffer pool",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "table3",
         title: "Table 3 — I/O contention among VM domains",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-fences",
         title: "Ablation A1 — fence multiplier sensitivity",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-weights",
         title: "Ablation A2 — impact weighting",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-coarse",
         title: "Ablation A3 — fine-grained vs coarse-grained vs CPU-only",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-mrc-threshold",
         title: "Ablation A4 — MRC acceptability threshold vs BestSeller quota",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-mrc-approx",
         title: "Ablation A5 — exact Mattson vs bucketed approximation",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "ablation-mrc-sampled",
         title: "Ablation A6 — exact Mattson vs SHARDS-style sampled tracker",
         traced: false,
-        counted: false,
         in_all: true,
     },
     FigureInfo {
         name: "fig3-mini",
         title: "Fig. 3 (miniature smoke run) — CPU saturation under sinusoid load",
         traced: true,
-        counted: false,
         in_all: false,
     },
     FigureInfo {
         name: "fig-scale",
         title: "fig-scale — event hot-path scaling: 112 replicas, 1M resident sessions",
         traced: true,
-        counted: true,
         in_all: false,
     },
     FigureInfo {
         name: "fig-scale-mini",
         title: "fig-scale (miniature smoke run) — event hot-path scaling",
         traced: true,
-        counted: true,
         in_all: false,
     },
 ];
@@ -181,22 +163,21 @@ pub fn figure_info(name: &str) -> Option<&'static FigureInfo> {
 }
 
 /// Renders the registry table behind `experiments --list`: one line per
-/// figure/ablation with its traced/counted flags and description, so
+/// figure/ablation with its traced flag and description, so
 /// sweep matrices and CI selections can be authored against the real
 /// registry.
 pub fn render_list() -> String {
     let yn = |b: bool| if b { "yes" } else { "-" };
     let mut out = String::from("experiments registry (canonical commit order; extras last):\n\n");
     out.push_str(&format!(
-        "{:<24} {:>6} {:>7} {:>5}  description\n",
-        "name", "traced", "counted", "all"
+        "{:<24} {:>6} {:>5}  description\n",
+        "name", "traced", "all"
     ));
     for info in &REGISTRY {
         out.push_str(&format!(
-            "{:<24} {:>6} {:>7} {:>5}  {}\n",
+            "{:<24} {:>6} {:>5}  {}\n",
             info.name,
             yn(info.traced),
-            yn(info.counted),
             yn(info.in_all),
             info.title
         ));
@@ -256,13 +237,8 @@ pub struct FigureOutput {
     /// The figure's controller-phase profile (instrumented figures
     /// only); the caller merges these into one suite-level report.
     pub profile: Option<SpanProfiler>,
-    /// Wall-clock time the figure's job took to run.
+    /// Wall-clock time the figure's job took to run (never in `stdout`).
     pub wall: Duration,
-    /// Work units the figure processed (0 when it doesn't count any):
-    /// `fig-scale` reports events dispatched, so `elements / wall` is
-    /// its events/sec. Kept out of `stdout` — wall-clock-derived values
-    /// would break byte-parity across runs.
-    pub elements: u64,
 }
 
 /// Runs `selection` on up to `cfg.jobs` workers, invoking `commit` once
@@ -306,7 +282,6 @@ fn plain(
             publish: None,
             profile: None,
             wall: start.elapsed(),
-            elements: 0,
         }
     })
 }
@@ -321,21 +296,6 @@ fn traced(
     cfg: &SuiteConfig,
     multiple: bool,
     run: impl FnOnce(Tracer, Telemetry, Option<SharedSpanProfiler>) -> String + Send + 'static,
-) -> Job<FigureOutput> {
-    traced_counted(name, title, cfg, multiple, move |t, tel, p| {
-        (run(t, tel, p), 0)
-    })
-}
-
-/// [`traced`] for figures that also count work units: the closure
-/// returns `(body, elements)` and the element count rides on the
-/// [`FigureOutput`] so the caller can derive a throughput benchmark.
-fn traced_counted(
-    name: &'static str,
-    title: &'static str,
-    cfg: &SuiteConfig,
-    multiple: bool,
-    run: impl FnOnce(Tracer, Telemetry, Option<SharedSpanProfiler>) -> (String, u64) + Send + 'static,
 ) -> Job<FigureOutput> {
     let trace_path = cfg.trace_path.as_ref().map(|p| {
         if multiple {
@@ -365,7 +325,7 @@ fn traced_counted(
         let _suite = odlb_telemetry::enter_span(&profiler, "experiments");
         let _figure = odlb_telemetry::enter_span(&profiler, name);
         let start = Instant::now();
-        let (body, elements) = run(tracer, telemetry.clone(), profiler.clone());
+        let body = run(tracer, telemetry.clone(), profiler.clone());
         let wall = start.elapsed();
         // Close the roots before snapshotting: spans record on exit.
         drop(_figure);
@@ -410,7 +370,6 @@ fn traced_counted(
             publish,
             profile,
             wall,
-            elements,
         }
     })
 }
@@ -432,13 +391,11 @@ fn figure_job(name: &'static str, cfg: &SuiteConfig, multiple: bool) -> Job<Figu
         "fig3-mini" => traced(name, title, cfg, multiple, |t, tel, p| {
             fig3::render(&fig3::figure_mini_instrumented(t, tel, p))
         }),
-        "fig-scale" => traced_counted(name, title, cfg, multiple, |t, tel, p| {
-            let r = scale::figure_instrumented(t, tel, p);
-            (scale::render(&r), r.total_events())
+        "fig-scale" => traced(name, title, cfg, multiple, |t, tel, p| {
+            scale::render(&scale::figure_instrumented(t, tel, p))
         }),
-        "fig-scale-mini" => traced_counted(name, title, cfg, multiple, |t, tel, p| {
-            let r = scale::figure_mini_instrumented(t, tel, p);
-            (scale::render(&r), r.total_events())
+        "fig-scale-mini" => traced(name, title, cfg, multiple, |t, tel, p| {
+            scale::render(&scale::figure_mini_instrumented(t, tel, p))
         }),
         "fig4" => traced(name, title, cfg, multiple, |t, tel, p| {
             fig4::render(&fig4::figure_instrumented(t, tel, p))
@@ -478,11 +435,6 @@ mod tests {
                 info.in_all,
                 ALL_FIGURES.contains(&info.name),
                 "{}",
-                info.name
-            );
-            assert!(
-                !info.counted || info.traced,
-                "{}: counted figures run through traced_counted",
                 info.name
             );
             assert!(!info.title.is_empty());

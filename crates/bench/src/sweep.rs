@@ -29,8 +29,8 @@
 //!
 //! Simulated results never mix with wall-clock content: cell CSV rows and
 //! manifests carry simulation-derived values only, while per-cell wall
-//! clocks and the whole-sweep events/sec ride out of band in
-//! [`SweepOutcome`] for the bench ledger (`BENCH_experiments.json`).
+//! clocks ride out of band in [`SweepOutcome`] (the `sweep_replay`
+//! workload of `benchmark/` reads them).
 
 use crate::runner::{run_ordered, Job};
 use odlb_cluster::{Simulation, SimulationConfig};
@@ -51,15 +51,9 @@ use odlb_workload::{
     QueryClassSpec, ScheduleConfig, WorkloadSpec,
 };
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Workload mixes a matrix may reference.
-pub const WORKLOADS: [&str; 3] = ["tpcw", "rubis", "zipf"];
-
-/// Controller variants a matrix may reference.
-pub const CONTROLLERS: [&str; 4] = ["selective", "cpu-only", "coarse", "vm-migration"];
 
 /// The measurement interval every cell runs on (the driver default).
 const INTERVAL: SimDuration = SimDuration::from_secs(10);
@@ -86,12 +80,85 @@ pub struct MatrixSpec {
     pub seeds: Vec<u64>,
     /// Replica-count axis (one instance per server).
     pub replicas: Vec<usize>,
-    /// Workload-mix axis (members of [`WORKLOADS`]).
-    pub workloads: Vec<String>,
+    /// Workload-mix axis.
+    pub workloads: Vec<CellWorkload>,
     /// MRC-mode axis.
     pub mrc: Vec<CellMrc>,
-    /// Controller axis (members of [`CONTROLLERS`]).
-    pub controllers: Vec<String>,
+    /// Controller axis.
+    pub controllers: Vec<CellController>,
+}
+
+/// A workload mix a matrix may reference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellWorkload {
+    /// TPC-W browsing mix.
+    Tpcw,
+    /// RUBiS bidding mix.
+    Rubis,
+    /// The generation-heavy synthetic Zipf join mix.
+    Zipf,
+}
+
+/// A controller variant a matrix may reference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellController {
+    /// The paper's selective retuning controller.
+    Selective,
+    /// CPU-trigger provisioning only.
+    CpuOnly,
+    /// Whole-application isolation.
+    Coarse,
+    /// Live VM migration.
+    VmMigration,
+}
+
+/// Parses one of an axis's canonical spellings; the error lists them.
+fn parse_named<T: Copy>(
+    what: &str,
+    all: &[T],
+    name: fn(T) -> &'static str,
+    s: &str,
+) -> Result<T, String> {
+    all.iter().copied().find(|&v| name(v) == s).ok_or_else(|| {
+        let valid: Vec<&str> = all.iter().map(|&v| name(v)).collect();
+        format!("unknown {what} '{s}' (valid: {valid:?})")
+    })
+}
+
+impl CellWorkload {
+    /// The canonical spelling (what configs, rows and summaries render).
+    pub fn name(self) -> &'static str {
+        match self {
+            CellWorkload::Tpcw => "tpcw",
+            CellWorkload::Rubis => "rubis",
+            CellWorkload::Zipf => "zipf",
+        }
+    }
+
+    /// Parses `tpcw`, `rubis`, or `zipf`.
+    pub fn parse(s: &str) -> Result<CellWorkload, String> {
+        use CellWorkload::*;
+        parse_named("workload", &[Tpcw, Rubis, Zipf], Self::name, s)
+    }
+}
+
+impl CellController {
+    /// The canonical spelling (what configs, rows and summaries render).
+    pub fn name(self) -> &'static str {
+        match self {
+            CellController::Selective => "selective",
+            CellController::CpuOnly => "cpu-only",
+            CellController::Coarse => "coarse",
+            CellController::VmMigration => "vm-migration",
+        }
+    }
+
+    /// Parses `selective`, `cpu-only`, `coarse`, or `vm-migration`.
+    pub fn parse(s: &str) -> Result<CellController, String> {
+        use CellController::*;
+        let all = [Selective, CpuOnly, Coarse, VmMigration];
+        parse_named("controller", &all, Self::name, s)
+    }
 }
 
 /// An MRC tracker selection, canonicalised for hashing.
@@ -151,12 +218,12 @@ pub struct CellConfig {
     pub seed: u64,
     /// Servers, each hosting one replica instance.
     pub replicas: usize,
-    /// Workload mix name.
-    pub workload: String,
+    /// Workload mix.
+    pub workload: CellWorkload,
     /// MRC tracker selection.
     pub mrc: CellMrc,
-    /// Controller variant name.
-    pub controller: String,
+    /// Controller variant.
+    pub controller: CellController,
     /// Measurement intervals.
     pub intervals: usize,
     /// Passive warm-up intervals.
@@ -173,13 +240,13 @@ impl CellConfig {
         format!(
             "clients={};controller={};intervals={};mrc={};replicas={};seed={};warmup={};workload={}",
             self.clients,
-            self.controller,
+            self.controller.name(),
             self.intervals,
             self.mrc.canonical(),
             self.replicas,
             self.seed,
             self.warmup,
-            self.workload,
+            self.workload.name(),
         )
     }
 
@@ -202,7 +269,11 @@ impl CellConfig {
     pub fn trace_key(&self) -> String {
         format!(
             "clients={};intervals={};replicas={};seed={};workload={}",
-            self.clients, self.intervals, self.replicas, self.seed, self.workload,
+            self.clients,
+            self.intervals,
+            self.replicas,
+            self.seed,
+            self.workload.name(),
         )
     }
 }
@@ -251,6 +322,23 @@ fn parse_values(key: &str, raw: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
+fn int<T: std::str::FromStr>(lineno: usize, key: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("line {}: {key}: bad integer '{v}'", lineno + 1))
+}
+
+/// Parses every value of the axis `key`, which must have at least one.
+fn axis<T>(
+    key: &str,
+    vals: &[String],
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    if vals.is_empty() {
+        return Err(format!("axis '{key}' is empty"));
+    }
+    vals.iter().map(|v| parse(v)).collect()
+}
+
 /// Parses a sweep matrix from the TOML subset: top-level `key = value`
 /// lines, `#` comments, integer/string scalars and flat arrays. Unknown
 /// keys and section headers are errors — a typoed axis must not silently
@@ -263,9 +351,9 @@ pub fn parse_matrix(text: &str) -> Result<MatrixSpec, String> {
         clients: 24,
         seeds: vec![42],
         replicas: vec![1],
-        workloads: vec!["tpcw".to_string()],
+        workloads: vec![CellWorkload::Tpcw],
         mrc: vec![CellMrc::Exact],
-        controllers: vec!["selective".to_string()],
+        controllers: vec![CellController::Selective],
     };
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw);
@@ -290,35 +378,17 @@ pub fn parse_matrix(text: &str) -> Result<MatrixSpec, String> {
                 Err(format!("line {}: {key} takes one value", lineno + 1))
             }
         };
-        let usize_of = |v: &str| -> Result<usize, String> {
-            v.parse()
-                .map_err(|_| format!("line {}: {key}: bad integer '{v}'", lineno + 1))
-        };
+        let usize_of = |v: &str| int::<usize>(lineno, key, v);
         match key {
             "name" => spec.name = single()?.clone(),
             "intervals" => spec.intervals = usize_of(single()?)?,
             "warmup" => spec.warmup = usize_of(single()?)?,
             "clients" => spec.clients = usize_of(single()?)?,
-            "seeds" => {
-                spec.seeds = vals
-                    .iter()
-                    .map(|v| {
-                        v.parse::<u64>()
-                            .map_err(|_| format!("line {}: seeds: bad integer '{v}'", lineno + 1))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "replicas" => {
-                spec.replicas = vals.iter().map(|v| usize_of(v)).collect::<Result<_, _>>()?;
-            }
-            "workloads" => spec.workloads = vals,
-            "mrc" => {
-                spec.mrc = vals
-                    .iter()
-                    .map(|v| CellMrc::parse(v))
-                    .collect::<Result<_, _>>()?;
-            }
-            "controllers" => spec.controllers = vals,
+            "seeds" => spec.seeds = axis(key, &vals, |v| int(lineno, key, v))?,
+            "replicas" => spec.replicas = axis(key, &vals, usize_of)?,
+            "workloads" => spec.workloads = axis(key, &vals, CellWorkload::parse)?,
+            "mrc" => spec.mrc = axis(key, &vals, CellMrc::parse)?,
+            "controllers" => spec.controllers = axis(key, &vals, CellController::parse)?,
             other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
         }
     }
@@ -339,29 +409,8 @@ fn validate(spec: &MatrixSpec) -> Result<(), String> {
     if spec.clients == 0 {
         return Err("clients must be at least 1".to_string());
     }
-    for (axis, values) in [
-        ("seeds", spec.seeds.len()),
-        ("replicas", spec.replicas.len()),
-        ("workloads", spec.workloads.len()),
-        ("mrc", spec.mrc.len()),
-        ("controllers", spec.controllers.len()),
-    ] {
-        if values == 0 {
-            return Err(format!("axis '{axis}' is empty"));
-        }
-    }
     if spec.replicas.contains(&0) {
         return Err("replicas values must be at least 1".to_string());
-    }
-    for w in &spec.workloads {
-        if !WORKLOADS.contains(&w.as_str()) {
-            return Err(format!("unknown workload '{w}' (valid: {WORKLOADS:?})"));
-        }
-    }
-    for c in &spec.controllers {
-        if !CONTROLLERS.contains(&c.as_str()) {
-            return Err(format!("unknown controller '{c}' (valid: {CONTROLLERS:?})"));
-        }
     }
     Ok(())
 }
@@ -375,15 +424,15 @@ pub fn expand(spec: &MatrixSpec) -> (Vec<CellConfig>, usize) {
     let mut duplicates = 0;
     for &seed in &spec.seeds {
         for &replicas in &spec.replicas {
-            for workload in &spec.workloads {
+            for &workload in &spec.workloads {
                 for &mrc in &spec.mrc {
-                    for controller in &spec.controllers {
+                    for &controller in &spec.controllers {
                         let cell = CellConfig {
                             seed,
                             replicas,
-                            workload: workload.clone(),
+                            workload,
                             mrc,
-                            controller: controller.clone(),
+                            controller,
                             intervals: spec.intervals,
                             warmup: spec.warmup,
                             clients: spec.clients,
@@ -406,8 +455,8 @@ pub fn expand(spec: &MatrixSpec) -> (Vec<CellConfig>, usize) {
 /// distribution, so every generated page pays a sampler *construction*
 /// (rejection-inversion setup, ~10 transcendentals) on top of the draw,
 /// while execution replays hot hits against a small resident table. This
-/// is the regime where shared-trace memoization pays most — the speedup
-/// gate in `benches/sweep.rs` runs a controller-variant matrix on it.
+/// is the regime where shared-trace memoization pays most
+/// (`bench.sweep_memo_speedup` in `benchmark/`).
 fn zipf_heavy_workload() -> WorkloadSpec {
     let space = SpaceId(0);
     let us = SimDuration::from_micros;
@@ -455,13 +504,12 @@ fn zipf_heavy_workload() -> WorkloadSpec {
     }
 }
 
-/// Materialises a workload mix by name (names validated at parse time).
-fn cell_workload(name: &str) -> WorkloadSpec {
-    match name {
-        "tpcw" => tpcw_workload(TpcwConfig::default()),
-        "rubis" => rubis_workload(RubisConfig::default()),
-        "zipf" => zipf_heavy_workload(),
-        other => panic!("unvalidated workload '{other}'"),
+/// Materialises a workload mix.
+fn cell_workload(workload: CellWorkload) -> WorkloadSpec {
+    match workload {
+        CellWorkload::Tpcw => tpcw_workload(TpcwConfig::default()),
+        CellWorkload::Rubis => rubis_workload(RubisConfig::default()),
+        CellWorkload::Zipf => zipf_heavy_workload(),
     }
 }
 
@@ -479,15 +527,14 @@ fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
 }
 
 fn cell_controller(cell: &CellConfig) -> Box<dyn ClusterController> {
-    match cell.controller.as_str() {
-        "selective" => Box::new(SelectiveRetuningController::new(ControllerConfig {
+    match cell.controller {
+        CellController::Selective => Box::new(SelectiveRetuningController::new(ControllerConfig {
             mrc_mode: cell.mrc.mode(),
             ..Default::default()
         })),
-        "cpu-only" => Box::new(CpuOnlyController::new(0.85, 3)),
-        "coarse" => Box::new(CoarseGrainedController::new(3)),
-        "vm-migration" => Box::new(VmMigrationController::new(SimDuration::from_millis(500), 3)),
-        other => panic!("unvalidated controller '{other}'"),
+        CellController::CpuOnly => Box::new(CpuOnlyController::new(0.85)),
+        CellController::Coarse => Box::new(CoarseGrainedController::new()),
+        CellController::VmMigration => Box::new(VmMigrationController::new()),
     }
 }
 
@@ -502,6 +549,11 @@ struct CellResult {
     wall: Duration,
 }
 
+fn cell_schedule(cell: &CellConfig) -> Arc<GeneratedSchedule> {
+    let workload = cell_workload(cell.workload);
+    Arc::new(generate_schedule(&workload, &schedule_config(cell)))
+}
+
 /// Runs one cell against a (shared or freshly generated) schedule.
 fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     let mut sim = Simulation::new(SimulationConfig {
@@ -513,7 +565,7 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
         let server = sim.add_server(4);
         instances.push(sim.add_instance(server, DomainId(1), EngineConfig::default()));
     }
-    let app = sim.add_replayed_app(cell_workload(&cell.workload), Sla::one_second(), schedule);
+    let app = sim.add_replayed_app(cell_workload(cell.workload), Sla::one_second(), schedule);
     for inst in instances {
         sim.assign_replica(app, inst);
     }
@@ -554,9 +606,9 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
             "{id},{},{},{},{},{},{interval},{latency_ms:.3},{tput:.2},{},{actions},{machines}\n",
             cell.seed,
             cell.replicas,
-            cell.workload,
+            cell.workload.name(),
             cell.mrc.canonical(),
-            cell.controller,
+            cell.controller.name(),
             u8::from(ok),
         ));
     }
@@ -575,7 +627,7 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     let summary = format!(
         "{id}  {:<12} {:<14} {:>7.3} ms  {:>9.2} q/s  sla {sla_met}/{}  actions {actions_total:>3}  \
          digest {digest:#018x}",
-        cell.controller,
+        cell.controller.name(),
         cell.mrc.canonical(),
         mean_lat,
         tput_sum / measured.max(1) as f64,
@@ -633,6 +685,7 @@ pub struct SweepOutcome {
 }
 
 /// Parsed-back fields of a `CELL_OK` manifest.
+#[derive(Debug)]
 struct Manifest {
     digest: u64,
     events: u64,
@@ -651,12 +704,23 @@ fn manifest_text(cell: &CellConfig, res: &CellResult) -> String {
     )
 }
 
+/// Writes `bytes` to `path` through a sibling temp file and a rename, so
+/// a killed sweep leaves the old file or the whole new one, never a
+/// prefix.
+fn write_atomic(path: &Path, bytes: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Reads and validates a cell's manifest. `None` means "not completed":
-/// missing, truncated, or written for a different config (a content-hash
+/// missing, cut short anywhere (every line, the last included, must end
+/// in a newline), or written for a different config (a content-hash
 /// collision in the directory name would surface here as a canonical
 /// mismatch and force a re-run).
-fn read_manifest(dir: &std::path::Path, cell: &CellConfig) -> Option<Manifest> {
+fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
     let text = std::fs::read_to_string(dir.join("CELL_OK")).ok()?;
+    let text = text.strip_suffix('\n')?;
     let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
     for line in text.lines() {
         let (k, v) = line.split_once('=')?;
@@ -705,12 +769,9 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
     if opts.memo {
         for &i in &pending {
             let cell = &cells[i];
-            schedules.entry(cell.trace_key()).or_insert_with(|| {
-                Arc::new(generate_schedule(
-                    &cell_workload(&cell.workload),
-                    &schedule_config(cell),
-                ))
-            });
+            schedules
+                .entry(cell.trace_key())
+                .or_insert_with(|| cell_schedule(cell));
         }
     }
 
@@ -723,12 +784,7 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
                 let start = Instant::now();
                 // Cold path (--no-memo): generation is part of the cell,
                 // which is exactly the cost memoization removes.
-                let schedule = shared.unwrap_or_else(|| {
-                    Arc::new(generate_schedule(
-                        &cell_workload(&cell.workload),
-                        &schedule_config(&cell),
-                    ))
-                });
+                let schedule = shared.unwrap_or_else(|| cell_schedule(&cell));
                 let mut res = run_cell(&cell, schedule);
                 res.wall = start.elapsed();
                 res
@@ -747,11 +803,10 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         let dir = cells_dir.join(cells[i].dir_name());
         let commit = (|| -> std::io::Result<()> {
             std::fs::create_dir_all(&dir)?;
-            std::fs::write(dir.join("cell.csv"), &res.rows)?;
+            write_atomic(&dir.join("cell.csv"), &res.rows)?;
             // The manifest is written last: its presence certifies the
             // cell, so a crash between the two writes re-runs the cell.
-            std::fs::write(dir.join("CELL_OK"), manifest_text(&cells[i], &res))?;
-            Ok(())
+            write_atomic(&dir.join("CELL_OK"), &manifest_text(&cells[i], &res))
         })();
         if let Err(e) = commit {
             io_error = Some(format!("{}: cannot commit cell: {e}", dir.display()));
@@ -787,21 +842,20 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         ));
     }
 
-    let csv_path = opts.out_dir.join("sweep.csv");
-    let summary_path = opts.out_dir.join("summary.txt");
+    let mut outcome = SweepOutcome {
+        total_cells: cells.len(),
+        duplicates,
+        skipped,
+        ran,
+        interrupted,
+        events: 0,
+        log,
+        cell_walls,
+        csv_path: opts.out_dir.join("sweep.csv"),
+        summary_path: opts.out_dir.join("summary.txt"),
+    };
     if interrupted {
-        return Ok(SweepOutcome {
-            total_cells: cells.len(),
-            duplicates,
-            skipped,
-            ran,
-            interrupted,
-            events: 0,
-            log,
-            cell_walls,
-            csv_path,
-            summary_path,
-        });
+        return Ok(outcome);
     }
 
     // Deterministic merge: every artifact is read back from disk in
@@ -809,7 +863,6 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
     // byte-identical files at any job count.
     let mut csv = String::from(CSV_HEADER);
     let mut summary = format!("sweep {}: {} cells\n", spec.name, cells.len());
-    let mut events = 0u64;
     for cell in &cells {
         let dir = cells_dir.join(cell.dir_name());
         let manifest = read_manifest(&dir, cell)
@@ -819,25 +872,13 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         csv.push_str(&rows);
         summary.push_str(&manifest.summary);
         summary.push('\n');
-        events += manifest.events;
+        outcome.events += manifest.events;
     }
-    summary.push_str(&format!("total simulated events: {events}\n"));
-    std::fs::write(&csv_path, &csv).map_err(|e| format!("{}: {e}", csv_path.display()))?;
-    std::fs::write(&summary_path, &summary)
-        .map_err(|e| format!("{}: {e}", summary_path.display()))?;
-
-    Ok(SweepOutcome {
-        total_cells: cells.len(),
-        duplicates,
-        skipped,
-        ran,
-        interrupted,
-        events,
-        log,
-        cell_walls,
-        csv_path,
-        summary_path,
-    })
+    summary.push_str(&format!("total simulated events: {}\n", outcome.events));
+    for (path, text) in [(&outcome.csv_path, csv), (&outcome.summary_path, summary)] {
+        std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -865,8 +906,11 @@ mod tests {
         assert_eq!(m.seeds, vec![1, 2]);
         assert_eq!(m.replicas, vec![1], "default axis");
         assert_eq!(m.mrc, vec![CellMrc::Exact], "default axis");
-        assert_eq!(m.workloads, vec!["zipf"]);
-        assert_eq!(m.controllers, vec!["selective", "coarse"]);
+        assert_eq!(m.workloads, vec![CellWorkload::Zipf]);
+        assert_eq!(
+            m.controllers,
+            vec![CellController::Selective, CellController::Coarse]
+        );
         let (cells, dup) = expand(&m);
         assert_eq!(cells.len(), 4);
         assert_eq!(dup, 0);
@@ -922,15 +966,15 @@ mod tests {
         let base = CellConfig {
             seed: 1,
             replicas: 2,
-            workload: "tpcw".to_string(),
+            workload: CellWorkload::Tpcw,
             mrc: CellMrc::Exact,
-            controller: "selective".to_string(),
+            controller: CellController::Selective,
             intervals: 4,
             warmup: 1,
             clients: 10,
         };
         let mut variant = base.clone();
-        variant.controller = "coarse".to_string();
+        variant.controller = CellController::Coarse;
         variant.mrc = CellMrc::Sampled(0.1);
         assert_eq!(base.trace_key(), variant.trace_key());
         assert_ne!(base.content_hash(), variant.content_hash());
@@ -948,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_and_rejects_mismatches() {
+    fn manifest_round_trips_and_rejects_mismatches_and_cuts() {
         let m =
             parse_matrix("intervals = 2\nwarmup = 0\nclients = 2\nworkloads = [\"zipf\"]").unwrap();
         let (cells, _) = expand(&m);
@@ -963,12 +1007,21 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("odlb-manifest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("cell.csv"), &res.rows).unwrap();
-        std::fs::write(dir.join("CELL_OK"), manifest_text(cell, &res)).unwrap();
+        let text = manifest_text(cell, &res);
+        write_atomic(&dir.join("cell.csv"), &res.rows).unwrap();
+        write_atomic(&dir.join("CELL_OK"), &text).unwrap();
+        assert!(!dir.join("CELL_OK.tmp").exists(), "temp file renamed away");
         let m = read_manifest(&dir, cell).expect("valid manifest");
         assert_eq!(m.digest, 0xdead_beef);
         assert_eq!(m.events, 123);
         assert_eq!(m.summary, "summary line");
+        // A manifest cut at any byte is rejected, never half-read.
+        for cut in 0..text.len() {
+            std::fs::write(dir.join("CELL_OK"), &text[..cut]).unwrap();
+            let read = read_manifest(&dir, cell);
+            assert!(read.is_none(), "cut at byte {cut} parsed as {read:?}");
+        }
+        std::fs::write(dir.join("CELL_OK"), &text).unwrap();
         // A different config must not claim this cell.
         let mut other = cell.clone();
         other.seed += 1;

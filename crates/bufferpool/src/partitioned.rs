@@ -152,11 +152,6 @@ impl PartitionedPool {
         }
     }
 
-    /// Hit ratio of the general partition (all non-quotaed classes).
-    pub fn general_hit_ratio(&self) -> f64 {
-        self.general.total_counters().hit_ratio()
-    }
-
     /// Resident pages of the general partition, LRU→MRU order.
     pub fn general_resident_pages(&self) -> Vec<PageId> {
         self.general.resident_pages()

@@ -11,20 +11,31 @@
 //! through the driver's mutation API before the next interval runs.
 //! This mirrors the paper's decision managers acting between measurement
 //! intervals.
+//!
+//! This file holds the state; the behaviour is one `impl Simulation`
+//! block per job in the sub-modules: `actuator` (topology and the
+//! controller-facing mutation API), `event_loop` (`run_interval` →
+//! `handle` → `dispatch_spec` → `execute_on`), `interval` (interval
+//! close), `export` (telemetry export at interval close) and `replay`
+//! (pregenerated-schedule replay).
 
-use crate::aggregate;
+mod actuator;
+mod event_loop;
+mod export;
+mod interval;
+mod replay;
+#[cfg(test)]
+mod tests;
+
 use crate::scheduler::Scheduler;
-use crate::topology::{InstanceId, ProvisionError};
-use odlb_engine::{DbEngine, EngineConfig, QuerySpec};
-use odlb_metrics::{AppId, ClassId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
-use odlb_mrc::MissRatioCurve;
+use crate::topology::InstanceId;
+use odlb_engine::DbEngine;
+use odlb_metrics::{AppId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
 use odlb_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use odlb_storage::{DiskModel, DomainId, PageId, SharedIoPath};
-use odlb_telemetry::{
-    enter_span, profile_span, span_units, LogLinearHistogram, SharedSpanProfiler, Telemetry,
-};
-use odlb_trace::{TraceEvent, Tracer};
-use odlb_workload::{ClientConfig, ClientPool, GeneratedSchedule, LoadFunction, WorkloadSpec};
+use odlb_storage::{DomainId, PageId, SharedIoPath};
+use odlb_telemetry::{SharedSpanProfiler, Telemetry};
+use odlb_trace::Tracer;
+use odlb_workload::{ClientPool, GeneratedSchedule, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -157,13 +168,6 @@ pub struct IntervalOutcome {
     pub servers: Vec<ServerSnapshot>,
 }
 
-impl IntervalOutcome {
-    /// True when any application violated its SLA this interval.
-    pub fn any_violation(&self) -> bool {
-        self.sla.values().any(|s| s.is_violation())
-    }
-}
-
 /// The simulated cluster.
 pub struct Simulation {
     config: SimulationConfig,
@@ -253,1299 +257,5 @@ impl Simulation {
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Adds a physical server with `cores` CPU cores and a default disk.
-    pub fn add_server(&mut self, cores: usize) -> ServerId {
-        self.add_server_with_disk(cores, DiskModel::default())
-    }
-
-    /// Adds a physical server with an explicit disk model (e.g. a wide
-    /// RAID stripe for CPU-bound experiments).
-    pub fn add_server_with_disk(&mut self, cores: usize, disk: DiskModel) -> ServerId {
-        let mut io = SharedIoPath::new(disk);
-        if let Some(p) = &self.profiler {
-            io.set_profiler(p.clone());
-        }
-        self.servers.push(ServerState {
-            cpu: odlb_sim::Station::new(cores),
-            io,
-        });
-        ServerId((self.servers.len() - 1) as u32)
-    }
-
-    /// Number of servers in the pool.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Adds a database instance on `server`, in VM domain `domain`.
-    pub fn add_instance(
-        &mut self,
-        server: ServerId,
-        domain: DomainId,
-        engine: EngineConfig,
-    ) -> InstanceId {
-        assert!((server.0 as usize) < self.servers.len(), "unknown server");
-        let id = InstanceId(self.instances.len() as u32);
-        let mut engine = DbEngine::new(engine, self.now);
-        if self.telemetry.is_active() {
-            engine.set_telemetry(self.telemetry.clone(), &id.to_string());
-        }
-        if let Some(p) = &self.profiler {
-            engine.set_profiler(p.clone());
-        }
-        self.instances.push(InstanceState {
-            server: server.0 as usize,
-            domain,
-            engine,
-            outstanding: 0,
-            ready: true,
-            retired: false,
-        });
-        id
-    }
-
-    /// Registers an application with its SLA, client behaviour and load.
-    /// Replicas are assigned separately with [`Simulation::assign_replica`].
-    pub fn add_app(
-        &mut self,
-        spec: WorkloadSpec,
-        sla: Sla,
-        client_config: ClientConfig,
-        load: LoadFunction,
-    ) -> AppId {
-        let app_id = spec.app;
-        assert!(
-            self.apps.iter().all(|a| a.spec.app != app_id),
-            "duplicate application id"
-        );
-        let idx = self.apps.len() as u64;
-        let root = SimRng::new(self.config.seed);
-        self.apps.push(AppState {
-            scheduler: Scheduler::new(app_id, Vec::new()),
-            sla,
-            clients: ClientPool::new(client_config, load, root.split(1_000 + idx)),
-            rng: root.split(2_000 + idx),
-            spec,
-            active_clients: 0,
-            target_clients: 0,
-            next_client: 0,
-            offered_this_interval: 0,
-            replay: None,
-        });
-        app_id
-    }
-
-    /// Registers an application that replays a pregenerated open-loop
-    /// schedule ([`odlb_workload::generate_schedule`]) instead of running
-    /// closed-loop clients. Arrival times, classes and page accesses come
-    /// verbatim from the schedule; CPU demands and the write flag are
-    /// resolved against the *current* class spec at dispatch, so
-    /// mid-run plan changes ([`Simulation::set_class_cpu`]) still apply.
-    /// The schedule is shared by `Arc`: parameter-sweep cells replay one
-    /// generation without copying it per cell.
-    pub fn add_replayed_app(
-        &mut self,
-        spec: WorkloadSpec,
-        sla: Sla,
-        schedule: Arc<GeneratedSchedule>,
-    ) -> AppId {
-        // The closed-loop pool stays allocated but idle (constant zero
-        // load): LoadTick finds no clients to admit, so the replayed app
-        // draws nothing from the pool's streams.
-        let app_id = self.add_app(
-            spec,
-            sla,
-            ClientConfig::default(),
-            LoadFunction::Constant(0),
-        );
-        let idx = self.app_index(app_id);
-        self.apps[idx].replay = Some(ReplayState { schedule, next: 0 });
-        app_id
-    }
-
-    fn app_index(&self, app: AppId) -> usize {
-        self.apps
-            .iter()
-            .position(|a| a.spec.app == app)
-            .expect("unknown application")
-    }
-
-    /// Makes `instance` a (ready) replica of `app`. An instance serving
-    /// several applications models a shared DBMS (the paper's Table 2).
-    pub fn assign_replica(&mut self, app: AppId, instance: InstanceId) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.add_replica(instance);
-    }
-
-    /// Provisions a new replica of `app` on a server that hosts none of
-    /// its replicas yet (preferring empty servers), with the configured
-    /// copy/warm-up delay before it starts serving. Returns the new
-    /// instance id. Mirrors the paper's reactive coarse-grained
-    /// provisioning (§3.3.3, Fig. 3(b)).
-    pub fn provision_replica(&mut self, app: AppId) -> Result<InstanceId, ProvisionError> {
-        let app_idx = self.app_index(app);
-        let used: Vec<usize> = self.apps[app_idx]
-            .scheduler
-            .replicas()
-            .iter()
-            .map(|i| self.instances[i.0 as usize].server)
-            .collect();
-        // Prefer a server with no instances at all, then any server not
-        // already hosting this app.
-        let candidate = (0..self.servers.len())
-            .filter(|s| !used.contains(s))
-            .min_by_key(|&s| self.instances.iter().filter(|i| i.server == s).count())
-            .ok_or(ProvisionError::NoFreeServer)?;
-        if used.contains(&candidate) {
-            return Err(ProvisionError::NoFreeServer);
-        }
-        // Clone the engine configuration from an existing replica, or use
-        // defaults for an app with no replicas yet.
-        let engine_config = self.apps[app_idx]
-            .scheduler
-            .replicas()
-            .first()
-            .map(|i| self.instances[i.0 as usize].engine.config())
-            .unwrap_or_default();
-        let mut engine = DbEngine::new(engine_config, self.now);
-        if self.telemetry.is_active() {
-            engine.set_telemetry(
-                self.telemetry.clone(),
-                &InstanceId(self.instances.len() as u32).to_string(),
-            );
-        }
-        if let Some(p) = &self.profiler {
-            engine.set_profiler(p.clone());
-        }
-        self.instances.push(InstanceState {
-            server: candidate,
-            domain: DomainId(1),
-            engine,
-            outstanding: 0,
-            ready: false,
-            retired: false,
-        });
-        let instance = self.instances.len() - 1;
-        self.queue.schedule(
-            self.now + self.config.provisioning_delay,
-            Event::ReplicaReady {
-                app: app_idx,
-                instance,
-            },
-        );
-        Ok(InstanceId(instance as u32))
-    }
-
-    /// Retires a replica of `app`: it stops receiving traffic (in-flight
-    /// queries drain naturally) and its server returns to the pool. The
-    /// release half of the paper's reactive provisioning (Fig. 3(b)).
-    pub fn retire_replica(&mut self, app: AppId, instance: InstanceId) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.remove_replica(instance);
-        self.instances[instance.0 as usize].ready = false;
-        self.instances[instance.0 as usize].retired = true;
-    }
-
-    /// Pins a query class of `app` to a sub-set of its replicas.
-    pub fn place_class(&mut self, app: AppId, class: ClassId, instances: Vec<InstanceId>) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.place_class(class, instances);
-    }
-
-    /// Clears a class pin.
-    pub fn unplace_class(&mut self, app: AppId, class: ClassId) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.unplace_class(class);
-    }
-
-    /// The replica set of `app`.
-    pub fn replicas_of(&self, app: AppId) -> Vec<InstanceId> {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.replicas().to_vec()
-    }
-
-    /// The read placement of one class.
-    pub fn placement_of(&self, app: AppId, class: ClassId) -> Vec<InstanceId> {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.placement_of(class).to_vec()
-    }
-
-    /// True when any pinned class of `app` is placed on `instance` —
-    /// retiring such a replica would silently undo a fine-grained
-    /// placement decision.
-    pub fn is_pinned_target(&self, app: AppId, instance: InstanceId) -> bool {
-        let idx = self.app_index(app);
-        let sched = &self.apps[idx].scheduler;
-        sched
-            .pinned_classes()
-            .iter()
-            .any(|&class| sched.placement_of(class).contains(&instance))
-    }
-
-    /// Enforces a buffer-pool quota on one instance (§3.3.2).
-    pub fn set_quota(
-        &mut self,
-        instance: InstanceId,
-        class: ClassId,
-        pages: usize,
-    ) -> Result<(), odlb_bufferpool::QuotaError> {
-        self.instances[instance.0 as usize]
-            .engine
-            .set_quota(class, pages)
-    }
-
-    /// Clears a quota; returns whether one existed.
-    pub fn clear_quota(&mut self, instance: InstanceId, class: ClassId) -> bool {
-        self.instances[instance.0 as usize]
-            .engine
-            .clear_quota(class)
-    }
-
-    /// Recomputes a class's MRC from its access window on one instance.
-    pub fn recompute_mrc(
-        &self,
-        instance: InstanceId,
-        class: ClassId,
-        cap_pages: usize,
-    ) -> Option<MissRatioCurve> {
-        self.recompute_mrc_with(instance, class, cap_pages, odlb_mrc::MrcMode::Exact)
-    }
-
-    /// [`Simulation::recompute_mrc`] with an explicit tracker mode
-    /// (exact / bucketed / SHARDS-sampled), as configured on the
-    /// controller driving this cluster.
-    pub fn recompute_mrc_with(
-        &self,
-        instance: InstanceId,
-        class: ClassId,
-        cap_pages: usize,
-        mode: odlb_mrc::MrcMode,
-    ) -> Option<MissRatioCurve> {
-        self.instances[instance.0 as usize]
-            .engine
-            .recompute_mrc_with(class, cap_pages, mode)
-    }
-
-    /// Buffer pool size (pages) of an instance.
-    pub fn pool_pages(&self, instance: InstanceId) -> usize {
-        self.instances[instance.0 as usize]
-            .engine
-            .config()
-            .pool_pages
-    }
-
-    /// The server hosting an instance.
-    pub fn server_of(&self, instance: InstanceId) -> ServerId {
-        ServerId(self.instances[instance.0 as usize].server as u32)
-    }
-
-    /// Overwrites the mix weight of one class (0 removes it from the mix —
-    /// the paper's "remove query contexts … in decreasing order of their
-    /// I/O rate" for I/O interference).
-    pub fn set_class_weight(&mut self, app: AppId, class_index: usize, weight: f64) {
-        let idx = self.app_index(app);
-        self.apps[idx].spec.classes[class_index].weight = weight;
-    }
-
-    /// Swaps the access pattern of one class — the mechanism behind
-    /// localized plan changes like §5.3's `O_DATE` index drop, where one
-    /// query's plan degenerates while everything else is untouched.
-    pub fn set_class_pattern(
-        &mut self,
-        app: AppId,
-        class_index: usize,
-        pattern: odlb_workload::AccessPattern,
-    ) {
-        let idx = self.app_index(app);
-        self.apps[idx].spec.classes[class_index].pattern = pattern;
-    }
-
-    /// Live-migrates a database instance's VM to another physical server
-    /// (the coarse remedy the paper argues is usually overkill, §1).
-    /// Models pre-copy migration: the instance keeps serving from the old
-    /// server until `downtime` from now, then switches; its buffer pool
-    /// arrives warm (pre-copy transfers memory pages). Returns false when
-    /// the instance is already on `to`.
-    pub fn migrate_instance(
-        &mut self,
-        instance: InstanceId,
-        to: ServerId,
-        _downtime: SimDuration,
-    ) -> bool {
-        assert!((to.0 as usize) < self.servers.len(), "unknown server");
-        let idx = instance.0 as usize;
-        if self.instances[idx].server == to.0 as usize {
-            return false;
-        }
-        // The analytic execution model books resource time at arrival, so
-        // the switch is effective for queries arriving after `now`; the
-        // migration traffic itself is modelled as a burst of sequential
-        // reads on both servers' disks.
-        let pool_pages = self.instances[idx].engine.config().pool_pages as u64;
-        let old_server = self.instances[idx].server;
-        let burst_pages = pool_pages.min(16_384);
-        self.servers[old_server].io.read(
-            odlb_storage::DomainId(0),
-            self.now,
-            odlb_storage::IoKind::Sequential,
-            burst_pages,
-            false,
-        );
-        self.servers[to.0 as usize].io.read(
-            odlb_storage::DomainId(0),
-            self.now,
-            odlb_storage::IoKind::Sequential,
-            burst_pages,
-            false,
-        );
-        self.instances[idx].server = to.0 as usize;
-        true
-    }
-
-    /// Overrides one class's CPU demands — plan-cost changes (an added
-    /// trigger, a regressed plan) without touching its page accesses.
-    pub fn set_class_cpu(
-        &mut self,
-        app: AppId,
-        class_index: usize,
-        cpu_base: SimDuration,
-        cpu_per_page: SimDuration,
-    ) {
-        let idx = self.app_index(app);
-        let class = &mut self.apps[idx].spec.classes[class_index];
-        class.cpu_base = cpu_base;
-        class.cpu_per_page = cpu_per_page;
-    }
-
-    /// The workload spec of an app (current weights included).
-    pub fn workload(&self, app: AppId) -> &WorkloadSpec {
-        &self.apps[self.app_index(app)].spec
-    }
-
-    /// Starts client arrival processes. Must be called once before
-    /// [`Simulation::run_interval`].
-    pub fn start(&mut self) {
-        assert!(!self.started, "simulation already started");
-        self.started = true;
-        self.queue.schedule(SimTime::ZERO, Event::LoadTick);
-        // Prime one in-flight ReplayIssue per replayed app; each
-        // dispatch chains the next.
-        let firsts: Vec<(usize, SimTime)> = self
-            .apps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| {
-                let r = a.replay.as_ref()?;
-                Some((i, r.schedule.queries.first()?.at))
-            })
-            .collect();
-        for (app, at) in firsts {
-            self.queue.schedule(at, Event::ReplayIssue { app });
-        }
-    }
-
-    /// Runs one measurement interval and closes it.
-    pub fn run_interval(&mut self) -> IntervalOutcome {
-        assert!(self.started, "call start() first");
-        // The driver-level span: event dispatch and interval close nest
-        // under it. Its sim units are the interval's simulated length.
-        let _interval = enter_span(&self.profiler, "interval");
-        span_units(&self.profiler, self.config.measurement_interval.as_micros());
-        let tick_at = self.last_tick + self.config.measurement_interval;
-        while let Some(t) = self.queue.peek_time() {
-            if t > tick_at {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
-            self.now = t;
-            self.events_processed += 1;
-            self.handle(t, ev);
-        }
-        self.now = tick_at;
-        self.last_tick = tick_at;
-        let profiler = self.profiler.clone();
-        profile_span(&profiler, "close_interval", || self.close_interval(tick_at))
-    }
-
-    fn close_interval(&mut self, end: SimTime) -> IntervalOutcome {
-        let mut reports = BTreeMap::new();
-        for (i, inst) in self.instances.iter_mut().enumerate() {
-            let report = inst.engine.close_interval(end);
-            reports.insert(InstanceId(i as u32), report);
-        }
-        // Hierarchical aggregation: one pass per instance into rack
-        // partials, rack partials folded into the cluster view — instead
-        // of re-walking every report once per application. With the
-        // default single rack the floating-point accumulation order (and
-        // thus every artifact) is identical to the flat pass.
-        let mut cluster = aggregate::aggregate_cluster(&reports, self.config.rack_size);
-        let mut app_latency = BTreeMap::new();
-        let mut app_throughput = BTreeMap::new();
-        let mut app_p95 = BTreeMap::new();
-        let mut sla = BTreeMap::new();
-        for app in &mut self.apps {
-            let id = app.spec.app;
-            let agg = cluster.remove(&id).unwrap_or_default();
-            app_p95.insert(id, agg.tail.as_ref().and_then(|h| h.quantile(0.95)));
-            let mean_latency = agg.mean_latency();
-            let had_load = app.offered_this_interval > 0;
-            app.offered_this_interval = 0;
-            app_latency.insert(id, mean_latency);
-            app_throughput.insert(id, agg.tput);
-            sla.insert(id, app.sla.evaluate(mean_latency, had_load));
-        }
-        let servers: Vec<ServerSnapshot> = self
-            .servers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| ServerSnapshot {
-                server: ServerId(i as u32),
-                cpu_utilisation: s.cpu.utilisation_since_snapshot(end),
-                io_utilisation: s.io.utilisation_since_snapshot(end),
-            })
-            .collect();
-        let start = end.saturating_start(self.config.measurement_interval);
-        if self.telemetry.is_active() {
-            self.export_interval_telemetry(
-                end,
-                &app_latency,
-                &app_throughput,
-                &app_p95,
-                &sla,
-                &servers,
-            );
-        }
-        if self.tracer.is_active() {
-            self.tracer.emit(TraceEvent::IntervalClosed {
-                seq: self.interval_seq,
-                start_us: start.as_micros(),
-                end_us: end.as_micros(),
-                instances: reports.len() as u32,
-                classes: reports.values().map(|r| r.per_class.len() as u32).sum(),
-            });
-            for (app, outcome) in &sla {
-                self.tracer.emit(TraceEvent::SlaEvaluated {
-                    end_us: end.as_micros(),
-                    app: app.0,
-                    latency_s: app_latency[app],
-                    throughput_qps: app_throughput[app],
-                    violated: outcome.is_violation(),
-                });
-            }
-        }
-        self.interval_seq += 1;
-        IntervalOutcome {
-            start,
-            end,
-            reports,
-            app_latency,
-            app_throughput,
-            sla,
-            servers,
-        }
-    }
-
-    /// Cluster-level export at interval close: queue depths, per-app
-    /// aggregates, per-server utilisation and I/O counters — then one
-    /// registry snapshot stamped with the interval end, so the CSV time
-    /// series aligns with the controller's decision points.
-    fn export_interval_telemetry(
-        &mut self,
-        end: SimTime,
-        app_latency: &BTreeMap<AppId, Option<f64>>,
-        app_throughput: &BTreeMap<AppId, f64>,
-        app_p95: &BTreeMap<AppId, Option<u64>>,
-        sla: &BTreeMap<AppId, SlaOutcome>,
-        servers: &[ServerSnapshot],
-    ) {
-        let t = &self.telemetry;
-        for (i, inst) in self.instances.iter().enumerate() {
-            let instance = InstanceId(i as u32).to_string();
-            let labels = [("instance", instance.as_str())];
-            if let Some(g) = t.gauge(
-                "odlb_instance_queue_depth",
-                "Outstanding queries on a database instance.",
-                &labels,
-            ) {
-                g.set(inst.outstanding as f64);
-            }
-            if let Some(g) = t.gauge(
-                "odlb_instance_ready",
-                "Whether an instance is serving traffic (1) or provisioning/retired (0).",
-                &labels,
-            ) {
-                g.set(if inst.ready { 1.0 } else { 0.0 });
-            }
-        }
-        for app in &self.apps {
-            let id = app.spec.app.to_string();
-            let labels = [("app", id.as_str())];
-            if let Some(latency) = app_latency[&app.spec.app] {
-                if let Some(g) = t.gauge(
-                    "odlb_app_latency_seconds",
-                    "Mean query latency over the closed interval.",
-                    &labels,
-                ) {
-                    g.set(latency);
-                }
-            }
-            if let Some(p95) = app_p95[&app.spec.app] {
-                if let Some(g) = t.gauge(
-                    "odlb_app_latency_p95_us",
-                    "95th-percentile query latency over the closed interval \
-                     (simulated microseconds, histogram-estimated).",
-                    &labels,
-                ) {
-                    g.set(p95 as f64);
-                }
-            }
-            if let Some(g) = t.gauge(
-                "odlb_app_throughput_qps",
-                "Queries per second over the closed interval.",
-                &labels,
-            ) {
-                g.set(app_throughput[&app.spec.app]);
-            }
-            if let Some(g) = t.gauge("odlb_app_clients", "Active closed-loop clients.", &labels) {
-                g.set(app.active_clients as f64);
-            }
-            if let Some(c) = t.counter(
-                "odlb_sla_violations_total",
-                "Measurement intervals that violated the application's SLA.",
-                &labels,
-            ) {
-                if sla[&app.spec.app].is_violation() {
-                    c.inc();
-                }
-            }
-        }
-        for (i, (state, snap)) in self.servers.iter().zip(servers).enumerate() {
-            let server = ServerId(i as u32).to_string();
-            let labels = [("server", server.as_str())];
-            if let Some(g) = t.gauge(
-                "odlb_server_cpu_utilisation",
-                "CPU utilisation over the closed interval (0-1).",
-                &labels,
-            ) {
-                g.set(snap.cpu_utilisation);
-            }
-            if let Some(g) = t.gauge(
-                "odlb_server_io_utilisation",
-                "Domain-0 disk utilisation over the closed interval (0-1).",
-                &labels,
-            ) {
-                g.set(snap.io_utilisation);
-            }
-            state.io.export_telemetry(t, &server);
-        }
-        // Cluster-wide per-class latency distribution: merge each
-        // replica's cumulative histogram (the paper's SLA is stated
-        // against the class, not any one replica). Rebuilt from scratch
-        // every interval via `replace` — monotone because the inputs
-        // are cumulative and retired instances keep their engines.
-        if t.is_active() {
-            let mut merged: BTreeMap<ClassId, LogLinearHistogram> = BTreeMap::new();
-            for inst in &self.instances {
-                for (class, h) in inst.engine.class_latency_histograms() {
-                    h.with(|src| {
-                        merged
-                            .entry(class)
-                            .or_insert_with(|| LogLinearHistogram::new(src.grouping_power()))
-                            .merge(src)
-                    });
-                }
-            }
-            for (class, hist) in merged {
-                let label = class.to_string();
-                if let Some(h) = t.histogram(
-                    "odlb_cluster_query_latency_us",
-                    "Cluster-wide per-class latency, merged across replicas (simulated microseconds).",
-                    &[("class", label.as_str())],
-                ) {
-                    h.replace(hist);
-                }
-            }
-        }
-        // Stamp the snapshot with the same seq `close_interval` puts in
-        // its `interval_closed` trace event (the increment happens after
-        // this call), so CSV rows join to decision traces.
-        t.snapshot(end.as_micros(), self.interval_seq);
-    }
-
-    fn handle(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::LoadTick => {
-                for app_idx in 0..self.apps.len() {
-                    let target = self.apps[app_idx].clients.target_clients(now);
-                    self.apps[app_idx].target_clients = target;
-                    while self.apps[app_idx].active_clients < target {
-                        let client = self.apps[app_idx].next_client;
-                        self.apps[app_idx].next_client += 1;
-                        self.apps[app_idx].active_clients += 1;
-                        // Stagger arrivals within the update interval.
-                        let stagger = SimDuration::from_micros(
-                            self.apps[app_idx]
-                                .rng
-                                .below(self.config.load_update_interval.as_micros().max(1)),
-                        );
-                        self.queue.schedule(
-                            now + stagger,
-                            Event::ClientIssue {
-                                app: app_idx,
-                                client,
-                            },
-                        );
-                    }
-                    // Shrinking happens lazily: clients retire when they
-                    // next come up to issue.
-                }
-                self.queue
-                    .schedule(now + self.config.load_update_interval, Event::LoadTick);
-            }
-            Event::ClientIssue { app, client } => self.client_issue(now, app, client),
-            Event::QueryDone {
-                app,
-                client,
-                instance,
-                record,
-            } => {
-                self.instances[instance].outstanding =
-                    self.instances[instance].outstanding.saturating_sub(1);
-                self.instances[instance].engine.commit_record(record);
-                if let Some(client) = client {
-                    let think = self.apps[app].clients.next_think();
-                    self.queue
-                        .schedule(now + think, Event::ClientIssue { app, client });
-                }
-            }
-            Event::ReplicaReady { app, instance } => {
-                // Retired while provisioning (e.g. the need evaporated):
-                // never resurrect it.
-                if self.instances[instance].retired {
-                    return;
-                }
-                // The provisioning delay covers data copy and buffer
-                // warm-up: hand the new replica the source replica's
-                // resident pages so it starts warm, as the paper's
-                // provisioning procedure does.
-                let source = self.apps[app]
-                    .scheduler
-                    .replicas()
-                    .first()
-                    .map(|i| i.0 as usize);
-                if let Some(src) = source {
-                    if src != instance {
-                        let pages = self.instances[src].engine.resident_pages();
-                        self.instances[instance].engine.preload(pages);
-                    }
-                }
-                self.instances[instance].ready = true;
-                self.apps[app]
-                    .scheduler
-                    .add_replica(InstanceId(instance as u32));
-            }
-            Event::ReplayIssue { app } => self.replay_issue(now, app),
-        }
-    }
-
-    fn client_issue(&mut self, now: SimTime, app: usize, client: u64) {
-        // Lazy retirement keeps the population at the load target.
-        if self.apps[app].active_clients > self.apps[app].target_clients {
-            self.apps[app].active_clients -= 1;
-            return;
-        }
-        // Sample into the recycled page buffer — no allocation once the
-        // buffer has grown to the largest page list seen.
-        let spec = {
-            let pages = std::mem::take(&mut self.spec_pages);
-            let a = &mut self.apps[app];
-            a.spec.sample_query_into(&mut a.rng, pages)
-        };
-        if !self.dispatch_spec(now, app, Some(client), spec) {
-            // No ready replica (all still provisioning): retry shortly.
-            self.queue.schedule(
-                now + SimDuration::from_millis(100),
-                Event::ClientIssue { app, client },
-            );
-        }
-    }
-
-    /// Dispatches the next query of a replayed app's schedule and chains
-    /// the following one. When every replica is still provisioning the
-    /// cursor does not advance; the same query retries shortly, so the
-    /// schedule is delayed, never truncated.
-    fn replay_issue(&mut self, now: SimTime, app: usize) {
-        let (sched, idx) = {
-            let r = self.apps[app].replay.as_ref().expect("replayed app");
-            (Arc::clone(&r.schedule), r.next)
-        };
-        let Some(q) = sched.queries.get(idx) else {
-            return;
-        };
-        let spec = {
-            let mut pages = std::mem::take(&mut self.spec_pages);
-            pages.clear();
-            pages.extend_from_slice(sched.pages_of(idx));
-            let a = &self.apps[app];
-            let class = q.class as usize;
-            let c = &a.spec.classes[class];
-            QuerySpec {
-                class: a.spec.class_id(class),
-                pages,
-                cpu_base: c.cpu_base,
-                cpu_per_page: c.cpu_per_page,
-                is_write: c.is_write,
-                lock_prefix: if c.is_write {
-                    q.lock_prefix as usize
-                } else {
-                    0
-                },
-            }
-        };
-        if !self.dispatch_spec(now, app, None, spec) {
-            self.queue.schedule(
-                now + SimDuration::from_millis(100),
-                Event::ReplayIssue { app },
-            );
-            return;
-        }
-        self.apps[app].replay.as_mut().expect("replayed app").next = idx + 1;
-        if let Some(next) = sched.queries.get(idx + 1) {
-            self.queue
-                .schedule(next.at.max(now), Event::ReplayIssue { app });
-        }
-    }
-
-    /// Routes and executes one materialised query (shared by the
-    /// closed-loop and replay paths). Returns `false` — after recycling
-    /// the page buffer — when no ready replica exists; the caller decides
-    /// how to retry.
-    fn dispatch_spec(
-        &mut self,
-        now: SimTime,
-        app: usize,
-        client: Option<u64>,
-        spec: QuerySpec,
-    ) -> bool {
-        let instances = &self.instances;
-        let outstanding = |i: InstanceId| instances[i.0 as usize].outstanding;
-        let route = if spec.is_write {
-            self.apps[app]
-                .scheduler
-                .route_write(spec.class, outstanding)
-                .map(|r| (r.primary, r.applies))
-        } else {
-            self.apps[app]
-                .scheduler
-                .route_read(spec.class, outstanding)
-                .map(|p| (p, Vec::new()))
-        };
-        let Some((primary, applies)) = route else {
-            self.recycle_pages(spec.pages);
-            return false;
-        };
-        self.apps[app].offered_this_interval += 1;
-        self.execute_on(now, app, client, primary, &spec);
-        let spec = if applies.is_empty() {
-            spec
-        } else {
-            let apply_spec = spec.into_replica_apply();
-            for target in applies {
-                self.execute_on(now, app, None, target, &apply_spec);
-            }
-            apply_spec
-        };
-        self.recycle_pages(spec.pages);
-        true
-    }
-
-    /// Returns a finished query's page buffer to the recycle slot
-    /// (engines read pages during `execute`, never after).
-    fn recycle_pages(&mut self, mut pages: Vec<PageId>) {
-        pages.clear();
-        self.spec_pages = pages;
-    }
-
-    fn execute_on(
-        &mut self,
-        now: SimTime,
-        app: usize,
-        client: Option<u64>,
-        instance: InstanceId,
-        spec: &QuerySpec,
-    ) {
-        let idx = instance.0 as usize;
-        let server = self.instances[idx].server;
-        let domain = self.instances[idx].domain;
-        // One span per dispatched query; its sim units are the query's
-        // simulated latency, so the deterministic flamegraph shows where
-        // simulated time goes (engine sub-spans attribute I/O and CPU).
-        let _span = enter_span(&self.profiler, "engine_execute");
-        let (instances, servers) = (&mut self.instances, &mut self.servers);
-        let srv = &mut servers[server];
-        let result = instances[idx]
-            .engine
-            .execute(now, spec, &mut srv.cpu, &mut srv.io, domain);
-        span_units(&self.profiler, result.record.latency.as_micros());
-        instances[idx].outstanding += 1;
-        self.queue.schedule(
-            result.completion,
-            Event::QueryDone {
-                app,
-                client,
-                instance: idx,
-                record: result.record,
-            },
-        );
-    }
-}
-
-/// Subtraction helper: `end - interval`, saturating at zero.
-trait SaturatingStart {
-    fn saturating_start(self, interval: SimDuration) -> SimTime;
-}
-
-impl SaturatingStart for SimTime {
-    fn saturating_start(self, interval: SimDuration) -> SimTime {
-        SimTime::from_micros(self.as_micros().saturating_sub(interval.as_micros()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use odlb_metrics::MetricKind;
-    use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
-
-    fn small_sim(clients: usize) -> (Simulation, AppId) {
-        let mut sim = Simulation::new(SimulationConfig {
-            seed: 7,
-            ..Default::default()
-        });
-        let server = sim.add_server(4);
-        let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig::default(),
-            LoadFunction::Constant(clients),
-        );
-        sim.assign_replica(app, inst);
-        sim.start();
-        (sim, app)
-    }
-
-    #[test]
-    fn light_load_meets_sla() {
-        let (mut sim, app) = small_sim(5);
-        let mut last = None;
-        for _ in 0..6 {
-            last = Some(sim.run_interval());
-        }
-        let outcome = last.unwrap();
-        assert_eq!(outcome.sla[&app], SlaOutcome::Met);
-        assert!(outcome.app_throughput[&app] > 1.0, "queries flow");
-        let lat = outcome.app_latency[&app].unwrap();
-        assert!(lat < 1.0, "latency {lat}");
-    }
-
-    #[test]
-    fn interval_boundaries_advance_clock() {
-        let (mut sim, _) = small_sim(2);
-        let o1 = sim.run_interval();
-        let o2 = sim.run_interval();
-        assert_eq!(o1.end, SimTime::from_secs(10));
-        assert_eq!(o2.start, SimTime::from_secs(10));
-        assert_eq!(o2.end, SimTime::from_secs(20));
-        assert_eq!(sim.now(), SimTime::from_secs(20));
-    }
-
-    #[test]
-    fn per_class_metrics_are_populated() {
-        let (mut sim, app) = small_sim(10);
-        sim.run_interval();
-        let outcome = sim.run_interval();
-        let report = outcome.reports.values().next().unwrap();
-        assert!(report.per_class.len() >= 5, "several classes observed");
-        for (class, v) in &report.per_class {
-            assert_eq!(class.app, app);
-            assert!(v[MetricKind::Throughput] > 0.0);
-            assert!(v[MetricKind::PageAccesses] > 0.0);
-        }
-    }
-
-    #[test]
-    fn replication_balances_reads() {
-        let mut sim = Simulation::new(SimulationConfig {
-            seed: 9,
-            ..Default::default()
-        });
-        let s1 = sim.add_server(4);
-        let s2 = sim.add_server(4);
-        let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-        let i2 = sim.add_instance(s2, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig::default(),
-            LoadFunction::Constant(20),
-        );
-        sim.assign_replica(app, i1);
-        sim.assign_replica(app, i2);
-        sim.start();
-        sim.run_interval();
-        let outcome = sim.run_interval();
-        let t1 = outcome.reports[&i1].app_throughput(app);
-        let t2 = outcome.reports[&i2].app_throughput(app);
-        assert!(t1 > 0.0 && t2 > 0.0, "both replicas serve ({t1}, {t2})");
-    }
-
-    #[test]
-    fn writes_reach_every_replica() {
-        let mut sim = Simulation::new(SimulationConfig::default());
-        let s1 = sim.add_server(4);
-        let s2 = sim.add_server(4);
-        let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-        let i2 = sim.add_instance(s2, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig::default(),
-            LoadFunction::Constant(10),
-        );
-        sim.assign_replica(app, i1);
-        sim.assign_replica(app, i2);
-        sim.start();
-        sim.run_interval();
-        let outcome = sim.run_interval();
-        // The write class ShoppingCart (index 5) must appear on BOTH
-        // replicas even though reads of it go to one.
-        let write_class = ClassId::new(app, 5);
-        for inst in [i1, i2] {
-            let has = outcome.reports[&inst].per_class.contains_key(&write_class);
-            assert!(has, "write class missing on {inst}");
-        }
-    }
-
-    #[test]
-    fn class_pinning_confines_reads() {
-        let mut sim = Simulation::new(SimulationConfig::default());
-        let s1 = sim.add_server(4);
-        let s2 = sim.add_server(4);
-        let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-        let i2 = sim.add_instance(s2, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig::default(),
-            LoadFunction::Constant(15),
-        );
-        sim.assign_replica(app, i1);
-        sim.assign_replica(app, i2);
-        // Pin the read-only BestSeller class (index 8) to replica 2.
-        let bs = ClassId::new(app, 8);
-        sim.place_class(app, bs, vec![i2]);
-        sim.start();
-        for _ in 0..3 {
-            sim.run_interval();
-        }
-        let outcome = sim.run_interval();
-        assert!(
-            !outcome.reports[&i1].per_class.contains_key(&bs),
-            "pinned read-only class must not run on replica 1"
-        );
-        assert!(outcome.reports[&i2].per_class.contains_key(&bs));
-    }
-
-    #[test]
-    fn provisioning_adds_capacity_after_delay() {
-        let (mut sim, app) = small_sim(10);
-        assert_eq!(sim.replicas_of(app).len(), 1);
-        // No second server yet: provisioning must fail.
-        assert_eq!(
-            sim.provision_replica(app),
-            Err(ProvisionError::NoFreeServer)
-        );
-        sim.add_server(4);
-        let new = sim.provision_replica(app).expect("free server available");
-        // Not yet ready.
-        assert_eq!(sim.replicas_of(app).len(), 1);
-        sim.run_interval(); // 10 s > 20 s? no — one more interval
-        sim.run_interval();
-        assert_eq!(sim.replicas_of(app).len(), 2, "ready after the delay");
-        assert_eq!(sim.replicas_of(app)[1], new);
-    }
-
-    #[test]
-    fn load_function_grows_population() {
-        let mut sim = Simulation::new(SimulationConfig {
-            seed: 3,
-            ..Default::default()
-        });
-        let s = sim.add_server(4);
-        let i = sim.add_instance(s, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig {
-                think_time_mean: SimDuration::from_millis(500),
-                load_noise: 0.0,
-            },
-            LoadFunction::Step {
-                before: 2,
-                after: 30,
-                at: SimTime::from_secs(20),
-            },
-        );
-        sim.assign_replica(app, i);
-        sim.start();
-        sim.run_interval();
-        let before = sim.run_interval();
-        sim.run_interval();
-        sim.run_interval();
-        let after = sim.run_interval();
-        let t_before = before.app_throughput[&app];
-        let t_after = after.app_throughput[&app];
-        assert!(
-            t_after > t_before * 3.0,
-            "throughput should scale with clients: {t_before} -> {t_after}"
-        );
-    }
-
-    #[test]
-    fn set_class_weight_removes_class_from_mix() {
-        let (mut sim, app) = small_sim(10);
-        sim.set_class_weight(app, 8, 0.0);
-        for _ in 0..2 {
-            sim.run_interval();
-        }
-        let outcome = sim.run_interval();
-        let bs = ClassId::new(app, 8);
-        for report in outcome.reports.values() {
-            assert!(!report.per_class.contains_key(&bs));
-        }
-    }
-
-    #[test]
-    fn retired_replica_stops_serving() {
-        let mut sim = Simulation::new(SimulationConfig::default());
-        let s1 = sim.add_server(4);
-        let s2 = sim.add_server(4);
-        let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-        let i2 = sim.add_instance(s2, DomainId(1), EngineConfig::default());
-        let app = sim.add_app(
-            tpcw_workload(TpcwConfig::default()),
-            Sla::one_second(),
-            ClientConfig::default(),
-            LoadFunction::Constant(10),
-        );
-        sim.assign_replica(app, i1);
-        sim.assign_replica(app, i2);
-        sim.start();
-        sim.run_interval();
-        sim.retire_replica(app, i2);
-        assert_eq!(sim.replicas_of(app), vec![i1]);
-        sim.run_interval(); // drain
-        let outcome = sim.run_interval();
-        assert_eq!(
-            outcome.reports[&i2].app_throughput(app),
-            0.0,
-            "retired replica serves nothing"
-        );
-        assert!(outcome.reports[&i1].app_throughput(app) > 0.0);
-    }
-
-    #[test]
-    fn telemetry_snapshots_align_with_intervals() {
-        let (mut sim, app) = small_sim(8);
-        let t = odlb_telemetry::Telemetry::attached();
-        sim.set_telemetry(t.clone());
-        for _ in 0..3 {
-            sim.run_interval();
-        }
-        let prom = t.render_prometheus().unwrap();
-        odlb_telemetry::validate_prometheus(&prom).expect("valid exposition");
-        assert!(prom.contains(&format!("odlb_app_throughput_qps{{app=\"{app}\"}}")));
-        assert!(
-            prom.contains(&format!("odlb_app_latency_p95_us{{app=\"{app}\"}}")),
-            "interval tail-latency gauge from the merged class histograms"
-        );
-        assert!(prom.contains("odlb_instance_queue_depth{instance=\"inst0\"}"));
-        assert!(prom.contains("odlb_server_cpu_utilisation{server=\"srv0\"}"));
-        assert!(prom.contains("odlb_io_requests_total{domain=\"1\",machine=\"srv0\"}"));
-        let csv = t.render_csv().unwrap();
-        odlb_telemetry::validate_csv(&csv).expect("valid csv");
-        let snaps = t.with_registry(|r| r.snapshots().len()).unwrap();
-        assert_eq!(snaps, 3, "one snapshot per closed interval");
-        // Snapshots are stamped with the interval seq, so CSV rows join
-        // to `interval_closed` trace events.
-        assert!(csv.contains("10.000000,0,"));
-        assert!(csv.contains("20.000000,1,"));
-        assert!(csv.contains("30.000000,2,"));
-    }
-
-    #[test]
-    fn cluster_histograms_merge_per_class_counts_across_replicas() {
-        let (mut sim, app) = small_sim(8);
-        let second = sim.add_instance(ServerId(0), DomainId(1), EngineConfig::default());
-        sim.assign_replica(app, second);
-        let t = odlb_telemetry::Telemetry::attached();
-        sim.set_telemetry(t.clone());
-        for _ in 0..3 {
-            sim.run_interval();
-        }
-        let (per_instance, cluster): (u64, u64) = t
-            .with_registry(|r| {
-                let mut per_instance = 0;
-                let mut cluster = 0;
-                for row in r.sample_rows() {
-                    if row.name == "odlb_query_latency_us_count" {
-                        per_instance += row.value as u64;
-                    }
-                    if row.name == "odlb_cluster_query_latency_us_count" {
-                        cluster += row.value as u64;
-                    }
-                }
-                (per_instance, cluster)
-            })
-            .unwrap();
-        assert!(cluster > 0, "merged histogram must carry samples");
-        assert_eq!(
-            cluster, per_instance,
-            "cluster-wide counts must equal the sum over replicas"
-        );
-        let prom = t.render_prometheus().unwrap();
-        odlb_telemetry::validate_prometheus(&prom).expect("valid exposition");
-        assert!(prom.contains("odlb_cluster_query_latency_us_count{class=\""));
-    }
-
-    #[test]
-    fn telemetry_does_not_perturb_results() {
-        let run = |attach: bool| {
-            let (mut sim, app) = small_sim(8);
-            if attach {
-                sim.set_telemetry(odlb_telemetry::Telemetry::attached());
-            }
-            for _ in 0..3 {
-                sim.run_interval();
-            }
-            let o = sim.run_interval();
-            (o.app_throughput[&app], o.app_latency[&app])
-        };
-        assert_eq!(run(false), run(true), "telemetry must be observation-only");
-    }
-
-    #[test]
-    fn profiling_does_not_perturb_results() {
-        let run = |attach: bool| {
-            let (mut sim, app) = small_sim(8);
-            if attach {
-                sim.set_profiler(odlb_telemetry::SpanProfiler::shared());
-            }
-            for _ in 0..3 {
-                sim.run_interval();
-            }
-            let o = sim.run_interval();
-            (o.app_throughput[&app], o.app_latency[&app])
-        };
-        assert_eq!(run(false), run(true), "profiling must be observation-only");
-    }
-
-    #[test]
-    fn sim_folded_profile_is_deterministic_and_nested() {
-        let run = || {
-            let profiler = odlb_telemetry::SpanProfiler::shared();
-            let (mut sim, _) = small_sim(8);
-            sim.set_profiler(profiler.clone());
-            for _ in 0..3 {
-                sim.run_interval();
-            }
-            let folded = profiler.borrow().folded_sim();
-            folded
-        };
-        let folded = run();
-        assert_eq!(folded, run(), "sim folded dump must be run-invariant");
-        let stats = odlb_telemetry::validate_folded(&folded).expect("valid folded dump");
-        assert!(stats.max_depth >= 3, "driver spans nest: {folded}");
-        assert!(folded.contains("interval;engine_execute;pages;storage_read "));
-        assert!(folded.contains("interval;close_interval "));
-    }
-
-    #[test]
-    fn replayed_app_serves_the_whole_schedule_deterministically() {
-        use odlb_workload::{generate_schedule, ScheduleConfig};
-        let spec = tpcw_workload(TpcwConfig::default());
-        let schedule = Arc::new(generate_schedule(
-            &spec,
-            &ScheduleConfig {
-                seed: 17,
-                horizon: SimDuration::from_secs(30),
-                load: LoadFunction::Constant(6),
-                client: ClientConfig::default(),
-                tick: SimDuration::from_secs(2),
-            },
-        ));
-        assert!(!schedule.is_empty());
-        let run = |servers: usize| {
-            let mut sim = Simulation::new(SimulationConfig {
-                seed: 17,
-                ..Default::default()
-            });
-            let mut insts = Vec::new();
-            for _ in 0..servers {
-                let s = sim.add_server(4);
-                insts.push(sim.add_instance(s, DomainId(1), EngineConfig::default()));
-            }
-            let app = sim.add_replayed_app(
-                tpcw_workload(TpcwConfig::default()),
-                Sla::one_second(),
-                Arc::clone(&schedule),
-            );
-            for inst in insts {
-                sim.assign_replica(app, inst);
-            }
-            sim.start();
-            let mut offered = 0.0;
-            let mut last = None;
-            for _ in 0..3 {
-                let o = sim.run_interval();
-                offered += o.app_throughput[&app] * 10.0;
-                last = Some(o);
-            }
-            (offered.round() as u64, last.unwrap().app_latency[&app])
-        };
-        let (a_count, a_lat) = run(1);
-        let (b_count, b_lat) = run(1);
-        assert_eq!(
-            (a_count, a_lat),
-            (b_count, b_lat),
-            "replay is deterministic"
-        );
-        // Every scheduled arrival within the simulated horizon is served
-        // (completions may trail arrivals slightly, hence the tolerance).
-        let arrivals = schedule.len() as u64;
-        assert!(
-            a_count > arrivals * 9 / 10,
-            "served {a_count} of {arrivals} scheduled queries"
-        );
-        // The identical offered load runs against a different cluster
-        // size without regenerating anything.
-        let (two_replicas, _) = run(2);
-        assert!(two_replicas > arrivals * 9 / 10);
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let run = || {
-            let (mut sim, app) = small_sim(8);
-            for _ in 0..3 {
-                sim.run_interval();
-            }
-            let o = sim.run_interval();
-            (o.app_throughput[&app], o.app_latency[&app])
-        };
-        assert_eq!(run(), run());
     }
 }

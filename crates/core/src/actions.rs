@@ -3,6 +3,7 @@
 
 use odlb_cluster::InstanceId;
 use odlb_metrics::{AppId, ClassId};
+use odlb_telemetry::Telemetry;
 use odlb_trace::{ActionKind, TraceEvent, Tracer};
 use std::fmt;
 
@@ -124,24 +125,22 @@ impl Action {
     /// events; everything else becomes an `action_applied` record whose
     /// `detail` is the action's human-readable rendering.
     pub fn to_trace_event(&self, end_us: u64) -> TraceEvent {
-        if let Action::RecomputedMrc {
-            instance,
-            class,
-            acceptable_pages,
-            changed,
-        } = self
-        {
-            return TraceEvent::MrcValidation {
-                end_us,
-                instance: instance.0,
-                app: class.app.0,
-                template: class.template,
-                acceptable_pages: *acceptable_pages as u64,
-                changed: *changed,
-            };
-        }
         let (kind, app, instance, template, pages) = match self {
-            Action::RecomputedMrc { .. } => unreachable!("handled above"),
+            Action::RecomputedMrc {
+                instance,
+                class,
+                acceptable_pages,
+                changed,
+            } => {
+                return TraceEvent::MrcValidation {
+                    end_us,
+                    instance: instance.0,
+                    app: class.app.0,
+                    template: class.template,
+                    acceptable_pages: *acceptable_pages as u64,
+                    changed: *changed,
+                }
+            }
             Action::DetectedOutliers { instance, .. } => (
                 ActionKind::DetectedOutliers,
                 None,
@@ -216,26 +215,15 @@ impl Action {
     }
 }
 
-/// Emits every action's trace event in order (no-op when `tracer` has no
-/// sinks). All controllers call this once per interval so the applied
-/// action stream is traced uniformly.
-pub fn emit_actions(tracer: &Tracer, end_us: u64, actions: &[Action]) {
-    if !tracer.is_active() {
-        return;
-    }
+/// Reports one interval's applied actions, in order: each action's trace
+/// event to `tracer` and a per-kind count to `telemetry` (either is a
+/// no-op when inactive). The control loop calls this once per interval,
+/// so the trace and metrics streams stay in step for every controller.
+pub fn report_actions(tracer: &Tracer, telemetry: &Telemetry, end_us: u64, actions: &[Action]) {
     for action in actions {
-        tracer.emit(action.to_trace_event(end_us));
-    }
-}
-
-/// Counts applied actions by kind into a telemetry registry (no-op when
-/// `telemetry` is inactive). Controllers call this alongside
-/// [`emit_actions`] so the metrics and trace streams stay in step.
-pub fn count_actions(telemetry: &odlb_telemetry::Telemetry, actions: &[Action]) {
-    if !telemetry.is_active() {
-        return;
-    }
-    for action in actions {
+        if tracer.is_active() {
+            tracer.emit(action.to_trace_event(end_us));
+        }
         if let Some(c) = telemetry.counter(
             "odlb_controller_actions_total",
             "Controller actions applied or diagnoses surfaced, by kind.",

@@ -1,4 +1,6 @@
-//! Baseline controllers the paper argues against (§1, §6).
+//! Baseline controllers the paper argues against (§1, §6), each a
+//! decision rule for the shared control loop ([`crate::skeleton`]) with
+//! the default cooldown ([`ControllerConfig::cooldown_intervals`]).
 //!
 //! * [`CpuOnlyController`] — "existing coarse-grained provisioning
 //!   solutions, even commercial ones such as IBM's Tivoli Intelligent
@@ -10,138 +12,67 @@
 //!   any SLA violation, give the suffering application a fresh dedicated
 //!   replica and move *all* of it there (the VM-migration-style remedy).
 //!   Effective but wasteful in machines — ablation A3 counts exactly that.
+//! * [`VmMigrationController`] — live-migrate the whole database VM.
 
-use crate::actions::{emit_actions, Action};
-use crate::controller::ClusterController;
-use odlb_cluster::InstanceId;
-use odlb_cluster::{IntervalOutcome, Simulation};
-use odlb_metrics::{AppId, ClassId};
-use odlb_trace::Tracer;
-use std::collections::BTreeMap;
+use crate::actions::Action;
+use crate::config::ControllerConfig;
+use crate::skeleton::{Controller, Interval, Strategy, Verdict};
+use odlb_metrics::{AppId, ServerId};
+
+fn baseline<S: Strategy>(strategy: S) -> Controller<S> {
+    Controller::with_strategy(strategy, ControllerConfig::default().cooldown_intervals)
+}
 
 /// Tivoli-style: provision on CPU saturation, otherwise shrug.
-pub struct CpuOnlyController {
+pub type CpuOnlyController = Controller<CpuOnly>;
+
+/// The decision rule of [`CpuOnlyController`].
+pub struct CpuOnly {
     /// CPU utilisation treated as saturation.
     pub cpu_saturation: f64,
-    /// Intervals to wait between provisions per app.
-    pub cooldown_intervals: u32,
-    cooldown: BTreeMap<AppId, u32>,
-    tracer: Tracer,
 }
 
 impl CpuOnlyController {
     /// Creates the controller with the given saturation threshold.
-    pub fn new(cpu_saturation: f64, cooldown_intervals: u32) -> Self {
-        CpuOnlyController {
-            cpu_saturation,
-            cooldown_intervals,
-            cooldown: BTreeMap::new(),
-            tracer: Tracer::new(),
-        }
+    pub fn new(cpu_saturation: f64) -> Self {
+        baseline(CpuOnly { cpu_saturation })
     }
 }
 
-impl ClusterController for CpuOnlyController {
-    fn on_interval(&mut self, sim: &mut Simulation, outcome: &IntervalOutcome) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for c in self.cooldown.values_mut() {
-            *c = c.saturating_sub(1);
+impl Strategy for CpuOnly {
+    fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, _streak: u32) -> Verdict {
+        // Not CPU? Then this controller has no idea what to do.
+        if cx.cpu_saturated(app, self.cpu_saturation) && cx.provision(app).is_some() {
+            Verdict::Acted
+        } else {
+            Verdict::Idle
         }
-        let apps: Vec<AppId> = outcome.sla.keys().copied().collect();
-        for app in apps {
-            if !outcome.sla[&app].is_violation() {
-                continue;
-            }
-            if self.cooldown.get(&app).copied().unwrap_or(0) > 0 {
-                continue;
-            }
-            let saturated = sim.replicas_of(app).iter().any(|&inst| {
-                let server = sim.server_of(inst);
-                outcome
-                    .servers
-                    .iter()
-                    .any(|s| s.server == server && s.cpu_utilisation >= self.cpu_saturation)
-            });
-            if saturated {
-                if let Ok(instance) = sim.provision_replica(app) {
-                    actions.push(Action::ProvisionedReplica { app, instance });
-                    self.cooldown.insert(app, self.cooldown_intervals);
-                }
-            }
-            // Not CPU? Then this controller has no idea what to do.
-        }
-        emit_actions(&self.tracer, outcome.end.as_micros(), &actions);
-        actions
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 }
 
 /// Isolate-on-violation: the whole application moves to a dedicated fresh
 /// replica, no questions asked.
-pub struct CoarseGrainedController {
-    /// Intervals to wait between isolations per app.
-    pub cooldown_intervals: u32,
-    cooldown: BTreeMap<AppId, u32>,
-    pending: Vec<(AppId, InstanceId)>,
-    tracer: Tracer,
-}
+pub type CoarseGrainedController = Controller<CoarseGrained>;
+
+/// The decision rule of [`CoarseGrainedController`].
+pub struct CoarseGrained;
 
 impl CoarseGrainedController {
     /// Creates the controller.
-    pub fn new(cooldown_intervals: u32) -> Self {
-        CoarseGrainedController {
-            cooldown_intervals,
-            cooldown: BTreeMap::new(),
-            pending: Vec::new(),
-            tracer: Tracer::new(),
-        }
+    pub fn new() -> Self {
+        baseline(CoarseGrained)
     }
 }
 
-impl ClusterController for CoarseGrainedController {
-    fn on_interval(&mut self, sim: &mut Simulation, outcome: &IntervalOutcome) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for c in self.cooldown.values_mut() {
-            *c = c.saturating_sub(1);
-        }
-        // Complete pending isolations.
-        let mut remaining = Vec::new();
-        for (app, target) in self.pending.drain(..) {
-            if sim.replicas_of(app).contains(&target) {
-                let class_count = sim.workload(app).classes.len();
-                for idx in 0..class_count {
-                    sim.place_class(app, ClassId::new(app, idx as u32), vec![target]);
-                }
-                actions.push(Action::CoarseFallback { app });
-            } else {
-                remaining.push((app, target));
-            }
-        }
-        self.pending = remaining;
-
-        let apps: Vec<AppId> = outcome.sla.keys().copied().collect();
-        for app in apps {
-            if !outcome.sla[&app].is_violation() {
-                continue;
-            }
-            if self.cooldown.get(&app).copied().unwrap_or(0) > 0 {
-                continue;
-            }
-            if let Ok(instance) = sim.provision_replica(app) {
-                actions.push(Action::ProvisionedReplica { app, instance });
-                self.pending.push((app, instance));
-                self.cooldown.insert(app, self.cooldown_intervals);
-            }
-        }
-        emit_actions(&self.tracer, outcome.end.as_micros(), &actions);
-        actions
+impl Default for CoarseGrainedController {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+impl Strategy for CoarseGrained {
+    fn on_violation(&mut self, _cx: &mut Interval<'_>, _app: AppId, _streak: u32) -> Verdict {
+        Verdict::Isolate
     }
 }
 
@@ -150,83 +81,55 @@ impl ClusterController for CoarseGrainedController {
 /// the paper's introduction singles out as too coarse — it moves every
 /// co-located application along and cannot separate two tenants sharing
 /// one DBMS at all).
-pub struct VmMigrationController {
-    /// Migration downtime charged to the move.
-    pub downtime: odlb_sim::SimDuration,
-    /// Intervals between migrations per app.
-    pub cooldown_intervals: u32,
-    cooldown: BTreeMap<AppId, u32>,
-    tracer: Tracer,
-}
+pub type VmMigrationController = Controller<VmMigration>;
+
+/// The decision rule of [`VmMigrationController`].
+pub struct VmMigration;
 
 impl VmMigrationController {
     /// Creates the controller.
-    pub fn new(downtime: odlb_sim::SimDuration, cooldown_intervals: u32) -> Self {
-        VmMigrationController {
-            downtime,
-            cooldown_intervals,
-            cooldown: BTreeMap::new(),
-            tracer: Tracer::new(),
-        }
+    pub fn new() -> Self {
+        baseline(VmMigration)
     }
 }
 
-impl ClusterController for VmMigrationController {
-    fn on_interval(&mut self, sim: &mut Simulation, outcome: &IntervalOutcome) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for c in self.cooldown.values_mut() {
-            *c = c.saturating_sub(1);
-        }
-        let apps: Vec<AppId> = outcome.sla.keys().copied().collect();
-        for app in apps {
-            if !outcome.sla[&app].is_violation() {
-                continue;
-            }
-            if self.cooldown.get(&app).copied().unwrap_or(0) > 0 {
-                continue;
-            }
-            // Migrate the app's first replica to the emptiest other server.
-            let Some(&instance) = sim.replicas_of(app).first() else {
-                continue;
-            };
-            let from = sim.server_of(instance);
-            let target = (0..sim.server_count() as u32)
-                .map(odlb_metrics::ServerId)
-                .filter(|&s| s != from)
-                .min_by_key(|&s| {
-                    outcome
-                        .servers
-                        .iter()
-                        .find(|snap| snap.server == s)
-                        .map(|snap| (snap.cpu_utilisation * 1000.0) as u64)
-                        .unwrap_or(u64::MAX)
-                });
-            if let Some(target) = target {
-                if sim.migrate_instance(instance, target, self.downtime) {
-                    actions.push(Action::MigratedVm {
-                        instance,
-                        from,
-                        to: target,
-                    });
-                    self.cooldown.insert(app, self.cooldown_intervals);
-                }
-            }
-        }
-        emit_actions(&self.tracer, outcome.end.as_micros(), &actions);
-        actions
+impl Default for VmMigrationController {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+impl Strategy for VmMigration {
+    fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, _streak: u32) -> Verdict {
+        // Migrate the app's first replica to the emptiest other server.
+        let Some(&instance) = cx.sim.replicas_of(app).first() else {
+            return Verdict::Idle;
+        };
+        let from = cx.sim.server_of(instance);
+        let target = (0..cx.sim.server_count() as u32)
+            .map(ServerId)
+            .filter(|&s| s != from)
+            .min_by_key(|&s| {
+                let snap = cx.outcome.servers.get(s.0 as usize);
+                snap.map_or(u64::MAX, |snap| (snap.cpu_utilisation * 1000.0) as u64)
+            });
+        match target {
+            Some(to) if cx.sim.migrate_instance(instance, to) => {
+                cx.actions.push(Action::MigratedVm { instance, from, to });
+                Verdict::Acted
+            }
+            _ => Verdict::Idle,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odlb_cluster::SimulationConfig;
+    use crate::skeleton::ClusterController;
+    use odlb_cluster::{Simulation, SimulationConfig};
     use odlb_engine::EngineConfig;
-    use odlb_metrics::{Sla, SlaOutcome};
+    use odlb_metrics::{ClassId, Sla, SlaOutcome};
     use odlb_sim::SimDuration;
     use odlb_storage::DomainId;
     use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
@@ -258,7 +161,7 @@ mod tests {
     #[test]
     fn cpu_only_provisions_under_saturation() {
         let (mut sim, app) = saturating_sim();
-        let mut ctl = CpuOnlyController::new(0.9, 3);
+        let mut ctl = CpuOnlyController::new(0.9);
         let mut provisioned = 0;
         for _ in 0..10 {
             let outcome = sim.run_interval();
@@ -292,7 +195,7 @@ mod tests {
         );
         sim.assign_replica(app, inst);
         sim.start();
-        let mut ctl = CpuOnlyController::new(0.9, 1);
+        let mut ctl = CpuOnlyController::new(0.9);
         for _ in 0..4 {
             let outcome = sim.run_interval();
             assert_eq!(outcome.sla[&app], SlaOutcome::Violated);
@@ -304,7 +207,7 @@ mod tests {
     #[test]
     fn vm_migration_moves_the_instance() {
         let (mut sim, app) = saturating_sim();
-        let mut ctl = VmMigrationController::new(SimDuration::from_millis(500), 3);
+        let mut ctl = VmMigrationController::new();
         let inst = sim.replicas_of(app)[0];
         let before = sim.server_of(inst);
         let mut first_move = None;
@@ -352,7 +255,7 @@ mod tests {
         sim.assign_replica(a, inst);
         sim.assign_replica(b, inst);
         sim.start();
-        let mut ctl = VmMigrationController::new(SimDuration::from_millis(500), 2);
+        let mut ctl = VmMigrationController::new();
         for _ in 0..6 {
             let outcome = sim.run_interval();
             ctl.on_interval(&mut sim, &outcome);
@@ -365,7 +268,7 @@ mod tests {
     #[test]
     fn coarse_grained_isolates_whole_app() {
         let (mut sim, app) = saturating_sim();
-        let mut ctl = CoarseGrainedController::new(3);
+        let mut ctl = CoarseGrainedController::new();
         let mut isolated = false;
         for _ in 0..8 {
             let outcome = sim.run_interval();

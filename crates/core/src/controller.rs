@@ -1,132 +1,62 @@
 //! The selective retuning controller — the paper's §3 algorithm as a
-//! per-interval control loop over the simulated cluster.
+//! [`Strategy`] plugged into the shared control loop ([`crate::skeleton`]).
 
-use crate::actions::{count_actions, emit_actions, Action};
+use crate::actions::Action;
 use crate::config::ControllerConfig;
 use crate::memory::{
     find_problem_classes, instance_key, pick_replacement_target, plan_memory_action, MemoryPlan,
 };
+use crate::skeleton::{Controller, Interval, Strategy, Verdict};
 use odlb_cluster::{InstanceId, IntervalOutcome, Simulation};
 use odlb_metrics::{AppId, ClassId, MetricKind, StableStateStore};
 use odlb_outlier::{detect, top_k_heavyweight, Severity};
-use odlb_telemetry::{enter_span, profile_span, SharedSpanProfiler, Telemetry};
-use odlb_trace::{TraceEvent, Tracer};
-use std::collections::BTreeMap;
-
-/// Anything that can steer the cluster between measurement intervals.
-pub trait ClusterController {
-    /// Inspects one closed interval and applies actions through `sim`.
-    fn on_interval(&mut self, sim: &mut Simulation, outcome: &IntervalOutcome) -> Vec<Action>;
-
-    /// Installs a decision-trace handle (usually a clone of the one given
-    /// to the [`Simulation`]). Controllers that emit nothing may keep the
-    /// default no-op.
-    fn set_tracer(&mut self, _tracer: Tracer) {}
-
-    /// Installs a telemetry handle (usually a clone of the one given to
-    /// the [`Simulation`]) for action counters. Default no-op.
-    fn set_telemetry(&mut self, _telemetry: Telemetry) {}
-
-    /// Installs a span profiler timing the controller's phases
-    /// (collection, outlier detection, MRC update, action selection).
-    /// Default no-op.
-    fn set_profiler(&mut self, _profiler: SharedSpanProfiler) {}
-}
+use odlb_telemetry::profile_span;
+use odlb_trace::TraceEvent;
 
 /// The paper's controller: stable-state tracking, outlier-driven
 /// diagnosis, MRC-validated memory actions, CPU provisioning, I/O-rate
 /// eviction, and a coarse-grained last resort.
-pub struct SelectiveRetuningController {
+pub type SelectiveRetuningController = Controller<SelectiveRetuning>;
+
+/// The decision rule of [`SelectiveRetuningController`].
+pub struct SelectiveRetuning {
     config: ControllerConfig,
     stable: StableStateStore,
-    cooldown: BTreeMap<AppId, u32>,
-    streak: BTreeMap<AppId, u32>,
-    /// Class placements waiting for a provisioned replica to warm up.
-    pending_placements: Vec<(AppId, ClassId, InstanceId)>,
-    /// Whole-app isolations waiting for their replica.
-    pending_isolations: Vec<(AppId, InstanceId)>,
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
 }
 
 impl SelectiveRetuningController {
     /// Creates a controller with the given configuration.
     pub fn new(config: ControllerConfig) -> Self {
-        SelectiveRetuningController {
+        let strategy = SelectiveRetuning {
             config,
             stable: StableStateStore::new(),
-            cooldown: BTreeMap::new(),
-            streak: BTreeMap::new(),
-            pending_placements: Vec::new(),
-            pending_isolations: Vec::new(),
-            tracer: Tracer::new(),
-            telemetry: Telemetry::inactive(),
-            profiler: None,
-        }
+        };
+        Controller::with_strategy(strategy, config.cooldown_intervals)
     }
 
     /// Read access to the stable-state store (for harness reporting).
     pub fn stable_store(&self) -> &StableStateStore {
-        &self.stable
+        &self.strategy.stable
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ControllerConfig {
-        &self.config
+        &self.strategy.config
     }
+}
 
-    fn on_cooldown(&self, app: AppId) -> bool {
-        self.cooldown.get(&app).copied().unwrap_or(0) > 0
-    }
+/// True when `app` met its SLA over the interval.
+fn sla_met(outcome: &IntervalOutcome, app: AppId) -> bool {
+    outcome.sla.get(&app).is_some_and(|s| !s.is_violation())
+}
 
-    fn start_cooldown(&mut self, app: AppId) {
-        self.cooldown.insert(app, self.config.cooldown_intervals);
-    }
-
-    /// Finishes deferred placements whose target replica is now serving.
-    fn complete_pending(&mut self, sim: &mut Simulation, actions: &mut Vec<Action>) {
-        let mut remaining = Vec::new();
-        for (app, class, target) in self.pending_placements.drain(..) {
-            if sim.replicas_of(app).contains(&target) {
-                sim.place_class(app, class, vec![target]);
-                actions.push(Action::PlacedClass {
-                    app,
-                    class,
-                    to: target,
-                });
-            } else {
-                remaining.push((app, class, target));
-            }
-        }
-        self.pending_placements = remaining;
-
-        let mut remaining = Vec::new();
-        for (app, target) in self.pending_isolations.drain(..) {
-            if sim.replicas_of(app).contains(&target) {
-                let class_count = sim.workload(app).classes.len();
-                for idx in 0..class_count {
-                    let class = ClassId::new(app, idx as u32);
-                    sim.place_class(app, class, vec![target]);
-                }
-                actions.push(Action::CoarseFallback { app });
-            } else {
-                remaining.push((app, target));
-            }
-        }
-        self.pending_isolations = remaining;
-    }
-
+impl SelectiveRetuning {
     /// Refreshes stable-state signatures for every application whose SLA
     /// held this interval (§3.3).
     fn record_stable_states(&mut self, outcome: &IntervalOutcome) {
         for (&instance, report) in &outcome.reports {
             for (&class, &metrics) in &report.per_class {
-                let met = outcome
-                    .sla
-                    .get(&class.app)
-                    .is_some_and(|s| !s.is_violation());
-                if met {
+                if sla_met(outcome, class.app) {
                     self.stable
                         .record_stable(instance_key(instance), class, metrics, outcome.end);
                 }
@@ -142,12 +72,8 @@ impl SelectiveRetuningController {
         for (&instance, report) in &outcome.reports {
             let key = instance_key(instance);
             for &class in report.per_class.keys() {
-                let met = outcome
-                    .sla
-                    .get(&class.app)
-                    .is_some_and(|s| !s.is_violation());
                 let has_mrc = self.stable.get(key, class).is_some_and(|s| s.mrc.is_some());
-                if met && !has_mrc {
+                if sla_met(outcome, class.app) && !has_mrc {
                     let cap = sim.pool_pages(instance);
                     if let Some(curve) =
                         sim.recompute_mrc_with(instance, class, cap, self.config.mrc_mode)
@@ -160,69 +86,44 @@ impl SelectiveRetuningController {
         }
     }
 
-    /// True when any server hosting a replica of `app` is CPU-saturated.
-    fn cpu_saturated(&self, sim: &Simulation, outcome: &IntervalOutcome, app: AppId) -> bool {
-        sim.replicas_of(app).iter().any(|&inst| {
-            let server = sim.server_of(inst);
-            // Snapshots are index-aligned with server ids, so no scan.
-            outcome
-                .servers
-                .get(server.0 as usize)
-                .is_some_and(|s| s.cpu_utilisation >= self.config.cpu_saturation)
-        })
-    }
-
-    /// True when any server hosting a replica of `app` is I/O-saturated.
-    fn io_saturated_server(
-        &self,
-        sim: &Simulation,
-        outcome: &IntervalOutcome,
-        app: AppId,
-    ) -> Option<InstanceId> {
-        sim.replicas_of(app).into_iter().find(|&inst| {
-            let server = sim.server_of(inst);
-            outcome
-                .servers
-                .get(server.0 as usize)
-                .is_some_and(|s| s.io_utilisation >= self.config.io_saturation)
+    /// True when stable state was recorded for any class active on `inst`.
+    /// The paper's precondition (§3): diagnosis compares against stable
+    /// state, which must have been reached at least once. With no
+    /// baseline at all (cold start), deviation ratios are meaningless.
+    fn has_baseline(&self, outcome: &IntervalOutcome, inst: InstanceId) -> bool {
+        outcome.reports.get(&inst).is_some_and(|r| {
+            r.per_class
+                .keys()
+                .any(|&c| self.stable.get(instance_key(inst), c).is_some())
         })
     }
 
     /// Moves `class` away from `from`: onto an existing fitting replica,
     /// or provisions one and defers the placement.
     fn replace_class(
-        &mut self,
-        sim: &mut Simulation,
+        &self,
+        cx: &mut Interval<'_>,
         from: InstanceId,
         class: ClassId,
         needed_pages: usize,
-        actions: &mut Vec<Action>,
     ) {
         // A placement for this class may already be in flight (e.g. two
         // applications diagnosed the same interferer this interval).
-        if self
-            .pending_placements
-            .iter()
-            .any(|(a, c, _)| *a == class.app && *c == class)
-        {
+        if cx.pending_placements.iter().any(|(c, _)| *c == class) {
             return;
         }
-        match pick_replacement_target(sim, class, needed_pages, from) {
+        match pick_replacement_target(cx.sim, class, needed_pages, from) {
             Some(target) => {
-                sim.place_class(class.app, class, vec![target]);
-                actions.push(Action::PlacedClass {
+                cx.sim.place_class(class.app, class, vec![target]);
+                cx.actions.push(Action::PlacedClass {
                     app: class.app,
                     class,
                     to: target,
                 });
             }
             None => {
-                if let Ok(instance) = sim.provision_replica(class.app) {
-                    actions.push(Action::ProvisionedReplica {
-                        app: class.app,
-                        instance,
-                    });
-                    self.pending_placements.push((class.app, class, instance));
+                if let Some(instance) = cx.provision(class.app) {
+                    cx.pending_placements.push((class, instance));
                 }
                 // No free server: nothing to do this interval; the streak
                 // keeps growing and the coarse fallback will eventually
@@ -232,51 +133,35 @@ impl SelectiveRetuningController {
     }
 
     /// The per-application diagnosis on an SLA violation (§3.2–3.3).
-    fn diagnose_and_act(
-        &mut self,
-        sim: &mut Simulation,
-        outcome: &IntervalOutcome,
-        app: AppId,
-        actions: &mut Vec<Action>,
-    ) {
+    fn diagnose_and_act(&mut self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
         // (a) CPU saturation → reactive replica provisioning (§5.2).
-        if self.cpu_saturated(sim, outcome, app) {
-            if let Ok(instance) = sim.provision_replica(app) {
-                actions.push(Action::ProvisionedReplica { app, instance });
-                self.start_cooldown(app);
-            }
-            return;
+        if cx.cpu_saturated(app, self.config.cpu_saturation) {
+            return match cx.provision(app) {
+                Some(_) => Verdict::Acted,
+                None => Verdict::Idle,
+            };
         }
 
         // (b) Per-instance outlier diagnosis over ALL classes scheduled
         // there (interference can come from another application).
-        let profiler = self.profiler.clone();
-        for inst in sim.replicas_of(app) {
+        let (outcome, profiler) = (cx.outcome, cx.profiler);
+        let mut verdict = Verdict::Idle;
+        for inst in cx.sim.replicas_of(app) {
             let Some(report) = outcome.reports.get(&inst) else {
                 continue;
             };
-            if report.per_class.is_empty() {
+            // Wait for a stable interval instead of acting on a cold start.
+            if !self.has_baseline(outcome, inst) {
                 continue;
             }
             let key = instance_key(inst);
-            // The paper's precondition (§3): diagnosis compares against
-            // stable state, which must have been reached at least once.
-            // With no baseline at all (cold start), deviation ratios are
-            // meaningless — wait for a stable interval instead of acting.
-            let any_baseline = report
-                .per_class
-                .keys()
-                .any(|&c| self.stable.get(key, c).is_some());
-            if !any_baseline {
-                continue;
-            }
-            let detection = profile_span(&profiler, "outlier_detection", || {
+            let detection = profile_span(profiler, "outlier_detection", || {
                 detect(&self.config.outlier, &report.per_class, |c| {
                     self.stable.get(key, c).map(|s| s.metrics)
                 })
             });
             if !detection.is_empty() {
-                actions.push(Action::DetectedOutliers {
+                cx.actions.push(Action::DetectedOutliers {
                     instance: inst,
                     contexts: detection.outlier_contexts(),
                     mild: detection.count_severity(Severity::Mild),
@@ -285,10 +170,11 @@ impl SelectiveRetuningController {
             }
             // Trace every per-metric finding, not just the summary: the
             // fine-grained stream is what golden traces pin down.
-            if self.tracer.is_active() {
-                for (&class, findings) in &detection.findings {
-                    for f in findings {
-                        self.tracer.emit(TraceEvent::OutlierFinding {
+            let mut lock_contention = false;
+            for (&class, findings) in &detection.findings {
+                for f in findings {
+                    if cx.tracer.is_active() {
+                        cx.tracer.emit(TraceEvent::OutlierFinding {
                             end_us: outcome.end.as_micros(),
                             instance: inst.0,
                             app: class.app.0,
@@ -302,19 +188,14 @@ impl SelectiveRetuningController {
                             degradation: f.indicates_degradation(),
                         });
                     }
-                }
-            }
-            // §7 future work: surface lock-contention anomalies. No
-            // automatic remedy — writes run on every replica under
-            // read-one-write-all, so neither quotas nor re-placement can
-            // dissolve a lock hotspot; the operator (or the application)
-            // must act.
-            let mut lock_contention = false;
-            for (&class, findings) in &detection.findings {
-                for f in findings {
+                    // §7 future work: surface lock-contention anomalies.
+                    // No automatic remedy — writes run on every replica
+                    // under read-one-write-all, so neither quotas nor
+                    // re-placement can dissolve a lock hotspot; the
+                    // operator (or the application) must act.
                     if f.metric == MetricKind::LockWaits && f.indicates_degradation() {
                         lock_contention = true;
-                        actions.push(Action::DetectedLockContention {
+                        cx.actions.push(Action::DetectedLockContention {
                             instance: inst,
                             class,
                             ratio: f.ratio,
@@ -335,7 +216,7 @@ impl SelectiveRetuningController {
                     // The violation is explained by lock waits; probing
                     // heavyweight classes for memory problems would only
                     // produce spurious quotas.
-                    self.start_cooldown(app);
+                    verdict = Verdict::Acted;
                     continue;
                 }
                 suspects = top_k_heavyweight(
@@ -344,50 +225,48 @@ impl SelectiveRetuningController {
                     self.config.top_k,
                 );
             }
-            let (problems, examined) = profile_span(&profiler, "mrc_update", || {
+            let (problems, examined) = profile_span(profiler, "mrc_update", || {
                 find_problem_classes(
-                    sim,
+                    cx.sim,
                     inst,
                     &suspects,
                     &mut self.stable,
                     &self.config,
                     outcome.end,
-                    &profiler,
+                    profiler,
                 )
             });
             for (class, params, changed) in examined {
-                actions.push(Action::RecomputedMrc {
+                cx.actions.push(Action::RecomputedMrc {
                     instance: inst,
                     class,
                     acceptable_pages: params.acceptable_memory_needed,
                     changed,
                 });
             }
-            match profile_span(&profiler, "action_selection", || {
-                plan_memory_action(sim, inst, report, &problems, &self.config, &profiler)
+            match profile_span(profiler, "action_selection", || {
+                plan_memory_action(cx.sim, inst, report, &problems, &self.config, profiler)
             }) {
                 MemoryPlan::Quotas(quotas) => {
                     for (class, pages) in quotas {
                         // Re-quota: drop any existing partition first.
-                        sim.clear_quota(inst, class);
-                        if sim.set_quota(inst, class, pages).is_ok() {
-                            actions.push(Action::SetQuota {
+                        cx.sim.clear_quota(inst, class);
+                        if cx.sim.set_quota(inst, class, pages).is_ok() {
+                            cx.actions.push(Action::SetQuota {
                                 instance: inst,
                                 class,
                                 pages,
                             });
                         }
                     }
-                    self.start_cooldown(app);
-                    return;
+                    return Verdict::Acted;
                 }
                 MemoryPlan::Replace {
                     class,
                     needed_pages,
                 } => {
-                    self.replace_class(sim, inst, class, needed_pages, actions);
-                    self.start_cooldown(app);
-                    return;
+                    self.replace_class(cx, inst, class, needed_pages);
+                    return Verdict::Acted;
                 }
                 MemoryPlan::Nothing => {}
             }
@@ -397,167 +276,96 @@ impl SelectiveRetuningController {
         // off the saturated server. Gated on stable state existing, like
         // the memory path: a cold pool saturates the disk transiently and
         // must not trigger re-placements.
-        if let Some(inst) = self.io_saturated_server(sim, outcome, app) {
-            let has_baseline = outcome.reports.get(&inst).is_some_and(|r| {
-                r.per_class
-                    .keys()
-                    .any(|&c| self.stable.get(instance_key(inst), c).is_some())
-            });
-            if !has_baseline {
-                return;
-            }
-            if let Some(report) = outcome.reports.get(&inst) {
-                let top_io = top_k_heavyweight(&report.per_class, MetricKind::IoRequests, 1);
-                if let Some(&class) = top_io.first() {
-                    let needed = self
-                        .stable
-                        .get(instance_key(inst), class)
-                        .and_then(|s| s.mrc)
-                        .map(|m| m.acceptable_memory_needed)
-                        .unwrap_or(0);
-                    self.replace_class(sim, inst, class, needed, actions);
-                    if let Some(Action::PlacedClass {
-                        app: a,
-                        class: c,
-                        to,
-                    }) = actions.last().cloned()
-                    {
-                        // Re-tag for reporting: this was the I/O path.
-                        actions.pop();
-                        actions.push(Action::MovedIoHeavyClass {
-                            app: a,
-                            class: c,
-                            to,
-                        });
-                    }
-                    self.start_cooldown(app);
-                }
-            }
+        let io_saturated = cx.sim.replicas_of(app).into_iter().find(|&inst| {
+            cx.server_of(inst)
+                .is_some_and(|s| s.io_utilisation >= self.config.io_saturation)
+        });
+        let Some(inst) = io_saturated.filter(|&inst| self.has_baseline(outcome, inst)) else {
+            return verdict;
+        };
+        let top_io =
+            top_k_heavyweight(&outcome.reports[&inst].per_class, MetricKind::IoRequests, 1);
+        let Some(&class) = top_io.first() else {
+            return verdict;
+        };
+        let needed = self
+            .stable
+            .get(instance_key(inst), class)
+            .and_then(|s| s.mrc)
+            .map(|m| m.acceptable_memory_needed)
+            .unwrap_or(0);
+        self.replace_class(cx, inst, class, needed);
+        // Re-tag for reporting: this was the I/O path.
+        if let Some(Action::PlacedClass { app, class, to }) = cx.actions.last().cloned() {
+            *cx.actions.last_mut().expect("just read") =
+                Action::MovedIoHeavyClass { app, class, to };
         }
+        Verdict::Acted
     }
 
     /// Releases a replica when the application is comfortably under its
     /// SLA and its servers are mostly idle.
-    fn maybe_release(
-        &mut self,
-        sim: &mut Simulation,
-        outcome: &IntervalOutcome,
-        app: AppId,
-        actions: &mut Vec<Action>,
-    ) {
-        let replicas = sim.replicas_of(app);
+    fn maybe_release(&self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
+        let replicas = cx.sim.replicas_of(app);
         if replicas.len() <= self.config.min_replicas {
-            return;
+            return Verdict::Idle;
         }
         let utils: Vec<f64> = replicas
             .iter()
-            .map(|&inst| {
-                let server = sim.server_of(inst);
-                outcome
-                    .servers
-                    .get(server.0 as usize)
-                    .map(|s| s.cpu_utilisation)
-                    .unwrap_or(1.0)
-            })
+            .map(|&inst| cx.server_of(inst).map_or(1.0, |s| s.cpu_utilisation))
             .collect();
         let all_idle = utils.iter().all(|&u| u < self.config.cpu_release);
         // Hysteresis: releasing must not re-saturate the survivors. The
         // victim's load spreads over the remaining replicas; require the
         // projected utilisation to stay well under the saturation trigger.
         let projected = utils.iter().sum::<f64>() / (replicas.len() as f64 - 1.0);
-        if all_idle && projected < self.config.cpu_saturation * 0.75 {
-            // Candidate: the most recently added replica. Never retire a
-            // replica that carries a pinned class — that would silently
-            // undo a fine-grained placement decision.
-            let victim = *replicas.last().expect("non-empty");
-            if sim.is_pinned_target(app, victim) {
-                return;
-            }
-            sim.retire_replica(app, victim);
-            actions.push(Action::RetiredReplica {
-                app,
-                instance: victim,
-            });
-            self.start_cooldown(app);
+        // Candidate: the most recently added replica. Never retire a
+        // replica that carries a pinned class — that would silently
+        // undo a fine-grained placement decision.
+        let victim = *replicas.last().expect("non-empty");
+        if !all_idle
+            || projected >= self.config.cpu_saturation * 0.75
+            || cx.sim.is_pinned_target(app, victim)
+        {
+            return Verdict::Idle;
         }
+        cx.sim.retire_replica(app, victim);
+        cx.actions.push(Action::RetiredReplica {
+            app,
+            instance: victim,
+        });
+        Verdict::Acted
     }
 }
 
-impl ClusterController for SelectiveRetuningController {
-    fn on_interval(&mut self, sim: &mut Simulation, outcome: &IntervalOutcome) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let profiler = self.profiler.clone();
-        // Root span of the controller's slice of the interval: every
-        // phase (and the sub-phases inside them) nests under it, so the
-        // folded dump shows `…;controller;collection;stable_states`.
-        let _controller = enter_span(&profiler, "controller");
-        profile_span(&profiler, "collection", || {
-            profile_span(&profiler, "complete_pending", || {
-                self.complete_pending(sim, &mut actions)
-            });
-            profile_span(&profiler, "stable_states", || {
-                self.record_stable_states(outcome)
-            });
-            profile_span(&profiler, "initial_mrcs", || {
-                self.ensure_initial_mrcs(sim, outcome)
-            });
+impl Strategy for SelectiveRetuning {
+    fn collect(&mut self, cx: &mut Interval<'_>) {
+        profile_span(cx.profiler, "stable_states", || {
+            self.record_stable_states(cx.outcome)
         });
+        profile_span(cx.profiler, "initial_mrcs", || {
+            self.ensure_initial_mrcs(cx.sim, cx.outcome)
+        });
+    }
 
-        for c in self.cooldown.values_mut() {
-            *c = c.saturating_sub(1);
+    fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, streak: u32) -> Verdict {
+        if streak >= self.config.fallback_after {
+            // Coarse-grained last resort (§3.3.2 "we fall back on the
+            // coarse grained allocation solutions").
+            return Verdict::Isolate;
         }
-
-        let apps: Vec<AppId> = outcome.sla.keys().copied().collect();
-        for app in apps {
-            let violated = outcome.sla[&app].is_violation();
-            if violated {
-                let streak = self.streak.entry(app).or_insert(0);
-                *streak += 1;
-                let streak = *streak;
-                if self.on_cooldown(app) {
-                    continue;
-                }
-                if streak >= self.config.fallback_after {
-                    // Coarse-grained last resort: isolate the application
-                    // on a fresh replica (§3.3.2 "we fall back on the
-                    // coarse grained allocation solutions").
-                    if let Ok(instance) = sim.provision_replica(app) {
-                        actions.push(Action::ProvisionedReplica { app, instance });
-                        self.pending_isolations.push((app, instance));
-                        self.streak.insert(app, 0);
-                        self.start_cooldown(app);
-                    }
-                    continue;
-                }
-                self.diagnose_and_act(sim, outcome, app, &mut actions);
-            } else {
-                self.streak.insert(app, 0);
-                if !self.on_cooldown(app) {
-                    self.maybe_release(sim, outcome, app, &mut actions);
-                }
-            }
-        }
-        emit_actions(&self.tracer, outcome.end.as_micros(), &actions);
-        count_actions(&self.telemetry, &actions);
-        actions
+        self.diagnose_and_act(cx, app)
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        self.profiler = Some(profiler);
+    fn on_met(&mut self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
+        self.maybe_release(cx, app)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skeleton::ClusterController;
     use odlb_cluster::SimulationConfig;
     use odlb_engine::EngineConfig;
     use odlb_metrics::Sla;

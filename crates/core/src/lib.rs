@@ -27,17 +27,21 @@
 //!    fine-grained actions, fall back to whole-application isolation,
 //!    exactly what the baseline systems would have done first.
 //!
-//! [`baseline`] provides those baseline controllers (CPU-trigger-only
-//! provisioning à la Tivoli, and always-isolate coarse-grained) for the
-//! paper's implicit comparison and ablation A3.
+//! Every controller is the shared loop in [`skeleton`] (cooldowns, SLA
+//! walk, deferred pins, tracing) around a [`Strategy`]: [`controller`]
+//! holds the paper's rule, [`baseline`] the baselines it argues against
+//! (CPU-trigger-only provisioning à la Tivoli, always-isolate
+//! coarse-grained, live VM migration) for ablation A3.
 
 pub mod actions;
 pub mod baseline;
 pub mod config;
 pub mod controller;
 pub mod memory;
+pub mod skeleton;
 
 pub use actions::Action;
 pub use baseline::{CoarseGrainedController, CpuOnlyController, VmMigrationController};
 pub use config::ControllerConfig;
-pub use controller::{ClusterController, SelectiveRetuningController};
+pub use controller::SelectiveRetuningController;
+pub use skeleton::{ClusterController, Controller, Interval, Strategy, Verdict};

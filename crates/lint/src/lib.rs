@@ -54,9 +54,14 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
     {
         return None;
     }
-    // Integration tests and benches may freely use wall clocks, hash
-    // iteration and unwraps: they never feed artifacts.
-    if rel.contains("/tests/") || rel.contains("/benches/") || rel.starts_with("tests/") {
+    // Integration tests, unit-test modules kept in a `tests.rs` of their
+    // own, and benches may freely use wall clocks, hash iteration and
+    // unwraps: they never feed artifacts.
+    if rel.contains("/tests/")
+        || rel.ends_with("/tests.rs")
+        || rel.contains("/benches/")
+        || rel.starts_with("tests/")
+    {
         return None;
     }
 
@@ -342,7 +347,6 @@ mod tests {
         // threads; the rest of the bench crate stays strict
         assert!(!policy_for("crates/bench/src/runner.rs").unwrap().rng);
         assert!(policy_for("crates/bench/src/suite.rs").unwrap().rng);
-        assert!(policy_for("crates/bench/src/harness.rs").unwrap().rng);
         assert!(
             policy_for("crates/bench/src/bin/experiments.rs")
                 .unwrap()
@@ -382,5 +386,6 @@ mod tests {
         // fixtures and tests are skipped wholesale
         assert!(policy_for("crates/lint/tests/fixtures/d01_time.rs").is_none());
         assert!(policy_for("crates/trace/tests/golden.rs").is_none());
+        assert!(policy_for("crates/cluster/src/driver/tests.rs").is_none());
     }
 }

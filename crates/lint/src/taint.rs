@@ -98,7 +98,7 @@ pub struct Sanction {
 /// exemption lets a file touch a source, while a sanction is only needed
 /// where that taint would otherwise reach an export sink. Every entry is
 /// pinned load-bearing by `tests/taint_analysis.rs` — files like
-/// `serve.rs`, `harness.rs`, `runner.rs`, and `rng.rs` touch sources but
+/// `serve.rs`, `runner.rs`, and `rng.rs` touch sources but
 /// need no entry because their taint never reaches a sink.
 pub const SANCTIONS: [Sanction; 4] = [
     Sanction {
@@ -110,8 +110,8 @@ pub const SANCTIONS: [Sanction; 4] = [
     Sanction {
         file: "crates/bench/src/suite.rs",
         categories: &[Category::WallClock],
-        reason: "suite wall timings are the bench payload; BENCH artifacts are \
-                 explicitly environment-dependent and never byte-diffed",
+        reason: "per-figure wall timings ride out of band in FigureOutput (stderr \
+                 overhead report, benchmark/); stdout and artifacts never carry them",
     },
     Sanction {
         file: "crates/bench/src/bin/experiments.rs",

@@ -66,11 +66,6 @@ impl MissRatioCurve {
         self.total
     }
 
-    /// Cold (first-touch) misses recorded.
-    pub fn cold_misses(&self) -> u64 {
-        self.cold
-    }
-
     /// Miss ratio at cache size `m` pages (paper Eq. 1). `m` of zero means
     /// no cache: ratio 1. Sizes beyond the cap return the cap's value.
     pub fn miss_ratio(&self, m: usize) -> f64 {

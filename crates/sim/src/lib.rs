@@ -9,10 +9,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
 //! * [`EventQueue`] — a stable (FIFO within equal timestamps) calendar
-//!   queue of user-defined events: O(1) push/pop at steady state, with
-//!   the previous binary-heap implementation retained as
-//!   [`BinaryHeapEventQueue`] — the differential-test oracle and bench
-//!   baseline.
+//!   queue of user-defined events: O(1) push/pop at steady state.
 //! * [`rng::SimRng`] — a seeded, splittable PRNG plus the samplers the
 //!   workload models need (uniform, exponential, Zipf, Gaussian).
 //! * [`station::Station`] — a multi-server FCFS queueing station used to
@@ -47,7 +44,7 @@ pub mod stats;
 pub mod time;
 
 pub use hash::{FastHasher, FastMap, FastSet};
-pub use queue::{BinaryHeapEventQueue, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use station::Station;
 pub use time::{SimDuration, SimTime};

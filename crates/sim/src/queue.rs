@@ -1,19 +1,18 @@
-//! The event queue: a calendar queue with a `BinaryHeap` reference
-//! implementation.
+//! The event queue: a calendar queue.
 //!
-//! [`EventQueue`] is the production structure — a calendar queue
+//! [`EventQueue`] is a calendar queue
 //! (R. Brown, CACM 1988): pending events hash into `buckets.len()`
 //! time-sliced buckets of `1 << shift` microseconds each, so at steady
 //! state push and pop are O(1) instead of the heap's O(log n). With ~1M
 //! resident events (one per concurrent client session at scale) that
 //! factor-20 difference is the event hot path.
 //!
-//! Ordering is *identical* to the previous `BinaryHeap` implementation,
-//! which is retained as [`BinaryHeapEventQueue`]: events pop in
-//! `(time, insertion seq)` order, so ties are FIFO and every simulation
-//! replays byte-identically whichever queue backs it. The differential
-//! property suite in `tests/eventqueue_properties.rs` pins the two pop
-//! orders against each other over randomized interleavings.
+//! Ordering is *identical* to the `BinaryHeap` implementation it
+//! replaced: events pop in `(time, insertion seq)` order, so ties are
+//! FIFO and every simulation replays byte-identically. That heap lives on
+//! as the oracle of the differential property suite in
+//! `tests/eventqueue_properties.rs`, which pins the two pop orders
+//! against each other over randomized interleavings.
 //!
 //! Invariants the implementation leans on:
 //!
@@ -35,23 +34,6 @@ struct Pending<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Pending<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Pending<E> {}
-impl<E> PartialOrd for Pending<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Pending<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// The cached global minimum: its timestamp and the bucket holding it.
@@ -329,74 +311,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The previous `BinaryHeap`-backed implementation, kept as the ordering
-/// oracle for the calendar queue's differential tests and as the baseline
-/// of the `eventqueue` bench. Semantics are identical to [`EventQueue`]
-/// (same clamp, same FIFO tiebreak, same clock behaviour).
-pub struct BinaryHeapEventQueue<E> {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<Pending<E>>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for BinaryHeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        Self {
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` at `at` (clamped to `now`, like [`EventQueue`]).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap
-            .push(std::cmp::Reverse(Pending { at, seq, event }));
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let std::cmp::Reverse(p) = self.heap.pop()?;
-        self.now = p.at;
-        Some((p.at, p.event))
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|std::cmp::Reverse(p)| p.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,30 +477,5 @@ mod tests {
         assert_eq!(got, expect);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn binary_heap_oracle_matches_on_a_smoke_sequence() {
-        let mut a = EventQueue::new();
-        let mut b = BinaryHeapEventQueue::new();
-        for i in 0..500u64 {
-            // max(now) keeps the sequence causal once pops advance the
-            // clock — past scheduling is its own (debug-panic) test.
-            let t = SimTime::from_micros((i * 37) % 1000).max(a.now());
-            a.schedule(t, Ev::A(i as u32));
-            b.schedule(t, Ev::A(i as u32));
-            if i % 3 == 0 {
-                assert_eq!(a.peek_time(), b.peek_time());
-                assert_eq!(a.pop(), b.pop());
-                assert_eq!(a.now(), b.now());
-            }
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -90,11 +90,6 @@ impl Station {
         self.free_at.iter().filter(|t| **t > now).count()
     }
 
-    /// Earliest time any server is free.
-    pub fn next_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("station has servers")
-    }
-
     /// Total jobs admitted since creation.
     pub fn jobs(&self) -> u64 {
         self.jobs

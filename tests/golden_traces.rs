@@ -11,7 +11,17 @@
 //! verify the printed decision stream is the intended one, and update the
 //! pinned digest.
 
+use odlb::cluster::{Simulation, SimulationConfig};
+use odlb::core::{
+    ClusterController, CoarseGrainedController, CpuOnlyController, VmMigrationController,
+};
+use odlb::engine::EngineConfig;
+use odlb::metrics::{AppId, Sla};
+use odlb::sim::SimDuration;
+use odlb::storage::DomainId;
 use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
+use odlb::workload::synthetic::cpu_bound_workload;
+use odlb::workload::{ClientConfig, LoadFunction};
 use odlb_bench::experiments::{fig3, fig4};
 
 /// Fig. 3 miniature (seed 3_2007 inside `fig3::run_with`): sinusoid load
@@ -21,24 +31,70 @@ const FIG3_GOLDEN_DIGEST: u64 = 0x3566ce12d71c2a53;
 /// 12 stable intervals, 12 recovery intervals after the index drop.
 const FIG4_GOLDEN_DIGEST: u64 = 0x7404072f86507903;
 
-fn run_fig3() -> (u64, Vec<TraceEvent>) {
+/// Baseline miniature (seed 13_2007): 60 clients of a cache-resident
+/// CPU-bound workload saturate a 1-core server with two spare servers in
+/// the pool, 12 intervals. Digests computed at the commit before the
+/// controllers moved onto the shared skeleton.
+const CPU_ONLY_GOLDEN_DIGEST: u64 = 0xa31d80aaa0eef12f;
+const COARSE_GOLDEN_DIGEST: u64 = 0x31126e884b092fa4;
+const VM_MIGRATION_GOLDEN_DIGEST: u64 = 0xea674a848f68bb7a;
+
+/// Runs `scenario` under a fresh tracer; returns the run digest and the
+/// full event stream.
+fn traced(scenario: impl FnOnce(Tracer)) -> (u64, Vec<TraceEvent>) {
     let tracer = Tracer::new();
     let ring = tracer.attach(RingBufferSink::new(100_000));
     let digest = tracer.attach(DigestSink::new());
-    fig3::run_with(tracer, 30, 10, 30, 480, 3);
+    scenario(tracer);
     let events: Vec<TraceEvent> = ring.borrow().events().iter().cloned().collect();
     let d = digest.borrow().digest();
     (d, events)
 }
 
+fn run_fig3() -> (u64, Vec<TraceEvent>) {
+    traced(|tracer| drop(fig3::run_with(tracer, 30, 10, 30, 480, 3)))
+}
+
 fn run_fig4() -> (u64, Vec<TraceEvent>) {
-    let tracer = Tracer::new();
-    let ring = tracer.attach(RingBufferSink::new(100_000));
-    let digest = tracer.attach(DigestSink::new());
-    fig4::run_with(tracer, 50, 12, 12);
-    let events: Vec<TraceEvent> = ring.borrow().events().iter().cloned().collect();
-    let d = digest.borrow().digest();
-    (d, events)
+    traced(|tracer| drop(fig4::run_with(tracer, 50, 12, 12)))
+}
+
+/// Runs the baseline miniature under `controller`; returns the digest and
+/// the applied actions as `(kind, interval-end seconds)`.
+fn run_baseline(mut controller: impl ClusterController) -> (u64, Vec<(ActionKind, u64)>) {
+    let (digest, events) = traced(|tracer| {
+        let mut sim = Simulation::new(SimulationConfig {
+            seed: 13_2007,
+            ..Default::default()
+        });
+        let first = sim.add_server(1);
+        sim.add_server(1);
+        sim.add_server(2);
+        let inst = sim.add_instance(first, DomainId(1), EngineConfig::default());
+        let app = sim.add_app(
+            cpu_bound_workload(AppId(0), 64, 8),
+            Sla::new(SimDuration::from_millis(150)),
+            ClientConfig {
+                think_time_mean: SimDuration::from_millis(100),
+                load_noise: 0.0,
+            },
+            LoadFunction::Constant(60),
+        );
+        sim.assign_replica(app, inst);
+        sim.set_tracer(tracer.clone());
+        controller.set_tracer(tracer.clone());
+        sim.start();
+        for _ in 0..12 {
+            let outcome = sim.run_interval();
+            controller.on_interval(&mut sim, &outcome);
+        }
+        tracer.flush();
+    });
+    let actions = events.iter().filter_map(|e| match e {
+        TraceEvent::ActionApplied { kind, end_us, .. } => Some((*kind, end_us / 1_000_000)),
+        _ => None,
+    });
+    (digest, actions.collect())
 }
 
 fn dump(events: &[TraceEvent]) {
@@ -169,6 +225,26 @@ fn fig4_digest_and_quota_sequence_are_stable() {
             events.len()
         );
     }
+}
+
+/// The three coarse remedies on one scenario: each acts on the first
+/// violated interval, rests its three-interval cooldown, and acts again
+/// (coarse: provision, then pin the whole app once the replica serves).
+#[test]
+fn baseline_digests_and_action_sequences_are_stable() {
+    use ActionKind::{CoarseFallback, MigratedVm, ProvisionedReplica};
+    let (digest, actions) = run_baseline(CpuOnlyController::new(0.85));
+    assert_eq!(actions, [10, 40].map(|t| (ProvisionedReplica, t)));
+    assert_eq!(digest, CPU_ONLY_GOLDEN_DIGEST, "cpu-only digest drifted");
+
+    let (digest, actions) = run_baseline(CoarseGrainedController::new());
+    let isolations = [10, 40].map(|t| [(ProvisionedReplica, t), (CoarseFallback, t + 20)]);
+    assert_eq!(actions, isolations.concat());
+    assert_eq!(digest, COARSE_GOLDEN_DIGEST, "coarse digest drifted");
+
+    let (digest, actions) = run_baseline(VmMigrationController::new());
+    assert_eq!(actions, [10, 40, 70, 100].map(|t| (MigratedVm, t)));
+    assert_eq!(digest, VM_MIGRATION_GOLDEN_DIGEST, "vm digest drifted");
 }
 
 #[test]
