@@ -1,11 +1,7 @@
 //! The experiment runner: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments [fig3|fig3-mini|fig4|fig5|fig6|table1|table2|table3|
-//!              fig-scale|fig-scale-mini|
-//!              ablation-fences|ablation-weights|ablation-coarse|
-//!              ablation-mrc-threshold|ablation-mrc-approx|
-//!              ablation-mrc-sampled|all]
+//! experiments [<figure>|all]      (figure names: `experiments --list`)
 //!             [--jobs <N>] [--trace <path>] [--metrics <dir>]
 //!             [--profile-folded <path>]
 //! experiments --list
@@ -156,14 +152,10 @@ fn main() {
         fail(2, format!("unexpected argument '{extra}'"));
     }
     let Some(selection) = suite::resolve(&arg) else {
+        let names: Vec<&str> = suite::REGISTRY.iter().map(|info| info.name).collect();
         fail(
             2,
-            format!(
-            "unknown experiment '{arg}'; valid: fig3 fig3-mini fig4 fig5 fig6 table1 table2 table3 \
-             fig-scale fig-scale-mini \
-             ablation-fences ablation-weights ablation-coarse ablation-mrc-threshold \
-             ablation-mrc-approx ablation-mrc-sampled all"
-        ),
+            format!("unknown experiment '{arg}'; valid: {} all", names.join(" ")),
         );
     };
     let server: Option<Rc<MetricsServer>> =

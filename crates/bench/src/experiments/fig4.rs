@@ -15,13 +15,12 @@
 //! * MRC recomputation then isolates BestSeller as the one class whose
 //!   parameters changed, and a quota is enforced for it.
 
+use super::Observers;
 use odlb_cluster::{Simulation, SimulationConfig};
 use odlb_core::{Action, ClusterController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{MetricKind, Sla};
 use odlb_storage::DomainId;
-use odlb_telemetry::{SharedSpanProfiler, Telemetry};
-use odlb_trace::Tracer;
 use odlb_workload::tpcw::{bestseller_pattern, tpcw_workload, TpcwConfig, BESTSELLER};
 use odlb_workload::{ClientConfig, LoadFunction};
 use std::collections::BTreeMap;
@@ -50,49 +49,24 @@ pub struct Fig4Result {
     pub actions: Vec<String>,
 }
 
-/// Runs the scenario. `clients` TPC-W sessions; `stable_intervals` of
-/// warm-up + stable-state recording before the drop; up to
-/// `recovery_intervals` afterwards.
+/// Runs the scenario unobserved. `clients` TPC-W sessions;
+/// `stable_intervals` of warm-up + stable-state recording before the
+/// drop; up to `recovery_intervals` afterwards.
 pub fn run(clients: usize, stable_intervals: usize, recovery_intervals: usize) -> Fig4Result {
-    run_with(Tracer::new(), clients, stable_intervals, recovery_intervals)
-}
-
-/// [`run`] with a decision tracer attached to the driver and controller
-/// (the golden-trace suite and the `--trace` flag go through here).
-pub fn run_with(
-    tracer: Tracer,
-    clients: usize,
-    stable_intervals: usize,
-    recovery_intervals: usize,
-) -> Fig4Result {
-    run_instrumented(
-        tracer,
-        Telemetry::inactive(),
-        None,
+    run_observed(
+        &Observers::default(),
         clients,
         stable_intervals,
         recovery_intervals,
     )
 }
 
-/// The paper-scale run as a self-contained figure job: 50 clients,
-/// 12 stable intervals, up to 15 recovery intervals.
-pub fn figure_instrumented(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
-) -> Fig4Result {
-    run_instrumented(tracer, telemetry, profiler, 50, 12, 15)
-}
-
-/// [`run_with`] plus runtime telemetry: the metrics registry is attached
-/// to the driver and controller, and the optional profiler times the
-/// controller phases. Telemetry is observation-only — the result and run
-/// digest are identical to an uninstrumented run.
-pub fn run_instrumented(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
+/// [`run`] with the driver and controller observed through `observers`
+/// (the figure table, `--trace`/`--metrics` and the golden-trace suite go
+/// through here). Observation-only — the result and run digest are
+/// identical to an unobserved run.
+pub fn run_observed(
+    observers: &Observers,
     clients: usize,
     stable_intervals: usize,
     recovery_intervals: usize,
@@ -110,7 +84,7 @@ pub fn run_instrumented(
         LoadFunction::Constant(clients),
     );
     sim.assign_replica(app, inst);
-    let mut controller = super::start_instrumented(&mut sim, &tracer, telemetry, profiler);
+    let mut controller = observers.start(&mut sim);
     let mut latency_before = f64::NAN;
     let mut stable_metrics: BTreeMap<u32, [f64; 4]> = BTreeMap::new();
     for _ in 0..stable_intervals {
@@ -203,7 +177,7 @@ pub fn run_instrumented(
             result.latency_after_action = lat;
         }
     }
-    tracer.flush();
+    observers.tracer.flush();
     result
 }
 

@@ -17,25 +17,53 @@ use odlb_core::{ClusterController, ControllerConfig, SelectiveRetuningController
 use odlb_telemetry::{SharedSpanProfiler, Telemetry};
 use odlb_trace::Tracer;
 
-/// Starts `sim` under a default selective retuning controller, both
-/// observed through the same tracer, telemetry and profiler handles.
-fn start_instrumented(
-    sim: &mut Simulation,
-    tracer: &Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
-) -> SelectiveRetuningController {
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    sim.set_tracer(tracer.clone());
-    controller.set_tracer(tracer.clone());
-    if telemetry.is_active() {
-        sim.set_telemetry(telemetry.clone());
-        controller.set_telemetry(telemetry);
+/// What a figure run is observed through — the decision tracer, the
+/// telemetry registry and the span profiler — travelling as one value.
+/// The default observes nothing: a tracer without sinks, inactive
+/// telemetry, no profiler.
+#[derive(Clone, Default)]
+pub struct Observers {
+    /// Decision tracer shared by the driver and the controller.
+    pub tracer: Tracer,
+    /// Runtime telemetry registry (inactive = not attached).
+    pub telemetry: Telemetry,
+    /// Span profiler timing the driver and controller phases.
+    pub profiler: Option<SharedSpanProfiler>,
+}
+
+impl Observers {
+    /// Observation through `tracer` alone.
+    pub fn traced(tracer: Tracer) -> Self {
+        Observers {
+            tracer,
+            ..Default::default()
+        }
     }
-    if let Some(profiler) = profiler {
-        sim.set_profiler(profiler.clone());
-        controller.set_profiler(profiler);
+
+    /// Attaches the handles to `sim`. All three are observation-only: a
+    /// run's results and digest do not depend on what is attached.
+    pub fn attach(&self, sim: &mut Simulation) {
+        sim.set_tracer(self.tracer.clone());
+        if self.telemetry.is_active() {
+            sim.set_telemetry(self.telemetry.clone());
+        }
+        if let Some(profiler) = &self.profiler {
+            sim.set_profiler(profiler.clone());
+        }
     }
-    sim.start();
-    controller
+
+    /// Starts `sim` under a default selective retuning controller, both
+    /// observed through these handles.
+    fn start(&self, sim: &mut Simulation) -> SelectiveRetuningController {
+        let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
+        self.attach(sim);
+        controller.set_tracer(self.tracer.clone());
+        // An inactive handle is what the controller starts with.
+        controller.set_telemetry(self.telemetry.clone());
+        if let Some(profiler) = &self.profiler {
+            controller.set_profiler(profiler.clone());
+        }
+        sim.start();
+        controller
+    }
 }

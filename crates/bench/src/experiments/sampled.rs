@@ -73,7 +73,6 @@ fn decision(curve: &MissRatioCurve) -> (bool, usize) {
         id: BESTSELLER as u64,
         curve,
         acceptable_pages: params.acceptable_memory_needed,
-        access_rate: 1.0,
     }];
     let granted = match fit_quotas(CAP - 1, &requests) {
         Some(a) => a[0].pages,

@@ -14,13 +14,12 @@
 //! this regime is `work_per_sec` of the `scale_point` / `scale_write`
 //! workloads in `benchmark/`.
 
+use super::Observers;
 use odlb_cluster::{Simulation, SimulationConfig};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, ServerId, Sla};
 use odlb_sim::SimDuration;
 use odlb_storage::{DomainId, SpaceId};
-use odlb_telemetry::{SharedSpanProfiler, Telemetry};
-use odlb_trace::Tracer;
 use odlb_workload::{AccessPattern, ClientConfig, LoadFunction, QueryClassSpec, WorkloadSpec};
 
 /// Applications per row; sessions and replicas split evenly across them.
@@ -108,9 +107,7 @@ fn scale_workload(app: AppId) -> WorkloadSpec {
 /// residency* figure: nearly every session sits in the calendar queue as
 /// a pending `ClientIssue` at any instant.
 fn run_row(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
+    observers: &Observers,
     seed: u64,
     replicas: usize,
     sessions: usize,
@@ -161,13 +158,7 @@ fn run_row(
             sim.assign_replica(app, inst);
         }
     }
-    sim.set_tracer(tracer);
-    if telemetry.is_active() {
-        sim.set_telemetry(telemetry);
-    }
-    if let Some(p) = profiler {
-        sim.set_profiler(p);
-    }
+    observers.attach(&mut sim);
     sim.start();
     let mut throughput = 0.0;
     let mut latency_ms = 0.0;
@@ -197,53 +188,26 @@ fn run_row(
     }
 }
 
-/// The full sweep: 16 → 112 replicas, 100k → 1M resident sessions.
-/// Telemetry and the profiler attach to the headline row only, so the
-/// metrics artifacts describe the 112-replica regime.
-pub fn figure_instrumented(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
-) -> ScaleResult {
-    let points: [(usize, usize, usize); 3] =
-        [(16, 100_000, 2), (64, 400_000, 2), (112, 1_000_000, 3)];
-    run_sweep(tracer, telemetry, profiler, &points)
-}
-
-/// CI-scale sweep (`fig-scale-mini`): same shape, two small points.
-pub fn figure_mini_instrumented(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
-) -> ScaleResult {
-    let points: [(usize, usize, usize); 2] = [(16, 10_000, 2), (32, 40_000, 2)];
-    run_sweep(tracer, telemetry, profiler, &points)
-}
-
-fn run_sweep(
-    tracer: Tracer,
-    telemetry: Telemetry,
-    profiler: Option<SharedSpanProfiler>,
-    points: &[(usize, usize, usize)],
-) -> ScaleResult {
+/// Runs one row per `(replicas, sessions, intervals)` point. Telemetry
+/// and the profiler attach to the last (headline) row only, so the
+/// metrics artifacts describe the largest regime.
+pub fn run_observed(observers: &Observers, points: &[(usize, usize, usize)]) -> ScaleResult {
     let mut rows = Vec::with_capacity(points.len());
     for (i, &(replicas, sessions, intervals)) in points.iter().enumerate() {
-        let last = i + 1 == points.len();
+        let row_observers = if i + 1 == points.len() {
+            observers.clone()
+        } else {
+            Observers::traced(observers.tracer.clone())
+        };
         rows.push(run_row(
-            tracer.clone(),
-            if last {
-                telemetry.clone()
-            } else {
-                Telemetry::inactive()
-            },
-            if last { profiler.clone() } else { None },
+            &row_observers,
             9_2026 + i as u64,
             replicas,
             sessions,
             intervals,
         ));
     }
-    tracer.flush();
+    observers.tracer.flush();
     ScaleResult { rows }
 }
 
@@ -275,8 +239,9 @@ mod tests {
 
     #[test]
     fn mini_sweep_is_deterministic_and_processes_every_session() {
-        let a = figure_mini_instrumented(Tracer::new(), Telemetry::inactive(), None);
-        let b = figure_mini_instrumented(Tracer::new(), Telemetry::inactive(), None);
+        let mini = [(16, 10_000, 2), (32, 40_000, 2)];
+        let a = run_observed(&Observers::default(), &mini);
+        let b = run_observed(&Observers::default(), &mini);
         assert_eq!(render(&a), render(&b), "sweep must be run-to-run stable");
         for row in &a.rows {
             // Every session issues at least once in the first interval

@@ -14,13 +14,14 @@
 
 use crate::experiments::*;
 use crate::runner::{run_ordered, Job};
-use odlb_telemetry::{SharedSpanProfiler, SpanProfiler, Telemetry};
+use odlb_telemetry::{SpanProfiler, Telemetry};
 use odlb_trace::{DigestSink, JsonlSink, Tracer};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// One registry entry: the authoritative metadata for a figure/ablation,
-/// printed by `experiments --list` and used for every job's banner title.
+/// One row of the figure table: everything the suite knows about a
+/// figure/ablation — what `experiments --list` prints, what selects it,
+/// and the job that runs it.
 #[derive(Clone, Copy, Debug)]
 pub struct FigureInfo {
     /// Registry name (the CLI selector).
@@ -32,130 +33,152 @@ pub struct FigureInfo {
     /// Included in the `all` selection (extras are CI-scale smoke runs
     /// and the capacity sweep).
     pub in_all: bool,
+    /// Runs the figure and renders its stdout body. Paper-scale and
+    /// miniature variants differ only in the arguments their rows pass.
+    pub job: fn(&Observers) -> String,
 }
 
-/// The registry, in canonical commit order: the `all` figures first
-/// (exactly [`ALL_FIGURES`]' order), then the extras.
+/// The one figure table, in canonical commit order: the `all` figures
+/// first, then the extras. [`ALL_FIGURES`], [`resolve`], [`render_list`],
+/// the job dispatch and the CLI's valid-names text all derive from it —
+/// adding a figure is one row here plus its module.
 pub const REGISTRY: [FigureInfo; 16] = [
     FigureInfo {
         name: "fig5",
         title: "Fig. 5 — MRC of BestSeller (normal configuration); paper: acceptable 6982 pages",
         traced: false,
         in_all: true,
+        job: |_| fig5::figure(),
     },
     FigureInfo {
         name: "fig6",
         title: "Fig. 6 — MRC of SearchItemsByRegion; paper: acceptable 7906 pages",
         traced: false,
         in_all: true,
+        job: |_| fig6::figure(),
     },
     FigureInfo {
         name: "table1",
         title: "Table 1 — buffer pool management algorithms (index dropped)",
         traced: false,
         in_all: true,
+        job: |_| table1::figure(),
     },
     FigureInfo {
         name: "fig3",
         title: "Fig. 3 — CPU saturation under sinusoid load",
         traced: true,
         in_all: true,
+        job: |o| fig3::render(&fig3::run_observed(o, 64, 14, 50, 450, 4)),
     },
     FigureInfo {
         name: "fig4",
         title: "Fig. 4 — dropping the O_DATE index",
         traced: true,
         in_all: true,
+        job: |o| fig4::render(&fig4::run_observed(o, 50, 12, 15)),
     },
     FigureInfo {
         name: "table2",
         title: "Table 2 — memory contention in a shared buffer pool",
         traced: false,
         in_all: true,
+        job: |_| table2::figure(),
     },
     FigureInfo {
         name: "table3",
         title: "Table 3 — I/O contention among VM domains",
         traced: false,
         in_all: true,
+        job: |_| table3::figure(),
     },
     FigureInfo {
         name: "ablation-fences",
         title: "Ablation A1 — fence multiplier sensitivity",
         traced: false,
         in_all: true,
+        job: |_| ablations::figure_fences(),
     },
     FigureInfo {
         name: "ablation-weights",
         title: "Ablation A2 — impact weighting",
         traced: false,
         in_all: true,
+        job: |_| ablations::figure_weights(),
     },
     FigureInfo {
         name: "ablation-coarse",
         title: "Ablation A3 — fine-grained vs coarse-grained vs CPU-only",
         traced: false,
         in_all: true,
+        job: |_| ablations::figure_coarse(),
     },
     FigureInfo {
         name: "ablation-mrc-threshold",
         title: "Ablation A4 — MRC acceptability threshold vs BestSeller quota",
         traced: false,
         in_all: true,
+        job: |_| ablations::figure_threshold(),
     },
     FigureInfo {
         name: "ablation-mrc-approx",
         title: "Ablation A5 — exact Mattson vs bucketed approximation",
         traced: false,
         in_all: true,
+        job: |_| ablations::figure_tracker(),
     },
     FigureInfo {
         name: "ablation-mrc-sampled",
         title: "Ablation A6 — exact Mattson vs SHARDS-style sampled tracker",
         traced: false,
         in_all: true,
+        job: |_| sampled::figure(),
     },
     FigureInfo {
         name: "fig3-mini",
         title: "Fig. 3 (miniature smoke run) — CPU saturation under sinusoid load",
         traced: true,
         in_all: false,
+        job: |o| fig3::render(&fig3::run_observed(o, 30, 10, 30, 480, 3)),
     },
     FigureInfo {
         name: "fig-scale",
         title: "fig-scale — event hot-path scaling: 112 replicas, 1M resident sessions",
         traced: true,
         in_all: false,
+        job: |o| {
+            let points = [(16, 100_000, 2), (64, 400_000, 2), (112, 1_000_000, 3)];
+            scale::render(&scale::run_observed(o, &points))
+        },
     },
     FigureInfo {
         name: "fig-scale-mini",
         title: "fig-scale (miniature smoke run) — event hot-path scaling",
         traced: true,
         in_all: false,
+        job: |o| scale::render(&scale::run_observed(o, &[(16, 10_000, 2), (32, 40_000, 2)])),
     },
 ];
 
+/// The names of the registry rows whose `in_all` flag equals `in_all`,
+/// in registry order; `N` must be their exact count.
+const fn names_where<const N: usize>(in_all: bool) -> [&'static str; N] {
+    let mut names = [""; N];
+    let (mut row, mut n) = (0, 0);
+    while row < REGISTRY.len() {
+        if REGISTRY[row].in_all == in_all {
+            names[n] = REGISTRY[row].name;
+            n += 1;
+        }
+        row += 1;
+    }
+    assert!(n == N, "N must count the matching registry rows");
+    names
+}
+
 /// Canonical figure order: what `all` runs, and the order outputs are
 /// committed in at any job count.
-pub const ALL_FIGURES: [&str; 13] = [
-    "fig5",
-    "fig6",
-    "table1",
-    "fig3",
-    "fig4",
-    "table2",
-    "table3",
-    "ablation-fences",
-    "ablation-weights",
-    "ablation-coarse",
-    "ablation-mrc-threshold",
-    "ablation-mrc-approx",
-    "ablation-mrc-sampled",
-];
-
-/// Selectable figures that `all` does not include: the CI-scale fig3
-/// smoke run and the event hot-path scaling sweep (full and CI-scale).
-const EXTRA_FIGURES: [&str; 3] = ["fig3-mini", "fig-scale", "fig-scale-mini"];
+pub const ALL_FIGURES: [&str; 13] = names_where(true);
 
 /// Looks up a registry entry by name.
 pub fn figure_info(name: &str) -> Option<&'static FigureInfo> {
@@ -186,18 +209,14 @@ pub fn render_list() -> String {
 }
 
 /// Resolves a command-line selector into the figures it runs: `all`
-/// expands to [`ALL_FIGURES`], the extra figures (`fig3-mini`,
-/// `fig-scale`, `fig-scale-mini` — runs `all` does not include) select
-/// themselves, any single figure name selects that figure. Unknown
-/// names resolve to `None`.
+/// expands to [`ALL_FIGURES`], any registry name (the extras included —
+/// runs `all` does not cover) selects that figure. Unknown names resolve
+/// to `None`.
 pub fn resolve(arg: &str) -> Option<Vec<&'static str>> {
     if arg == "all" {
         return Some(ALL_FIGURES.to_vec());
     }
-    if let Some(extra) = EXTRA_FIGURES.iter().find(|f| **f == arg) {
-        return Some(vec![*extra]);
-    }
-    ALL_FIGURES.iter().find(|f| **f == arg).map(|f| vec![*f])
+    figure_info(arg).map(|info| vec![info.name])
 }
 
 /// Shared settings for one suite invocation.
@@ -267,17 +286,13 @@ fn banner(title: &str) -> String {
 }
 
 /// A figure with no tracer or telemetry: banner plus rendered body.
-fn plain(
-    name: &'static str,
-    title: &'static str,
-    body: impl FnOnce() -> String + Send + 'static,
-) -> Job<FigureOutput> {
+fn plain(info: &'static FigureInfo) -> Job<FigureOutput> {
     Box::new(move || {
         let start = Instant::now();
-        let body = body();
+        let body = (info.job)(&Observers::default());
         FigureOutput {
-            name,
-            stdout: format!("{}{body}\n", banner(title)),
+            name: info.name,
+            stdout: format!("{}{body}\n", banner(info.title)),
             files: Vec::new(),
             publish: None,
             profile: None,
@@ -290,13 +305,8 @@ fn plain(
 /// JSONL sink (with `--trace`), and attached telemetry plus a profiler
 /// (with `--metrics`/`--serve`), reproducing the sequential runner's
 /// stdout block byte for byte.
-fn traced(
-    name: &'static str,
-    title: &'static str,
-    cfg: &SuiteConfig,
-    multiple: bool,
-    run: impl FnOnce(Tracer, Telemetry, Option<SharedSpanProfiler>) -> String + Send + 'static,
-) -> Job<FigureOutput> {
+fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
+    let name = info.name;
     let trace_path = cfg.trace_path.as_ref().map(|p| {
         if multiple {
             format!("{p}.{name}")
@@ -318,20 +328,24 @@ fn traced(
         } else {
             Telemetry::inactive()
         };
-        let profiler = (telemetry.is_active() || profile).then(SpanProfiler::shared);
+        let observers = Observers {
+            profiler: (telemetry.is_active() || profile).then(SpanProfiler::shared),
+            tracer,
+            telemetry,
+        };
         // Root spans: every path in the folded dumps starts
         // `experiments;<figure>;…`, so multi-figure merges stay
         // attributable per figure.
-        let _suite = odlb_telemetry::enter_span(&profiler, "experiments");
-        let _figure = odlb_telemetry::enter_span(&profiler, name);
+        let _suite = odlb_telemetry::enter_span(&observers.profiler, "experiments");
+        let _figure = odlb_telemetry::enter_span(&observers.profiler, name);
         let start = Instant::now();
-        let body = run(tracer, telemetry.clone(), profiler.clone());
+        let body = (info.job)(&observers);
         let wall = start.elapsed();
         // Close the roots before snapshotting: spans record on exit.
         drop(_figure);
         drop(_suite);
 
-        let mut stdout = format!("{}{body}\n", banner(title));
+        let mut stdout = format!("{}{body}\n", banner(info.title));
         {
             let d = digest.borrow();
             stdout.push_str(&format!(
@@ -344,6 +358,11 @@ fn traced(
         if let (Some(path), Some(sink)) = (trace_path, jsonl) {
             files.push((PathBuf::from(path), sink.borrow().writer().clone()));
         }
+        let Observers {
+            telemetry,
+            profiler,
+            ..
+        } = observers;
         let publish = if capture {
             telemetry.render_prometheus()
         } else {
@@ -374,41 +393,14 @@ fn traced(
     })
 }
 
-/// Builds the job for one registry name; titles come from [`REGISTRY`],
-/// the same metadata `--list` prints. Callers resolve names through
+/// Builds the job for one registry name. Callers resolve names through
 /// [`resolve`] first; an unknown name here is a programming error.
-fn figure_job(name: &'static str, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
-    let title = figure_info(name)
-        .unwrap_or_else(|| panic!("figure '{name}' missing from REGISTRY"))
-        .title;
-    match name {
-        "fig5" => plain(name, title, fig5::figure),
-        "fig6" => plain(name, title, fig6::figure),
-        "table1" => plain(name, title, table1::figure),
-        "fig3" => traced(name, title, cfg, multiple, |t, tel, p| {
-            fig3::render(&fig3::figure_instrumented(t, tel, p))
-        }),
-        "fig3-mini" => traced(name, title, cfg, multiple, |t, tel, p| {
-            fig3::render(&fig3::figure_mini_instrumented(t, tel, p))
-        }),
-        "fig-scale" => traced(name, title, cfg, multiple, |t, tel, p| {
-            scale::render(&scale::figure_instrumented(t, tel, p))
-        }),
-        "fig-scale-mini" => traced(name, title, cfg, multiple, |t, tel, p| {
-            scale::render(&scale::figure_mini_instrumented(t, tel, p))
-        }),
-        "fig4" => traced(name, title, cfg, multiple, |t, tel, p| {
-            fig4::render(&fig4::figure_instrumented(t, tel, p))
-        }),
-        "table2" => plain(name, title, table2::figure),
-        "table3" => plain(name, title, table3::figure),
-        "ablation-fences" => plain(name, title, ablations::figure_fences),
-        "ablation-weights" => plain(name, title, ablations::figure_weights),
-        "ablation-coarse" => plain(name, title, ablations::figure_coarse),
-        "ablation-mrc-threshold" => plain(name, title, ablations::figure_threshold),
-        "ablation-mrc-approx" => plain(name, title, ablations::figure_tracker),
-        "ablation-mrc-sampled" => plain(name, title, sampled::figure),
-        other => panic!("unknown figure '{other}' (resolve() admits selections)"),
+fn figure_job(name: &str, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
+    let info = figure_info(name).unwrap_or_else(|| panic!("figure '{name}' missing from REGISTRY"));
+    if info.traced {
+        traced(info, cfg, multiple)
+    } else {
+        plain(info)
     }
 }
 
@@ -416,29 +408,13 @@ fn figure_job(name: &'static str, cfg: &SuiteConfig, multiple: bool) -> Job<Figu
 mod tests {
     use super::*;
 
+    /// Selectable figures that `all` does not include.
+    const EXTRA_FIGURES: [&str; 3] = names_where(false);
+
     #[test]
     fn resolve_expands_all_in_canonical_order() {
         let all = resolve("all").unwrap();
         assert_eq!(all, ALL_FIGURES.to_vec());
-    }
-
-    #[test]
-    fn registry_matches_selection_tables_exactly() {
-        // REGISTRY is ALL_FIGURES then EXTRA_FIGURES, in order, with
-        // in_all flags matching — the `--list` output and the CLI
-        // selectors can never drift apart.
-        let names: Vec<&str> = REGISTRY.iter().map(|i| i.name).collect();
-        let expected: Vec<&str> = ALL_FIGURES.into_iter().chain(EXTRA_FIGURES).collect();
-        assert_eq!(names, expected);
-        for info in &REGISTRY {
-            assert_eq!(
-                info.in_all,
-                ALL_FIGURES.contains(&info.name),
-                "{}",
-                info.name
-            );
-            assert!(!info.title.is_empty());
-        }
     }
 
     #[test]

@@ -166,29 +166,33 @@ impl CellController {
 pub enum CellMrc {
     /// Exact Mattson.
     Exact,
-    /// Geometric buckets.
-    Bucketed,
     /// SHARDS-style sampling at the given rate.
     Sampled(f64),
 }
 
 impl CellMrc {
-    /// Parses `exact`, `bucketed`, or `sampled:<rate>`.
+    /// Parses `exact` or `sampled:<rate>`; the rate must be in `(0, 1]`
+    /// and spelled with at most the four decimals [`CellMrc::canonical`]
+    /// keeps, so distinct rates never share a label or a cell directory.
     pub fn parse(s: &str) -> Result<CellMrc, String> {
-        match s {
-            "exact" => Ok(CellMrc::Exact),
-            "bucketed" => Ok(CellMrc::Bucketed),
-            _ => {
-                let rate = s
-                    .strip_prefix("sampled:")
-                    .and_then(|r| r.parse::<f64>().ok())
-                    .ok_or_else(|| format!("bad mrc '{s}' (exact | bucketed | sampled:<rate>)"))?;
-                if !(rate > 0.0 && rate <= 1.0) {
-                    return Err(format!("sampled rate {rate} outside (0, 1]"));
-                }
-                Ok(CellMrc::Sampled(rate))
-            }
+        if s == "exact" {
+            return Ok(CellMrc::Exact);
         }
+        let rate = s
+            .strip_prefix("sampled:")
+            .and_then(|r| r.parse::<f64>().ok())
+            .ok_or_else(|| format!("bad mrc '{s}' (exact | sampled:<rate>)"))?;
+        if !(rate > 0.0 && rate <= 1.0) {
+            return Err(format!("sampled rate {rate} outside (0, 1]"));
+        }
+        let mrc = CellMrc::Sampled(rate);
+        let canonical = mrc.canonical();
+        if canonical["sampled:".len()..].parse() != Ok(rate) {
+            return Err(format!(
+                "sampled rate {rate} does not survive its canonical spelling '{canonical}'"
+            ));
+        }
+        Ok(mrc)
     }
 
     /// The canonical spelling (stable under re-parsing; rates rendered
@@ -196,7 +200,6 @@ impl CellMrc {
     pub fn canonical(&self) -> String {
         match self {
             CellMrc::Exact => "exact".to_string(),
-            CellMrc::Bucketed => "bucketed".to_string(),
             CellMrc::Sampled(rate) => format!("sampled:{rate:.4}"),
         }
     }
@@ -205,7 +208,6 @@ impl CellMrc {
     pub fn mode(&self) -> MrcMode {
         match self {
             CellMrc::Exact => MrcMode::Exact,
-            CellMrc::Bucketed => MrcMode::Bucketed,
             CellMrc::Sampled(rate) => MrcMode::Sampled { rate: *rate },
         }
     }
@@ -322,9 +324,18 @@ fn parse_values(key: &str, raw: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn int<T: std::str::FromStr>(lineno: usize, key: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("line {}: {key}: bad integer '{v}'", lineno + 1))
+fn int<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{key}: bad integer '{v}'"))
+}
+
+/// A sweep name becomes the `sweep-<name>/` output directory, so it must
+/// stay one path component: `[A-Za-z0-9_-]+`.
+fn sweep_name(v: &str) -> Result<String, String> {
+    let ok = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
+    if v.is_empty() || !v.bytes().all(ok) {
+        return Err(format!("name '{v}' must match [A-Za-z0-9_-]+"));
+    }
+    Ok(v.to_string())
 }
 
 /// Parses every value of the axis `key`, which must have at least one.
@@ -357,43 +368,40 @@ pub fn parse_matrix(text: &str) -> Result<MatrixSpec, String> {
     };
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw);
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(format!(
-                "line {}: sections are not part of the matrix format; use top-level keys",
-                lineno + 1
-            ));
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-        let (key, value) = (key.trim(), value.trim());
-        let vals = parse_values(key, value).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let single = || -> Result<&String, String> {
-            if vals.len() == 1 {
-                Ok(&vals[0])
-            } else {
-                Err(format!("line {}: {key} takes one value", lineno + 1))
-            }
-        };
-        let usize_of = |v: &str| int::<usize>(lineno, key, v);
-        match key {
-            "name" => spec.name = single()?.clone(),
-            "intervals" => spec.intervals = usize_of(single()?)?,
-            "warmup" => spec.warmup = usize_of(single()?)?,
-            "clients" => spec.clients = usize_of(single()?)?,
-            "seeds" => spec.seeds = axis(key, &vals, |v| int(lineno, key, v))?,
-            "replicas" => spec.replicas = axis(key, &vals, usize_of)?,
-            "workloads" => spec.workloads = axis(key, &vals, CellWorkload::parse)?,
-            "mrc" => spec.mrc = axis(key, &vals, CellMrc::parse)?,
-            "controllers" => spec.controllers = axis(key, &vals, CellController::parse)?,
-            other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
+        if !line.is_empty() {
+            set_key(&mut spec, line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
     }
     validate(&spec)?;
     Ok(spec)
+}
+
+/// Applies one non-empty `key = value` line to `spec`.
+fn set_key(spec: &mut MatrixSpec, line: &str) -> Result<(), String> {
+    if line.starts_with('[') {
+        return Err("sections are not part of the matrix format; use top-level keys".to_string());
+    }
+    let (key, value) = line.split_once('=').ok_or("expected key = value")?;
+    let (key, value) = (key.trim(), value.trim());
+    let vals = parse_values(key, value)?;
+    let single = || match &vals[..] {
+        [v] => Ok(v.as_str()),
+        _ => Err(format!("{key} takes one value")),
+    };
+    let usize_of = |v: &str| int::<usize>(key, v);
+    match key {
+        "name" => spec.name = sweep_name(single()?)?,
+        "intervals" => spec.intervals = usize_of(single()?)?,
+        "warmup" => spec.warmup = usize_of(single()?)?,
+        "clients" => spec.clients = usize_of(single()?)?,
+        "seeds" => spec.seeds = axis(key, &vals, |v| int(key, v))?,
+        "replicas" => spec.replicas = axis(key, &vals, usize_of)?,
+        "workloads" => spec.workloads = axis(key, &vals, CellWorkload::parse)?,
+        "mrc" => spec.mrc = axis(key, &vals, CellMrc::parse)?,
+        "controllers" => spec.controllers = axis(key, &vals, CellController::parse)?,
+        other => return Err(format!("unknown key '{other}'")),
+    }
+    Ok(())
 }
 
 fn validate(spec: &MatrixSpec) -> Result<(), String> {
@@ -935,6 +943,24 @@ mod tests {
             .unwrap_err()
             .contains("warmup"));
         assert!(parse_matrix("seeds = []").unwrap_err().contains("empty"));
+        // The bucketed tracker is no longer a mode; the error says what is.
+        let err = parse_matrix("clients = 8\nmrc = [\"bucketed\"]").unwrap_err();
+        assert!(err.starts_with("line 2: ") && err.contains("exact | sampled:<rate>"));
+        // A name becomes `sweep-<name>/`: one path component only.
+        for name in ["/../../tmp/x", "a/b", "..", "a b", ""] {
+            let err = parse_matrix(&format!("name = \"{name}\"")).unwrap_err();
+            assert!(err.starts_with("line 1: ") && err.contains("[A-Za-z0-9_-]+"));
+        }
+        assert_eq!(
+            parse_matrix("name = \"ok_Name-1\"").unwrap().name,
+            "ok_Name-1"
+        );
+        // Rates that alias (or vanish) at the canonical four decimals.
+        for rate in ["0.10001", "0.10004", "0.00001"] {
+            let err = parse_matrix(&format!("\nmrc = [\"sampled:{rate}\"]")).unwrap_err();
+            assert!(err.starts_with("line 2: ") && err.contains("canonical spelling"));
+        }
+        assert!(parse_matrix("mrc = [\"sampled:0.1\", \"sampled:0.0125\"]").is_ok());
     }
 
     #[test]

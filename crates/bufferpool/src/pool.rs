@@ -167,18 +167,6 @@ impl BufferPool {
         self.counters.get(&class).copied().unwrap_or_default()
     }
 
-    /// Counters summed across classes.
-    pub fn total_counters(&self) -> ClassCounters {
-        let mut total = ClassCounters::default();
-        for c in self.counters.values() {
-            total.accesses += c.accesses;
-            total.hits += c.hits;
-            total.misses += c.misses;
-            total.prefetched += c.prefetched;
-        }
-        total
-    }
-
     /// Drains and returns all class counters (interval close), keeping
     /// resident pages untouched.
     pub fn drain_counters(&mut self) -> FastMap<ClassId, ClassCounters> {
@@ -251,7 +239,6 @@ mod tests {
         assert_eq!(p.access(class(2), pid(5)), AccessOutcome::Hit);
         assert_eq!(p.class_counters(class(1)).misses, 1);
         assert_eq!(p.class_counters(class(2)).hits, 1);
-        assert_eq!(p.total_counters().accesses, 2);
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl Simulation {
     }
 
     /// Recomputes a class's MRC from its access window on one instance,
-    /// with the tracker mode (exact / bucketed / SHARDS-sampled)
+    /// with the tracker mode (exact / SHARDS-sampled)
     /// configured on the controller driving this cluster.
     pub fn recompute_mrc_with(
         &self,

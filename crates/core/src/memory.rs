@@ -9,7 +9,7 @@
 
 use crate::config::ControllerConfig;
 use odlb_cluster::{InstanceId, Simulation};
-use odlb_metrics::{ClassId, IntervalReport, MetricKind, ServerId, StableStateStore};
+use odlb_metrics::{ClassId, IntervalReport, ServerId, StableStateStore};
 use odlb_mrc::{fit_quotas, MrcParams, QuotaRequest};
 use odlb_sim::SimTime;
 use odlb_telemetry::{profile_span, SharedSpanProfiler};
@@ -125,10 +125,9 @@ pub fn plan_memory_action(
     // the same physical server".
     let mut curves = Vec::new();
     profile_span(profiler, "recompute", || {
-        for (&class, metrics) in &report.per_class {
+        for &class in report.per_class.keys() {
             if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, config.mrc_mode) {
-                let rate = metrics[MetricKind::Throughput];
-                curves.push((class, curve, rate));
+                curves.push((class, curve));
             }
         }
     });
@@ -137,13 +136,12 @@ pub fn plan_memory_action(
     }
     let requests: Vec<QuotaRequest<'_>> = curves
         .iter()
-        .map(|(class, curve, rate)| {
+        .map(|(class, curve)| {
             let params = curve.params(cap, config.mrc_threshold);
             QuotaRequest {
                 id: class.as_u64(),
                 curve,
                 acceptable_pages: params.acceptable_memory_needed,
-                access_rate: *rate,
             }
         })
         .collect();

@@ -5,14 +5,14 @@ use crate::locks::LockManager;
 use crate::query::QuerySpec;
 use odlb_bufferpool::{PartitionedPool, QuotaError};
 use odlb_metrics::{
-    ClassId, ClassStatsCollector, IntervalReport, PrivateLogBuffer, QueryLogRecord, WindowRegistry,
+    ClassId, ClassStatsCollector, IntervalReport, MetricKind, PrivateLogBuffer, QueryLogRecord,
+    WindowRegistry,
 };
 use odlb_mrc::MissRatioCurve;
 use odlb_sim::station::Admission;
 use odlb_sim::{SimDuration, SimTime, Station};
 use odlb_storage::{DomainId, IoKind, ReadAheadDetector, SharedIoPath, EXTENT_PAGES};
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Engine parameters.
@@ -48,8 +48,8 @@ pub struct ExecutionResult {
     pub record: QueryLogRecord,
 }
 
-/// Cached per-class telemetry handles: the hot path pays the registry
-/// lookup once per class, then records through shared `Rc` handles.
+/// Cached per-class telemetry handles: the registry lookup is paid once
+/// per class; every interval close then adds through shared `Rc` handles.
 #[derive(Clone, Debug)]
 struct ClassSeries {
     latency: odlb_telemetry::Histogram,
@@ -140,7 +140,7 @@ impl DbEngine {
     }
 
     /// Attaches a telemetry handle; `instance` labels every series this
-    /// engine emits. Inactive handles cost one branch per commit.
+    /// engine emits. Inactive handles cost one branch per interval close.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, instance: &str) {
         self.telemetry = telemetry;
         self.instance_label = instance.to_string();
@@ -252,30 +252,45 @@ impl DbEngine {
     /// into the per-class collector (call when the completion event fires,
     /// so interval accounting matches completion times).
     pub fn commit_record(&mut self, record: QueryLogRecord) {
-        if self.telemetry.is_active() {
-            self.record_telemetry(&record);
-        }
         if let Some(batch) = self.logbuf.log(record) {
             self.collector.record_batch(&batch);
             self.logbuf.recycle(batch);
         }
     }
 
-    /// Records one completed query into the attached registry. Only
-    /// reached when telemetry is active; the first record of each class
-    /// registers its series, later ones reuse the cached handles.
-    fn record_telemetry(&mut self, record: &QueryLogRecord) {
-        let series = match self.series.entry(record.class) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let class = record.class.to_string();
+    /// Closes the current measurement interval: flushes the log buffer and
+    /// returns per-class interval metrics. With telemetry attached, the
+    /// closed interval also advances the pool gauges and this engine's
+    /// per-class series.
+    pub fn close_interval(&mut self, now: SimTime) -> IntervalReport {
+        let remainder = self.logbuf.flush();
+        self.collector.record_batch(&remainder);
+        self.logbuf.recycle(remainder);
+        self.locks.gc(now);
+        let report = self.collector.close_interval(now);
+        if self.telemetry.is_active() {
+            self.pool
+                .export_telemetry(&self.telemetry, &self.instance_label);
+            self.export_class_series(&report);
+        }
+        report
+    }
+
+    /// Adds the interval `report` just closed to the per-class series —
+    /// the collector is the one place queries are accounted; the registry
+    /// reads its totals. A class's first interval registers its series,
+    /// later ones reuse the cached handles.
+    fn export_class_series(&mut self, report: &IntervalReport) {
+        for (class, v) in &report.per_class {
+            let series = self.series.entry(*class).or_insert_with(|| {
+                let class = class.to_string();
                 let labels = [
                     ("class", class.as_str()),
                     ("instance", self.instance_label.as_str()),
                 ];
                 let t = &self.telemetry;
                 let counter = |name, help| t.counter(name, help, &labels).expect("active");
-                e.insert(ClassSeries {
+                ClassSeries {
                     latency: t
                         .histogram(
                             "odlb_query_latency_us",
@@ -300,29 +315,16 @@ impl DbEngine {
                         "odlb_readaheads_total",
                         "Read-ahead extents triggered by queries.",
                     ),
-                })
-            }
-        };
-        series.latency.record(record.latency.as_micros());
-        series.queries.inc();
-        series.page_accesses.add(record.page_accesses);
-        series.buffer_misses.add(record.buffer_misses);
-        series.io_requests.add(record.io_requests);
-        series.readaheads.add(record.readaheads);
-    }
-
-    /// Closes the current measurement interval: flushes the log buffer and
-    /// returns per-class interval metrics.
-    pub fn close_interval(&mut self, now: SimTime) -> IntervalReport {
-        let remainder = self.logbuf.flush();
-        self.collector.record_batch(&remainder);
-        self.logbuf.recycle(remainder);
-        self.locks.gc(now);
-        if self.telemetry.is_active() {
-            self.pool
-                .export_telemetry(&self.telemetry, &self.instance_label);
+                }
+            });
+            let latency = &report.latency_histograms[class];
+            series.latency.merge(latency);
+            series.queries.add(latency.count());
+            series.page_accesses.add(v[MetricKind::PageAccesses] as u64);
+            series.buffer_misses.add(v[MetricKind::BufferMisses] as u64);
+            series.io_requests.add(v[MetricKind::IoRequests] as u64);
+            series.readaheads.add(v[MetricKind::ReadAheads] as u64);
         }
-        self.collector.close_interval(now)
     }
 
     /// Lock-manager observability (contention rate, cumulative wait).
@@ -331,15 +333,10 @@ impl DbEngine {
     }
 
     /// Recomputes the MRC of `class` from its recent access window
-    /// (§3.3.2's on-demand recomputation). `None` when the class has no
-    /// window on this engine.
-    pub fn recompute_mrc(&self, class: ClassId, cap_pages: usize) -> Option<MissRatioCurve> {
-        self.recompute_mrc_with(class, cap_pages, odlb_mrc::MrcMode::Exact)
-    }
-
-    /// [`DbEngine::recompute_mrc`] with an explicit tracker mode — the
-    /// controller threads its configured [`odlb_mrc::MrcMode`] through
-    /// here so web-scale tenancies can trade exactness for throughput.
+    /// (§3.3.2's on-demand recomputation) with the tracker `mode` selects
+    /// — the controller threads its configured [`odlb_mrc::MrcMode`]
+    /// through here so web-scale tenancies can trade exactness for
+    /// throughput. `None` when the class has no window on this engine.
     pub fn recompute_mrc_with(
         &self,
         class: ClassId,
@@ -359,24 +356,6 @@ impl DbEngine {
     /// Removes a class's quota, returning whether one existed.
     pub fn clear_quota(&mut self, class: ClassId) -> bool {
         self.pool.clear_quota(class)
-    }
-
-    /// The class's quota, if any.
-    pub fn quota_of(&self, class: ClassId) -> Option<usize> {
-        self.pool.quota_of(class)
-    }
-
-    /// Buffer-pool counters for a class.
-    pub fn pool_counters(&self, class: ClassId) -> odlb_bufferpool::ClassCounters {
-        self.pool.class_counters(class)
-    }
-
-    /// Drops all engine-side state for a class that has been re-placed on
-    /// another replica (window, read-ahead runs, quota).
-    pub fn forget_class(&mut self, class: ClassId) {
-        self.windows.forget(class);
-        self.readahead.reset_consumer(class.as_u64());
-        self.pool.clear_quota(class);
     }
 
     /// Resident pages of the general pool partition (LRU→MRU), for warm
@@ -402,7 +381,8 @@ impl DbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odlb_metrics::{AppId, MetricKind};
+    use odlb_metrics::AppId;
+    use odlb_mrc::MrcMode;
     use odlb_sim::SimDuration;
     use odlb_storage::{DiskModel, PageId, SpaceId};
 
@@ -511,30 +491,23 @@ mod tests {
             let q = spec(3, (0..16).collect());
             eng.execute(SimTime::ZERO, &q, &mut cpu, &mut io, DomainId(1));
         }
-        let curve = eng.recompute_mrc(class(3), 64).expect("window exists");
+        let curve = eng
+            .recompute_mrc_with(class(3), 64, MrcMode::Exact)
+            .expect("window exists");
         assert!(curve.miss_ratio(15) > 0.9);
         assert!(curve.miss_ratio(16) < 0.05);
-        assert!(eng.recompute_mrc(class(99), 64).is_none());
+        assert!(eng
+            .recompute_mrc_with(class(99), 64, MrcMode::Exact)
+            .is_none());
     }
 
     #[test]
     fn quota_round_trip() {
         let (mut eng, _, _) = rig();
         eng.set_quota(class(1), 16).unwrap();
-        assert_eq!(eng.quota_of(class(1)), Some(16));
+        assert_eq!(eng.pool().quota_of(class(1)), Some(16));
         assert!(eng.clear_quota(class(1)));
-        assert_eq!(eng.quota_of(class(1)), None);
-    }
-
-    #[test]
-    fn forget_class_clears_state() {
-        let (mut eng, mut cpu, mut io) = rig();
-        let q = spec(1, (0..10).collect());
-        eng.execute(SimTime::ZERO, &q, &mut cpu, &mut io, DomainId(1));
-        eng.set_quota(class(1), 8).unwrap();
-        eng.forget_class(class(1));
-        assert!(eng.recompute_mrc(class(1), 64).is_none());
-        assert_eq!(eng.quota_of(class(1)), None);
+        assert_eq!(eng.pool().quota_of(class(1)), None);
     }
 
     #[test]
@@ -616,8 +589,8 @@ mod tests {
                     slow.set_quota(class(2), 60).unwrap();
                 }
                 700 => {
-                    fast.forget_class(class(2));
-                    slow.forget_class(class(2));
+                    assert!(fast.clear_quota(class(2)));
+                    assert!(slow.clear_quota(class(2)));
                 }
                 _ => {}
             }
@@ -656,7 +629,10 @@ mod tests {
         assert_eq!(fast.resident_pages(), slow.resident_pages());
         assert_eq!(fast.windows.classes(), slow.windows.classes());
         for t in 0..5 {
-            assert_eq!(fast.pool_counters(class(t)), slow.pool_counters(class(t)));
+            assert_eq!(
+                fast.pool.class_counters(class(t)),
+                slow.pool.class_counters(class(t))
+            );
             let window = |e: &DbEngine| {
                 e.windows
                     .get(class(t))

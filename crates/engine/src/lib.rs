@@ -12,18 +12,11 @@
 //! to the server's shared disk path, charges computation to the server's
 //! CPU station, and returns the query's completion time together with its
 //! instrumentation record.
-//!
-//! [`templates`] implements the scheduler-side query template extraction
-//! ("the scheduler determines the query templates of each application on
-//! the fly"): SQL text is normalised by stripping literals, and each
-//! distinct template becomes a query class.
 
 pub mod engine;
 pub mod locks;
 pub mod query;
-pub mod templates;
 
 pub use engine::{DbEngine, EngineConfig, ExecutionResult};
 pub use locks::LockManager;
 pub use query::QuerySpec;
-pub use templates::{normalize_template, TemplateRegistry};

@@ -35,21 +35,8 @@ impl QuerySpec {
     /// The cheaper *apply* form executed on non-primary replicas for a
     /// write: same page set (the update must touch the same data), but the
     /// per-page CPU is halved (no result construction, pre-resolved plan).
-    pub fn as_replica_apply(&self) -> QuerySpec {
-        debug_assert!(self.is_write, "only writes are applied on replicas");
-        QuerySpec {
-            class: self.class,
-            pages: self.pages.clone(),
-            cpu_base: self.cpu_base / 2,
-            cpu_per_page: self.cpu_per_page / 2,
-            is_write: true,
-            lock_prefix: self.lock_prefix,
-        }
-    }
-
-    /// [`QuerySpec::as_replica_apply`] by value: moves the page list
-    /// instead of cloning it, for callers done with the primary form
-    /// (the driver's hot path, which recycles the buffer afterwards).
+    /// Takes the spec by value so the page list moves instead of cloning
+    /// (the driver's hot path recycles the buffer afterwards).
     pub fn into_replica_apply(self) -> QuerySpec {
         debug_assert!(self.is_write, "only writes are applied on replicas");
         QuerySpec {
@@ -95,21 +82,11 @@ mod tests {
     #[test]
     fn replica_apply_halves_cpu() {
         let w = spec(10, true);
-        let a = w.as_replica_apply();
+        let a = w.clone().into_replica_apply();
         assert_eq!(a.cpu_demand(), w.cpu_demand() / 2);
         assert_eq!(a.pages, w.pages);
         assert!(a.is_write);
         assert_eq!(a.lock_prefix, w.lock_prefix);
-    }
-
-    #[test]
-    fn into_replica_apply_matches_borrowed_form() {
-        let w = spec(10, true);
-        let a = w.as_replica_apply();
-        let b = w.into_replica_apply();
-        assert_eq!(a.pages, b.pages);
-        assert_eq!(a.cpu_demand(), b.cpu_demand());
-        assert_eq!(a.lock_prefix, b.lock_prefix);
     }
 
     #[test]

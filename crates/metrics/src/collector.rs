@@ -10,8 +10,8 @@
 //! Besides the averages, each class's latency distribution is kept in a
 //! mergeable [`LogLinearHistogram`] (O(1) record, no retained samples,
 //! rank error below 0.8% at the default grouping power), so interval
-//! reports expose tail quantiles — per class and merged per application
-//! — without the hot path ever holding per-query samples.
+//! reports carry each class's tail — and feed the telemetry series —
+//! without the hot path ever holding per-query samples.
 
 use crate::ids::ClassId;
 use crate::kinds::{MetricKind, MetricVector};
@@ -91,30 +91,6 @@ impl IntervalReport {
     /// is a `BTreeMap`, so its key order is already sorted).
     pub fn classes(&self) -> Vec<ClassId> {
         self.per_class.keys().copied().collect()
-    }
-
-    /// Latency quantile (simulated microseconds) of one class this
-    /// interval — e.g. `q = 0.95` for p95. `None` when the class saw no
-    /// queries. Histogram-estimated: the value is within 0.8% rank
-    /// error of the exact order statistic.
-    pub fn class_latency_quantile(&self, class: ClassId, q: f64) -> Option<u64> {
-        self.latency_histograms.get(&class)?.quantile(q)
-    }
-
-    /// Latency quantile (simulated microseconds) across all of `app`'s
-    /// classes this interval, from the merged per-class histograms —
-    /// the distribution the paper's per-application SLA is judged
-    /// against. `None` when the app saw no queries.
-    pub fn app_latency_quantile(&self, app: crate::ids::AppId, q: f64) -> Option<u64> {
-        let mut merged: Option<LogLinearHistogram> = None;
-        for (class, hist) in &self.latency_histograms {
-            if class.app == app {
-                merged
-                    .get_or_insert_with(LogLinearHistogram::default)
-                    .merge(hist);
-            }
-        }
-        merged?.quantile(q)
     }
 }
 
@@ -286,37 +262,19 @@ mod tests {
         c.record(&rec(0, 1, 2_000, 1, 0));
         let report = c.close_interval(SimTime::from_secs(10));
         let class = ClassId::new(AppId(0), 1);
-        let p50 = report.class_latency_quantile(class, 0.5).unwrap();
-        let p995 = report.class_latency_quantile(class, 0.995).unwrap();
+        let hist = &report.latency_histograms[&class];
+        let p50 = hist.quantile(0.5).unwrap();
+        let p995 = hist.quantile(0.995).unwrap();
         // 10ms = 10_000µs, 2s = 2_000_000µs; estimates are within the
         // histogram's 0.8% relative error.
         assert!((9_900..=10_100).contains(&p50), "p50 = {p50}");
         assert!(p995 >= 1_980_000, "p995 = {p995}");
         assert!(
-            report
-                .class_latency_quantile(ClassId::new(AppId(9), 0), 0.5)
-                .is_none(),
+            !report
+                .latency_histograms
+                .contains_key(&ClassId::new(AppId(9), 0)),
             "unseen class has no distribution"
         );
-    }
-
-    #[test]
-    fn app_quantile_merges_class_histograms() {
-        let mut c = ClassStatsCollector::new(SimTime::ZERO);
-        // Two classes of one app, one class of another.
-        for _ in 0..10 {
-            c.record(&rec(0, 1, 10, 1, 0));
-        }
-        for _ in 0..10 {
-            c.record(&rec(0, 2, 1_000, 1, 0));
-        }
-        c.record(&rec(1, 1, 50, 1, 0));
-        let report = c.close_interval(SimTime::from_secs(10));
-        let p95 = report.app_latency_quantile(AppId(0), 0.95).unwrap();
-        assert!(p95 >= 990_000, "slow class dominates the tail: {p95}");
-        let p25 = report.app_latency_quantile(AppId(0), 0.25).unwrap();
-        assert!(p25 <= 10_100, "fast class fills the lower half: {p25}");
-        assert!(report.app_latency_quantile(AppId(7), 0.5).is_none());
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl PrivateLogBuffer {
         self.spare = batch;
     }
 
-    /// Records currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.records.len()
-    }
-
     /// Number of flushes performed (full + explicit).
     pub fn flushes(&self) -> u64 {
         self.flushes
@@ -124,7 +119,7 @@ mod tests {
         assert!(buf.log(rec(2)).is_none());
         let batch = buf.log(rec(3)).expect("third record fills the buffer");
         assert_eq!(batch.len(), 3);
-        assert_eq!(buf.buffered(), 0);
+        assert!(buf.flush().is_empty(), "the full flush drained everything");
         assert_eq!(buf.flushes(), 1);
     }
 

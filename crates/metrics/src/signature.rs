@@ -9,7 +9,7 @@
 //! context. We also maintain the parameters of the MRC curves for each
 //! query class in the stable state record."
 
-use crate::ids::{AppId, ClassId, ServerId};
+use crate::ids::{ClassId, ServerId};
 use crate::kinds::MetricVector;
 use odlb_mrc::MrcParams;
 use odlb_sim::SimTime;
@@ -82,26 +82,6 @@ impl StableStateStore {
         self.map.get(&(server, class))
     }
 
-    /// All signatures on `server` for classes of `app`, sorted by class.
-    pub fn for_app_on_server(
-        &self,
-        server: ServerId,
-        app: AppId,
-    ) -> Vec<(ClassId, StableStateSignature)> {
-        // `map` is a `BTreeMap` keyed by `(server, class)`: filtering to
-        // one server leaves the classes already in ascending order.
-        self.map
-            .iter()
-            .filter(|((s, c), _)| *s == server && c.app == app)
-            .map(|((_, c), sig)| (*c, *sig))
-            .collect()
-    }
-
-    /// Forgets a context (class re-placed away from the server).
-    pub fn forget(&mut self, server: ServerId, class: ClassId) {
-        self.map.remove(&(server, class));
-    }
-
     /// Number of stored signatures.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -116,6 +96,7 @@ impl StableStateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::AppId;
     use crate::kinds::MetricKind;
 
     fn class(t: u32) -> ClassId {
@@ -180,46 +161,5 @@ mod tests {
             0.2
         );
         assert!(store.get(ServerId(3), class(1)).is_none());
-    }
-
-    #[test]
-    fn for_app_on_server_filters_and_sorts() {
-        let mut store = StableStateStore::new();
-        store.record_stable(
-            ServerId(1),
-            ClassId::new(AppId(0), 5),
-            metrics(0.1),
-            SimTime::ZERO,
-        );
-        store.record_stable(
-            ServerId(1),
-            ClassId::new(AppId(0), 2),
-            metrics(0.1),
-            SimTime::ZERO,
-        );
-        store.record_stable(
-            ServerId(1),
-            ClassId::new(AppId(1), 1),
-            metrics(0.1),
-            SimTime::ZERO,
-        );
-        store.record_stable(
-            ServerId(2),
-            ClassId::new(AppId(0), 9),
-            metrics(0.1),
-            SimTime::ZERO,
-        );
-        let got = store.for_app_on_server(ServerId(1), AppId(0));
-        let templates: Vec<u32> = got.iter().map(|(c, _)| c.template).collect();
-        assert_eq!(templates, vec![2, 5]);
-    }
-
-    #[test]
-    fn forget_removes_context() {
-        let mut store = StableStateStore::new();
-        store.record_stable(ServerId(1), class(1), metrics(0.1), SimTime::ZERO);
-        assert_eq!(store.len(), 1);
-        store.forget(ServerId(1), class(1));
-        assert!(store.is_empty());
     }
 }

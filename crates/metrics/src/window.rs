@@ -70,15 +70,9 @@ impl AccessWindow {
         self.pages.iter().copied()
     }
 
-    /// Replays the window through Mattson's algorithm, yielding the
-    /// class's current miss ratio curve tracked up to `cap_pages`.
-    pub fn compute_mrc(&self, cap_pages: usize) -> MissRatioCurve {
-        self.compute_mrc_with(MrcMode::Exact, cap_pages)
-    }
-
     /// Replays the window through the tracker `mode` selects — exact
-    /// Mattson, geometric buckets, or SHARDS-style spatial sampling.
-    /// `MrcMode::Exact` is byte-identical to [`AccessWindow::compute_mrc`].
+    /// Mattson or SHARDS-style spatial sampling — yielding the class's
+    /// current miss ratio curve tracked up to `cap_pages`.
     pub fn compute_mrc_with(&self, mode: MrcMode, cap_pages: usize) -> MissRatioCurve {
         compute_curve(mode, cap_pages, self.iter())
     }
@@ -117,11 +111,6 @@ impl WindowRegistry {
     /// The window for `class`, if it has been seen.
     pub fn get(&self, class: ClassId) -> Option<&AccessWindow> {
         self.windows.get(&class)
-    }
-
-    /// Drops a class's window (class re-placed elsewhere).
-    pub fn forget(&mut self, class: ClassId) {
-        self.windows.remove(&class);
     }
 
     /// Classes with live windows, in ascending order (`windows` is a
@@ -187,7 +176,7 @@ mod tests {
         for i in 0..800u64 {
             w.push(pid(i % 8));
         }
-        let curve = w.compute_mrc(64);
+        let curve = w.compute_mrc_with(MrcMode::Exact, 64);
         assert!(curve.miss_ratio(7) > 0.9);
         assert!(curve.miss_ratio(8) < 0.02);
     }
@@ -198,8 +187,8 @@ mod tests {
         for i in 0..8_000u64 {
             w.push(pid(i % 64));
         }
-        let exact = w.compute_mrc_with(MrcMode::Exact, 256);
-        assert_eq!(exact, w.compute_mrc(256), "Exact mode is the default path");
+        let exact = w.compute_mrc_with(MrcMode::default(), 256);
+        assert!(exact.miss_ratio(63) > 0.9 && exact.miss_ratio(64) < 0.02);
         let sampled = w.compute_mrc_with(MrcMode::Sampled { rate: 0.25 }, 256);
         // The loop knee at 64 pages survives sampling: distances of the
         // ~16 sampled keys rescale back to ~64 (binomial wobble allowed).
@@ -218,8 +207,6 @@ mod tests {
         assert_eq!(reg.get(c1).unwrap().len(), 2);
         assert_eq!(reg.get(c2).unwrap().len(), 1);
         assert_eq!(reg.classes(), vec![c1, c2]);
-        reg.forget(c1);
-        assert!(reg.get(c1).is_none());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Approximate stack-distance tracking with geometric distance buckets.
 //!
-//! The exact tracker's Fenwick tree and per-key map cost `O(distinct keys)`
-//! memory. For very large footprints the controller can fall back to this
-//! bucketed variant: distances are recorded at the *upper edge* of a
-//! geometric bucket, which makes the resulting curve a conservative
-//! (pessimistic) approximation — it never under-states memory need, so a
-//! quota derived from it is always safe. Ablation A5 quantifies the
-//! accuracy/speed trade-off against [`crate::MattsonTracker`].
+//! Distances are recorded at the *upper edge* of a geometric bucket,
+//! which makes the resulting curve a conservative (pessimistic)
+//! approximation — it never under-states memory need. Not an
+//! [`crate::MrcMode`]: the tracker exists as the subject of ablation A5,
+//! which quantifies its deviation from [`crate::MattsonTracker`].
 
 use crate::curve::MissRatioCurve;
 use crate::mattson::MattsonTracker;
@@ -67,11 +65,6 @@ impl<K: Copy + Eq + Hash> BucketedTracker<K> {
     /// The (approximate, pessimistic) curve.
     pub fn curve(&self) -> &MissRatioCurve {
         &self.curve
-    }
-
-    /// Consumes the tracker, yielding its (approximate) curve.
-    pub fn into_curve(self) -> MissRatioCurve {
-        self.curve
     }
 
     /// The exact curve computed alongside (for ablation comparisons).

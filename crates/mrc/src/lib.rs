@@ -14,13 +14,10 @@
 //!             Σ_{i=1..n} Hit[i] + Hit[∞]
 //! ```
 //!
-//! Three trackers are provided, selectable end-to-end via [`MrcMode`]:
+//! Two trackers are selectable end-to-end via [`MrcMode`]:
 //!
 //! * [`MattsonTracker`] — exact stack distances in `O(log n)` per access
 //!   (Bender/Olken time-stamp + Fenwick-tree formulation of Mattson).
-//! * [`BucketedTracker`] — a coarser variant that bins distances into
-//!   geometric buckets, trading resolution for memory; used in the
-//!   ablation study (A5).
 //! * [`SampledTracker`] — SHARDS-style spatial hash sampling: only a
 //!   fixed fraction `R` of the key space is tracked exactly, distances
 //!   and counts are rescaled by `1/R` at recording time. `O(1)` for the
@@ -48,7 +45,7 @@ pub use bucketed::BucketedTracker;
 pub use curve::{MissRatioCurve, MrcParams};
 pub use mattson::MattsonTracker;
 pub use sampled::{MrcMode, SampledTracker};
-pub use solver::{fit_quotas, greedy_allocate, QuotaRequest};
+pub use solver::{fit_quotas, QuotaRequest};
 
 /// Replays one reference stream through the tracker `mode` selects,
 /// yielding its curve tracked up to `cap_pages`. The single dispatch
@@ -61,13 +58,6 @@ where
 {
     match mode {
         MrcMode::Exact => MattsonTracker::replay(cap_pages, keys).into_curve(),
-        MrcMode::Bucketed => {
-            let mut t = BucketedTracker::new(cap_pages, MrcMode::DEFAULT_BUCKET_RATIO);
-            for k in keys {
-                t.access(k);
-            }
-            t.into_curve()
-        }
         MrcMode::Sampled { rate } => {
             let mut t = SampledTracker::new(cap_pages, rate);
             for k in keys {

@@ -7,10 +7,7 @@
 //! class keeps its placement; if no, the problem class is re-placed on
 //! another replica.
 //!
-//! [`fit_quotas`] implements exactly that feasibility test. For the
-//! ablation on smarter allocation, [`greedy_allocate`] water-fills memory
-//! by marginal hit-rate gain (the classic MRC-driven allocation of Zhou et
-//! al.), which the controller can use to squeeze infeasible sets.
+//! [`fit_quotas`] implements exactly that feasibility test.
 
 use crate::curve::MissRatioCurve;
 
@@ -23,9 +20,6 @@ pub struct QuotaRequest<'a> {
     pub curve: &'a MissRatioCurve,
     /// Pages at which the curve reaches its acceptable miss ratio.
     pub acceptable_pages: usize,
-    /// Accesses per second — weights marginal-gain comparisons in the
-    /// greedy allocator.
-    pub access_rate: f64,
 }
 
 /// A quota assignment produced by the solver.
@@ -62,61 +56,6 @@ pub fn fit_quotas(
     )
 }
 
-/// Greedy MRC-driven water-fill: repeatedly grants `chunk_pages` to the
-/// class with the highest marginal hit-rate gain (weighted by access rate)
-/// until `total_pages` are spent or no class gains anything.
-///
-/// Unlike [`fit_quotas`] this always returns an allocation; callers check
-/// whether the predicted miss ratios meet their targets.
-pub fn greedy_allocate(
-    total_pages: usize,
-    chunk_pages: usize,
-    requests: &[QuotaRequest<'_>],
-) -> Vec<QuotaAssignment> {
-    assert!(chunk_pages >= 1, "chunk must be at least one page");
-    let mut granted = vec![0usize; requests.len()];
-    let mut remaining = total_pages;
-    while remaining >= chunk_pages {
-        // Marginal gain of giving one more chunk to class i. Real MRCs
-        // have flat regions (step curves for pure working sets), so the
-        // lookahead extends to the class's acceptable point: the gain of a
-        // chunk on the way to `acceptable_pages` is the *average* gain per
-        // page over that stretch, not the (possibly zero) local slope.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in requests.iter().enumerate() {
-            let g = granted[i];
-            let target = if g < r.acceptable_pages {
-                r.acceptable_pages
-            } else {
-                g + chunk_pages
-            };
-            let cur = r.curve.miss_ratio(g);
-            let at_target = r.curve.miss_ratio(target);
-            let per_page = (cur - at_target) / (target - g).max(1) as f64;
-            let gain = per_page * r.access_rate.max(1e-12);
-            if gain > 1e-15 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                granted[i] += chunk_pages;
-                remaining -= chunk_pages;
-            }
-            None => break,
-        }
-    }
-    requests
-        .iter()
-        .zip(&granted)
-        .map(|(r, &pages)| QuotaAssignment {
-            id: r.id,
-            pages,
-            predicted_miss_ratio: r.curve.miss_ratio(pages),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +79,11 @@ mod tests {
                 id: 1,
                 curve: &a,
                 acceptable_pages: 100,
-                access_rate: 1.0,
             },
             QuotaRequest {
                 id: 2,
                 curve: &b,
                 acceptable_pages: 200,
-                access_rate: 1.0,
             },
         ];
         let fit = fit_quotas(8192, &reqs).expect("300 pages fit in 8192");
@@ -166,13 +103,11 @@ mod tests {
                 id: 1,
                 curve: &a,
                 acceptable_pages: 6982,
-                access_rate: 1.0,
             },
             QuotaRequest {
                 id: 2,
                 curve: &b,
                 acceptable_pages: 7906,
-                access_rate: 1.0,
             },
         ];
         assert!(fit_quotas(8192, &reqs).is_none());
@@ -186,13 +121,11 @@ mod tests {
                 id: 1,
                 curve: &a,
                 acceptable_pages: 4096,
-                access_rate: 1.0,
             },
             QuotaRequest {
                 id: 2,
                 curve: &a,
                 acceptable_pages: 4096,
-                access_rate: 1.0,
             },
         ];
         assert!(
@@ -202,70 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_prefers_hot_class() {
-        let hot = working_set_curve(100, 10_000, 1024);
-        let cold = working_set_curve(100, 10, 1024);
-        let reqs = vec![
-            QuotaRequest {
-                id: 1,
-                curve: &hot,
-                acceptable_pages: 100,
-                access_rate: 1000.0,
-            },
-            QuotaRequest {
-                id: 2,
-                curve: &cold,
-                acceptable_pages: 100,
-                access_rate: 1.0,
-            },
-        ];
-        // Only 100 pages to give: the hot class must win them.
-        let alloc = greedy_allocate(100, 10, &reqs);
-        assert_eq!(alloc[0].pages, 100);
-        assert_eq!(alloc[1].pages, 0);
-    }
-
-    #[test]
-    fn greedy_stops_when_no_gain() {
-        let a = working_set_curve(50, 100, 1024);
-        let reqs = vec![QuotaRequest {
-            id: 1,
-            curve: &a,
-            acceptable_pages: 50,
-            access_rate: 1.0,
-        }];
-        let alloc = greedy_allocate(1024, 10, &reqs);
-        // The curve flattens at 50 pages; greedy must not burn the rest.
-        assert!(alloc[0].pages <= 60, "granted {}", alloc[0].pages);
-        assert!(alloc[0].predicted_miss_ratio < 1e-9 + 1.0 / 100.0 + 1e-12);
-    }
-
-    #[test]
-    fn greedy_never_exceeds_total() {
-        let a = working_set_curve(500, 100, 1024);
-        let b = working_set_curve(700, 100, 1024);
-        let reqs = vec![
-            QuotaRequest {
-                id: 1,
-                curve: &a,
-                acceptable_pages: 500,
-                access_rate: 1.0,
-            },
-            QuotaRequest {
-                id: 2,
-                curve: &b,
-                acceptable_pages: 700,
-                access_rate: 1.0,
-            },
-        ];
-        let alloc = greedy_allocate(600, 64, &reqs);
-        let total: usize = alloc.iter().map(|q| q.pages).sum();
-        assert!(total <= 600);
-    }
-
-    #[test]
     fn empty_request_set_fits_trivially() {
         assert_eq!(fit_quotas(100, &[]), Some(vec![]));
-        assert!(greedy_allocate(100, 10, &[]).is_empty());
     }
 }

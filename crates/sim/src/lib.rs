@@ -19,8 +19,8 @@
 //! * [`hash`] — [`FastMap`] / [`FastSet`]: std hash tables placed by a
 //!   deterministic multiply-rotate hasher, for the hot-path tables keyed
 //!   by the simulator's own integer ids.
-//! * [`stats`] — online statistics (Welford mean/variance, percentiles,
-//!   time-series recorders) used by the measurement layer.
+//! * [`stats`] — the integer-exact nearest-rank quantile rule the
+//!   telemetry histograms use.
 //!
 //! ```
 //! use odlb_sim::{EventQueue, SimTime, SimDuration};

@@ -26,7 +26,7 @@
 //!   equal time loses the seq tiebreak), and a pop consumes it and
 //!   rescans from the popped day.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A pending event: fire time plus an insertion sequence number used to keep
 /// ordering stable (FIFO) among events scheduled for the same instant.
@@ -165,11 +165,6 @@ impl<E> EventQueue<E> {
         if self.len > self.buckets.len() * 2 {
             self.rebuild(self.buckets.len() * 2);
         }
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -314,6 +309,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     enum Ev {
@@ -419,16 +415,6 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(100), Ev::A(0));
-        q.pop();
-        q.schedule_after(SimDuration::from_micros(50), Ev::A(1));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_micros(150));
     }
 
     #[test]

@@ -21,13 +21,6 @@ pub struct Admission {
     pub completion: SimTime,
 }
 
-impl Admission {
-    /// Time spent waiting in queue before service began.
-    pub fn queue_wait(&self, arrived: SimTime) -> SimDuration {
-        self.start.since(arrived)
-    }
-}
-
 /// A `c`-server FCFS queueing station.
 #[derive(Clone, Debug)]
 pub struct Station {
@@ -85,11 +78,6 @@ impl Station {
         Admission { start, completion }
     }
 
-    /// Number of jobs currently queued or in service at time `now`.
-    pub fn in_flight(&self, now: SimTime) -> usize {
-        self.free_at.iter().filter(|t| **t > now).count()
-    }
-
     /// Total jobs admitted since creation.
     pub fn jobs(&self) -> u64 {
         self.jobs
@@ -121,19 +109,6 @@ impl Station {
             (busy_delta.as_secs_f64() / capacity).min(1.0)
         }
     }
-
-    /// Grows the station to `servers` servers, new ones free immediately.
-    /// Shrinking is not supported (in the paper, deallocation happens by
-    /// retiring whole replicas, not by removing cores).
-    pub fn grow_to(&mut self, servers: usize, now: SimTime) {
-        assert!(
-            servers >= self.free_at.len(),
-            "stations only grow; retire the replica instead"
-        );
-        while self.free_at.len() < servers {
-            self.free_at.push(now);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +132,6 @@ mod tests {
         let b = st.submit(us(50), dur(100));
         assert_eq!(b.start, us(100));
         assert_eq!(b.completion, us(200));
-        assert_eq!(b.queue_wait(us(50)), dur(50));
     }
 
     #[test]
@@ -183,16 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_counts() {
-        let mut st = Station::new(2);
-        st.submit(us(0), dur(100));
-        st.submit(us(0), dur(200));
-        assert_eq!(st.in_flight(us(50)), 2);
-        assert_eq!(st.in_flight(us(150)), 1);
-        assert_eq!(st.in_flight(us(250)), 0);
-    }
-
-    #[test]
     fn utilisation_tracks_busy_fraction() {
         let mut st = Station::new(1);
         st.submit(us(0), dur(500_000));
@@ -211,16 +175,6 @@ mod tests {
         }
         let u = st.utilisation_since_snapshot(us(1_000_000));
         assert_eq!(u, 1.0);
-    }
-
-    #[test]
-    fn grow_adds_capacity() {
-        let mut st = Station::new(1);
-        st.submit(us(0), dur(1000));
-        st.grow_to(2, us(10));
-        let b = st.submit(us(10), dur(100));
-        assert_eq!(b.start, us(10), "new server picks up the job at once");
-        assert_eq!(st.servers(), 2);
     }
 
     #[test]

@@ -1,8 +1,4 @@
-//! Online statistics used by the measurement layer: Welford mean/variance,
-//! exact percentiles over bounded samples, interval accumulators and named
-//! time series for the experiment harnesses.
-
-use crate::time::SimTime;
+//! Integer-exact quantile ranks for the measurement layer's histograms.
 
 /// Nearest-rank of the `q`-quantile over `n` samples, computed in integer
 /// arithmetic: the 1-based rank `⌈q·n⌉` clamped to `1..=n`.
@@ -31,351 +27,19 @@ pub fn nearest_rank(q: f64, n: u64) -> u64 {
     rank.clamp(1, n)
 }
 
-/// Numerically stable online mean/variance (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty, so gauges render sanely).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-    }
-
-    /// Resets to empty.
-    pub fn reset(&mut self) {
-        *self = Welford::default();
-    }
-}
-
-/// Exact percentile over a retained sample (sorted on demand).
-///
-/// Measurement intervals are short (thousands of queries), so retaining the
-/// interval's samples exactly is cheaper and more faithful than a sketch.
-/// The sorted order is cached behind a dirty flag: reports ask for several
-/// quantiles (p50/p95/p99) of the same interval back to back, and only the
-/// first query after new observations pays the clone-and-sort.
-#[derive(Clone, Debug, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: std::cell::RefCell<Vec<f64>>,
-    dirty: std::cell::Cell<bool>,
-}
-
-impl Percentiles {
-    /// Creates an empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.dirty.set(true);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) by the nearest-rank method, or
-    /// `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let mut sorted = self.sorted.borrow_mut();
-        if self.dirty.get() {
-            sorted.clear();
-            sorted.extend_from_slice(&self.samples);
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            self.dirty.set(false);
-        }
-        let rank = nearest_rank(q, sorted.len() as u64) as usize;
-        Some(sorted[rank - 1])
-    }
-
-    /// Resets to empty, keeping the allocations.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.sorted.borrow_mut().clear();
-        self.dirty.set(false);
-    }
-}
-
-/// A named series of `(time, value)` points, the backing store for every
-/// figure the harness regenerates.
-#[derive(Clone, Debug)]
-pub struct TimeSeries {
-    name: String,
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series with the given display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// The display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a point. Time must be non-decreasing.
-    ///
-    /// Panics on out-of-order appends in *every* profile, not just
-    /// debug: a `debug_assert!` here let release builds silently accept
-    /// out-of-order points, corrupting every figure rendered from the
-    /// series. An out-of-order append is always a caller bug (the sim
-    /// clock is monotone), so failing loudly beats clamp-and-count.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(
-                at >= last,
-                "time series {:?} must be appended in order ({at:?} after {last:?})",
-                self.name
-            );
-        }
-        self.points.push((at, value));
-    }
-
-    /// All recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// The most recent value.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
-    /// Maximum recorded value.
-    pub fn max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Mean of recorded values (unweighted).
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-        }
-    }
-
-    /// Renders the series as a compact ASCII sparkline-style table, used by
-    /// the experiment binaries to "print the same series the paper plots".
-    pub fn render_ascii(&self, width: usize) -> String {
-        if self.points.is_empty() {
-            return format!("{}: (empty)\n", self.name);
-        }
-        let max = self.max().unwrap_or(0.0).max(1e-12);
-        let mut out = String::new();
-        out.push_str(&format!("{} (max {:.3}):\n", self.name, max));
-        for &(t, v) in &self.points {
-            let bars = ((v / max) * width as f64).round() as usize;
-            out.push_str(&format!(
-                "  {:>10.1}s {:>12.3} |{}\n",
-                t.as_secs_f64(),
-                v,
-                "#".repeat(bars.min(width))
-            ));
-        }
-        out
-    }
-}
-
-/// Sum/count accumulator that is drained once per measurement interval.
-#[derive(Clone, Debug, Default)]
-pub struct IntervalAccumulator {
-    sum: f64,
-    count: u64,
-}
-
-impl IntervalAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.sum += x;
-        self.count += 1;
-    }
-
-    /// Adds `n` observations totalling `sum` (bulk counters).
-    pub fn push_bulk(&mut self, sum: f64, n: u64) {
-        self.sum += sum;
-        self.count += n;
-    }
-
-    /// Observation count this interval.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum this interval.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean this interval (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Returns `(sum, count)` and resets.
-    pub fn drain(&mut self) -> (f64, u64) {
-        let out = (self.sum, self.count);
-        self.sum = 0.0;
-        self.count = 0;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Population variance is 4.0; sample variance is 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_and_single() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.push(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut all = Welford::new();
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for i in 0..100 {
-            let x = (i as f64).sin() * 10.0;
-            all.push(x);
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut p = Percentiles::new();
-        for x in 1..=100 {
-            p.push(x as f64);
-        }
-        assert_eq!(p.quantile(0.5), Some(50.0));
-        assert_eq!(p.quantile(0.95), Some(95.0));
-        assert_eq!(p.quantile(1.0), Some(100.0));
-        assert_eq!(p.quantile(0.0), Some(1.0));
-    }
-
     /// Regression for the float-fragile rank: `0.07 * 100.0` is
-    /// `7.000000000000001` in f64, so the pre-fix
-    /// `(q * len).ceil()` picked rank 8 for p7 of 100 samples (and 56
-    /// for p55). The integer rank hits the boundary exactly.
+    /// `7.000000000000001` in f64, so `(q * len).ceil()` picked rank 8
+    /// for p7 of 100 samples (and 56 for p55). The integer rank hits the
+    /// boundary exactly.
     #[test]
     fn percentiles_rank_is_exact_on_integer_boundaries() {
-        let mut p = Percentiles::new();
-        for x in 1..=100 {
-            p.push(x as f64);
-        }
-        assert_eq!(p.quantile(0.07), Some(7.0));
-        assert_eq!(p.quantile(0.55), Some(55.0));
-        assert_eq!(p.quantile(0.14), Some(14.0));
+        assert_eq!(nearest_rank(0.07, 100), 7);
+        assert_eq!(nearest_rank(0.55, 100), 55);
+        assert_eq!(nearest_rank(0.14, 100), 14);
     }
 
     /// Property: across the quantile grid and every length 1..=64 (and a
@@ -412,64 +76,5 @@ mod tests {
         assert_eq!(nearest_rank(0.5, 1), 1);
         // Large n: no overflow in the u128 product.
         assert_eq!(nearest_rank(0.5, u64::MAX), u64::MAX / 2 + 1);
-    }
-
-    #[test]
-    fn percentiles_empty() {
-        assert_eq!(Percentiles::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn percentiles_cache_invalidates_on_push_and_reset() {
-        let mut p = Percentiles::new();
-        p.push(10.0);
-        assert_eq!(p.quantile(1.0), Some(10.0));
-        // New observations after a cached sort must be visible.
-        p.push(30.0);
-        p.push(20.0);
-        assert_eq!(p.quantile(1.0), Some(30.0));
-        assert_eq!(p.quantile(0.5), Some(20.0));
-        p.reset();
-        assert_eq!(p.quantile(0.5), None);
-        p.push(7.0);
-        assert_eq!(p.quantile(0.5), Some(7.0));
-    }
-
-    #[test]
-    fn time_series_records_and_summarises() {
-        let mut ts = TimeSeries::new("latency");
-        ts.record(SimTime::from_secs(1), 0.5);
-        ts.record(SimTime::from_secs(2), 1.5);
-        ts.record(SimTime::from_secs(3), 1.0);
-        assert_eq!(ts.last(), Some(1.0));
-        assert_eq!(ts.max(), Some(1.5));
-        assert!((ts.mean().unwrap() - 1.0).abs() < 1e-12);
-        let rendered = ts.render_ascii(10);
-        assert!(rendered.contains("latency"));
-        assert_eq!(rendered.lines().count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be appended in order")]
-    fn time_series_rejects_out_of_order_appends_in_every_profile() {
-        // A plain `assert!`, not `debug_assert!`: this test is part of
-        // the release-profile CI run, where the old debug_assert was
-        // compiled out and out-of-order points slipped through.
-        let mut ts = TimeSeries::new("latency");
-        ts.record(SimTime::from_secs(2), 1.0);
-        ts.record(SimTime::from_secs(1), 2.0);
-    }
-
-    #[test]
-    fn interval_accumulator_drains() {
-        let mut acc = IntervalAccumulator::new();
-        acc.push(1.0);
-        acc.push(3.0);
-        acc.push_bulk(10.0, 2);
-        assert_eq!(acc.count(), 4);
-        assert_eq!(acc.mean(), Some(3.5));
-        let (sum, n) = acc.drain();
-        assert_eq!((sum, n), (14.0, 4));
-        assert_eq!(acc.mean(), None);
     }
 }

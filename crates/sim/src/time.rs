@@ -90,11 +90,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// The span in fractional milliseconds (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -201,7 +196,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimDuration::from_millis(250).as_millis_f64(), 250.0);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
     }
 
@@ -209,7 +203,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(1) + SimDuration::from_millis(500);
         assert_eq!(t.as_micros(), 1_500_000);
-        assert_eq!((t - SimTime::from_secs(1)).as_millis_f64(), 500.0);
+        assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(500));
         assert_eq!(
             SimDuration::from_millis(100) * 3,
             SimDuration::from_millis(300)

@@ -6,10 +6,6 @@
 
 use std::fmt;
 
-/// Bytes per page (InnoDB default). 128 MiB of buffer pool therefore holds
-/// 8192 pages — the configuration in the paper's Table 2 scenario.
-pub const PAGE_SIZE_BYTES: u64 = 16 * 1024;
-
 /// Identifies a tablespace (one table or index file).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpaceId(pub u32);
@@ -62,16 +58,6 @@ impl fmt::Display for PageId {
     }
 }
 
-/// Converts a byte size to whole pages (rounding up).
-pub fn bytes_to_pages(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE_BYTES)
-}
-
-/// Converts megabytes to whole pages.
-pub fn megabytes_to_pages(mb: u64) -> u64 {
-    bytes_to_pages(mb * 1024 * 1024)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,21 +69,5 @@ mod tests {
         assert!(p.offset(1).is_successor_of(p));
         assert!(!p.offset(2).is_successor_of(p));
         assert!(!PageId::new(SpaceId(4), 11).is_successor_of(p));
-    }
-
-    #[test]
-    fn sizing_matches_paper_configuration() {
-        // 128 MiB buffer pool == 8192 InnoDB pages (Table 2 configuration).
-        assert_eq!(megabytes_to_pages(128), 8192);
-        // ~4 GiB TPC-W database == 262144 pages.
-        assert_eq!(megabytes_to_pages(4096), 262_144);
-    }
-
-    #[test]
-    fn bytes_round_up() {
-        assert_eq!(bytes_to_pages(1), 1);
-        assert_eq!(bytes_to_pages(PAGE_SIZE_BYTES), 1);
-        assert_eq!(bytes_to_pages(PAGE_SIZE_BYTES + 1), 2);
-        assert_eq!(bytes_to_pages(0), 0);
     }
 }

@@ -132,11 +132,6 @@ impl ReadAheadDetector {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Drops all run state (e.g. when a consumer is re-placed elsewhere).
-    pub fn reset_consumer(&mut self, consumer: u64) {
-        self.runs.remove(&consumer);
-    }
 }
 
 #[cfg(test)]
@@ -260,16 +255,6 @@ mod tests {
         }
         assert_eq!(resolved.issued(), per_page.issued());
         assert!(resolved.issued() > 0, "the trace must exercise the trigger");
-    }
-
-    #[test]
-    fn reset_consumer_clears_runs() {
-        let mut d = ReadAheadDetector::new(4);
-        for i in 0..3 {
-            d.observe(1, pid(0, i));
-        }
-        d.reset_consumer(1);
-        assert_eq!(d.observe(1, pid(0, 3)), None, "run was forgotten");
     }
 
     #[test]

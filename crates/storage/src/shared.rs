@@ -67,11 +67,6 @@ impl SharedIoPath {
         adm
     }
 
-    /// Cumulative counters for one domain.
-    pub fn domain_counters(&self, domain: DomainId) -> IoCounters {
-        self.per_domain.get(&domain).copied().unwrap_or_default()
-    }
-
     /// Counters summed over all domains (equals the disk's own counters).
     pub fn total_counters(&self) -> IoCounters {
         let mut total = IoCounters::default();
@@ -79,18 +74,6 @@ impl SharedIoPath {
             total.absorb(*c);
         }
         total
-    }
-
-    /// Fraction of total I/O requests issued by `domain` (0 when idle).
-    /// The paper's I/O-interference heuristic removes work in decreasing
-    /// order of exactly this share.
-    pub fn domain_share(&self, domain: DomainId) -> f64 {
-        let total = self.total_counters().requests;
-        if total == 0 {
-            0.0
-        } else {
-            self.domain_counters(domain).requests as f64 / total as f64
-        }
     }
 
     /// Back-end utilisation since the last probe.
@@ -161,25 +144,12 @@ mod tests {
             path.read(DomainId(1), SimTime::ZERO, IoKind::Random, 2, false);
         }
         path.read(DomainId(2), SimTime::ZERO, IoKind::Sequential, 64, true);
-        let d1 = path.domain_counters(DomainId(1));
-        let d2 = path.domain_counters(DomainId(2));
+        let d1 = path.per_domain[&DomainId(1)];
+        let d2 = path.per_domain[&DomainId(2)];
         assert_eq!(d1.requests, 3);
         assert_eq!(d1.pages, 6);
         assert_eq!(d2.readahead_requests, 1);
         assert_eq!(path.total_counters().requests, 4);
-    }
-
-    #[test]
-    fn domain_share_attributes_interference() {
-        let mut path = SharedIoPath::new(DiskModel::default());
-        for _ in 0..87 {
-            path.read(DomainId(1), SimTime::ZERO, IoKind::Random, 1, false);
-        }
-        for _ in 0..13 {
-            path.read(DomainId(2), SimTime::ZERO, IoKind::Random, 1, false);
-        }
-        assert!((path.domain_share(DomainId(1)) - 0.87).abs() < 1e-12);
-        assert!((path.domain_share(DomainId(2)) - 0.13).abs() < 1e-12);
     }
 
     #[test]
@@ -196,12 +166,5 @@ mod tests {
         assert!(prom.contains("odlb_io_pages_total{domain=\"1\",machine=\"pm0\"} 65"));
         assert!(prom.contains("odlb_io_readahead_requests_total{domain=\"2\",machine=\"pm0\"} 0"));
         path.export_telemetry(&Telemetry::inactive(), "pm0");
-    }
-
-    #[test]
-    fn idle_domain_has_zero_share() {
-        let path = SharedIoPath::new(DiskModel::default());
-        assert_eq!(path.domain_share(DomainId(7)), 0.0);
-        assert_eq!(path.domain_counters(DomainId(7)), IoCounters::default());
     }
 }

@@ -11,11 +11,11 @@
 //! any quantile estimate is off by at most a factor of `1 + 2^-p` from
 //! the exact nearest-rank answer over the same sample.
 //!
-//! Compared with the exact [`Percentiles`](../../sim/stats) path (clone +
-//! sort per query, O(n log n) with unbounded retention), recording here is
-//! O(1), memory is bounded by the bucket count regardless of sample size,
-//! and two histograms merge by adding bucket counts — which is what makes
-//! per-class × per-replica series aggregatable across instances.
+//! Compared with retaining and sorting every sample (O(n log n) per
+//! query, unbounded memory), recording here is O(1), memory is bounded by
+//! the bucket count regardless of sample size, and two histograms merge
+//! by adding bucket counts — which is what makes per-class × per-replica
+//! series aggregatable across instances.
 
 use odlb_sim::stats::nearest_rank;
 
@@ -370,10 +370,10 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(42));
     }
 
-    /// Regression for the float-fragile rank (shared with
-    /// `Percentiles`): values below `2^p` are bucketed exactly, so p7 of
-    /// 1..=100 must be exactly 7 — the pre-fix `(q * count).ceil()`
-    /// computed `7.000000000000001` and picked rank 8.
+    /// Regression for the float-fragile rank (see
+    /// `odlb_sim::stats::nearest_rank`): values below `2^p` are bucketed
+    /// exactly, so p7 of 1..=100 must be exactly 7 — the pre-fix
+    /// `(q * count).ceil()` computed `7.000000000000001` and picked rank 8.
     #[test]
     fn quantile_rank_is_exact_on_integer_boundaries() {
         let mut h = LogLinearHistogram::new(7);

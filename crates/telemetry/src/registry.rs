@@ -88,6 +88,12 @@ impl Histogram {
         self.0.borrow_mut().record(v);
     }
 
+    /// Adds every value `other` holds (an interval's distribution folded
+    /// into a cumulative series).
+    pub fn merge(&self, other: &LogLinearHistogram) {
+        self.0.borrow_mut().merge(other);
+    }
+
     /// Reads through to the underlying histogram.
     pub fn with<R>(&self, f: impl FnOnce(&LogLinearHistogram) -> R) -> R {
         f(&self.0.borrow())

@@ -21,7 +21,7 @@ const WORKLOADS: [&str; 1] = ["zipf"];
 const CONTROLLERS: [&str; 4] = ["selective", "cpu-only", "coarse", "vm-migration"];
 
 /// MRC-mode spellings the generator may reference.
-const MRC: [&str; 4] = ["exact", "bucketed", "sampled:0.1", "sampled:0.5"];
+const MRC: [&str; 3] = ["exact", "sampled:0.1", "sampled:0.5"];
 
 /// A generated matrix plus the arithmetic its axes imply.
 #[derive(Clone, Debug)]

@@ -52,11 +52,6 @@ impl ClientPool {
         self.load.noisy_clients_at(t, noise, &mut self.rng)
     }
 
-    /// The deterministic (noise-free) load at `t`, for plotting Fig. 3(a).
-    pub fn nominal_clients(&self, t: SimTime) -> usize {
-        self.load.clients_at(t)
-    }
-
     /// Samples one think-time.
     pub fn next_think(&mut self) -> SimDuration {
         let secs = self
@@ -86,7 +81,6 @@ mod tests {
             let n = p.target_clients(SimTime::from_secs(1));
             assert!((90..=110).contains(&n));
         }
-        assert_eq!(p.nominal_clients(SimTime::from_secs(1)), 100);
     }
 
     #[test]

@@ -176,21 +176,13 @@ impl AccessPattern {
         }
     }
 
-    /// Generates one query's accesses and returns the length of the
-    /// *first component's* contribution. For a write query this prefix is
-    /// the update target (workload models list the written table first in
-    /// their composites), which the engine locks exclusively.
-    pub fn generate_with_prefix(&self, rng: &mut SimRng) -> (Vec<PageId>, usize) {
-        let mut out = Vec::new();
-        let prefix = self.generate_with_prefix_into(rng, &mut out);
-        (out, prefix)
-    }
-
     /// Appends one query's accesses to `out` and returns the length of
-    /// the first component's contribution (see
-    /// [`AccessPattern::generate_with_prefix`]). `out` is not cleared —
-    /// the driver's hot path recycles page buffers through here, so
-    /// steady-state generation allocates nothing.
+    /// the *first component's* contribution. For a write query this
+    /// prefix is the update target (workload models list the written
+    /// table first in their composites), which the engine locks
+    /// exclusively. `out` is not cleared — the driver's hot path recycles
+    /// page buffers through here, so steady-state generation allocates
+    /// nothing.
     pub fn generate_with_prefix_into(&self, rng: &mut SimRng, out: &mut Vec<PageId>) -> usize {
         let base = out.len();
         match self {
@@ -390,7 +382,8 @@ mod tests {
                 scan_pages: 5,
             },
         ]);
-        let (pages, prefix) = p.generate_with_prefix(&mut rng());
+        let mut pages = Vec::new();
+        let prefix = p.generate_with_prefix_into(&mut rng(), &mut pages);
         assert_eq!(pages.len(), 8);
         assert_eq!(prefix, 3);
         assert!(pages[..prefix].iter().all(|x| x.space == SpaceId(0)));
@@ -403,7 +396,8 @@ mod tests {
             hot_pages: 4,
             count: 6,
         };
-        let (pages, prefix) = p.generate_with_prefix(&mut rng());
+        let mut pages = Vec::new();
+        let prefix = p.generate_with_prefix_into(&mut rng(), &mut pages);
         assert_eq!(prefix, pages.len());
     }
 

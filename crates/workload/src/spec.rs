@@ -12,7 +12,7 @@ use odlb_storage::PageId;
 pub struct QueryClassSpec {
     /// Human-readable interaction name (e.g. "BestSeller").
     pub name: &'static str,
-    /// Representative SQL template (drives template extraction fidelity).
+    /// Representative SQL text of the class (documentation only).
     pub sql: &'static str,
     /// Relative frequency in the mix.
     pub weight: f64,

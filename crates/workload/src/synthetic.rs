@@ -5,8 +5,7 @@
 //! one resource. [`cpu_bound_workload`] keeps its whole footprint inside a
 //! small hot set (no steady-state I/O) and puts its weight in CPU time, so
 //! overload manifests purely as CPU saturation — the clean trigger for the
-//! paper's reactive provisioning path (Fig. 3). [`io_bound_workload`]
-//! does the opposite: tiny CPU, uncacheable uniform reads.
+//! paper's reactive provisioning path (Fig. 3).
 
 use crate::pattern::AccessPattern;
 use crate::spec::{QueryClassSpec, WorkloadSpec};
@@ -62,44 +61,6 @@ pub fn cpu_bound_workload(app: AppId, hot_pages: u64, cpu_millis: u64) -> Worklo
                 pattern: hot(2),
                 cpu_base: SimDuration::from_micros(300),
                 cpu_per_page: SimDuration::from_micros(10),
-                is_write: true,
-            },
-        ],
-    }
-}
-
-/// An uncacheable, I/O-heavy workload: uniform reads over a table far
-/// larger than any pool, negligible CPU.
-pub fn io_bound_workload(app: AppId, table_pages: u64, reads_per_query: u32) -> WorkloadSpec {
-    let space = SpaceId(60 + app.0);
-    WorkloadSpec {
-        name: "io-bound".into(),
-        app,
-        classes: vec![
-            QueryClassSpec {
-                name: "ColdRead",
-                sql: "SELECT * FROM big WHERE id = 1",
-                weight: 9.0,
-                pattern: AccessPattern::UniformLookup {
-                    space,
-                    table_pages,
-                    count: reads_per_query,
-                },
-                cpu_base: SimDuration::from_micros(200),
-                cpu_per_page: SimDuration::from_micros(5),
-                is_write: false,
-            },
-            QueryClassSpec {
-                name: "ColdWrite",
-                sql: "UPDATE big SET v = 2 WHERE id = 3",
-                weight: 1.0,
-                pattern: AccessPattern::UniformLookup {
-                    space,
-                    table_pages,
-                    count: 1,
-                },
-                cpu_base: SimDuration::from_micros(200),
-                cpu_per_page: SimDuration::from_micros(5),
                 is_write: true,
             },
         ],
@@ -224,19 +185,6 @@ mod tests {
         let q = w.query_of_class(0, &mut rng);
         assert!(q.cpu_demand() >= SimDuration::from_millis(5));
         assert!(q.pages.len() <= 8);
-    }
-
-    #[test]
-    fn io_bound_spreads_over_table() {
-        let w = io_bound_workload(AppId(4), 100_000, 8);
-        let mut rng = SimRng::new(3);
-        let mut distinct = std::collections::HashSet::new();
-        for _ in 0..200 {
-            for page in w.sample_query(&mut rng).pages {
-                distinct.insert(page.page_no);
-            }
-        }
-        assert!(distinct.len() > 1_000, "essentially uncacheable");
     }
 
     #[test]

@@ -59,16 +59,12 @@ pub mod sizing {
     pub const AUTHOR_PAGES: u64 = 1_000;
     /// `address` pages.
     pub const ADDRESS_PAGES: u64 = 2_000;
-    /// `cc_xacts` pages.
-    pub const CC_XACTS_PAGES: u64 = 3_000;
     /// shopping cart pages.
     pub const CART_PAGES: u64 = 500;
 }
 
 /// Class index of BestSeller (the paper's query #8).
 pub const BESTSELLER: usize = 8;
-/// Class index of NewProducts (the paper's query #9).
-pub const NEW_PRODUCTS: usize = 9;
 
 /// The three standard TPC-W transaction mixes. The paper uses the
 /// shopping mix ("considered the most representative e-commerce workload
@@ -360,6 +356,9 @@ mod tests {
     use super::*;
     use odlb_mrc::MattsonTracker;
     use odlb_sim::SimRng;
+
+    /// Class index of NewProducts (the paper's query #9).
+    const NEW_PRODUCTS: usize = 9;
 
     #[test]
     fn fourteen_classes_with_paper_numbering() {

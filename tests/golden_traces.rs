@@ -22,12 +22,12 @@ use odlb::storage::DomainId;
 use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
 use odlb::workload::synthetic::cpu_bound_workload;
 use odlb::workload::{ClientConfig, LoadFunction};
-use odlb_bench::experiments::{fig3, fig4};
+use odlb_bench::experiments::{fig3, fig4, Observers};
 
-/// Fig. 3 miniature (seed 3_2007 inside `fig3::run_with`): sinusoid load
+/// Fig. 3 miniature (seed 3_2007 inside `fig3::run_observed`): sinusoid load
 /// on 3 servers, 30 intervals with 10 warm-up.
 const FIG3_GOLDEN_DIGEST: u64 = 0x3566ce12d71c2a53;
-/// Fig. 4 miniature (seed 4_2007 inside `fig4::run_with`): 50 clients,
+/// Fig. 4 miniature (seed 4_2007 inside `fig4::run_observed`): 50 clients,
 /// 12 stable intervals, 12 recovery intervals after the index drop.
 const FIG4_GOLDEN_DIGEST: u64 = 0x7404072f86507903;
 
@@ -52,11 +52,20 @@ fn traced(scenario: impl FnOnce(Tracer)) -> (u64, Vec<TraceEvent>) {
 }
 
 fn run_fig3() -> (u64, Vec<TraceEvent>) {
-    traced(|tracer| drop(fig3::run_with(tracer, 30, 10, 30, 480, 3)))
+    traced(|tracer| {
+        drop(fig3::run_observed(
+            &Observers::traced(tracer),
+            30,
+            10,
+            30,
+            480,
+            3,
+        ))
+    })
 }
 
 fn run_fig4() -> (u64, Vec<TraceEvent>) {
-    traced(|tracer| drop(fig4::run_with(tracer, 50, 12, 12)))
+    traced(|tracer| drop(fig4::run_observed(&Observers::traced(tracer), 50, 12, 12)))
 }
 
 /// Runs the baseline miniature under `controller`; returns the digest and

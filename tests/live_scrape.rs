@@ -5,7 +5,7 @@
 
 use odlb::telemetry::{validate_prometheus, MetricsServer, SpanProfiler, Telemetry};
 use odlb::trace::{DigestSink, Tracer};
-use odlb_bench::experiments::fig3;
+use odlb_bench::experiments::{fig3, Observers};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::rc::Rc;
@@ -34,16 +34,12 @@ fn run(server: Option<Rc<MetricsServer>>) -> (String, String, u64) {
     if let Some(server) = server {
         telemetry = telemetry.with_server(server);
     }
-    fig3::run_instrumented(
+    let observers = Observers {
         tracer,
-        telemetry.clone(),
-        Some(SpanProfiler::shared()),
-        12,
-        4,
-        20,
-        150,
-        2,
-    );
+        telemetry: telemetry.clone(),
+        profiler: Some(SpanProfiler::shared()),
+    };
+    fig3::run_observed(&observers, 12, 4, 20, 150, 2);
     let prom = telemetry.render_prometheus().expect("attached");
     let csv = telemetry.render_csv().expect("attached");
     let d = digest.borrow().digest();

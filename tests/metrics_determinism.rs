@@ -6,8 +6,8 @@
 //! not change the run digest.
 
 use odlb::telemetry::{validate_csv, validate_prometheus, SpanProfiler, Telemetry};
-use odlb::trace::{DigestSink, Tracer};
-use odlb_bench::experiments::fig3;
+use odlb::trace::{fnv1a64, DigestSink, Tracer};
+use odlb_bench::experiments::{fig3, Observers};
 
 /// A scaled-down fig3 run with telemetry attached, returning the
 /// rendered artifacts and the decision-trace digest.
@@ -15,8 +15,12 @@ fn instrumented_run() -> (String, String, u64) {
     let tracer = Tracer::new();
     let digest = tracer.attach(DigestSink::new());
     let telemetry = Telemetry::attached();
-    let profiler = SpanProfiler::shared();
-    fig3::run_instrumented(tracer, telemetry.clone(), Some(profiler), 12, 4, 20, 150, 2);
+    let observers = Observers {
+        tracer,
+        telemetry: telemetry.clone(),
+        profiler: Some(SpanProfiler::shared()),
+    };
+    fig3::run_observed(&observers, 12, 4, 20, 150, 2);
     let prom = telemetry.render_prometheus().expect("attached");
     let csv = telemetry.render_csv().expect("attached");
     let d = digest.borrow().digest();
@@ -33,6 +37,15 @@ fn same_seed_runs_render_byte_identical_artifacts() {
         "Prometheus artifacts must be byte-identical"
     );
     assert_eq!(csv_a, csv_b, "CSV artifacts must be byte-identical");
+    // Two runs of one binary agree even when an export changed for both;
+    // these digests (computed at the commit before per-class engine series
+    // moved to interval close) pin the bytes themselves.
+    assert_eq!(
+        fnv1a64(prom_a.as_bytes()),
+        0x3966fa2de36e5ada,
+        ".prom moved"
+    );
+    assert_eq!(fnv1a64(csv_a.as_bytes()), 0xc6b40d559fb37e6a, ".csv moved");
 
     let stats = validate_prometheus(&prom_a).expect("valid exposition");
     assert!(stats.families > 0, "exposition must not be empty");
@@ -56,7 +69,7 @@ fn same_seed_runs_render_byte_identical_artifacts() {
 fn attaching_telemetry_does_not_change_the_digest() {
     let tracer = Tracer::new();
     let digest = tracer.attach(DigestSink::new());
-    fig3::run_with(tracer, 12, 4, 20, 150, 2);
+    fig3::run_observed(&Observers::traced(tracer), 12, 4, 20, 150, 2);
     let plain = digest.borrow().digest();
     let (_, _, instrumented) = instrumented_run();
     assert_eq!(

@@ -180,7 +180,6 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
         id: BESTSELLER as u64,
         curve: &curve,
         acceptable_pages: params.acceptable_memory_needed,
-        access_rate: 1.0,
     }];
     let budget = CAP - 1;
     let granted = fit_quotas(budget, &requests).expect("fig5 fits its own pool")[0].pages;
