@@ -10,13 +10,12 @@
 //! to a sequential one. Parallelism lives entirely *between*
 //! simulations, never inside one (see DESIGN.md, invariants catalogue).
 //!
-//! This module is the workspace's second sanctioned home for threads
-//! (after the scrape listener in `crates/telemetry/src/serve.rs`):
-//! `odlb-lint` exempts it from D04 because worker threads never touch a
-//! running simulation — a job owns its entire simulation from
-//! construction to result, and only plain `Send` data crosses back.
-//! The sanction is pinned by `policy_exemptions_match_the_issue` in
-//! `crates/lint/src/lib.rs`.
+//! This module is the workspace's second home for threads (after the
+//! scrape listener in `crates/telemetry/src/serve.rs`): its row in
+//! `odlb_lint::EXEMPTIONS` allows threads and `available_parallelism`
+//! (D04) here because worker threads never touch a running simulation —
+//! a job owns its entire simulation from construction to result, and
+//! only plain `Send` data crosses back.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

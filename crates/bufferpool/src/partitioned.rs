@@ -167,6 +167,7 @@ impl PartitionedPool {
     /// pages — used to exclude warm-up from measured hit ratios.
     pub fn reset_counters(&mut self) {
         self.general.drain_counters();
+        // odlb-lint: allow(D02) — every partition is reset independently; visit order changes nothing
         for p in self.quotas.values_mut() {
             p.drain_counters();
         }

@@ -11,8 +11,8 @@ pub struct ControllerConfig {
     pub outlier: OutlierConfig,
     /// Which stack-distance tracker MRC recomputation instantiates:
     /// exact Mattson (default, byte-identical to the historical
-    /// behaviour), geometric buckets, or SHARDS-style spatial sampling
-    /// for clusters with very many tenant classes.
+    /// behaviour) or SHARDS-style spatial sampling for clusters with
+    /// very many tenant classes.
     pub mrc_mode: MrcMode,
     /// MRC acceptability threshold: acceptable memory is the smallest size
     /// whose miss ratio is within this of ideal.

@@ -3,49 +3,103 @@
 //! The reproduction's headline guarantees (golden trace digests,
 //! byte-identical metric exports, offline tier-1 builds) rest on
 //! invariants the compiler does not check. This crate encodes them as
-//! lint rules over a real token stream (see [`lexer`]) plus a manifest
-//! gate (see [`manifest`]), and is wired into both CI and
+//! lint rules over a real token stream (see [`lexer`], [`rules`]) plus a
+//! manifest gate (see [`manifest`]), and is wired into both CI and
 //! `cargo test -q` so every future change is checked.
 //!
-//! On top of the token rules sits a three-layer syntactic analysis:
-//! [`parse`] extracts each file's item skeleton, [`graph`] links the
-//! skeletons into a workspace call graph, and [`taint`] propagates
-//! nondeterminism from sources to export sinks over that graph (rules
-//! T01–T03), reporting full source→…→sink chains.
+//! Every rule is file-local: the token that reads a clock, spawns a
+//! thread or walks a hash table is flagged where it stands, in every
+//! linted file, and the only files allowed such a token are the rows of
+//! [`EXEMPTIONS`].
 //!
 //! Entry points: [`run_workspace`] walks a workspace root and returns
 //! every diagnostic; [`analyze_sources`] does the same over in-memory
 //! sources (the mutation tests use this); the `odlb-lint` binary prints
-//! findings as `file:line: rule: message` (or `--format=json`) and
-//! exits nonzero if any exist.
+//! findings as `file:line: rule: message` and exits nonzero if any exist.
 
-pub mod graph;
 pub mod lexer;
 pub mod manifest;
-pub mod parse;
 pub mod rules;
-pub mod taint;
 
-pub use rules::{ChainStep, Diagnostic, Policy};
+pub use rules::{Diagnostic, Kind, Policy};
 
-use graph::FileUnit;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// One in-memory source file handed to [`analyze_sources`].
 pub struct SourceFile {
-    /// Workspace-relative path with `/` separators (drives both
-    /// [`policy_for`] and the call graph's crate mapping).
+    /// Workspace-relative path with `/` separators (drives
+    /// [`policy_for`]).
     pub rel: String,
     /// The file's full text.
     pub text: String,
 }
 
-/// Decides which rule families apply to the workspace-relative path
-/// `rel` (always `/`-separated). Returns `None` for files the lint pass
-/// skips entirely.
-pub fn policy_for(rel: &str) -> Option<Policy> {
+/// One row of [`EXEMPTIONS`]: the source kinds `file` may contain.
+pub struct Exemption {
+    /// Workspace-relative path.
+    pub file: &'static str,
+    /// What D01/D04/D05 do not flag there.
+    pub kinds: &'static [Kind],
+    /// Why nothing of those kinds can reach a deterministic artifact.
+    pub reason: &'static str,
+}
+
+/// Every file-specific exemption of D01, D04 and D05. A file without a
+/// row may contain none of [`Kind`]; no row allows randomness, thread
+/// identity or pointer addresses. `tests/workspace_clean.rs` removes
+/// each kind of each row and expects a finding, so the table cannot
+/// outgrow what the code needs.
+pub const EXEMPTIONS: [Exemption; 7] = [
+    Exemption {
+        file: "crates/telemetry/src/profiler.rs",
+        kinds: &[Kind::Clock, Kind::Folded],
+        reason: "the overhead profiler's job is measuring wall time and rendering the \
+                 dumps; wall figures go to stderr only and are never diffed",
+    },
+    Exemption {
+        file: "crates/telemetry/src/serve.rs",
+        kinds: &[Kind::Clock, Kind::ThreadSpawn],
+        reason: "socket timeouts and scrape deadlines are wall-clock by nature; the \
+                 listener thread only reads a published copy of the exposition and \
+                 nothing flows back into simulation state (tests/live_scrape.rs)",
+    },
+    Exemption {
+        file: "crates/bench/src/runner.rs",
+        kinds: &[Kind::ThreadSpawn, Kind::Parallelism],
+        reason: "the ordered worker pool: each thread owns a whole isolated simulation, \
+                 results are committed in canonical order, and the job count changes \
+                 no output byte (tests/parallel_parity.rs)",
+    },
+    Exemption {
+        file: "crates/bench/src/suite.rs",
+        kinds: &[Kind::Clock],
+        reason: "per-figure wall timings ride out of band in FigureOutput (stderr \
+                 overhead report, benchmark/); stdout and artifacts never carry them",
+    },
+    Exemption {
+        file: "crates/bench/src/sweep.rs",
+        kinds: &[Kind::Clock],
+        reason: "per-cell wall clocks are the sweep's bench payload, carried out of \
+                 band in SweepOutcome; cell content hashes and merged artifacts are \
+                 derived from the canonical config and simulation clock only",
+    },
+    Exemption {
+        file: "crates/bench/src/bin/experiments.rs",
+        kinds: &[Kind::Clock, Kind::Folded],
+        reason: "reports elapsed wall time to stderr and bounds the --serve-hold wait; \
+                 it is also the one writer of dumps, after `validate_folded`",
+    },
+    Exemption {
+        file: "crates/bench/src/bin/promcheck.rs",
+        kinds: &[Kind::Clock],
+        reason: "a read timeout on the socket it scrapes; the validator writes no artifact",
+    },
+];
+
+/// Decides what applies to the workspace-relative path `rel` (always
+/// `/`-separated). Returns `None` for files the lint pass skips
+/// entirely.
+pub fn policy_for(rel: &str) -> Option<Policy<'static>> {
     // Lint fixtures contain violations on purpose; build artifacts and
     // vendored sources are not ours to police.
     if rel.starts_with("crates/lint/tests/fixtures/")
@@ -65,62 +119,25 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
         return None;
     }
 
-    // D05: folded-stacks dumps leave the workspace only through the
-    // validated exporter path — the profiler that renders them, the
-    // exporter that defines `validate_folded`, and the experiments
-    // binary that validates-then-writes. Any other call site could ship
-    // a dump the validator never saw.
-    let folded = rel != "crates/telemetry/src/profiler.rs"
-        && rel != "crates/telemetry/src/export.rs"
-        && rel != "crates/bench/src/bin/experiments.rs";
-    let mut p = Policy {
-        folded,
-        ..Policy::default()
-    };
-
-    if rel.contains("/examples/") {
-        p.timing = true;
-        p.rng = true;
-        return Some(p);
-    }
-
-    // D01: wall-clock time, except the overhead profiler (whose whole
-    // job is measuring wall time), the live scrape endpoint (socket
-    // timeouts and scrape-await deadlines are wall-clock by nature, and
-    // the listener only ever reads a published copy of the exposition —
-    // nothing flows back into simulation state) and the bench harness.
-    let serve_side =
-        rel == "crates/telemetry/src/profiler.rs" || rel == "crates/telemetry/src/serve.rs";
-    p.timing = !serve_side && !rel.starts_with("crates/bench/");
-
-    // D02/D03: crates whose output feeds digests or exported artifacts.
+    // D03: crates whose output feeds digests or exported artifacts.
     let artifact_crate = ["trace", "telemetry", "metrics", "cluster", "engine"]
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-    p.hash_iter = artifact_crate;
-    p.float_fmt = artifact_crate;
-
-    // D04: everywhere except the seeded simulation RNG itself, the
-    // scrape endpoint's listener thread (see the D01 note above for why
-    // it cannot perturb determinism), and the experiment runner's
-    // ordered worker pool — each of its threads owns an entire isolated
-    // simulation and only `Send` results cross back, with outputs
-    // committed in canonical order (parity pinned by
-    // tests/parallel_parity.rs).
-    p.rng = rel != "crates/sim/src/rng.rs"
-        && rel != "crates/telemetry/src/serve.rs"
-        && rel != "crates/bench/src/runner.rs";
-
-    // P01: binary code only — `src/bin/*` and crate `main.rs`.
-    p.io_unwrap = rel.contains("/src/bin/") || rel.ends_with("src/main.rs");
-
-    Some(p)
+    Some(Policy {
+        allow: EXEMPTIONS
+            .iter()
+            .find(|e| e.file == rel)
+            .map_or(&[], |e| e.kinds),
+        float_fmt: artifact_crate,
+        // P01: binary code only — `src/bin/*` and crate `main.rs`.
+        io_unwrap: rel.contains("/src/bin/") || rel.ends_with("src/main.rs"),
+    })
 }
 
 /// Recursively collects files under `dir` whose name passes `keep`,
 /// skipping `target/` and hidden directories. Results are sorted so the
 /// pass itself is deterministic.
-fn collect_files(dir: &Path, keep: &dyn Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
+pub fn collect_files(dir: &Path, keep: &dyn Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -172,7 +189,6 @@ pub fn run_workspace(root: &Path) -> Vec<Diagnostic> {
                 line: 0,
                 rule: "S00",
                 message: format!("cannot read: {e}"),
-                chain: Vec::new(),
             }),
         }
     }
@@ -181,109 +197,19 @@ pub fn run_workspace(root: &Path) -> Vec<Diagnostic> {
     out
 }
 
-/// Runs the full pass — manifest gate, token rules, and the
-/// parse → call-graph → taint pipeline — over in-memory sources.
+/// Runs the full pass — manifest gate, token rules, pragmas — over
+/// in-memory sources.
 pub fn analyze_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
-    analyze_sources_with(files, &taint::SANCTIONS)
-}
-
-/// [`analyze_sources`] with an explicit sanction table; the policy tests
-/// use this to prove every default sanction is load-bearing.
-pub fn analyze_sources_with(
-    files: &[SourceFile],
-    sanctions: &[taint::Sanction],
-) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-
-    // Lex + token rules per file; keep raw (pre-pragma) findings so the
-    // taint findings can join them under one pragma pass.
-    let mut units: Vec<FileUnit> = Vec::new();
-    let mut raw_by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
     for f in files {
         if f.rel.ends_with("Cargo.toml") {
             out.extend(manifest::check_manifest(&f.rel, &f.text));
-            continue;
+        } else if let Some(policy) = policy_for(&f.rel) {
+            out.extend(rules::check_file(&f.rel, &lexer::lex(&f.text), policy));
         }
-        let Some(policy) = policy_for(&f.rel) else {
-            continue;
-        };
-        let lexed = lexer::lex(&f.text);
-        raw_by_file
-            .entry(f.rel.clone())
-            .or_default()
-            .extend(rules::token_rules(&f.rel, &lexed, policy));
-        let parsed = parse::parse_file(&lexed);
-        units.push(FileUnit {
-            rel: f.rel.clone(),
-            lexed,
-            parsed,
-        });
-    }
-
-    let call_graph = graph::build(&units);
-    let taint::TaintResult {
-        diagnostics: taint_diags,
-        used_pragmas,
-    } = taint::analyze(&units, &call_graph, sanctions);
-    for d in taint_diags {
-        raw_by_file.entry(d.file.clone()).or_default().push(d);
-    }
-
-    let empty = BTreeSet::new();
-    for u in &units {
-        let raw = raw_by_file.remove(&u.rel).unwrap_or_default();
-        let extra = used_pragmas.get(&u.rel).unwrap_or(&empty);
-        out.extend(rules::apply_pragmas(&u.rel, &u.lexed, raw, extra));
     }
     out.sort();
     out
-}
-
-/// Renders diagnostics as a JSON array with a stable field order
-/// (`file`, `line`, `rule`, `message`, `chain`), one object per finding,
-/// byte-identical across runs. Hand-rolled on purpose: the linter is
-/// zero-dependency.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    fn esc(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-    let mut s = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  {\"file\":\"");
-        esc(&d.file, &mut s);
-        s.push_str(&format!(
-            "\",\"line\":{},\"rule\":\"{}\",\"message\":\"",
-            d.line, d.rule
-        ));
-        esc(&d.message, &mut s);
-        s.push_str("\",\"chain\":[");
-        for (j, step) in d.chain.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"file\":\"");
-            esc(&step.file, &mut s);
-            s.push_str(&format!("\",\"line\":{},\"label\":\"", step.line));
-            esc(&step.label, &mut s);
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-    }
-    s.push_str("\n]\n");
-    s
 }
 
 /// Finds the workspace root by walking up from `start` until a directory
@@ -308,72 +234,32 @@ mod tests {
 
     #[test]
     fn policy_exemptions_match_the_issue() {
-        // profiler and bench may read wall clocks
-        assert!(
-            !policy_for("crates/telemetry/src/profiler.rs")
-                .unwrap()
-                .timing
-        );
-        assert!(
-            !policy_for("crates/bench/src/bin/experiments.rs")
-                .unwrap()
-                .timing
-        );
-        assert!(policy_for("crates/engine/src/engine.rs").unwrap().timing);
+        // every row is what its file is allowed, and one row per file
+        for (i, e) in EXEMPTIONS.iter().enumerate() {
+            assert_eq!(policy_for(e.file).unwrap().allow, e.kinds, "{}", e.file);
+            assert!(!e.kinds.is_empty() && !e.reason.is_empty(), "{}", e.file);
+            assert!(
+                EXEMPTIONS[..i].iter().all(|p| p.file != e.file),
+                "{}: two rows",
+                e.file
+            );
+            // rows name files, never directories
+            assert!(e.file.ends_with(".rs"), "{}", e.file);
+        }
+        // no row for the seeded RNG, and everything else is allowed nothing
+        for rel in [
+            "crates/sim/src/rng.rs",
+            "crates/engine/src/engine.rs",
+            "crates/telemetry/src/registry.rs",
+            "crates/bench/src/experiments/fig5.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert!(policy_for(rel).unwrap().allow.is_empty(), "{rel}");
+        }
 
-        // the scrape endpoint is the sanctioned home for threads and
-        // socket wall-clock I/O; the rest of telemetry stays strict
-        let serve = policy_for("crates/telemetry/src/serve.rs").unwrap();
-        assert!(!serve.timing);
-        assert!(!serve.rng);
-        let registry = policy_for("crates/telemetry/src/registry.rs").unwrap();
-        assert!(registry.timing);
-        assert!(registry.rng);
-
-        // artifact crates get D02/D03; others do not
+        // artifact crates get D03; others do not
         assert!(policy_for("crates/trace/src/event.rs").unwrap().float_fmt);
-        assert!(
-            policy_for("crates/metrics/src/collector.rs")
-                .unwrap()
-                .hash_iter
-        );
-        assert!(!policy_for("crates/sim/src/clock.rs").unwrap().hash_iter);
-
-        // the sim RNG is the one sanctioned randomness source
-        assert!(!policy_for("crates/sim/src/rng.rs").unwrap().rng);
-        assert!(policy_for("crates/core/src/lib.rs").unwrap().rng);
-
-        // the ordered worker pool is the only other sanctioned home for
-        // threads; the rest of the bench crate stays strict
-        assert!(!policy_for("crates/bench/src/runner.rs").unwrap().rng);
-        assert!(policy_for("crates/bench/src/suite.rs").unwrap().rng);
-        assert!(
-            policy_for("crates/bench/src/bin/experiments.rs")
-                .unwrap()
-                .rng
-        );
-
-        // folded dumps leave only through the validated exporter path:
-        // the profiler renders, the exporter validates, the experiments
-        // binary writes — everyone else must go through them
-        assert!(
-            !policy_for("crates/telemetry/src/profiler.rs")
-                .unwrap()
-                .folded
-        );
-        assert!(!policy_for("crates/telemetry/src/export.rs").unwrap().folded);
-        assert!(
-            !policy_for("crates/bench/src/bin/experiments.rs")
-                .unwrap()
-                .folded
-        );
-        assert!(policy_for("crates/bench/src/suite.rs").unwrap().folded);
-        assert!(policy_for("crates/cluster/src/driver.rs").unwrap().folded);
-        assert!(
-            policy_for("crates/bench/src/bin/promcheck.rs")
-                .unwrap()
-                .folded
-        );
+        assert!(!policy_for("crates/sim/src/clock.rs").unwrap().float_fmt);
 
         // P01 applies to binaries only
         assert!(

@@ -3,71 +3,39 @@
 //! tier-1 `cargo test -q` reach it through the `workspace_clean`
 //! integration test.
 //!
-//! Usage: `odlb-lint [START_DIR] [--root=DIR] [--format=json|text]`
-//!
-//! - `START_DIR` (positional): walk up from here to find the workspace
-//!   root (a `Cargo.toml` with `[workspace]`). Defaults to the current
-//!   directory.
-//! - `--root=DIR`: analyze `DIR` as-is, without walking up — CI uses
-//!   this to run the analyzer over fixture trees.
-//! - `--format=json`: machine-readable output (stable field order, one
-//!   object per finding including taint chains), byte-identical across
-//!   runs. `--format=text` is the default `file:line: rule: message`.
+//! Usage: `odlb-lint [START_DIR]` — walk up from `START_DIR` (default:
+//! the current directory) to the workspace root (a `Cargo.toml` with
+//! `[workspace]`) and lint everything under it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: odlb-lint [START_DIR]";
+
 fn main() -> ExitCode {
     let mut start: Option<PathBuf> = None;
-    let mut fixed_root: Option<PathBuf> = None;
-    let mut json = false;
     for arg in std::env::args().skip(1) {
-        if let Some(dir) = arg.strip_prefix("--root=") {
-            fixed_root = Some(PathBuf::from(dir));
-        } else if let Some(fmt) = arg.strip_prefix("--format=") {
-            match fmt {
-                "json" => json = true,
-                "text" => json = false,
-                other => {
-                    eprintln!("odlb-lint: unknown format `{other}` (expected json|text)");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg == "--help" || arg == "-h" {
-            eprintln!("usage: odlb-lint [START_DIR] [--root=DIR] [--format=json|text]");
+        if arg == "--help" || arg == "-h" {
+            eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
-        } else {
-            start = Some(PathBuf::from(arg));
+        } else if arg.starts_with('-') || start.is_some() {
+            eprintln!("odlb-lint: unexpected argument `{arg}`\n{USAGE}");
+            return ExitCode::from(2);
         }
+        start = Some(PathBuf::from(arg));
     }
 
-    let root = match fixed_root {
-        Some(r) => r,
-        None => {
-            let start = start
-                .unwrap_or_else(|| std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
-            match odlb_lint::find_workspace_root(&start) {
-                Some(r) => r,
-                None => {
-                    eprintln!(
-                        "odlb-lint: no workspace root (Cargo.toml with [workspace]) above {}",
-                        start.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    let start =
+        start.unwrap_or_else(|| std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
+    let Some(root) = odlb_lint::find_workspace_root(&start) else {
+        eprintln!(
+            "odlb-lint: no workspace root (Cargo.toml with [workspace]) above {}",
+            start.display()
+        );
+        return ExitCode::from(2);
     };
 
     let diags = odlb_lint::run_workspace(&root);
-    if json {
-        print!("{}", odlb_lint::render_json(&diags));
-        return if diags.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if diags.is_empty() {
         println!("odlb-lint: workspace clean");
         return ExitCode::SUCCESS;

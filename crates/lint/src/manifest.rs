@@ -46,7 +46,6 @@ pub fn check_manifest(file: &str, text: &str) -> Vec<Diagnostic> {
                         "dependency table `[{name}]` has no `path` or `workspace = true`; \
                          external dependencies are forbidden (offline tier-1)"
                     ),
-                    chain: Vec::new(),
                 });
             }
         }
@@ -110,7 +109,6 @@ pub fn check_manifest(file: &str, text: &str) -> Vec<Diagnostic> {
                     "`{key}` in [{section}] is not a path/workspace dependency; external \
                      dependencies are forbidden (offline tier-1)"
                 ),
-                chain: Vec::new(),
             });
         }
     }

@@ -3,11 +3,11 @@
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | D01  | no wall-clock (`Instant::now`, `SystemTime`, `std::time`) outside the profiler and the bench harness |
-//! | D02  | no iteration over `HashMap`/`HashSet` (or an alias: `FastMap`/`FastSet`, `use … as`, `type`) in digest/export-feeding crates unless immediately sorted |
+//! | D01  | no wall-clock (`Instant::now`, `SystemTime`, `std::time`) in any linted file without a [`crate::EXEMPTIONS`] row |
+//! | D02  | no iteration over `HashMap`/`HashSet` (or an alias: `FastMap`/`FastSet`, `use … as`, `type`) in any linted file unless sorted or consumed order-free |
 //! | D03  | no float formatted into an artifact without an explicit precision or the shared formatter |
-//! | D04  | no `thread::spawn` and no ambient randomness outside the sim RNG |
-//! | D05  | no folded-stacks dumps rendered outside the validated exporter path |
+//! | D04  | no threads, thread identity, host parallelism, ambient randomness or `{:p}` addresses in any linted file without a row |
+//! | D05  | no folded-stacks dumps rendered in any linted file without a row (the validated exporter path) |
 //! | P01  | no `unwrap()`/`expect()` on I/O results in non-test binary code |
 //!
 //! Checks are heuristic token analyses, not type checking — they are
@@ -21,35 +21,47 @@ use crate::lexer::{Lexed, TokKind, Token};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-/// Which rule families apply to a file (decided from its path by
-/// [`crate::policy_for`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Policy {
-    /// D01: wall-clock time is forbidden here.
-    pub timing: bool,
-    /// D02: unordered `HashMap`/`HashSet` iteration is forbidden here.
-    pub hash_iter: bool,
-    /// D03: bare float formatting is forbidden here.
-    pub float_fmt: bool,
-    /// D04: spawned threads / ambient randomness are forbidden here.
-    pub rng: bool,
-    /// D05: rendering folded-stacks dumps is forbidden here — only the
-    /// validated exporter path may (profiler, exporter, experiments bin).
-    pub folded: bool,
-    /// P01: `unwrap`/`expect` on I/O results is forbidden here.
-    pub io_unwrap: bool,
+/// What a D01/D04/D05 finding found: the unit a [`crate::EXEMPTIONS`]
+/// row allows per file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Wall-clock reads (`Instant::now`, `SystemTime`, `std::time`).
+    Clock,
+    /// Ambient randomness (`rand`, `thread_rng`, `RandomState`, …).
+    Randomness,
+    /// Threads (`thread::spawn`, `std::thread`).
+    ThreadSpawn,
+    /// Thread identity (`thread::current`, `ThreadId`).
+    ThreadIdentity,
+    /// Host parallelism (`available_parallelism`).
+    Parallelism,
+    /// Pointer-address formatting (`{:p}`).
+    PtrAddr,
+    /// Folded-stacks dump rendering (`folded_sim`, `folded_wall`).
+    Folded,
 }
 
-/// One hop of a taint propagation chain (see [`crate::taint`]):
-/// source function first, sink-touching function last.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ChainStep {
-    /// Workspace-relative path of the function's file.
-    pub file: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// `crate::module::fn_name`, plus a source/sink annotation.
-    pub label: String,
+impl Kind {
+    /// The rule findings of this kind report under.
+    pub fn rule(self) -> &'static str {
+        match self {
+            Kind::Clock => "D01",
+            Kind::Folded => "D05",
+            _ => "D04",
+        }
+    }
+}
+
+/// What applies to a file beyond D01, D02, D04 and D05, which apply to
+/// every linted file (decided from its path by [`crate::policy_for`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Policy<'a> {
+    /// Source kinds the file's [`crate::EXEMPTIONS`] row allows.
+    pub allow: &'a [Kind],
+    /// D03: bare float formatting is forbidden here.
+    pub float_fmt: bool,
+    /// P01: `unwrap`/`expect` on I/O results is forbidden here.
+    pub io_unwrap: bool,
 }
 
 /// One finding, rendered as `file:line: rule: message`.
@@ -59,14 +71,10 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule identifier (`D01` … `P01`, `M01`, `S00`, `T01` … `T03`).
+    /// Rule identifier (`D01` … `D05`, `P01`, `M01`, `S00`).
     pub rule: &'static str,
-    /// Human-readable explanation. For taint findings this includes the
-    /// rendered source→…→sink chain.
+    /// Human-readable explanation.
     pub message: String,
-    /// Structured taint chain (empty for token-level findings); the
-    /// steps are also rendered into `message` for plain-text output.
-    pub chain: Vec<ChainStep>,
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -80,7 +88,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Iteration methods whose order reflects the hasher, not the data.
-pub(crate) const HASH_ITER_METHODS: [&str; 9] = [
+const HASH_ITER_METHODS: [&str; 9] = [
     "iter",
     "iter_mut",
     "keys",
@@ -101,6 +109,11 @@ const SORTED_EVIDENCE: [&str; 6] = [
     "sort_by_key",
     "sort_unstable_by_key",
     "sort_unstable_by",
+];
+
+/// Iterator terminals whose result does not depend on visit order.
+const ORDER_INSENSITIVE: [&str; 8] = [
+    "sum", "count", "min", "max", "all", "any", "len", "is_empty",
 ];
 
 /// Format-like macros whose first argument is a format string.
@@ -130,7 +143,7 @@ const IO_EVIDENCE: [&str; 17] = [
 ];
 
 /// Ambient-randomness markers for D04.
-pub(crate) const RNG_EVIDENCE: [&str; 5] = [
+const RNG_EVIDENCE: [&str; 5] = [
     "rand",
     "thread_rng",
     "from_entropy",
@@ -144,60 +157,37 @@ const INT_TYPES: [&str; 12] = [
 
 /// Checks one lexed file under `policy`, applying suppression pragmas.
 /// `file` is the workspace-relative path used in diagnostics.
-pub fn check_file(file: &str, lexed: &Lexed, policy: Policy) -> Vec<Diagnostic> {
-    let raw = token_rules(file, lexed, policy);
-    apply_pragmas(file, lexed, raw, &BTreeSet::new())
-}
-
-/// Runs the token rules only, returning findings *before* pragma
-/// filtering — [`crate::analyze_sources`] pools these with the taint
-/// pass's findings and applies pragmas once per file.
-pub(crate) fn token_rules(file: &str, lexed: &Lexed, policy: Policy) -> Vec<Diagnostic> {
+pub fn check_file(file: &str, lexed: &Lexed, policy: Policy<'_>) -> Vec<Diagnostic> {
     let toks = &lexed.tokens;
     let in_test = test_spans(toks);
     let mut raw = Vec::new();
-
-    let diag = |line: u32, rule: &'static str, message: String| Diagnostic {
-        file: file.to_string(),
-        line,
-        rule,
-        message,
-        chain: Vec::new(),
+    let mut push = |line: u32, rule: &'static str, message: String| {
+        raw.push(Diagnostic {
+            file: file.to_string(),
+            line,
+            rule,
+            message,
+        });
     };
 
-    if policy.timing {
-        rule_d01(toks, &in_test, &mut |l, m| raw.push(diag(l, "D01", m)));
-    }
-    if policy.hash_iter {
-        rule_d02(toks, &in_test, &mut |l, m| raw.push(diag(l, "D02", m)));
-    }
+    rule_sources(toks, &in_test, &mut |l, kind, m| {
+        if !policy.allow.contains(&kind) {
+            push(l, kind.rule(), m);
+        }
+    });
+    rule_d02(toks, &in_test, &mut |l, m| push(l, "D02", m));
     if policy.float_fmt {
-        rule_d03(toks, &in_test, &mut |l, m| raw.push(diag(l, "D03", m)));
-    }
-    if policy.rng {
-        rule_d04(toks, &in_test, &mut |l, m| raw.push(diag(l, "D04", m)));
-    }
-    if policy.folded {
-        rule_d05(toks, &in_test, &mut |l, m| raw.push(diag(l, "D05", m)));
+        rule_d03(toks, &in_test, &mut |l, m| push(l, "D03", m));
     }
     if policy.io_unwrap {
-        rule_p01(toks, &in_test, &mut |l, m| raw.push(diag(l, "P01", m)));
+        rule_p01(toks, &in_test, &mut |l, m| push(l, "P01", m));
     }
-    raw
+    apply_pragmas(file, lexed, raw)
 }
 
 /// Filters `raw` findings through the file's suppression pragmas and
 /// appends S00 findings for malformed, reason-less or unused pragmas.
-/// `extra_used` lists pragma lines consumed outside this pass (taint
-/// boundary pragmas stop propagation inside [`crate::taint`], so no
-/// diagnostic ever reaches them here — without this they would be
-/// flagged as suppressing nothing).
-pub(crate) fn apply_pragmas(
-    file: &str,
-    lexed: &Lexed,
-    raw: Vec<Diagnostic>,
-    extra_used: &BTreeSet<u32>,
-) -> Vec<Diagnostic> {
+fn apply_pragmas(file: &str, lexed: &Lexed, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
     // line -> indices into lexed.pragmas that may suppress that line
     // (a pragma covers its own line and the line directly below it).
     let mut by_line: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
@@ -206,11 +196,7 @@ pub(crate) fn apply_pragmas(
         by_line.entry(p.line + 1).or_default().push(i);
     }
 
-    let mut used: Vec<bool> = lexed
-        .pragmas
-        .iter()
-        .map(|p| extra_used.contains(&p.line))
-        .collect();
+    let mut used = vec![false; lexed.pragmas.len()];
     let mut out = Vec::new();
     'diags: for d in raw {
         if let Some(candidates) = by_line.get(&d.line) {
@@ -229,38 +215,27 @@ pub(crate) fn apply_pragmas(
     }
 
     for (i, p) in lexed.pragmas.iter().enumerate() {
-        if !p.well_formed {
-            out.push(Diagnostic {
-                file: file.to_string(),
-                line: p.line,
-                rule: "S00",
-                message: "malformed pragma: expected `odlb-lint: allow(<rules>) — <reason>`"
-                    .to_string(),
-                chain: Vec::new(),
-            });
+        let message = if !p.well_formed {
+            "malformed pragma: expected `odlb-lint: allow(<rules>) — <reason>`".to_string()
         } else if p.reason.is_empty() {
-            out.push(Diagnostic {
-                file: file.to_string(),
-                line: p.line,
-                rule: "S00",
-                message: format!(
-                    "pragma allow({}) has no reason; a justification is mandatory",
-                    p.rules.join(",")
-                ),
-                chain: Vec::new(),
-            });
+            format!(
+                "pragma allow({}) has no reason; a justification is mandatory",
+                p.rules.join(",")
+            )
         } else if !used[i] {
-            out.push(Diagnostic {
-                file: file.to_string(),
-                line: p.line,
-                rule: "S00",
-                message: format!(
-                    "pragma allow({}) suppresses nothing on this or the next line; delete it",
-                    p.rules.join(",")
-                ),
-                chain: Vec::new(),
-            });
-        }
+            format!(
+                "pragma allow({}) suppresses nothing on this or the next line; delete it",
+                p.rules.join(",")
+            )
+        } else {
+            continue;
+        };
+        out.push(Diagnostic {
+            file: file.to_string(),
+            line: p.line,
+            rule: "S00",
+            message,
+        });
     }
     out.sort();
     out
@@ -269,7 +244,7 @@ pub(crate) fn apply_pragmas(
 /// Marks every token inside a `#[cfg(test)] mod … { … }` span; rules
 /// skip those tokens (unit tests may use wall clocks, hash iteration and
 /// unwraps freely).
-pub(crate) fn test_spans(toks: &[Token]) -> Vec<bool> {
+pub fn test_spans(toks: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; toks.len()];
     let mut i = 0;
     while i + 7 < toks.len() {
@@ -341,29 +316,94 @@ fn path2(toks: &[Token], i: usize, a: &str, b: &str) -> bool {
         && toks[i + 3].is_ident(b)
 }
 
-/// D01 — wall-clock time never reaches deterministic artifacts.
-fn rule_d01(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
+/// D01, D04, D05 — presence rules: the token that reads a clock, spawns
+/// or identifies a thread, asks the host for its parallelism, draws
+/// ambient randomness, prints an address or renders a folded-stacks
+/// dump is flagged where it stands, tagged with its [`Kind`] so the
+/// file's exemption row can allow exactly that.
+fn rule_sources(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, Kind, String)) {
     for i in 0..toks.len() {
         if in_test[i] {
             continue;
         }
-        if toks[i].is_ident("SystemTime") || toks[i].is_ident("UNIX_EPOCH") {
+        let t = &toks[i];
+        if t.kind == TokKind::Str {
+            if placeholders(&t.text)
+                .iter()
+                .any(|p| p.ends_with(":p") || p.ends_with(":#p"))
+            {
+                emit(
+                    t.line,
+                    Kind::PtrAddr,
+                    "the `p` format trait prints a pointer address, which differs run to run"
+                        .to_string(),
+                );
+            }
+            continue;
+        }
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let name = t.text.as_str();
+        if name == "SystemTime" || name == "UNIX_EPOCH" {
             emit(
-                toks[i].line,
-                format!(
-                    "`{}` reads the wall clock; simulated time only",
-                    toks[i].text
-                ),
+                t.line,
+                Kind::Clock,
+                format!("`{name}` reads the wall clock; simulated time only"),
             );
         } else if path2(toks, i, "std", "time") {
             emit(
-                toks[i].line,
+                t.line,
+                Kind::Clock,
                 "`std::time` is wall-clock time; use the simulation clock (odlb-sim)".to_string(),
             );
         } else if path2(toks, i, "Instant", "now") {
             emit(
-                toks[i].line,
+                t.line,
+                Kind::Clock,
                 "`Instant::now()` reads the wall clock; simulated time only".to_string(),
+            );
+        } else if path2(toks, i, "thread", "spawn") || path2(toks, i, "std", "thread") {
+            emit(
+                t.line,
+                Kind::ThreadSpawn,
+                "spawned threads make event interleaving nondeterministic; the simulation is \
+                 single-threaded by design"
+                    .to_string(),
+            );
+        } else if path2(toks, i, "thread", "current") || name == "ThreadId" {
+            emit(
+                t.line,
+                Kind::ThreadIdentity,
+                "thread identity differs per process; nothing observable may depend on it"
+                    .to_string(),
+            );
+        } else if name == "available_parallelism" {
+            emit(
+                t.line,
+                Kind::Parallelism,
+                "`available_parallelism` is a property of the host; results must not depend on it"
+                    .to_string(),
+            );
+        } else if RNG_EVIDENCE.contains(&name) {
+            emit(
+                t.line,
+                Kind::Randomness,
+                format!(
+                    "`{name}` is ambient randomness; all randomness flows from the seeded sim RNG"
+                ),
+            );
+        } else if name == "folded_sim" || name == "folded_wall" {
+            // Any new call site that renders a dump risks writing an
+            // artifact that `validate_folded` never saw.
+            emit(
+                t.line,
+                Kind::Folded,
+                format!(
+                    "`{name}` renders a folded-stacks dump outside the sanctioned exporter path; \
+                     route it through `experiments --profile-folded`, which runs \
+                     `validate_folded` before writing"
+                ),
             );
         }
     }
@@ -412,7 +452,7 @@ fn unordered_names(toks: &[Token]) -> BTreeSet<String> {
 /// Identifiers bound to an unordered hash table in this file: struct
 /// fields (`name: HashMap<…>`), annotated lets / params
 /// (`name: &mut FastMap<…>`) and inferred lets (`name = HashMap::new()`).
-pub(crate) fn hash_bound_idents(toks: &[Token]) -> BTreeSet<String> {
+fn hash_bound_idents(toks: &[Token]) -> BTreeSet<String> {
     let names = unordered_names(toks);
     let mut bound = BTreeSet::new();
     for i in 0..toks.len() {
@@ -440,12 +480,13 @@ pub(crate) fn hash_bound_idents(toks: &[Token]) -> BTreeSet<String> {
     bound
 }
 
-/// D02 — no unordered iteration feeding digests or exporters.
+/// D02 — no unordered iteration whose order anything can observe.
 fn rule_d02(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
     let bound = hash_bound_idents(toks);
     if bound.is_empty() {
         return;
     }
+    let spans = fn_spans(toks);
 
     // `.iter()` / `.keys()` / … on a tracked receiver.
     for i in 1..toks.len() {
@@ -459,13 +500,14 @@ fn rule_d02(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
             && toks[i + 2].is_punct('(')
             && toks[i - 1].kind == TokKind::Ident
             && bound.contains(&toks[i - 1].text)
-            && !sorted_downstream(toks, i)
+            && !order_fixed_downstream(toks, i)
+            && !binder_sorted_later(toks, &spans, i)
         {
             emit(
                 toks[i].line,
                 format!(
-                    "`{}.{}()` iterates a HashMap/HashSet in hasher order on a digest/export \
-                     path; use BTreeMap/BTreeSet or sort before anything observable",
+                    "`{}.{}()` iterates a HashMap/HashSet in hasher order; use \
+                     BTreeMap/BTreeSet or sort before anything observable",
                     toks[i - 1].text,
                     toks[i + 1].text
                 ),
@@ -504,7 +546,7 @@ fn rule_d02(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
                         t.line,
                         format!(
                             "`for … in` over HashMap/HashSet `{}` visits entries in hasher \
-                             order on a digest/export path; use BTreeMap/BTreeSet",
+                             order; use BTreeMap/BTreeSet",
                             t.text
                         ),
                     );
@@ -517,14 +559,16 @@ fn rule_d02(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
 }
 
 /// True when, between the iteration site and the end of the statement,
-/// the chain is explicitly sorted or lands in an ordered collection.
-pub(crate) fn sorted_downstream(toks: &[Token], from: usize) -> bool {
+/// the chain is explicitly sorted, lands in an ordered collection, or
+/// ends in a terminal whose result is order-free (`.sum()`, `.len()`…).
+fn order_fixed_downstream(toks: &[Token], from: usize) -> bool {
     for t in toks.iter().skip(from).take(80) {
         if t.is_punct(';') {
             return false;
         }
         if t.kind == TokKind::Ident
             && (SORTED_EVIDENCE.contains(&t.text.as_str())
+                || ORDER_INSENSITIVE.contains(&t.text.as_str())
                 || t.text == "BTreeMap"
                 || t.text == "BTreeSet")
         {
@@ -534,10 +578,46 @@ pub(crate) fn sorted_downstream(toks: &[Token], from: usize) -> bool {
     false
 }
 
-/// Function spans `(start, end)` in token indices, used to scope D03's
-/// float-identifier tracking (a `v: f64` parameter of one function must
-/// not taint a same-named `v: u64` in its sibling).
-fn fn_spans(toks: &[Token]) -> Vec<(usize, usize)> {
+/// True when the iteration statement binds `let [mut] NAME = …` and a
+/// later statement of the same function sorts `NAME` (`NAME.sort*`): the
+/// collect-then-sort idiom, invisible to the one-statement heuristic.
+fn binder_sorted_later(toks: &[Token], spans: &[(usize, usize)], site: usize) -> bool {
+    let Some((start, end)) = innermost_span(spans, site).map(|i| spans[i]) else {
+        return false;
+    };
+    // Statement start: previous `;`, `{` or `}`.
+    let mut j = site;
+    while j > start {
+        let t = &toks[j - 1];
+        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+            break;
+        }
+        j -= 1;
+    }
+    if !toks[j].is_ident("let") {
+        return false;
+    }
+    let mut name_at = j + 1;
+    if toks.get(name_at).is_some_and(|t| t.is_ident("mut")) {
+        name_at += 1;
+    }
+    let Some(name) = toks.get(name_at).filter(|t| t.kind == TokKind::Ident) else {
+        return false;
+    };
+    (site..end.saturating_sub(1)).any(|i| {
+        toks[i].is_ident(&name.text)
+            && toks[i + 1].is_punct('.')
+            && toks[i + 2].kind == TokKind::Ident
+            && toks[i + 2].text.starts_with("sort")
+    })
+}
+
+/// Function spans `(fn keyword, closing brace)` in token indices. D02's
+/// collect-then-sort check and D03's float-identifier tracking are
+/// scoped by them (a `v: f64` parameter of one function must not mark a
+/// same-named `v: u64` in its sibling), and the probe audit inserts one
+/// probe per span.
+pub fn fn_spans(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -634,7 +714,11 @@ fn rule_d03(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
         }
         let group = &toks[open..close.min(toks.len())];
         if let Some(fmt) = group.iter().find(|t| t.kind == TokKind::Str) {
-            let bare = bare_placeholders(&fmt.text);
+            // Placeholders that carry no format spec.
+            let bare: Vec<String> = placeholders(&fmt.text)
+                .into_iter()
+                .filter(|p| !p.contains(':'))
+                .collect();
             if !bare.is_empty() {
                 // Inline `{name}` placeholders naming a float.
                 let inline_hit = bare
@@ -676,9 +760,9 @@ fn rule_d03(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)
     }
 }
 
-/// Placeholder names in `fmt` that carry no format spec: `{}` yields
-/// `""`, `{v}` yields `"v"`; `{v:.3}` and `{:>8.1}` yield nothing.
-fn bare_placeholders(fmt: &str) -> Vec<String> {
+/// The inside of every `{…}` placeholder of `fmt`: `{}` yields `""`,
+/// `{v}` yields `"v"`, `{v:.3}` yields `"v:.3"`; `{{`/`}}` yield nothing.
+fn placeholders(fmt: &str) -> Vec<String> {
     let chars: Vec<char> = fmt.chars().collect();
     let mut out = Vec::new();
     let mut i = 0;
@@ -691,64 +775,13 @@ fn bare_placeholders(fmt: &str) -> Vec<String> {
                 while j < chars.len() && chars[j] != '}' {
                     j += 1;
                 }
-                let inner: String = chars[i + 1..j.min(chars.len())].iter().collect();
-                if !inner.contains(':') {
-                    out.push(inner);
-                }
+                out.push(chars[i + 1..j.min(chars.len())].iter().collect());
                 i = j + 1;
             }
             _ => i += 1,
         }
     }
     out
-}
-
-/// D04 — one seeded RNG, one logical thread.
-fn rule_d04(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        if path2(toks, i, "thread", "spawn") || path2(toks, i, "std", "thread") {
-            emit(
-                toks[i].line,
-                "spawned threads make event interleaving nondeterministic; the simulation is \
-                 single-threaded by design"
-                    .to_string(),
-            );
-        } else if toks[i].kind == TokKind::Ident && RNG_EVIDENCE.contains(&toks[i].text.as_str()) {
-            emit(
-                toks[i].line,
-                format!(
-                    "`{}` is ambient randomness; all randomness flows from the seeded sim RNG",
-                    toks[i].text
-                ),
-            );
-        }
-    }
-}
-
-/// D05 — folded-stacks dumps leave only through the validated exporter.
-/// Any new call site that renders a dump risks writing an artifact that
-/// `validate_folded` never saw; route it through the experiments binary's
-/// `--profile-folded` path (which validates before writing) instead.
-fn rule_d05(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
-    for i in 0..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        if toks[i].is_ident("folded_sim") || toks[i].is_ident("folded_wall") {
-            emit(
-                toks[i].line,
-                format!(
-                    "`{}` renders a folded-stacks dump outside the sanctioned exporter path; \
-                     route it through `experiments --profile-folded`, which runs \
-                     `validate_folded` before writing",
-                    toks[i].text
-                ),
-            );
-        }
-    }
 }
 
 /// P01 — binaries surface I/O failures as friendly errors, not panics.
@@ -802,19 +835,16 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn run(src: &str, policy: Policy) -> Vec<(u32, &'static str)> {
+    fn run(src: &str, policy: Policy<'_>) -> Vec<(u32, &'static str)> {
         check_file("test.rs", &lex(src), policy)
             .into_iter()
             .map(|d| (d.line, d.rule))
             .collect()
     }
 
-    const ALL: Policy = Policy {
-        timing: true,
-        hash_iter: true,
+    const ALL: Policy<'static> = Policy {
+        allow: &[],
         float_fmt: true,
-        rng: true,
-        folded: true,
         io_unwrap: true,
     };
 
@@ -838,10 +868,8 @@ impl S {
         v
     }
 }";
-        // `good` collects then sorts on the *next* statement, which the
-        // heuristic cannot see — it must sort within the statement:
-        let got = run(src, ALL);
-        assert!(got.contains(&(3, "D02")), "{got:?}");
+        // `good` collects, then sorts its binder in a later statement.
+        assert_eq!(run(src, ALL), vec![(3, "D02")]);
     }
 
     #[test]
@@ -850,6 +878,7 @@ impl S {
 fn f(m: &HashMap<u32, u32>) {
     let v: Vec<u32> = m.keys().copied().collect::<Vec<_>>().sort_unstable_by_key(|k| *k);
     let b: BTreeMap<u32, u32> = m.iter().map(|(k, v)| (*k, *v)).collect::<BTreeMap<_, _>>();
+    let s: u32 = m.values().sum();
 }";
         let got = run(src, ALL);
         assert!(got.iter().all(|(_, r)| *r != "D02"), "{got:?}");
@@ -919,6 +948,33 @@ fn b(v: u64) -> String { format!(\"{v}\") }";
             got.iter().filter(|(_, r)| *r == "D04").count() >= 2,
             "{got:?}"
         );
+        let src = "\
+fn f(x: &u8) {
+    let id = thread::current().id();
+    let n = available_parallelism();
+    let s = format!(\"{:p}\", x);
+}";
+        assert_eq!(run(src, ALL), vec![(2, "D04"), (3, "D04"), (4, "D04")]);
+    }
+
+    #[test]
+    fn an_allowed_kind_drops_exactly_that_kind() {
+        let src = "\
+fn f() {
+    let t = Instant::now();
+    let n = available_parallelism();
+    thread::spawn(|| {});
+}";
+        let runner = Policy {
+            allow: &[Kind::ThreadSpawn, Kind::Parallelism],
+            ..ALL
+        };
+        assert_eq!(run(src, runner), vec![(2, "D01")]);
+        let clock = Policy {
+            allow: &[Kind::Clock],
+            ..ALL
+        };
+        assert_eq!(run(src, clock), vec![(3, "D04"), (4, "D04")]);
     }
 
     #[test]
@@ -930,9 +986,12 @@ fn b(v: u64) -> String { format!(\"{v}\") }";
             2,
             "{got:?}"
         );
-        // A policy without `folded` (the sanctioned files) stays silent.
-        let got = run(src, Policy::default());
-        assert!(got.is_empty(), "{got:?}");
+        // A row that allows folded dumps (the exporter path) stays silent.
+        let exporter = Policy {
+            allow: &[Kind::Folded],
+            ..ALL
+        };
+        assert!(run(src, exporter).is_empty());
     }
 
     #[test]

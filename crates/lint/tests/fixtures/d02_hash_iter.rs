@@ -21,4 +21,14 @@ impl Report {
         let mut rows: Vec<(u32, f64)> = self.per_class.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>().sort_by_key(|r| r.0);
         rows
     }
+
+    fn summed_is_fine(&self) -> u64 {
+        self.per_class.values().map(|v| *v as u64).sum::<u64>()
+    }
+
+    fn sorted_later_is_fine(&self) -> Vec<u32> {
+        let mut keys: Vec<u32> = self.per_class.keys().copied().collect();
+        keys.sort();
+        keys
+    }
 }

@@ -1,8 +1,9 @@
 //! The tier-1 enforcement hook: `cargo test -q` fails if the live
-//! workspace has any lint finding, and every suppression pragma in the
-//! tree is proven load-bearing (neutering it re-surfaces a diagnostic).
+//! workspace has any lint finding, and every suppression pragma and
+//! every exemption row in the tree is proven load-bearing (taking it
+//! away re-surfaces a diagnostic).
 
-use odlb_lint::{lexer, policy_for, rules, run_workspace};
+use odlb_lint::{lexer, policy_for, rules, run_workspace, Kind, Policy, EXEMPTIONS};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -73,6 +74,35 @@ fn every_live_pragma_is_load_bearing() {
         checked >= 4,
         "expected at least the four known pragmas to be exercised, got {checked}"
     );
+}
+
+/// Every kind of every exemption row must allow something: linting the
+/// row's file with that kind taken out of the row must report a finding
+/// of the kind's rule. A row for a file that moved or lost its last
+/// clock read fails here, so the table cannot outgrow the code.
+#[test]
+fn every_exemption_row_is_load_bearing() {
+    let root = workspace_root();
+    for row in &EXEMPTIONS {
+        let text = std::fs::read_to_string(root.join(row.file))
+            .unwrap_or_else(|e| panic!("{}: row names an unreadable file: {e}", row.file));
+        let lexed = lexer::lex(&text);
+        let policy = policy_for(row.file).expect("rows name linted files");
+        for kind in row.kinds {
+            let rest: Vec<Kind> = row.kinds.iter().copied().filter(|k| k != kind).collect();
+            let reduced = Policy {
+                allow: &rest,
+                ..policy
+            };
+            let diags = rules::check_file(row.file, &lexed, reduced);
+            assert!(
+                diags.iter().any(|d| d.rule == kind.rule()),
+                "{}: removing {kind:?} from the row surfaced no {}; the entry is dead weight",
+                row.file,
+                kind.rule()
+            );
+        }
+    }
 }
 
 /// The manifest gate rejects an external dependency added to the root

@@ -12,7 +12,8 @@
 //! process and build — but the iteration order it gives a table is still
 //! arbitrary. Treat a `FastMap` exactly like a `HashMap`: never let its
 //! iteration order reach a digest, an export or any simulated decision
-//! (odlb-lint D02/T03 track both names).
+//! (odlb-lint D02 tracks both names in every linted file, and no
+//! `odlb_lint::EXEMPTIONS` row can allow it).
 //!
 //! This hash only *places* keys in tables. The hash that decides which
 //! keys a sampled MRC tracker keeps (`odlb-mrc`'s `sample_hash`) is a

@@ -70,6 +70,7 @@ impl SharedIoPath {
     /// Counters summed over all domains (equals the disk's own counters).
     pub fn total_counters(&self) -> IoCounters {
         let mut total = IoCounters::default();
+        // odlb-lint: allow(D02) — integer sums commute; the total is the same in any visit order
         for c in self.per_domain.values() {
             total.absorb(*c);
         }

@@ -12,10 +12,9 @@
 //! leaves `.prom`/`.csv` artifacts and golden trace digests
 //! byte-identical (pinned by `tests/live_scrape.rs`).
 //!
-//! This module is the one sanctioned home for threads and wall-clock
-//! socket I/O in the telemetry crate: `odlb-lint` exempts
-//! `crates/telemetry/src/serve.rs` from D01/D04 the same way it exempts
-//! the profiler from D01 (see `odlb_lint::policy_for`), because serving
+//! This module is the one home for threads and wall-clock socket I/O in
+//! the telemetry crate: its row in `odlb_lint::EXEMPTIONS` allows clock
+//! reads (D01) and threads (D04) here and nothing else, because serving
 //! is strictly observation-side.
 
 use std::io::{Read, Write};
