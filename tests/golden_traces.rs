@@ -22,7 +22,7 @@ use odlb::storage::DomainId;
 use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
 use odlb::workload::synthetic::cpu_bound_workload;
 use odlb::workload::{ClientConfig, LoadFunction};
-use odlb_bench::experiments::{fig3, fig4, Observers};
+use odlb_bench::experiments::{fig3, fig4, scale, Observers};
 
 /// Fig. 3 miniature (seed 3_2007 inside `fig3::run_observed`): sinusoid load
 /// on 3 servers, 30 intervals with 10 warm-up.
@@ -38,6 +38,17 @@ const FIG4_GOLDEN_DIGEST: u64 = 0x7404072f86507903;
 const CPU_ONLY_GOLDEN_DIGEST: u64 = 0xa31d80aaa0eef12f;
 const COARSE_GOLDEN_DIGEST: u64 = 0x31126e884b092fa4;
 const VM_MIGRATION_GOLDEN_DIGEST: u64 = 0xea674a848f68bb7a;
+
+/// `fig-scale-mini` (seeds 9_2026 + row inside `scale::run_observed`): the
+/// only pin on the queue-at-depth driver path — 10k and 40k sessions
+/// resident in the event queue. Rows are (replicas, sessions, intervals,
+/// events, rounded tput, latency in µs); computed at `c6fe0e9`, the commit
+/// before the calendar queue was replaced.
+const SCALE_MINI_GOLDEN_DIGEST: u64 = 0x65028ee607a8324f;
+const SCALE_MINI_GOLDEN_ROWS: [(usize, usize, usize, u64, u64, u64); 2] = [
+    (16, 10_000, 2, 22_299, 53, 175),
+    (32, 40_000, 2, 90_419, 212, 173),
+];
 
 /// Runs `scenario` under a fresh tracer; returns the run digest and the
 /// full event stream.
@@ -254,6 +265,38 @@ fn baseline_digests_and_action_sequences_are_stable() {
     let (digest, actions) = run_baseline(VmMigrationController::new());
     assert_eq!(actions, [10, 40, 70, 100].map(|t| (MigratedVm, t)));
     assert_eq!(digest, VM_MIGRATION_GOLDEN_DIGEST, "vm digest drifted");
+}
+
+#[test]
+fn scale_mini_rows_and_digest_are_stable() {
+    let mut result = None;
+    let (digest, events) = traced(|tracer| {
+        let points = SCALE_MINI_GOLDEN_ROWS.map(|r| (r.0, r.1, r.2));
+        result = Some(scale::run_observed(&Observers::traced(tracer), &points));
+    });
+    let result = result.expect("scenario ran");
+    let rows: Vec<_> = result
+        .rows
+        .iter()
+        .map(|r| {
+            let (tput, lat_us) = (r.throughput.round(), (r.latency_ms * 1e3).round());
+            (
+                r.replicas,
+                r.sessions,
+                r.intervals,
+                r.events,
+                tput as u64,
+                lat_us as u64,
+            )
+        })
+        .collect();
+    assert_eq!(rows, SCALE_MINI_GOLDEN_ROWS, "fig-scale-mini rows drifted");
+    assert_eq!(result.total_events(), 112_718);
+    assert_eq!(events.len(), 20, "fig-scale-mini trace length drifted");
+    assert_eq!(
+        digest, SCALE_MINI_GOLDEN_DIGEST,
+        "fig-scale-mini digest drifted: got {digest:#018x}"
+    );
 }
 
 #[test]
