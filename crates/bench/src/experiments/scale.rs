@@ -2,7 +2,7 @@
 //!
 //! Not a paper figure: a capacity study of the reimplementation itself.
 //! Each row runs an isolated cluster at a fixed (replica count, resident
-//! session count) point on the calendar-queue event core, with the
+//! session count) point on the timing-wheel event core, with the
 //! hierarchical (rack → cluster) interval aggregation, and reports how
 //! many events the driver dispatched. The top row is the headline
 //! regime: **112 replicas with 1,000,000 concurrent sessions**, every
@@ -104,8 +104,8 @@ fn scale_workload(app: AppId) -> WorkloadSpec {
 /// `replicas / INSTANCES_PER_SERVER` servers), `sessions` resident
 /// clients with ~200 s think times, `intervals` × 10 s measurement
 /// intervals. Long think times are what make the session count a *queue
-/// residency* figure: nearly every session sits in the calendar queue as
-/// a pending `ClientIssue` at any instant.
+/// residency* figure: nearly every session sits in the event queue as a
+/// pending `ClientIssue` at any instant.
 fn run_row(
     observers: &Observers,
     seed: u64,
@@ -215,7 +215,7 @@ pub fn run_observed(observers: &Observers, points: &[(usize, usize, usize)]) -> 
 /// and simulated metrics only, never wall-clock throughput.
 pub fn render(r: &ScaleResult) -> String {
     let mut out = String::new();
-    out.push_str("fig-scale: event hot-path scaling (calendar queue, hierarchical aggregation)\n");
+    out.push_str("fig-scale: event hot-path scaling (timing wheel, hierarchical aggregation)\n");
     out.push_str(&format!(
         "{:>9}  {:>10}  {:>10}  {:>12}  {:>12}  {:>12}\n",
         "replicas", "sessions", "intervals", "events", "tput(q/s)", "latency(ms)"

@@ -70,28 +70,67 @@ impl Default for SimulationConfig {
     }
 }
 
+/// `QueryDone::client` of a query no session waits on (a replica apply, a
+/// replayed query). Client ids count up from zero per application, so the
+/// top value is never handed out.
+const NO_CLIENT: u64 = u64::MAX;
+
+/// A queued event: 24 bytes, because every resident session holds one.
+/// Applications, instances and in-flight records travel as `u32` indices.
 enum Event {
     ClientIssue {
-        app: usize,
+        app: u32,
         client: u64,
     },
     QueryDone {
-        app: usize,
-        client: Option<u64>,
-        instance: usize,
-        record: QueryLogRecord,
+        app: u32,
+        instance: u32,
+        /// The issuing session, or [`NO_CLIENT`].
+        client: u64,
+        /// The query's parked record (see [`InFlight`]).
+        record: u32,
     },
     ReplicaReady {
-        app: usize,
-        instance: usize,
+        app: u32,
+        instance: u32,
     },
     LoadTick,
     /// Dispatch the next query of a replayed app's pregenerated
     /// schedule. One such event is in flight per replayed app; each
     /// dispatch chains the next.
     ReplayIssue {
-        app: usize,
+        app: u32,
     },
+}
+
+/// The log records of the queries in flight, parked between dispatch and
+/// the `QueryDone` that commits them, so the queue carries an index
+/// instead of 64 bytes. Freed slots are reused first: the slab is as long
+/// as the most queries ever in flight at once.
+#[derive(Default)]
+struct InFlight {
+    records: Vec<QueryLogRecord>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn park(&mut self, record: QueryLogRecord) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.records[slot as usize] = record;
+            return slot;
+        }
+        self.records.push(record);
+        u32::try_from(self.records.len() - 1).expect("fewer than 2^32 queries in flight")
+    }
+
+    fn take(&mut self, slot: u32) -> QueryLogRecord {
+        self.free.push(slot);
+        self.records[slot as usize]
+    }
+
+    fn live(&self) -> usize {
+        self.records.len() - self.free.len()
+    }
 }
 
 /// Cursor over a shared pregenerated schedule (see
@@ -172,6 +211,7 @@ pub struct IntervalOutcome {
 pub struct Simulation {
     config: SimulationConfig,
     queue: EventQueue<Event>,
+    in_flight: InFlight,
     servers: Vec<ServerState>,
     instances: Vec<InstanceState>,
     apps: Vec<AppState>,
@@ -196,6 +236,7 @@ impl Simulation {
         Simulation {
             config,
             queue: EventQueue::new(),
+            in_flight: InFlight::default(),
             servers: Vec::new(),
             instances: Vec::new(),
             apps: Vec::new(),

@@ -155,8 +155,8 @@ impl Simulation {
         self.queue.schedule(
             self.now + self.config.provisioning_delay,
             Event::ReplicaReady {
-                app: app_idx,
-                instance: id.0 as usize,
+                app: app_idx as u32,
+                instance: id.0,
             },
         );
         Ok(id)

@@ -3,7 +3,7 @@
 //! `dispatch_spec` (routing) and `execute_on` (engine execution and
 //! completion scheduling).
 
-use super::{Event, IntervalOutcome, Simulation};
+use super::{Event, IntervalOutcome, Simulation, NO_CLIENT};
 use crate::topology::InstanceId;
 use odlb_engine::QuerySpec;
 use odlb_sim::{SimDuration, SimTime};
@@ -29,7 +29,8 @@ impl Simulation {
             })
             .collect();
         for (app, at) in firsts {
-            self.queue.schedule(at, Event::ReplayIssue { app });
+            self.queue
+                .schedule(at, Event::ReplayIssue { app: app as u32 });
         }
     }
 
@@ -41,11 +42,10 @@ impl Simulation {
         let _interval = enter_span(&self.profiler, "interval");
         span_units(&self.profiler, self.config.measurement_interval.as_micros());
         let tick_at = self.last_tick + self.config.measurement_interval;
-        while let Some(t) = self.queue.peek_time() {
-            if t > tick_at {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
+        // `pop_until` stops the queue's clock at the boundary, so what the
+        // controller schedules between intervals (`ReplicaReady`, retries)
+        // still lands ahead of it.
+        while let Some((t, ev)) = self.queue.pop_until(tick_at) {
             self.now = t;
             self.events_processed += 1;
             self.handle(t, ev);
@@ -70,7 +70,7 @@ impl Simulation {
                         let stagger = app.rng.below(tick.as_micros().max(1));
                         let at = now + SimDuration::from_micros(stagger);
                         let issue = Event::ClientIssue {
-                            app: app_idx,
+                            app: app_idx as u32,
                             client,
                         };
                         self.queue.schedule(at, issue);
@@ -80,23 +80,26 @@ impl Simulation {
                 }
                 self.queue.schedule(now + tick, Event::LoadTick);
             }
-            Event::ClientIssue { app, client } => self.client_issue(now, app, client),
+            Event::ClientIssue { app, client } => self.client_issue(now, app as usize, client),
             Event::QueryDone {
                 app,
-                client,
                 instance,
+                client,
                 record,
             } => {
-                let inst = &mut self.instances[instance];
-                inst.outstanding = inst.outstanding.saturating_sub(1);
-                inst.engine.commit_record(record);
-                if let Some(client) = client {
-                    let think = self.apps[app].clients.next_think();
+                let inst = &mut self.instances[instance as usize];
+                let left = inst.outstanding.checked_sub(1);
+                debug_assert!(left.is_some(), "inst{instance} completed a query twice");
+                inst.outstanding = left.unwrap_or(0);
+                inst.engine.commit_record(self.in_flight.take(record));
+                if client != NO_CLIENT {
+                    let think = self.apps[app as usize].clients.next_think();
                     self.queue
                         .schedule(now + think, Event::ClientIssue { app, client });
                 }
             }
             Event::ReplicaReady { app, instance } => {
+                let (app, instance) = (app as usize, instance as usize);
                 // Retired while provisioning (e.g. the need evaporated):
                 // never resurrect it.
                 if self.instances[instance].retired {
@@ -120,7 +123,7 @@ impl Simulation {
                     .scheduler
                     .add_replica(InstanceId(instance as u32));
             }
-            Event::ReplayIssue { app } => self.replay_issue(now, app),
+            Event::ReplayIssue { app } => self.replay_issue(now, app as usize),
         }
     }
 
@@ -139,10 +142,12 @@ impl Simulation {
         };
         if !self.dispatch_spec(now, app, Some(client), spec) {
             // No ready replica (all still provisioning): retry shortly.
-            self.queue.schedule(
-                now + SimDuration::from_millis(100),
-                Event::ClientIssue { app, client },
-            );
+            let retry = Event::ClientIssue {
+                app: app as u32,
+                client,
+            };
+            self.queue
+                .schedule(now + SimDuration::from_millis(100), retry);
         }
     }
 
@@ -221,10 +226,10 @@ impl Simulation {
         self.queue.schedule(
             result.completion,
             Event::QueryDone {
-                app,
-                client,
-                instance: idx,
-                record: result.record,
+                app: app as u32,
+                instance: instance.0,
+                client: client.unwrap_or(NO_CLIENT),
+                record: self.in_flight.park(result.record),
             },
         );
     }

@@ -12,6 +12,13 @@ use std::collections::BTreeMap;
 
 impl Simulation {
     pub(super) fn close_interval(&mut self, end: SimTime) -> IntervalOutcome {
+        // Conservation: every dispatched query is parked exactly once
+        // until its completion commits it.
+        debug_assert_eq!(
+            self.in_flight.live(),
+            self.instances.iter().map(|i| i.outstanding).sum::<usize>(),
+            "in-flight records and outstanding counts disagree"
+        );
         let mut reports = BTreeMap::new();
         for (i, inst) in self.instances.iter_mut().enumerate() {
             let report = inst.engine.close_interval(end);

@@ -69,17 +69,15 @@ impl Simulation {
                 },
             }
         };
+        let again = Event::ReplayIssue { app: app as u32 };
         if !self.dispatch_spec(now, app, None, spec) {
-            self.queue.schedule(
-                now + SimDuration::from_millis(100),
-                Event::ReplayIssue { app },
-            );
+            self.queue
+                .schedule(now + SimDuration::from_millis(100), again);
             return;
         }
         self.apps[app].replay.as_mut().expect("replayed app").next = idx + 1;
         if let Some(next) = sched.queries.get(idx + 1) {
-            self.queue
-                .schedule(next.at.max(now), Event::ReplayIssue { app });
+            self.queue.schedule(next.at.max(now), again);
         }
     }
 }

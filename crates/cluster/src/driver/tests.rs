@@ -24,6 +24,69 @@ fn small_sim(clients: usize) -> (Simulation, AppId) {
     (sim, app)
 }
 
+/// Every resident session is one queued `Event`: its size is the
+/// per-session memory of the scale regime.
+#[test]
+fn event_fits_in_24_bytes() {
+    assert!(std::mem::size_of::<Event>() <= 24);
+}
+
+/// The Table 2 shape — TPC-W on one instance, RUBiS joining inside it at
+/// t = 80 s — for 20 intervals. Every close runs the driver's
+/// conservation assertion (parked records = Σ outstanding; debug builds),
+/// and the slab must stay as small as the most queries ever in flight:
+/// one per client here, against thousands of queries dispatched.
+#[test]
+fn in_flight_slab_recycles_slots_and_conserves_queries() {
+    use odlb_workload::rubis::{rubis_workload, RubisConfig};
+    let (tpcw_clients, rubis_clients) = (45, 80);
+    // No load noise: the client populations are exact, so they bound
+    // the queries in flight.
+    let clients = ClientConfig {
+        load_noise: 0.0,
+        ..Default::default()
+    };
+    let mut sim = Simulation::new(SimulationConfig {
+        seed: 2_2007,
+        ..Default::default()
+    });
+    let server = sim.add_server(4);
+    let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
+    let tpcw = sim.add_app(
+        tpcw_workload(TpcwConfig::default()),
+        Sla::one_second(),
+        clients,
+        LoadFunction::Constant(tpcw_clients),
+    );
+    let rubis = sim.add_app(
+        rubis_workload(RubisConfig {
+            app: AppId(1),
+            ..Default::default()
+        }),
+        Sla::one_second(),
+        clients,
+        LoadFunction::Step {
+            before: 0,
+            after: rubis_clients,
+            at: SimTime::from_secs(80),
+        },
+    );
+    sim.assign_replica(tpcw, inst);
+    sim.assign_replica(rubis, inst);
+    sim.start();
+    for _ in 0..20 {
+        sim.run_interval();
+        let outstanding: usize = sim.instances.iter().map(|i| i.outstanding).sum();
+        assert_eq!(sim.in_flight.live(), outstanding);
+        assert!(sim.in_flight.records.len() <= tpcw_clients + rubis_clients);
+    }
+    assert!(
+        sim.events_processed() > 20 * (tpcw_clients + rubis_clients) as u64,
+        "far more queries than slab slots"
+    );
+    assert!(!sim.in_flight.records.is_empty());
+}
+
 #[test]
 fn light_load_meets_sla() {
     let (mut sim, app) = small_sim(5);

@@ -8,8 +8,10 @@
 //! The kernel provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
-//! * [`EventQueue`] — a stable (FIFO within equal timestamps) calendar
-//!   queue of user-defined events: O(1) push/pop at steady state.
+//! * [`EventQueue`] — a stable (FIFO within equal timestamps) queue of
+//!   user-defined events: a hierarchical timing wheel on the digits of
+//!   the timestamp, O(1) push and amortized O(1) pop at any depth and
+//!   under any arrival distribution.
 //! * [`rng::SimRng`] — a seeded, splittable PRNG plus the samplers the
 //!   workload models need (uniform, exponential, Zipf, Gaussian).
 //! * [`station::Station`] — a multi-server FCFS queueing station used to

@@ -1,76 +1,76 @@
-//! The event queue: a calendar queue.
+//! The event queue: a hierarchical timing wheel keyed on the 6-bit digits
+//! of the microsecond timestamp.
 //!
-//! [`EventQueue`] is a calendar queue
-//! (R. Brown, CACM 1988): pending events hash into `buckets.len()`
-//! time-sliced buckets of `1 << shift` microseconds each, so at steady
-//! state push and pop are O(1) instead of the heap's O(log n). With ~1M
-//! resident events (one per concurrent client session at scale) that
-//! factor-20 difference is the event hot path.
+//! [`EventQueue`] has 11 levels of 64 slots, which together cover all of
+//! `u64`. An event lives at the level of the *highest digit in which its
+//! time differs from the wheel cursor* (`now`), in the slot named by that
+//! digit of its own time — so `schedule` is one XOR, one `leading_zeros`
+//! and an append to one of 704 vectors whose tails stay hot, and a level-0
+//! slot is one exact microsecond. One occupancy word per level plus a
+//! level mask find the next slot: the lowest occupied slot of the lowest
+//! occupied level holds the minimum, because its events share every
+//! higher digit with the cursor while events on higher levels exceed the
+//! cursor in one. Moving the cursor into a slot redistributes
+//! ("cascades") its events onto lower levels; a slot holding a single
+//! event pops directly. There is no width to derive, nothing to rebuild,
+//! sort or shift, so no arrival distribution can skew it.
 //!
-//! Ordering is *identical* to the `BinaryHeap` implementation it
-//! replaced: events pop in `(time, insertion seq)` order, so ties are
-//! FIFO and every simulation replays byte-identically. That heap lives on
-//! as the oracle of the differential property suite in
+//! Ordering is *identical* to a binary heap over `(time, insertion seq)`:
+//! ties are FIFO and every simulation replays byte-identically. That heap
+//! lives on as the oracle of the differential property suite in
 //! `tests/eventqueue_properties.rs`, which pins the two pop orders
 //! against each other over randomized interleavings.
 //!
 //! Invariants the implementation leans on:
 //!
-//! * every pending event fires at or after `now` (`schedule` clamps, and
-//!   pop takes the global minimum, so the clock can never pass a pending
-//!   event) — this is what makes the day-by-day minimum scan exhaustive;
-//! * each bucket is kept sorted *descending* by `(at, seq)`, so the
-//!   bucket minimum is `last()` and removing it is a plain `Vec::pop`;
-//! * a cached global minimum makes `peek_time` O(1) without interior
-//!   mutability: a push can only improve it (strictly earlier time — an
-//!   equal time loses the seq tiebreak), and a pop consumes it and
-//!   rescans from the popped day.
+//! * every pending event fires at or after the cursor (`schedule` clamps,
+//!   and the cursor only moves to a slot's first instant, to a popped
+//!   event's time or to a `pop_until` limit below the next slot), and
+//!   sits at the level and slot its time and the *current* cursor name;
+//!   when the cursor enters a slot every lower level is empty, so only
+//!   that slot's events change level;
+//! * every slot vector is in insertion order at all times: a cascade
+//!   visits its source in order and lands in empty slots, and a direct
+//!   append carries the largest seq so far — debug builds assert it on
+//!   every append. So no sequence number is ever compared to pop in order.
 
 use crate::time::SimTime;
 
-/// A pending event: fire time plus an insertion sequence number used to keep
-/// ordering stable (FIFO) among events scheduled for the same instant.
+/// Bits per timestamp digit; every level has `1 << DIGIT_BITS` slots.
+const DIGIT_BITS: u32 = 6;
+const SLOTS: usize = 1 << DIGIT_BITS;
+/// Levels covering all 64 bits of a timestamp.
+const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
+
+/// A pending event: fire time plus its insertion sequence number, which
+/// only the insertion-order assertion reads.
 struct Pending<E> {
-    at: SimTime,
+    at: u64,
     seq: u64,
     event: E,
 }
-
-/// The cached global minimum: its timestamp and the bucket holding it.
-#[derive(Clone, Copy)]
-struct Min {
-    at: SimTime,
-    bucket: usize,
-}
-
-/// Fewest buckets the calendar ever uses; also the initial size.
-const MIN_BUCKETS: usize = 16;
-
-/// Initial bucket width exponent (2^10 µs ≈ 1 ms) before the first
-/// adaptive rebuild.
-const INITIAL_SHIFT: u32 = 10;
 
 /// A deterministic event queue over a user-defined event type.
 ///
 /// Events scheduled for the same [`SimTime`] are delivered in the order they
 /// were scheduled, which keeps multi-component simulations reproducible.
 pub struct EventQueue<E> {
-    /// Power-of-two bucket array; each bucket sorted descending by
-    /// `(at, seq)` so the bucket minimum is `last()`.
-    buckets: Vec<Vec<Pending<E>>>,
-    /// Bucket width exponent: one bucket ("day") spans `1 << shift`
-    /// microseconds, so the day of `t` is `t >> shift` — a shift, not a
-    /// division, on the per-push and per-scan paths.
-    shift: u32,
-    /// Occupancy bitmap, one bit per bucket: the minimum scan skips
-    /// runs of empty buckets a 64-bucket word at a time instead of
-    /// touching each bucket's `Vec` header (which, at ~2^20 buckets, is
-    /// tens of megabytes of pointer-chasing).
-    occ: Vec<u64>,
+    /// `LEVELS × SLOTS` vectors, level-major, each in insertion order. A
+    /// slot is emptied whole, buffer and all, unless it holds a single
+    /// event, so capacity follows the resident count.
+    slots: Vec<Vec<Pending<E>>>,
+    /// One occupancy word per level: bit `d` is set when slot `d` holds
+    /// events.
+    occ: [u64; LEVELS],
+    /// Bit `l` is set when `occ[l] != 0`.
+    levels: u32,
+    /// Events firing exactly at `now`: a level-0 slot that held several,
+    /// taken whole so ties drain front to back in O(1) each.
+    due: std::vec::IntoIter<Pending<E>>,
     len: usize,
     seq: u64,
-    now: SimTime,
-    min: Option<Min>,
+    /// The wheel cursor, which is also the clock.
+    now: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -83,53 +83,21 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            shift: INITIAL_SHIFT,
-            occ: vec![0; MIN_BUCKETS.div_ceil(64)],
+            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            occ: [0; LEVELS],
+            levels: 0,
+            due: Vec::new().into_iter(),
             len: 0,
             seq: 0,
-            now: SimTime::ZERO,
-            min: None,
+            now: 0,
         }
     }
 
-    /// The current virtual time: the timestamp of the last popped event, or
-    /// zero before the first pop.
+    /// The current virtual time: the timestamp of the last popped event or
+    /// the last [`EventQueue::pop_until`] limit reached, whichever is
+    /// later; zero before either.
     pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn bucket_of(&self, at: SimTime) -> usize {
-        ((at.as_micros() >> self.shift) & (self.buckets.len() as u64 - 1)) as usize
-    }
-
-    fn mark_occupied(&mut self, idx: usize) {
-        self.occ[idx >> 6] |= 1u64 << (idx & 63);
-    }
-
-    fn mark_empty(&mut self, idx: usize) {
-        self.occ[idx >> 6] &= !(1u64 << (idx & 63));
-    }
-
-    /// Distance (in buckets, wrapping) from `from` to the nearest occupied
-    /// bucket at or after it, or `None` when every bucket is empty.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let n = self.buckets.len();
-        let (w0, b0) = (from >> 6, from & 63);
-        let first = self.occ[w0] & (!0u64 << b0);
-        if first != 0 {
-            return Some(((w0 << 6) | first.trailing_zeros() as usize) - from);
-        }
-        let words = self.occ.len();
-        for step in 1..=words {
-            let w = (w0 + step) % words;
-            let word = self.occ[w];
-            if word != 0 {
-                let idx = (w << 6) | word.trailing_zeros() as usize;
-                return Some((idx + n - from) % n);
-            }
-        }
-        None
+        SimTime::from_micros(self.now)
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -140,57 +108,94 @@ impl<E> EventQueue<E> {
     /// than time-travelling, so causality still holds.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
-            at >= self.now,
+            at >= self.now(),
             "event scheduled in the past ({at:?} < clock {:?})",
-            self.now
+            self.now()
         );
-        let at = at.max(self.now);
+        let at = at.as_micros().max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.bucket_of(at);
-        let bucket = &mut self.buckets[idx];
-        // Descending order: skip entries strictly greater than the new
-        // key. A fresh event holds the largest seq so far, so among
-        // equal timestamps it lands closest to the front (popped last).
-        let pos = bucket.partition_point(|p| (p.at, p.seq) > (at, seq));
-        bucket.insert(pos, Pending { at, seq, event });
-        self.mark_occupied(idx);
         self.len += 1;
-        // Only a strictly earlier time can displace the cached minimum:
-        // at an equal time the incumbent wins the seq tiebreak.
-        match self.min {
-            Some(m) if m.at <= at => {}
-            _ => self.min = Some(Min { at, bucket: idx }),
-        }
-        if self.len > self.buckets.len() * 2 {
-            self.rebuild(self.buckets.len() * 2);
-        }
+        self.place(Pending { at, seq, event });
+    }
+
+    /// Appends `p` to the slot its time names relative to the cursor.
+    fn place(&mut self, p: Pending<E>) {
+        // `| 1`: a time equal to the cursor differs in "digit 0".
+        let level = ((63 - ((p.at ^ self.now) | 1).leading_zeros()) / DIGIT_BITS) as usize;
+        let digit = (p.at >> (level as u32 * DIGIT_BITS)) as usize % SLOTS;
+        let slot = &mut self.slots[level * SLOTS + digit];
+        debug_assert!(
+            slot.last().is_none_or(|last| last.seq < p.seq),
+            "slot out of insertion order"
+        );
+        slot.push(p);
+        self.occ[level] |= 1 << digit;
+        self.levels |= 1 << level;
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let m = self.min?;
-        let p = self.buckets[m.bucket]
-            .pop()
-            .expect("cached minimum points at a non-empty bucket");
-        debug_assert_eq!(p.at, m.at, "cached minimum out of date");
-        debug_assert!(p.at >= self.now, "event queue went back in time");
-        if self.buckets[m.bucket].is_empty() {
-            self.mark_empty(m.bucket);
+        if self.len == 0 {
+            // Nothing to reach: the clock stays where it is.
+            return None;
         }
-        self.now = p.at;
-        self.len -= 1;
-        if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.buckets.len() / 2);
-        } else {
-            self.min = self.scan_min(p.at);
-        }
-        Some((p.at, p.event))
+        self.pop_until(SimTime::from_micros(u64::MAX))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.min.map(|m| m.at)
+    /// Pops the next event if it fires at or before `limit`; otherwise
+    /// advances the clock to `limit` (never backwards) and returns `None`.
+    ///
+    /// The cursor never passes `limit`, so whatever is scheduled between
+    /// `limit` and the next pending event afterwards still lands ahead of
+    /// it — a wheel cannot report its exact minimum without moving there.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let limit = limit.as_micros();
+        if limit < self.now {
+            return None;
+        }
+        loop {
+            if let Some(p) = self.due.next() {
+                self.len -= 1;
+                return Some((self.now(), p.event));
+            }
+            if self.levels == 0 {
+                self.now = limit;
+                return None;
+            }
+            let level = self.levels.trailing_zeros() as usize;
+            let digit = self.occ[level].trailing_zeros() as usize;
+            let shift = level as u32 * DIGIT_BITS;
+            // The slot's first instant: the cursor with this digit set
+            // and every lower digit cleared.
+            let start = ((self.now >> shift) & !(SLOTS as u64 - 1) | digit as u64) << shift;
+            if start > limit {
+                self.now = limit;
+                return None;
+            }
+            self.occ[level] &= !(1 << digit);
+            if self.occ[level] == 0 {
+                self.levels &= !(1 << level);
+            }
+            let slot = &mut self.slots[level * SLOTS + digit];
+            if slot.len() == 1 && slot[0].at <= limit {
+                // A lone event pops where it sits, without a cascade.
+                let p = slot.pop().expect("one event");
+                self.now = p.at;
+                self.len -= 1;
+                return Some((self.now(), p.event));
+            }
+            // Enter the slot: its events now share this digit with the
+            // cursor and move down — or, on level 0, are due. Its buffer
+            // goes back to the allocator either way.
+            let batch = std::mem::take(slot).into_iter();
+            self.now = start;
+            if level == 0 {
+                self.due = batch;
+            } else {
+                batch.for_each(|p| self.place(p));
+            }
+        }
     }
 
     /// Number of pending events.
@@ -201,108 +206,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Finds the global minimum, knowing every pending event fires at or
-    /// after `from` (the timestamp just popped).
-    ///
-    /// Walks day windows upward from `from`, hopping straight between
-    /// occupied buckets via the bitmap: the first bucket whose minimum
-    /// falls inside its scanned day holds the global minimum, because
-    /// all times of one day map to one bucket and earlier days are
-    /// already known empty. If a whole calendar year passes without a
-    /// hit (every pending event ≥ one full lap ahead), falls back to a
-    /// direct minimum over the occupied buckets.
-    fn scan_min(&self, from: SimTime) -> Option<Min> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let day0 = from.as_micros() >> self.shift;
-        let start = (day0 & (n as u64 - 1)) as usize;
-        let mut dist = 0usize;
-        while dist < n {
-            let idx = (start + dist) & (n - 1);
-            let Some(hop) = self.next_occupied(idx) else {
-                break;
-            };
-            dist += hop;
-            if dist >= n {
-                break;
-            }
-            let idx = (start + dist) & (n - 1);
-            let p = self.buckets[idx].last().expect("occupancy bit set");
-            if p.at.as_micros() >> self.shift == day0 + dist as u64 {
-                return Some(Min {
-                    at: p.at,
-                    bucket: idx,
-                });
-            }
-            dist += 1;
-        }
-        let mut best: Option<Min> = None;
-        let mut best_key = (u64::MAX, u64::MAX);
-        for (w, &bits) in self.occ.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let idx = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let p = self.buckets[idx].last().expect("occupancy bit set");
-                let key = (p.at.as_micros(), p.seq);
-                if key < best_key {
-                    best_key = key;
-                    best = Some(Min {
-                        at: p.at,
-                        bucket: idx,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    /// Redistributes every pending event across `target` buckets (clamped
-    /// to a power of two ≥ [`MIN_BUCKETS`]), re-deriving the bucket width
-    /// from the live event span — rounded up to a power of two so the
-    /// per-operation day math stays a shift — so one "day" holds O(1)
-    /// events.
-    ///
-    /// Amortized: rebuilds trigger on size doublings/halvings, so the
-    /// O(len·log len) sort costs O(log len) per operation.
-    fn rebuild(&mut self, target: usize) {
-        let nbuckets = target.max(MIN_BUCKETS).next_power_of_two();
-        let mut all: Vec<Pending<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            all.append(bucket);
-        }
-        // Descending, so appending in order preserves each bucket's
-        // descending invariant below.
-        all.sort_unstable_by_key(|p| std::cmp::Reverse((p.at, p.seq)));
-        if all.len() >= 2 {
-            let span = all[0].at.as_micros() - all[all.len() - 1].at.as_micros();
-            // A day holds ~4 events on purpose: quadrupling the width
-            // keeps day-walk hops short while shrinking the hot set of
-            // bucket headers 4x (then the bitmap skips the empties), and
-            // it stretches one calendar lap past the live span so few
-            // events sit a lap ahead of their bucket's scan day.
-            let width = (4 * span / all.len() as u64).max(1).next_power_of_two();
-            self.shift = width.trailing_zeros();
-        }
-        if self.buckets.len() != nbuckets {
-            self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        }
-        self.occ.clear();
-        self.occ.resize(nbuckets.div_ceil(64), 0);
-        let mask = nbuckets as u64 - 1;
-        self.min = all.last().map(|p| Min {
-            at: p.at,
-            bucket: ((p.at.as_micros() >> self.shift) & mask) as usize,
-        });
-        for p in all {
-            let idx = ((p.at.as_micros() >> self.shift) & mask) as usize;
-            self.occ[idx >> 6] |= 1u64 << (idx & 63);
-            self.buckets[idx].push(p);
-        }
     }
 }
 
@@ -418,36 +321,54 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
+    fn pop_until_below_the_next_event_only_advances_the_clock() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(7), Ev::A(0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.pop_until(SimTime::from_micros(5)), None);
+        assert_eq!(q.now(), SimTime::from_micros(5));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        // A limit behind the clock pops nothing and moves nothing.
+        assert_eq!(q.pop_until(SimTime::from_micros(3)), None);
+        assert_eq!(q.now(), SimTime::from_micros(5));
+        assert_eq!(
+            q.pop_until(SimTime::from_micros(7)),
+            Some((SimTime::from_micros(7), Ev::A(0)))
+        );
+        // Empty: `pop` leaves the clock alone, `pop_until` takes it to
+        // the limit.
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), SimTime::from_micros(7));
+        assert_eq!(q.pop_until(SimTime::from_micros(9)), None);
+        assert_eq!(q.now(), SimTime::from_micros(9));
     }
 
     #[test]
-    fn peek_tracks_min_through_interleaved_ops() {
+    fn pop_until_tracks_min_through_interleaved_ops() {
+        let until = |q: &mut EventQueue<Ev>, us| q.pop_until(SimTime::from_micros(us));
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(50), Ev::A(0));
         q.schedule(SimTime::from_micros(20), Ev::A(1));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(20)));
-        // Equal-time push must not displace the cached min (FIFO).
+        assert_eq!(until(&mut q, 19), None);
+        // An equal-time push queues behind the incumbent (FIFO), also
+        // once the clock stands on that instant.
         q.schedule(SimTime::from_micros(20), Ev::A(2));
-        assert_eq!(q.pop().map(|(_, e)| e), Some(Ev::A(1)));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(20)));
-        assert_eq!(q.pop().map(|(_, e)| e), Some(Ev::A(2)));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(50)));
+        assert_eq!(until(&mut q, 20).map(|(_, e)| e), Some(Ev::A(1)));
+        q.schedule(SimTime::from_micros(20), Ev::A(3));
+        assert_eq!(until(&mut q, 20).map(|(_, e)| e), Some(Ev::A(2)));
+        assert_eq!(until(&mut q, 49).map(|(_, e)| e), Some(Ev::A(3)));
+        assert_eq!(until(&mut q, 49), None);
+        // Scheduled between the limit and the next pending event: first.
+        q.schedule(SimTime::from_micros(49), Ev::A(4));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(Ev::A(4)));
         assert_eq!(q.pop().map(|(_, e)| e), Some(Ev::A(0)));
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn survives_growth_and_shrink_rebuilds() {
-        // Push far past the grow threshold (16 buckets × 2) with a wide
-        // time spread, then drain past the shrink threshold; order must
-        // stay exact throughout.
+    fn wide_scatter_with_duplicate_times_pops_sorted() {
+        // 10k events over ~3·10^6 µs — four digit levels, with duplicate
+        // times — then a full drain; order must stay exact throughout.
         let mut q = EventQueue::new();
         let mut expect: Vec<u64> = Vec::new();
         for i in 0..10_000u64 {
@@ -463,5 +384,30 @@ mod tests {
         assert_eq!(got, expect);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+    }
+
+    /// The deterministic memory gate: 1M resident sessions thinking
+    /// exp(200 s) hold at most twice their own count in slot capacity,
+    /// after the fill and after 1M hold steps — emptied slots give their
+    /// buffers back instead of each staying at its peak.
+    #[test]
+    fn slot_capacity_stays_within_twice_the_resident_count() {
+        const N: usize = 1_000_000;
+        let mut rng = crate::rng::SimRng::new(19);
+        let mut think = move || SimDuration::from_micros(rng.exponential(200e6) as u64);
+        let held = |q: &EventQueue<u64>| -> usize {
+            q.slots.iter().map(Vec::capacity).sum::<usize>() + q.due.len()
+        };
+        let mut q = EventQueue::new();
+        for session in 0..N as u64 {
+            q.schedule(SimTime::ZERO + think(), session);
+        }
+        assert!(held(&q) <= 2 * N, "after the fill: {}", held(&q));
+        for _ in 0..N {
+            let (t, session) = q.pop().expect("queue stays resident");
+            q.schedule(t + think(), session);
+        }
+        assert_eq!(q.len(), N);
+        assert!(held(&q) <= 2 * N, "after the hold: {}", held(&q));
     }
 }

@@ -79,13 +79,6 @@ impl Tracer {
         }
     }
 
-    /// Builds and sends an event only when a sink is listening.
-    pub fn emit_with(&self, build: impl FnOnce() -> TraceEvent) {
-        if self.is_active() {
-            self.emit(build());
-        }
-    }
-
     /// Flushes every attached sink (file sinks buffer).
     pub fn flush(&self) {
         for sink in self.sinks.borrow().iter() {
@@ -108,13 +101,6 @@ mod tests {
             pages: Some(3695),
             detail: "quota: app0#8 limited to 3695 pages on inst1".to_string(),
         }
-    }
-
-    #[test]
-    fn inactive_tracer_skips_event_construction() {
-        let tracer = Tracer::new();
-        assert!(!tracer.is_active());
-        tracer.emit_with(|| unreachable!("no sink attached"));
     }
 
     #[test]
