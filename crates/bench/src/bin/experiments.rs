@@ -9,9 +9,25 @@
 //!             [--no-memo] [--max-cells <K>]
 //! ```
 //!
-//! `--list` prints the figure/ablation registry (name, traced flag,
-//! description) — the authoritative metadata sweep matrices and
-//! CI selections are authored against.
+//! `--list` prints the figure registry of `odlb_bench::suite` (name,
+//! traced flag, description). Every figure is a self-contained job;
+//! `--jobs <N>` runs up to `N` of them concurrently on the ordered worker
+//! pool in `odlb_bench::runner` (default: one per hardware thread) and
+//! commits their outputs in registry order, so stdout and every artifact
+//! are byte-identical at any job count.
+//!
+//! The figure-only flags act on the traced figures (`traced` in
+//! `--list`), which always print their run digest — the 64-bit FNV-1a
+//! fold of the canonical event stream:
+//!
+//! - `--trace <path>` writes the event stream as JSONL (suffixed
+//!   `.<figure>` when more than one figure runs).
+//! - `--metrics <dir>` writes `<figure>.prom` and `<figure>.csv`; values
+//!   derive from simulation state only, so same-seed runs write the same
+//!   bytes. The wall-clock overhead report goes to stderr.
+//! - `--profile-folded <path>` writes the merged sim-unit folded stacks
+//!   (`flamegraph.pl` input), also byte-identical across runs; the
+//!   wall-clock dump and flat report go to stderr.
 //!
 //! `sweep <matrix.toml>` runs a parameter matrix as a resumable
 //! jobserver: cells are content-addressed under `<out>/cells/` (default
@@ -19,57 +35,14 @@
 //! sharing a workload key replay one memoized schedule (`--no-memo`
 //! regenerates per cell), and `--max-cells <K>` stops resumably after
 //! `K` cells. Completed sweeps merge `sweep.csv` + `summary.txt` in
-//! canonical cell order, byte-identical at any `--jobs` count and
-//! across interrupt/resume. See EXPERIMENTS.md, "Parameter sweeps".
+//! canonical cell order. See EXPERIMENTS.md, "Parameter sweeps".
 //!
-//! Every figure is a self-contained job from the registry in
-//! `odlb_bench::suite`; `--jobs <N>` runs up to `N` of them concurrently
-//! on the ordered worker pool in `odlb_bench::runner` (default: one per
-//! hardware thread, `--jobs 1` = fully sequential). Outputs are
-//! committed in canonical sequential order whatever the job count, so
-//! stdout, `--trace` JSONL files, `--metrics` snapshots, and all run
-//! digests are byte-identical to a sequential run — parallelism lives
-//! entirely *between* isolated simulations, never inside one.
-//!
-//! The controller-driven figures (fig3, fig4) run with a decision tracer
-//! attached and print their run digest — the 64-bit FNV-1a fold of the
-//! canonical event stream — so two runs can be compared at a glance.
-//! `--trace <path>` additionally writes the full event stream as JSONL
-//! (when more than one figure runs, the figure name is suffixed to the
-//! path).
-//!
-//! `--metrics <dir>` attaches the runtime telemetry registry to the
-//! controller-driven figures and writes one Prometheus text snapshot
-//! (`<figure>.prom`) and one CSV time series (`<figure>.csv`) per
-//! figure. Metric values derive only from simulation state, so two
-//! same-seed runs write byte-identical artifacts. The controller-
-//! overhead report (real wall-clock timings, merged across all
-//! instrumented figures) goes to *stderr*, keeping stdout deterministic.
-//! `fig3-mini` is a miniature fig3 used by the CI smoke test.
-//!
-//! `--profile-folded <path>` attaches the span profiler to the
-//! controller-driven figures and writes the merged *sim-unit* folded
-//! stack dump (inferno / `flamegraph.pl` input) to `<path>`. Sim units
-//! derive only from simulation state (interval counts, simulated
-//! microseconds, page counts), so the dump is byte-identical across
-//! runs and job counts — profiles merge by stack path at commit time.
-//! The wall-clock folded dump and flat overhead report go to *stderr*;
-//! stdout and all artifacts stay byte-identical to an unprofiled run.
-//!
-//! `--serve <port>` additionally serves the live exposition at
-//! `GET http://127.0.0.1:<port>/metrics` (port 0 = ephemeral; the bound
-//! port is printed on startup). Each instrumented figure's final
-//! exposition is published when the figure commits, in canonical order,
-//! so serving leaves artifacts and digests byte-identical.
-//! `--serve-hold <ms>` keeps the process alive after the run until one
-//! scrape lands (or the timeout passes) — the CI smoke test uses it to
-//! fetch without racing the run.
+//! A flag given to the wrong mode exits 2, as does anything unknown.
 
 use odlb_bench::{runner, suite, sweep};
-use odlb_telemetry::{MetricsServer, SpanProfiler};
+use odlb_telemetry::SpanProfiler;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -92,8 +65,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut metrics_dir: Option<String> = None;
     let mut profile_folded: Option<String> = None;
-    let mut serve_port: Option<u16> = None;
-    let mut serve_hold_ms: u64 = 0;
     let mut list = false;
     let mut sweep_out: Option<String> = None;
     let mut no_memo = false;
@@ -109,12 +80,6 @@ fn main() {
             "--trace" => trace_path = Some(flag_value(flag, args.next(), "a path")),
             "--metrics" => metrics_dir = Some(flag_value(flag, args.next(), "a directory")),
             "--profile-folded" => profile_folded = Some(flag_value(flag, args.next(), "a path")),
-            "--serve" => {
-                serve_port = Some(flag_value(flag, args.next(), "a port (0 = ephemeral)"));
-            }
-            "--serve-hold" => {
-                serve_hold_ms = flag_value(flag, args.next(), "a duration in milliseconds");
-            }
             "--out" => sweep_out = Some(flag_value(flag, args.next(), "a directory")),
             "--max-cells" => {
                 let n: NonZeroUsize = flag_value(flag, args.next(), "a positive cell count");
@@ -135,6 +100,12 @@ fn main() {
         let Some(matrix_path) = positional.get(1) else {
             fail(2, "usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--no-memo] [--max-cells <K>]");
         };
+        if trace_path.is_some() || metrics_dir.is_some() || profile_folded.is_some() {
+            fail(
+                2,
+                "--trace/--metrics/--profile-folded only apply to figure runs",
+            );
+        }
         run_sweep_command(matrix_path, jobs, sweep_out, no_memo, max_cells);
         return;
     }
@@ -158,14 +129,6 @@ fn main() {
             format!("unknown experiment '{arg}'; valid: {} all", names.join(" ")),
         );
     };
-    let server: Option<Rc<MetricsServer>> =
-        serve_port.map(|port| match MetricsServer::bind(port) {
-            Ok(server) => {
-                println!("serving /metrics on 127.0.0.1:{}", server.port());
-                Rc::new(server)
-            }
-            Err(e) => fail(2, format!("--serve {port}: cannot bind: {e}")),
-        });
     // The metrics directory is created up front (and only it): a bad
     // `--trace` path must keep failing with a `file: error` exit, not be
     // silently papered over by creating its parent directories.
@@ -178,15 +141,13 @@ fn main() {
         jobs,
         trace_path,
         metrics_dir,
-        capture_exposition: server.is_some(),
         profile: profile_folded.is_some(),
     };
 
     // Figures execute on the worker pool; this closure is the commit
     // side, invoked in canonical order on the main thread: print the
-    // buffered stdout block, write the buffered artifacts, publish the
-    // live exposition, and fold the figure's profile into the merged
-    // overhead report.
+    // buffered stdout block, write the buffered artifacts, and fold the
+    // figure's profile into the merged overhead report.
     let mut merged_profile = SpanProfiler::new();
     let mut instrumented_wall = Duration::ZERO;
     let mut any_profile = false;
@@ -196,9 +157,6 @@ fn main() {
             if let Err(e) = std::fs::write(path, bytes) {
                 fail(1, format!("{}: cannot write: {e}", path.display()));
             }
-        }
-        if let (Some(server), Some(exposition)) = (&server, out.publish) {
-            server.publish(exposition);
         }
         if let Some(profile) = &out.profile {
             merged_profile.merge(profile);
@@ -227,7 +185,6 @@ fn main() {
         eprint!("{}", merged_profile.folded_wall());
         eprintln!("profile: wrote {path} ({} stacks)", folded.lines().count());
     }
-    hold_for_scrape(&server, serve_hold_ms);
 }
 
 /// `experiments sweep <matrix.toml>`: parses the matrix, runs (or
@@ -280,24 +237,5 @@ fn run_sweep_command(
             "sweep {}: {} simulated events in {:.2?}",
             spec.name, outcome.events, wall
         );
-    }
-}
-
-/// Keeps the endpoint up after the run until a scraper fetches the
-/// final exposition (bounded by --serve-hold), so an external check
-/// never races the run's completion.
-fn hold_for_scrape(server: &Option<Rc<MetricsServer>>, serve_hold_ms: u64) {
-    if let Some(server) = server {
-        if serve_hold_ms > 0 {
-            println!(
-                "holding /metrics on 127.0.0.1:{} for up to {serve_hold_ms}ms (waiting for one scrape)",
-                server.port()
-            );
-            if server.await_scrapes(1, std::time::Duration::from_millis(serve_hold_ms)) {
-                println!("scraped {} time(s); shutting down", server.scrape_count());
-            } else {
-                println!("no scrape within {serve_hold_ms}ms; shutting down");
-            }
-        }
     }
 }

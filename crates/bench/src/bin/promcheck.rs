@@ -1,89 +1,36 @@
-//! Validates telemetry artifacts written by `experiments --metrics`,
-//! or a live exposition served by `experiments --serve`.
+//! Validates the artifacts `experiments` writes.
 //!
 //! ```text
-//! promcheck <file.prom|file.csv|file.folded|http://host:port/metrics> [more ...]
+//! promcheck <file.prom|file.csv|file.folded> [more ...]
 //! ```
 //!
-//! `.prom` files are checked against the Prometheus text exposition
-//! rules (every sample preceded by `# HELP`/`# TYPE`, parseable finite
-//! values, integral non-negative counters, strictly increasing `le`
+//! `.prom` files (`--metrics`) are checked against the Prometheus text
+//! exposition rules (every sample preceded by `# HELP`/`# TYPE`, parseable
+//! finite values, integral non-negative counters, strictly increasing `le`
 //! bucket bounds with non-decreasing cumulative counts, `+Inf` equal to
-//! `_count`). `.csv` files are checked for the long-format header, field
-//! count, non-decreasing timestamps and per-series monotone counters.
-//! `.folded` files (written by `experiments --profile-folded`) are
-//! checked against the folded-stacks rules: `frames <count>` lines,
-//! non-empty `;`-joined frames, strictly sorted by frame vector.
-//! `http://` arguments are fetched over a plain socket (no external
-//! HTTP client) and validated as expositions; an empty exposition is
-//! rejected, so the CI scrape smoke test fails if it fetches before the
-//! run published anything. Exits non-zero on the first invalid input.
+//! `_count`). `.csv` files (`--metrics`) are checked for the long-format
+//! header, field count, non-decreasing timestamps and per-series monotone
+//! counters. `.folded` files (`--profile-folded`) are checked against the
+//! folded-stacks rules: `frames <count>` lines, non-empty `;`-joined
+//! frames, strictly sorted by frame vector. Anything else is read as an
+//! exposition. Exits non-zero if any input is unreadable or invalid.
 
 use odlb_telemetry::{validate_csv, validate_folded, validate_prometheus};
-use std::io::{Read, Write};
-
-/// Fetches `http://host:port/path` with a raw one-shot GET. Returns the
-/// response body, or a description of what went wrong.
-fn fetch_url(url: &str) -> Result<String, String> {
-    let rest = url
-        .strip_prefix("http://")
-        .ok_or_else(|| "only http:// URLs are supported".to_string())?;
-    let (host, path) = match rest.split_once('/') {
-        Some((host, path)) => (host, format!("/{path}")),
-        None => (rest, "/metrics".to_string()),
-    };
-    let mut stream =
-        std::net::TcpStream::connect(host).map_err(|e| format!("cannot connect to {host}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| format!("cannot set read timeout: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("cannot read response: {e}"))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| "malformed HTTP response".to_string())?;
-    let status = head.lines().next().unwrap_or_default();
-    if !status.contains(" 200 ") {
-        return Err(format!("unexpected status line: {status}"));
-    }
-    Ok(body.to_string())
-}
 
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
     if files.is_empty() {
-        eprintln!(
-            "usage: promcheck <file.prom|file.csv|file.folded|http://host:port/metrics> [more ...]"
-        );
+        eprintln!("usage: promcheck <file.prom|file.csv|file.folded> [more ...]");
         std::process::exit(2);
     }
     let mut failed = false;
     for file in &files {
-        let is_url = file.starts_with("http://");
-        let content = if is_url {
-            match fetch_url(file) {
-                Ok(body) => body,
-                Err(e) => {
-                    eprintln!("{file}: {e}");
-                    failed = true;
-                    continue;
-                }
-            }
-        } else {
-            match std::fs::read_to_string(file) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{file}: cannot read: {e}");
-                    failed = true;
-                    continue;
-                }
+        let content = match std::fs::read_to_string(file) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("{file}: cannot read: {e}");
+                failed = true;
+                continue;
             }
         };
         if file.ends_with(".csv") {
@@ -107,10 +54,6 @@ fn main() {
             }
         } else {
             match validate_prometheus(&content) {
-                Ok(stats) if is_url && stats.families == 0 => {
-                    eprintln!("{file}: INVALID: live exposition is empty");
-                    failed = true;
-                }
                 Ok(stats) => println!(
                     "{file}: ok ({} families, {} samples, {} histograms)",
                     stats.families, stats.samples, stats.histograms

@@ -13,11 +13,10 @@
 //! is CPU-dominated exactly as in the testbed.
 
 use super::Observers;
-use odlb_cluster::{Simulation, SimulationConfig};
+use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_core::{Action, ClusterController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::Sla;
-use odlb_sim::SimDuration;
 use odlb_storage::DomainId;
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
 use odlb_workload::{ClientConfig, LoadFunction, WorkloadSpec};
@@ -83,7 +82,7 @@ pub fn run_observed(
         ..Default::default()
     };
     let inst = sim.add_instance(odlb_metrics::ServerId(0), DomainId(1), engine);
-    let period = SimDuration::from_secs(((intervals - warmup_intervals) * 10) as u64);
+    let period = MEASUREMENT_INTERVAL * (intervals - warmup_intervals) as u64;
     let app = sim.add_app(
         scale_cpu(tpcw_workload(TpcwConfig::default()), 12),
         Sla::one_second(),

@@ -5,8 +5,9 @@
 //! estimated curve strays from the exact one, and — the question the
 //! controller actually cares about — whether the diagnosis it would
 //! derive (problem-class verdict plus granted quota at the
-//! `min_quota_pages` enforcement granularity) is unchanged.
+//! [`MIN_QUOTA_PAGES`] enforcement granularity) is unchanged.
 
+use odlb_core::memory::MIN_QUOTA_PAGES;
 use odlb_mrc::{
     compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
 };
@@ -19,9 +20,6 @@ use std::fmt::Write as _;
 const CAP: usize = 8192;
 /// Fig. 5 acceptability threshold.
 const THRESHOLD: f64 = 0.05;
-/// `ControllerConfig::min_quota_pages`: the granularity at which quota
-/// decisions are compared.
-const MIN_QUOTA_PAGES: usize = 512;
 
 /// The fig. 5 reference trace (`queries` BestSeller executions, seed
 /// 2007) — byte-identical to what `fig5::run(queries)` replays.

@@ -9,7 +9,7 @@
 //! onto a different replica, after which TPC-W recovers most of its
 //! throughput and latency.
 
-use odlb_cluster::{Simulation, SimulationConfig};
+use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, Sla};
@@ -64,7 +64,7 @@ pub fn run(
         ClientConfig::default(),
         LoadFunction::Constant(tpcw_clients),
     );
-    let join_at = SimTime::from_secs((alone_intervals * 10) as u64);
+    let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * alone_intervals as u64;
     let rubis = sim.add_app(
         rubis_workload(RubisConfig {
             app: AppId(1),
@@ -172,13 +172,13 @@ pub fn run(
     result
 }
 
-/// Renders the table in the paper's layout.
 /// The paper-scale run as a self-contained figure job: returns the
 /// rendered table the experiments suite prints.
 pub fn figure() -> String {
     render(&run(45, 80, 10, 6, 15))
 }
 
+/// Renders the table in the paper's layout.
 pub fn render(r: &Table2Result) -> String {
     let mut out = String::new();
     out.push_str("Table 2: Effect of memory contention in a shared buffer pool\n\n");

@@ -13,7 +13,7 @@
 //! this case"); the harness does the same, and reports the per-class I/O
 //! shares that justify the choice.
 
-use odlb_cluster::{Simulation, SimulationConfig};
+use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, MetricKind, Sla};
 use odlb_sim::SimTime;
@@ -72,7 +72,7 @@ pub fn run(
         ClientConfig::default(),
         LoadFunction::Constant(clients),
     );
-    let join_at = SimTime::from_secs((baseline_intervals * 10) as u64);
+    let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * baseline_intervals as u64;
     let app2 = sim.add_app(
         rubis_workload(RubisConfig {
             app: AppId(1),

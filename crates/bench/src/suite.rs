@@ -230,12 +230,9 @@ pub struct SuiteConfig {
     pub trace_path: Option<String>,
     /// `--metrics`: directory for `<figure>.prom` / `<figure>.csv`.
     pub metrics_dir: Option<String>,
-    /// `--serve`: capture each instrumented figure's final exposition so
-    /// the caller can publish it to the live endpoint at commit time.
-    pub capture_exposition: bool,
     /// `--profile-folded`: attach a span profiler to instrumented figures
-    /// even without `--metrics`/`--serve`, so the caller can merge and
-    /// dump folded stacks.
+    /// even without `--metrics`, so the caller can merge and dump folded
+    /// stacks.
     pub profile: bool,
 }
 
@@ -250,9 +247,6 @@ pub struct FigureOutput {
     /// Artifact payloads to write at commit time: the trace JSONL and
     /// the `.prom`/`.csv` snapshots, with their destination paths.
     pub files: Vec<(PathBuf, Vec<u8>)>,
-    /// The final Prometheus exposition for the live endpoint (only with
-    /// [`SuiteConfig::capture_exposition`] on an instrumented figure).
-    pub publish: Option<String>,
     /// The figure's controller-phase profile (instrumented figures
     /// only); the caller merges these into one suite-level report.
     pub profile: Option<SpanProfiler>,
@@ -294,7 +288,6 @@ fn plain(info: &'static FigureInfo) -> Job<FigureOutput> {
             name: info.name,
             stdout: format!("{}{body}\n", banner(info.title)),
             files: Vec::new(),
-            publish: None,
             profile: None,
             wall: start.elapsed(),
         }
@@ -303,7 +296,7 @@ fn plain(info: &'static FigureInfo) -> Job<FigureOutput> {
 
 /// A controller-driven figure: runs with a digest (always), a buffered
 /// JSONL sink (with `--trace`), and attached telemetry plus a profiler
-/// (with `--metrics`/`--serve`), reproducing the sequential runner's
+/// (with `--metrics`), reproducing the sequential runner's
 /// stdout block byte for byte.
 fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
     let name = info.name;
@@ -315,7 +308,6 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
         }
     });
     let metrics_dir = cfg.metrics_dir.clone();
-    let capture = cfg.capture_exposition;
     let profile = cfg.profile;
     Box::new(move || {
         let tracer = Tracer::new();
@@ -323,7 +315,7 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
             .as_ref()
             .map(|_| tracer.attach(JsonlSink::new(Vec::new())));
         let digest = tracer.attach(DigestSink::new());
-        let telemetry = if metrics_dir.is_some() || capture {
+        let telemetry = if metrics_dir.is_some() {
             Telemetry::attached()
         } else {
             Telemetry::inactive()
@@ -363,11 +355,6 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
             profiler,
             ..
         } = observers;
-        let publish = if capture {
-            telemetry.render_prometheus()
-        } else {
-            None
-        };
         if let Some(dir) = metrics_dir {
             let prom_path = Path::new(&dir).join(format!("{name}.prom"));
             let csv_path = Path::new(&dir).join(format!("{name}.csv"));
@@ -386,7 +373,6 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
             name,
             stdout,
             files,
-            publish,
             profile,
             wall,
         }
@@ -466,7 +452,6 @@ mod tests {
             jobs: 1,
             trace_path: Some("trace.jsonl".to_string()),
             metrics_dir: Some("metrics".to_string()),
-            capture_exposition: false,
             profile: false,
         };
         let mut outputs = Vec::new();
@@ -488,6 +473,5 @@ mod tests {
         let (_, jsonl) = &out.files[0];
         assert!(!jsonl.is_empty(), "trace JSONL payload must be buffered");
         assert!(out.profile.is_some());
-        assert!(out.publish.is_none());
     }
 }

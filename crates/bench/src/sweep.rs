@@ -33,7 +33,7 @@
 //! workload of `benchmark/` reads them).
 
 use crate::runner::{run_ordered, Job};
-use odlb_cluster::{Simulation, SimulationConfig};
+use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_core::{
     ClusterController, CoarseGrainedController, ControllerConfig, CpuOnlyController,
     SelectiveRetuningController, VmMigrationController,
@@ -55,8 +55,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The measurement interval every cell runs on (the driver default).
-const INTERVAL: SimDuration = SimDuration::from_secs(10);
 /// The load-update tick every cell (and schedule) runs on.
 const TICK: SimDuration = SimDuration::from_secs(2);
 
@@ -253,9 +251,6 @@ impl CellConfig {
     }
 
     /// FNV-1a of the canonical config — the cell's content address.
-    /// (Named distinctly from `Hash::hash` so lint call-graph method
-    /// resolution, which unions all methods sharing a name, does not
-    /// conflate it with hasher plumbing elsewhere in the workspace.)
     pub fn content_hash(&self) -> u64 {
         fnv1a64(self.canonical().as_bytes())
     }
@@ -527,7 +522,7 @@ fn cell_workload(workload: CellWorkload) -> WorkloadSpec {
 fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
     ScheduleConfig {
         seed: cell.seed,
-        horizon: SimDuration::from_micros(INTERVAL.as_micros() * cell.intervals as u64),
+        horizon: SimDuration::from_micros(MEASUREMENT_INTERVAL.as_micros() * cell.intervals as u64),
         load: LoadFunction::Constant(cell.clients),
         client: ClientConfig::default(),
         tick: TICK,
@@ -538,7 +533,6 @@ fn cell_controller(cell: &CellConfig) -> Box<dyn ClusterController> {
     match cell.controller {
         CellController::Selective => Box::new(SelectiveRetuningController::new(ControllerConfig {
             mrc_mode: cell.mrc.mode(),
-            ..Default::default()
         })),
         CellController::CpuOnly => Box::new(CpuOnlyController::new(0.85)),
         CellController::Coarse => Box::new(CoarseGrainedController::new()),

@@ -39,17 +39,17 @@ use odlb_workload::{ClientPool, GeneratedSchedule, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Driver-level timing parameters.
+/// The measurement interval: SLA checks, signature refresh and diagnosis
+/// happen once per interval (§3), and every figure counts time in them.
+pub const MEASUREMENT_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Driver-level parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SimulationConfig {
     /// Root seed; every stochastic stream derives from it.
     pub seed: u64,
-    /// Measurement interval (SLA checks, signature refresh, diagnosis).
-    pub measurement_interval: SimDuration,
     /// How often client-pool sizes track the load function.
     pub load_update_interval: SimDuration,
-    /// Data copy + warm-up delay before a provisioned replica serves.
-    pub provisioning_delay: SimDuration,
     /// Instances per rack for the hierarchical interval close
     /// ([`crate::aggregate`]). `0` (the default) folds everything into
     /// one cluster-wide rack, which reproduces the historical flat
@@ -62,9 +62,7 @@ impl Default for SimulationConfig {
     fn default() -> Self {
         SimulationConfig {
             seed: 42,
-            measurement_interval: SimDuration::from_secs(10),
             load_update_interval: SimDuration::from_secs(2),
-            provisioning_delay: SimDuration::from_secs(20),
             rack_size: 0,
         }
     }

@@ -12,6 +12,11 @@ use odlb_sim::{SimDuration, SimRng};
 use odlb_storage::{DiskModel, DomainId, SharedIoPath};
 use odlb_workload::{ClientConfig, ClientPool, LoadFunction, WorkloadSpec};
 
+/// Data copy + warm-up delay before a provisioned replica serves: two
+/// measurement intervals (§5.2 Fig. 3; the paper reports the effect, not
+/// a number).
+const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(20);
+
 impl Simulation {
     /// Adds a physical server with `cores` CPU cores and a default disk.
     pub fn add_server(&mut self, cores: usize) -> ServerId {
@@ -153,7 +158,7 @@ impl Simulation {
             .unwrap_or_default();
         let id = self.push_instance(candidate, DomainId(1), engine_config, false);
         self.queue.schedule(
-            self.now + self.config.provisioning_delay,
+            self.now + PROVISIONING_DELAY,
             Event::ReplicaReady {
                 app: app_idx as u32,
                 instance: id.0,

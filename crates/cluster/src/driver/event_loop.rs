@@ -3,7 +3,7 @@
 //! `dispatch_spec` (routing) and `execute_on` (engine execution and
 //! completion scheduling).
 
-use super::{Event, IntervalOutcome, Simulation, NO_CLIENT};
+use super::{Event, IntervalOutcome, Simulation, MEASUREMENT_INTERVAL, NO_CLIENT};
 use crate::topology::InstanceId;
 use odlb_engine::QuerySpec;
 use odlb_sim::{SimDuration, SimTime};
@@ -40,8 +40,8 @@ impl Simulation {
         // The driver-level span: event dispatch and interval close nest
         // under it. Its sim units are the interval's simulated length.
         let _interval = enter_span(&self.profiler, "interval");
-        span_units(&self.profiler, self.config.measurement_interval.as_micros());
-        let tick_at = self.last_tick + self.config.measurement_interval;
+        span_units(&self.profiler, MEASUREMENT_INTERVAL.as_micros());
+        let tick_at = self.last_tick + MEASUREMENT_INTERVAL;
         // `pop_until` stops the queue's clock at the boundary, so what the
         // controller schedules between intervals (`ReplicaReady`, retries)
         // still lands ahead of it.

@@ -2,7 +2,7 @@
 //! evaluation, server snapshots, and the `interval_closed` /
 //! `sla_evaluated` trace events.
 
-use super::{IntervalOutcome, ServerSnapshot, Simulation};
+use super::{IntervalOutcome, ServerSnapshot, Simulation, MEASUREMENT_INTERVAL};
 use crate::aggregate;
 use crate::topology::InstanceId;
 use odlb_metrics::ServerId;
@@ -55,7 +55,7 @@ impl Simulation {
                 io_utilisation: s.io.utilisation_since_snapshot(end),
             })
             .collect();
-        let interval_us = self.config.measurement_interval.as_micros();
+        let interval_us = MEASUREMENT_INTERVAL.as_micros();
         let start = SimTime::from_micros(end.as_micros().saturating_sub(interval_us));
         if self.telemetry.is_active() {
             self.export_interval_telemetry(

@@ -25,6 +25,8 @@ pub mod scheduler;
 pub mod topology;
 
 pub use aggregate::{AppAggregate, RackAggregate};
-pub use driver::{IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig};
+pub use driver::{
+    IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, MEASUREMENT_INTERVAL,
+};
 pub use scheduler::Scheduler;
 pub use topology::{InstanceId, ProvisionError};

@@ -1,6 +1,5 @@
 //! Baseline controllers the paper argues against (§1, §6), each a
-//! decision rule for the shared control loop ([`crate::skeleton`]) with
-//! the default cooldown ([`ControllerConfig::cooldown_intervals`]).
+//! decision rule for the shared control loop ([`crate::skeleton`]).
 //!
 //! * [`CpuOnlyController`] — "existing coarse-grained provisioning
 //!   solutions, even commercial ones such as IBM's Tivoli Intelligent
@@ -15,13 +14,8 @@
 //! * [`VmMigrationController`] — live-migrate the whole database VM.
 
 use crate::actions::Action;
-use crate::config::ControllerConfig;
 use crate::skeleton::{Controller, Interval, Strategy, Verdict};
 use odlb_metrics::{AppId, ServerId};
-
-fn baseline<S: Strategy>(strategy: S) -> Controller<S> {
-    Controller::with_strategy(strategy, ControllerConfig::default().cooldown_intervals)
-}
 
 /// Tivoli-style: provision on CPU saturation, otherwise shrug.
 pub type CpuOnlyController = Controller<CpuOnly>;
@@ -35,7 +29,7 @@ pub struct CpuOnly {
 impl CpuOnlyController {
     /// Creates the controller with the given saturation threshold.
     pub fn new(cpu_saturation: f64) -> Self {
-        baseline(CpuOnly { cpu_saturation })
+        Controller::with_strategy(CpuOnly { cpu_saturation })
     }
 }
 
@@ -60,7 +54,7 @@ pub struct CoarseGrained;
 impl CoarseGrainedController {
     /// Creates the controller.
     pub fn new() -> Self {
-        baseline(CoarseGrained)
+        Controller::with_strategy(CoarseGrained)
     }
 }
 
@@ -89,7 +83,7 @@ pub struct VmMigration;
 impl VmMigrationController {
     /// Creates the controller.
     pub fn new() -> Self {
-        baseline(VmMigration)
+        Controller::with_strategy(VmMigration)
     }
 }
 

@@ -5,13 +5,56 @@ use crate::actions::Action;
 use crate::config::ControllerConfig;
 use crate::memory::{
     find_problem_classes, instance_key, pick_replacement_target, plan_memory_action, MemoryPlan,
+    MRC_THRESHOLD,
 };
-use crate::skeleton::{Controller, Interval, Strategy, Verdict};
+use crate::skeleton::{Controller, Interval, Strategy, Verdict, COOLDOWN_INTERVALS};
 use odlb_cluster::{InstanceId, IntervalOutcome, Simulation};
 use odlb_metrics::{AppId, ClassId, MetricKind, StableStateStore};
-use odlb_outlier::{detect, top_k_heavyweight, Severity};
+use odlb_mrc::MrcMode;
+use odlb_outlier::{detect, top_k_heavyweight, OutlierConfig, Severity, Weighting};
 use odlb_telemetry::profile_span;
 use odlb_trace::TraceEvent;
+
+/// Outlier detection as §3.3.1 states it: Tukey's 1.5·IQR (mild) and
+/// 3·IQR (extreme) fences over impacts weighted by normalising each
+/// metric to its least value across classes.
+const DETECTION: OutlierConfig = OutlierConfig {
+    inner_multiplier: 1.5,
+    outer_multiplier: 3.0,
+    weighting: Weighting::NormalizedToLeast,
+};
+
+/// CPU utilisation at or above which a server counts as saturated and
+/// the application gets a replica (§3.3.3, §5.2; the paper gives no
+/// number).
+const CPU_SATURATION: f64 = 0.85;
+
+/// CPU utilisation below which, on every replica, one replica goes back
+/// to the pool (the downslope of Fig. 3; the paper gives no number).
+const CPU_RELEASE: f64 = 0.30;
+
+/// Disk utilisation at or above which a server counts as I/O-saturated
+/// (§3.3.3; the paper gives no number).
+const IO_SATURATION: f64 = 0.90;
+
+/// How many heavyweight classes the no-outlier fallback investigates
+/// (§3.3.2 "top-k"; the paper leaves k open).
+const TOP_K: usize = 3;
+
+/// Consecutive violated intervals after which the controller falls back
+/// to coarse-grained isolation (§3.3.2 "if ineffective"; the paper gives
+/// no count). Longer than the cooldown, so a fine-grained action is
+/// judged before it is abandoned.
+const FALLBACK_AFTER: u32 = 6;
+
+/// Replicas an application always keeps.
+const MIN_REPLICAS: usize = 1;
+
+const _: () = {
+    assert!(DETECTION.inner_multiplier < DETECTION.outer_multiplier);
+    assert!(CPU_RELEASE < CPU_SATURATION);
+    assert!(COOLDOWN_INTERVALS < FALLBACK_AFTER);
+};
 
 /// The paper's controller: stable-state tracking, outlier-driven
 /// diagnosis, MRC-validated memory actions, CPU provisioning, I/O-rate
@@ -20,28 +63,22 @@ pub type SelectiveRetuningController = Controller<SelectiveRetuning>;
 
 /// The decision rule of [`SelectiveRetuningController`].
 pub struct SelectiveRetuning {
-    config: ControllerConfig,
+    mrc_mode: MrcMode,
     stable: StableStateStore,
 }
 
 impl SelectiveRetuningController {
     /// Creates a controller with the given configuration.
     pub fn new(config: ControllerConfig) -> Self {
-        let strategy = SelectiveRetuning {
-            config,
+        Controller::with_strategy(SelectiveRetuning {
+            mrc_mode: config.mrc_mode,
             stable: StableStateStore::new(),
-        };
-        Controller::with_strategy(strategy, config.cooldown_intervals)
+        })
     }
 
     /// Read access to the stable-state store (for harness reporting).
     pub fn stable_store(&self) -> &StableStateStore {
         &self.strategy.stable
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.strategy.config
     }
 }
 
@@ -75,10 +112,9 @@ impl SelectiveRetuning {
                 let has_mrc = self.stable.get(key, class).is_some_and(|s| s.mrc.is_some());
                 if sla_met(outcome, class.app) && !has_mrc {
                     let cap = sim.pool_pages(instance);
-                    if let Some(curve) =
-                        sim.recompute_mrc_with(instance, class, cap, self.config.mrc_mode)
+                    if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, self.mrc_mode)
                     {
-                        let params = curve.params(cap, self.config.mrc_threshold);
+                        let params = curve.params(cap, MRC_THRESHOLD);
                         self.stable.record_mrc(key, class, params, outcome.end);
                     }
                 }
@@ -135,7 +171,7 @@ impl SelectiveRetuning {
     /// The per-application diagnosis on an SLA violation (§3.2–3.3).
     fn diagnose_and_act(&mut self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
         // (a) CPU saturation → reactive replica provisioning (§5.2).
-        if cx.cpu_saturated(app, self.config.cpu_saturation) {
+        if cx.cpu_saturated(app, CPU_SATURATION) {
             return match cx.provision(app) {
                 Some(_) => Verdict::Acted,
                 None => Verdict::Idle,
@@ -156,7 +192,7 @@ impl SelectiveRetuning {
             }
             let key = instance_key(inst);
             let detection = profile_span(profiler, "outlier_detection", || {
-                detect(&self.config.outlier, &report.per_class, |c| {
+                detect(&DETECTION, &report.per_class, |c| {
                     self.stable.get(key, c).map(|s| s.metrics)
                 })
             });
@@ -219,11 +255,7 @@ impl SelectiveRetuning {
                     verdict = Verdict::Acted;
                     continue;
                 }
-                suspects = top_k_heavyweight(
-                    &report.per_class,
-                    MetricKind::PageAccesses,
-                    self.config.top_k,
-                );
+                suspects = top_k_heavyweight(&report.per_class, MetricKind::PageAccesses, TOP_K);
             }
             let (problems, examined) = profile_span(profiler, "mrc_update", || {
                 find_problem_classes(
@@ -231,7 +263,7 @@ impl SelectiveRetuning {
                     inst,
                     &suspects,
                     &mut self.stable,
-                    &self.config,
+                    self.mrc_mode,
                     outcome.end,
                     profiler,
                 )
@@ -245,7 +277,7 @@ impl SelectiveRetuning {
                 });
             }
             match profile_span(profiler, "action_selection", || {
-                plan_memory_action(cx.sim, inst, report, &problems, &self.config, profiler)
+                plan_memory_action(cx.sim, inst, report, &problems, self.mrc_mode, profiler)
             }) {
                 MemoryPlan::Quotas(quotas) => {
                     for (class, pages) in quotas {
@@ -278,7 +310,7 @@ impl SelectiveRetuning {
         // must not trigger re-placements.
         let io_saturated = cx.sim.replicas_of(app).into_iter().find(|&inst| {
             cx.server_of(inst)
-                .is_some_and(|s| s.io_utilisation >= self.config.io_saturation)
+                .is_some_and(|s| s.io_utilisation >= IO_SATURATION)
         });
         let Some(inst) = io_saturated.filter(|&inst| self.has_baseline(outcome, inst)) else {
             return verdict;
@@ -307,14 +339,14 @@ impl SelectiveRetuning {
     /// SLA and its servers are mostly idle.
     fn maybe_release(&self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
         let replicas = cx.sim.replicas_of(app);
-        if replicas.len() <= self.config.min_replicas {
+        if replicas.len() <= MIN_REPLICAS {
             return Verdict::Idle;
         }
         let utils: Vec<f64> = replicas
             .iter()
             .map(|&inst| cx.server_of(inst).map_or(1.0, |s| s.cpu_utilisation))
             .collect();
-        let all_idle = utils.iter().all(|&u| u < self.config.cpu_release);
+        let all_idle = utils.iter().all(|&u| u < CPU_RELEASE);
         // Hysteresis: releasing must not re-saturate the survivors. The
         // victim's load spreads over the remaining replicas; require the
         // projected utilisation to stay well under the saturation trigger.
@@ -323,10 +355,7 @@ impl SelectiveRetuning {
         // replica that carries a pinned class — that would silently
         // undo a fine-grained placement decision.
         let victim = *replicas.last().expect("non-empty");
-        if !all_idle
-            || projected >= self.config.cpu_saturation * 0.75
-            || cx.sim.is_pinned_target(app, victim)
-        {
+        if !all_idle || projected >= CPU_SATURATION * 0.75 || cx.sim.is_pinned_target(app, victim) {
             return Verdict::Idle;
         }
         cx.sim.retire_replica(app, victim);
@@ -349,7 +378,7 @@ impl Strategy for SelectiveRetuning {
     }
 
     fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, streak: u32) -> Verdict {
-        if streak >= self.config.fallback_after {
+        if streak >= FALLBACK_AFTER {
             // Coarse-grained last resort (§3.3.2 "we fall back on the
             // coarse grained allocation solutions").
             return Verdict::Isolate;

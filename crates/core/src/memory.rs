@@ -7,12 +7,32 @@
 //! action: per-class buffer-pool quotas when everything fits at its
 //! acceptable memory, otherwise re-placement of the biggest problem class.
 
-use crate::config::ControllerConfig;
 use odlb_cluster::{InstanceId, Simulation};
 use odlb_metrics::{ClassId, IntervalReport, ServerId, StableStateStore};
-use odlb_mrc::{fit_quotas, MrcParams, QuotaRequest};
+use odlb_mrc::{fit_quotas, MrcMode, MrcParams, QuotaRequest};
 use odlb_sim::SimTime;
 use odlb_telemetry::{profile_span, SharedSpanProfiler};
+
+/// MRC acceptability threshold (§2): acceptable memory is the smallest
+/// size whose miss ratio is within this of ideal. The paper's 5%.
+pub(crate) const MRC_THRESHOLD: f64 = 0.05;
+
+/// Relative change of a class's MRC parameters against its stable record
+/// that marks it a *problem class* (§3.3.2 "changed significantly"; the
+/// paper gives no number).
+const MRC_CHANGE_REL: f64 = 0.25;
+
+/// Absolute deterioration of the ideal miss ratio that also marks a
+/// problem class (§3.3.2; the paper gives no number).
+const MRC_RATIO_SLACK: f64 = 0.10;
+
+/// Floor on any enforced quota, in pages. A class whose MRC is flat still
+/// needs room for its in-flight read-ahead extents and hot lookups;
+/// granting its literal acceptable memory (possibly one page) would
+/// thrash the prefetch pipeline. The paper has no floor: its Fig. 4 quota
+/// is the index-less BestSeller's acceptable memory, 3,695 pages, where
+/// our flatter curve lands here.
+pub const MIN_QUOTA_PAGES: usize = 512;
 
 /// Stable-store key for an instance (the paper's per-server context; one
 /// engine per server in its testbed, so the instance is the natural key).
@@ -61,7 +81,7 @@ pub fn find_problem_classes(
     instance: InstanceId,
     suspects: &[ClassId],
     stable: &mut StableStateStore,
-    config: &ControllerConfig,
+    mrc_mode: MrcMode,
     now: SimTime,
     profiler: &Option<SharedSpanProfiler>,
 ) -> (Vec<ProblemClass>, Vec<(ClassId, MrcParams, bool)>) {
@@ -74,19 +94,16 @@ pub fn find_problem_classes(
         // suspect recomputation, so flamegraphs attribute it separately
         // from the bookkeeping around it.
         let Some(params) = profile_span(profiler, "recompute", || {
-            sim.recompute_mrc_with(instance, class, cap, config.mrc_mode)
-                .map(|curve| curve.params(cap, config.mrc_threshold))
+            sim.recompute_mrc_with(instance, class, cap, mrc_mode)
+                .map(|curve| curve.params(cap, MRC_THRESHOLD))
         }) else {
             continue;
         };
         let prior = stable.get(key, class).and_then(|s| s.mrc);
         let (is_problem, changed) = match prior {
             Some(old) => {
-                let changed = params.significantly_different_from(
-                    &old,
-                    config.mrc_change_rel,
-                    config.mrc_ratio_slack,
-                );
+                let changed =
+                    params.significantly_different_from(&old, MRC_CHANGE_REL, MRC_RATIO_SLACK);
                 (changed, changed)
             }
             // New class with no prior curve: problem by definition
@@ -113,7 +130,7 @@ pub fn plan_memory_action(
     instance: InstanceId,
     report: &IntervalReport,
     problems: &[ProblemClass],
-    config: &ControllerConfig,
+    mrc_mode: MrcMode,
     profiler: &Option<SharedSpanProfiler>,
 ) -> MemoryPlan {
     if problems.is_empty() {
@@ -126,7 +143,7 @@ pub fn plan_memory_action(
     let mut curves = Vec::new();
     profile_span(profiler, "recompute", || {
         for &class in report.per_class.keys() {
-            if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, config.mrc_mode) {
+            if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, mrc_mode) {
                 curves.push((class, curve));
             }
         }
@@ -137,7 +154,7 @@ pub fn plan_memory_action(
     let requests: Vec<QuotaRequest<'_>> = curves
         .iter()
         .map(|(class, curve)| {
-            let params = curve.params(cap, config.mrc_threshold);
+            let params = curve.params(cap, MRC_THRESHOLD);
             QuotaRequest {
                 id: class.as_u64(),
                 curve,
@@ -156,7 +173,7 @@ pub fn plan_memory_action(
                     assignments
                         .iter()
                         .find(|a| a.id == p.class.as_u64())
-                        .map(|a| (p.class, a.pages.max(config.min_quota_pages).min(budget)))
+                        .map(|a| (p.class, a.pages.max(MIN_QUOTA_PAGES).min(budget)))
                 })
                 .filter(|(_, pages)| *pages > 0)
                 .collect::<Vec<_>>();
@@ -234,13 +251,12 @@ mod tests {
         let (sim, app, inst, _) = sim_with_traffic();
         let mut stable = StableStateStore::new();
         let suspects = vec![ClassId::new(app, 0), ClassId::new(app, 1)];
-        let config = ControllerConfig::default();
         let (problems, examined) = find_problem_classes(
             &sim,
             inst,
             &suspects,
             &mut stable,
-            &config,
+            MrcMode::Exact,
             sim.now(),
             &None,
         );
@@ -254,7 +270,7 @@ mod tests {
             inst,
             &suspects,
             &mut stable,
-            &config,
+            MrcMode::Exact,
             sim.now(),
             &None,
         );
@@ -271,7 +287,7 @@ mod tests {
             inst,
             &[ghost],
             &mut stable,
-            &ControllerConfig::default(),
+            MrcMode::Exact,
             sim.now(),
             &None,
         );
@@ -294,14 +310,7 @@ mod tests {
             },
             changed: true,
         }];
-        let plan = plan_memory_action(
-            &sim,
-            inst,
-            &report,
-            &problems,
-            &ControllerConfig::default(),
-            &None,
-        );
+        let plan = plan_memory_action(&sim, inst, &report, &problems, MrcMode::Exact, &None);
         match plan {
             MemoryPlan::Quotas(quotas) => {
                 assert_eq!(quotas.len(), 1);
@@ -315,14 +324,7 @@ mod tests {
     #[test]
     fn empty_problem_set_plans_nothing() {
         let (sim, _, inst, report) = sim_with_traffic();
-        let plan = plan_memory_action(
-            &sim,
-            inst,
-            &report,
-            &[],
-            &ControllerConfig::default(),
-            &None,
-        );
+        let plan = plan_memory_action(&sim, inst, &report, &[], MrcMode::Exact, &None);
         assert_eq!(plan, MemoryPlan::Nothing);
     }
 

@@ -111,13 +111,15 @@ pub trait Strategy {
     }
 }
 
+/// Intervals an application rests after a [`Verdict::Acted`] or a
+/// successful [`Verdict::Isolate`], so provisioning (two intervals) and
+/// pool warm-up take effect before it is judged again (§3; the paper
+/// states no rest period).
+pub(crate) const COOLDOWN_INTERVALS: u32 = 3;
+
 /// The shared control loop around a [`Strategy`].
 pub struct Controller<S> {
     pub(crate) strategy: S,
-    /// Intervals an application rests after a [`Verdict::Acted`] /
-    /// successful [`Verdict::Isolate`] (lets provisioning and warm-up
-    /// take effect).
-    cooldown_intervals: u32,
     cooldown: BTreeMap<AppId, u32>,
     /// Consecutive violated intervals per application.
     streak: BTreeMap<AppId, u32>,
@@ -130,11 +132,10 @@ pub struct Controller<S> {
 }
 
 impl<S: Strategy> Controller<S> {
-    /// Wraps `strategy` in the loop with the given cooldown length.
-    pub fn with_strategy(strategy: S, cooldown_intervals: u32) -> Self {
+    /// Wraps `strategy` in the loop.
+    pub fn with_strategy(strategy: S) -> Self {
         Controller {
             strategy,
-            cooldown_intervals,
             cooldown: BTreeMap::new(),
             streak: BTreeMap::new(),
             pending_placements: Vec::new(),
@@ -222,7 +223,7 @@ impl<S: Strategy> ClusterController for Controller<S> {
                 };
             }
             if verdict == Verdict::Acted {
-                self.cooldown.insert(app, self.cooldown_intervals);
+                self.cooldown.insert(app, COOLDOWN_INTERVALS);
             }
         }
         let end_us = outcome.end.as_micros();

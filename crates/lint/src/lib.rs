@@ -49,19 +49,12 @@ pub struct Exemption {
 /// identity or pointer addresses. `tests/workspace_clean.rs` removes
 /// each kind of each row and expects a finding, so the table cannot
 /// outgrow what the code needs.
-pub const EXEMPTIONS: [Exemption; 7] = [
+pub const EXEMPTIONS: [Exemption; 5] = [
     Exemption {
         file: "crates/telemetry/src/profiler.rs",
         kinds: &[Kind::Clock, Kind::Folded],
         reason: "the overhead profiler's job is measuring wall time and rendering the \
                  dumps; wall figures go to stderr only and are never diffed",
-    },
-    Exemption {
-        file: "crates/telemetry/src/serve.rs",
-        kinds: &[Kind::Clock, Kind::ThreadSpawn],
-        reason: "socket timeouts and scrape deadlines are wall-clock by nature; the \
-                 listener thread only reads a published copy of the exposition and \
-                 nothing flows back into simulation state (tests/live_scrape.rs)",
     },
     Exemption {
         file: "crates/bench/src/runner.rs",
@@ -86,13 +79,8 @@ pub const EXEMPTIONS: [Exemption; 7] = [
     Exemption {
         file: "crates/bench/src/bin/experiments.rs",
         kinds: &[Kind::Clock, Kind::Folded],
-        reason: "reports elapsed wall time to stderr and bounds the --serve-hold wait; \
-                 it is also the one writer of dumps, after `validate_folded`",
-    },
-    Exemption {
-        file: "crates/bench/src/bin/promcheck.rs",
-        kinds: &[Kind::Clock],
-        reason: "a read timeout on the socket it scrapes; the validator writes no artifact",
+        reason: "reports elapsed wall time to stderr; it is also the one writer of \
+                 dumps, after `validate_folded`",
     },
 ];
 

@@ -23,10 +23,6 @@ pub struct OutlierConfig {
     pub inner_multiplier: f64,
     /// Outer-fence multiplier (extreme outliers).
     pub outer_multiplier: f64,
-    /// Cap on current/stable deviation ratios; also the ratio assigned to
-    /// behaviour with no stable baseline (see
-    /// [`MetricVector::ratio_to`]).
-    pub ratio_cap: f64,
     /// Weighting scheme.
     pub weighting: Weighting,
 }
@@ -36,11 +32,15 @@ impl Default for OutlierConfig {
         OutlierConfig {
             inner_multiplier: 1.5,
             outer_multiplier: 3.0,
-            ratio_cap: 100.0,
             weighting: Weighting::NormalizedToLeast,
         }
     }
 }
+
+/// Cap on current/stable deviation ratios; also the ratio assigned to
+/// behaviour with no stable baseline (see [`MetricVector::ratio_to`]).
+/// §3.3.1 divides by the stable value and says nothing of a zero one.
+const RATIO_CAP: f64 = 100.0;
 
 /// Outlier severity: which fence the impact escaped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -197,7 +197,7 @@ pub fn detect(
         let impacts: Vec<(ClassId, f64, f64)> = baselined
             .iter()
             .map(|(class, cur, st)| {
-                let ratio = cur.ratio_to(st, config.ratio_cap)[metric];
+                let ratio = cur.ratio_to(st, RATIO_CAP)[metric];
                 (*class, ratio * weight(cur[metric]), ratio)
             })
             .collect();

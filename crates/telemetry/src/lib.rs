@@ -25,7 +25,6 @@ mod export;
 mod histogram;
 mod profiler;
 mod registry;
-mod serve;
 
 pub use export::{
     render_csv, render_prometheus, validate_csv, validate_folded, validate_prometheus,
@@ -37,7 +36,6 @@ pub use profiler::{
     SpanStats,
 };
 pub use registry::{Counter, FamilyKind, Gauge, Histogram, MetricsRegistry, SampleRow, Snapshot};
-pub use serve::MetricsServer;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -51,11 +49,6 @@ use std::rc::Rc;
 #[derive(Clone, Default)]
 pub struct Telemetry {
     registry: Option<Rc<RefCell<MetricsRegistry>>>,
-    /// Live scrape endpoint: when set, every interval snapshot also
-    /// publishes a freshly rendered exposition to the server's read-only
-    /// copy. Strictly observation-side — the server never reads the
-    /// registry and nothing flows back.
-    server: Option<Rc<MetricsServer>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -76,18 +69,7 @@ impl Telemetry {
     pub fn attached() -> Self {
         Telemetry {
             registry: Some(Rc::new(RefCell::new(MetricsRegistry::new()))),
-            server: None,
         }
-    }
-
-    /// Attaches a live scrape endpoint: every interval snapshot publishes
-    /// the current exposition to `server`, and the current state (possibly
-    /// empty) is published immediately so a scrape before the first
-    /// interval still gets a valid (if empty) exposition.
-    pub fn with_server(mut self, server: Rc<MetricsServer>) -> Self {
-        server.publish(self.render_prometheus().unwrap_or_default());
-        self.server = Some(server);
-        self
     }
 
     /// Whether a registry is attached. Emission sites check this before
@@ -120,14 +102,10 @@ impl Telemetry {
     /// Records an interval snapshot at `at_us` simulation microseconds,
     /// stamped with the interval sequence number `seq` (the same value
     /// the driver puts in its `interval_closed` trace event, so CSV rows
-    /// join to decision traces). Publishes the refreshed exposition to
-    /// the live endpoint, if one is attached. No-op when inactive.
+    /// join to decision traces). No-op when inactive.
     pub fn snapshot(&self, at_us: u64, seq: u64) {
         if let Some(r) = &self.registry {
             r.borrow_mut().snapshot(at_us, seq);
-            if let Some(server) = &self.server {
-                server.publish(render_prometheus(&r.borrow()));
-            }
         }
     }
 
@@ -191,24 +169,5 @@ mod tests {
         validate_prometheus(&prom).expect("valid exposition");
         let csv = t.render_csv().unwrap();
         validate_csv(&csv).expect("valid csv");
-    }
-
-    #[test]
-    fn snapshots_publish_to_an_attached_server() {
-        let server = Rc::new(MetricsServer::bind(0).expect("bind"));
-        let t = Telemetry::attached().with_server(server.clone());
-        let c = t.counter("odlb_events_total", "Events.", &[]).unwrap();
-        c.add(7);
-        t.snapshot(10_000_000, 0);
-        // The published copy is exactly the rendered exposition.
-        use std::io::{Read as _, Write as _};
-        let mut stream =
-            std::net::TcpStream::connect(("127.0.0.1", server.port())).expect("connect");
-        write!(stream, "GET /metrics HTTP/1.1\r\n\r\n").expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        let body = response.split_once("\r\n\r\n").expect("body").1;
-        assert_eq!(body, t.render_prometheus().unwrap());
-        assert!(body.contains("odlb_events_total 7"));
     }
 }

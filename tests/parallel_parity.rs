@@ -26,7 +26,6 @@ fn run_with_jobs(jobs: usize) -> Vec<FigureOutput> {
         // are compared in memory, then round-tripped through disk below.
         trace_path: Some("parity-trace.jsonl".to_string()),
         metrics_dir: Some("parity-metrics".to_string()),
-        capture_exposition: false,
         profile: true,
     };
     let mut outputs = Vec::new();

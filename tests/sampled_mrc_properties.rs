@@ -16,6 +16,9 @@
 
 use std::cell::Cell;
 
+// Quotas are meaningful at the granularity of the controller's quota
+// floor, so decision parity is defined over quota *units*, not raw pages.
+use odlb::core::memory::MIN_QUOTA_PAGES;
 use odlb::mrc::{
     compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
 };
@@ -151,11 +154,6 @@ fn fig5_trace() -> Vec<odlb::storage::PageId> {
     }
     pages
 }
-
-/// The controller's quota floor (`ControllerConfig::min_quota_pages`):
-/// quotas are meaningful at this granularity, so decision parity is
-/// defined over quota *units*, not raw pages.
-const MIN_QUOTA_PAGES: usize = 512;
 
 /// Replays the fig. 5 diagnosis under `mode` and emits the resulting
 /// controller actions through a digesting tracer: the problem-class
