@@ -96,11 +96,12 @@ fn main() {
         return;
     }
     let jobs = jobs.unwrap_or_else(runner::default_jobs);
+    let observed = trace_path.is_some() || metrics_dir.is_some() || profile_folded.is_some();
     if positional.first().map(String::as_str) == Some("sweep") {
         let Some(matrix_path) = positional.get(1) else {
             fail(2, "usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--no-memo] [--max-cells <K>]");
         };
-        if trace_path.is_some() || metrics_dir.is_some() || profile_folded.is_some() {
+        if observed {
             fail(
                 2,
                 "--trace/--metrics/--profile-folded only apply to figure runs",
@@ -129,6 +130,13 @@ fn main() {
             format!("unknown experiment '{arg}'; valid: {} all", names.join(" ")),
         );
     };
+    let traced = |name: &&str| suite::figure_info(name).is_some_and(|info| info.traced);
+    if observed && !selection.iter().any(traced) {
+        fail(
+            2,
+            "--trace/--metrics/--profile-folded need a traced figure (see --list)",
+        );
+    }
     // The metrics directory is created up front (and only it): a bad
     // `--trace` path must keep failing with a `file: error` exit, not be
     // silently papered over by creating its parent directories.

@@ -33,35 +33,24 @@ fn main() {
                 continue;
             }
         };
-        if file.ends_with(".csv") {
-            match validate_csv(&content) {
-                Ok(rows) => println!("{file}: ok ({rows} rows)"),
-                Err(e) => {
-                    eprintln!("{file}: INVALID: {e}");
-                    failed = true;
-                }
-            }
+        let checked = if file.ends_with(".csv") {
+            validate_csv(&content).map(|rows| format!("{rows} rows"))
         } else if file.ends_with(".folded") {
-            match validate_folded(&content) {
-                Ok(stats) => println!(
-                    "{file}: ok ({} stacks, max depth {})",
-                    stats.lines, stats.max_depth
-                ),
-                Err(e) => {
-                    eprintln!("{file}: INVALID: {e}");
-                    failed = true;
-                }
-            }
+            validate_folded(&content)
+                .map(|s| format!("{} stacks, max depth {}", s.lines, s.max_depth))
         } else {
-            match validate_prometheus(&content) {
-                Ok(stats) => println!(
-                    "{file}: ok ({} families, {} samples, {} histograms)",
-                    stats.families, stats.samples, stats.histograms
-                ),
-                Err(e) => {
-                    eprintln!("{file}: INVALID: {e}");
-                    failed = true;
-                }
+            validate_prometheus(&content).map(|s| {
+                format!(
+                    "{} families, {} samples, {} histograms",
+                    s.families, s.samples, s.histograms
+                )
+            })
+        };
+        match checked {
+            Ok(shape) => println!("{file}: ok ({shape})"),
+            Err(e) => {
+                eprintln!("{file}: INVALID: {e}");
+                failed = true;
             }
         }
     }

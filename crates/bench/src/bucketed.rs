@@ -3,11 +3,11 @@
 //! Distances are recorded at the *upper edge* of a geometric bucket,
 //! which makes the resulting curve a conservative (pessimistic)
 //! approximation — it never under-states memory need. Not an
-//! [`crate::MrcMode`]: the tracker exists as the subject of ablation A5,
-//! which quantifies its deviation from [`crate::MattsonTracker`].
+//! [`odlb_mrc::MrcMode`]: the tracker exists as the subject of ablation
+//! A5 ([`crate::experiments::ablations`], its only caller), which
+//! quantifies its deviation from [`MattsonTracker`].
 
-use crate::curve::MissRatioCurve;
-use crate::mattson::MattsonTracker;
+use odlb_mrc::{MattsonTracker, MissRatioCurve};
 use std::hash::Hash;
 
 /// Wraps the exact distance computation but coarsens histogram recording

@@ -9,6 +9,7 @@
 //!   would grant BestSeller moves with the threshold.
 //! * **A5** — exact Mattson vs bucketed approximation: curve deviation.
 
+use crate::bucketed::BucketedTracker;
 use odlb_cluster::{Simulation, SimulationConfig};
 use odlb_core::{
     ClusterController, CoarseGrainedController, ControllerConfig, CpuOnlyController,
@@ -16,7 +17,7 @@ use odlb_core::{
 };
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, ClassId, MetricVector, Sla};
-use odlb_mrc::{BucketedTracker, MattsonTracker};
+use odlb_mrc::MattsonTracker;
 use odlb_outlier::{detect, OutlierConfig, Weighting};
 use odlb_sim::{SimRng, SimTime};
 use odlb_storage::DomainId;

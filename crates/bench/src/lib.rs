@@ -25,6 +25,7 @@
 //! a resumable parameter-matrix jobserver (`experiments sweep`) with
 //! content-addressed cell caching and shared-trace memoization.
 
+mod bucketed;
 pub mod experiments;
 pub mod runner;
 pub mod suite;

@@ -10,8 +10,7 @@
 //! to a sequential one. Parallelism lives entirely *between*
 //! simulations, never inside one (see DESIGN.md, invariants catalogue).
 //!
-//! This module is the workspace's second home for threads (after the
-//! scrape listener in `crates/telemetry/src/serve.rs`): its row in
+//! This module is the workspace's only home for threads: its row in
 //! `odlb_lint::EXEMPTIONS` allows threads and `available_parallelism`
 //! (D04) here because worker threads never touch a running simulation —
 //! a job owns its entire simulation from construction to result, and

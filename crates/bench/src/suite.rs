@@ -15,7 +15,7 @@
 use crate::experiments::*;
 use crate::runner::{run_ordered, Job};
 use odlb_telemetry::{SpanProfiler, Telemetry};
-use odlb_trace::{DigestSink, JsonlSink, Tracer};
+use odlb_trace::{DigestSink, JsonlSink};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -279,52 +279,37 @@ fn banner(title: &str) -> String {
     format!("{bar}\n{title}\n{bar}\n")
 }
 
-/// A figure with no tracer or telemetry: banner plus rendered body.
-fn plain(info: &'static FigureInfo) -> Job<FigureOutput> {
-    Box::new(move || {
-        let start = Instant::now();
-        let body = (info.job)(&Observers::default());
-        FigureOutput {
-            name: info.name,
-            stdout: format!("{}{body}\n", banner(info.title)),
-            files: Vec::new(),
-            profile: None,
-            wall: start.elapsed(),
-        }
-    })
-}
-
-/// A controller-driven figure: runs with a digest (always), a buffered
-/// JSONL sink (with `--trace`), and attached telemetry plus a profiler
-/// (with `--metrics`), reproducing the sequential runner's
-/// stdout block byte for byte.
-fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
+/// Builds the job for one registry name (callers resolve names through
+/// [`resolve`] first; an unknown name here is a programming error). A
+/// traced figure runs with a digest (always), a buffered JSONL sink
+/// (with `--trace`), and attached telemetry plus a profiler (with
+/// `--metrics`); an untraced one is the same path with default
+/// [`Observers`], no digest line and no artifacts.
+fn figure_job(name: &str, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
+    let info = figure_info(name).unwrap_or_else(|| panic!("figure '{name}' missing from REGISTRY"));
     let name = info.name;
-    let trace_path = cfg.trace_path.as_ref().map(|p| {
-        if multiple {
-            format!("{p}.{name}")
-        } else {
-            p.clone()
-        }
-    });
-    let metrics_dir = cfg.metrics_dir.clone();
-    let profile = cfg.profile;
+    let cfg = if info.traced {
+        cfg.clone()
+    } else {
+        SuiteConfig::default()
+    };
+    let trace_path = cfg
+        .trace_path
+        .map(|p| if multiple { format!("{p}.{name}") } else { p });
     Box::new(move || {
-        let tracer = Tracer::new();
+        let mut observers = Observers::default();
         let jsonl = trace_path
             .as_ref()
-            .map(|_| tracer.attach(JsonlSink::new(Vec::new())));
-        let digest = tracer.attach(DigestSink::new());
-        let telemetry = if metrics_dir.is_some() {
-            Telemetry::attached()
-        } else {
-            Telemetry::inactive()
-        };
-        let observers = Observers {
-            profiler: (telemetry.is_active() || profile).then(SpanProfiler::shared),
-            tracer,
-            telemetry,
-        };
+            .map(|_| observers.tracer.attach(JsonlSink::new(Vec::new())));
+        let digest = info
+            .traced
+            .then(|| observers.tracer.attach(DigestSink::new()));
+        if cfg.metrics_dir.is_some() {
+            observers.telemetry = Telemetry::attached();
+        }
+        if cfg.metrics_dir.is_some() || cfg.profile {
+            observers.profiler = Some(SpanProfiler::shared());
+        }
         // Root spans: every path in the folded dumps starts
         // `experiments;<figure>;…`, so multi-figure merges stay
         // attributable per figure.
@@ -338,7 +323,7 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
         drop(_suite);
 
         let mut stdout = format!("{}{body}\n", banner(info.title));
-        {
+        if let Some(digest) = digest {
             let d = digest.borrow();
             stdout.push_str(&format!(
                 "{name} run digest: {:#018x} ({} events)\n\n",
@@ -350,16 +335,11 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
         if let (Some(path), Some(sink)) = (trace_path, jsonl) {
             files.push((PathBuf::from(path), sink.borrow().writer().clone()));
         }
-        let Observers {
-            telemetry,
-            profiler,
-            ..
-        } = observers;
-        if let Some(dir) = metrics_dir {
+        if let Some(dir) = cfg.metrics_dir {
             let prom_path = Path::new(&dir).join(format!("{name}.prom"));
             let csv_path = Path::new(&dir).join(format!("{name}.csv"));
-            let prom = telemetry.render_prometheus().unwrap_or_default();
-            let csv = telemetry.render_csv().unwrap_or_default();
+            let prom = observers.telemetry.render_prometheus().unwrap_or_default();
+            let csv = observers.telemetry.render_csv().unwrap_or_default();
             stdout.push_str(&format!(
                 "metrics: wrote {} and {}\n",
                 prom_path.display(),
@@ -368,26 +348,14 @@ fn traced(info: &'static FigureInfo, cfg: &SuiteConfig, multiple: bool) -> Job<F
             files.push((prom_path, prom.into_bytes()));
             files.push((csv_path, csv.into_bytes()));
         }
-        let profile = profiler.map(|p| p.borrow().clone());
         FigureOutput {
             name,
             stdout,
             files,
-            profile,
+            profile: observers.profiler.map(|p| p.borrow().clone()),
             wall,
         }
     })
-}
-
-/// Builds the job for one registry name. Callers resolve names through
-/// [`resolve`] first; an unknown name here is a programming error.
-fn figure_job(name: &str, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput> {
-    let info = figure_info(name).unwrap_or_else(|| panic!("figure '{name}' missing from REGISTRY"));
-    if info.traced {
-        traced(info, cfg, multiple)
-    } else {
-        plain(info)
-    }
 }
 
 #[cfg(test)]

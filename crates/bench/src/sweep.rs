@@ -39,16 +39,16 @@ use odlb_core::{
     SelectiveRetuningController, VmMigrationController,
 };
 use odlb_engine::EngineConfig;
-use odlb_metrics::{AppId, Sla};
+use odlb_metrics::Sla;
 use odlb_mrc::MrcMode;
 use odlb_sim::SimDuration;
-use odlb_storage::{DomainId, SpaceId};
+use odlb_storage::DomainId;
 use odlb_trace::{fnv1a64, DigestSink, Tracer};
 use odlb_workload::rubis::{rubis_workload, RubisConfig};
+use odlb_workload::synthetic::zipf_heavy_workload;
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
 use odlb_workload::{
-    generate_schedule, AccessPattern, ClientConfig, GeneratedSchedule, LoadFunction,
-    QueryClassSpec, ScheduleConfig, WorkloadSpec,
+    generate_schedule, ClientConfig, GeneratedSchedule, LoadFunction, ScheduleConfig, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -453,60 +453,6 @@ pub fn expand(spec: &MatrixSpec) -> (Vec<CellConfig>, usize) {
     (cells, duplicates)
 }
 
-/// A generation-heavy synthetic mix: each query models a nested-loop
-/// index join whose probes each target their own Zipf popularity
-/// distribution, so every generated page pays a sampler *construction*
-/// (rejection-inversion setup, ~10 transcendentals) on top of the draw,
-/// while execution replays hot hits against a small resident table. This
-/// is the regime where shared-trace memoization pays most
-/// (`bench.sweep_memo_speedup` in `benchmark/`).
-fn zipf_heavy_workload() -> WorkloadSpec {
-    let space = SpaceId(0);
-    let us = SimDuration::from_micros;
-    WorkloadSpec {
-        name: "zipf-heavy".to_string(),
-        app: AppId(0),
-        classes: vec![
-            QueryClassSpec {
-                name: "ZipfJoinRead",
-                sql: "SELECT … FROM f JOIN d1 … JOIN d48 WHERE f.k = ?",
-                weight: 0.97,
-                pattern: AccessPattern::Composite(
-                    (0..128)
-                        .map(|_| AccessPattern::ZipfLookup {
-                            space,
-                            table_pages: 512,
-                            exponent: 1.9,
-                            count: 1,
-                        })
-                        .collect(),
-                ),
-                cpu_base: us(40),
-                cpu_per_page: us(1),
-                is_write: false,
-            },
-            QueryClassSpec {
-                name: "ZipfWrite",
-                sql: "UPDATE kv SET v = ? WHERE k = ?",
-                weight: 0.03,
-                pattern: AccessPattern::Composite(
-                    (0..16)
-                        .map(|_| AccessPattern::ZipfLookup {
-                            space,
-                            table_pages: 512,
-                            exponent: 1.9,
-                            count: 1,
-                        })
-                        .collect(),
-                ),
-                cpu_base: us(60),
-                cpu_per_page: us(1),
-                is_write: true,
-            },
-        ],
-    }
-}
-
 /// Materialises a workload mix.
 fn cell_workload(workload: CellWorkload) -> WorkloadSpec {
     match workload {
@@ -733,7 +679,7 @@ fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
     }
     let rows: usize = fields.get("rows")?.parse().ok()?;
     let csv = std::fs::read_to_string(dir.join("cell.csv")).ok()?;
-    if csv.lines().count() != rows {
+    if !csv.ends_with('\n') || csv.lines().count() != rows {
         return None;
     }
     let digest = fields.get("digest")?.strip_prefix("0x")?;
@@ -1046,9 +992,11 @@ mod tests {
         let mut other = cell.clone();
         other.seed += 1;
         assert!(read_manifest(&dir, &other).is_none());
-        // A truncated row file invalidates the manifest.
-        std::fs::write(dir.join("cell.csv"), "r1\n").unwrap();
-        assert!(read_manifest(&dir, cell).is_none());
+        // So does a row file cut at any byte, inside the last row included.
+        for cut in 0..res.rows.len() {
+            std::fs::write(dir.join("cell.csv"), &res.rows[..cut]).unwrap();
+            assert!(read_manifest(&dir, cell).is_none(), "cell.csv cut at {cut}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,7 +15,7 @@ use crate::pool::{AccessOutcome, BufferPool, ClassAccess, ClassCounters};
 use odlb_metrics::ClassId;
 use odlb_sim::FastMap;
 use odlb_storage::PageId;
-use odlb_telemetry::{SharedSpanProfiler, Telemetry};
+use odlb_telemetry::SharedSpanProfiler;
 
 /// A buffer pool with optional per-class quota partitions.
 #[derive(Clone, Debug)]
@@ -178,43 +178,17 @@ impl PartitionedPool {
         self.general.evictions() + self.quotas.values().map(|p| p.evictions()).sum::<u64>()
     }
 
-    /// Exports pool state into a telemetry registry: per-partition
-    /// capacity and occupancy gauges plus the monotone eviction counter.
-    /// Per-class hit/miss counters intentionally stay out — quota churn
-    /// moves and drops that accounting, so the engine derives monotone
-    /// per-class series from query records instead. No-op when `telemetry`
-    /// is inactive.
-    pub fn export_telemetry(&self, telemetry: &Telemetry, instance: &str) {
-        if !telemetry.is_active() {
-            return;
-        }
-        let export_partition = |partition: &str, pool: &BufferPool| {
-            if let Some(g) = telemetry.gauge(
-                "odlb_pool_pages",
-                "Configured buffer-pool partition capacity (16 KiB pages).",
-                &[("instance", instance), ("partition", partition)],
-            ) {
-                g.set(pool.capacity() as f64);
-            }
-            if let Some(g) = telemetry.gauge(
-                "odlb_pool_resident_pages",
-                "Resident pages in a buffer-pool partition.",
-                &[("instance", instance), ("partition", partition)],
-            ) {
-                g.set(pool.resident() as f64);
-            }
-        };
-        export_partition("general", &self.general);
-        for class in self.quotaed_classes() {
-            export_partition(&class.to_string(), &self.quotas[&class]);
-        }
-        if let Some(c) = telemetry.counter(
-            "odlb_pool_evictions_total",
-            "Pages evicted by capacity pressure across all partitions.",
-            &[("instance", instance)],
-        ) {
-            c.set_total(self.evictions());
-        }
+    /// Every partition as `(class, capacity, resident)` in pages: the
+    /// general partition (`None`) first, then the quota partitions in
+    /// class order. Per-class hit/miss counters stay out — quota churn
+    /// moves and drops that accounting.
+    pub fn partitions(&self) -> Vec<(Option<ClassId>, usize, usize)> {
+        let mut out = vec![(None, self.general.capacity(), self.general.resident())];
+        out.extend(self.quotaed_classes().into_iter().map(|class| {
+            let p = &self.quotas[&class];
+            (Some(class), p.capacity(), p.resident())
+        }));
+        out
     }
 
     /// Verifies the capacity invariant (for tests and debug assertions).
@@ -359,23 +333,6 @@ mod tests {
         // Pages stayed resident: immediate hits.
         assert_eq!(p.access(class(8), pid(1)), AccessOutcome::Hit);
         assert_eq!(p.access(class(1), pid(2)), AccessOutcome::Hit);
-    }
-
-    #[test]
-    fn export_telemetry_reports_partitions_and_evictions() {
-        let mut p = PartitionedPool::new(20);
-        p.set_quota(class(8), 5).unwrap();
-        for i in 0..30 {
-            p.access(class(1), pid(i)); // overflows the 15-page general
-        }
-        let t = Telemetry::attached();
-        p.export_telemetry(&t, "inst0");
-        let prom = t.render_prometheus().unwrap();
-        assert!(prom.contains("odlb_pool_pages{instance=\"inst0\",partition=\"general\"} 15"));
-        assert!(prom.contains("partition=\"app0#8\"} 5"));
-        assert!(prom.contains("odlb_pool_evictions_total{instance=\"inst0\"} 15"));
-        // Inactive handle: no work, no panic.
-        p.export_telemetry(&Telemetry::inactive(), "inst0");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 use crate::topology::InstanceId;
 use odlb_metrics::{AppId, IntervalReport, MetricKind};
-use odlb_telemetry::LogLinearHistogram;
 use std::collections::BTreeMap;
 
 /// Per-application partial sums over one rack — or, after
@@ -33,9 +32,6 @@ pub struct AppAggregate {
     pub weight: f64,
     /// Σ instance throughput (queries/s).
     pub tput: f64,
-    /// Merged interval latency histograms across the app's classes and
-    /// the rack's instances; `None` when nothing was observed.
-    pub tail: Option<LogLinearHistogram>,
 }
 
 impl AppAggregate {
@@ -53,12 +49,6 @@ impl AppAggregate {
         self.lat_weight += other.lat_weight;
         self.weight += other.weight;
         self.tput += other.tput;
-        if let Some(hist) = other.tail {
-            match &mut self.tail {
-                Some(t) => t.merge(&hist),
-                None => self.tail = Some(hist),
-            }
-        }
     }
 }
 
@@ -104,7 +94,7 @@ pub fn aggregate_racks(
 }
 
 /// Folds one instance report into a rack partial in a single pass over
-/// its per-class rows (plus one over its histograms).
+/// its per-class rows.
 fn absorb_report(rack: &mut RackAggregate, report: &IntervalReport) {
     let duration = report.end.since(report.start).as_secs_f64();
     // (lat_weighted, queries, tput) per app, accumulated in the class
@@ -130,13 +120,6 @@ fn absorb_report(rack: &mut RackAggregate, report: &IntervalReport) {
         agg.lat_weight += mean * tput;
         agg.weight += tput;
         agg.tput += tput;
-    }
-    for (class, hist) in &report.latency_histograms {
-        let agg = rack.per_app.entry(class.app).or_default();
-        match &mut agg.tail {
-            Some(t) => t.merge(hist),
-            None => agg.tail = Some(hist.clone()),
-        }
     }
 }
 
@@ -177,23 +160,18 @@ mod tests {
     fn report(start_s: u64, end_s: u64, rows: &[(AppId, u32, f64, f64)]) -> IntervalReport {
         // rows: (app, template, latency_s, throughput_qps)
         let mut per_class = BTreeMap::new();
-        let mut latency_histograms = BTreeMap::new();
         for &(app, template, lat, tput) in rows {
             let class = ClassId::new(app, template);
             let mut v = MetricVector::ZERO;
             v[MetricKind::Latency] = lat;
             v[MetricKind::Throughput] = tput;
             per_class.insert(class, v);
-            let mut h = LogLinearHistogram::default();
-            // One sample per row at the row's latency, in microseconds.
-            h.record((lat * 1e6) as u64);
-            latency_histograms.insert(class, h);
         }
         IntervalReport {
             start: SimTime::from_secs(start_s),
             end: SimTime::from_secs(end_s),
             per_class,
-            latency_histograms,
+            latency_histograms: BTreeMap::new(),
         }
     }
 
@@ -254,8 +232,7 @@ mod tests {
     }
 
     /// Racked aggregation regroups the same sums: equal to the flat
-    /// answer within floating-point regrouping tolerance, and the
-    /// merged tails are identical (integer bucket counts).
+    /// answer within floating-point regrouping tolerance.
     #[test]
     fn racked_matches_flat_within_regrouping_tolerance() {
         let reports = sample_reports();
@@ -270,10 +247,6 @@ mod tests {
                 assert!((r.tput - f.tput).abs() <= 1e-12 * f.tput.abs().max(1.0));
                 let (rm, fm) = (r.mean_latency().unwrap(), f.mean_latency().unwrap());
                 assert!((rm - fm).abs() <= 1e-12 * fm.abs().max(1.0));
-                assert_eq!(
-                    r.tail.as_ref().map(LogLinearHistogram::count),
-                    f.tail.as_ref().map(LogLinearHistogram::count)
-                );
             }
         }
     }
@@ -295,12 +268,10 @@ mod tests {
         let a = AppId(0);
         let mut reports = BTreeMap::new();
         reports.insert(InstanceId(0), report(0, 10, &[(a, 0, 0.5, 0.0)]));
-        let cluster = aggregate_cluster(&reports, 0);
-        let agg = &cluster[&a];
+        let agg = aggregate_cluster(&reports, 0)
+            .remove(&a)
+            .unwrap_or_default();
         assert_eq!(agg.mean_latency(), None);
         assert_eq!(agg.tput, 0.0);
-        // The histogram row still merges through — the flat pass
-        // merged tails unconditionally too.
-        assert!(agg.tail.is_some());
     }
 }

@@ -30,7 +30,7 @@ mod tests;
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;
 use odlb_engine::DbEngine;
-use odlb_metrics::{AppId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
+use odlb_metrics::{AppId, ClassId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
 use odlb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use odlb_storage::{DomainId, PageId, SharedIoPath};
 use odlb_telemetry::{SharedSpanProfiler, Telemetry};
@@ -218,6 +218,8 @@ pub struct Simulation {
     started: bool,
     tracer: Tracer,
     telemetry: Telemetry,
+    /// The exporter's handle cache: one registry lookup per series.
+    class_series: BTreeMap<(InstanceId, ClassId), export::ClassSeries>,
     profiler: Option<SharedSpanProfiler>,
     interval_seq: u64,
     /// Recycled page buffer for sampled query specs: each issued query
@@ -243,6 +245,7 @@ impl Simulation {
             started: false,
             tracer: Tracer::new(),
             telemetry: Telemetry::inactive(),
+            class_series: BTreeMap::new(),
             profiler: None,
             interval_seq: 0,
             spec_pages: Vec::new(),
@@ -264,17 +267,12 @@ impl Simulation {
         self.tracer = tracer;
     }
 
-    /// Installs a telemetry handle. Every existing and future instance's
-    /// engine emits per-class series labelled with its instance id; the
-    /// driver adds per-instance queue depths, per-app latency/throughput/
-    /// client gauges, per-server utilisation and I/O counters, and records
-    /// one registry snapshot per closed measurement interval.
+    /// Installs a telemetry handle: every interval close then writes the
+    /// series of `export` (per instance×class, pool, app, server, domain)
+    /// and records one registry snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-        for (i, inst) in self.instances.iter_mut().enumerate() {
-            inst.engine
-                .set_telemetry(self.telemetry.clone(), &InstanceId(i as u32).to_string());
-        }
+        self.class_series.clear();
     }
 
     /// Installs a span profiler. The driver opens one `interval` span

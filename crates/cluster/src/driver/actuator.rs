@@ -53,8 +53,8 @@ impl Simulation {
         self.push_instance(server.0 as usize, domain, engine, true)
     }
 
-    /// Creates an engine wired to the attached telemetry and profiler and
-    /// appends its instance.
+    /// Creates an engine wired to the attached profiler and appends its
+    /// instance.
     fn push_instance(
         &mut self,
         server: usize,
@@ -64,9 +64,6 @@ impl Simulation {
     ) -> InstanceId {
         let id = InstanceId(self.instances.len() as u32);
         let mut engine = DbEngine::new(config, self.now);
-        if self.telemetry.is_active() {
-            engine.set_telemetry(self.telemetry.clone(), &id.to_string());
-        }
         if let Some(p) = &self.profiler {
             engine.set_profiler(p.clone());
         }

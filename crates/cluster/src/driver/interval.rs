@@ -32,12 +32,10 @@ impl Simulation {
         let mut cluster = aggregate::aggregate_cluster(&reports, self.config.rack_size);
         let mut app_latency = BTreeMap::new();
         let mut app_throughput = BTreeMap::new();
-        let mut app_p95 = BTreeMap::new();
         let mut sla = BTreeMap::new();
         for app in &mut self.apps {
             let id = app.spec.app;
             let agg = cluster.remove(&id).unwrap_or_default();
-            app_p95.insert(id, agg.tail.as_ref().and_then(|h| h.quantile(0.95)));
             let mean_latency = agg.mean_latency();
             let had_load = app.offered_this_interval > 0;
             app.offered_this_interval = 0;
@@ -57,36 +55,7 @@ impl Simulation {
             .collect();
         let interval_us = MEASUREMENT_INTERVAL.as_micros();
         let start = SimTime::from_micros(end.as_micros().saturating_sub(interval_us));
-        if self.telemetry.is_active() {
-            self.export_interval_telemetry(
-                end,
-                &app_latency,
-                &app_throughput,
-                &app_p95,
-                &sla,
-                &servers,
-            );
-        }
-        if self.tracer.is_active() {
-            self.tracer.emit(TraceEvent::IntervalClosed {
-                seq: self.interval_seq,
-                start_us: start.as_micros(),
-                end_us: end.as_micros(),
-                instances: reports.len() as u32,
-                classes: reports.values().map(|r| r.per_class.len() as u32).sum(),
-            });
-            for (app, outcome) in &sla {
-                self.tracer.emit(TraceEvent::SlaEvaluated {
-                    end_us: end.as_micros(),
-                    app: app.0,
-                    latency_s: app_latency[app],
-                    throughput_qps: app_throughput[app],
-                    violated: outcome.is_violation(),
-                });
-            }
-        }
-        self.interval_seq += 1;
-        IntervalOutcome {
+        let outcome = IntervalOutcome {
             start,
             end,
             reports,
@@ -94,6 +63,30 @@ impl Simulation {
             app_throughput,
             sla,
             servers,
+        };
+        if self.telemetry.is_active() {
+            self.export_interval_telemetry(&outcome);
         }
+        if self.tracer.is_active() {
+            let reports = &outcome.reports;
+            self.tracer.emit(TraceEvent::IntervalClosed {
+                seq: self.interval_seq,
+                start_us: start.as_micros(),
+                end_us: end.as_micros(),
+                instances: reports.len() as u32,
+                classes: reports.values().map(|r| r.per_class.len() as u32).sum(),
+            });
+            for (app, verdict) in &outcome.sla {
+                self.tracer.emit(TraceEvent::SlaEvaluated {
+                    end_us: end.as_micros(),
+                    app: app.0,
+                    latency_s: outcome.app_latency[app],
+                    throughput_qps: outcome.app_throughput[app],
+                    violated: verdict.is_violation(),
+                });
+            }
+        }
+        self.interval_seq += 1;
+        outcome
     }
 }

@@ -24,6 +24,13 @@ fn small_sim(clients: usize) -> (Simulation, AppId) {
     (sim, app)
 }
 
+/// Attaches a fresh telemetry registry to `sim`.
+fn observe(sim: &mut Simulation) -> Telemetry {
+    let t = Telemetry::attached();
+    sim.set_telemetry(t.clone());
+    t
+}
+
 /// Every resident session is one queued `Event`: its size is the
 /// per-session memory of the scale regime.
 #[test]
@@ -310,8 +317,7 @@ fn retired_replica_stops_serving() {
 #[test]
 fn telemetry_snapshots_align_with_intervals() {
     let (mut sim, app) = small_sim(8);
-    let t = odlb_telemetry::Telemetry::attached();
-    sim.set_telemetry(t.clone());
+    let t = observe(&mut sim);
     for _ in 0..3 {
         sim.run_interval();
     }
@@ -341,8 +347,7 @@ fn cluster_histograms_merge_per_class_counts_across_replicas() {
     let (mut sim, app) = small_sim(8);
     let second = sim.add_instance(ServerId(0), DomainId(1), EngineConfig::default());
     sim.assign_replica(app, second);
-    let t = odlb_telemetry::Telemetry::attached();
-    sim.set_telemetry(t.clone());
+    let t = observe(&mut sim);
     for _ in 0..3 {
         sim.run_interval();
     }
@@ -372,11 +377,157 @@ fn cluster_histograms_merge_per_class_counts_across_replicas() {
 }
 
 #[test]
+fn telemetry_records_per_class_latency_and_counters() {
+    let (mut sim, _) = small_sim(8);
+    let t = observe(&mut sim);
+    let outcome = sim.run_interval();
+    let prom = t.render_prometheus().unwrap();
+    let report = &outcome.reports[&InstanceId(0)];
+    assert!(report.per_class.len() >= 5, "several classes observed");
+    for (class, v) in &report.per_class {
+        let queries = report.latency_histograms[class].count();
+        for (series, value) in [
+            ("odlb_queries_total", queries),
+            ("odlb_query_latency_us_count", queries),
+            (
+                "odlb_page_accesses_total",
+                v[MetricKind::PageAccesses] as u64,
+            ),
+            (
+                "odlb_buffer_misses_total",
+                v[MetricKind::BufferMisses] as u64,
+            ),
+            (
+                "odlb_query_io_requests_total",
+                v[MetricKind::IoRequests] as u64,
+            ),
+            ("odlb_readaheads_total", v[MetricKind::ReadAheads] as u64),
+        ] {
+            let line = format!("{series}{{class=\"{class}\",instance=\"inst0\"}} {value}\n");
+            assert!(prom.contains(&line), "missing {line}");
+        }
+    }
+}
+
+#[test]
+fn export_telemetry_reports_partitions_and_evictions() {
+    let (mut sim, _) = small_sim(8);
+    let t = observe(&mut sim);
+    let quotaed = ClassId::new(AppId(0), 8);
+    sim.set_quota(InstanceId(0), quotaed, 512).unwrap();
+    sim.run_interval();
+    let prom = t.render_prometheus().unwrap();
+    let pool = sim.instances[0].engine.pool();
+    assert!(prom.contains("odlb_pool_pages{instance=\"inst0\",partition=\"general\"} 7680\n"));
+    assert!(prom.contains("odlb_pool_pages{instance=\"inst0\",partition=\"app0#8\"} 512\n"));
+    for (class, _, resident) in pool.partitions() {
+        let partition = class.map_or("general".to_string(), |c| c.to_string());
+        assert!(prom.contains(&format!(
+            "odlb_pool_resident_pages{{instance=\"inst0\",partition=\"{partition}\"}} {resident}\n"
+        )));
+    }
+    assert!(pool.evictions() > 0, "BestSeller overflows its 512 pages");
+    let evictions = pool.evictions();
+    assert!(prom.contains(&format!(
+        "odlb_pool_evictions_total{{instance=\"inst0\"}} {evictions}\n"
+    )));
+}
+
+#[test]
+fn export_telemetry_is_monotone_and_deterministic() {
+    let run = || {
+        let (mut sim, app) = small_sim(8);
+        // A second VM domain on the same machine, added first-to-last so
+        // the sorted export order differs from insertion order.
+        let second = sim.add_instance(ServerId(0), DomainId(0), EngineConfig::default());
+        sim.assign_replica(app, second);
+        let t = observe(&mut sim);
+        sim.run_interval();
+        sim.run_interval();
+        let domains = sim.servers[0].io.domain_counters();
+        (
+            t.render_prometheus().unwrap(),
+            t.render_csv().unwrap(),
+            domains,
+        )
+    };
+    let (prom, csv, domains) = run();
+    assert_eq!(
+        domains.iter().map(|(d, _)| d.0).collect::<Vec<_>>(),
+        vec![0, 1]
+    );
+    for (domain, io) in &domains {
+        assert!(io.requests > 0, "both domains read");
+        for (series, value) in [
+            ("odlb_io_requests_total", io.requests),
+            ("odlb_io_pages_total", io.pages),
+            ("odlb_io_readahead_requests_total", io.readahead_requests),
+        ] {
+            let line = format!(
+                "{series}{{domain=\"{}\",machine=\"srv0\"}} {value}\n",
+                domain.0
+            );
+            assert!(prom.contains(&line), "missing {line}");
+        }
+    }
+    // The CSV validator rejects any `_total` series that decreases.
+    odlb_telemetry::validate_csv(&csv).expect("monotone counters");
+    let again = run();
+    assert_eq!((prom, csv), (again.0, again.1));
+}
+
+/// The p95 gauge is the 0.95 quantile of the flat merge of the app's
+/// class histograms across instances, whatever the rack grouping.
+#[test]
+fn app_p95_gauge_is_the_flat_merge_quantile_at_any_rack_size() {
+    for rack_size in [0, 4] {
+        let mut sim = Simulation::new(SimulationConfig {
+            seed: 7,
+            rack_size,
+            ..Default::default()
+        });
+        let app = sim.add_app(
+            tpcw_workload(TpcwConfig::default()),
+            Sla::one_second(),
+            ClientConfig::default(),
+            LoadFunction::Constant(30),
+        );
+        for _ in 0..5 {
+            let server = sim.add_server(4);
+            let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
+            sim.assign_replica(app, inst);
+        }
+        let t = observe(&mut sim);
+        sim.start();
+        sim.run_interval();
+        let outcome = sim.run_interval();
+        let mut flat = odlb_telemetry::LogLinearHistogram::default();
+        for report in outcome.reports.values() {
+            assert!(
+                !report.latency_histograms.is_empty(),
+                "every replica serves"
+            );
+            report
+                .latency_histograms
+                .values()
+                .for_each(|h| flat.merge(h));
+        }
+        let gauge = t
+            .with_registry(|r| r.sample_rows())
+            .unwrap()
+            .into_iter()
+            .find(|row| row.name == "odlb_app_latency_p95_us")
+            .expect("p95 gauge written");
+        assert_eq!(Some(gauge.value as u64), flat.quantile(0.95), "{rack_size}");
+    }
+}
+
+#[test]
 fn telemetry_does_not_perturb_results() {
     let run = |attach: bool| {
         let (mut sim, app) = small_sim(8);
         if attach {
-            sim.set_telemetry(odlb_telemetry::Telemetry::attached());
+            observe(&mut sim);
         }
         for _ in 0..3 {
             sim.run_interval();

@@ -5,15 +5,13 @@ use crate::locks::LockManager;
 use crate::query::QuerySpec;
 use odlb_bufferpool::{PartitionedPool, QuotaError};
 use odlb_metrics::{
-    ClassId, ClassStatsCollector, IntervalReport, MetricKind, PrivateLogBuffer, QueryLogRecord,
-    WindowRegistry,
+    ClassId, ClassStatsCollector, IntervalReport, PrivateLogBuffer, QueryLogRecord, WindowRegistry,
 };
 use odlb_mrc::MissRatioCurve;
 use odlb_sim::station::Admission;
 use odlb_sim::{SimDuration, SimTime, Station};
 use odlb_storage::{DomainId, IoKind, ReadAheadDetector, SharedIoPath, EXTENT_PAGES};
-use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
-use std::collections::BTreeMap;
+use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug)]
@@ -46,18 +44,6 @@ pub struct ExecutionResult {
     pub completion: SimTime,
     /// The instrumentation record, stamped with completion and latency.
     pub record: QueryLogRecord,
-}
-
-/// Cached per-class telemetry handles: the registry lookup is paid once
-/// per class; every interval close then adds through shared `Rc` handles.
-#[derive(Clone, Debug)]
-struct ClassSeries {
-    latency: odlb_telemetry::Histogram,
-    queries: odlb_telemetry::Counter,
-    page_accesses: odlb_telemetry::Counter,
-    buffer_misses: odlb_telemetry::Counter,
-    io_requests: odlb_telemetry::Counter,
-    readaheads: odlb_telemetry::Counter,
 }
 
 /// What playing a query's page sequence cost: the I/O it issued and when
@@ -106,10 +92,7 @@ pub struct DbEngine {
     logbuf: PrivateLogBuffer,
     collector: ClassStatsCollector,
     locks: LockManager,
-    telemetry: Telemetry,
     profiler: Option<SharedSpanProfiler>,
-    instance_label: String,
-    series: BTreeMap<ClassId, ClassSeries>,
 }
 
 impl DbEngine {
@@ -123,10 +106,7 @@ impl DbEngine {
             collector: ClassStatsCollector::new(now),
             locks: LockManager::new(),
             config,
-            telemetry: Telemetry::inactive(),
             profiler: None,
-            instance_label: String::new(),
-            series: BTreeMap::new(),
         }
     }
 
@@ -139,27 +119,9 @@ impl DbEngine {
         self.profiler = Some(profiler);
     }
 
-    /// Attaches a telemetry handle; `instance` labels every series this
-    /// engine emits. Inactive handles cost one branch per interval close.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry, instance: &str) {
-        self.telemetry = telemetry;
-        self.instance_label = instance.to_string();
-        self.series.clear();
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> EngineConfig {
         self.config
-    }
-
-    /// Per-class latency histogram handles this engine has registered,
-    /// in class order. The cluster driver merges these across replicas
-    /// at export time into the cluster-wide distribution the paper's
-    /// SLA is stated against. Empty when telemetry is inactive.
-    pub fn class_latency_histograms(
-        &self,
-    ) -> impl Iterator<Item = (ClassId, &odlb_telemetry::Histogram)> + '_ {
-        self.series.iter().map(|(class, s)| (*class, &s.latency))
     }
 
     /// Executes a query arriving at `now`.
@@ -259,72 +221,13 @@ impl DbEngine {
     }
 
     /// Closes the current measurement interval: flushes the log buffer and
-    /// returns per-class interval metrics. With telemetry attached, the
-    /// closed interval also advances the pool gauges and this engine's
-    /// per-class series.
+    /// returns per-class interval metrics.
     pub fn close_interval(&mut self, now: SimTime) -> IntervalReport {
         let remainder = self.logbuf.flush();
         self.collector.record_batch(&remainder);
         self.logbuf.recycle(remainder);
         self.locks.gc(now);
-        let report = self.collector.close_interval(now);
-        if self.telemetry.is_active() {
-            self.pool
-                .export_telemetry(&self.telemetry, &self.instance_label);
-            self.export_class_series(&report);
-        }
-        report
-    }
-
-    /// Adds the interval `report` just closed to the per-class series —
-    /// the collector is the one place queries are accounted; the registry
-    /// reads its totals. A class's first interval registers its series,
-    /// later ones reuse the cached handles.
-    fn export_class_series(&mut self, report: &IntervalReport) {
-        for (class, v) in &report.per_class {
-            let series = self.series.entry(*class).or_insert_with(|| {
-                let class = class.to_string();
-                let labels = [
-                    ("class", class.as_str()),
-                    ("instance", self.instance_label.as_str()),
-                ];
-                let t = &self.telemetry;
-                let counter = |name, help| t.counter(name, help, &labels).expect("active");
-                ClassSeries {
-                    latency: t
-                        .histogram(
-                            "odlb_query_latency_us",
-                            "Per-query latency by class (simulated microseconds).",
-                            &labels,
-                        )
-                        .expect("active"),
-                    queries: counter("odlb_queries_total", "Queries completed."),
-                    page_accesses: counter(
-                        "odlb_page_accesses_total",
-                        "Buffer-pool page accesses.",
-                    ),
-                    buffer_misses: counter(
-                        "odlb_buffer_misses_total",
-                        "Page accesses that required a disk read.",
-                    ),
-                    io_requests: counter(
-                        "odlb_query_io_requests_total",
-                        "Disk requests issued on behalf of queries.",
-                    ),
-                    readaheads: counter(
-                        "odlb_readaheads_total",
-                        "Read-ahead extents triggered by queries.",
-                    ),
-                }
-            });
-            let latency = &report.latency_histograms[class];
-            series.latency.merge(latency);
-            series.queries.add(latency.count());
-            series.page_accesses.add(v[MetricKind::PageAccesses] as u64);
-            series.buffer_misses.add(v[MetricKind::BufferMisses] as u64);
-            series.io_requests.add(v[MetricKind::IoRequests] as u64);
-            series.readaheads.add(v[MetricKind::ReadAheads] as u64);
-        }
+        self.collector.close_interval(now)
     }
 
     /// Lock-manager observability (contention rate, cumulative wait).
@@ -381,7 +284,7 @@ impl DbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odlb_metrics::AppId;
+    use odlb_metrics::{AppId, MetricKind};
     use odlb_mrc::MrcMode;
     use odlb_sim::SimDuration;
     use odlb_storage::{DiskModel, PageId, SpaceId};
@@ -508,26 +411,6 @@ mod tests {
         assert_eq!(eng.pool().quota_of(class(1)), Some(16));
         assert!(eng.clear_quota(class(1)));
         assert_eq!(eng.pool().quota_of(class(1)), None);
-    }
-
-    #[test]
-    fn telemetry_records_per_class_latency_and_counters() {
-        let (mut eng, mut cpu, mut io) = rig();
-        let t = Telemetry::attached();
-        eng.set_telemetry(t.clone(), "inst0");
-        for _ in 0..3 {
-            let q = spec(1, vec![1, 2]);
-            let r = eng.execute(SimTime::ZERO, &q, &mut cpu, &mut io, DomainId(1));
-            eng.commit_record(r.record);
-        }
-        eng.close_interval(SimTime::from_secs(1));
-        let prom = t.render_prometheus().unwrap();
-        assert!(prom.contains("odlb_queries_total{class=\"app0#1\",instance=\"inst0\"} 3"));
-        assert!(prom.contains("odlb_page_accesses_total{class=\"app0#1\",instance=\"inst0\"} 6"));
-        assert!(prom.contains("odlb_buffer_misses_total{class=\"app0#1\",instance=\"inst0\"} 2"));
-        assert!(prom.contains("odlb_query_latency_us_count{class=\"app0#1\",instance=\"inst0\"} 3"));
-        assert!(prom.contains("odlb_pool_pages{instance=\"inst0\",partition=\"general\"}"));
-        odlb_telemetry::validate_prometheus(&prom).expect("valid exposition");
     }
 
     /// The per-page formulation `execute` replaced: every page resolves

@@ -35,13 +35,11 @@
 //! a server be given a quota at which the MRC predicts its acceptable miss
 //! ratio, within the server's total memory?
 
-pub mod bucketed;
 pub mod curve;
 pub mod mattson;
 pub mod sampled;
 pub mod solver;
 
-pub use bucketed::BucketedTracker;
 pub use curve::{MissRatioCurve, MrcParams};
 pub use mattson::MattsonTracker;
 pub use sampled::{MrcMode, SampledTracker};

@@ -13,7 +13,7 @@
 use crate::disk::{Disk, DiskModel, IoCounters, IoKind};
 use odlb_sim::station::Admission;
 use odlb_sim::{FastMap, SimDuration, SimTime};
-use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler, Telemetry};
+use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 
 /// Identifies a VM domain on one physical machine. Domain 0 is the control
 /// domain; guests are 1, 2, ….
@@ -87,41 +87,13 @@ impl SharedIoPath {
         self.disk.mean_wait()
     }
 
-    /// Exports per-domain I/O counters into a telemetry registry (domains
-    /// iterated in sorted order, so export stays deterministic despite the
-    /// `FastMap`). The counters are cumulative, so `set_total` keeps the
-    /// telemetry series monotone. No-op when `telemetry` is inactive.
-    pub fn export_telemetry(&self, telemetry: &Telemetry, machine: &str) {
-        if !telemetry.is_active() {
-            return;
-        }
-        let mut domains: Vec<(&DomainId, &IoCounters)> = self.per_domain.iter().collect();
-        domains.sort_by_key(|(d, _)| **d);
-        for (domain, counters) in domains {
-            let domain = domain.0.to_string();
-            let labels = [("domain", domain.as_str()), ("machine", machine)];
-            for (name, help, total) in [
-                (
-                    "odlb_io_requests_total",
-                    "Disk read requests issued by a VM domain.",
-                    counters.requests,
-                ),
-                (
-                    "odlb_io_pages_total",
-                    "Pages read from disk by a VM domain.",
-                    counters.pages,
-                ),
-                (
-                    "odlb_io_readahead_requests_total",
-                    "Asynchronous read-ahead requests issued by a VM domain.",
-                    counters.readahead_requests,
-                ),
-            ] {
-                if let Some(c) = telemetry.counter(name, help, &labels) {
-                    c.set_total(total);
-                }
-            }
-        }
+    /// Cumulative per-domain counters, domains in sorted order (the map
+    /// behind them is a `FastMap`).
+    pub fn domain_counters(&self) -> Vec<(DomainId, IoCounters)> {
+        let mut domains: Vec<(DomainId, IoCounters)> =
+            self.per_domain.iter().map(|(d, c)| (*d, *c)).collect();
+        domains.sort_by_key(|(d, _)| *d);
+        domains
     }
 }
 
@@ -151,21 +123,5 @@ mod tests {
         assert_eq!(d1.pages, 6);
         assert_eq!(d2.readahead_requests, 1);
         assert_eq!(path.total_counters().requests, 4);
-    }
-
-    #[test]
-    fn export_telemetry_is_monotone_and_deterministic() {
-        let mut path = SharedIoPath::new(DiskModel::default());
-        path.read(DomainId(2), SimTime::ZERO, IoKind::Random, 1, false);
-        path.read(DomainId(1), SimTime::ZERO, IoKind::Sequential, 64, true);
-        let t = Telemetry::attached();
-        path.export_telemetry(&t, "pm0");
-        path.read(DomainId(1), SimTime::ZERO, IoKind::Random, 1, false);
-        path.export_telemetry(&t, "pm0");
-        let prom = t.render_prometheus().unwrap();
-        assert!(prom.contains("odlb_io_requests_total{domain=\"1\",machine=\"pm0\"} 2"));
-        assert!(prom.contains("odlb_io_pages_total{domain=\"1\",machine=\"pm0\"} 65"));
-        assert!(prom.contains("odlb_io_readahead_requests_total{domain=\"2\",machine=\"pm0\"} 0"));
-        path.export_telemetry(&Telemetry::inactive(), "pm0");
     }
 }

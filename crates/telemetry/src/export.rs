@@ -6,7 +6,7 @@
 //! source value is an integer, so output is byte-identical across
 //! same-seed runs and platforms.
 
-use crate::registry::{FamilySample, MetricsRegistry};
+use crate::registry::{MetricsRegistry, SeriesValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -32,10 +32,10 @@ fn render_value(v: f64) -> String {
 /// `_saturated` overflow flag (0/1).
 pub fn render_prometheus(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
-    registry.for_each_family(|name, help, kind, series| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {}", kind.label());
-        for (labels, sample) in series {
+    for (name, fam) in registry.families() {
+        let _ = writeln!(out, "# HELP {name} {}", fam.help);
+        let _ = writeln!(out, "# TYPE {name} {}", fam.kind.label());
+        for (labels, value) in &fam.series {
             let braced = |extra: &str| -> String {
                 match (labels.is_empty(), extra.is_empty()) {
                     (true, true) => String::new(),
@@ -44,14 +44,14 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
                     (false, false) => format!("{{{labels},{extra}}}"),
                 }
             };
-            match sample {
-                FamilySample::Counter(v) => {
-                    let _ = writeln!(out, "{name}{} {v}", braced(""));
+            match value {
+                SeriesValue::Counter(c) => {
+                    let _ = writeln!(out, "{name}{} {}", braced(""), c.get());
                 }
-                FamilySample::Gauge(v) => {
-                    let _ = writeln!(out, "{name}{} {}", braced(""), render_value(v));
+                SeriesValue::Gauge(g) => {
+                    let _ = writeln!(out, "{name}{} {}", braced(""), render_value(g.get()));
                 }
-                FamilySample::Histogram(h) => h.with(|h| {
+                SeriesValue::Histogram(h) => h.with(|h| {
                     for (le, cum) in h.cumulative_buckets() {
                         let _ = writeln!(
                             out,
@@ -74,7 +74,7 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
                 }),
             }
         }
-    });
+    }
     out
 }
 
@@ -137,7 +137,7 @@ fn split_sample(line: &str) -> Option<(&str, &str, &str)> {
     if let Some(open) = line.find('{') {
         let close = line.rfind('}')?;
         let value = line.get(close + 1..)?.trim();
-        Some((&line[..open], &line[open + 1..close], value))
+        Some((&line[..open], line.get(open + 1..close)?, value))
     } else {
         let (name, value) = line.split_once(' ')?;
         Some((name, "", value.trim()))
@@ -158,6 +158,21 @@ fn split_le(labels: &str) -> Option<(String, String)> {
     le.map(|le| (rest.join(","), le))
 }
 
+/// Every validator error names the line (CSV: data row) it is about.
+fn at_line(line: usize, msg: String) -> String {
+    format!("line {line}: {msg}")
+}
+
+/// What one histogram series' samples said so far, each with its line.
+#[derive(Default)]
+struct HistogramCheck {
+    /// The latest finite bucket: `(le, cumulative count, line)`.
+    last: Option<(f64, f64, usize)>,
+    /// The `+Inf` bucket: `(count, line)`.
+    inf: Option<(f64, usize)>,
+    count: Option<f64>,
+}
+
 /// Validates a Prometheus text exposition: every sample belongs to a
 /// declared family (`# TYPE` + `# HELP` first), values parse as finite
 /// floats, counters are integral, histogram buckets have strictly
@@ -167,13 +182,11 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut helped: BTreeMap<String, bool> = BTreeMap::new();
     let mut stats = ExpositionStats::default();
-    // (family, series labels) -> ordered (le, cumulative count).
-    let mut buckets: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
-    let mut inf_counts: BTreeMap<(String, String), f64> = BTreeMap::new();
-    let mut hist_counts: BTreeMap<(String, String), f64> = BTreeMap::new();
+    // Keyed by (family, series labels).
+    let mut histograms: BTreeMap<(String, String), HistogramCheck> = BTreeMap::new();
 
     for (no, line) in text.lines().enumerate() {
-        let err = |msg: String| format!("line {}: {msg}", no + 1);
+        let err = |msg: String| at_line(no + 1, msg);
         if line.is_empty() {
             continue;
         }
@@ -236,16 +249,31 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
                         le.parse()
                             .map_err(|_| err(format!("unparseable le '{le}'")))?
                     };
+                    let check = histograms
+                        .entry((family.clone(), series.clone()))
+                        .or_default();
                     if le.is_infinite() {
-                        inf_counts.insert((family.clone(), series), value);
+                        check.inf = Some((value, no + 1));
                     } else {
-                        buckets
-                            .entry((family.clone(), series))
-                            .or_default()
-                            .push((le, value));
+                        if let Some((prev_le, prev, _)) = check.last {
+                            let series = format!("{family}{{{series}}}");
+                            if le <= prev_le {
+                                return Err(err(format!(
+                                    "{series}: le bounds not increasing ({prev_le} then {le})"
+                                )));
+                            }
+                            if value < prev {
+                                // odlb-lint: allow(D03) — validator error message, not an exported artifact
+                                return Err(err(format!(
+                                    "{series}: bucket counts decrease ({prev} then {value})"
+                                )));
+                            }
+                        }
+                        check.last = Some((le, value, no + 1));
                     }
                 } else if name.ends_with("_count") {
-                    hist_counts.insert((family.clone(), labels.to_string()), value);
+                    let check = histograms.entry((family, labels.to_string())).or_default();
+                    check.count = Some(value);
                 } else if name.ends_with("_saturated") && value != 0.0 && value != 1.0 {
                     // odlb-lint: allow(D03) — validator error message, not an exported artifact
                     return Err(err(format!(
@@ -257,41 +285,33 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
         }
     }
 
-    for (key @ (family, series), seq) in &buckets {
-        for w in seq.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(format!(
-                    "{family}{{{series}}}: le bounds not increasing ({} then {})",
-                    w[0].0, w[1].0
-                ));
+    for ((family, series), check) in &histograms {
+        let series = format!("{family}{{{series}}}");
+        let Some((inf, inf_line)) = check.inf else {
+            match check.last {
+                Some((_, _, line)) => {
+                    return Err(at_line(line, format!("{series}: missing +Inf bucket")))
+                }
+                None => continue,
             }
-            if w[1].1 < w[0].1 {
-                return Err(format!(
-                    "{family}{{{series}}}: bucket counts decrease ({} then {})",
-                    w[0].1, w[1].1
-                ));
-            }
-        }
-        let inf = inf_counts
-            .get(key)
-            .ok_or_else(|| format!("{family}{{{series}}}: missing +Inf bucket"))?;
-        if let Some(&(_, last)) = seq.last() {
-            if last > *inf {
-                return Err(format!("{family}{{{series}}}: +Inf below last bucket"));
-            }
-        }
-    }
-    for (key @ (family, series), inf) in &inf_counts {
-        let count = hist_counts
-            .get(key)
-            .ok_or_else(|| format!("{family}{{{series}}}: missing _count"))?;
-        if count != inf {
-            return Err(format!(
-                "{family}{{{series}}}: _count {count} != +Inf bucket {inf}"
+        };
+        if check.last.is_some_and(|(_, last, _)| last > inf) {
+            return Err(at_line(
+                inf_line,
+                format!("{series}: +Inf below last bucket"),
             ));
         }
+        let count = check
+            .count
+            .ok_or_else(|| at_line(inf_line, format!("{series}: missing _count")))?;
+        if count != inf {
+            return Err(at_line(
+                inf_line,
+                format!("{series}: _count {count} != +Inf bucket {inf}"),
+            ));
+        }
+        stats.histograms += 1;
     }
-    stats.histograms = inf_counts.len();
     Ok(stats)
 }
 
@@ -303,7 +323,7 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
     let mut lines = text.lines();
     match lines.next() {
         Some("time_s,seq,metric,labels,value") => {}
-        other => return Err(format!("bad header: {other:?}")),
+        other => return Err(at_line(1, format!("bad header: {other:?}"))),
     }
     let mut last_time = f64::NEG_INFINITY;
     let mut last_seq = 0u64;
@@ -371,12 +391,15 @@ pub struct FoldedStats {
 /// impossible and two dumps are comparable with a byte diff.
 pub fn validate_folded(text: &str) -> Result<FoldedStats, String> {
     if text.is_empty() {
-        return Err("empty folded dump (no spans recorded)".to_string());
+        return Err(at_line(
+            1,
+            "empty folded dump (no spans recorded)".to_string(),
+        ));
     }
     let mut stats = FoldedStats::default();
     let mut prev: Option<Vec<&str>> = None;
     for (no, line) in text.lines().enumerate() {
-        let err = |msg: String| format!("line {}: {msg}", no + 1);
+        let err = |msg: String| at_line(no + 1, msg);
         let (path, value) = line
             .rsplit_once(' ')
             .ok_or_else(|| err(format!("expected '<stack> <count>', got '{line}'")))?;

@@ -51,14 +51,6 @@ pub struct Telemetry {
     registry: Option<Rc<RefCell<MetricsRegistry>>>,
 }
 
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("active", &self.is_active())
-            .finish()
-    }
-}
-
 impl Telemetry {
     /// An inactive handle: all emission is skipped.
     pub fn inactive() -> Self {

@@ -43,7 +43,7 @@ pub struct PhaseStats {
 /// Accumulated statistics for one unique stack path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpanStats {
-    /// Times this exact path was entered (or bulk-added).
+    /// Times this exact path was entered.
     pub calls: u64,
     /// Inclusive wall time (children included).
     pub wall_total: Duration,
@@ -134,31 +134,6 @@ impl SpanProfiler {
         self.stack.len()
     }
 
-    /// Adds one invocation of `phase` that took `elapsed`, as a
-    /// root-level (depth-1) path.
-    pub fn add(&mut self, phase: &'static str, elapsed: Duration) {
-        self.add_n(phase, 1, elapsed, elapsed);
-    }
-
-    /// Adds `calls` invocations of `phase` in bulk as a root-level path:
-    /// `total` time across them, `max_single` for the longest one. Used
-    /// when replaying pre-aggregated timings; each call also counts one
-    /// sim unit.
-    pub fn add_n(
-        &mut self,
-        phase: &'static str,
-        calls: u64,
-        total: Duration,
-        max_single: Duration,
-    ) {
-        let stats = self.paths.entry(vec![phase]).or_default();
-        stats.calls += calls;
-        stats.wall_total += total;
-        stats.wall_self += total;
-        stats.wall_max = stats.wall_max.max(max_single);
-        stats.sim_units += calls;
-    }
-
     /// Folds another profiler's paths into this one (summing calls,
     /// totals and sim units, keeping the larger max). The parallel
     /// experiment runner gives every figure its own profiler and merges
@@ -173,15 +148,6 @@ impl SpanProfiler {
             stats.wall_max = stats.wall_max.max(s.wall_max);
             stats.sim_units += s.sim_units;
         }
-    }
-
-    /// Times `f` under a span named `phase` (nested under any open
-    /// spans).
-    pub fn time<R>(&mut self, phase: &'static str, f: impl FnOnce() -> R) -> R {
-        self.enter(phase);
-        let out = f();
-        self.exit();
-        out
     }
 
     /// Recorded stack paths and their stats, in path order.
@@ -357,28 +323,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_accumulates_per_phase() {
-        let mut p = SpanProfiler::new();
-        p.add("collection", Duration::from_micros(10));
-        p.add("collection", Duration::from_micros(30));
-        p.add("outlier_detection", Duration::from_micros(5));
-        let stats: BTreeMap<&str, PhaseStats> = p.phases().into_iter().collect();
-        assert_eq!(stats["collection"].calls, 2);
-        assert_eq!(stats["collection"].total, Duration::from_micros(40));
-        assert_eq!(stats["collection"].max, Duration::from_micros(30));
-        assert_eq!(stats["outlier_detection"].calls, 1);
-        assert_eq!(p.total(), Duration::from_micros(45));
-    }
-
-    #[test]
-    fn time_returns_the_closure_result() {
-        let mut p = SpanProfiler::new();
-        let out = p.time("mrc_update", || 7);
-        assert_eq!(out, 7);
-        assert_eq!(p.phases().len(), 1);
-    }
-
-    #[test]
     fn profile_span_nests_under_the_open_span() {
         let shared = SpanProfiler::shared();
         let opt = Some(shared.clone());
@@ -467,10 +411,24 @@ mod tests {
         assert!(lines[2].starts_with("b "));
     }
 
+    /// A profiler holding one root-level path with the given stats.
+    fn with_path(phase: &'static str, calls: u64, total: Duration, max: Duration) -> SpanProfiler {
+        let mut p = SpanProfiler::new();
+        let stats = SpanStats {
+            calls,
+            wall_total: total,
+            wall_self: total,
+            wall_max: max,
+            sim_units: calls,
+        };
+        p.paths.insert(vec![phase], stats);
+        p
+    }
+
     #[test]
     fn report_mentions_every_phase_and_share() {
-        let mut p = SpanProfiler::new();
-        p.add("action_selection", Duration::from_millis(1));
+        let ms = Duration::from_millis(1);
+        let p = with_path("action_selection", 1, ms, ms);
         let report = p.report(Duration::from_millis(100));
         assert!(report.contains("action_selection"));
         assert!(report.contains("1.00%"));
@@ -480,18 +438,16 @@ mod tests {
     fn report_survives_call_counts_past_u32_max() {
         // Regression: the mean used `stats.total / stats.calls as u32`;
         // with calls >= 2^32 the cast truncated to 0 and the division
-        // panicked. Bulk-inject the count, then one more `add` so the
-        // overflowing total flows through the normal single-call path.
-        let mut p = SpanProfiler::new();
-        p.add_n(
+        // panicked.
+        let calls = u64::from(u32::MAX) + 1;
+        let p = with_path(
             "collection",
-            u64::from(u32::MAX),
+            calls,
             Duration::from_secs(8_590),
             Duration::from_micros(10),
         );
-        p.add("collection", Duration::from_micros(2));
         let stats: BTreeMap<&str, PhaseStats> = p.phases().into_iter().collect();
-        assert_eq!(stats["collection"].calls, u64::from(u32::MAX) + 1);
+        assert_eq!(stats["collection"].calls, calls);
         let report = p.report(Duration::from_secs(10_000));
         assert!(report.contains("collection"), "{report}");
         // 8590s over 2^32 calls is a hair over a 2us mean.
@@ -500,16 +456,15 @@ mod tests {
 
     #[test]
     fn merge_sums_calls_and_keeps_larger_max() {
-        let mut a = SpanProfiler::new();
-        a.add("collection", Duration::from_micros(10));
-        let mut b = SpanProfiler::new();
-        b.add("collection", Duration::from_micros(40));
-        b.add("action_selection", Duration::from_micros(5));
+        let us = Duration::from_micros;
+        let mut a = with_path("collection", 1, us(10), us(10));
+        let mut b = with_path("collection", 1, us(40), us(40));
+        b.merge(&with_path("action_selection", 1, us(5), us(5)));
         a.merge(&b);
         let stats: BTreeMap<&str, PhaseStats> = a.phases().into_iter().collect();
         assert_eq!(stats["collection"].calls, 2);
-        assert_eq!(stats["collection"].total, Duration::from_micros(50));
-        assert_eq!(stats["collection"].max, Duration::from_micros(40));
+        assert_eq!(stats["collection"].total, us(50));
+        assert_eq!(stats["collection"].max, us(40));
         assert_eq!(stats["action_selection"].calls, 1);
     }
 
@@ -517,12 +472,14 @@ mod tests {
     fn merge_is_by_stack_path() {
         let mut a = SpanProfiler::new();
         a.enter("suite");
-        a.time("fig3", || ());
+        a.enter("fig3");
+        a.exit();
         a.exit();
         let mut b = SpanProfiler::new();
         b.enter("suite");
         b.add_units(3);
-        b.time("fig4", || ());
+        b.enter("fig4");
+        b.exit();
         b.exit();
         a.merge(&b);
         assert_eq!(a.folded_sim(), "suite 5\nsuite;fig3 1\nsuite;fig4 1\n");

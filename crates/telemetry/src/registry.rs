@@ -109,24 +109,19 @@ impl Histogram {
     }
 }
 
-/// One labelled series inside a family.
-struct Series {
-    /// Rendered `key="value"` pairs, sorted by key (the BTreeMap key).
-    labels: String,
-    value: SeriesValue,
-}
-
-enum SeriesValue {
+/// One labelled series' shared cell.
+pub(crate) enum SeriesValue {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
 }
 
-/// One metric family: a help string, a kind, and labelled series.
-struct Family {
-    help: String,
-    kind: FamilyKind,
-    series: BTreeMap<String, Series>,
+/// One metric family: a help string, a kind, and its series keyed by
+/// their rendered `key="value"` label pairs (sorted by key).
+pub(crate) struct Family {
+    pub(crate) help: String,
+    pub(crate) kind: FamilyKind,
+    pub(crate) series: BTreeMap<String, SeriesValue>,
 }
 
 /// A point-in-time export row (also the CSV row shape).
@@ -202,7 +197,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn family(&mut self, name: &str, help: &str, kind: FamilyKind) -> &mut Family {
+    /// The one get-or-create: the series `labels` select in family
+    /// `name`, both created on first use.
+    fn series(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        kind: FamilyKind,
+    ) -> &SeriesValue {
+        let key = render_labels(labels);
         let fam = self
             .families
             .entry(name.to_string())
@@ -215,49 +219,40 @@ impl MetricsRegistry {
             fam.kind, kind,
             "metric family '{name}' registered with two kinds"
         );
-        fam
+        fam.series.entry(key).or_insert_with(|| match kind {
+            FamilyKind::Counter => SeriesValue::Counter(Counter::default()),
+            FamilyKind::Gauge => SeriesValue::Gauge(Gauge::default()),
+            FamilyKind::Histogram => SeriesValue::Histogram(Histogram::default()),
+        })
     }
 
     /// Gets or creates a counter series.
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = render_labels(labels);
-        let fam = self.family(name, help, FamilyKind::Counter);
-        let series = fam.series.entry(key.clone()).or_insert_with(|| Series {
-            labels: key,
-            value: SeriesValue::Counter(Counter::default()),
-        });
-        match &series.value {
+        match self.series(name, help, labels, FamilyKind::Counter) {
             SeriesValue::Counter(c) => c.clone(),
-            _ => unreachable!("kind checked by family()"),
+            _ => unreachable!("kind checked by series()"),
         }
     }
 
     /// Gets or creates a gauge series.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = render_labels(labels);
-        let fam = self.family(name, help, FamilyKind::Gauge);
-        let series = fam.series.entry(key.clone()).or_insert_with(|| Series {
-            labels: key,
-            value: SeriesValue::Gauge(Gauge::default()),
-        });
-        match &series.value {
+        match self.series(name, help, labels, FamilyKind::Gauge) {
             SeriesValue::Gauge(g) => g.clone(),
-            _ => unreachable!("kind checked by family()"),
+            _ => unreachable!("kind checked by series()"),
         }
     }
 
     /// Gets or creates a histogram series.
     pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        let key = render_labels(labels);
-        let fam = self.family(name, help, FamilyKind::Histogram);
-        let series = fam.series.entry(key.clone()).or_insert_with(|| Series {
-            labels: key,
-            value: SeriesValue::Histogram(Histogram::default()),
-        });
-        match &series.value {
+        match self.series(name, help, labels, FamilyKind::Histogram) {
             SeriesValue::Histogram(h) => h.clone(),
-            _ => unreachable!("kind checked by family()"),
+            _ => unreachable!("kind checked by series()"),
         }
+    }
+
+    /// Every family by name — the one series view both exports walk.
+    pub(crate) fn families(&self) -> &BTreeMap<String, Family> {
+        &self.families
     }
 
     /// Number of registered series across all families.
@@ -273,9 +268,9 @@ impl MetricsRegistry {
     pub fn sample_rows(&self) -> Vec<SampleRow> {
         let mut rows = Vec::new();
         for (name, fam) in &self.families {
-            for series in fam.series.values() {
-                let labels = series.labels.clone();
-                match &series.value {
+            for (labels, value) in &fam.series {
+                let labels = labels.clone();
+                match value {
                     SeriesValue::Counter(c) => rows.push(SampleRow {
                         name: name.clone(),
                         labels,
@@ -324,32 +319,6 @@ impl MetricsRegistry {
     pub fn snapshots(&self) -> &[Snapshot] {
         &self.snapshots
     }
-
-    /// Iterates families for the exporters: `(name, help, kind, series)`,
-    /// series as `(labels, value)` in deterministic order.
-    pub(crate) fn for_each_family(
-        &self,
-        mut f: impl FnMut(&str, &str, FamilyKind, &mut dyn Iterator<Item = (&str, FamilySample)>),
-    ) {
-        for (name, fam) in &self.families {
-            let mut iter = fam.series.values().map(|s| {
-                let sample = match &s.value {
-                    SeriesValue::Counter(c) => FamilySample::Counter(c.get()),
-                    SeriesValue::Gauge(g) => FamilySample::Gauge(g.get()),
-                    SeriesValue::Histogram(h) => FamilySample::Histogram(h.clone()),
-                };
-                (s.labels.as_str(), sample)
-            });
-            f(name, &fam.help, fam.kind, &mut iter);
-        }
-    }
-}
-
-/// A family sample handed to the exporters.
-pub(crate) enum FamilySample {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Histogram),
 }
 
 #[cfg(test)]

@@ -162,6 +162,50 @@ pub fn hotspot_write_workload(app: AppId, write_ms: u64) -> WorkloadSpec {
     }
 }
 
+/// A generation-heavy mix: each query models a nested-loop index join
+/// whose probes each target their own Zipf popularity distribution, so
+/// every generated page pays a sampler *construction* (rejection-inversion
+/// setup, ~10 transcendentals) on top of the draw, while execution replays
+/// hot hits against a small resident table. The sweep's `zipf` workload,
+/// and the regime where its shared-trace memoization pays most
+/// (`bench.sweep_memo_speedup` in `benchmark/`).
+pub fn zipf_heavy_workload() -> WorkloadSpec {
+    let us = SimDuration::from_micros;
+    let probes = |n: usize| {
+        let probe = AccessPattern::ZipfLookup {
+            space: SpaceId(0),
+            table_pages: 512,
+            exponent: 1.9,
+            count: 1,
+        };
+        AccessPattern::Composite(vec![probe; n])
+    };
+    WorkloadSpec {
+        name: "zipf-heavy".to_string(),
+        app: AppId(0),
+        classes: vec![
+            QueryClassSpec {
+                name: "ZipfJoinRead",
+                sql: "SELECT … FROM f JOIN d1 … JOIN d48 WHERE f.k = ?",
+                weight: 0.97,
+                pattern: probes(128),
+                cpu_base: us(40),
+                cpu_per_page: us(1),
+                is_write: false,
+            },
+            QueryClassSpec {
+                name: "ZipfWrite",
+                sql: "UPDATE kv SET v = ? WHERE k = ?",
+                weight: 0.03,
+                pattern: probes(16),
+                cpu_base: us(60),
+                cpu_per_page: us(1),
+                is_write: true,
+            },
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
