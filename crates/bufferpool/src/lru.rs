@@ -107,6 +107,10 @@ impl LruList {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         let reserve = capacity.min(1 << 20);
+        // One spare entry: a reference installs the new page before it
+        // drops the evicted one.
+        let mut index = FastMap::default();
+        index.reserve(reserve + 1);
         LruList {
             chain: Chain {
                 nodes: Vec::with_capacity(reserve),
@@ -114,9 +118,7 @@ impl LruList {
                 head: NIL,
                 tail: NIL,
             },
-            // One spare entry: a reference installs the new page before
-            // it drops the evicted one.
-            index: FastMap::with_capacity_and_hasher(reserve + 1, Default::default()),
+            index,
             capacity,
         }
     }

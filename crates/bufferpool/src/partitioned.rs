@@ -75,13 +75,6 @@ impl PartitionedPool {
         self.quotas.get(&class).map(|p| p.capacity())
     }
 
-    /// Classes with dedicated partitions, sorted.
-    pub fn quotaed_classes(&self) -> Vec<ClassId> {
-        let mut out: Vec<ClassId> = self.quotas.keys().copied().collect();
-        out.sort();
-        out
-    }
-
     /// Carves a dedicated partition of `pages` for `class` out of the
     /// general partition (shrinking it and evicting its LRU pages).
     pub fn set_quota(&mut self, class: ClassId, pages: usize) -> Result<(), QuotaError> {
@@ -167,15 +160,15 @@ impl PartitionedPool {
     /// pages — used to exclude warm-up from measured hit ratios.
     pub fn reset_counters(&mut self) {
         self.general.drain_counters();
-        // odlb-lint: allow(D02) — every partition is reset independently; visit order changes nothing
-        for p in self.quotas.values_mut() {
+        for (_, p) in self.quotas.iter_sorted_mut() {
             p.drain_counters();
         }
     }
 
     /// Lifetime evictions across all partitions (monotone).
     pub fn evictions(&self) -> u64 {
-        self.general.evictions() + self.quotas.values().map(|p| p.evictions()).sum::<u64>()
+        let quotaed: u64 = self.quotas.iter_sorted().map(|(_, p)| p.evictions()).sum();
+        self.general.evictions() + quotaed
     }
 
     /// Every partition as `(class, capacity, resident)` in pages: the
@@ -184,16 +177,14 @@ impl PartitionedPool {
     /// moves and drops that accounting.
     pub fn partitions(&self) -> Vec<(Option<ClassId>, usize, usize)> {
         let mut out = vec![(None, self.general.capacity(), self.general.resident())];
-        out.extend(self.quotaed_classes().into_iter().map(|class| {
-            let p = &self.quotas[&class];
-            (Some(class), p.capacity(), p.resident())
-        }));
+        let quotaed = self.quotas.iter_sorted();
+        out.extend(quotaed.map(|(class, p)| (Some(*class), p.capacity(), p.resident())));
         out
     }
 
     /// Verifies the capacity invariant (for tests and debug assertions).
     pub fn capacity_invariant_holds(&self) -> bool {
-        let quota_sum: usize = self.quotas.values().map(|p| p.capacity()).sum();
+        let quota_sum: usize = self.quotas.iter_sorted().map(|(_, p)| p.capacity()).sum();
         self.general.capacity() + quota_sum == self.total_pages
     }
 }
@@ -317,7 +308,8 @@ mod tests {
         assert_eq!(p.general_pages(), 50);
         assert_eq!(p.quota_of(class(1)), Some(20));
         assert_eq!(p.quota_of(class(2)), Some(30));
-        assert_eq!(p.quotaed_classes(), vec![class(1), class(2)]);
+        let order: Vec<_> = p.partitions().into_iter().map(|(c, ..)| c).collect();
+        assert_eq!(order, [None, Some(class(1)), Some(class(2))]);
         assert!(p.capacity_invariant_holds());
     }
 

@@ -134,14 +134,16 @@ impl SelectiveRetuning {
         })
     }
 
-    /// Moves `class` away from `from`: onto an existing fitting replica,
-    /// or provisions one and defers the placement.
+    /// Moves `class` away from `from`: onto an existing fitting replica
+    /// (logged as the action `placed` builds), or provisions one and
+    /// defers the placement.
     fn replace_class(
         &self,
         cx: &mut Interval<'_>,
         from: InstanceId,
         class: ClassId,
         needed_pages: usize,
+        placed: fn(AppId, ClassId, InstanceId) -> Action,
     ) {
         // A placement for this class may already be in flight (e.g. two
         // applications diagnosed the same interferer this interval).
@@ -151,11 +153,7 @@ impl SelectiveRetuning {
         match pick_replacement_target(cx.sim, class, needed_pages, from) {
             Some(target) => {
                 cx.sim.place_class(class.app, class, vec![target]);
-                cx.actions.push(Action::PlacedClass {
-                    app: class.app,
-                    class,
-                    to: target,
-                });
+                cx.actions.push(placed(class.app, class, target));
             }
             None => {
                 if let Some(instance) = cx.provision(class.app) {
@@ -257,7 +255,7 @@ impl SelectiveRetuning {
                 }
                 suspects = top_k_heavyweight(&report.per_class, MetricKind::PageAccesses, TOP_K);
             }
-            let (problems, examined) = profile_span(profiler, "mrc_update", || {
+            let examined = profile_span(profiler, "mrc_update", || {
                 find_problem_classes(
                     cx.sim,
                     inst,
@@ -268,16 +266,16 @@ impl SelectiveRetuning {
                     profiler,
                 )
             });
-            for (class, params, changed) in examined {
+            for e in &examined {
                 cx.actions.push(Action::RecomputedMrc {
                     instance: inst,
-                    class,
-                    acceptable_pages: params.acceptable_memory_needed,
-                    changed,
+                    class: e.class,
+                    acceptable_pages: e.params.acceptable_memory_needed,
+                    changed: e.changed,
                 });
             }
             match profile_span(profiler, "action_selection", || {
-                plan_memory_action(cx.sim, inst, report, &problems, self.mrc_mode, profiler)
+                plan_memory_action(cx.sim, inst, report, &examined, self.mrc_mode, profiler)
             }) {
                 MemoryPlan::Quotas(quotas) => {
                     for (class, pages) in quotas {
@@ -297,7 +295,9 @@ impl SelectiveRetuning {
                     class,
                     needed_pages,
                 } => {
-                    self.replace_class(cx, inst, class, needed_pages);
+                    self.replace_class(cx, inst, class, needed_pages, |app, class, to| {
+                        Action::PlacedClass { app, class, to }
+                    });
                     return Verdict::Acted;
                 }
                 MemoryPlan::Nothing => {}
@@ -326,12 +326,9 @@ impl SelectiveRetuning {
             .and_then(|s| s.mrc)
             .map(|m| m.acceptable_memory_needed)
             .unwrap_or(0);
-        self.replace_class(cx, inst, class, needed);
-        // Re-tag for reporting: this was the I/O path.
-        if let Some(Action::PlacedClass { app, class, to }) = cx.actions.last().cloned() {
-            *cx.actions.last_mut().expect("just read") =
-                Action::MovedIoHeavyClass { app, class, to };
-        }
+        self.replace_class(cx, inst, class, needed, |app, class, to| {
+            Action::MovedIoHeavyClass { app, class, to }
+        });
         Verdict::Acted
     }
 
@@ -474,8 +471,8 @@ mod tests {
         assert!(max_replicas >= 2, "the replica must come into service");
     }
 
-    #[test]
-    fn idle_overprovisioned_app_releases_replicas() {
+    /// TPC-W at two clients on two replicas, one per server, no spare.
+    fn two_replica_sim() -> (Simulation, AppId, InstanceId, InstanceId) {
         let mut sim = Simulation::new(SimulationConfig {
             seed: 8,
             ..Default::default()
@@ -493,6 +490,12 @@ mod tests {
         sim.assign_replica(app, i1);
         sim.assign_replica(app, i2);
         sim.start();
+        (sim, app, i1, i2)
+    }
+
+    #[test]
+    fn idle_overprovisioned_app_releases_replicas() {
+        let (mut sim, app, ..) = two_replica_sim();
         let mut ctl = SelectiveRetuningController::new(ControllerConfig::default());
         let mut retired = false;
         for _ in 0..6 {
@@ -505,6 +508,37 @@ mod tests {
         }
         assert!(retired, "idle second replica must be released");
         assert_eq!(sim.replicas_of(app).len(), 1);
+    }
+
+    #[test]
+    fn replace_class_logs_the_action_it_is_given_and_touches_no_other() {
+        let (mut sim, app, i1, i2) = two_replica_sim();
+        let outcome = sim.run_interval();
+        let ctl = SelectiveRetuningController::new(ControllerConfig::default());
+        let class = ClassId::new(app, 8);
+        // What `complete_pending` logs for a deferred pin finished earlier
+        // in the same interval.
+        let deferred = Action::PlacedClass { app, class, to: i1 };
+        let mut actions = vec![deferred.clone()];
+        let mut cx = Interval {
+            sim: &mut sim,
+            outcome: &outcome,
+            actions: &mut actions,
+            pending_placements: &mut Vec::new(),
+            tracer: &odlb_trace::Tracer::new(),
+            profiler: &None,
+        };
+        let io_path: fn(AppId, ClassId, InstanceId) -> Action =
+            |app, class, to| Action::MovedIoHeavyClass { app, class, to };
+        // No pool holds a million pages and no server is free: nothing
+        // is logged, and the deferred pin keeps its label.
+        let rule = &ctl.strategy;
+        rule.replace_class(&mut cx, i1, class, 1_000_000, io_path);
+        assert_eq!(cx.actions.as_slice(), std::slice::from_ref(&deferred));
+        // The other replica fits: one action, the caller's.
+        rule.replace_class(&mut cx, i1, class, 0, io_path);
+        let moved = Action::MovedIoHeavyClass { app, class, to: i2 };
+        assert_eq!(actions, [deferred, moved]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 
 use odlb_cluster::{InstanceId, Simulation};
 use odlb_metrics::{ClassId, IntervalReport, ServerId, StableStateStore};
-use odlb_mrc::{fit_quotas, MrcMode, MrcParams, QuotaRequest};
+use odlb_mrc::{fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest};
 use odlb_sim::SimTime;
 use odlb_telemetry::{profile_span, SharedSpanProfiler};
+use std::borrow::Cow;
 
 /// MRC acceptability threshold (§2): acceptable memory is the smallest
 /// size whose miss ratio is within this of ideal. The paper's 5%.
@@ -40,16 +41,21 @@ pub fn instance_key(instance: InstanceId) -> ServerId {
     ServerId(instance.0)
 }
 
-/// A class confirmed as a likely memory-interference cause.
+/// A suspect class whose MRC was just recomputed.
 #[derive(Clone, Debug)]
-pub struct ProblemClass {
+pub struct ExaminedClass {
     /// The class.
     pub class: ClassId,
-    /// Its freshly recomputed MRC parameters.
+    /// The curve replayed from its access window.
+    pub curve: MissRatioCurve,
+    /// The curve's parameters, now the class's stable reference.
     pub params: MrcParams,
     /// Whether the parameters differ significantly from the stable record
-    /// (false only for brand-new classes, which are problems by default).
+    /// they replace.
     pub changed: bool,
+    /// Whether the class is a likely memory-interference cause: it
+    /// changed, or it is brand-new (a problem by default).
+    pub problem: bool,
 }
 
 /// The planned alleviation.
@@ -70,12 +76,11 @@ pub enum MemoryPlan {
     Nothing,
 }
 
-/// Recomputes MRCs for `suspects` on `instance` and filters them to
-/// problem classes. Fresh parameters are recorded into the stable store
-/// (they become the new reference, as in the paper where the MRC is only
-/// recomputed at diagnosis time). Returns the problem classes plus the
-/// list of `(class, params, changed)` examined, for action logging.
-#[allow(clippy::type_complexity)]
+/// Recomputes MRCs for `suspects` on `instance` and marks the problem
+/// classes among them. Fresh parameters are recorded into the stable
+/// store (they become the new reference, as in the paper where the MRC
+/// is only recomputed at diagnosis time). Returns every suspect that has
+/// a window, in `suspects` order.
 pub fn find_problem_classes(
     sim: &Simulation,
     instance: InstanceId,
@@ -84,68 +89,68 @@ pub fn find_problem_classes(
     mrc_mode: MrcMode,
     now: SimTime,
     profiler: &Option<SharedSpanProfiler>,
-) -> (Vec<ProblemClass>, Vec<(ClassId, MrcParams, bool)>) {
+) -> Vec<ExaminedClass> {
     let cap = sim.pool_pages(instance);
     let key = instance_key(instance);
-    let mut problems = Vec::new();
     let mut examined = Vec::new();
     for &class in suspects {
         // The dominant cost of the MRC-update phase: one sub-span per
         // suspect recomputation, so flamegraphs attribute it separately
         // from the bookkeeping around it.
-        let Some(params) = profile_span(profiler, "recompute", || {
+        let Some(curve) = profile_span(profiler, "recompute", || {
             sim.recompute_mrc_with(instance, class, cap, mrc_mode)
-                .map(|curve| curve.params(cap, MRC_THRESHOLD))
         }) else {
             continue;
         };
+        let params = curve.params(cap, MRC_THRESHOLD);
         let prior = stable.get(key, class).and_then(|s| s.mrc);
-        let (is_problem, changed) = match prior {
-            Some(old) => {
-                let changed =
-                    params.significantly_different_from(&old, MRC_CHANGE_REL, MRC_RATIO_SLACK);
-                (changed, changed)
-            }
+        let changed = prior.is_some_and(|old| {
+            params.significantly_different_from(&old, MRC_CHANGE_REL, MRC_RATIO_SLACK)
+        });
+        stable.record_mrc(key, class, params, now);
+        examined.push(ExaminedClass {
+            class,
+            curve,
+            params,
+            changed,
             // New class with no prior curve: problem by definition
             // ("this case includes new query classes …").
-            None => (true, false),
-        };
-        stable.record_mrc(key, class, params, now);
-        examined.push((class, params, changed));
-        if is_problem {
-            problems.push(ProblemClass {
-                class,
-                params,
-                changed,
-            });
-        }
+            problem: changed || prior.is_none(),
+        });
     }
-    (problems, examined)
+    examined
 }
 
-/// Plans the alleviation for one instance: can all classes scheduled
+/// Plans the alleviation for one instance from what
+/// [`find_problem_classes`] `examined` there: can all classes scheduled
 /// there be given their acceptable memory simultaneously?
 pub fn plan_memory_action(
     sim: &Simulation,
     instance: InstanceId,
     report: &IntervalReport,
-    problems: &[ProblemClass],
+    examined: &[ExaminedClass],
     mrc_mode: MrcMode,
     profiler: &Option<SharedSpanProfiler>,
 ) -> MemoryPlan {
+    let problems: Vec<&ExaminedClass> = examined.iter().filter(|e| e.problem).collect();
     if problems.is_empty() {
         return MemoryPlan::Nothing;
     }
     let cap = sim.pool_pages(instance);
-    // Recompute the curve of every class active on this instance; the fit
-    // must account for "the rest of the application queries scheduled on
-    // the same physical server".
+    // The curve of every class active on this instance — the fit must
+    // account for "the rest of the application queries scheduled on the
+    // same physical server" — replaying only the windows diagnosis has
+    // not just replayed.
     let mut curves = Vec::new();
     profile_span(profiler, "recompute", || {
         for &class in report.per_class.keys() {
-            if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, mrc_mode) {
-                curves.push((class, curve));
-            }
+            let curve = match examined.iter().find(|e| e.class == class) {
+                Some(e) => Some(Cow::Borrowed(&e.curve)),
+                None => sim
+                    .recompute_mrc_with(instance, class, cap, mrc_mode)
+                    .map(Cow::Owned),
+            };
+            curves.extend(curve.map(|curve| (class, curve)));
         }
     });
     if curves.is_empty() {
@@ -246,35 +251,42 @@ mod tests {
         (sim, app, inst, report)
     }
 
+    fn examine(
+        sim: &Simulation,
+        inst: InstanceId,
+        suspects: &[ClassId],
+        stable: &mut StableStateStore,
+    ) -> Vec<ExaminedClass> {
+        find_problem_classes(
+            sim,
+            inst,
+            suspects,
+            stable,
+            MrcMode::Exact,
+            sim.now(),
+            &None,
+        )
+    }
+
     #[test]
     fn new_classes_are_problems_and_get_recorded() {
         let (sim, app, inst, _) = sim_with_traffic();
         let mut stable = StableStateStore::new();
         let suspects = vec![ClassId::new(app, 0), ClassId::new(app, 1)];
-        let (problems, examined) = find_problem_classes(
-            &sim,
-            inst,
-            &suspects,
-            &mut stable,
-            MrcMode::Exact,
-            sim.now(),
-            &None,
-        );
-        assert_eq!(problems.len(), 2, "no prior MRC: both are problems");
-        assert!(problems.iter().all(|p| !p.changed));
+        let examined = examine(&sim, inst, &suspects, &mut stable);
         assert_eq!(examined.len(), 2);
+        assert!(
+            examined.iter().all(|e| e.problem && !e.changed),
+            "no prior MRC: both are problems"
+        );
         // Parameters are now the stable reference: re-running finds no
         // problems.
-        let (again, _) = find_problem_classes(
-            &sim,
-            inst,
-            &suspects,
-            &mut stable,
-            MrcMode::Exact,
-            sim.now(),
-            &None,
+        let again = examine(&sim, inst, &suspects, &mut stable);
+        assert_eq!(again.len(), 2);
+        assert!(
+            again.iter().all(|e| !e.problem),
+            "unchanged curves are not problems"
         );
-        assert!(again.is_empty(), "unchanged curves are not problems");
     }
 
     #[test]
@@ -282,34 +294,18 @@ mod tests {
         let (sim, _, inst, _) = sim_with_traffic();
         let mut stable = StableStateStore::new();
         let ghost = ClassId::new(AppId(9), 0);
-        let (problems, examined) = find_problem_classes(
-            &sim,
-            inst,
-            &[ghost],
-            &mut stable,
-            MrcMode::Exact,
-            sim.now(),
-            &None,
-        );
-        assert!(problems.is_empty());
+        let examined = examine(&sim, inst, &[ghost], &mut stable);
         assert!(examined.is_empty());
     }
 
     #[test]
     fn light_classes_fit_as_quotas() {
         let (sim, app, inst, report) = sim_with_traffic();
-        // Pretend a light class (Home) is the problem: everything fits in
-        // the 8192-page pool, so the plan is a quota, not a move.
-        let problems = vec![ProblemClass {
-            class: ClassId::new(app, 0),
-            params: MrcParams {
-                total_memory_needed: 300,
-                ideal_miss_ratio: 0.01,
-                acceptable_memory_needed: 250,
-                acceptable_miss_ratio: 0.03,
-            },
-            changed: true,
-        }];
+        // A light class (Home) with no stable record is the problem:
+        // everything fits in the 8192-page pool, so the plan is a quota,
+        // not a move.
+        let home = [ClassId::new(app, 0)];
+        let problems = examine(&sim, inst, &home, &mut StableStateStore::new());
         let plan = plan_memory_action(&sim, inst, &report, &problems, MrcMode::Exact, &None);
         match plan {
             MemoryPlan::Quotas(quotas) => {

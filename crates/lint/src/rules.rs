@@ -4,7 +4,7 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D01  | no wall-clock (`Instant::now`, `SystemTime`, `std::time`) in any linted file without a [`crate::EXEMPTIONS`] row |
-//! | D02  | no iteration over `HashMap`/`HashSet` (or an alias: `FastMap`/`FastSet`, `use … as`, `type`) in any linted file unless sorted or consumed order-free |
+//! | D02  | no `HashMap`/`HashSet` named in any linted file without a row: tables go through `odlb_sim::FastMap`, which has no unordered visit to leak |
 //! | D03  | no float formatted into an artifact without an explicit precision or the shared formatter |
 //! | D04  | no threads, thread identity, host parallelism, ambient randomness or `{:p}` addresses in any linted file without a row |
 //! | D05  | no folded-stacks dumps rendered in any linted file without a row (the validated exporter path) |
@@ -19,10 +19,9 @@
 
 use crate::lexer::{Lexed, TokKind, Token};
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
-/// What a D01/D04/D05 finding found: the unit a [`crate::EXEMPTIONS`]
-/// row allows per file.
+/// What a D01/D02/D04/D05 finding found: the unit a
+/// [`crate::EXEMPTIONS`] row allows per file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
     /// Wall-clock reads (`Instant::now`, `SystemTime`, `std::time`).
@@ -39,6 +38,8 @@ pub enum Kind {
     PtrAddr,
     /// Folded-stacks dump rendering (`folded_sim`, `folded_wall`).
     Folded,
+    /// A std hash table named (`HashMap`, `HashSet`).
+    HashTable,
 }
 
 impl Kind {
@@ -46,6 +47,7 @@ impl Kind {
     pub fn rule(self) -> &'static str {
         match self {
             Kind::Clock => "D01",
+            Kind::HashTable => "D02",
             Kind::Folded => "D05",
             _ => "D04",
         }
@@ -86,35 +88,6 @@ impl std::fmt::Display for Diagnostic {
         )
     }
 }
-
-/// Iteration methods whose order reflects the hasher, not the data.
-const HASH_ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
-/// Tokens downstream of an iteration site that prove the order is fixed
-/// before anything observable happens.
-const SORTED_EVIDENCE: [&str; 6] = [
-    "sort",
-    "sort_by",
-    "sort_unstable",
-    "sort_by_key",
-    "sort_unstable_by_key",
-    "sort_unstable_by",
-];
-
-/// Iterator terminals whose result does not depend on visit order.
-const ORDER_INSENSITIVE: [&str; 8] = [
-    "sum", "count", "min", "max", "all", "any", "len", "is_empty",
-];
 
 /// Format-like macros whose first argument is a format string.
 const FMT_MACROS: [&str; 8] = [
@@ -175,7 +148,6 @@ pub fn check_file(file: &str, lexed: &Lexed, policy: Policy<'_>) -> Vec<Diagnost
             push(l, kind.rule(), m);
         }
     });
-    rule_d02(toks, &in_test, &mut |l, m| push(l, "D02", m));
     if policy.float_fmt {
         rule_d03(toks, &in_test, &mut |l, m| push(l, "D03", m));
     }
@@ -316,11 +288,11 @@ fn path2(toks: &[Token], i: usize, a: &str, b: &str) -> bool {
         && toks[i + 3].is_ident(b)
 }
 
-/// D01, D04, D05 — presence rules: the token that reads a clock, spawns
-/// or identifies a thread, asks the host for its parallelism, draws
-/// ambient randomness, prints an address or renders a folded-stacks
-/// dump is flagged where it stands, tagged with its [`Kind`] so the
-/// file's exemption row can allow exactly that.
+/// D01, D02, D04, D05 — presence rules: the token that reads a clock,
+/// names a std hash table, spawns or identifies a thread, asks the host
+/// for its parallelism, draws ambient randomness, prints an address or
+/// renders a folded-stacks dump is flagged where it stands, tagged with
+/// its [`Kind`] so the file's exemption row can allow exactly that.
 fn rule_sources(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, Kind, String)) {
     for i in 0..toks.len() {
         if in_test[i] {
@@ -393,6 +365,15 @@ fn rule_sources(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, Kin
                     "`{name}` is ambient randomness; all randomness flows from the seeded sim RNG"
                 ),
             );
+        } else if name == "HashMap" || name == "HashSet" {
+            emit(
+                t.line,
+                Kind::HashTable,
+                format!(
+                    "`{name}` can be visited in hasher order; use `odlb_sim::FastMap` \
+                     (lookups and key-ordered visits only) or a BTreeMap/BTreeSet"
+                ),
+            );
         } else if name == "folded_sim" || name == "folded_wall" {
             // Any new call site that renders a dump risks writing an
             // artifact that `validate_folded` never saw.
@@ -409,214 +390,10 @@ fn rule_sources(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, Kin
     }
 }
 
-/// Names an unordered hash table goes by anywhere in the workspace:
-/// std's types and the `odlb_sim::hash` aliases over them (a fixed
-/// hasher still gives an arbitrary iteration order).
-const UNORDERED_NAMES: [&str; 4] = ["HashMap", "HashSet", "FastMap", "FastSet"];
-
-/// [`UNORDERED_NAMES`] plus every other name this file gives one of
-/// them: `use … HashMap as Table` renames and `type Table = FastMap<…>`
-/// aliases (of aliases, to a fixed point).
-fn unordered_names(toks: &[Token]) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = UNORDERED_NAMES.iter().map(|n| n.to_string()).collect();
-    loop {
-        let before = names.len();
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident {
-                continue;
-            }
-            if names.contains(&toks[i].text)
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("as"))
-                && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                names.insert(toks[i + 2].text.clone());
-            }
-            if toks[i].is_ident("type") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                let aliased = toks[i + 2..]
-                    .iter()
-                    .take_while(|t| !t.is_punct(';'))
-                    .skip_while(|t| !t.is_punct('='))
-                    .any(|t| t.kind == TokKind::Ident && names.contains(&t.text));
-                if aliased {
-                    names.insert(toks[i + 1].text.clone());
-                }
-            }
-        }
-        if names.len() == before {
-            return names;
-        }
-    }
-}
-
-/// Identifiers bound to an unordered hash table in this file: struct
-/// fields (`name: HashMap<…>`), annotated lets / params
-/// (`name: &mut FastMap<…>`) and inferred lets (`name = HashMap::new()`).
-fn hash_bound_idents(toks: &[Token]) -> BTreeSet<String> {
-    let names = unordered_names(toks);
-    let mut bound = BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || !names.contains(&toks[i].text) {
-            continue;
-        }
-        // Walk back over `&`, `mut` and lifetimes to the binder.
-        let mut j = i;
-        while j > 0 {
-            let prev = &toks[j - 1];
-            if prev.is_punct('&') || prev.is_ident("mut") || prev.kind == TokKind::Lifetime {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if j >= 2 && toks[j - 1].is_punct(':') && !toks[j - 2].is_punct(':') {
-            if toks[j - 2].kind == TokKind::Ident {
-                bound.insert(toks[j - 2].text.clone());
-            }
-        } else if j >= 2 && toks[j - 1].is_punct('=') && toks[j - 2].kind == TokKind::Ident {
-            bound.insert(toks[j - 2].text.clone());
-        }
-    }
-    bound
-}
-
-/// D02 — no unordered iteration whose order anything can observe.
-fn rule_d02(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
-    let bound = hash_bound_idents(toks);
-    if bound.is_empty() {
-        return;
-    }
-    let spans = fn_spans(toks);
-
-    // `.iter()` / `.keys()` / … on a tracked receiver.
-    for i in 1..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        if toks[i].is_punct('.')
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-            && HASH_ITER_METHODS.contains(&toks[i + 1].text.as_str())
-            && toks[i + 2].is_punct('(')
-            && toks[i - 1].kind == TokKind::Ident
-            && bound.contains(&toks[i - 1].text)
-            && !order_fixed_downstream(toks, i)
-            && !binder_sorted_later(toks, &spans, i)
-        {
-            emit(
-                toks[i].line,
-                format!(
-                    "`{}.{}()` iterates a HashMap/HashSet in hasher order; use \
-                     BTreeMap/BTreeSet or sort before anything observable",
-                    toks[i - 1].text,
-                    toks[i + 1].text
-                ),
-            );
-        }
-    }
-
-    // `for pat in <expr mentioning a tracked map> { … }`.
-    let mut i = 0;
-    while i < toks.len() {
-        if in_test[i] || !toks[i].is_ident("for") {
-            i += 1;
-            continue;
-        }
-        // Find `in` at bracket depth 0 before the loop body's `{`.
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        let mut in_pos = None;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct('{') {
-                break;
-            } else if depth == 0 && t.is_ident("in") {
-                in_pos = Some(j);
-            }
-            j += 1;
-        }
-        if let Some(p) = in_pos {
-            for t in toks.iter().take(j).skip(p + 1) {
-                if t.kind == TokKind::Ident && bound.contains(&t.text) {
-                    emit(
-                        t.line,
-                        format!(
-                            "`for … in` over HashMap/HashSet `{}` visits entries in hasher \
-                             order; use BTreeMap/BTreeSet",
-                            t.text
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-        i = j + 1;
-    }
-}
-
-/// True when, between the iteration site and the end of the statement,
-/// the chain is explicitly sorted, lands in an ordered collection, or
-/// ends in a terminal whose result is order-free (`.sum()`, `.len()`…).
-fn order_fixed_downstream(toks: &[Token], from: usize) -> bool {
-    for t in toks.iter().skip(from).take(80) {
-        if t.is_punct(';') {
-            return false;
-        }
-        if t.kind == TokKind::Ident
-            && (SORTED_EVIDENCE.contains(&t.text.as_str())
-                || ORDER_INSENSITIVE.contains(&t.text.as_str())
-                || t.text == "BTreeMap"
-                || t.text == "BTreeSet")
-        {
-            return true;
-        }
-    }
-    false
-}
-
-/// True when the iteration statement binds `let [mut] NAME = …` and a
-/// later statement of the same function sorts `NAME` (`NAME.sort*`): the
-/// collect-then-sort idiom, invisible to the one-statement heuristic.
-fn binder_sorted_later(toks: &[Token], spans: &[(usize, usize)], site: usize) -> bool {
-    let Some((start, end)) = innermost_span(spans, site).map(|i| spans[i]) else {
-        return false;
-    };
-    // Statement start: previous `;`, `{` or `}`.
-    let mut j = site;
-    while j > start {
-        let t = &toks[j - 1];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            break;
-        }
-        j -= 1;
-    }
-    if !toks[j].is_ident("let") {
-        return false;
-    }
-    let mut name_at = j + 1;
-    if toks.get(name_at).is_some_and(|t| t.is_ident("mut")) {
-        name_at += 1;
-    }
-    let Some(name) = toks.get(name_at).filter(|t| t.kind == TokKind::Ident) else {
-        return false;
-    };
-    (site..end.saturating_sub(1)).any(|i| {
-        toks[i].is_ident(&name.text)
-            && toks[i + 1].is_punct('.')
-            && toks[i + 2].kind == TokKind::Ident
-            && toks[i + 2].text.starts_with("sort")
-    })
-}
-
-/// Function spans `(fn keyword, closing brace)` in token indices. D02's
-/// collect-then-sort check and D03's float-identifier tracking are
-/// scoped by them (a `v: f64` parameter of one function must not mark a
-/// same-named `v: u64` in its sibling), and the probe audit inserts one
-/// probe per span.
+/// Function spans `(fn keyword, closing brace)` in token indices. D03's
+/// float-identifier tracking is scoped by them (a `v: f64` parameter of
+/// one function must not mark a same-named `v: u64` in its sibling), and
+/// the probe audit inserts one probe per span.
 pub fn fn_spans(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -854,60 +631,6 @@ mod tests {
         let got = run(src, ALL);
         assert!(got.contains(&(1, "D01")), "{got:?}");
         assert!(got.contains(&(2, "D01")), "{got:?}");
-    }
-
-    #[test]
-    fn d02_flags_iteration_but_not_sorted_collects() {
-        let src = "\
-struct S { m: HashMap<u32, u32> }
-impl S {
-    fn bad(&self) -> Vec<u32> { self.m.keys().copied().collect() }
-    fn good(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.m.keys().copied().collect();
-        v.sort();
-        v
-    }
-}";
-        // `good` collects, then sorts its binder in a later statement.
-        assert_eq!(run(src, ALL), vec![(3, "D02")]);
-    }
-
-    #[test]
-    fn d02_exempts_inline_sort_and_btreemap() {
-        let src = "\
-fn f(m: &HashMap<u32, u32>) {
-    let v: Vec<u32> = m.keys().copied().collect::<Vec<_>>().sort_unstable_by_key(|k| *k);
-    let b: BTreeMap<u32, u32> = m.iter().map(|(k, v)| (*k, *v)).collect::<BTreeMap<_, _>>();
-    let s: u32 = m.values().sum();
-}";
-        let got = run(src, ALL);
-        assert!(got.iter().all(|(_, r)| *r != "D02"), "{got:?}");
-    }
-
-    #[test]
-    fn d02_sees_through_aliases_and_renames() {
-        // The workspace alias, a `use … as` rename and a local `type`
-        // alias (of the alias) all still iterate in hasher order.
-        let src = "\
-use std::collections::HashMap as Table;
-type Slots = FastMap<u32, u32>;
-type Nested = Slots;
-struct S { a: FastMap<u32, u32>, b: Table<u32, u32>, c: Nested, d: BTreeMap<u32, u32> }
-impl S {
-    fn a(&self) -> Vec<u32> { self.a.keys().copied().collect() }
-    fn b(&self) -> Vec<u32> { self.b.values().copied().collect() }
-    fn c(&self) { for (k, v) in &self.c { use_it(k, v); } }
-    fn d(&self) -> Vec<u32> { self.d.keys().copied().collect() }
-    fn sized() -> Vec<u32> { let m = FastMap::with_capacity_and_hasher(8, Default::default()); let v = m.into_keys().collect(); v }
-    fn sorted(&self) -> Vec<u32> { self.a.keys().copied().collect::<Vec<_>>().sort() }
-}";
-        let got = run(src, ALL);
-        let d02: Vec<u32> = got
-            .iter()
-            .filter(|(_, r)| *r == "D02")
-            .map(|(l, _)| *l)
-            .collect();
-        assert_eq!(d02, vec![6, 7, 8, 10], "{got:?}");
     }
 
     #[test]

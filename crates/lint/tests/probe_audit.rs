@@ -5,22 +5,20 @@
 //! row allows that kind. Rules are file-local, so the whole sweep is one
 //! re-lex of one file per probe.
 
-use odlb_lint::{collect_files, lexer, policy_for, rules, Kind};
-use std::path::{Path, PathBuf};
+use odlb_lint::{collect_files, find_workspace_root, lexer, policy_for, rules, Kind};
+use std::path::Path;
 
-/// `(rule, kind a row could allow, statement)`. Hash-order iteration has
-/// no kind: no row can allow it, only a reasoned pragma on the line.
-const PROBES: [(&str, Option<Kind>, &str); 4] = [
-    ("D01", Some(Kind::Clock), "let _p = Instant::now();"),
-    ("D04", Some(Kind::Randomness), "let _p = thread_rng();"),
+/// `(kind a row could allow, statement)`; the finding must carry the
+/// kind's rule.
+const PROBES: [(Kind, &str); 4] = [
+    (Kind::Clock, "let _p = Instant::now();"),
+    (Kind::Randomness, "let _p = thread_rng();"),
     (
-        "D02",
-        None,
+        Kind::HashTable,
         "let _m: HashMap<u32, u32> = HashMap::new(); for _x in _m.iter() { drop(_x); }",
     ),
     (
-        "D04",
-        Some(Kind::ThreadIdentity),
+        Kind::ThreadIdentity,
         "let _p = std::thread::current().id();",
     ),
 ];
@@ -43,11 +41,8 @@ fn probe_sites(text: &str) -> Vec<u32> {
 
 #[test]
 fn every_function_outside_the_table_is_guarded() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/lint has a workspace two levels up")
-        .to_path_buf();
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("crates/lint sits inside the workspace");
     let mut paths = Vec::new();
     collect_files(
         &root,
@@ -72,8 +67,9 @@ fn every_function_outside_the_table_is_guarded() {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         for site in probe_sites(&text) {
-            for (p, &(rule, kind, stmt)) in PROBES.iter().enumerate() {
-                if kind.is_some_and(|k| policy.allow.contains(&k)) {
+            for (p, &(kind, stmt)) in PROBES.iter().enumerate() {
+                let rule = kind.rule();
+                if policy.allow.contains(&kind) {
                     tally[p].2 += 1;
                     continue;
                 }
@@ -93,7 +89,8 @@ fn every_function_outside_the_table_is_guarded() {
     }
 
     println!("probe audit over {files} linted files (probed / flagged / allowed by a row):");
-    for (&(rule, _, stmt), (probed, flagged, allowed)) in PROBES.iter().zip(tally) {
+    for (&(kind, stmt), (probed, flagged, allowed)) in PROBES.iter().zip(tally) {
+        let rule = kind.rule();
         println!("  {rule}  {probed} / {flagged} / {allowed}  {stmt}");
         assert!(probed > 500, "{rule}: only {probed} functions probed");
     }

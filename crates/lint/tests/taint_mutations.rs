@@ -1,10 +1,12 @@
 //! Seeded-mutation test for the presence rules.
 //!
 //! A clean source file is analyzed in memory, then each of ten seeded
-//! nondeterminism mutations is written into it — always in a file of
-//! the bench crate, next door to the files whose exemption rows allow a
-//! clock or a thread, and some of them a call hop away from the function
-//! that returns the value. Nine are flagged by the D-rule itself, at the
+//! nondeterminism mutations is written into it — the clock and thread
+//! ones in a file of the bench crate, next door to the files whose
+//! exemption rows allow a clock or a thread, and some of them a call hop
+//! away from the function that returns the value; the std hash tables in
+//! the two files whose tables feed artifacts (the pool's class counters,
+//! the metrics exporter). Nine are flagged by the D-rule itself, at the
 //! source line, in the mutated file. The tenth is
 //! `available_parallelism` written into `runner.rs`, the one file whose
 //! exemption row allows exactly that; what guards it is dynamic
@@ -144,35 +146,25 @@ pub fn sample(c: &mut u64) -> u64 {
 "#,
     },
     Mutation {
-        name: "hash_order_iter",
-        flagged: Some(("D02", 7)),
-        source_rel: "crates/bench/src/meter.rs",
+        name: "std_table_returned_by_the_pool",
+        flagged: Some(("D02", 2)),
+        source_rel: "crates/bufferpool/src/pool.rs",
         source_src: r#"
-use std::collections::HashMap;
-
-pub fn sample(c: &mut u64) -> u64 {
-    let mut m: HashMap<u64, u64> = HashMap::new();
-    m.insert(*c, 1);
-    let vs: Vec<u64> = m.values().copied().collect();
-    vs.first().copied().unwrap_or(0)
+pub fn drain_counters(c: &mut u64) -> std::collections::HashMap<u64, u64> {
+    [(*c, 1)].into_iter().collect()
 }
 "#,
     },
     Mutation {
-        name: "hash_order_for_loop",
-        flagged: Some(("D02", 8)),
-        source_rel: "crates/bench/src/meter.rs",
+        name: "std_set_walked_by_the_exporter",
+        flagged: Some(("D02", 3)),
+        source_rel: "crates/cluster/src/driver/export.rs",
         source_src: r#"
-use std::collections::HashMap;
-
-pub fn sample(c: &mut u64) -> u64 {
-    let mut m: HashMap<u64, u64> = HashMap::new();
-    m.insert(*c, 1);
-    let mut acc = 0;
-    for (_k, v) in &m {
-        acc ^= *v;
+pub fn sample(c: &mut u64, out: &mut String) {
+    let seen = [*c, 1].into_iter().collect::<std::collections::HashSet<u64>>();
+    for series in seen {
+        out.push_str(&series.to_string());
     }
-    acc
 }
 "#,
     },
@@ -187,8 +179,8 @@ fn lint(rel: &str, src: &str) -> Vec<odlb_lint::Diagnostic> {
 
 #[test]
 fn clean_base_has_no_findings() {
-    for rel in ["crates/bench/src/meter.rs", "crates/bench/src/runner.rs"] {
-        let diags = lint(rel, CLEAN_SRC);
+    for m in MUTATIONS {
+        let diags = lint(m.source_rel, CLEAN_SRC);
         assert!(diags.is_empty(), "clean base flagged: {diags:#?}");
     }
 }

@@ -3,21 +3,15 @@
 //! every exemption row in the tree is proven load-bearing (taking it
 //! away re-surfaces a diagnostic).
 
-use odlb_lint::{lexer, policy_for, rules, run_workspace, Kind, Policy, EXEMPTIONS};
+use odlb_lint::{
+    collect_files, find_workspace_root, lexer, policy_for, rules, run_workspace, Kind, Policy,
+    EXEMPTIONS,
+};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/lint has a workspace two levels up")
-        .to_path_buf();
-    assert!(
-        root.join("Cargo.toml").is_file(),
-        "{}: not a workspace root",
-        root.display()
-    );
-    root
+    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("crates/lint sits inside the workspace")
 }
 
 #[test]
@@ -42,7 +36,8 @@ fn live_workspace_is_lint_clean() {
 fn every_live_pragma_is_load_bearing() {
     let root = workspace_root();
     let mut pragma_files = Vec::new();
-    collect_rs(&root.join("crates"), &mut pragma_files);
+    let is_rs = |p: &Path| p.extension().is_some_and(|e| e == "rs");
+    collect_files(&root.join("crates"), &is_rs, &mut pragma_files);
     let mut checked = 0usize;
 
     for path in pragma_files {
@@ -117,25 +112,6 @@ fn manifest_gate_rejects_external_dependency() {
         diags.iter().any(|d| d.rule == "M01"),
         "external dependency not caught: {diags:?}"
     );
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut entries: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    entries.sort();
-    for path in entries {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
 
 /// Rewrites the pragma comment on 1-based `line` into an inert comment,

@@ -92,6 +92,11 @@ impl MarkSet {
         }
     }
 
+    /// True when `slot` is marked.
+    fn is_marked(&self, slot: usize) -> bool {
+        self.words[slot / WORD_BITS] & (1 << (slot % WORD_BITS)) != 0
+    }
+
     /// Number of marked slots strictly below `slot`.
     fn rank(&self, slot: usize) -> usize {
         let mut i = slot / WORD_BITS;
@@ -110,6 +115,9 @@ impl MarkSet {
 pub struct MattsonTracker<K> {
     /// Most-recent access slot per live key.
     last_slot: FastMap<K, usize>,
+    /// The key accessed at each slot below `next_slot`: how `rebuild`
+    /// finds the live keys without walking the table.
+    slot_key: Vec<K>,
     /// Marks which slots are some key's most recent access.
     marks: MarkSet,
     /// Next free slot. Every marked slot is below it.
@@ -132,6 +140,7 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
     pub fn new(cap_pages: usize) -> Self {
         MattsonTracker {
             last_slot: FastMap::default(),
+            slot_key: Vec::new(),
             marks: MarkSet::with_slots(((cap_pages + 1) * 2).next_power_of_two()),
             next_slot: 0,
             curve: MissRatioCurve::new(cap_pages),
@@ -177,6 +186,7 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
         }
         let t = self.next_slot;
         self.next_slot += 1;
+        self.slot_key.push(key);
 
         let distance = match self.last_slot.insert(key, t) {
             Some(t0) => {
@@ -202,12 +212,16 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
     /// Re-numbers live keys' slots densely as `0..n` and sizes the mark
     /// set with headroom, preserving relative recency order exactly.
     fn rebuild(&mut self) {
-        let mut slots: Vec<&mut usize> = self.last_slot.values_mut().collect();
-        slots.sort_unstable_by_key(|s| **s);
-        let n = slots.len();
-        for (i, slot) in slots.into_iter().enumerate() {
-            *slot = i;
+        let mut n = 0;
+        for slot in 0..self.next_slot {
+            if self.marks.is_marked(slot) {
+                let key = self.slot_key[slot];
+                self.last_slot.insert(key, n);
+                self.slot_key[n] = key;
+                n += 1;
+            }
         }
+        self.slot_key.truncate(n);
         self.marks = MarkSet::dense(n, ((n + 1) * 2).next_power_of_two().max(4096));
         self.next_slot = n;
     }

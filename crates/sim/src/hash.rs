@@ -5,22 +5,22 @@
 //! probe. The hot-path tables here are keyed by `PageId` / `ClassId` /
 //! `DomainId` integers that our own seeded workload generates, so that
 //! protection buys nothing. [`FastHasher`] is one multiply per key word
-//! and one rotate at the end; [`FastMap`] / [`FastSet`] are the std
-//! collections built on it.
+//! and one rotate at the end; [`FastMap`] is the std table built on it.
 //!
 //! The hash is a fixed function of the key — the same in every map,
-//! process and build — but the iteration order it gives a table is still
-//! arbitrary. Treat a `FastMap` exactly like a `HashMap`: never let its
-//! iteration order reach a digest, an export or any simulated decision
-//! (odlb-lint D02 tracks both names in every linted file, and no
-//! `odlb_lint::EXEMPTIONS` row can allow it).
+//! process and build — but the order it gives a table's entries is still
+//! arbitrary, so a `FastMap` cannot be asked for it: it looks keys up,
+//! and visits entries only in key order. No hash order can reach a
+//! digest, an export or a simulated decision, because no expression
+//! yields one. This file is the only one in the workspace allowed to
+//! name the std tables (odlb-lint D02, one `odlb_lint::EXEMPTIONS` row).
 //!
 //! This hash only *places* keys in tables. The hash that decides which
 //! keys a sampled MRC tracker keeps (`odlb-mrc`'s `sample_hash`) is a
 //! model input and a separate, frozen function.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Odd 64-bit multiplier with no short bit patterns (the constant
 /// rustc-hash 2 ships); any such constant works, changing it only
@@ -76,13 +76,141 @@ impl Hasher for FastHasher {
     }
 }
 
-/// A `HashMap` placed by [`FastHasher`]. Construct with
-/// `FastMap::default()` or `FastMap::with_capacity_and_hasher(n,
-/// Default::default())`.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+/// A hash table placed by [`FastHasher`] that has no iteration order to
+/// leak: point operations, plus visits in key order for `K: Ord`.
+///
+/// ```
+/// let mut m = odlb_sim::FastMap::<u32, u64>::default();
+/// m.insert(7, 70);
+/// m.insert(1, 10);
+/// let seen: Vec<(u32, u64)> = m.iter_sorted().map(|(k, v)| (*k, *v)).collect();
+/// assert_eq!(seen, [(1, 10), (7, 70)]);
+/// ```
+///
+/// The unordered ways through a std table do not exist — `.iter()`,
+/// `for … in`, `.into_keys()` and `.retain(..)` each fail to compile:
+///
+/// ```compile_fail
+/// let m = odlb_sim::FastMap::<u32, u64>::default();
+/// for (k, v) in m.iter() {}
+/// ```
+///
+/// ```compile_fail
+/// let m = odlb_sim::FastMap::<u32, u64>::default();
+/// for (k, v) in m {}
+/// ```
+///
+/// ```compile_fail
+/// let m = odlb_sim::FastMap::<u32, u64>::default();
+/// let keys: Vec<u32> = m.into_keys().collect();
+/// ```
+///
+/// ```compile_fail
+/// let mut m = odlb_sim::FastMap::<u32, u64>::default();
+/// m.retain(|k, _| *k > 0);
+/// ```
+#[derive(Clone)]
+pub struct FastMap<K, V>(HashMap<K, V, BuildHasherDefault<FastHasher>>);
 
-/// A `HashSet` placed by [`FastHasher`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+impl<K, V> Default for FastMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        FastMap(HashMap::default())
+    }
+}
+
+/// Prints the size only: entries have no order worth printing.
+impl<K, V> std::fmt::Debug for FastMap<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FastMap({} entries)", self.0.len())
+    }
+}
+
+impl<K: Eq + Hash, V> FastMap<K, V> {
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the table holds no entry.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Entries the table can hold without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// Makes room for `additional` more entries.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+
+    /// Removes every entry, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// True when `key` has an entry.
+    #[inline]
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// The value stored under `key`.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+
+    /// The value stored under `key`, mutably.
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.0.get_mut(key)
+    }
+
+    /// Stores `value` under `key`, returning the value it replaces.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Removes `key`'s entry, returning its value.
+    #[inline]
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.0.remove(key)
+    }
+
+    /// `key`'s slot, occupied or vacant, found with one probe.
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+}
+
+/// The only ways to visit every entry: in key order, at the cost of a
+/// sort per visit — for interval-close and colder paths.
+impl<K: Ord, V> FastMap<K, V> {
+    /// Every entry, in ascending key order.
+    pub fn iter_sorted(&self) -> impl Iterator<Item = (&K, &V)> {
+        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
+    }
+
+    /// Every entry with its value mutable, in ascending key order.
+    pub fn iter_sorted_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        let mut entries: Vec<(&K, &mut V)> = self.0.iter_mut().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -105,7 +233,7 @@ mod tests {
         // Two independently built maps agree.
         let a = BuildHasherDefault::<FastHasher>::default();
         let b = FastMap::<u64, ()>::default();
-        assert_eq!(a.hash_one(42u64), b.hasher().hash_one(42u64));
+        assert_eq!(a.hash_one(42u64), b.0.hasher().hash_one(42u64));
     }
 
     #[test]

@@ -70,8 +70,7 @@ impl SharedIoPath {
     /// Counters summed over all domains (equals the disk's own counters).
     pub fn total_counters(&self) -> IoCounters {
         let mut total = IoCounters::default();
-        // odlb-lint: allow(D02) — integer sums commute; the total is the same in any visit order
-        for c in self.per_domain.values() {
+        for (_, c) in self.per_domain.iter_sorted() {
             total.absorb(*c);
         }
         total
@@ -87,13 +86,10 @@ impl SharedIoPath {
         self.disk.mean_wait()
     }
 
-    /// Cumulative per-domain counters, domains in sorted order (the map
-    /// behind them is a `FastMap`).
+    /// Cumulative per-domain counters, domains in sorted order.
     pub fn domain_counters(&self) -> Vec<(DomainId, IoCounters)> {
-        let mut domains: Vec<(DomainId, IoCounters)> =
-            self.per_domain.iter().map(|(d, c)| (*d, *c)).collect();
-        domains.sort_by_key(|(d, _)| *d);
-        domains
+        let domains = self.per_domain.iter_sorted();
+        domains.map(|(d, c)| (*d, *c)).collect()
     }
 }
 
@@ -117,8 +113,8 @@ mod tests {
             path.read(DomainId(1), SimTime::ZERO, IoKind::Random, 2, false);
         }
         path.read(DomainId(2), SimTime::ZERO, IoKind::Sequential, 64, true);
-        let d1 = path.per_domain[&DomainId(1)];
-        let d2 = path.per_domain[&DomainId(2)];
+        let d1 = path.per_domain.get(&DomainId(1)).unwrap();
+        let d2 = path.per_domain.get(&DomainId(2)).unwrap();
         assert_eq!(d1.requests, 3);
         assert_eq!(d1.pages, 6);
         assert_eq!(d2.readahead_requests, 1);

@@ -66,20 +66,6 @@ pub mod sizing {
 /// Class index of BestSeller (the paper's query #8).
 pub const BESTSELLER: usize = 8;
 
-/// The three standard TPC-W transaction mixes. The paper uses the
-/// shopping mix ("considered the most representative e-commerce workload
-/// by the TPC"); the others are provided for sensitivity studies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TpcwMix {
-    /// ~5% writes: almost pure browsing.
-    Browsing,
-    /// ~20% writes: the paper's configuration.
-    #[default]
-    Shopping,
-    /// ~50% writes: checkout-dominated.
-    Ordering,
-}
-
 /// TPC-W configuration knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TpcwConfig {
@@ -88,8 +74,6 @@ pub struct TpcwConfig {
     /// Whether the `O_DATE` index exists (§5.3 drops it to inject a
     /// localized access-pattern change).
     pub odate_index: bool,
-    /// Which transaction mix to run.
-    pub mix: TpcwMix,
 }
 
 impl Default for TpcwConfig {
@@ -97,7 +81,6 @@ impl Default for TpcwConfig {
         TpcwConfig {
             app: AppId(0),
             odate_index: true,
-            mix: TpcwMix::Shopping,
         }
     }
 }
@@ -328,27 +311,11 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             is_write: true,
         },
     ];
-    let mut spec = WorkloadSpec {
-        name: match config.mix {
-            TpcwMix::Browsing => "TPC-W (browsing)".into(),
-            TpcwMix::Shopping => "TPC-W".into(),
-            TpcwMix::Ordering => "TPC-W (ordering)".into(),
-        },
+    WorkloadSpec {
+        name: "TPC-W".into(),
         app: config.app,
         classes,
-    };
-    // The class set is identical across mixes; only weights shift.
-    let write_scale = match config.mix {
-        TpcwMix::Browsing => 0.2,
-        TpcwMix::Shopping => 1.0,
-        TpcwMix::Ordering => 4.0,
-    };
-    for class in &mut spec.classes {
-        if class.is_write {
-            class.weight *= write_scale;
-        }
     }
-    spec
 }
 
 #[cfg(test)]
@@ -373,23 +340,6 @@ mod tests {
         let w = tpcw_workload(TpcwConfig::default());
         let frac = w.write_fraction();
         assert!((0.15..=0.28).contains(&frac), "write fraction {frac}");
-    }
-
-    #[test]
-    fn mixes_order_by_write_fraction() {
-        let frac = |mix| {
-            tpcw_workload(TpcwConfig {
-                mix,
-                ..Default::default()
-            })
-            .write_fraction()
-        };
-        let browsing = frac(TpcwMix::Browsing);
-        let shopping = frac(TpcwMix::Shopping);
-        let ordering = frac(TpcwMix::Ordering);
-        assert!(browsing < shopping && shopping < ordering);
-        assert!(browsing < 0.10, "browsing ~5% writes, got {browsing}");
-        assert!(ordering > 0.40, "ordering ~50% writes, got {ordering}");
     }
 
     /// Computes a class's MRC parameters from a synthetic execution trace,
