@@ -182,6 +182,21 @@ mod tests {
         assert!(rows[1].sampled_refs > rows[2].sampled_refs);
     }
 
+    /// Which pages a sampled tracker follows is a fold of `PageId`'s
+    /// `Hash` byte stream — a model input. The A6 `0.10` row pins it: a
+    /// `Hash` emitting other bytes (a derive over narrower fields, say)
+    /// changes both numbers.
+    #[test]
+    fn sampling_stream_is_frozen() {
+        let mut tracker = SampledTracker::new(CAP, 0.10);
+        for page in fig5_reference_trace(120) {
+            tracker.access(page);
+        }
+        assert_eq!(tracker.sampled_refs(), 7842);
+        let params = tracker.into_curve().params(CAP, THRESHOLD);
+        assert_eq!(params.acceptable_memory_needed, 6850);
+    }
+
     #[test]
     fn rendered_table_lists_every_rate() {
         let text = render(&sampled_ablation(30, &[0.5, 0.1]));

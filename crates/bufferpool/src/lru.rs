@@ -255,6 +255,14 @@ mod tests {
         PageId::new(SpaceId(0), no)
     }
 
+    /// Every resident page is one chain node plus one index bucket:
+    /// their sizes are the pool's per-page memory.
+    #[test]
+    fn node_and_index_bucket_stay_narrow() {
+        assert!(std::mem::size_of::<Node>() <= 16);
+        assert_eq!(std::mem::size_of::<(PageId, u32)>(), 12);
+    }
+
     #[test]
     fn insert_until_full_then_evicts_lru() {
         let mut l = LruList::new(3);

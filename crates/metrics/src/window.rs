@@ -130,13 +130,24 @@ mod tests {
         PageId::new(SpaceId(0), no)
     }
 
+    /// The ring is the per-(instance, class) memory of §3.3's window:
+    /// eight bytes an access, allocated once.
+    #[test]
+    fn ring_holds_eight_bytes_per_access() {
+        for n in [1usize, 1_000, 100_000] {
+            let w = AccessWindow::new(n);
+            let ring_bytes = w.pages.capacity() * std::mem::size_of::<PageId>();
+            assert_eq!(ring_bytes, n * 8, "window of {n}");
+        }
+    }
+
     #[test]
     fn window_evicts_oldest() {
         let mut w = AccessWindow::new(3);
         for i in 0..5 {
             w.push(pid(i));
         }
-        let kept: Vec<u64> = w.iter().map(|p| p.page_no).collect();
+        let kept: Vec<u64> = w.iter().map(|p| p.page_no()).collect();
         assert_eq!(kept, vec![2, 3, 4]);
         assert_eq!(w.observed(), 5);
         assert_eq!(w.len(), 3);

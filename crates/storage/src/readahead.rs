@@ -12,7 +12,7 @@
 //! run tracking, a trigger threshold within the extent, and one prefetch of
 //! the following extent per trigger.
 
-use crate::page::{PageId, SpaceId};
+use crate::page::{PageId, SpaceId, MAX_PAGES_PER_SPACE};
 use odlb_sim::FastMap;
 
 /// Pages per extent (InnoDB constant).
@@ -80,16 +80,24 @@ impl ConsumerRuns<'_> {
                 }
             };
         }
+        let page_no = page.page_no();
         let state = &mut self.spaces[self.current].1;
-        let sequential = state.last_page == Some(page.page_no.wrapping_sub(1));
+        // Page 0 never continues a run: nothing precedes it.
+        let sequential = page_no
+            .checked_sub(1)
+            .is_some_and(|prev| state.last_page == Some(prev));
         state.run_len = if sequential { state.run_len + 1 } else { 1 };
-        state.last_page = Some(page.page_no);
+        state.last_page = Some(page_no);
 
-        let extent = page.page_no / EXTENT_PAGES;
+        let extent = page_no / EXTENT_PAGES;
         if state.run_len >= self.trigger && state.triggered_extent != Some(extent) {
+            let next_extent_start = (extent + 1) * EXTENT_PAGES;
+            if next_extent_start >= MAX_PAGES_PER_SPACE {
+                // A scan ending in the top extent: nothing addressable follows.
+                return None;
+            }
             state.triggered_extent = Some(extent);
             *self.issued += 1;
-            let next_extent_start = (extent + 1) * EXTENT_PAGES;
             return Some(PageId::new(page.space, next_extent_start));
         }
         None
@@ -255,6 +263,29 @@ mod tests {
         }
         assert_eq!(resolved.issued(), per_page.issued());
         assert!(resolved.issued() > 0, "the trace must exercise the trigger");
+    }
+
+    #[test]
+    fn page_zero_never_continues_a_run() {
+        // The last addressable page then page 0 is a wrap, not a scan.
+        let mut d = ReadAheadDetector::new(2);
+        assert_eq!(d.observe(1, pid(0, MAX_PAGES_PER_SPACE - 1)), None);
+        assert_eq!(d.observe(1, pid(0, 0)), None, "run restarts at page 0");
+        assert_eq!(d.issued(), 0);
+        assert!(d.observe(1, pid(0, 1)).is_some(), "run of 2 from page 0");
+    }
+
+    #[test]
+    fn scan_ending_in_the_top_extent_prefetches_nothing() {
+        let mut d = ReadAheadDetector::new(4);
+        let top = MAX_PAGES_PER_SPACE - EXTENT_PAGES;
+        // The extent below the top one still prefetches the top extent.
+        let mut fired = Vec::new();
+        for no in top - 4..MAX_PAGES_PER_SPACE {
+            fired.extend(d.observe(1, pid(0, no)));
+        }
+        assert_eq!(fired, vec![pid(0, top)]);
+        assert_eq!(d.issued(), 1, "no request counted for the top extent");
     }
 
     #[test]

@@ -240,8 +240,8 @@ mod tests {
         for _ in 0..n {
             let pages = p.generate(&mut r);
             assert_eq!(pages.len(), 1);
-            assert!(pages[0].page_no < 1000);
-            if pages[0].page_no < 10 {
+            assert!(pages[0].page_no() < 1000);
+            if pages[0].page_no() < 10 {
                 low += 1;
             }
         }
@@ -260,7 +260,7 @@ mod tests {
         for _ in 0..100 {
             for page in p.generate(&mut r) {
                 assert_eq!(page.space, SpaceId(3));
-                assert!(page.page_no < 50);
+                assert!(page.page_no() < 50);
             }
         }
     }
@@ -282,7 +282,7 @@ mod tests {
             for w in pages.windows(2) {
                 assert!(w[1].is_successor_of(w[0]), "scan must be contiguous");
             }
-            starts.push(pages[0].page_no);
+            starts.push(pages[0].page_no());
         }
         // Strong recency: most starts land in the last fifth of the window.
         let recent = starts.iter().filter(|&&s| s >= 10_000 - 500).count();
@@ -298,7 +298,7 @@ mod tests {
             scan_pages: 10,
         };
         let pages = p.generate(&mut rng());
-        let nos: Vec<u64> = pages.iter().map(|p| p.page_no).collect();
+        let nos: Vec<u64> = pages.iter().map(|p| p.page_no()).collect();
         assert_eq!(nos, (0..10).collect::<Vec<_>>());
     }
 
@@ -311,9 +311,9 @@ mod tests {
             cursor: std::cell::Cell::new(0),
         };
         let mut r = rng();
-        let a: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no).collect();
-        let b: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no).collect();
-        let c: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no).collect();
+        let a: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no()).collect();
+        let b: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no()).collect();
+        let c: Vec<u64> = p.generate(&mut r).iter().map(|x| x.page_no()).collect();
         assert_eq!(a, vec![0, 1, 2, 3]);
         assert_eq!(b, vec![4, 5, 6, 7]);
         assert_eq!(c, vec![8, 9, 0, 1], "wraps at the table size");
@@ -331,7 +331,7 @@ mod tests {
         let q = p.clone();
         let mut r = rng();
         p.generate(&mut r);
-        let from_clone: Vec<u64> = q.generate(&mut r).iter().map(|x| x.page_no).collect();
+        let from_clone: Vec<u64> = q.generate(&mut r).iter().map(|x| x.page_no()).collect();
         assert_eq!(
             from_clone,
             vec![0, 1, 2, 3],
@@ -347,7 +347,7 @@ mod tests {
             count: 100,
         };
         for page in p.generate(&mut rng()) {
-            assert!(page.page_no < 16);
+            assert!(page.page_no() < 16);
         }
     }
 

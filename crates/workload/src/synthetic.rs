@@ -217,7 +217,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         for _ in 0..500 {
             for page in w.sample_query(&mut rng).pages {
-                assert!(page.page_no < 64);
+                assert!(page.page_no() < 64);
             }
         }
     }
@@ -239,7 +239,7 @@ mod tests {
         for _ in 0..50 {
             let q = w.query_of_class(idx, &mut rng);
             assert_eq!(q.locked_pages().len(), 1, "locks exactly the counter");
-            assert_eq!(q.locked_pages()[0].page_no, 0);
+            assert_eq!(q.locked_pages()[0].page_no(), 0);
         }
     }
 
