@@ -21,11 +21,14 @@
 //! BestSeller barely moves.
 
 use odlb_bufferpool::PartitionedPool;
+use odlb_engine::QuerySpec;
 use odlb_metrics::ClassId;
 use odlb_mrc::MattsonTracker;
 use odlb_sim::SimRng;
-use odlb_storage::{PageId, ReadAheadDetector, EXTENT_PAGES};
+use odlb_storage::{ReadAheadDetector, EXTENT_PAGES};
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
+use odlb_workload::WorkloadSpec;
+use std::collections::BTreeMap;
 
 /// The table's measurements.
 #[derive(Clone, Copy, Debug)]
@@ -43,6 +46,46 @@ pub const CONFIGS: [&str; 3] = ["Shared Buffer", "Partitioned Buffer", "Exclusiv
 
 const POOL_PAGES: usize = 8192;
 
+/// `queries` sampled queries of `workload`: collected once so every
+/// configuration replays identical accesses (the paper's trace-driven
+/// methodology).
+fn sample_trace(workload: &WorkloadSpec, queries: usize) -> Vec<QuerySpec> {
+    let mut rng = SimRng::new(1_2007);
+    (0..queries)
+        .map(|_| workload.sample_query(&mut rng))
+        .collect()
+}
+
+/// Replays the queries of `trace` that `keep` admits through `pool` the
+/// way `DbEngine::execute` plays a query's pages: InnoDB-style read-ahead
+/// prefetches the next extent of a sequential run on behalf of (and,
+/// under a quota, into the partition of) the class. Returns each class's
+/// `(accesses, misses)` over the queries from index `from` on.
+fn replay(
+    pool: &mut PartitionedPool,
+    trace: &[QuerySpec],
+    from: usize,
+    keep: &dyn Fn(ClassId) -> bool,
+) -> BTreeMap<ClassId, (u64, u64)> {
+    let mut readahead = ReadAheadDetector::default();
+    let mut tally = BTreeMap::new();
+    for (i, q) in trace.iter().enumerate().filter(|(_, q)| keep(q.class)) {
+        let mut misses = 0;
+        for &p in &q.pages {
+            misses += pool.access(q.class, p).is_miss() as u64;
+            if let Some(start) = readahead.observe(q.class.as_u64(), p) {
+                pool.prefetch(q.class, (0..EXTENT_PAGES).map(|k| start.offset(k)));
+            }
+        }
+        if i >= from {
+            let t: &mut (u64, u64) = tally.entry(q.class).or_default();
+            t.0 += q.pages.len() as u64;
+            t.1 += misses;
+        }
+    }
+    tally
+}
+
 /// Runs the trace-driven comparison over `queries` sampled TPC-W queries
 /// (index dropped). A fifth of the trace warms each pool before counting.
 pub fn run(queries: usize) -> Table1Result {
@@ -52,25 +95,15 @@ pub fn run(queries: usize) -> Table1Result {
     });
     let bs_class = workload.class_id(BESTSELLER);
 
-    // Collect the trace once so every configuration replays identical
-    // accesses (the paper's trace-driven methodology).
-    let mut rng = SimRng::new(1_2007);
-    let trace: Vec<(ClassId, Vec<PageId>)> = (0..queries)
-        .map(|_| {
-            let q = workload.sample_query(&mut rng);
-            (q.class, q.pages)
-        })
-        .collect();
+    let trace = sample_trace(&workload, queries);
     let warmup = queries / 5;
 
     // The quota is what the controller would grant: the acceptable memory
     // of the recomputed (index-less) BestSeller curve.
     let mut tracker = MattsonTracker::new(POOL_PAGES);
-    for (class, pages) in &trace {
-        if *class == bs_class {
-            for &p in pages {
-                tracker.access(p);
-            }
+    for q in trace.iter().filter(|q| q.class == bs_class) {
+        for &p in &q.pages {
+            tracker.access(p);
         }
     }
     // Same floor the controller applies: a flat-MRC scan still needs room
@@ -82,42 +115,16 @@ pub fn run(queries: usize) -> Table1Result {
         .acceptable_memory_needed
         .clamp(512, POOL_PAGES - 1);
 
-    // Replays the trace through a pool with InnoDB-style read-ahead:
-    // sequential runs trigger prefetch of the next extent, installed on
-    // behalf of (and, under a quota, into the partition of) the class.
-    let hit_ratios = |pool: &mut PartitionedPool, filter: &dyn Fn(ClassId) -> bool| -> (f64, f64) {
-        let mut readahead = ReadAheadDetector::default();
-        for (i, (class, pages)) in trace.iter().enumerate() {
-            if i == warmup {
-                pool.reset_counters();
-            }
-            if !filter(*class) {
-                continue;
-            }
-            for &p in pages {
-                pool.access(*class, p);
-                if let Some(start) = readahead.observe(class.as_u64(), p) {
-                    pool.prefetch(*class, (0..EXTENT_PAGES).map(|k| start.offset(k)));
-                }
-            }
+    // Hit ratios of BestSeller and of everyone else after warm-up.
+    let hit_ratios = |pool: &mut PartitionedPool, keep: &dyn Fn(ClassId) -> bool| -> (f64, f64) {
+        let mut sides = [(0u64, 0u64); 2];
+        for (class, (accesses, misses)) in replay(pool, &trace, warmup, keep) {
+            let side = &mut sides[(class != bs_class) as usize];
+            side.0 += accesses;
+            side.1 += misses;
         }
-        let bs = pool.class_counters(bs_class);
-        let mut rest_hits = 0;
-        let mut rest_accesses = 0;
-        for i in 0..workload.classes.len() {
-            let c = workload.class_id(i);
-            if c != bs_class {
-                let counters = pool.class_counters(c);
-                rest_hits += counters.hits;
-                rest_accesses += counters.accesses;
-            }
-        }
-        let rest_ratio = if rest_accesses == 0 {
-            f64::NAN
-        } else {
-            rest_hits as f64 / rest_accesses as f64
-        };
-        (bs.hit_ratio(), rest_ratio)
+        let ratio = |(accesses, misses): (u64, u64)| (accesses - misses) as f64 / accesses as f64;
+        (ratio(sides[0]), ratio(sides[1]))
     };
 
     // Shared.
@@ -182,6 +189,43 @@ pub fn render(r: &Table1Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odlb_engine::{DbEngine, EngineConfig};
+    use odlb_sim::{SimTime, Station};
+    use odlb_storage::{DiskModel, DomainId, SharedIoPath};
+
+    /// Table 1 is a trace-driven simulator of the engine's page loop: its
+    /// shared-pool replay counts, per class, exactly the accesses and
+    /// misses the engine's log records report for the same trace.
+    #[test]
+    fn replay_equals_the_engine_page_loop() {
+        let workload = tpcw_workload(TpcwConfig {
+            odate_index: false,
+            ..Default::default()
+        });
+        let trace = sample_trace(&workload, 300);
+        let mut pool = PartitionedPool::new(POOL_PAGES);
+        let replayed = replay(&mut pool, &trace, 0, &|_| true);
+        let config = EngineConfig::default();
+        assert_eq!(
+            (config.pool_pages, config.readahead_trigger),
+            (POOL_PAGES, 56)
+        );
+        let mut engine = DbEngine::new(config, SimTime::ZERO);
+        let (mut cpu, mut io) = (Station::new(4), SharedIoPath::new(DiskModel::default()));
+        let mut executed = BTreeMap::new();
+        for q in &trace {
+            let r = engine.execute(SimTime::ZERO, q, &mut cpu, &mut io, DomainId(1));
+            let t: &mut (u64, u64) = executed.entry(q.class).or_default();
+            t.0 += r.record.page_accesses;
+            t.1 += r.record.buffer_misses;
+        }
+        assert_eq!(replayed, executed);
+        assert!(
+            replayed.values().map(|t| t.1).sum::<u64>() > 0,
+            "the pool must miss"
+        );
+        assert!(replayed.len() > 5, "the trace must span the mix");
+    }
 
     #[test]
     fn partitioning_recovers_rest_without_hurting_bestseller() {

@@ -1,4 +1,4 @@
-//! # odlb-bufferpool — LRU buffer pool with per-class accounting and quotas
+//! # odlb-bufferpool — LRU buffer pool with per-class quotas
 //!
 //! The simulated InnoDB buffer pool. The paper instruments MySQL/InnoDB to
 //! tie hit/miss/read-ahead statistics to query classes, and alleviates
@@ -8,8 +8,9 @@
 //!
 //! * [`LruList`] — an O(1) intrusive LRU list (slab + hash index), the
 //!   replacement policy under everything.
-//! * [`BufferPool`] — one LRU partition with per-class counters and
-//!   prefetch (read-ahead) insertion.
+//! * [`BufferPool`] — one LRU partition with prefetch (read-ahead)
+//!   insertion. Per-class hits and misses ride each query's log record,
+//!   not the pool.
 //! * [`PartitionedPool`] — the quota mechanism: a *general* partition plus
 //!   dedicated per-class partitions carved out of it; the paper's Table 1
 //!   compares exactly `shared` vs `partitioned` vs `exclusive`
@@ -21,4 +22,4 @@ pub mod pool;
 
 pub use lru::{LruList, Reference};
 pub use partitioned::{PartitionedPool, QuotaError};
-pub use pool::{AccessOutcome, BufferPool, ClassAccess, ClassCounters};
+pub use pool::{AccessOutcome, BufferPool, ClassAccess};

@@ -11,7 +11,7 @@
 //! Capacity invariant: the general partition plus all quota partitions
 //! always sum to the configured total.
 
-use crate::pool::{AccessOutcome, BufferPool, ClassAccess, ClassCounters};
+use crate::pool::{AccessOutcome, BufferPool, ClassAccess};
 use odlb_metrics::ClassId;
 use odlb_sim::FastMap;
 use odlb_storage::PageId;
@@ -92,9 +92,6 @@ impl PartitionedPool {
             });
         }
         self.general.resize(self.general.capacity() - pages);
-        // The class's accounting moves to its partition: stale general
-        // counters must not resurface if the quota is later cleared.
-        self.general.clear_class_counters(class);
         self.quotas.insert(class, BufferPool::new(pages));
         Ok(())
     }
@@ -115,15 +112,15 @@ impl PartitionedPool {
 
     /// Resolves `class` once for a run of page references: the partition
     /// that serves it (its dedicated one if it has a quota, else the
-    /// general one) and its counter slot there. The engine takes one per
-    /// query; [`PartitionedPool::access`] and
+    /// general one). The engine takes one per query;
+    /// [`PartitionedPool::access`] and
     /// [`PartitionedPool::prefetch`] are the per-page forms.
     pub fn class_access(&mut self, class: ClassId) -> ClassAccess<'_> {
         let partition = match self.quotas.get_mut(&class) {
             Some(p) => p,
             None => &mut self.general,
         };
-        partition.class_access(class, &self.profiler)
+        partition.class_access(&self.profiler)
     }
 
     /// Accesses one page: routed to the class's dedicated partition if it
@@ -137,14 +134,6 @@ impl PartitionedPool {
         self.class_access(class).prefetch(pages)
     }
 
-    /// Counters for one class (from whichever partition serves it).
-    pub fn class_counters(&self, class: ClassId) -> ClassCounters {
-        match self.quotas.get(&class) {
-            Some(p) => p.class_counters(class),
-            None => self.general.class_counters(class),
-        }
-    }
-
     /// Resident pages of the general partition, LRU→MRU order.
     pub fn general_resident_pages(&self) -> Vec<PageId> {
         self.general.resident_pages()
@@ -156,15 +145,6 @@ impl PartitionedPool {
         self.general.preload(pages);
     }
 
-    /// Resets all per-class counters across partitions, keeping resident
-    /// pages — used to exclude warm-up from measured hit ratios.
-    pub fn reset_counters(&mut self) {
-        self.general.drain_counters();
-        for (_, p) in self.quotas.iter_sorted_mut() {
-            p.drain_counters();
-        }
-    }
-
     /// Lifetime evictions across all partitions (monotone).
     pub fn evictions(&self) -> u64 {
         let quotaed: u64 = self.quotas.iter_sorted().map(|(_, p)| p.evictions()).sum();
@@ -173,8 +153,7 @@ impl PartitionedPool {
 
     /// Every partition as `(class, capacity, resident)` in pages: the
     /// general partition (`None`) first, then the quota partitions in
-    /// class order. Per-class hit/miss counters stay out — quota churn
-    /// moves and drops that accounting.
+    /// class order.
     pub fn partitions(&self) -> Vec<(Option<ClassId>, usize, usize)> {
         let mut out = vec![(None, self.general.capacity(), self.general.resident())];
         let quotaed = self.quotas.iter_sorted();
@@ -314,25 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_counters_keeps_residency() {
-        let mut p = PartitionedPool::new(50);
-        p.set_quota(class(8), 10).unwrap();
-        p.access(class(8), pid(1));
-        p.access(class(1), pid(2));
-        p.reset_counters();
-        assert_eq!(p.class_counters(class(8)).accesses, 0);
-        assert_eq!(p.class_counters(class(1)).accesses, 0);
-        // Pages stayed resident: immediate hits.
-        assert_eq!(p.access(class(8), pid(1)), AccessOutcome::Hit);
-        assert_eq!(p.access(class(1), pid(2)), AccessOutcome::Hit);
-    }
-
-    #[test]
     fn prefetch_routes_to_quota_partition() {
         let mut p = PartitionedPool::new(100);
         p.set_quota(class(8), 10).unwrap();
-        p.prefetch(class(8), (0..5).map(pid));
-        assert_eq!(p.class_counters(class(8)).prefetched, 5);
+        assert_eq!(p.prefetch(class(8), (0..5).map(pid)), 5);
         assert_eq!(p.access(class(8), pid(3)), AccessOutcome::Hit);
         // General partition never saw those pages.
         assert_eq!(p.access(class(1), pid(3)), AccessOutcome::Miss);

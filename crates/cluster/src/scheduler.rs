@@ -42,11 +42,6 @@ impl Scheduler {
         }
     }
 
-    /// The application this scheduler serves.
-    pub fn app(&self) -> AppId {
-        self.app
-    }
-
     /// The current replica set.
     pub fn replicas(&self) -> &[InstanceId] {
         &self.replicas

@@ -149,7 +149,7 @@ impl DbEngine {
         span_units(&self.profiler, spec.pages.len() as u64);
         // Everything that is constant for the query is resolved here,
         // once, not per page: the class's window, its pool partition and
-        // counter slot, and its read-ahead runs. (A query without pages
+        // its read-ahead runs. (A query without pages
         // leaves no trace in any of them.)
         if !spec.pages.is_empty() {
             self.windows.window_mut(class).extend(&spec.pages);
@@ -230,11 +230,6 @@ impl DbEngine {
         self.collector.close_interval(now)
     }
 
-    /// Lock-manager observability (contention rate, cumulative wait).
-    pub fn locks(&self) -> &LockManager {
-        &self.locks
-    }
-
     /// Recomputes the MRC of `class` from its recent access window
     /// (§3.3.2's on-demand recomputation) with the tracker `mode` selects
     /// — the controller threads its configured [`odlb_mrc::MrcMode`]
@@ -274,8 +269,7 @@ impl DbEngine {
         self.pool.preload(pages);
     }
 
-    /// Direct pool access for table-level experiments (Table 1 uses the
-    /// pool as a trace-driven simulator).
+    /// The buffer pool (the exporter reads its partitions and evictions).
     pub fn pool(&self) -> &PartitionedPool {
         &self.pool
     }
@@ -414,7 +408,7 @@ mod tests {
     }
 
     /// The per-page formulation `execute` replaced: every page resolves
-    /// its class's window, partition, counter slot and read-ahead run
+    /// its class's window, partition and read-ahead run
     /// again, through the per-page entry points.
     fn execute_per_page(
         eng: &mut DbEngine,
@@ -465,6 +459,7 @@ mod tests {
         let mut rng = odlb_sim::SimRng::new(0x0D1B);
         let mut cursor = [[0u64; 3]; 5];
         let mut now = SimTime::ZERO;
+        let mut readaheads = 0;
         for step in 0..1500 {
             match step {
                 200 => {
@@ -503,19 +498,15 @@ mod tests {
             let a = fast.execute(now, &q, &mut fast_cpu, &mut fast_io, DomainId(1));
             let b = execute_per_page(&mut slow, now, &q, &mut slow_cpu, &mut slow_io, DomainId(1));
             assert_eq!(a.record, b.record, "step {step}");
+            readaheads += a.record.readaheads;
             assert_eq!(a.completion, b.completion, "step {step}");
         }
-        assert!(fast.readahead.issued() > 50, "read-ahead must be exercised");
+        assert!(readaheads > 50, "read-ahead must be exercised");
         assert!(fast.pool.evictions() > 1_000, "the pool must overflow");
-        assert_eq!(fast.readahead.issued(), slow.readahead.issued());
         assert_eq!(fast.pool.evictions(), slow.pool.evictions());
         assert_eq!(fast.resident_pages(), slow.resident_pages());
         assert_eq!(fast.windows.classes(), slow.windows.classes());
         for t in 0..5 {
-            assert_eq!(
-                fast.pool.class_counters(class(t)),
-                slow.pool.class_counters(class(t))
-            );
             let window = |e: &DbEngine| {
                 e.windows
                     .get(class(t))

@@ -21,10 +21,6 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, Default)]
 pub struct LockManager {
     held_until: BTreeMap<PageId, SimTime>,
-    /// Cumulative waiting across all acquisitions (observability).
-    total_wait: SimDuration,
-    acquisitions: u64,
-    contended: u64,
 }
 
 impl LockManager {
@@ -49,11 +45,6 @@ impl LockManager {
         for &page in pages {
             self.held_until.insert(page, release);
         }
-        self.acquisitions += 1;
-        if wait > SimDuration::ZERO {
-            self.contended += 1;
-        }
-        self.total_wait += wait;
         wait
     }
 
@@ -66,20 +57,6 @@ impl LockManager {
     /// Locks currently tracked (live + not yet GC'd).
     pub fn tracked(&self) -> usize {
         self.held_until.len()
-    }
-
-    /// Fraction of acquisitions that had to wait.
-    pub fn contention_rate(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contended as f64 / self.acquisitions as f64
-        }
-    }
-
-    /// Cumulative wait across all acquisitions.
-    pub fn total_wait(&self) -> SimDuration {
-        self.total_wait
     }
 }
 
@@ -102,7 +79,6 @@ mod tests {
     fn uncontended_acquisition_is_free() {
         let mut lm = LockManager::new();
         assert_eq!(lm.acquire(at(0), &[pid(1), pid(2)], ms(10)), ms(0));
-        assert_eq!(lm.contention_rate(), 0.0);
     }
 
     #[test]
@@ -113,8 +89,6 @@ mod tests {
         assert_eq!(w2, ms(6));
         let w3 = lm.acquire(at(5), &[pid(1)], ms(10)); // waits 15, until 30
         assert_eq!(w3, ms(15));
-        assert!((lm.contention_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(lm.total_wait(), ms(21));
     }
 
     #[test]

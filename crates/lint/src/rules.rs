@@ -8,7 +8,7 @@
 //! | D03  | no float formatted into an artifact without an explicit precision or the shared formatter |
 //! | D04  | no threads, thread identity, host parallelism, ambient randomness or `{:p}` addresses in any linted file without a row |
 //! | D05  | no folded-stacks dumps rendered in any linted file without a row (the validated exporter path) |
-//! | P01  | no `unwrap()`/`expect()` on I/O results in non-test binary code |
+//! | P01  | no `unwrap()`/`expect()` call in non-test binary code |
 //!
 //! Checks are heuristic token analyses, not type checking — they are
 //! tuned to have zero false positives on this workspace, and anything
@@ -62,7 +62,7 @@ pub struct Policy<'a> {
     pub allow: &'a [Kind],
     /// D03: bare float formatting is forbidden here.
     pub float_fmt: bool,
-    /// P01: `unwrap`/`expect` on I/O results is forbidden here.
+    /// P01: `unwrap`/`expect` calls are forbidden here.
     pub io_unwrap: bool,
 }
 
@@ -92,27 +92,6 @@ impl std::fmt::Display for Diagnostic {
 /// Format-like macros whose first argument is a format string.
 const FMT_MACROS: [&str; 8] = [
     "format", "write", "writeln", "print", "println", "eprint", "eprintln", "panic",
-];
-
-/// Identifiers that mark a statement as I/O-flavoured for P01.
-const IO_EVIDENCE: [&str; 17] = [
-    "fs",
-    "File",
-    "OpenOptions",
-    "read_to_string",
-    "write_all",
-    "flush",
-    "create",
-    "create_dir_all",
-    "open",
-    "read_dir",
-    "remove_file",
-    "remove_dir_all",
-    "rename",
-    "copy",
-    "metadata",
-    "canonicalize",
-    "stdin",
 ];
 
 /// Ambient-randomness markers for D04.
@@ -561,46 +540,21 @@ fn placeholders(fmt: &str) -> Vec<String> {
     out
 }
 
-/// P01 — binaries surface I/O failures as friendly errors, not panics.
+/// P01 — binaries surface failures as friendly errors, not panics: a
+/// token ban on `.unwrap(` / `.expect(`, whatever the receiver.
 fn rule_p01(toks: &[Token], in_test: &[bool], emit: &mut impl FnMut(u32, String)) {
-    for i in 2..toks.len() {
-        if in_test[i] {
-            continue;
-        }
-        let is_unwrap = toks[i].is_punct('.')
-            && i + 2 < toks.len()
-            && (toks[i + 1].is_ident("unwrap") || toks[i + 1].is_ident("expect"))
-            && toks[i + 2].is_punct('(');
-        if !is_unwrap {
-            continue;
-        }
-        // Walk back through the statement looking for I/O vocabulary.
-        let mut j = i;
-        let mut io = None;
-        let mut steps = 0;
-        while j > 0 && steps < 80 {
-            j -= 1;
-            steps += 1;
-            let t = &toks[j];
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                break;
-            }
-            if t.kind == TokKind::Ident && IO_EVIDENCE.contains(&t.text.as_str()) {
-                // `write!` is a formatting macro, not I/O.
-                if toks.get(j + 1).is_some_and(|n| n.is_punct('!')) {
-                    continue;
-                }
-                io = Some(t.text.clone());
-                break;
-            }
-        }
-        if let Some(op) = io {
+    for (i, w) in toks.windows(3).enumerate() {
+        if !in_test[i]
+            && w[0].is_punct('.')
+            && (w[1].is_ident("unwrap") || w[1].is_ident("expect"))
+            && w[2].is_punct('(')
+        {
             emit(
-                toks[i].line,
+                w[0].line,
                 format!(
-                    "`.{}()` on an I/O result ({op}); print a `file: error` message and exit \
-                     nonzero instead",
-                    toks[i + 1].text
+                    "`.{}()` in binary code; print a `file: error` message and exit nonzero \
+                     instead",
+                    w[1].text
                 ),
             );
         }
@@ -718,19 +672,14 @@ fn f() {
     }
 
     #[test]
-    fn p01_flags_unwrap_on_io_only() {
+    fn p01_flags_every_unwrap_and_expect() {
         let src = "\
 fn main() {
     let text = std::fs::read_to_string(path).unwrap();
-    let n: u32 = \"42\".parse().unwrap();
+    let n: u32 = \"42\".parse().expect(\"n\");
+    let m = x.unwrap_or(1);
 }";
-        let got = run(src, ALL);
-        assert_eq!(
-            got.iter().filter(|(_, r)| *r == "P01").count(),
-            1,
-            "{got:?}"
-        );
-        assert!(got.contains(&(2, "P01")));
+        assert_eq!(run(src, ALL), vec![(2, "P01"), (3, "P01")]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// Fixture: P01 violations — unwrap/expect on I/O results in binary code.
+// Fixture: P01 violations — unwrap/expect calls in binary code.
 
 fn main() {
     let text = std::fs::read_to_string("config.toml").unwrap();

@@ -86,12 +86,6 @@ impl IntervalReport {
             .map(|(_, v)| v[MetricKind::Throughput])
             .sum()
     }
-
-    /// Classes observed this interval, in ascending order (`per_class`
-    /// is a `BTreeMap`, so its key order is already sorted).
-    pub fn classes(&self) -> Vec<ClassId> {
-        self.per_class.keys().copied().collect()
-    }
 }
 
 impl ClassStatsCollector {
@@ -214,7 +208,7 @@ mod tests {
         let report = c.close_interval(SimTime::from_secs(1));
         assert_eq!(report.per_class.len(), 3);
         assert_eq!(
-            report.classes(),
+            report.per_class.keys().copied().collect::<Vec<_>>(),
             vec![
                 ClassId::new(AppId(0), 1),
                 ClassId::new(AppId(0), 2),

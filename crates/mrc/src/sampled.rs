@@ -96,8 +96,6 @@ pub struct SampledTracker<K> {
     inner: MattsonTracker<K>,
     /// The rescaled curve under construction (cap = full `cap_pages`).
     curve: MissRatioCurve,
-    /// All references observed, sampled or not.
-    observed: u64,
     /// References that survived the filter.
     sampled: u64,
 }
@@ -122,21 +120,14 @@ impl<K: Copy + Eq + Hash> SampledTracker<K> {
             scale: (1.0 / rate).round().max(1.0) as u64,
             inner: MattsonTracker::new(1),
             curve: MissRatioCurve::new(cap_pages),
-            observed: 0,
             sampled: 0,
         }
-    }
-
-    /// The sampling rate `R`.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Observes one reference. Returns the *rescaled* (estimated
     /// full-trace) LRU stack distance for a sampled re-access; `None`
     /// for a first access of a sampled key or any unsampled reference.
     pub fn access(&mut self, key: K) -> Option<u64> {
-        self.observed += 1;
         if sample_hash(&key) > self.threshold {
             return None;
         }
@@ -159,7 +150,7 @@ impl<K: Copy + Eq + Hash> SampledTracker<K> {
 
     /// The rescaled curve accumulated so far. Its `total_accesses` is
     /// `scale ×` the survivor count — an estimate of the true reference
-    /// count, not the exact [`SampledTracker::observed`] figure.
+    /// count, not the exact number of references observed.
     pub fn curve(&self) -> &MissRatioCurve {
         &self.curve
     }
@@ -167,11 +158,6 @@ impl<K: Copy + Eq + Hash> SampledTracker<K> {
     /// Consumes the tracker, yielding its rescaled curve.
     pub fn into_curve(self) -> MissRatioCurve {
         self.curve
-    }
-
-    /// Total references observed (sampled or not).
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     /// References that survived the hash filter.
@@ -262,10 +248,9 @@ mod tests {
         for &k in &trace {
             t.access(k);
         }
-        assert_eq!(t.observed(), 40_000);
         assert_eq!(t.curve().total_accesses(), t.sampled_refs() * 4);
         // The rescaled total estimates the observed total.
-        let ratio = t.curve().total_accesses() as f64 / t.observed() as f64;
+        let ratio = t.curve().total_accesses() as f64 / trace.len() as f64;
         assert!((0.9..=1.1).contains(&ratio), "total estimate off: {ratio}");
     }
 

@@ -112,18 +112,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// A standard normal variate (Box–Muller; one value per call).
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// A normal variate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Samples an index from explicit (unnormalised) weights.
     pub fn weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
@@ -216,16 +204,6 @@ impl Zipf {
             }
         }
     }
-
-    /// The support size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +267,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.exponential(2.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut rng = SimRng::new(6);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 3.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 9.0).abs() < 0.3, "var {var}");
     }
 
     #[test]

@@ -46,11 +46,10 @@ impl DiskModel {
     }
 }
 
-/// Running I/O counters for one consumer of a disk (a query class, an
-/// application, or a VM domain, depending on who is accounting).
+/// Running I/O counters for one VM domain of a [`crate::SharedIoPath`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoCounters {
-    /// Block read requests issued (one per `Disk::read` call).
+    /// Block read requests issued (one per `SharedIoPath::read` call).
     pub requests: u64,
     /// Pages transferred.
     pub pages: u64,
@@ -72,7 +71,6 @@ impl IoCounters {
 pub struct Disk {
     model: DiskModel,
     station: Station,
-    counters: IoCounters,
 }
 
 impl Disk {
@@ -81,26 +79,14 @@ impl Disk {
         Disk {
             model,
             station: Station::new(1),
-            counters: IoCounters::default(),
         }
     }
 
     /// Submits a read of `pages` contiguous pages arriving at `now`;
-    /// returns FCFS start/completion. `readahead` marks prefetch traffic in
-    /// the counters (it queues identically).
-    pub fn read(&mut self, now: SimTime, kind: IoKind, pages: u64, readahead: bool) -> Admission {
-        let service = self.model.service_time(kind, pages);
-        self.counters.requests += 1;
-        self.counters.pages += pages;
-        if readahead {
-            self.counters.readahead_requests += 1;
-        }
-        self.station.submit(now, service)
-    }
-
-    /// Cumulative counters since creation.
-    pub fn counters(&self) -> IoCounters {
-        self.counters
+    /// returns FCFS start/completion.
+    pub fn read(&mut self, now: SimTime, kind: IoKind, pages: u64) -> Admission {
+        self.station
+            .submit(now, self.model.service_time(kind, pages))
     }
 
     /// Utilisation since the previous probe (see
@@ -113,16 +99,12 @@ impl Disk {
     pub fn mean_wait(&self) -> SimDuration {
         self.station.mean_wait()
     }
-
-    /// The service-time model.
-    pub fn model(&self) -> DiskModel {
-        self.model
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DomainId, SharedIoPath};
 
     #[test]
     fn random_pays_positioning_sequential_does_not() {
@@ -145,8 +127,8 @@ mod tests {
     #[test]
     fn requests_queue_fcfs() {
         let mut d = Disk::new(DiskModel::default());
-        let a = d.read(SimTime::ZERO, IoKind::Random, 1, false);
-        let b = d.read(SimTime::ZERO, IoKind::Random, 1, false);
+        let a = d.read(SimTime::ZERO, IoKind::Random, 1);
+        let b = d.read(SimTime::ZERO, IoKind::Random, 1);
         assert_eq!(a.completion, SimTime::from_micros(2_650));
         assert_eq!(b.start, a.completion);
         assert_eq!(b.completion, SimTime::from_micros(5_300));
@@ -154,10 +136,11 @@ mod tests {
 
     #[test]
     fn counters_track_traffic() {
-        let mut d = Disk::new(DiskModel::default());
-        d.read(SimTime::ZERO, IoKind::Random, 1, false);
-        d.read(SimTime::ZERO, IoKind::Sequential, 64, true);
-        let c = d.counters();
+        // The disk keeps no tally; its shared path counts every request.
+        let mut d = SharedIoPath::new(DiskModel::default());
+        d.read(DomainId(1), SimTime::ZERO, IoKind::Random, 1, false);
+        d.read(DomainId(2), SimTime::ZERO, IoKind::Sequential, 64, true);
+        let c = d.total_counters();
         assert_eq!(c.requests, 2);
         assert_eq!(c.pages, 65);
         assert_eq!(c.readahead_requests, 1);

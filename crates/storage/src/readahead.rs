@@ -45,7 +45,6 @@ type SpaceRuns = Vec<(SpaceId, RunState)>;
 pub struct ReadAheadDetector {
     trigger: u32,
     runs: FastMap<u64, SpaceRuns>,
-    issued: u64,
 }
 
 impl Default for ReadAheadDetector {
@@ -63,7 +62,6 @@ pub struct ConsumerRuns<'a> {
     spaces: &'a mut SpaceRuns,
     /// Index in `spaces` of the tablespace last observed.
     current: usize,
-    issued: &'a mut u64,
 }
 
 impl ConsumerRuns<'_> {
@@ -97,7 +95,6 @@ impl ConsumerRuns<'_> {
                 return None;
             }
             state.triggered_extent = Some(extent);
-            *self.issued += 1;
             return Some(PageId::new(page.space, next_extent_start));
         }
         None
@@ -115,7 +112,6 @@ impl ReadAheadDetector {
         ReadAheadDetector {
             trigger,
             runs: FastMap::default(),
-            issued: 0,
         }
     }
 
@@ -125,7 +121,6 @@ impl ReadAheadDetector {
             trigger: self.trigger,
             spaces: self.runs.entry(consumer).or_default(),
             current: 0,
-            issued: &mut self.issued,
         }
     }
 
@@ -134,11 +129,6 @@ impl ReadAheadDetector {
     /// read-ahead heuristic fires, else `None`.
     pub fn observe(&mut self, consumer: u64, page: PageId) -> Option<PageId> {
         self.consumer(consumer).observe(page)
-    }
-
-    /// Total read-ahead requests issued since creation.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -164,7 +154,6 @@ mod tests {
         let (at, p) = fired.expect("read-ahead should fire");
         assert_eq!(at, 7, "fires on the trigger-th access");
         assert_eq!(p, pid(0, EXTENT_PAGES), "prefetches the next extent");
-        assert_eq!(d.issued(), 1);
     }
 
     #[test]
@@ -174,7 +163,6 @@ mod tests {
         for &p in &pages {
             assert_eq!(d.observe(1, pid(0, p)), None);
         }
-        assert_eq!(d.issued(), 0);
     }
 
     #[test]
@@ -193,23 +181,15 @@ mod tests {
     #[test]
     fn retrigger_requires_new_extent() {
         let mut d = ReadAheadDetector::new(4);
-        for i in 0..4 {
-            d.observe(1, pid(0, i));
-        }
-        assert_eq!(d.issued(), 1);
+        let fired = (0..4).filter_map(|i| d.observe(1, pid(0, i))).count();
+        assert_eq!(fired, 1);
         // Continuing within the same extent: no duplicate prefetch.
         for i in 4..20 {
             assert_eq!(d.observe(1, pid(0, i)), None);
         }
         // Crossing into the next extent and keeping the run: fires again.
-        let mut fired = false;
-        for i in 20..EXTENT_PAGES + 8 {
-            if d.observe(1, pid(0, i)).is_some() {
-                fired = true;
-            }
-        }
-        assert!(fired, "a scan fires once per extent");
-        assert_eq!(d.issued(), 2);
+        let fired = (20..EXTENT_PAGES + 8).filter_map(|i| d.observe(1, pid(0, i)));
+        assert_eq!(fired.count(), 1, "a scan fires once per extent");
     }
 
     #[test]
@@ -243,6 +223,7 @@ mod tests {
         let mut resolved = ReadAheadDetector::new(4);
         let mut x: u64 = 0xFEED;
         let mut next = [0u64; 3];
+        let mut fired = 0;
         for _query in 0..200 {
             let mut view = resolved.consumer(7);
             for _ in 0..(x % 23) {
@@ -257,12 +238,13 @@ mod tests {
                     next[space] + 1
                 };
                 let page = pid(space as u32, next[space]);
-                assert_eq!(view.observe(page), per_page.observe(7, page));
+                let start = view.observe(page);
+                assert_eq!(start, per_page.observe(7, page));
+                fired += start.is_some() as u32;
             }
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         }
-        assert_eq!(resolved.issued(), per_page.issued());
-        assert!(resolved.issued() > 0, "the trace must exercise the trigger");
+        assert!(fired > 0, "the trace must exercise the trigger");
     }
 
     #[test]
@@ -271,7 +253,6 @@ mod tests {
         let mut d = ReadAheadDetector::new(2);
         assert_eq!(d.observe(1, pid(0, MAX_PAGES_PER_SPACE - 1)), None);
         assert_eq!(d.observe(1, pid(0, 0)), None, "run restarts at page 0");
-        assert_eq!(d.issued(), 0);
         assert!(d.observe(1, pid(0, 1)).is_some(), "run of 2 from page 0");
     }
 
@@ -284,8 +265,7 @@ mod tests {
         for no in top - 4..MAX_PAGES_PER_SPACE {
             fired.extend(d.observe(1, pid(0, no)));
         }
-        assert_eq!(fired, vec![pid(0, top)]);
-        assert_eq!(d.issued(), 1, "no request counted for the top extent");
+        assert_eq!(fired, vec![pid(0, top)], "no request for the top extent");
     }
 
     #[test]

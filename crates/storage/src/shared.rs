@@ -62,12 +62,12 @@ impl SharedIoPath {
         if readahead {
             entry.readahead_requests += 1;
         }
-        let adm = self.disk.read(now, kind, pages, readahead);
+        let adm = self.disk.read(now, kind, pages);
         span_units(&self.profiler, adm.completion.since(adm.start).as_micros());
         adm
     }
 
-    /// Counters summed over all domains (equals the disk's own counters).
+    /// Counters summed over all domains.
     pub fn total_counters(&self) -> IoCounters {
         let mut total = IoCounters::default();
         for (_, c) in self.per_domain.iter_sorted() {

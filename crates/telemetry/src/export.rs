@@ -7,7 +7,7 @@
 //! same-seed runs and platforms.
 
 use crate::registry::{MetricsRegistry, SeriesValue};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Renders a float for exposition: integers without a fraction, others
@@ -174,13 +174,15 @@ struct HistogramCheck {
 }
 
 /// Validates a Prometheus text exposition: every sample belongs to a
-/// declared family (`# TYPE` + `# HELP` first), values parse as finite
-/// floats, counters are integral, histogram buckets have strictly
+/// family declared once (`# TYPE` + `# HELP` first), no series is sampled
+/// twice, values parse as finite floats, counters are integral, histogram
+/// buckets have a finite `le` or the literal `+Inf`, strictly
 /// increasing `le` bounds with non-decreasing cumulative counts ending in
 /// a `+Inf` bucket that equals the series' `_count`.
 pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut helped: BTreeMap<String, bool> = BTreeMap::new();
+    let mut sampled: BTreeSet<(&str, &str)> = BTreeSet::new();
     let mut stats = ExpositionStats::default();
     // Keyed by (family, series labels).
     let mut histograms: BTreeMap<(String, String), HistogramCheck> = BTreeMap::new();
@@ -205,7 +207,9 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
             if !helped.contains_key(&name) {
                 return Err(err(format!("TYPE for '{name}' without HELP")));
             }
-            types.insert(name, kind.to_string());
+            if types.insert(name.clone(), kind.to_string()).is_some() {
+                return Err(err(format!("family '{name}' declared twice")));
+            }
             stats.families += 1;
             continue;
         }
@@ -214,6 +218,9 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
         }
         let (name, labels, value) =
             split_sample(line).ok_or_else(|| err(format!("unparseable sample '{line}'")))?;
+        if !sampled.insert((name, labels)) {
+            return Err(err(format!("series sampled twice in '{line}'")));
+        }
         let value: f64 = value
             .parse()
             .map_err(|_| err(format!("unparseable value in '{line}'")))?;
@@ -243,11 +250,13 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
                 if name.ends_with("_bucket") {
                     let (series, le) = split_le(labels)
                         .ok_or_else(|| err(format!("bucket without le in '{line}'")))?;
-                    let le = if le == "+Inf" {
-                        f64::INFINITY
-                    } else {
-                        le.parse()
-                            .map_err(|_| err(format!("unparseable le '{le}'")))?
+                    let le = match le.as_str() {
+                        "+Inf" => f64::INFINITY,
+                        _ => le
+                            .parse()
+                            .ok()
+                            .filter(|le: &f64| le.is_finite())
+                            .ok_or_else(|| err(format!("unparseable le '{le}'")))?,
                     };
                     let check = histograms
                         .entry((family.clone(), series.clone()))
@@ -316,8 +325,9 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
 }
 
 /// Validates the CSV time series: the header, five fields per row,
-/// non-decreasing time, a non-decreasing integral interval `seq`,
-/// parseable finite values, and monotone counters (`*_total`, `*_count`,
+/// finite non-decreasing time, a non-decreasing integral interval `seq`,
+/// one row per `(seq, metric, labels)`, parseable finite values, and
+/// monotone counters (`*_total`, `*_count`,
 /// `*_sum` series must never decrease over time).
 pub fn validate_csv(text: &str) -> Result<usize, String> {
     let mut lines = text.lines();
@@ -328,6 +338,8 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
     let mut last_time = f64::NEG_INFINITY;
     let mut last_seq = 0u64;
     let mut monotone: BTreeMap<(String, String), f64> = BTreeMap::new();
+    // `(metric, labels)` keys of the current `seq`.
+    let mut in_seq: BTreeSet<(&str, &str)> = BTreeSet::new();
     let mut rows = 0usize;
     for (no, line) in lines.enumerate() {
         let err = |msg: String| format!("row {}: {msg}", no + 1);
@@ -338,6 +350,9 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
         let time: f64 = fields[0]
             .parse()
             .map_err(|_| err(format!("unparseable time '{}'", fields[0])))?;
+        if !time.is_finite() {
+            return Err(err(format!("non-finite time '{}'", fields[0])));
+        }
         if time < last_time {
             return Err(err("time went backwards".to_string()));
         }
@@ -348,7 +363,13 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
         if rows > 0 && seq < last_seq {
             return Err(err(format!("seq went backwards: {last_seq} -> {seq}")));
         }
+        if seq != last_seq {
+            in_seq.clear();
+        }
         last_seq = seq;
+        if !in_seq.insert((fields[2], fields[3])) {
+            return Err(err(format!("duplicate row for seq {seq}")));
+        }
         let value: f64 = fields[4]
             .parse()
             .map_err(|_| err(format!("unparseable value '{}'", fields[4])))?;
@@ -571,6 +592,40 @@ mod tests {
         let bad = "time_s,seq,metric,labels,value\n1.0,1,x,,5\n2.0,0,x,,6\n";
         let err = validate_csv(bad).unwrap_err();
         assert!(err.contains("seq went backwards"), "{err}");
+    }
+
+    /// Artifacts the renderers never write: one family or series twice, a
+    /// spelled-out infinity.
+    #[test]
+    fn validators_reject_what_the_renderers_never_write() {
+        for (bad, what) in [
+            (
+                "# HELP c x\n# TYPE c counter\n# TYPE c gauge\n",
+                "line 3: family 'c' declared twice",
+            ),
+            (
+                "# HELP g x\n# TYPE g gauge\ng{a=\"1\"} 1\ng{a=\"1\"} 2\n",
+                "line 4: series sampled twice",
+            ),
+            (
+                "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"inf\"} 1\n",
+                "line 3: unparseable le 'inf'",
+            ),
+        ] {
+            let err = validate_prometheus(bad).unwrap_err();
+            assert!(err.contains(what), "{bad:?}: {err}");
+        }
+        let header = "time_s,seq,metric,labels,value\n";
+        for (rows, what) in [
+            ("inf,0,x,,1\n", "row 1: non-finite time"),
+            (
+                "1.0,0,x,a=1,1\n1.0,0,x,a=1,1\n",
+                "row 2: duplicate row for seq 0",
+            ),
+        ] {
+            let err = validate_csv(&format!("{header}{rows}")).unwrap_err();
+            assert!(err.contains(what), "{rows:?}: {err}");
+        }
     }
 
     #[test]

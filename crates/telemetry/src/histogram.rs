@@ -35,8 +35,7 @@ pub struct LogLinearHistogram {
     /// Sum of recorded values; pinned at `u64::MAX` once it overflows
     /// (with `saturated` raised, so the collapse is never silent).
     sum: u64,
-    /// True once `sum` has overflowed. Sticky until [`Self::reset`];
-    /// merging a saturated histogram taints the destination. Surfaced
+    /// True once `sum` has overflowed. Sticky; merging a saturated histogram taints the destination. Surfaced
     /// in the Prometheus/CSV exposition as the `_saturated` sample so a
     /// quietly meaningless mean is visible downstream.
     saturated: bool,
@@ -168,15 +167,6 @@ impl LogLinearHistogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean of recorded values (0 when empty, so gauges render sanely).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) by the nearest-rank method over
     /// bucket counts, or `None` when empty. Exact at `q = 0` and `q = 1`
     /// (tracked extrema); elsewhere within [`Self::relative_error`] of the
@@ -227,16 +217,6 @@ impl LogLinearHistogram {
         self.saturated |= other.saturated;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Resets to empty, keeping the bucket allocation.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.saturated = false;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 
     /// Non-empty buckets as `(inclusive upper bound, cumulative count)`,
@@ -342,7 +322,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -357,17 +336,6 @@ mod tests {
             assert!(w[0].0 < w[1].0, "upper bounds strictly increase");
             assert!(w[0].1 < w[1].1, "cumulative counts strictly increase");
         }
-    }
-
-    #[test]
-    fn reset_keeps_capacity_and_zeroes_state() {
-        let mut h = LogLinearHistogram::default();
-        h.record(1_000_000);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), None);
-        h.record(42);
-        assert_eq!(h.quantile(1.0), Some(42));
     }
 
     /// Regression for the float-fragile rank (see
@@ -398,12 +366,9 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX, "sum pins at the ceiling");
         assert_eq!(h.count(), 2, "count stays exact");
         assert_eq!(h.max(), Some(u64::MAX - 10));
-        // Sticky until reset.
+        // Sticky.
         h.record(1);
         assert!(h.saturated());
-        h.reset();
-        assert!(!h.saturated(), "reset clears the flag");
-        assert_eq!(h.sum(), 0);
     }
 
     #[test]

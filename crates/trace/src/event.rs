@@ -146,17 +146,6 @@ impl TraceEvent {
         }
     }
 
-    /// The interval-end timestamp (µs) the event belongs to.
-    pub const fn end_us(&self) -> u64 {
-        match *self {
-            TraceEvent::IntervalClosed { end_us, .. }
-            | TraceEvent::SlaEvaluated { end_us, .. }
-            | TraceEvent::OutlierFinding { end_us, .. }
-            | TraceEvent::MrcValidation { end_us, .. }
-            | TraceEvent::ActionApplied { end_us, .. } => end_us,
-        }
-    }
-
     /// The canonical single-line JSON encoding (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);

@@ -3,9 +3,7 @@
 use crate::event::TraceEvent;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::rc::Rc;
 
 /// A destination for trace events.
@@ -67,31 +65,12 @@ impl TraceSink for RingBufferSink {
 /// Writes one canonical JSON object per line to any `io::Write`.
 pub struct JsonlSink<W: Write> {
     writer: W,
-    lines: u64,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Creates a file-backed JSONL sink at `path` (truncating).
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps an arbitrary writer.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, lines: 0 }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Consumes the sink, returning the inner writer (flushing first).
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
+        JsonlSink { writer }
     }
 
     /// Borrows the inner writer (e.g. to read back an in-memory buffer
@@ -103,11 +82,9 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn emit(&mut self, event: &TraceEvent) {
-        // I/O errors must not perturb the simulation; the line counter
-        // still advances so a short file is detectable.
+        // I/O errors must not perturb the simulation.
         let _ = self.writer.write_all(event.to_json().as_bytes());
         let _ = self.writer.write_all(b"\n");
-        self.lines += 1;
     }
 
     fn flush(&mut self) {
@@ -231,9 +208,7 @@ mod tests {
             pages: None,
             detail: "provisioned inst2 for app0".to_string(),
         });
-        assert_eq!(sink.lines(), 2);
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = std::str::from_utf8(sink.writer()).unwrap();
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
             assert!(line.starts_with("{\"event\":\""));
@@ -262,6 +237,6 @@ mod tests {
             digest.emit(e);
             jsonl.emit(e);
         }
-        assert_eq!(digest.digest(), fnv1a64(&jsonl.into_inner()));
+        assert_eq!(digest.digest(), fnv1a64(jsonl.writer()));
     }
 }

@@ -59,11 +59,6 @@ impl ClientPool {
             .exponential(self.config.think_time_mean.as_secs_f64());
         SimDuration::from_secs_f64(secs)
     }
-
-    /// The behaviour configuration.
-    pub fn config(&self) -> ClientConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]

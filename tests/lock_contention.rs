@@ -40,7 +40,6 @@ fn writers_serialize_on_the_hot_page() {
         r2.record.lock_wait
     );
     assert!(r2.record.latency > r1.record.latency);
-    assert!(engine.locks().contention_rate() > 0.0);
 }
 
 /// Cluster-level: raising the hotspot write cost after stable state makes
