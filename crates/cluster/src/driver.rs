@@ -30,7 +30,7 @@ mod tests;
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;
 use odlb_engine::DbEngine;
-use odlb_metrics::{AppId, ClassId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
+use odlb_metrics::{AppId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
 use odlb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use odlb_storage::{DomainId, PageId, SharedIoPath};
 use odlb_telemetry::{SharedSpanProfiler, Telemetry};
@@ -219,7 +219,7 @@ pub struct Simulation {
     tracer: Tracer,
     telemetry: Telemetry,
     /// The exporter's handle cache: one registry lookup per series.
-    class_series: BTreeMap<(InstanceId, ClassId), export::ClassSeries>,
+    series: export::SeriesCache,
     profiler: Option<SharedSpanProfiler>,
     interval_seq: u64,
     /// Recycled page buffer for sampled query specs: each issued query
@@ -245,7 +245,7 @@ impl Simulation {
             started: false,
             tracer: Tracer::new(),
             telemetry: Telemetry::inactive(),
-            class_series: BTreeMap::new(),
+            series: export::SeriesCache::default(),
             profiler: None,
             interval_seq: 0,
             spec_pages: Vec::new(),
@@ -272,7 +272,7 @@ impl Simulation {
     /// and records one registry snapshot.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-        self.class_series.clear();
+        self.series = export::SeriesCache::default();
     }
 
     /// Installs a span profiler. The driver opens one `interval` span

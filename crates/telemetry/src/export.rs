@@ -10,20 +10,19 @@ use crate::registry::{MetricsRegistry, SeriesValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Renders a float for exposition: integers without a fraction, others
-/// through the shortest round-trip `Display` (deterministic per bit
-/// pattern). Non-finite values clamp to 0 so every sample stays
-/// parseable.
-fn render_value(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+/// Appends a float for exposition to `out`: integers without a
+/// fraction, others through the shortest round-trip `Display`
+/// (deterministic per bit pattern). Non-finite values clamp to 0 so
+/// every sample stays parseable.
+fn render_value(out: &mut String, v: f64) {
+    let _ = if !v.is_finite() {
+        write!(out, "0")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
     } else {
         // odlb-lint: allow(D03) — this IS the shared exposition formatter; shortest-roundtrip Display is deterministic per bit pattern
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// Renders the registry's current state in the Prometheus text exposition
@@ -35,42 +34,35 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
     for (name, fam) in registry.families() {
         let _ = writeln!(out, "# HELP {name} {}", fam.help);
         let _ = writeln!(out, "# TYPE {name} {}", fam.kind.label());
-        for (labels, value) in &fam.series {
-            let braced = |extra: &str| -> String {
-                match (labels.is_empty(), extra.is_empty()) {
-                    (true, true) => String::new(),
-                    (true, false) => format!("{{{extra}}}"),
-                    (false, true) => format!("{{{labels}}}"),
-                    (false, false) => format!("{{{labels},{extra}}}"),
-                }
+        for (labels, (value, _)) in &fam.series {
+            // `{labels}` is `{l}{labels}{r}`; a bucket's `{labels,le=..}`
+            // joins them with `sep`.
+            let (l, r, sep) = if labels.is_empty() {
+                ("", "", "")
+            } else {
+                ("{", "}", ",")
             };
             match value {
                 SeriesValue::Counter(c) => {
-                    let _ = writeln!(out, "{name}{} {}", braced(""), c.get());
+                    let _ = writeln!(out, "{name}{l}{labels}{r} {}", c.get());
                 }
                 SeriesValue::Gauge(g) => {
-                    let _ = writeln!(out, "{name}{} {}", braced(""), render_value(g.get()));
+                    let _ = write!(out, "{name}{l}{labels}{r} ");
+                    render_value(&mut out, g.get());
+                    out.push('\n');
                 }
                 SeriesValue::Histogram(h) => h.with(|h| {
                     for (le, cum) in h.cumulative_buckets() {
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cum}",
-                            braced(&format!("le=\"{le}\""))
-                        );
+                        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
                     }
-                    let _ = writeln!(out, "{name}_bucket{} {}", braced("le=\"+Inf\""), h.count());
-                    let _ = writeln!(out, "{name}_sum{} {}", braced(""), h.sum());
-                    let _ = writeln!(out, "{name}_count{} {}", braced(""), h.count());
+                    let (count, sum, saturated) = (h.count(), h.sum(), h.saturated() as u64);
+                    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {count}");
+                    let _ = writeln!(out, "{name}_sum{l}{labels}{r} {sum}");
+                    let _ = writeln!(out, "{name}_count{l}{labels}{r} {count}");
                     // 1 once the sum has overflowed u64 (the `_sum` above
                     // is pinned at the ceiling and the mean is floored) —
                     // always emitted so dashboards can alert on it.
-                    let _ = writeln!(
-                        out,
-                        "{name}_saturated{} {}",
-                        braced(""),
-                        h.saturated() as u64
-                    );
+                    let _ = writeln!(out, "{name}_saturated{l}{labels}{r} {saturated}");
                 }),
             }
         }
@@ -78,44 +70,23 @@ pub fn render_prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// Converts the canonical `key="value",key="value"` label rendering into
-/// the CSV form `key=value;key=value`. This is a pure format conversion,
-/// not sanitization: the registry rejects `"`, `,` and `;` in label
-/// values at registration time (see `registry::render_labels`), so pair
-/// boundaries are unambiguous and two distinct label sets can never
-/// alias to one CSV key.
-fn csv_labels(labels: &str) -> String {
-    labels
-        .split(',')
-        .filter(|pair| !pair.is_empty())
-        .map(|pair| {
-            pair.replacen("=\"", "=", 1)
-                .trim_end_matches('"')
-                .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
 /// Renders the interval snapshots as a long-format CSV time series:
 /// `time_s,seq,metric,labels,value`. `seq` is the 0-based interval
 /// sequence number, identical to the `seq` of the `interval_closed`
 /// trace event of the same interval — join the two streams on it.
-/// Labels are `key=value` pairs joined with `;`.
+/// Labels are `key=value` pairs joined with `;`. Each row is the
+/// snapshot's `time_s,seq,` prefix, its id's registered `metric,labels,`
+/// and the value, written in place.
 pub fn render_csv(registry: &MetricsRegistry) -> String {
     let mut out = String::from("time_s,seq,metric,labels,value\n");
     for snap in registry.snapshots() {
         let time_s = snap.at_us as f64 / 1e6;
-        for row in &snap.rows {
-            let _ = writeln!(
-                out,
-                "{:.6},{},{},{},{}",
-                time_s,
-                snap.seq,
-                row.name,
-                csv_labels(&row.labels),
-                render_value(row.value)
-            );
+        let prefix = format!("{:.6},{},", time_s, snap.seq);
+        for &(id, value) in &snap.rows {
+            out.push_str(&prefix);
+            out.push_str(&registry.rows[id as usize].csv);
+            render_value(&mut out, value);
+            out.push('\n');
         }
     }
     out
@@ -158,6 +129,16 @@ fn split_le(labels: &str) -> Option<(String, String)> {
     le.map(|le| (rest.join(","), le))
 }
 
+/// A label name the `sep`-joined `key=value` pairs repeat, if any.
+fn repeated_label(pairs: &str, sep: char) -> Option<&str> {
+    let mut keys: Vec<&str> = pairs
+        .split(sep)
+        .filter_map(|p| Some(p.split_once('=')?.0))
+        .collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 /// Every validator error names the line (CSV: data row) it is about.
 fn at_line(line: usize, msg: String) -> String {
     format!("line {line}: {msg}")
@@ -175,10 +156,10 @@ struct HistogramCheck {
 
 /// Validates a Prometheus text exposition: every sample belongs to a
 /// family declared once (`# TYPE` + `# HELP` first), no series is sampled
-/// twice, values parse as finite floats, counters are integral, histogram
-/// buckets have a finite `le` or the literal `+Inf`, strictly
-/// increasing `le` bounds with non-decreasing cumulative counts ending in
-/// a `+Inf` bucket that equals the series' `_count`.
+/// twice or names a label twice, values parse as finite floats, counters
+/// are integral, histogram buckets have a finite `le` or the literal
+/// `+Inf`, strictly increasing `le` bounds with non-decreasing cumulative
+/// counts ending in a `+Inf` bucket that equals the series' `_count`.
 pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut helped: BTreeMap<String, bool> = BTreeMap::new();
@@ -220,6 +201,9 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
             split_sample(line).ok_or_else(|| err(format!("unparseable sample '{line}'")))?;
         if !sampled.insert((name, labels)) {
             return Err(err(format!("series sampled twice in '{line}'")));
+        }
+        if let Some(key) = repeated_label(labels, ',') {
+            return Err(err(format!("label '{key}' repeated in '{line}'")));
         }
         let value: f64 = value
             .parse()
@@ -326,9 +310,9 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
 
 /// Validates the CSV time series: the header, five fields per row,
 /// finite non-decreasing time, a non-decreasing integral interval `seq`,
-/// one row per `(seq, metric, labels)`, parseable finite values, and
-/// monotone counters (`*_total`, `*_count`,
-/// `*_sum` series must never decrease over time).
+/// one row per `(seq, metric, labels)`, no label named twice, parseable
+/// finite values, and monotone counters (`*_total`, `*_count`, `*_sum`
+/// series must never decrease over time).
 pub fn validate_csv(text: &str) -> Result<usize, String> {
     let mut lines = text.lines();
     match lines.next() {
@@ -369,6 +353,9 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
         last_seq = seq;
         if !in_seq.insert((fields[2], fields[3])) {
             return Err(err(format!("duplicate row for seq {seq}")));
+        }
+        if let Some(key) = repeated_label(fields[3], ';') {
+            return Err(err(format!("label '{key}' repeated")));
         }
         let value: f64 = fields[4]
             .parse()
@@ -630,20 +617,24 @@ mod tests {
 
     #[test]
     fn csv_labels_is_a_pure_format_conversion() {
-        assert_eq!(csv_labels(""), "");
-        assert_eq!(csv_labels("app=\"app0\""), "app=app0");
-        assert_eq!(
-            csv_labels("class=\"app0#8\",instance=\"inst0\""),
-            "class=app0#8;instance=inst0"
-        );
+        let mut reg = MetricsRegistry::new();
+        reg.gauge("g", "h", &[("instance", "inst0"), ("class", "app0#8")]);
+        reg.snapshot(0, 0);
+        assert!(render_csv(&reg).ends_with("\n0.000000,0,g,class=app0#8;instance=inst0,0\n"));
     }
 
     #[test]
     fn non_finite_values_render_as_zero() {
-        assert_eq!(render_value(f64::NAN), "0");
-        assert_eq!(render_value(f64::INFINITY), "0");
-        assert_eq!(render_value(2.0), "2");
-        assert_eq!(render_value(0.25), "0.25");
+        for (v, rendered) in [
+            (f64::NAN, "0"),
+            (f64::INFINITY, "0"),
+            (2.0, "2"),
+            (0.25, "0.25"),
+        ] {
+            let mut out = String::new();
+            render_value(&mut out, v);
+            assert_eq!(out, rendered);
+        }
     }
 
     #[test]

@@ -57,10 +57,21 @@ pub struct SpanStats {
     pub sim_units: u64,
 }
 
+/// One unique stack path: a node of the calling-context tree, created
+/// the first time the path is entered.
+#[derive(Clone, Debug)]
+struct Node {
+    /// The node one frame shallower (`None`: a root).
+    parent: Option<usize>,
+    /// The full path, root first.
+    path: Vec<&'static str>,
+    stats: SpanStats,
+}
+
 /// One open span on the stack.
 #[derive(Clone, Debug)]
 struct Frame {
-    name: &'static str,
+    node: usize,
     start: Instant,
     /// Wall time spent in already-closed direct children.
     child_wall: Duration,
@@ -71,7 +82,7 @@ struct Frame {
 /// Accumulates wall-clock and sim-unit time per stack path.
 #[derive(Clone, Debug, Default)]
 pub struct SpanProfiler {
-    paths: BTreeMap<Vec<&'static str>, SpanStats>,
+    nodes: Vec<Node>,
     stack: Vec<Frame>,
 }
 
@@ -89,27 +100,43 @@ impl SpanProfiler {
         Rc::new(RefCell::new(SpanProfiler::new()))
     }
 
+    /// The node of `parent`'s path extended by `name`, created on first
+    /// use; children follow their parent, so the search starts behind it.
+    fn child(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+        let from = parent.map_or(0, |p| p + 1);
+        let is_child = |n: &Node| n.parent == parent && n.path.last() == Some(&name);
+        if let Some(i) = self.nodes[from..].iter().position(is_child) {
+            return from + i;
+        }
+        let mut path = parent.map_or_else(Vec::new, |p| self.nodes[p].path.clone());
+        path.push(name);
+        self.nodes.push(Node {
+            parent,
+            path,
+            stats: SpanStats::default(),
+        });
+        self.nodes.len() - 1
+    }
+
     /// Opens a span named `phase` nested under the currently open spans.
     /// Prefer the RAII [`enter_span`] guard, which cannot unbalance the
     /// stack.
     pub fn enter(&mut self, phase: &'static str) {
+        let node = self.child(self.stack.last().map(|f| f.node), phase);
         self.stack.push(Frame {
-            name: phase,
+            node,
             start: Instant::now(),
             child_wall: Duration::ZERO,
             sim_units: 0,
         });
     }
 
-    /// Closes the innermost open span, recording its stats under the
-    /// full stack path and charging its elapsed time to the parent's
-    /// child-time.
+    /// Closes the innermost open span, recording its stats on its path's
+    /// node and charging its elapsed time to the parent's child-time.
     pub fn exit(&mut self) {
         let frame = self.stack.pop().expect("exit() without a matching enter()");
         let elapsed = frame.start.elapsed();
-        let mut path: Vec<&'static str> = self.stack.iter().map(|f| f.name).collect();
-        path.push(frame.name);
-        let stats = self.paths.entry(path).or_default();
+        let stats = &mut self.nodes[frame.node].stats;
         stats.calls += 1;
         stats.wall_total += elapsed;
         stats.wall_self += elapsed.saturating_sub(frame.child_wall);
@@ -140,8 +167,11 @@ impl SpanProfiler {
     /// them — by stack path, so a multi-worker merge renders the same
     /// folded dump as a single-worker run.
     pub fn merge(&mut self, other: &SpanProfiler) {
-        for (path, s) in &other.paths {
-            let stats = self.paths.entry(path.clone()).or_default();
+        for (path, s) in other.span_paths() {
+            let node = path
+                .iter()
+                .fold(None, |at, &name| Some(self.child(at, name)));
+            let stats = &mut self.nodes[node.expect("paths are non-empty")].stats;
             stats.calls += s.calls;
             stats.wall_total += s.wall_total;
             stats.wall_self += s.wall_self;
@@ -150,9 +180,12 @@ impl SpanProfiler {
         }
     }
 
-    /// Recorded stack paths and their stats, in path order.
+    /// Recorded stack paths and their stats, in path order. A path
+    /// entered but never closed is not listed.
     pub fn span_paths(&self) -> impl Iterator<Item = (&[&'static str], &SpanStats)> {
-        self.paths.iter().map(|(p, s)| (p.as_slice(), s))
+        let mut closed: Vec<&Node> = self.nodes.iter().filter(|n| n.stats.calls > 0).collect();
+        closed.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+        closed.into_iter().map(|n| (n.path.as_slice(), &n.stats))
     }
 
     /// Flat per-phase view, derived from the paths in name order. A
@@ -161,17 +194,13 @@ impl SpanProfiler {
     /// while `calls`/`max` come from the paths ending in the name.
     pub fn phases(&self) -> Vec<(&'static str, PhaseStats)> {
         let mut flat: BTreeMap<&'static str, PhaseStats> = BTreeMap::new();
-        for (path, stats) in &self.paths {
-            let leaf = *path.last().expect("paths are non-empty");
-            {
-                let entry = flat.entry(leaf).or_default();
-                entry.calls += stats.calls;
-                entry.max = entry.max.max(stats.wall_max);
-            }
-            let mut seen: Vec<&'static str> = Vec::with_capacity(path.len());
-            for &name in path {
-                if !seen.contains(&name) {
-                    seen.push(name);
+        for (path, stats) in self.span_paths() {
+            let leaf = flat.entry(*path.last().expect("paths are non-empty"));
+            let leaf = leaf.or_default();
+            leaf.calls += stats.calls;
+            leaf.max = leaf.max.max(stats.wall_max);
+            for (i, name) in path.iter().enumerate() {
+                if !path[..i].contains(name) {
                     flat.entry(name).or_default().total += stats.wall_self;
                 }
             }
@@ -183,7 +212,7 @@ impl SpanProfiler {
     /// (equivalently, the time spent under root spans — nesting never
     /// double-counts).
     pub fn total(&self) -> Duration {
-        self.paths.values().map(|s| s.wall_self).sum()
+        self.span_paths().map(|(_, s)| s.wall_self).sum()
     }
 
     /// The wall-clock folded-stacks dump: one `a;b;c <self µs>` line per
@@ -202,7 +231,7 @@ impl SpanProfiler {
 
     fn render_folded(&self, value: impl Fn(&SpanStats) -> u64) -> String {
         let mut out = String::new();
-        for (path, stats) in &self.paths {
+        for (path, stats) in self.span_paths() {
             let _ = writeln!(out, "{} {}", path.join(";"), value(stats));
         }
         out
@@ -421,7 +450,8 @@ mod tests {
             wall_max: max,
             sim_units: calls,
         };
-        p.paths.insert(vec![phase], stats);
+        let node = p.child(None, phase);
+        p.nodes[node].stats = stats;
         p
     }
 

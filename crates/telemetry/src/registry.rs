@@ -5,7 +5,9 @@
 //! rendered label sets), so two same-seed runs export byte-identical
 //! Prometheus and CSV artifacts. Handles ([`Counter`], [`Gauge`],
 //! [`Histogram`]) are cheap `Rc` clones emission sites cache, so the hot
-//! path never repeats the name lookup.
+//! path never repeats the name lookup. Every series owns snapshot row
+//! ids from registration on, whose names and CSV labels are rendered
+//! then, so a [`Snapshot`] is a column of `(row id, value)` pairs.
 
 use crate::histogram::LogLinearHistogram;
 use std::cell::{Cell, RefCell};
@@ -98,15 +100,6 @@ impl Histogram {
     pub fn with<R>(&self, f: impl FnOnce(&LogLinearHistogram) -> R) -> R {
         f(&self.0.borrow())
     }
-
-    /// Replaces the underlying histogram wholesale. Used by series that
-    /// are *derived* rather than recorded — the cluster driver rebuilds
-    /// its merged per-class histogram from the per-replica ones at every
-    /// interval close, which keeps the series cumulative (and therefore
-    /// monotone) because its inputs are.
-    pub fn replace(&self, h: LogLinearHistogram) {
-        *self.0.borrow_mut() = h;
-    }
 }
 
 /// One labelled series' shared cell.
@@ -116,12 +109,35 @@ pub(crate) enum SeriesValue {
     Histogram(Histogram),
 }
 
+/// How a histogram row reads its value.
+type RowValue = fn(&LogLinearHistogram) -> f64;
+
+/// A histogram series' summary rows in export order: suffix and value.
+const HISTOGRAM_ROWS: [(&str, RowValue); 7] = [
+    ("_count", |h| h.count() as f64),
+    ("_sum", |h| h.sum() as f64),
+    ("_saturated", |h| h.saturated() as u64 as f64),
+    ("_p50", |h| h.quantile(0.50).unwrap_or(0) as f64),
+    ("_p95", |h| h.quantile(0.95).unwrap_or(0) as f64),
+    ("_p99", |h| h.quantile(0.99).unwrap_or(0) as f64),
+    ("_max", |h| h.max().unwrap_or(0) as f64),
+];
+
 /// One metric family: a help string, a kind, and its series keyed by
-/// their rendered `key="value"` label pairs (sorted by key).
+/// their rendered `key="value"` label pairs (sorted by key), each with its
+/// first snapshot row id (a histogram's [`HISTOGRAM_ROWS`] follow it).
 pub(crate) struct Family {
     pub(crate) help: String,
     pub(crate) kind: FamilyKind,
-    pub(crate) series: BTreeMap<String, SeriesValue>,
+    pub(crate) series: BTreeMap<String, (SeriesValue, u32)>,
+}
+
+/// What one snapshot row id stands for, rendered at registration.
+pub(crate) struct RowKey {
+    name: String,
+    labels: String,
+    /// `name,key=value;key=value,`: the CSV row up to its value.
+    pub(crate) csv: String,
 }
 
 /// A point-in-time export row (also the CSV row shape).
@@ -144,14 +160,17 @@ pub struct Snapshot {
     /// driver stamps on its `interval_closed` trace event, so every CSV
     /// row-group joins to the decision trace of the same interval.
     pub seq: u64,
-    /// All rows, deterministically ordered.
-    pub rows: Vec<SampleRow>,
+    /// `(row id, value)` of every row, in export order; the registry
+    /// names each id.
+    pub rows: Vec<(u32, f64)>,
 }
 
-/// The registry: every metric family plus the interval snapshot log.
+/// The registry: every metric family, the row table naming every
+/// snapshot row id, and the interval snapshot log.
 #[derive(Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<String, Family>,
+    pub(crate) rows: Vec<RowKey>,
     snapshots: Vec<Snapshot>,
 }
 
@@ -161,34 +180,36 @@ pub struct MetricsRegistry {
 /// the separators of both rendered forms.
 const FORBIDDEN_LABEL_CHARS: [char; 6] = ['"', '\\', '\n', ',', ';', '='];
 
-/// Renders a label set canonically: sorted by key, `key="value"` joined
-/// with commas.
+/// Renders a label set canonically, sorted by key, in both exported
+/// forms: `key="value"` joined with commas (the series key and the
+/// Prometheus form) and `key=value` joined with `;` (the CSV form).
 ///
 /// Validation happens here, once, at series registration: keys must be
-/// `[A-Za-z0-9_]+` and values must not contain any
+/// `[A-Za-z0-9_]+` and distinct, and values must not contain any
 /// [`FORBIDDEN_LABEL_CHARS`]. Registering an illegal label panics
 /// immediately instead of silently rewriting the value at export time —
 /// a rewrite could alias two distinct label sets into one exported key
 /// (e.g. `a,b` and `a;b` both becoming `a;b` in the CSV).
-fn render_labels(labels: &[(&str, &str)]) -> String {
+fn render_labels(labels: &[(&str, &str)]) -> (String, String) {
     let mut pairs: Vec<(&str, &str)> = labels.to_vec();
     pairs.sort_unstable();
-    pairs
-        .iter()
-        .map(|(k, v)| {
-            assert!(
-                !k.is_empty() && k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "metric label key {k:?} must match [A-Za-z0-9_]+"
-            );
-            assert!(
-                !v.contains(FORBIDDEN_LABEL_CHARS),
-                "metric label value {v:?} contains a forbidden character \
-                 (one of \" \\ newline , ; =)"
-            );
-            format!("{k}=\"{v}\"")
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+    if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+        panic!("metric label key {:?} appears twice", w[0].0);
+    }
+    for (k, v) in &pairs {
+        assert!(
+            !k.is_empty() && k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+            "metric label key {k:?} must match [A-Za-z0-9_]+"
+        );
+        assert!(
+            !v.contains(FORBIDDEN_LABEL_CHARS),
+            "metric label value {v:?} contains a forbidden character \
+             (one of \" \\ newline , ; =)"
+        );
+    }
+    let prometheus: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    let csv: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    (prometheus.join(","), csv.join(";"))
 }
 
 impl MetricsRegistry {
@@ -206,7 +227,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         kind: FamilyKind,
     ) -> &SeriesValue {
-        let key = render_labels(labels);
+        let (key, csv_labels) = render_labels(labels);
         let fam = self
             .families
             .entry(name.to_string())
@@ -219,11 +240,27 @@ impl MetricsRegistry {
             fam.kind, kind,
             "metric family '{name}' registered with two kinds"
         );
-        fam.series.entry(key).or_insert_with(|| match kind {
-            FamilyKind::Counter => SeriesValue::Counter(Counter::default()),
-            FamilyKind::Gauge => SeriesValue::Gauge(Gauge::default()),
-            FamilyKind::Histogram => SeriesValue::Histogram(Histogram::default()),
-        })
+        let rows = &mut self.rows;
+        let (value, _) = fam.series.entry(key).or_insert_with_key(|key| {
+            let row = u32::try_from(rows.len()).expect("fewer than 2^32 rows");
+            let mut push = |suffix: &str| {
+                let name = format!("{name}{suffix}");
+                let csv = format!("{name},{csv_labels},");
+                let labels = key.clone();
+                rows.push(RowKey { name, labels, csv });
+            };
+            match kind {
+                FamilyKind::Histogram => HISTOGRAM_ROWS.iter().for_each(|(s, _)| push(s)),
+                _ => push(""),
+            }
+            let value = match kind {
+                FamilyKind::Counter => SeriesValue::Counter(Counter::default()),
+                FamilyKind::Gauge => SeriesValue::Gauge(Gauge::default()),
+                FamilyKind::Histogram => SeriesValue::Histogram(Histogram::default()),
+            };
+            (value, row)
+        });
+        value
     }
 
     /// Gets or creates a counter series.
@@ -260,49 +297,39 @@ impl MetricsRegistry {
         self.families.values().map(|f| f.series.len()).sum()
     }
 
+    /// Every row's `(row id, value)` in export order: family name, then
+    /// labels, then [`HISTOGRAM_ROWS`] order.
+    fn row_values(&self) -> Vec<(u32, f64)> {
+        let mut rows = Vec::with_capacity(self.rows.len());
+        for (value, row) in self.families.values().flat_map(|fam| fam.series.values()) {
+            match value {
+                SeriesValue::Counter(c) => rows.push((*row, c.get() as f64)),
+                SeriesValue::Gauge(g) => rows.push((*row, g.get())),
+                SeriesValue::Histogram(h) => h.with(|h| {
+                    let values = HISTOGRAM_ROWS.iter().map(|(_, value)| value(h));
+                    rows.extend((*row..).zip(values));
+                }),
+            }
+        }
+        rows
+    }
+
     /// Current values of every series as deterministic export rows.
     /// Histograms expand into `_count`, `_sum`, `_saturated` (0/1 sum
     /// overflow flag), `_p50`, `_p95`, `_p99` and `_max` rows (the
     /// summary columns a time series needs; the full bucket layout only
     /// appears in the Prometheus exposition).
     pub fn sample_rows(&self) -> Vec<SampleRow> {
-        let mut rows = Vec::new();
-        for (name, fam) in &self.families {
-            for (labels, value) in &fam.series {
-                let labels = labels.clone();
-                match value {
-                    SeriesValue::Counter(c) => rows.push(SampleRow {
-                        name: name.clone(),
-                        labels,
-                        value: c.get() as f64,
-                    }),
-                    SeriesValue::Gauge(g) => rows.push(SampleRow {
-                        name: name.clone(),
-                        labels,
-                        value: g.get(),
-                    }),
-                    SeriesValue::Histogram(h) => h.with(|h| {
-                        let q = |q: f64| h.quantile(q).unwrap_or(0) as f64;
-                        for (suffix, value) in [
-                            ("_count", h.count() as f64),
-                            ("_sum", h.sum() as f64),
-                            ("_saturated", h.saturated() as u64 as f64),
-                            ("_p50", q(0.50)),
-                            ("_p95", q(0.95)),
-                            ("_p99", q(0.99)),
-                            ("_max", h.max().unwrap_or(0) as f64),
-                        ] {
-                            rows.push(SampleRow {
-                                name: format!("{name}{suffix}"),
-                                labels: labels.clone(),
-                                value,
-                            });
-                        }
-                    }),
-                }
+        let row = |(id, value): (u32, f64)| {
+            let RowKey { name, labels, .. } = &self.rows[id as usize];
+            let (name, labels) = (name.clone(), labels.clone());
+            SampleRow {
+                name,
+                labels,
+                value,
             }
-        }
-        rows
+        };
+        self.row_values().into_iter().map(row).collect()
     }
 
     /// Records an interval snapshot of every series at `at_us`, stamped
@@ -311,7 +338,7 @@ impl MetricsRegistry {
     /// in the `interval_closed` trace event, so the CSV time series
     /// joins to the controller's decision points).
     pub fn snapshot(&mut self, at_us: u64, seq: u64) {
-        let rows = self.sample_rows();
+        let rows = self.row_values();
         self.snapshots.push(Snapshot { at_us, seq, rows });
     }
 
@@ -405,8 +432,8 @@ mod tests {
         reg.snapshot(20_000_000, 1);
         let snaps = reg.snapshots();
         assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].rows[0].value, 1.0);
-        assert_eq!(snaps[1].rows[0].value, 2.0);
+        assert_eq!(snaps[0].rows[0].1, 1.0);
+        assert_eq!(snaps[1].rows[0].1, 2.0);
         assert!(snaps[0].at_us < snaps[1].at_us);
         assert_eq!((snaps[0].seq, snaps[1].seq), (0, 1));
     }
@@ -435,16 +462,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_replace_swaps_the_shared_cell() {
+    fn histogram_merge_folds_into_the_shared_cell() {
         let mut reg = MetricsRegistry::new();
         let h = reg.histogram("lat_us", "Latency.", &[]);
         h.record(10);
-        let mut merged = crate::LogLinearHistogram::default();
-        merged.record(10);
-        merged.record(20);
-        h.replace(merged);
-        assert_eq!(h.with(|h| h.count()), 2);
-        // The registry sees the replacement through the shared handle.
-        assert_eq!(reg.sample_rows()[0].value, 2.0);
+        let mut interval = crate::LogLinearHistogram::default();
+        interval.record(10);
+        interval.record(20);
+        h.merge(&interval);
+        assert_eq!(h.with(|h| h.count()), 3);
+        // The registry sees the merge through the shared handle.
+        assert_eq!(reg.sample_rows()[0].value, 3.0);
     }
 }

@@ -60,6 +60,52 @@ fn gen_program(g: &mut Gen) -> Vec<Op> {
     ops
 }
 
+/// The old path-map formulation, kept as the tree's reference: `(calls,
+/// sim units)` keyed by the whole stack path at every exit of `programs`.
+fn path_map(programs: &[Vec<Op>]) -> BTreeMap<Vec<&'static str>, (u64, u64)> {
+    let mut paths: BTreeMap<Vec<&str>, (u64, u64)> = BTreeMap::new();
+    for program in programs {
+        let mut stack: Vec<(&str, u64)> = Vec::new();
+        for op in program {
+            match *op {
+                Op::Enter(name) => stack.push((name, 0)),
+                Op::Units(n) => stack.last_mut().into_iter().for_each(|top| top.1 += n),
+                Op::Exit => {
+                    let path = stack.iter().map(|f| f.0).collect();
+                    let units = stack.pop().expect("balanced").1;
+                    let (calls, sim) = paths.entry(path).or_default();
+                    (*calls, *sim) = (*calls + 1, *sim + 1 + units);
+                }
+            }
+        }
+    }
+    paths
+}
+
+/// `span_paths` (order, calls, units), `folded_sim` bytes, `folded_wall`'s
+/// paths and `phases()` call counts all equal the path map's.
+fn assert_matches_path_map(p: &SpanProfiler, programs: &[Vec<Op>]) {
+    let want = Vec::from_iter(path_map(programs));
+    let got = p
+        .span_paths()
+        .map(|(path, s)| (path.to_vec(), (s.calls, s.sim_units)));
+    assert_eq!(Vec::from_iter(got), want);
+    let folded = |(path, (_, units)): &(Vec<&str>, _)| format!("{} {units}\n", path.join(";"));
+    let folded = String::from_iter(want.iter().map(folded));
+    assert_eq!(p.folded_sim(), folded);
+    // No frame name has a digit: what is left of a dump is its paths.
+    let paths = |dump: &str| dump.replace(|c: char| c.is_ascii_digit(), "");
+    assert_eq!(paths(&p.folded_wall()), paths(&folded));
+    let mut phases = BTreeMap::new();
+    for (path, (calls, _)) in &want {
+        for (i, name) in path.iter().enumerate() {
+            *phases.entry(*name).or_default() += if i + 1 == path.len() { *calls } else { 0 };
+        }
+    }
+    let got = p.phases().into_iter().map(|(name, s)| (name, s.calls));
+    assert_eq!(BTreeMap::from_iter(got), phases);
+}
+
 fn apply(profiler: &mut SpanProfiler, program: &[Op]) {
     for op in program {
         match op {
@@ -157,6 +203,10 @@ fn guards_unwind_to_a_balanced_stack() {
 
 #[test]
 fn split_and_merged_profiles_match_a_single_profiler() {
+    // `a` was entered but never closed: it is not listed.
+    let mut open = SpanProfiler::new();
+    apply(&mut open, &[Op::Enter("a"), Op::Enter("b"), Op::Exit]);
+    assert_eq!(open.folded_sim(), "a;b 1\n");
     check("profiler_merge_equals_single", 200, |g: &mut Gen| {
         let programs: Vec<Vec<Op>> = (0..g.usize_in(1, 5)).map(|_| gen_program(g)).collect();
         let mut single = SpanProfiler::new();
@@ -164,24 +214,19 @@ fn split_and_merged_profiles_match_a_single_profiler() {
             apply(&mut single, program);
         }
         let mut merged = SpanProfiler::new();
-        for program in &programs {
+        for (k, program) in programs.iter().enumerate() {
+            // Cloned mid-program, a worker lists only closed spans, then goes on.
+            let (before, after) = program.split_at(g.usize_in(0, program.len()));
             let mut worker = SpanProfiler::new();
-            apply(&mut worker, program);
+            apply(&mut worker, before);
+            let mut worker = worker.clone();
+            assert_matches_path_map(&worker, &[before.to_vec()]);
+            apply(&mut worker, after);
+            assert_matches_path_map(&worker, std::slice::from_ref(program));
             merged.merge(&worker);
+            assert_matches_path_map(&merged, &programs[..=k]);
         }
-        assert_eq!(
-            merged.folded_sim(),
-            single.folded_sim(),
-            "per-worker profiles merged by stack path render the single-worker dump"
-        );
-        let single_paths: Vec<_> = single
-            .span_paths()
-            .map(|(p, s)| (p.to_vec(), s.calls))
-            .collect();
-        let merged_paths: Vec<_> = merged
-            .span_paths()
-            .map(|(p, s)| (p.to_vec(), s.calls))
-            .collect();
-        assert_eq!(merged_paths, single_paths, "call counts merge losslessly");
+        // Merged and single profiles both equal the path map of all programs.
+        assert_matches_path_map(&single, &programs);
     });
 }

@@ -60,6 +60,22 @@ fn real_artifacts_validate() {
     }
 }
 
+/// Prometheus rejects a label name given twice; so do registration and
+/// both validators.
+#[test]
+fn duplicate_label_names_are_rejected() {
+    let prom = "# HELP x X.\n# TYPE x gauge\nx{app=\"a0\",app=\"a1\"} 1\n";
+    let err = validate_prometheus(prom).unwrap_err();
+    assert!(err.starts_with("line 3: label 'app' repeated"), "{err}");
+    let csv = "time_s,seq,metric,labels,value\n1.0,0,x,app=a0;app=a1,1\n";
+    assert_eq!(
+        validate_csv(csv).unwrap_err(),
+        "row 1: label 'app' repeated"
+    );
+    let labels = [("app", "a0"), ("app", "a1")];
+    assert!(std::panic::catch_unwind(|| Telemetry::attached().gauge("x", "X.", &labels)).is_err());
+}
+
 #[test]
 fn validators_never_panic_on_arbitrary_bytes() {
     // Half the cases draw from the formats' own alphabet, so braces,
