@@ -100,19 +100,12 @@ fn scale_workload(app: AppId) -> WorkloadSpec {
     }
 }
 
-/// Runs one sweep point: `replicas` instances (over
-/// `replicas / INSTANCES_PER_SERVER` servers), `sessions` resident
-/// clients with ~200 s think times, `intervals` × 10 s measurement
-/// intervals. Long think times are what make the session count a *queue
-/// residency* figure: nearly every session sits in the event queue as a
-/// pending `ClientIssue` at any instant.
-fn run_row(
-    observers: &Observers,
-    seed: u64,
-    replicas: usize,
-    sessions: usize,
-    intervals: usize,
-) -> ScaleRow {
+/// Builds one sweep point, not yet started: `replicas` instances (over
+/// `replicas / INSTANCES_PER_SERVER` servers) and `sessions` resident
+/// clients with ~200 s think times. Long think times are what make the
+/// session count a *queue residency* figure: nearly every session sits
+/// in the event queue as a pending `ClientIssue` at any instant.
+pub fn cluster(seed: u64, replicas: usize, sessions: usize) -> Simulation {
     assert_eq!(replicas % (APPS * INSTANCES_PER_SERVER), 0);
     let mut sim = Simulation::new(SimulationConfig {
         seed,
@@ -158,6 +151,19 @@ fn run_row(
             sim.assign_replica(app, inst);
         }
     }
+    sim
+}
+
+/// Runs one sweep point of [`cluster`] for `intervals` × 10 s
+/// measurement intervals.
+fn run_row(
+    observers: &Observers,
+    seed: u64,
+    replicas: usize,
+    sessions: usize,
+    intervals: usize,
+) -> ScaleRow {
+    let mut sim = cluster(seed, replicas, sessions);
     observers.attach(&mut sim);
     sim.start();
     let mut throughput = 0.0;

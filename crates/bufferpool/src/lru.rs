@@ -103,22 +103,19 @@ pub struct LruList {
 }
 
 impl LruList {
-    /// Creates a list holding at most `capacity` pages.
+    /// Creates a list holding at most `capacity` pages. Nothing is
+    /// reserved: the index and the chain grow with the resident pages,
+    /// which many pools never bring to `capacity`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
-        let reserve = capacity.min(1 << 20);
-        // One spare entry: a reference installs the new page before it
-        // drops the evicted one.
-        let mut index = FastMap::default();
-        index.reserve(reserve + 1);
         LruList {
             chain: Chain {
-                nodes: Vec::with_capacity(reserve),
+                nodes: Vec::new(),
                 free: Vec::new(),
                 head: NIL,
                 tail: NIL,
             },
-            index,
+            index: FastMap::default(),
             capacity,
         }
     }
@@ -261,6 +258,29 @@ mod tests {
     fn node_and_index_bucket_stay_narrow() {
         assert!(std::mem::size_of::<Node>() <= 16);
         assert_eq!(std::mem::size_of::<(PageId, u32)>(), 12);
+    }
+
+    /// The index and chain grow with the resident pages, not the
+    /// capacity: a 2,048-page list over 512 hot pages (the `scale_*`
+    /// pools) stays small, and once full it evicts in LRU order as ever.
+    #[test]
+    fn index_is_sized_by_use() {
+        let mut l = LruList::new(2_048);
+        assert_eq!((l.index.capacity(), l.chain.nodes.capacity()), (0, 0));
+        let mut x: u64 = 27;
+        for _ in 0..100_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            l.reference(pid(x >> 33 & 511), true);
+        }
+        assert_eq!(l.len(), 512);
+        assert!(l.index.capacity() < 2_048, "{}", l.index.capacity());
+        for i in 0..2_048 {
+            l.reference(pid(1_000 + i), true);
+        }
+        for i in 0..2_048 {
+            let evicted = l.insert(pid(10_000 + i));
+            assert_eq!(evicted, Some(pid(1_000 + i)), "oldest goes first");
+        }
     }
 
     #[test]

@@ -68,24 +68,23 @@ impl Default for SimulationConfig {
     }
 }
 
-/// `QueryDone::client` of a query no session waits on (a replica apply, a
-/// replayed query). Client ids count up from zero per application, so the
-/// top value is never handed out.
-const NO_CLIENT: u64 = u64::MAX;
+/// The client parked beside a query no session waits on (a replica apply,
+/// a replayed query). Client ids count up from zero per application, and
+/// admission refuses to hand out this top value.
+const NO_CLIENT: u32 = u32::MAX;
 
-/// A queued event: 24 bytes, because every resident session holds one.
-/// Applications, instances and in-flight records travel as `u32` indices.
+/// A queued event: 16 bytes, because every resident session holds one.
+/// Applications, instances, clients and in-flight records travel as `u32`
+/// indices.
 enum Event {
     ClientIssue {
         app: u32,
-        client: u64,
+        client: u32,
     },
     QueryDone {
         app: u32,
         instance: u32,
-        /// The issuing session, or [`NO_CLIENT`].
-        client: u64,
-        /// The query's parked record (see [`InFlight`]).
+        /// The query's parked record and client (see [`InFlight`]).
         record: u32,
     },
     ReplicaReady {
@@ -101,27 +100,28 @@ enum Event {
     },
 }
 
-/// The log records of the queries in flight, parked between dispatch and
-/// the `QueryDone` that commits them, so the queue carries an index
-/// instead of 64 bytes. Freed slots are reused first: the slab is as long
-/// as the most queries ever in flight at once.
+/// The log records of the queries in flight, each beside its issuing
+/// client or [`NO_CLIENT`], parked between dispatch and the `QueryDone`
+/// that commits them, so the queue carries an index instead of 68 bytes.
+/// Freed slots are reused first: the slab is as long as the most queries
+/// ever in flight at once, not the number of resident sessions.
 #[derive(Default)]
 struct InFlight {
-    records: Vec<QueryLogRecord>,
+    records: Vec<(QueryLogRecord, u32)>,
     free: Vec<u32>,
 }
 
 impl InFlight {
-    fn park(&mut self, record: QueryLogRecord) -> u32 {
+    fn park(&mut self, record: QueryLogRecord, client: u32) -> u32 {
         if let Some(slot) = self.free.pop() {
-            self.records[slot as usize] = record;
+            self.records[slot as usize] = (record, client);
             return slot;
         }
-        self.records.push(record);
+        self.records.push((record, client));
         u32::try_from(self.records.len() - 1).expect("fewer than 2^32 queries in flight")
     }
 
-    fn take(&mut self, slot: u32) -> QueryLogRecord {
+    fn take(&mut self, slot: u32) -> (QueryLogRecord, u32) {
         self.free.push(slot);
         self.records[slot as usize]
     }
@@ -167,7 +167,7 @@ struct AppState {
     /// Desired number of clients (from the load function).
     target_clients: usize,
     /// Next client id to hand out.
-    next_client: u64,
+    next_client: u32,
     /// Queries issued this interval (drives the `had_load` SLA input).
     offered_this_interval: u64,
     /// `Some` for apps replaying a pregenerated schedule instead of

@@ -64,7 +64,9 @@ impl Simulation {
                     app.target_clients = app.clients.target_clients(now);
                     while app.active_clients < app.target_clients {
                         let client = app.next_client;
-                        app.next_client += 1;
+                        app.next_client = client.checked_add(1).expect(
+                            "an app admits at most u32::MAX sessions: that id is NO_CLIENT",
+                        );
                         app.active_clients += 1;
                         // Stagger arrivals within the update interval.
                         let stagger = app.rng.below(tick.as_micros().max(1));
@@ -84,14 +86,14 @@ impl Simulation {
             Event::QueryDone {
                 app,
                 instance,
-                client,
                 record,
             } => {
                 let inst = &mut self.instances[instance as usize];
                 let left = inst.outstanding.checked_sub(1);
                 debug_assert!(left.is_some(), "inst{instance} completed a query twice");
                 inst.outstanding = left.unwrap_or(0);
-                inst.engine.commit_record(self.in_flight.take(record));
+                let (record, client) = self.in_flight.take(record);
+                inst.engine.commit_record(record);
                 if client != NO_CLIENT {
                     let think = self.apps[app as usize].clients.next_think();
                     self.queue
@@ -127,7 +129,7 @@ impl Simulation {
         }
     }
 
-    fn client_issue(&mut self, now: SimTime, app: usize, client: u64) {
+    fn client_issue(&mut self, now: SimTime, app: usize, client: u32) {
         // Lazy retirement keeps the population at the load target.
         if self.apps[app].active_clients > self.apps[app].target_clients {
             self.apps[app].active_clients -= 1;
@@ -159,7 +161,7 @@ impl Simulation {
         &mut self,
         now: SimTime,
         app: usize,
-        client: Option<u64>,
+        client: Option<u32>,
         spec: QuerySpec,
     ) -> bool {
         let instances = &self.instances;
@@ -205,7 +207,7 @@ impl Simulation {
         &mut self,
         now: SimTime,
         app: usize,
-        client: Option<u64>,
+        client: Option<u32>,
         instance: InstanceId,
         spec: &QuerySpec,
     ) {
@@ -228,8 +230,9 @@ impl Simulation {
             Event::QueryDone {
                 app: app as u32,
                 instance: instance.0,
-                client: client.unwrap_or(NO_CLIENT),
-                record: self.in_flight.park(result.record),
+                record: self
+                    .in_flight
+                    .park(result.record, client.unwrap_or(NO_CLIENT)),
             },
         );
     }

@@ -31,11 +31,87 @@ fn observe(sim: &mut Simulation) -> Telemetry {
     t
 }
 
-/// Every resident session is one queued `Event`: its size is the
-/// per-session memory of the scale regime.
+/// Every resident session is one queued `Event`: its size, plus the
+/// queue's 8-byte fire time, is the per-session memory of the scale
+/// regime (24 bytes in release).
 #[test]
-fn event_fits_in_24_bytes() {
-    assert!(std::mem::size_of::<Event>() <= 24);
+fn event_is_16_bytes() {
+    assert_eq!(std::mem::size_of::<Event>(), 16);
+}
+
+/// The client id of a session is a `u32` whose top value is
+/// [`NO_CLIENT`]: the last id admission hands out is the one below it,
+/// and the next admission panics instead of minting a session that
+/// would silently stop re-issuing.
+#[test]
+#[should_panic(expected = "at most u32::MAX sessions")]
+fn admission_refuses_the_no_client_id() {
+    let mut sim = Simulation::new(SimulationConfig::default());
+    let server = sim.add_server(4);
+    let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
+    let app = sim.add_app(
+        tpcw_workload(TpcwConfig::default()),
+        Sla::one_second(),
+        ClientConfig::default(),
+        LoadFunction::Step {
+            before: 1,
+            after: 2,
+            at: SimTime::from_secs(15),
+        },
+    );
+    sim.assign_replica(app, inst);
+    sim.apps[0].next_client = NO_CLIENT - 1;
+    sim.start();
+    sim.run_interval();
+    assert_eq!(
+        sim.apps[0].active_clients, 1,
+        "the first admission succeeds"
+    );
+    assert_eq!(sim.apps[0].next_client, NO_CLIENT);
+    sim.run_interval();
+}
+
+/// Every session holds exactly one queued event, through replica
+/// applies and closed-loop completions alike: at each close the queue
+/// holds Σ active sessions, one `QueryDone` per live slab slot parked
+/// with [`NO_CLIENT`] (the read-one-write-all applies) and the
+/// `LoadTick`. An apply that re-issued a session, or a completion that
+/// re-issued none or another, breaks the count.
+#[test]
+fn every_session_holds_one_queued_event_through_the_slab() {
+    let mut sim = Simulation::new(SimulationConfig {
+        seed: 27,
+        ..Default::default()
+    });
+    // TPC-W writes ~20% of its queries; each fans out to two applies.
+    let app = sim.add_app(
+        tpcw_workload(TpcwConfig::default()),
+        Sla::one_second(),
+        ClientConfig {
+            think_time_mean: SimDuration::from_millis(300),
+            load_noise: 0.0,
+        },
+        LoadFunction::Constant(60),
+    );
+    for _ in 0..3 {
+        let server = sim.add_server(4);
+        let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
+        sim.assign_replica(app, inst);
+    }
+    sim.start();
+    let mut applies = 0;
+    for _ in 0..6 {
+        sim.run_interval();
+        // Live slots parked with NO_CLIENT: all such slots but the freed.
+        let slab = &sim.in_flight;
+        let no_client = |slot: usize| slab.records[slot].1 == NO_CLIENT;
+        let parked = (0..slab.records.len()).filter(|&s| no_client(s)).count()
+            - slab.free.iter().filter(|&&s| no_client(s as usize)).count();
+        let sessions: usize = sim.apps.iter().map(|a| a.active_clients).sum();
+        assert_eq!(sim.queue.len(), sessions + parked + 1);
+        applies += parked;
+    }
+    assert!(applies > 0, "replica applies were in flight at some close");
 }
 
 /// The Table 2 shape — TPC-W on one instance, RUBiS joining inside it at

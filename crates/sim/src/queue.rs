@@ -42,10 +42,11 @@ const SLOTS: usize = 1 << DIGIT_BITS;
 /// Levels covering all 64 bits of a timestamp.
 const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
 
-/// A pending event: fire time plus its insertion sequence number, which
-/// only the insertion-order assertion reads.
+/// A pending event: fire time plus, in debug builds, its insertion
+/// sequence number, which only the insertion-order assertion reads.
 struct Pending<E> {
     at: u64,
+    #[cfg(debug_assertions)]
     seq: u64,
     event: E,
 }
@@ -68,6 +69,7 @@ pub struct EventQueue<E> {
     /// taken whole so ties drain front to back in O(1) each.
     due: std::vec::IntoIter<Pending<E>>,
     len: usize,
+    #[cfg(debug_assertions)]
     seq: u64,
     /// The wheel cursor, which is also the clock.
     now: u64,
@@ -88,6 +90,7 @@ impl<E> EventQueue<E> {
             levels: 0,
             due: Vec::new().into_iter(),
             len: 0,
+            #[cfg(debug_assertions)]
             seq: 0,
             now: 0,
         }
@@ -113,10 +116,18 @@ impl<E> EventQueue<E> {
             self.now()
         );
         let at = at.as_micros().max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.len += 1;
-        self.place(Pending { at, seq, event });
+        #[cfg(debug_assertions)]
+        let seq = {
+            self.seq += 1;
+            self.seq
+        };
+        self.place(Pending {
+            at,
+            #[cfg(debug_assertions)]
+            seq,
+            event,
+        });
     }
 
     /// Appends `p` to the slot its time names relative to the cursor.
@@ -125,7 +136,8 @@ impl<E> EventQueue<E> {
         let level = ((63 - ((p.at ^ self.now) | 1).leading_zeros()) / DIGIT_BITS) as usize;
         let digit = (p.at >> (level as u32 * DIGIT_BITS)) as usize % SLOTS;
         let slot = &mut self.slots[level * SLOTS + digit];
-        debug_assert!(
+        #[cfg(debug_assertions)]
+        assert!(
             slot.last().is_none_or(|last| last.seq < p.seq),
             "slot out of insertion order"
         );
@@ -217,6 +229,14 @@ mod tests {
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     enum Ev {
         A(u32),
+    }
+
+    /// A queued 16-byte event costs its 8-byte fire time on top; debug
+    /// builds add the sequence number the insertion-order check reads.
+    #[test]
+    fn pending_entry_is_the_event_plus_its_fire_time() {
+        let size = std::mem::size_of::<Pending<[u32; 4]>>();
+        assert_eq!(size, if cfg!(debug_assertions) { 32 } else { 24 });
     }
 
     #[test]
