@@ -6,7 +6,7 @@
 //!             [--profile-folded <path>]
 //! experiments --list
 //! experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>]
-//!             [--no-memo] [--max-cells <K>]
+//!             [--max-cells <K>]
 //! ```
 //!
 //! `--list` prints the figure registry of `odlb_bench::suite` (name,
@@ -32,10 +32,10 @@
 //! `sweep <matrix.toml>` runs a parameter matrix as a resumable
 //! jobserver: cells are content-addressed under `<out>/cells/` (default
 //! `sweep-<name>/`), completed cells are skipped on restart, cells
-//! sharing a workload key replay one memoized schedule (`--no-memo`
-//! regenerates per cell), and `--max-cells <K>` stops resumably after
-//! `K` cells. Completed sweeps merge `sweep.csv` + `summary.txt` in
-//! canonical cell order. See EXPERIMENTS.md, "Parameter sweeps".
+//! sharing a workload key replay one memoized schedule, and
+//! `--max-cells <K>` stops resumably after `K` cells. Completed sweeps
+//! merge `sweep.csv` + `summary.txt` in canonical cell order. See
+//! EXPERIMENTS.md, "Parameter sweeps".
 //!
 //! A flag given to the wrong mode exits 2, as does anything unknown.
 
@@ -67,7 +67,6 @@ fn main() {
     let mut profile_folded: Option<String> = None;
     let mut list = false;
     let mut sweep_out: Option<String> = None;
-    let mut no_memo = false;
     let mut max_cells: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,7 +85,6 @@ fn main() {
                 max_cells = Some(n.get());
             }
             "--list" => list = true,
-            "--no-memo" => no_memo = true,
             _ if positional.len() < 2 && !flag.starts_with("--") => positional.push(arg),
             _ => fail(2, format!("unexpected argument '{flag}'")),
         }
@@ -99,7 +97,7 @@ fn main() {
     let observed = trace_path.is_some() || metrics_dir.is_some() || profile_folded.is_some();
     if positional.first().map(String::as_str) == Some("sweep") {
         let Some(matrix_path) = positional.get(1) else {
-            fail(2, "usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--no-memo] [--max-cells <K>]");
+            fail(2, "usage: experiments sweep <matrix.toml> [--out <dir>] [--jobs <N>] [--max-cells <K>]");
         };
         if observed {
             fail(
@@ -107,14 +105,11 @@ fn main() {
                 "--trace/--metrics/--profile-folded only apply to figure runs",
             );
         }
-        run_sweep_command(matrix_path, jobs, sweep_out, no_memo, max_cells);
+        run_sweep_command(matrix_path, jobs, sweep_out, max_cells);
         return;
     }
-    if sweep_out.is_some() || no_memo || max_cells.is_some() {
-        fail(
-            2,
-            "--out/--no-memo/--max-cells only apply to the sweep subcommand",
-        );
+    if sweep_out.is_some() || max_cells.is_some() {
+        fail(2, "--out/--max-cells only apply to the sweep subcommand");
     }
     let arg = positional
         .first()
@@ -204,7 +199,6 @@ fn run_sweep_command(
     matrix_path: &str,
     jobs: usize,
     out_dir: Option<String>,
-    no_memo: bool,
     max_cells: Option<usize>,
 ) {
     let text = std::fs::read_to_string(matrix_path)
@@ -215,7 +209,7 @@ fn run_sweep_command(
     let opts = sweep::SweepOptions {
         jobs,
         out_dir,
-        memo: !no_memo,
+        memo: true,
         max_cells,
     };
     let start = std::time::Instant::now();

@@ -45,7 +45,9 @@ pub struct Fig4Result {
     pub latency_after_drop: f64,
     /// TPC-W mean latency after the controller's action settled.
     pub latency_after_action: f64,
-    /// All non-detection actions taken, rendered.
+    /// Every action but outlier detection, rendered: the applied ones
+    /// (quotas, re-placements, isolation) and one `RecomputedMrc`
+    /// diagnostic record per recomputed curve, which applies nothing.
     pub actions: Vec<String>,
 }
 

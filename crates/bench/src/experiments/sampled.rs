@@ -7,7 +7,7 @@
 //! derive (problem-class verdict plus granted quota at the
 //! [`MIN_QUOTA_PAGES`] enforcement granularity) is unchanged.
 
-use odlb_core::memory::MIN_QUOTA_PAGES;
+use odlb_core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb_mrc::{
     compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
 };
@@ -18,8 +18,6 @@ use std::fmt::Write as _;
 
 /// Fig. 5 pool size (pages).
 const CAP: usize = 8192;
-/// Fig. 5 acceptability threshold.
-const THRESHOLD: f64 = 0.05;
 
 /// The fig. 5 reference trace (`queries` BestSeller executions, seed
 /// 2007) — byte-identical to what `fig5::run(queries)` replays.
@@ -57,7 +55,7 @@ pub struct SampledAblationRow {
 /// against a canonical stale prior, and the quota `fit_quotas` grants,
 /// in enforcement units.
 fn decision(curve: &MissRatioCurve) -> (bool, usize) {
-    let params = curve.params(CAP, THRESHOLD);
+    let params = curve.params(CAP, MRC_THRESHOLD);
     // Canonical stale prior (the class used to be far cheaper), the
     // same reference the parity test in `tests/` uses.
     let stable = MrcParams {
@@ -66,7 +64,7 @@ fn decision(curve: &MissRatioCurve) -> (bool, usize) {
         acceptable_memory_needed: 2500,
         acceptable_miss_ratio: 0.03,
     };
-    let changed = params.significantly_different_from(&stable, 0.25, 0.10);
+    let changed = mrc_changed(&params, &stable);
     let requests = [QuotaRequest {
         id: BESTSELLER as u64,
         curve,
@@ -101,7 +99,7 @@ pub fn sampled_ablation(queries: usize, rates: &[f64]) -> Vec<SampledAblationRow
     let trace = fig5_reference_trace(queries);
     let exact = compute_curve(MrcMode::Exact, CAP, trace.iter().copied());
     let exact_decision = decision(&exact);
-    let exact_acceptable = exact.params(CAP, THRESHOLD).acceptable_memory_needed;
+    let exact_acceptable = exact.params(CAP, MRC_THRESHOLD).acceptable_memory_needed;
     rates
         .iter()
         .map(|&rate| {
@@ -112,7 +110,7 @@ pub fn sampled_ablation(queries: usize, rates: &[f64]) -> Vec<SampledAblationRow
             let sampled_refs = tracker.sampled_refs();
             let curve = tracker.into_curve();
             let (mean_deviation, max_deviation) = deviations(&exact, &curve);
-            let sampled_acceptable = curve.params(CAP, THRESHOLD).acceptable_memory_needed;
+            let sampled_acceptable = curve.params(CAP, MRC_THRESHOLD).acceptable_memory_needed;
             SampledAblationRow {
                 rate,
                 sampled_refs,
@@ -193,7 +191,7 @@ mod tests {
             tracker.access(page);
         }
         assert_eq!(tracker.sampled_refs(), 7842);
-        let params = tracker.into_curve().params(CAP, THRESHOLD);
+        let params = tracker.into_curve().params(CAP, MRC_THRESHOLD);
         assert_eq!(params.acceptable_memory_needed, 6850);
     }
 

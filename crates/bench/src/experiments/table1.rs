@@ -21,6 +21,7 @@
 //! BestSeller barely moves.
 
 use odlb_bufferpool::PartitionedPool;
+use odlb_core::memory::{MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb_engine::QuerySpec;
 use odlb_metrics::ClassId;
 use odlb_mrc::MattsonTracker;
@@ -111,9 +112,9 @@ pub fn run(queries: usize) -> Table1Result {
     // degenerate to a single page).
     let quota_pages = tracker
         .curve()
-        .params(POOL_PAGES, 0.05)
+        .params(POOL_PAGES, MRC_THRESHOLD)
         .acceptable_memory_needed
-        .clamp(512, POOL_PAGES - 1);
+        .clamp(MIN_QUOTA_PAGES, POOL_PAGES - 1);
 
     // Hit ratios of BestSeller and of everyone else after warm-up.
     let hit_ratios = |pool: &mut PartitionedPool, keep: &dyn Fn(ClassId) -> bool| -> (f64, f64) {

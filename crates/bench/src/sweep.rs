@@ -20,8 +20,9 @@
 //!    replay one pregenerated open-loop schedule
 //!    ([`odlb_workload::generate_schedule`]) behind an `Arc`. Generation
 //!    is a large fraction of short-cell wall time; with memoization it is
-//!    paid once per key instead of once per cell. `--no-memo` regenerates
-//!    per cell — byte-parity between the two paths is pinned by tests.
+//!    paid once per key instead of once per cell. With
+//!    [`SweepOptions::memo`] off each cell regenerates its own — byte-parity
+//!    between the two paths is pinned by tests.
 //! 3. **Deterministic merge** — `sweep.csv` (long format, one row per
 //!    cell-interval) and `summary.txt` (one line per cell) are assembled
 //!    from the on-disk cell artifacts in canonical order, so a resumed
@@ -63,8 +64,88 @@ pub const CSV_HEADER: &str =
     "cell,seed,replicas,workload,mrc,controller,interval,latency_ms,throughput_qps,\
      sla_ok,actions,machines\n";
 
+/// A workload mix a matrix may reference: its canonical spelling (what
+/// configs, rows and summaries render) and its builder.
+pub type WorkloadRow = (&'static str, fn() -> WorkloadSpec);
+
+/// A controller variant a matrix may reference: its canonical spelling
+/// and its builder, given the cell's MRC mode.
+pub type ControllerRow = (&'static str, fn(MrcMode) -> Box<dyn ClusterController>);
+
+/// The workload axis's values, one row each.
+pub const WORKLOADS: &[WorkloadRow] = &[
+    // TPC-W browsing mix.
+    ("tpcw", || tpcw_workload(TpcwConfig::default())),
+    // RUBiS bidding mix.
+    ("rubis", || rubis_workload(RubisConfig::default())),
+    // The generation-heavy synthetic Zipf join mix.
+    ("zipf", zipf_heavy_workload),
+];
+
+/// The controller axis's values, one row each.
+pub const CONTROLLERS: &[ControllerRow] = &[
+    // The paper's selective retuning controller.
+    ("selective", |mrc_mode| {
+        Box::new(SelectiveRetuningController::new(ControllerConfig {
+            mrc_mode,
+        }))
+    }),
+    // CPU-trigger provisioning only.
+    ("cpu-only", |_| Box::new(CpuOnlyController::new(0.85))),
+    // Whole-application isolation.
+    ("coarse", |_| Box::new(CoarseGrainedController::new())),
+    // Live VM migration.
+    ("vm-migration", |_| Box::new(VmMigrationController::new())),
+];
+
+/// The row of `table` named `s`; the error lists the valid names.
+fn find_row<T: Copy>(
+    what: &str,
+    table: &[(&'static str, T)],
+    s: &str,
+) -> Result<(&'static str, T), String> {
+    table.iter().copied().find(|row| row.0 == s).ok_or_else(|| {
+        let valid: Vec<&str> = table.iter().map(|row| row.0).collect();
+        format!("unknown {what} '{s}' (valid: {valid:?})")
+    })
+}
+
+/// Parses `exact` or `sampled:<rate>`; the rate must be in `(0, 1]` and
+/// spelled with at most the four decimals [`mrc_label`] keeps, so
+/// distinct rates never share a label or a cell directory.
+fn parse_mrc(s: &str) -> Result<MrcMode, String> {
+    if s == "exact" {
+        return Ok(MrcMode::Exact);
+    }
+    let rate = s
+        .strip_prefix("sampled:")
+        .and_then(|r| r.parse::<f64>().ok())
+        .ok_or_else(|| format!("bad mrc '{s}' (exact | sampled:<rate>)"))?;
+    if !(rate > 0.0 && rate <= 1.0) {
+        return Err(format!("sampled rate {rate} outside (0, 1]"));
+    }
+    let mrc = MrcMode::Sampled { rate };
+    let label = mrc_label(mrc);
+    if label["sampled:".len()..].parse() != Ok(rate) {
+        return Err(format!(
+            "sampled rate {rate} does not survive its canonical spelling '{label}'"
+        ));
+    }
+    Ok(mrc)
+}
+
+/// The canonical spelling of an MRC mode (stable under re-parsing; rates
+/// rendered at fixed precision so hashing never sees float-formatting
+/// drift).
+fn mrc_label(mrc: MrcMode) -> String {
+    match mrc {
+        MrcMode::Exact => "exact".to_string(),
+        MrcMode::Sampled { rate } => format!("sampled:{rate:.4}"),
+    }
+}
+
 /// One parsed sweep matrix.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct MatrixSpec {
     /// Sweep name (labels bench records and the summary).
     pub name: String,
@@ -79,151 +160,26 @@ pub struct MatrixSpec {
     /// Replica-count axis (one instance per server).
     pub replicas: Vec<usize>,
     /// Workload-mix axis.
-    pub workloads: Vec<CellWorkload>,
+    pub workloads: Vec<WorkloadRow>,
     /// MRC-mode axis.
-    pub mrc: Vec<CellMrc>,
+    pub mrc: Vec<MrcMode>,
     /// Controller axis.
-    pub controllers: Vec<CellController>,
-}
-
-/// A workload mix a matrix may reference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellWorkload {
-    /// TPC-W browsing mix.
-    Tpcw,
-    /// RUBiS bidding mix.
-    Rubis,
-    /// The generation-heavy synthetic Zipf join mix.
-    Zipf,
-}
-
-/// A controller variant a matrix may reference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellController {
-    /// The paper's selective retuning controller.
-    Selective,
-    /// CPU-trigger provisioning only.
-    CpuOnly,
-    /// Whole-application isolation.
-    Coarse,
-    /// Live VM migration.
-    VmMigration,
-}
-
-/// Parses one of an axis's canonical spellings; the error lists them.
-fn parse_named<T: Copy>(
-    what: &str,
-    all: &[T],
-    name: fn(T) -> &'static str,
-    s: &str,
-) -> Result<T, String> {
-    all.iter().copied().find(|&v| name(v) == s).ok_or_else(|| {
-        let valid: Vec<&str> = all.iter().map(|&v| name(v)).collect();
-        format!("unknown {what} '{s}' (valid: {valid:?})")
-    })
-}
-
-impl CellWorkload {
-    /// The canonical spelling (what configs, rows and summaries render).
-    pub fn name(self) -> &'static str {
-        match self {
-            CellWorkload::Tpcw => "tpcw",
-            CellWorkload::Rubis => "rubis",
-            CellWorkload::Zipf => "zipf",
-        }
-    }
-
-    /// Parses `tpcw`, `rubis`, or `zipf`.
-    pub fn parse(s: &str) -> Result<CellWorkload, String> {
-        use CellWorkload::*;
-        parse_named("workload", &[Tpcw, Rubis, Zipf], Self::name, s)
-    }
-}
-
-impl CellController {
-    /// The canonical spelling (what configs, rows and summaries render).
-    pub fn name(self) -> &'static str {
-        match self {
-            CellController::Selective => "selective",
-            CellController::CpuOnly => "cpu-only",
-            CellController::Coarse => "coarse",
-            CellController::VmMigration => "vm-migration",
-        }
-    }
-
-    /// Parses `selective`, `cpu-only`, `coarse`, or `vm-migration`.
-    pub fn parse(s: &str) -> Result<CellController, String> {
-        use CellController::*;
-        let all = [Selective, CpuOnly, Coarse, VmMigration];
-        parse_named("controller", &all, Self::name, s)
-    }
-}
-
-/// An MRC tracker selection, canonicalised for hashing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CellMrc {
-    /// Exact Mattson.
-    Exact,
-    /// SHARDS-style sampling at the given rate.
-    Sampled(f64),
-}
-
-impl CellMrc {
-    /// Parses `exact` or `sampled:<rate>`; the rate must be in `(0, 1]`
-    /// and spelled with at most the four decimals [`CellMrc::canonical`]
-    /// keeps, so distinct rates never share a label or a cell directory.
-    pub fn parse(s: &str) -> Result<CellMrc, String> {
-        if s == "exact" {
-            return Ok(CellMrc::Exact);
-        }
-        let rate = s
-            .strip_prefix("sampled:")
-            .and_then(|r| r.parse::<f64>().ok())
-            .ok_or_else(|| format!("bad mrc '{s}' (exact | sampled:<rate>)"))?;
-        if !(rate > 0.0 && rate <= 1.0) {
-            return Err(format!("sampled rate {rate} outside (0, 1]"));
-        }
-        let mrc = CellMrc::Sampled(rate);
-        let canonical = mrc.canonical();
-        if canonical["sampled:".len()..].parse() != Ok(rate) {
-            return Err(format!(
-                "sampled rate {rate} does not survive its canonical spelling '{canonical}'"
-            ));
-        }
-        Ok(mrc)
-    }
-
-    /// The canonical spelling (stable under re-parsing; rates rendered
-    /// at fixed precision so hashing never sees float-formatting drift).
-    pub fn canonical(&self) -> String {
-        match self {
-            CellMrc::Exact => "exact".to_string(),
-            CellMrc::Sampled(rate) => format!("sampled:{rate:.4}"),
-        }
-    }
-
-    /// The tracker mode handed to the controller.
-    pub fn mode(&self) -> MrcMode {
-        match self {
-            CellMrc::Exact => MrcMode::Exact,
-            CellMrc::Sampled(rate) => MrcMode::Sampled { rate: *rate },
-        }
-    }
+    pub controllers: Vec<ControllerRow>,
 }
 
 /// One fully resolved cell of the matrix.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CellConfig {
     /// Root seed (drives the schedule and the simulation).
     pub seed: u64,
     /// Servers, each hosting one replica instance.
     pub replicas: usize,
     /// Workload mix.
-    pub workload: CellWorkload,
+    pub workload: WorkloadRow,
     /// MRC tracker selection.
-    pub mrc: CellMrc,
+    pub mrc: MrcMode,
     /// Controller variant.
-    pub controller: CellController,
+    pub controller: ControllerRow,
     /// Measurement intervals.
     pub intervals: usize,
     /// Passive warm-up intervals.
@@ -240,13 +196,13 @@ impl CellConfig {
         format!(
             "clients={};controller={};intervals={};mrc={};replicas={};seed={};warmup={};workload={}",
             self.clients,
-            self.controller.name(),
+            self.controller.0,
             self.intervals,
-            self.mrc.canonical(),
+            mrc_label(self.mrc),
             self.replicas,
             self.seed,
             self.warmup,
-            self.workload.name(),
+            self.workload.0,
         )
     }
 
@@ -266,11 +222,7 @@ impl CellConfig {
     pub fn trace_key(&self) -> String {
         format!(
             "clients={};intervals={};replicas={};seed={};workload={}",
-            self.clients,
-            self.intervals,
-            self.replicas,
-            self.seed,
-            self.workload.name(),
+            self.clients, self.intervals, self.replicas, self.seed, self.workload.0,
         )
     }
 }
@@ -357,9 +309,9 @@ pub fn parse_matrix(text: &str) -> Result<MatrixSpec, String> {
         clients: 24,
         seeds: vec![42],
         replicas: vec![1],
-        workloads: vec![CellWorkload::Tpcw],
-        mrc: vec![CellMrc::Exact],
-        controllers: vec![CellController::Selective],
+        workloads: vec![WORKLOADS[0]],
+        mrc: vec![MrcMode::Exact],
+        controllers: vec![CONTROLLERS[0]],
     };
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw);
@@ -391,9 +343,11 @@ fn set_key(spec: &mut MatrixSpec, line: &str) -> Result<(), String> {
         "clients" => spec.clients = usize_of(single()?)?,
         "seeds" => spec.seeds = axis(key, &vals, |v| int(key, v))?,
         "replicas" => spec.replicas = axis(key, &vals, usize_of)?,
-        "workloads" => spec.workloads = axis(key, &vals, CellWorkload::parse)?,
-        "mrc" => spec.mrc = axis(key, &vals, CellMrc::parse)?,
-        "controllers" => spec.controllers = axis(key, &vals, CellController::parse)?,
+        "workloads" => spec.workloads = axis(key, &vals, |v| find_row("workload", WORKLOADS, v))?,
+        "mrc" => spec.mrc = axis(key, &vals, parse_mrc)?,
+        "controllers" => {
+            spec.controllers = axis(key, &vals, |v| find_row("controller", CONTROLLERS, v))?
+        }
         other => return Err(format!("unknown key '{other}'")),
     }
     Ok(())
@@ -453,15 +407,6 @@ pub fn expand(spec: &MatrixSpec) -> (Vec<CellConfig>, usize) {
     (cells, duplicates)
 }
 
-/// Materialises a workload mix.
-fn cell_workload(workload: CellWorkload) -> WorkloadSpec {
-    match workload {
-        CellWorkload::Tpcw => tpcw_workload(TpcwConfig::default()),
-        CellWorkload::Rubis => rubis_workload(RubisConfig::default()),
-        CellWorkload::Zipf => zipf_heavy_workload(),
-    }
-}
-
 /// The schedule configuration of a cell — a pure function of its
 /// [`CellConfig::trace_key`] fields, so memoized schedules are safe to
 /// share across controller/MRC variants.
@@ -472,17 +417,6 @@ fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
         load: LoadFunction::Constant(cell.clients),
         client: ClientConfig::default(),
         tick: TICK,
-    }
-}
-
-fn cell_controller(cell: &CellConfig) -> Box<dyn ClusterController> {
-    match cell.controller {
-        CellController::Selective => Box::new(SelectiveRetuningController::new(ControllerConfig {
-            mrc_mode: cell.mrc.mode(),
-        })),
-        CellController::CpuOnly => Box::new(CpuOnlyController::new(0.85)),
-        CellController::Coarse => Box::new(CoarseGrainedController::new()),
-        CellController::VmMigration => Box::new(VmMigrationController::new()),
     }
 }
 
@@ -498,7 +432,7 @@ struct CellResult {
 }
 
 fn cell_schedule(cell: &CellConfig) -> Arc<GeneratedSchedule> {
-    let workload = cell_workload(cell.workload);
+    let workload = (cell.workload.1)();
     Arc::new(generate_schedule(&workload, &schedule_config(cell)))
 }
 
@@ -513,14 +447,14 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
         let server = sim.add_server(4);
         instances.push(sim.add_instance(server, DomainId(1), EngineConfig::default()));
     }
-    let app = sim.add_replayed_app(cell_workload(cell.workload), Sla::one_second(), schedule);
+    let app = sim.add_replayed_app((cell.workload.1)(), Sla::one_second(), schedule);
     for inst in instances {
         sim.assign_replica(app, inst);
     }
     let tracer = Tracer::new();
     let digest = tracer.attach(DigestSink::new());
     sim.set_tracer(tracer.clone());
-    let mut controller = cell_controller(cell);
+    let mut controller = (cell.controller.1)(cell.mrc);
     controller.set_tracer(tracer.clone());
     sim.start();
 
@@ -554,18 +488,15 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
             "{id},{},{},{},{},{},{interval},{latency_ms:.3},{tput:.2},{},{actions},{machines}\n",
             cell.seed,
             cell.replicas,
-            cell.workload.name(),
-            cell.mrc.canonical(),
-            cell.controller.name(),
+            cell.workload.0,
+            mrc_label(cell.mrc),
+            cell.controller.0,
             u8::from(ok),
         ));
     }
     let wall = start.elapsed();
     tracer.flush();
-    let (digest, events) = {
-        let d = digest.borrow();
-        (d.digest(), d.events())
-    };
+    let digest = digest.borrow().digest();
     let mean_lat = if tput_sum > 0.0 {
         lat_weight / tput_sum
     } else {
@@ -575,8 +506,8 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     let summary = format!(
         "{id}  {:<12} {:<14} {:>7.3} ms  {:>9.2} q/s  sla {sla_met}/{}  actions {actions_total:>3}  \
          digest {digest:#018x}",
-        cell.controller.name(),
-        cell.mrc.canonical(),
+        cell.controller.0,
+        mrc_label(cell.mrc),
         mean_lat,
         tput_sum / measured.max(1) as f64,
         cell.intervals,
@@ -585,7 +516,7 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
         rows,
         row_count: cell.intervals,
         digest,
-        events: sim.events_processed().max(events),
+        events: sim.events_processed(),
         summary,
         wall,
     }
@@ -730,7 +661,7 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
             let shared = schedules.get(&cell.trace_key()).cloned();
             let job: Job<CellResult> = Box::new(move || {
                 let start = Instant::now();
-                // Cold path (--no-memo): generation is part of the cell,
+                // Cold path (memo off): generation is part of the cell,
                 // which is exactly the cost memoization removes.
                 let schedule = shared.unwrap_or_else(|| cell_schedule(&cell));
                 let mut res = run_cell(&cell, schedule);
@@ -853,11 +784,13 @@ mod tests {
         assert_eq!(m.clients, 6);
         assert_eq!(m.seeds, vec![1, 2]);
         assert_eq!(m.replicas, vec![1], "default axis");
-        assert_eq!(m.mrc, vec![CellMrc::Exact], "default axis");
-        assert_eq!(m.workloads, vec![CellWorkload::Zipf]);
+        assert_eq!(m.mrc, vec![MrcMode::Exact], "default axis");
+        // Rows compare by name: a builder's fn pointer has no stable identity.
+        let workloads: Vec<&str> = m.workloads.iter().map(|r| r.0).collect();
+        let controllers: Vec<&str> = m.controllers.iter().map(|r| r.0).collect();
         assert_eq!(
-            m.controllers,
-            vec![CellController::Selective, CellController::Coarse]
+            (workloads, controllers),
+            (vec!["zipf"], vec!["selective", "coarse"])
         );
         let (cells, dup) = expand(&m);
         assert_eq!(cells.len(), 4);
@@ -922,9 +855,22 @@ mod tests {
         }
         // Sampled rates canonicalise at fixed precision.
         assert_eq!(
-            CellMrc::parse("sampled:0.1").unwrap().canonical(),
+            mrc_label(parse_mrc("sampled:0.1").unwrap()),
             "sampled:0.1000"
         );
+    }
+
+    /// Row names are unique, and each parses back to its own row.
+    #[test]
+    fn row_names_are_unique_and_parse_back() {
+        fn check<T: Copy>(what: &str, table: &[(&'static str, T)]) {
+            for (i, row) in table.iter().enumerate() {
+                assert!(table[..i].iter().all(|r| r.0 != row.0), "{what} {}", row.0);
+                assert_eq!(find_row(what, table, row.0).map(|r| r.0), Ok(row.0));
+            }
+        }
+        check("workload", WORKLOADS);
+        check("controller", CONTROLLERS);
     }
 
     #[test]
@@ -932,16 +878,16 @@ mod tests {
         let base = CellConfig {
             seed: 1,
             replicas: 2,
-            workload: CellWorkload::Tpcw,
-            mrc: CellMrc::Exact,
-            controller: CellController::Selective,
+            workload: WORKLOADS[0],
+            mrc: MrcMode::Exact,
+            controller: CONTROLLERS[0],
             intervals: 4,
             warmup: 1,
             clients: 10,
         };
         let mut variant = base.clone();
-        variant.controller = CellController::Coarse;
-        variant.mrc = CellMrc::Sampled(0.1);
+        variant.controller = CONTROLLERS[2];
+        variant.mrc = MrcMode::Sampled { rate: 0.1 };
         assert_eq!(base.trace_key(), variant.trace_key());
         assert_ne!(base.content_hash(), variant.content_hash());
         let mut other = base.clone();

@@ -23,8 +23,13 @@ fn experiments(args: &[&str]) -> (i32, String, String) {
 
 #[test]
 fn usage_errors_exit_2_with_their_message() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--frobnicate"], "unexpected argument '--frobnicate'"),
+        // Memoization is always on: the cold path is the library's alone.
+        (
+            &["sweep", "m.toml", "--no-memo"],
+            "unexpected argument '--no-memo'",
+        ),
         // The live-scrape plane is gone: its flag is as unknown as any.
         (&["--serve", "0"], "unexpected argument '--serve'"),
         (
@@ -33,7 +38,7 @@ fn usage_errors_exit_2_with_their_message() {
         ),
         (
             &["fig4", "--out", "d"],
-            "--out/--no-memo/--max-cells only apply to the sweep subcommand",
+            "--out/--max-cells only apply to the sweep subcommand",
         ),
         (
             &["sweep", "m.toml", "--trace", "t"],

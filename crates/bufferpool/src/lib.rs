@@ -7,19 +7,17 @@
 //! other classes keep sharing the rest (§3.3.2, Table 1).
 //!
 //! * [`LruList`] — an O(1) intrusive LRU list (slab + hash index), the
-//!   replacement policy under everything.
-//! * [`BufferPool`] — one LRU partition with prefetch (read-ahead)
-//!   insertion. Per-class hits and misses ride each query's log record,
-//!   not the pool.
+//!   replacement policy under everything; one per partition, counting
+//!   the pages capacity pressure evicts from it.
 //! * [`PartitionedPool`] — the quota mechanism: a *general* partition plus
-//!   dedicated per-class partitions carved out of it; the paper's Table 1
-//!   compares exactly `shared` vs `partitioned` vs `exclusive`
-//!   configurations of this structure.
+//!   dedicated per-class partitions carved out of it, with prefetch
+//!   (read-ahead) insertion; the paper's Table 1 compares exactly
+//!   `shared` vs `partitioned` vs `exclusive` configurations of this
+//!   structure. Per-class hits and misses ride each query's log record,
+//!   not the pool.
 
 pub mod lru;
 pub mod partitioned;
-pub mod pool;
 
 pub use lru::{LruList, Reference};
-pub use partitioned::{PartitionedPool, QuotaError};
-pub use pool::{AccessOutcome, BufferPool, ClassAccess};
+pub use partitioned::{AccessOutcome, ClassAccess, PartitionedPool, QuotaError};

@@ -100,6 +100,7 @@ pub struct LruList {
     chain: Chain,
     index: FastMap<PageId, u32>,
     capacity: usize,
+    evictions: u64,
 }
 
 impl LruList {
@@ -117,6 +118,7 @@ impl LruList {
             },
             index: FastMap::default(),
             capacity,
+            evictions: 0,
         }
     }
 
@@ -135,9 +137,10 @@ impl LruList {
         self.capacity
     }
 
-    /// True when `page` is resident (no recency update).
-    pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
+    /// Lifetime pages evicted by capacity pressure (a reference installing
+    /// into a full list); a shrink through `set_capacity` is not counted.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
     }
 
     /// Promotes `page` to MRU if resident. Returns whether it was a hit.
@@ -175,6 +178,7 @@ impl LruList {
             chain.promote(idx);
             slot.insert(idx);
             self.index.remove(&victim);
+            self.evictions += 1;
             Some(victim)
         } else {
             let idx = chain.alloc(page);
@@ -194,41 +198,16 @@ impl LruList {
         }
     }
 
-    /// Evicts and returns the LRU page, if any.
-    pub fn evict_lru(&mut self) -> Option<PageId> {
-        if self.chain.tail == NIL {
-            return None;
-        }
-        let idx = self.chain.tail;
-        let page = self.chain.nodes[idx as usize].page;
-        self.chain.unlink(idx);
-        self.index.remove(&page);
-        self.chain.free.push(idx);
-        Some(page)
-    }
-
-    /// Removes a specific page if resident; returns whether it was there.
-    pub fn remove(&mut self, page: PageId) -> bool {
-        match self.index.remove(&page) {
-            Some(idx) => {
-                self.chain.unlink(idx);
-                self.chain.free.push(idx);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Changes the capacity; shrinking evicts LRU pages. Returns the
-    /// evicted pages (in eviction order).
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<PageId> {
+    /// Changes the capacity; shrinking evicts LRU pages.
+    pub fn set_capacity(&mut self, capacity: usize) {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         self.capacity = capacity;
-        let mut evicted = Vec::new();
         while self.index.len() > capacity {
-            evicted.push(self.evict_lru().expect("len > 0"));
+            let idx = self.chain.tail;
+            self.chain.unlink(idx);
+            self.index.remove(&self.chain.nodes[idx as usize].page);
+            self.chain.free.push(idx);
         }
-        evicted
     }
 
     /// Pages from MRU to LRU (debugging/tests; O(len)).
@@ -326,7 +305,6 @@ mod tests {
             }
         );
         assert_eq!(l.pages_mru_to_lru(), vec![pid(4), pid(1), pid(3)]);
-        assert!(!l.contains(pid(2)));
         assert_eq!(l.len(), 3);
     }
 
@@ -369,28 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_specific_page() {
-        let mut l = LruList::new(3);
-        l.insert(pid(1));
-        l.insert(pid(2));
-        assert!(l.remove(pid(1)));
-        assert!(!l.remove(pid(1)));
-        assert_eq!(l.len(), 1);
-        assert!(!l.contains(pid(1)));
-        // Slab slot is reused.
-        l.insert(pid(3));
-        l.insert(pid(4));
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
     fn shrink_evicts_in_lru_order() {
         let mut l = LruList::new(5);
         for i in 1..=5 {
             l.insert(pid(i));
         }
-        let evicted = l.set_capacity(2);
-        assert_eq!(evicted, vec![pid(1), pid(2), pid(3)]);
+        l.set_capacity(2);
         assert_eq!(l.pages_mru_to_lru(), vec![pid(5), pid(4)]);
         assert_eq!(l.capacity(), 2);
     }
@@ -400,7 +362,7 @@ mod tests {
         let mut l = LruList::new(2);
         l.insert(pid(1));
         l.insert(pid(2));
-        assert!(l.set_capacity(4).is_empty());
+        l.set_capacity(4);
         l.insert(pid(3));
         assert_eq!(l.len(), 3);
     }
@@ -411,9 +373,7 @@ mod tests {
         assert_eq!(l.insert(pid(1)), None);
         assert_eq!(l.insert(pid(2)), Some(pid(1)));
         assert!(l.touch(pid(2)));
-        assert_eq!(l.evict_lru(), Some(pid(2)));
-        assert_eq!(l.evict_lru(), None);
-        assert!(l.is_empty());
+        assert_eq!(l.pages_mru_to_lru(), vec![pid(2)]);
     }
 
     #[test]

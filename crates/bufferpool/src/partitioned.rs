@@ -9,21 +9,72 @@
 //! class and the other partition for all other queries of the application".
 //!
 //! Capacity invariant: the general partition plus all quota partitions
-//! always sum to the configured total.
+//! always sum to the configured total. Each partition is one [`LruList`].
 
-use crate::pool::{AccessOutcome, BufferPool, ClassAccess};
+use crate::lru::{LruList, Reference};
 use odlb_metrics::ClassId;
 use odlb_sim::FastMap;
 use odlb_storage::PageId;
-use odlb_telemetry::SharedSpanProfiler;
+use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
+
+/// The result of one page access.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AccessOutcome {
+    /// The page was resident.
+    Hit,
+    /// The page was not resident and has been installed (the caller
+    /// charges the disk read).
+    Miss,
+}
+
+impl AccessOutcome {
+    /// Convenience predicate.
+    pub fn is_miss(self) -> bool {
+        matches!(self, AccessOutcome::Miss)
+    }
+}
 
 /// A buffer pool with optional per-class quota partitions.
 #[derive(Clone, Debug)]
 pub struct PartitionedPool {
     total_pages: usize,
-    general: BufferPool,
-    quotas: FastMap<ClassId, BufferPool>,
+    general: LruList,
+    quotas: FastMap<ClassId, LruList>,
     profiler: Option<SharedSpanProfiler>,
+}
+
+/// One class's view of the pool for a run of page references: the
+/// partition that serves it, resolved once (per query) instead of once
+/// per page.
+#[derive(Debug)]
+pub struct ClassAccess<'a> {
+    lru: &'a mut LruList,
+    profiler: &'a Option<SharedSpanProfiler>,
+}
+
+impl ClassAccess<'_> {
+    /// Accesses one page. On a miss the page is installed at MRU (the
+    /// caller performs the disk read).
+    pub fn access(&mut self, page: PageId) -> AccessOutcome {
+        match self.lru.reference(page, true) {
+            Reference::Resident => AccessOutcome::Hit,
+            Reference::Installed { .. } => AccessOutcome::Miss,
+        }
+    }
+
+    /// Installs prefetched pages (read-ahead) without counting them as
+    /// accesses. Already-resident pages are skipped *without* promotion
+    /// (prefetch must not distort recency). Returns how many pages were
+    /// actually installed.
+    pub fn prefetch(&mut self, pages: impl IntoIterator<Item = PageId>) -> u64 {
+        let _span = enter_span(self.profiler, "bufferpool_prefetch");
+        let mut installed = 0;
+        for page in pages {
+            installed += (self.lru.reference(page, false) != Reference::Resident) as u64;
+        }
+        span_units(self.profiler, installed);
+        installed
+    }
 }
 
 /// Errors from quota manipulation.
@@ -47,7 +98,7 @@ impl PartitionedPool {
     pub fn new(total_pages: usize) -> Self {
         PartitionedPool {
             total_pages,
-            general: BufferPool::new(total_pages),
+            general: LruList::new(total_pages),
             quotas: FastMap::default(),
             profiler: None,
         }
@@ -91,8 +142,8 @@ impl PartitionedPool {
                 requested: pages,
             });
         }
-        self.general.resize(self.general.capacity() - pages);
-        self.quotas.insert(class, BufferPool::new(pages));
+        self.general.set_capacity(self.general.capacity() - pages);
+        self.quotas.insert(class, LruList::new(pages));
         Ok(())
     }
 
@@ -103,7 +154,8 @@ impl PartitionedPool {
     pub fn clear_quota(&mut self, class: ClassId) -> bool {
         match self.quotas.remove(&class) {
             Some(p) => {
-                self.general.resize(self.general.capacity() + p.capacity());
+                self.general
+                    .set_capacity(self.general.capacity() + p.capacity());
                 true
             }
             None => false,
@@ -116,11 +168,14 @@ impl PartitionedPool {
     /// [`PartitionedPool::access`] and
     /// [`PartitionedPool::prefetch`] are the per-page forms.
     pub fn class_access(&mut self, class: ClassId) -> ClassAccess<'_> {
-        let partition = match self.quotas.get_mut(&class) {
+        let lru = match self.quotas.get_mut(&class) {
             Some(p) => p,
             None => &mut self.general,
         };
-        partition.class_access(&self.profiler)
+        ClassAccess {
+            lru,
+            profiler: &self.profiler,
+        }
     }
 
     /// Accesses one page: routed to the class's dedicated partition if it
@@ -134,18 +189,23 @@ impl PartitionedPool {
         self.class_access(class).prefetch(pages)
     }
 
-    /// Resident pages of the general partition, LRU→MRU order.
+    /// Resident pages of the general partition, LRU→MRU order (suitable
+    /// for re-insertion into another pool while preserving recency).
     pub fn general_resident_pages(&self) -> Vec<PageId> {
-        self.general.resident_pages()
+        self.general.pages_mru_to_lru().into_iter().rev().collect()
     }
 
-    /// Installs pages into the general partition without accounting
-    /// (replica warm-up).
+    /// Installs pages into the general partition without access
+    /// accounting — pool warm-up during replica provisioning ("warming up
+    /// the buffer pool", §3.3.2). Pages it evicts still count.
     pub fn preload(&mut self, pages: impl IntoIterator<Item = PageId>) {
-        self.general.preload(pages);
+        for page in pages {
+            self.general.insert(page);
+        }
     }
 
-    /// Lifetime evictions across all partitions (monotone).
+    /// Lifetime evictions across the live partitions (a cleared quota
+    /// takes its share with it).
     pub fn evictions(&self) -> u64 {
         let quotaed: u64 = self.quotas.iter_sorted().map(|(_, p)| p.evictions()).sum();
         self.general.evictions() + quotaed
@@ -155,9 +215,9 @@ impl PartitionedPool {
     /// general partition (`None`) first, then the quota partitions in
     /// class order.
     pub fn partitions(&self) -> Vec<(Option<ClassId>, usize, usize)> {
-        let mut out = vec![(None, self.general.capacity(), self.general.resident())];
+        let mut out = vec![(None, self.general.capacity(), self.general.len())];
         let quotaed = self.quotas.iter_sorted();
-        out.extend(quotaed.map(|(class, p)| (Some(*class), p.capacity(), p.resident())));
+        out.extend(quotaed.map(|(class, p)| (Some(*class), p.capacity(), p.len())));
         out
     }
 
@@ -179,6 +239,93 @@ mod tests {
     }
     fn pid(no: u64) -> PageId {
         PageId::new(SpaceId(0), no)
+    }
+
+    #[test]
+    fn miss_then_hit() {
+        let mut p = PartitionedPool::new(10);
+        assert_eq!(p.access(class(1), pid(5)), AccessOutcome::Miss);
+        assert_eq!(p.access(class(1), pid(5)), AccessOutcome::Hit);
+    }
+
+    #[test]
+    fn classes_share_residency_but_not_counters() {
+        // Outcomes are returned, not tallied: each query's record keeps
+        // its own class's hits and misses.
+        let mut p = PartitionedPool::new(10);
+        assert_eq!(p.access(class(1), pid(5)), AccessOutcome::Miss);
+        // Class 2 benefits from class 1's page: shared pool.
+        assert_eq!(p.access(class(2), pid(5)), AccessOutcome::Hit);
+    }
+
+    #[test]
+    fn capacity_evictions_cause_remises() {
+        let mut p = PartitionedPool::new(2);
+        p.access(class(1), pid(1));
+        p.access(class(1), pid(2));
+        p.access(class(1), pid(3)); // evicts 1
+        assert_eq!(p.access(class(1), pid(1)), AccessOutcome::Miss);
+        assert_eq!(p.general_resident_pages().len(), 2);
+    }
+
+    #[test]
+    fn prefetch_installs_without_access_counting() {
+        let mut p = PartitionedPool::new(10);
+        assert_eq!(p.prefetch(class(1), (0..4).map(pid)), 4);
+        assert_eq!(p.general_resident_pages().len(), 4);
+        assert_eq!(p.access(class(1), pid(2)), AccessOutcome::Hit);
+    }
+
+    #[test]
+    fn prefetch_skips_resident_without_promotion() {
+        let mut p = PartitionedPool::new(2);
+        p.access(class(1), pid(1));
+        p.access(class(1), pid(2)); // MRU order: 2, 1
+        assert_eq!(p.prefetch(class(1), [pid(1)]), 0, "already resident");
+        // Page 1 must still be the LRU: next insert evicts it.
+        p.access(class(1), pid(3));
+        assert_eq!(p.general_resident_pages(), [pid(2), pid(3)]);
+    }
+
+    #[test]
+    fn evictions_counter_survives_drain() {
+        let mut p = PartitionedPool::new(2);
+        p.access(class(1), pid(1));
+        p.access(class(1), pid(2));
+        assert_eq!(p.evictions(), 0);
+        p.access(class(1), pid(3)); // evicts 1
+        p.prefetch(class(1), [pid(4)]); // evicts 2
+        assert_eq!(p.evictions(), 2);
+    }
+
+    #[test]
+    fn shrink_evicts() {
+        let mut p = PartitionedPool::new(8);
+        for i in 0..8 {
+            p.access(class(1), pid(i));
+        }
+        // A 5-page quota shrinks the general partition to 3 pages.
+        p.set_quota(class(2), 5).unwrap();
+        assert_eq!(p.general_resident_pages(), [pid(5), pid(6), pid(7)]);
+    }
+
+    /// Capacity pressure in any partition evicts and counts (access,
+    /// prefetch, preload); a quota shrinking the general partition does not.
+    #[test]
+    fn evictions_count_capacity_pressure_not_quota_shrink() {
+        let mut p = PartitionedPool::new(4);
+        p.preload((0..6).map(pid)); // evicts 0 and 1
+        assert_eq!(p.evictions(), 2);
+        p.access(class(1), pid(6)); // evicts 2
+        assert_eq!(p.prefetch(class(1), [pid(7)]), 1); // evicts 3
+        assert_eq!(p.evictions(), 4);
+        p.set_quota(class(2), 3).unwrap(); // drops 4, 5 and 6
+        assert_eq!(p.general_resident_pages(), [pid(7)]);
+        assert_eq!(p.evictions(), 4, "a quota shrink is not an eviction");
+        for i in 10..14 {
+            p.access(class(2), pid(i)); // the fourth evicts 10
+        }
+        assert_eq!(p.evictions(), 5);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::borrow::Cow;
 
 /// MRC acceptability threshold (§2): acceptable memory is the smallest
 /// size whose miss ratio is within this of ideal. The paper's 5%.
-pub(crate) const MRC_THRESHOLD: f64 = 0.05;
+pub const MRC_THRESHOLD: f64 = 0.05;
 
 /// Relative change of a class's MRC parameters against its stable record
 /// that marks it a *problem class* (§3.3.2 "changed significantly"; the
@@ -34,6 +34,12 @@ const MRC_RATIO_SLACK: f64 = 0.10;
 /// is the index-less BestSeller's acceptable memory, 3,695 pages, where
 /// our flatter curve lands here.
 pub const MIN_QUOTA_PAGES: usize = 512;
+
+/// Whether `fresh` MRC parameters differ from the stable `prior` enough
+/// to mark a problem class (§3.3.2): the rule diagnosis applies.
+pub fn mrc_changed(fresh: &MrcParams, prior: &MrcParams) -> bool {
+    fresh.significantly_different_from(prior, MRC_CHANGE_REL, MRC_RATIO_SLACK)
+}
 
 /// Stable-store key for an instance (the paper's per-server context; one
 /// engine per server in its testbed, so the instance is the natural key).
@@ -104,9 +110,7 @@ pub fn find_problem_classes(
         };
         let params = curve.params(cap, MRC_THRESHOLD);
         let prior = stable.get(key, class).and_then(|s| s.mrc);
-        let changed = prior.is_some_and(|old| {
-            params.significantly_different_from(&old, MRC_CHANGE_REL, MRC_RATIO_SLACK)
-        });
+        let changed = prior.is_some_and(|old| mrc_changed(&params, &old));
         stable.record_mrc(key, class, params, now);
         examined.push(ExaminedClass {
             class,

@@ -148,7 +148,7 @@ pub fn sample(c: &mut u64) -> u64 {
     Mutation {
         name: "std_table_returned_by_the_pool",
         flagged: Some(("D02", 2)),
-        source_rel: "crates/bufferpool/src/pool.rs",
+        source_rel: "crates/bufferpool/src/partitioned.rs",
         source_src: r#"
 pub fn drain_counters(c: &mut u64) -> std::collections::HashMap<u64, u64> {
     [(*c, 1)].into_iter().collect()

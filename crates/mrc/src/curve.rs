@@ -6,11 +6,8 @@
 pub struct MissRatioCurve {
     /// `hits[d-1]` = number of references with stack distance exactly `d`.
     hits: Vec<u64>,
-    /// References with distance beyond the cap (a miss at every tracked
-    /// size) plus cold (first-touch) misses.
-    beyond_or_cold: u64,
-    /// Of which cold (first-touch) misses — kept separately for reporting.
-    cold: u64,
+    /// Every reference recorded; those beyond the cap or cold (first
+    /// touch) count here and in no `hits` bucket.
     total: u64,
 }
 
@@ -20,8 +17,6 @@ impl MissRatioCurve {
         assert!(cap_pages >= 1, "curve needs at least one tracked size");
         MissRatioCurve {
             hits: vec![0; cap_pages],
-            beyond_or_cold: 0,
-            cold: 0,
             total: 0,
         }
     }
@@ -38,8 +33,6 @@ impl MissRatioCurve {
         self.total += n;
         if d as usize <= self.hits.len() {
             self.hits[d as usize - 1] += n;
-        } else {
-            self.beyond_or_cold += n;
         }
     }
 
@@ -52,8 +45,6 @@ impl MissRatioCurve {
     /// by the sampled tracker's `1/R` rescaling).
     pub fn record_cold_misses(&mut self, n: u64) {
         self.total += n;
-        self.beyond_or_cold += n;
-        self.cold += n;
     }
 
     /// Largest tracked cache size.
@@ -153,8 +144,6 @@ impl MissRatioCurve {
         for (a, b) in self.hits.iter_mut().zip(&other.hits) {
             *a += b;
         }
-        self.beyond_or_cold += other.beyond_or_cold;
-        self.cold += other.cold;
         self.total += other.total;
     }
 }

@@ -11,14 +11,14 @@
 
 use crate::Gen;
 
-/// Workload mixes the generator may reference, of the names
-/// `odlb_bench::sweep`'s `CellWorkload::parse` accepts; "tpcw"/"rubis" are
+/// Workload mixes the generator may reference, of the row names in
+/// `odlb_bench::sweep::WORKLOADS`; "tpcw"/"rubis" are
 /// excluded only because their generation cost would dominate
 /// property-test time.
 const WORKLOADS: [&str; 1] = ["zipf"];
 
-/// Controller variants the generator may reference: every name
-/// `odlb_bench::sweep`'s `CellController::parse` accepts.
+/// Controller variants the generator may reference: every row name in
+/// `odlb_bench::sweep::CONTROLLERS`.
 const CONTROLLERS: [&str; 4] = ["selective", "cpu-only", "coarse", "vm-migration"];
 
 /// MRC-mode spellings the generator may reference.

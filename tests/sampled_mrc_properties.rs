@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 // Quotas are meaningful at the granularity of the controller's quota
 // floor, so decision parity is defined over quota *units*, not raw pages.
-use odlb::core::memory::MIN_QUOTA_PAGES;
+use odlb::core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb::mrc::{
     compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
 };
@@ -162,7 +162,7 @@ fn fig5_trace() -> Vec<odlb::storage::PageId> {
 fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
     let trace = fig5_trace();
     let curve = compute_curve(mode, CAP, trace.iter().copied());
-    let params = curve.params(CAP, 0.05);
+    let params = curve.params(CAP, MRC_THRESHOLD);
 
     // Stable reference: the class used to be far cheaper (the fig. 4
     // index-drop narrative), so diagnosis must flag it as changed.
@@ -172,7 +172,7 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
         acceptable_memory_needed: 2500,
         acceptable_miss_ratio: 0.03,
     };
-    let changed = params.significantly_different_from(&stable, 0.25, 0.10);
+    let changed = mrc_changed(&params, &stable);
 
     let requests = [QuotaRequest {
         id: BESTSELLER as u64,
