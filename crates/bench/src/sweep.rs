@@ -14,19 +14,26 @@
 //!    `CELL_OK` manifest (canonical config, hash, run digest, row count,
 //!    summary line). A restarted sweep validates manifests and skips every
 //!    completed cell: interrupted studies resume in O(remaining).
-//! 2. **Shared-trace memoization** — cells agreeing on the workload key
-//!    ([`CellConfig::trace_key`]: seed, workload mix, cluster size,
-//!    clients, horizon) but differing only in controller/MRC variant
-//!    replay one pregenerated open-loop schedule
-//!    ([`odlb_workload::generate_schedule`]) behind an `Arc`. Generation
-//!    is a large fraction of short-cell wall time; with memoization it is
-//!    paid once per key instead of once per cell. With
-//!    [`SweepOptions::memo`] off each cell regenerates its own — byte-parity
-//!    between the two paths is pinned by tests.
+//! 2. **Shared-prefix memoization** — consecutive pending cells agreeing
+//!    on the workload key ([`CellConfig::trace_key`]: seed, workload mix,
+//!    cluster size, clients, horizon) differ only in controller/MRC
+//!    variant, and the controller first acts after interval `warmup`. So
+//!    they form one job ([`groups`]): it generates the open-loop schedule
+//!    ([`odlb_workload::generate_schedule`]) once, runs the
+//!    controller-free prefix (build, `start()`, intervals `0..=warmup`)
+//!    once, and runs each cell on a [`Simulation::fork`] of it — the last
+//!    cell on the prefix simulation itself. A group drops its schedule and
+//!    prefix when it finishes, so one worker holds one of each at a time.
+//!    With fewer trace keys than workers, each key's cells are cut into
+//!    chunks that run a prefix each, so parallelism spans cells. With
+//!    [`SweepOptions::memo`] off every group is one cell and nothing
+//!    forks — byte-parity between the two paths is pinned by tests.
 //! 3. **Deterministic merge** — `sweep.csv` (long format, one row per
 //!    cell-interval) and `summary.txt` (one line per cell) are assembled
 //!    from the on-disk cell artifacts in canonical order, so a resumed
-//!    sweep reproduces an uninterrupted one byte for byte.
+//!    sweep reproduces an uninterrupted one byte for byte. A group commits
+//!    its cells when it finishes, so a killed sweep re-runs the groups in
+//!    flight, at most one per worker.
 //!
 //! Simulated results never mix with wall-clock content: cell CSV rows and
 //! manifests carry simulation-derived values only, while per-cell wall
@@ -34,13 +41,13 @@
 //! workload of `benchmark/` reads them).
 
 use crate::runner::{run_ordered, Job};
-use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
+use odlb_cluster::{IntervalOutcome, Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_core::{
     ClusterController, CoarseGrainedController, ControllerConfig, CpuOnlyController,
     SelectiveRetuningController, VmMigrationController,
 };
 use odlb_engine::EngineConfig;
-use odlb_metrics::Sla;
+use odlb_metrics::{AppId, Sla};
 use odlb_mrc::MrcMode;
 use odlb_sim::SimDuration;
 use odlb_storage::DomainId;
@@ -51,6 +58,7 @@ use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
 use odlb_workload::{
     generate_schedule, ClientConfig, GeneratedSchedule, LoadFunction, ScheduleConfig, WorkloadSpec,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -218,7 +226,7 @@ impl CellConfig {
 
     /// The workload key: the subset of the config the generated schedule
     /// depends on. Cells sharing it differ only in controller/MRC
-    /// variant and replay one memoized schedule.
+    /// variant and share one schedule and controller-free prefix.
     pub fn trace_key(&self) -> String {
         format!(
             "clients={};intervals={};replicas={};seed={};workload={}",
@@ -408,8 +416,8 @@ pub fn expand(spec: &MatrixSpec) -> (Vec<CellConfig>, usize) {
 }
 
 /// The schedule configuration of a cell — a pure function of its
-/// [`CellConfig::trace_key`] fields, so memoized schedules are safe to
-/// share across controller/MRC variants.
+/// [`CellConfig::trace_key`] fields, so one schedule serves every
+/// controller/MRC variant of a group.
 fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
     ScheduleConfig {
         seed: cell.seed,
@@ -424,20 +432,24 @@ fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
 /// derive from simulation state only; the wall clock rides separately.
 struct CellResult {
     rows: String,
-    row_count: usize,
     digest: u64,
     events: u64,
     summary: String,
     wall: Duration,
 }
 
-fn cell_schedule(cell: &CellConfig) -> Arc<GeneratedSchedule> {
-    let workload = (cell.workload.1)();
-    Arc::new(generate_schedule(&workload, &schedule_config(cell)))
+/// What a group's controller-free prefix produced: its replayed app, the
+/// outcomes of intervals `0..=warmup` and the trace digest so far.
+struct Prefix {
+    app: AppId,
+    outcomes: Vec<IntervalOutcome>,
+    digest: DigestSink,
 }
 
-/// Runs one cell against a (shared or freshly generated) schedule.
-fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
+/// Builds the cluster of `cell`'s trace key, starts it and runs intervals
+/// `0..=warmup`, which no controller touches: the controller first acts
+/// on interval `warmup`'s outcome.
+fn run_prefix(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> (Simulation, Prefix) {
     let mut sim = Simulation::new(SimulationConfig {
         seed: cell.seed,
         ..Default::default()
@@ -453,10 +465,27 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     }
     let tracer = Tracer::new();
     let digest = tracer.attach(DigestSink::new());
+    sim.set_tracer(tracer);
+    sim.start();
+    let prefix = Prefix {
+        app,
+        outcomes: (0..=cell.warmup).map(|_| sim.run_interval()).collect(),
+        digest: digest.borrow().clone(),
+    };
+    (sim, prefix)
+}
+
+/// Runs one cell on `sim`, the state [`run_prefix`] left (or a fork of
+/// it): the prefix's rows come from its stored outcomes, the rest from
+/// intervals `warmup + 1..` run here. Its wall clock runs from `since`.
+fn run_cell(cell: &CellConfig, mut sim: Simulation, prefix: &Prefix, since: Instant) -> CellResult {
+    let app = prefix.app;
+    // The digest continues the prefix's event stream.
+    let tracer = Tracer::new();
+    let digest = tracer.attach(prefix.digest.clone());
     sim.set_tracer(tracer.clone());
     let mut controller = (cell.controller.1)(cell.mrc);
     controller.set_tracer(tracer.clone());
-    sim.start();
 
     let id = cell.dir_name();
     let mut rows = String::new();
@@ -464,9 +493,9 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     let mut sla_met = 0usize;
     let mut lat_weight = 0.0f64;
     let mut tput_sum = 0.0f64;
-    let start = Instant::now();
     for interval in 0..cell.intervals {
-        let outcome = sim.run_interval();
+        let outcome = (prefix.outcomes.get(interval))
+            .map_or_else(|| Cow::Owned(sim.run_interval()), Cow::Borrowed);
         let actions = if interval >= cell.warmup {
             controller.on_interval(&mut sim, &outcome).len()
         } else {
@@ -476,9 +505,7 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
         let latency_ms = outcome.app_latency[&app].map_or(f64::NAN, |l| l * 1e3);
         let tput = outcome.app_throughput[&app];
         let ok = !outcome.sla[&app].is_violation();
-        if ok {
-            sla_met += 1;
-        }
+        sla_met += usize::from(ok);
         if interval >= cell.warmup && latency_ms.is_finite() {
             lat_weight += latency_ms * tput;
             tput_sum += tput;
@@ -494,7 +521,6 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
             u8::from(ok),
         ));
     }
-    let wall = start.elapsed();
     tracer.flush();
     let digest = digest.borrow().digest();
     let mean_lat = if tput_sum > 0.0 {
@@ -514,12 +540,50 @@ fn run_cell(cell: &CellConfig, schedule: Arc<GeneratedSchedule>) -> CellResult {
     );
     CellResult {
         rows,
-        row_count: cell.intervals,
         digest,
         events: sim.events_processed(),
         summary,
-        wall,
+        wall: since.elapsed(),
     }
+}
+
+/// Splits `pending` (indices into `cells`, in order) into jobs: runs of
+/// consecutive pending cells sharing a [`CellConfig::trace_key`], or one
+/// cell each with `memo` off. With fewer runs than `jobs` workers, each
+/// run is cut into about `jobs / runs` chunks, each with its own prefix,
+/// so no worker idles for want of a trace key.
+fn groups(cells: &[CellConfig], pending: &[usize], memo: bool, jobs: usize) -> Vec<Vec<usize>> {
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for &i in pending {
+        let key = cells[i].trace_key();
+        match out.last_mut() {
+            Some(group) if memo && cells[group[0]].trace_key() == key => group.push(i),
+            _ => out.push(vec![i]),
+        }
+    }
+    let parts = (jobs / out.len().max(1)).max(1);
+    let chunks = out
+        .iter()
+        .flat_map(|group| group.chunks(group.len().div_ceil(parts)));
+    chunks.map(<[usize]>::to_vec).collect()
+}
+
+/// Runs one group: the schedule and prefix once, then every cell on a
+/// fork of the prefix, the last on the prefix itself. The first cell's
+/// wall clock carries the schedule and the prefix.
+fn run_group(group: &[CellConfig]) -> Vec<CellResult> {
+    let mut since = Instant::now();
+    let mut results = Vec::with_capacity(group.len());
+    let (last, forked) = group.split_last().expect("a group holds a cell");
+    // The cells share their trace key and warmup: any one builds the prefix.
+    let schedule = generate_schedule(&(last.workload.1)(), &schedule_config(last));
+    let (sim, prefix) = run_prefix(last, Arc::new(schedule));
+    for cell in forked {
+        results.push(run_cell(cell, sim.fork(), &prefix, since));
+        since = Instant::now();
+    }
+    results.push(run_cell(last, sim, &prefix, since));
+    results
 }
 
 /// How a sweep invocation should run.
@@ -529,7 +593,9 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// Output directory (cells live under `<out>/cells/`).
     pub out_dir: PathBuf,
-    /// Shared-trace memoization (`false` = regenerate per cell).
+    /// Shared-prefix memoization: cells of one trace key run as one job
+    /// whose first cell carries the shared schedule and prefix (`false` =
+    /// every cell generates its own schedule and runs its own prefix).
     pub memo: bool,
     /// Stop (gracefully, resumably) after this many cells committed.
     pub max_cells: Option<usize>,
@@ -555,7 +621,8 @@ pub struct SweepOutcome {
     /// given starting state: no wall-clock content.
     pub log: String,
     /// Wall clock of every cell executed this invocation, keyed by cell
-    /// directory name, in commit order.
+    /// directory name, in commit order. A group's first cell carries the
+    /// shared schedule and prefix.
     pub cell_walls: Vec<(String, Duration)>,
     /// Path of the merged CSV (written unless interrupted).
     pub csv_path: PathBuf,
@@ -578,7 +645,7 @@ fn manifest_text(cell: &CellConfig, res: &CellResult) -> String {
         cell.dir_name(),
         res.digest,
         res.events,
-        res.row_count,
+        cell.intervals,
         res.summary,
     )
 }
@@ -594,9 +661,9 @@ fn write_atomic(path: &Path, bytes: &str) -> std::io::Result<()> {
 
 /// Reads and validates a cell's manifest. `None` means "not completed":
 /// missing, cut short anywhere (every line, the last included, must end
-/// in a newline), or written for a different config (a content-hash
-/// collision in the directory name would surface here as a canonical
-/// mismatch and force a re-run).
+/// in a newline), not UTF-8, rows not led by the cell's id, or written
+/// for a different config (a content-hash collision in the directory
+/// name would surface here as a canonical mismatch and force a re-run).
 fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
     let text = std::fs::read_to_string(dir.join("CELL_OK")).ok()?;
     let text = text.strip_suffix('\n')?;
@@ -610,7 +677,11 @@ fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
     }
     let rows: usize = fields.get("rows")?.parse().ok()?;
     let csv = std::fs::read_to_string(dir.join("cell.csv")).ok()?;
-    if !csv.ends_with('\n') || csv.lines().count() != rows {
+    let id = format!("{},", cell.dir_name());
+    if !csv.ends_with('\n')
+        || csv.lines().count() != rows
+        || !csv.lines().all(|row| row.starts_with(&id))
+    {
         return None;
     }
     let digest = fields.get("digest")?.strip_prefix("0x")?;
@@ -641,73 +712,53 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         pending.truncate(k);
     }
 
-    // Memoized schedule generation, once per workload key, in first-use
-    // order. Generation happens up front on the commit thread so each
-    // worker replays a shared immutable schedule.
-    let mut schedules: BTreeMap<String, Arc<GeneratedSchedule>> = BTreeMap::new();
-    if opts.memo {
-        for &i in &pending {
-            let cell = &cells[i];
-            schedules
-                .entry(cell.trace_key())
-                .or_insert_with(|| cell_schedule(cell));
-        }
-    }
-
-    let jobs: Vec<Job<CellResult>> = pending
+    let groups = groups(&cells, &pending, opts.memo, opts.jobs.max(1));
+    let jobs: Vec<Job<Vec<CellResult>>> = groups
         .iter()
-        .map(|&i| {
-            let cell = cells[i].clone();
-            let shared = schedules.get(&cell.trace_key()).cloned();
-            let job: Job<CellResult> = Box::new(move || {
-                let start = Instant::now();
-                // Cold path (memo off): generation is part of the cell,
-                // which is exactly the cost memoization removes.
-                let schedule = shared.unwrap_or_else(|| cell_schedule(&cell));
-                let mut res = run_cell(&cell, schedule);
-                res.wall = start.elapsed();
-                res
-            });
-            job
+        .map(|group| {
+            let group: Vec<CellConfig> = group.iter().map(|&i| cells[i].clone()).collect();
+            Box::new(move || run_group(&group)) as Job<Vec<CellResult>>
         })
         .collect();
 
     let mut cell_walls = Vec::with_capacity(pending.len());
+    let mut ran_now = vec![false; cells.len()];
     let mut io_error: Option<String> = None;
-    run_ordered(jobs, opts.jobs.max(1), |j, res| {
-        if io_error.is_some() {
-            return;
+    run_ordered(jobs, opts.jobs.max(1), |g, results| {
+        for (&i, res) in groups[g].iter().zip(results) {
+            if io_error.is_some() {
+                return;
+            }
+            let dir = cells_dir.join(cells[i].dir_name());
+            let commit = (|| -> std::io::Result<()> {
+                std::fs::create_dir_all(&dir)?;
+                write_atomic(&dir.join("cell.csv"), &res.rows)?;
+                // The manifest is written last: its presence certifies the
+                // cell, so a crash between the two writes re-runs the cell.
+                write_atomic(&dir.join("CELL_OK"), &manifest_text(&cells[i], &res))
+            })();
+            if let Err(e) = commit {
+                io_error = Some(format!("{}: cannot commit cell: {e}", dir.display()));
+                return;
+            }
+            cell_walls.push((cells[i].dir_name(), res.wall));
+            ran_now[i] = true;
+            done[i] = Some(Manifest {
+                digest: res.digest,
+                events: res.events,
+                summary: res.summary,
+            });
         }
-        let i = pending[j];
-        let dir = cells_dir.join(cells[i].dir_name());
-        let commit = (|| -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            write_atomic(&dir.join("cell.csv"), &res.rows)?;
-            // The manifest is written last: its presence certifies the
-            // cell, so a crash between the two writes re-runs the cell.
-            write_atomic(&dir.join("CELL_OK"), &manifest_text(&cells[i], &res))
-        })();
-        if let Err(e) = commit {
-            io_error = Some(format!("{}: cannot commit cell: {e}", dir.display()));
-            return;
-        }
-        cell_walls.push((cells[i].dir_name(), res.wall));
-        done[i] = Some(Manifest {
-            digest: res.digest,
-            events: res.events,
-            summary: res.summary.clone(),
-        });
     });
     if let Some(e) = io_error {
         return Err(e);
     }
-    let ran = cell_walls.len();
 
     // Status log, canonical order, no wall-clock content.
     let mut log = String::new();
     for (i, cell) in cells.iter().enumerate() {
         let state = match &done[i] {
-            _ if pending.contains(&i) => "ran",
+            _ if ran_now[i] => "ran",
             Some(_) => "cached",
             None => "deferred",
         };
@@ -725,7 +776,7 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         total_cells: cells.len(),
         duplicates,
         skipped,
-        ran,
+        ran: cell_walls.len(),
         interrupted,
         events: 0,
         log,
@@ -896,6 +947,32 @@ mod tests {
     }
 
     #[test]
+    fn groups_are_runs_of_pending_cells_sharing_a_trace_key() {
+        // The benchmark's matrix: 12 trace keys × 8 controller/MRC variants.
+        let bench = "seeds = [11, 12]\nreplicas = [1, 3]\nmrc = [\"exact\", \"sampled:0.1\"]\n\
+            workloads = [\"tpcw\", \"rubis\", \"zipf\"]\n\
+            controllers = [\"selective\", \"cpu-only\", \"coarse\", \"vm-migration\"]";
+        let (cells, _) = expand(&parse_matrix(bench).unwrap());
+        let all: Vec<usize> = (0..cells.len()).collect();
+        let sizes = |pending: &[usize], memo: bool, jobs: usize| -> Vec<usize> {
+            groups(&cells, pending, memo, jobs)
+                .iter()
+                .map(Vec::len)
+                .collect()
+        };
+        assert_eq!(sizes(&all, true, 12), vec![8; 12]);
+        // `--max-cells 13` cuts the second group; the resume finishes it.
+        assert_eq!(sizes(&all[..13], true, 1), vec![8, 5]);
+        assert_eq!(sizes(&all[13..], true, 1), [vec![3], vec![8; 10]].concat());
+        // Memo off: every cell generates and runs its own prefix.
+        assert_eq!(sizes(&all, false, 1), vec![1; 96]);
+        // Fewer trace keys than workers: each key's run is cut in chunks.
+        assert_eq!(sizes(&all[..8], true, 3), vec![3, 3, 2]);
+        assert_eq!(sizes(&all[..16], true, 8), vec![2; 8]);
+        assert_eq!(groups(&cells, &all[..16], true, 5).concat(), &all[..16]);
+    }
+
+    #[test]
     fn duplicate_axis_values_collapse() {
         let m = parse_matrix("seeds = [5, 5]\nintervals = 2\nwarmup = 0").unwrap();
         let (cells, dup) = expand(&m);
@@ -909,9 +986,9 @@ mod tests {
             parse_matrix("intervals = 2\nwarmup = 0\nclients = 2\nworkloads = [\"zipf\"]").unwrap();
         let (cells, _) = expand(&m);
         let cell = &cells[0];
+        let id = cell.dir_name();
         let res = CellResult {
-            rows: "r1\nr2\n".to_string(),
-            row_count: 2,
+            rows: format!("{id},r1\n{id},r2\n"),
             digest: 0xdead_beef,
             events: 123,
             summary: "summary line".to_string(),
@@ -938,11 +1015,15 @@ mod tests {
         let mut other = cell.clone();
         other.seed += 1;
         assert!(read_manifest(&dir, &other).is_none());
-        // So does a row file cut at any byte, inside the last row included.
+        // So does a row file cut at any byte, inside the last row included,
+        // or holding another cell's rows.
         for cut in 0..res.rows.len() {
             std::fs::write(dir.join("cell.csv"), &res.rows[..cut]).unwrap();
             assert!(read_manifest(&dir, cell).is_none(), "cell.csv cut at {cut}");
         }
+        let foreign = res.rows.replace(&id, &other.dir_name());
+        std::fs::write(dir.join("cell.csv"), foreign).unwrap();
+        assert!(read_manifest(&dir, cell).is_none(), "another cell's rows");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

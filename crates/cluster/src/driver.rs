@@ -76,6 +76,7 @@ const NO_CLIENT: u32 = u32::MAX;
 /// A queued event: 16 bytes, because every resident session holds one.
 /// Applications, instances, clients and in-flight records travel as `u32`
 /// indices.
+#[derive(Clone)]
 enum Event {
     ClientIssue {
         app: u32,
@@ -105,7 +106,7 @@ enum Event {
 /// that commits them, so the queue carries an index instead of 68 bytes.
 /// Freed slots are reused first: the slab is as long as the most queries
 /// ever in flight at once, not the number of resident sessions.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct InFlight {
     records: Vec<(QueryLogRecord, u32)>,
     free: Vec<u32>,
@@ -134,17 +135,20 @@ impl InFlight {
 /// Cursor over a shared pregenerated schedule (see
 /// [`Simulation::add_replayed_app`]). The schedule itself is behind an
 /// `Arc` so many isolated simulations can replay one generation.
+#[derive(Clone)]
 struct ReplayState {
     schedule: Arc<GeneratedSchedule>,
     /// Index of the next query to dispatch.
     next: usize,
 }
 
+#[derive(Clone)]
 struct ServerState {
     cpu: odlb_sim::Station,
     io: SharedIoPath,
 }
 
+#[derive(Clone)]
 struct InstanceState {
     server: usize,
     domain: DomainId,
@@ -156,6 +160,7 @@ struct InstanceState {
     retired: bool,
 }
 
+#[derive(Clone)]
 struct AppState {
     spec: WorkloadSpec,
     sla: Sla,
@@ -294,5 +299,33 @@ impl Simulation {
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// A copy of the model — queue, in-flight queries, servers, engines,
+    /// applications with their RNG streams and replay cursors, clock and
+    /// counters — that runs on exactly as this simulation would. It
+    /// carries no observers: a fresh inactive tracer, inactive telemetry,
+    /// no profiler. (`Simulation` is not `Clone`: a clone would share
+    /// those sinks.) Panics if a profiler or active telemetry is attached,
+    /// since engines, pools and I/O paths hold clones of the profiler.
+    pub fn fork(&self) -> Simulation {
+        let observed = self.profiler.is_some() || self.telemetry.is_active();
+        assert!(
+            !observed,
+            "cannot fork a simulation with a profiler or telemetry"
+        );
+        Simulation {
+            queue: self.queue.clone(),
+            in_flight: self.in_flight.clone(),
+            servers: self.servers.clone(),
+            instances: self.instances.clone(),
+            apps: self.apps.clone(),
+            now: self.now,
+            last_tick: self.last_tick,
+            started: self.started,
+            interval_seq: self.interval_seq,
+            events_processed: self.events_processed,
+            ..Simulation::new(self.config)
+        }
     }
 }

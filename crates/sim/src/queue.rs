@@ -44,6 +44,7 @@ const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
 
 /// A pending event: fire time plus, in debug builds, its insertion
 /// sequence number, which only the insertion-order assertion reads.
+#[derive(Clone)]
 struct Pending<E> {
     at: u64,
     #[cfg(debug_assertions)]
@@ -55,6 +56,8 @@ struct Pending<E> {
 ///
 /// Events scheduled for the same [`SimTime`] are delivered in the order they
 /// were scheduled, which keeps multi-component simulations reproducible.
+/// A clone pops the same events in the same order as its original.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     /// `LEVELS × SLOTS` vectors, level-major, each in insertion order. A
     /// slot is emptied whole, buffer and all, unless it holds a single
