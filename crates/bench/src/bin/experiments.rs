@@ -38,6 +38,8 @@
 //! EXPERIMENTS.md, "Parameter sweeps".
 //!
 //! A flag given to the wrong mode exits 2, as does anything unknown.
+// Failures exit with a `file: error` line and a code, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use odlb_bench::{runner, suite, sweep};
 use odlb_telemetry::SpanProfiler;
@@ -172,6 +174,11 @@ fn main() {
         // byte-identical across runs and job counts.
         eprint!("{}", merged_profile.report(instrumented_wall));
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one writer of dumps, after validate_folded; the wall-clock \
+                  dump goes to stderr only"
+    )]
     if let Some(path) = &profile_folded {
         let folded = merged_profile.folded_sim();
         if let Err(e) = odlb_telemetry::validate_folded(&folded) {
@@ -212,6 +219,10 @@ fn run_sweep_command(
         memo: true,
         max_cells,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports elapsed wall time to stderr"
+    )]
     let start = std::time::Instant::now();
     let outcome = sweep::run_sweep(&spec, &opts).unwrap_or_else(|e| fail(1, format!("sweep: {e}")));
     let wall = start.elapsed();

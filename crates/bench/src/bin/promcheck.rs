@@ -14,6 +14,8 @@
 //! folded-stacks rules: `frames <count>` lines, non-empty `;`-joined
 //! frames, strictly sorted by frame vector. Anything else is read as an
 //! exposition. Exits non-zero if any input is unreadable or invalid.
+// Failures exit with a `file: error` line and a code, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use odlb_telemetry::{validate_csv, validate_folded, validate_prometheus};
 

@@ -10,11 +10,11 @@
 //! to a sequential one. Parallelism lives entirely *between*
 //! simulations, never inside one (see DESIGN.md, invariants catalogue).
 //!
-//! This module is the workspace's only home for threads: its row in
-//! `odlb_lint::EXEMPTIONS` allows threads and `available_parallelism`
-//! (D04) here because worker threads never touch a running simulation —
-//! a job owns its entire simulation from construction to result, and
-//! only plain `Send` data crosses back.
+//! This module is the workspace's only home for threads: `clippy.toml`
+//! bans threads and `available_parallelism` everywhere, and the two
+//! `#[expect]`s below lift the ban here because worker threads never
+//! touch a running simulation — a job owns its entire simulation from
+//! construction to result, and only plain `Send` data crosses back.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,6 +24,12 @@ use std::sync::{Condvar, Mutex};
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// The default worker count: one per available hardware thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ordered worker pool: each thread owns a whole isolated simulation, \
+              results are committed in canonical order, and the job count changes \
+              no output byte (tests/parallel_parity.rs)"
+)]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -58,6 +64,12 @@ pub fn run_ordered<T: Send>(jobs: Vec<Job<T>>, threads: usize, mut commit: impl 
         Mutex::new((0..n).map(|_| None).collect());
     let ready = Condvar::new();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the ordered worker pool: each thread owns a whole isolated simulation, \
+                  results are committed in canonical order, and the job count changes \
+                  no output byte (tests/parallel_parity.rs)"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
             scope.spawn(|| loop {

@@ -315,6 +315,11 @@ fn figure_job(name: &str, cfg: &SuiteConfig, multiple: bool) -> Job<FigureOutput
         // attributable per figure.
         let _suite = odlb_telemetry::enter_span(&observers.profiler, "experiments");
         let _figure = odlb_telemetry::enter_span(&observers.profiler, name);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-figure wall timings ride out of band in FigureOutput (stderr \
+                      overhead report, benchmark/); stdout and artifacts never carry them"
+        )]
         let start = Instant::now();
         let body = (info.job)(&observers);
         let wall = start.elapsed();

@@ -571,6 +571,12 @@ fn groups(cells: &[CellConfig], pending: &[usize], memo: bool, jobs: usize) -> V
 /// Runs one group: the schedule and prefix once, then every cell on a
 /// fork of the prefix, the last on the prefix itself. The first cell's
 /// wall clock carries the schedule and the prefix.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-cell wall clocks are the sweep's bench payload, carried out of \
+              band in SweepOutcome; cell content hashes and merged artifacts are \
+              derived from the canonical config and simulation clock only"
+)]
 fn run_group(group: &[CellConfig]) -> Vec<CellResult> {
     let mut since = Instant::now();
     let mut results = Vec::with_capacity(group.len());

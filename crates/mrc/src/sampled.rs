@@ -21,8 +21,8 @@
 //! Determinism: the filter is splitmix64-style bit mixing over an FNV-1a
 //! fold of the key bytes — no ambient randomness, no seeded state — so
 //! the same reference stream always yields byte-identical curves and the
-//! run digests of exact-mode figures are untouched (odlb-lint D04: this
-//! file has no row in `odlb_lint::EXEMPTIONS`).
+//! run digests of exact-mode figures are untouched (`clippy.toml` bans
+//! `RandomState`, and this file carries no `#[expect]` lifting a ban).
 
 use crate::curve::MissRatioCurve;
 use crate::mattson::MattsonTracker;

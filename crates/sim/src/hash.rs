@@ -12,12 +12,18 @@
 //! arbitrary, so a `FastMap` cannot be asked for it: it looks keys up,
 //! and visits entries only in key order. No hash order can reach a
 //! digest, an export or a simulated decision, because no expression
-//! yields one. This file is the only one in the workspace allowed to
-//! name the std tables (odlb-lint D02, one `odlb_lint::EXEMPTIONS` row).
+//! yields one. This module is the only one in the workspace allowed to
+//! name the std tables (`disallowed-types` in `clippy.toml`, lifted by
+//! the one `#[expect]` below).
 //!
 //! This hash only *places* keys in tables. The hash that decides which
 //! keys a sampled MRC tracker keeps (`odlb-mrc`'s `sample_hash`) is a
 //! model input and a separate, frozen function.
+#![expect(
+    clippy::disallowed_types,
+    reason = "FastMap wraps the std table here and forwards only lookups and \
+              key-ordered visits, so no caller can observe the hasher's order"
+)]
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};

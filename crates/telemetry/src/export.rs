@@ -20,7 +20,6 @@ fn render_value(out: &mut String, v: f64) {
     } else if v == v.trunc() && v.abs() < 1e15 {
         write!(out, "{}", v as i64)
     } else {
-        // odlb-lint: allow(D03) — this IS the shared exposition formatter; shortest-roundtrip Display is deterministic per bit pattern
         write!(out, "{v}")
     };
 }
@@ -227,7 +226,6 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
         stats.samples += 1;
         match types[&family].as_str() {
             "counter" if value < 0.0 || value != value.trunc() => {
-                // odlb-lint: allow(D03) — validator error message, not an exported artifact
                 return Err(err(format!("counter '{name}' has non-count value {value}")));
             }
             "histogram" => {
@@ -256,7 +254,6 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
                                 )));
                             }
                             if value < prev {
-                                // odlb-lint: allow(D03) — validator error message, not an exported artifact
                                 return Err(err(format!(
                                     "{series}: bucket counts decrease ({prev} then {value})"
                                 )));
@@ -268,7 +265,6 @@ pub fn validate_prometheus(text: &str) -> Result<ExpositionStats, String> {
                     let check = histograms.entry((family, labels.to_string())).or_default();
                     check.count = Some(value);
                 } else if name.ends_with("_saturated") && value != 0.0 && value != 1.0 {
-                    // odlb-lint: allow(D03) — validator error message, not an exported artifact
                     return Err(err(format!(
                         "saturation flag '{name}' must be 0 or 1, got {value}"
                     )));
@@ -368,7 +364,6 @@ pub fn validate_csv(text: &str) -> Result<usize, String> {
             let key = (metric.to_string(), fields[3].to_string());
             if let Some(prev) = monotone.get(&key) {
                 if value < *prev {
-                    // odlb-lint: allow(D03) — validator error message, not an exported artifact
                     return Err(err(format!(
                         "counter {metric}{{{}}} decreased: {prev} -> {value}",
                         fields[3]
@@ -638,6 +633,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "validates the wall dump's shape; its timings are never compared"
+    )]
     fn folded_validator_accepts_profiler_output() {
         let shared = crate::SpanProfiler::shared();
         let opt = Some(shared.clone());

@@ -121,6 +121,11 @@ impl SpanProfiler {
     /// Opens a span named `phase` nested under the currently open spans.
     /// Prefer the RAII [`enter_span`] guard, which cannot unbalance the
     /// stack.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the overhead profiler's job is measuring wall time; wall figures \
+                  go to stderr only and are never diffed"
+    )]
     pub fn enter(&mut self, phase: &'static str) {
         let node = self.child(self.stack.last().map(|f| f.node), phase);
         self.stack.push(Frame {
@@ -369,6 +374,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds the profiler's wall self-time by a wall clock"
+    )]
     fn self_time_excludes_children_in_flat_report() {
         // Regression (reentrancy): a phase nested under itself used to
         // double-count its elapsed time in the flat report. With
@@ -421,6 +430,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checks the wall dump's stack order; its timings are never compared"
+    )]
     fn folded_dumps_are_path_sorted_with_self_values() {
         let shared = SpanProfiler::shared();
         let opt = Some(shared.clone());

@@ -260,7 +260,6 @@ fn field_bool(s: &mut String, name: &str, v: bool) {
 /// given bit pattern); non-finite values become `null` (JSON has no NaN).
 fn field_f64(s: &mut String, name: &str, v: f64) {
     if v.is_finite() {
-        // odlb-lint: allow(D03) — this IS the shared canonical-JSON float formatter; shortest-roundtrip Display is deterministic per bit pattern
         let _ = write!(s, ",\"{name}\":{v}");
     } else {
         let _ = write!(s, ",\"{name}\":null");

@@ -84,6 +84,10 @@ fn path_map(programs: &[Vec<Op>]) -> BTreeMap<Vec<&'static str>, (u64, u64)> {
 
 /// `span_paths` (order, calls, units), `folded_sim` bytes, `folded_wall`'s
 /// paths and `phases()` call counts all equal the path map's.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads only the wall dump's stack paths, never its timings"
+)]
 fn assert_matches_path_map(p: &SpanProfiler, programs: &[Vec<Op>]) {
     let want = Vec::from_iter(path_map(programs));
     let got = p
