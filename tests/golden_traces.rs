@@ -19,10 +19,11 @@ use odlb::engine::EngineConfig;
 use odlb::metrics::{AppId, Sla};
 use odlb::sim::SimDuration;
 use odlb::storage::DomainId;
-use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
+use odlb::trace::{fnv1a64, ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
 use odlb::workload::synthetic::cpu_bound_workload;
-use odlb::workload::{ClientConfig, LoadFunction};
+use odlb::workload::{generate_schedule, ClientConfig, LoadFunction, ScheduleConfig};
 use odlb_bench::experiments::{fig3, fig4, scale, Observers};
+use odlb_bench::sweep::WORKLOADS;
 
 /// Fig. 3 miniature (seed 3_2007 inside `fig3::run_observed`): sinusoid load
 /// on 3 servers, 30 intervals with 10 warm-up.
@@ -283,6 +284,49 @@ fn scale_mini_rows_and_digest_are_stable() {
     assert_eq!(
         digest, SCALE_MINI_GOLDEN_DIGEST,
         "fig-scale-mini digest drifted: got {digest:#018x}"
+    );
+}
+
+/// FNV-1a of every sweep workload's open-loop schedule at one fixed
+/// config (seed 11, 24 clients, 60 s, 2 s ticks): the `queries` then the
+/// `pages`, field by field. A workload-model or sampler change that moves
+/// one draw moves its row.
+const SCHEDULE_GOLDEN: [(&str, u64); 3] = [
+    ("tpcw", 0x12a03c7c2cc3ae23),
+    ("rubis", 0x0f3e7a4d21376550),
+    ("zipf", 0x19d4e8c6acb249b7),
+];
+
+#[test]
+fn schedule_bytes_are_stable_for_every_sweep_workload() {
+    let cfg = ScheduleConfig {
+        seed: 11,
+        horizon: SimDuration::from_secs(60),
+        load: LoadFunction::Constant(24),
+        client: ClientConfig::default(),
+        tick: SimDuration::from_secs(2),
+    };
+    let digests: Vec<(&str, u64)> = WORKLOADS
+        .iter()
+        .map(|&(name, build)| {
+            let schedule = generate_schedule(&build(), &cfg);
+            let mut bytes = Vec::new();
+            for q in &schedule.queries {
+                bytes.extend(q.at.as_micros().to_le_bytes());
+                for field in [q.class, q.page_start, q.page_len, q.lock_prefix] {
+                    bytes.extend(field.to_le_bytes());
+                }
+            }
+            for page in &schedule.pages {
+                bytes.extend(page.space.0.to_le_bytes());
+                bytes.extend(page.page_no().to_le_bytes());
+            }
+            (name, fnv1a64(&bytes))
+        })
+        .collect();
+    assert_eq!(
+        digests, SCHEDULE_GOLDEN,
+        "a sweep workload's schedule drifted"
     );
 }
 
