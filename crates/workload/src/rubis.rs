@@ -100,7 +100,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             name: "SearchItemsByCategory",
             sql: "SELECT * FROM items WHERE category = 5 AND end_date >= 1 ORDER BY end_date ASC",
             weight: 12.0,
-            pattern: AccessPattern::ZipfLookup { space: ITEMS, table_pages: ITEMS_PAGES, exponent: 1.0, count: 15 },
+            pattern: AccessPattern::zipf_lookup(ITEMS, ITEMS_PAGES, 1.0, 15),
             cpu_base: us(600),
             cpu_per_page: us(15),
             is_write: false,
@@ -131,7 +131,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             name: "ViewItem",
             sql: "SELECT * FROM items WHERE id = 9",
             weight: 18.0,
-            pattern: AccessPattern::ZipfLookup { space: ITEMS, table_pages: ITEMS_PAGES, exponent: 1.1, count: 3 },
+            pattern: AccessPattern::zipf_lookup(ITEMS, ITEMS_PAGES, 1.1, 3),
             cpu_base: us(250),
             cpu_per_page: us(12),
             is_write: false,
@@ -141,8 +141,8 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             sql: "SELECT * FROM users, comments WHERE users.id = 4 AND comments.to_user_id = users.id",
             weight: 8.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: USERS, table_pages: USERS_PAGES, exponent: 1.0, count: 2 },
-                AccessPattern::ZipfLookup { space: COMMENTS, table_pages: COMMENTS_PAGES, exponent: 0.9, count: 3 },
+                AccessPattern::zipf_lookup(USERS, USERS_PAGES, 1.0, 2),
+                AccessPattern::zipf_lookup(COMMENTS, COMMENTS_PAGES, 0.9, 3),
             ]),
             cpu_base: us(300),
             cpu_per_page: us(12),
@@ -152,7 +152,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             name: "ViewBidHistory",
             sql: "SELECT * FROM bids, users WHERE bids.item_id = 2 AND bids.user_id = users.id ORDER BY bids.date DESC",
             weight: 8.0,
-            pattern: AccessPattern::ZipfLookup { space: BIDS, table_pages: BIDS_PAGES, exponent: 1.0, count: 6 },
+            pattern: AccessPattern::zipf_lookup(BIDS, BIDS_PAGES, 1.0, 6),
             cpu_base: us(400),
             cpu_per_page: us(14),
             is_write: false,
@@ -162,8 +162,8 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             sql: "SELECT * FROM users, bids, items WHERE users.id = 1 AND bids.user_id = 1 AND bids.item_id = items.id",
             weight: 5.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: USERS, table_pages: USERS_PAGES, exponent: 1.0, count: 4 },
-                AccessPattern::ZipfLookup { space: BIDS, table_pages: BIDS_PAGES, exponent: 1.0, count: 5 },
+                AccessPattern::zipf_lookup(USERS, USERS_PAGES, 1.0, 4),
+                AccessPattern::zipf_lookup(BIDS, BIDS_PAGES, 1.0, 5),
             ]),
             cpu_base: us(500),
             cpu_per_page: us(14),
@@ -174,7 +174,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             sql: "INSERT INTO bids (user_id, item_id, bid) VALUES (1, 2, 3)",
             weight: 9.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: ITEMS, table_pages: ITEMS_PAGES, exponent: 1.1, count: 2 },
+                AccessPattern::zipf_lookup(ITEMS, ITEMS_PAGES, 1.1, 2),
                 AccessPattern::HotSet { space: BIDS, hot_pages: 300, count: 3 },
             ]),
             cpu_base: us(400),
@@ -195,7 +195,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             sql: "UPDATE items SET quantity = 0 WHERE id = 8",
             weight: 3.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: ITEMS, table_pages: ITEMS_PAGES, exponent: 1.1, count: 2 },
+                AccessPattern::zipf_lookup(ITEMS, ITEMS_PAGES, 1.1, 2),
                 AccessPattern::HotSet { space: USERS, hot_pages: 200, count: 2 },
             ]),
             cpu_base: us(400),

@@ -162,22 +162,16 @@ pub fn hotspot_write_workload(app: AppId, write_ms: u64) -> WorkloadSpec {
     }
 }
 
-/// A generation-heavy mix: each query models a nested-loop index join
-/// whose probes each target their own Zipf popularity distribution, so
-/// every generated page pays a sampler *construction* (rejection-inversion
-/// setup, ~10 transcendentals) on top of the draw, while execution replays
-/// hot hits against a small resident table. The sweep's `zipf` workload,
-/// and the regime where its shared-trace memoization pays most
-/// (`bench.sweep_memo_speedup` in `benchmark/`).
+/// A generation-heavy mix: each query models a nested-loop index join of
+/// 128 Zipf probes (16 for a write), one rejection-inversion draw per
+/// generated page, while execution replays hot hits against a small
+/// resident table. The sweep's `zipf` workload, and the regime where its
+/// shared-schedule memoization pays most (`bench.sweep_memo_speedup` in
+/// `benchmark/`).
 pub fn zipf_heavy_workload() -> WorkloadSpec {
     let us = SimDuration::from_micros;
     let probes = |n: usize| {
-        let probe = AccessPattern::ZipfLookup {
-            space: SpaceId(0),
-            table_pages: 512,
-            exponent: 1.9,
-            count: 1,
-        };
+        let probe = AccessPattern::zipf_lookup(SpaceId(0), 512, 1.9, 1);
         AccessPattern::Composite(vec![probe; n])
     };
     WorkloadSpec {

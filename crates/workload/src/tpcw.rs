@@ -104,18 +104,8 @@ pub fn bestseller_pattern(odate_index: bool) -> AccessPattern {
                 recency: 1.5,
                 window_pages: 5_000,
             },
-            AccessPattern::ZipfLookup {
-                space: ORDER_LINE,
-                table_pages: ORDER_LINE_PAGES,
-                exponent: 0.85,
-                count: 180,
-            },
-            AccessPattern::ZipfLookup {
-                space: ITEM,
-                table_pages: ITEM_PAGES,
-                exponent: 1.0,
-                count: 50,
-            },
+            AccessPattern::zipf_lookup(ORDER_LINE, ORDER_LINE_PAGES, 0.85, 180),
+            AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 50),
         ])
     } else {
         // No O_DATE index: the plan falls back to scanning order_line.
@@ -131,12 +121,7 @@ pub fn bestseller_pattern(odate_index: bool) -> AccessPattern {
                 scan_pages: 4_000,
                 cursor: std::cell::Cell::new(0),
             },
-            AccessPattern::ZipfLookup {
-                space: ITEM,
-                table_pages: ITEM_PAGES,
-                exponent: 1.0,
-                count: 50,
-            },
+            AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 50),
         ])
     }
 }
@@ -153,7 +138,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             weight: 14.0,
             pattern: AccessPattern::Composite(vec![
                 AccessPattern::HotSet { space: ITEM, hot_pages: 200, count: 4 },
-                AccessPattern::ZipfLookup { space: CUSTOMER, table_pages: CUSTOMER_PAGES, exponent: 1.1, count: 2 },
+                AccessPattern::zipf_lookup(CUSTOMER, CUSTOMER_PAGES, 1.1, 2),
             ]),
             cpu_base: us(300),
             cpu_per_page: us(15),
@@ -164,8 +149,8 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             sql: "SELECT * FROM item, author WHERE item.i_a_id = author.a_id AND i_id = 7",
             weight: 15.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 1.0, count: 3 },
-                AccessPattern::ZipfLookup { space: AUTHOR, table_pages: AUTHOR_PAGES, exponent: 0.9, count: 1 },
+                AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 3),
+                AccessPattern::zipf_lookup(AUTHOR, AUTHOR_PAGES, 0.9, 1),
             ]),
             cpu_base: us(250),
             cpu_per_page: us(15),
@@ -176,8 +161,8 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             sql: "SELECT * FROM item, author WHERE a_lname = 'X' AND item.i_a_id = author.a_id",
             weight: 6.0,
             pattern: AccessPattern::Composite(vec![
-                AccessPattern::ZipfLookup { space: AUTHOR, table_pages: AUTHOR_PAGES, exponent: 0.9, count: 6 },
-                AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 1.0, count: 8 },
+                AccessPattern::zipf_lookup(AUTHOR, AUTHOR_PAGES, 0.9, 6),
+                AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 8),
             ]),
             cpu_base: us(500),
             cpu_per_page: us(18),
@@ -187,7 +172,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             name: "SearchByTitle",
             sql: "SELECT * FROM item WHERE i_title LIKE 'T%'",
             weight: 6.0,
-            pattern: AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 0.9, count: 12 },
+            pattern: AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 0.9, 12),
             cpu_base: us(500),
             cpu_per_page: us(18),
             is_write: false,
@@ -196,7 +181,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             name: "SearchBySubject",
             sql: "SELECT * FROM item WHERE i_subject = 'HISTORY' ORDER BY i_pub_date DESC",
             weight: 5.0,
-            pattern: AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 0.8, count: 16 },
+            pattern: AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 0.8, 16),
             cpu_base: us(550),
             cpu_per_page: us(18),
             is_write: false,
@@ -207,7 +192,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             weight: 10.0,
             pattern: AccessPattern::Composite(vec![
                 AccessPattern::HotSet { space: CART, hot_pages: CART_PAGES, count: 3 },
-                AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 1.0, count: 4 },
+                AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 4),
             ]),
             cpu_base: us(350),
             cpu_per_page: us(15),
@@ -228,8 +213,8 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             weight: 5.0,
             pattern: AccessPattern::Composite(vec![
                 AccessPattern::HotSet { space: CART, hot_pages: CART_PAGES, count: 4 },
-                AccessPattern::ZipfLookup { space: CUSTOMER, table_pages: CUSTOMER_PAGES, exponent: 1.0, count: 3 },
-                AccessPattern::ZipfLookup { space: ADDRESS, table_pages: ADDRESS_PAGES, exponent: 1.0, count: 2 },
+                AccessPattern::zipf_lookup(CUSTOMER, CUSTOMER_PAGES, 1.0, 3),
+                AccessPattern::zipf_lookup(ADDRESS, ADDRESS_PAGES, 1.0, 2),
             ]),
             cpu_base: us(400),
             cpu_per_page: us(15),
@@ -256,7 +241,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
                     recency: 2.0,
                     window_pages: 600,
                 },
-                AccessPattern::ZipfLookup { space: AUTHOR, table_pages: AUTHOR_PAGES, exponent: 0.9, count: 20 },
+                AccessPattern::zipf_lookup(AUTHOR, AUTHOR_PAGES, 0.9, 20),
             ]),
             cpu_base: us(1_000),
             cpu_per_page: us(18),
@@ -266,7 +251,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             name: "OrderInquiry",
             sql: "SELECT * FROM customer WHERE c_uname = 'u' AND c_passwd = 'p'",
             weight: 2.0,
-            pattern: AccessPattern::ZipfLookup { space: CUSTOMER, table_pages: CUSTOMER_PAGES, exponent: 1.0, count: 2 },
+            pattern: AccessPattern::zipf_lookup(CUSTOMER, CUSTOMER_PAGES, 1.0, 2),
             cpu_base: us(250),
             cpu_per_page: us(15),
             is_write: false,
@@ -293,7 +278,7 @@ pub fn tpcw_workload(config: TpcwConfig) -> WorkloadSpec {
             name: "AdminUpdate",
             sql: "UPDATE item SET i_cost = 1, i_image = 'i' WHERE i_id = 2",
             weight: 2.0,
-            pattern: AccessPattern::ZipfLookup { space: ITEM, table_pages: ITEM_PAGES, exponent: 1.0, count: 3 },
+            pattern: AccessPattern::zipf_lookup(ITEM, ITEM_PAGES, 1.0, 3),
             cpu_base: us(400),
             cpu_per_page: us(15),
             is_write: true,
