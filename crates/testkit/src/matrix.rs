@@ -2,7 +2,7 @@
 //!
 //! [`arbitrary_matrix`] produces a random-but-tiny matrix in the TOML
 //! subset `odlb_bench::sweep::parse_matrix` accepts, together with the
-//! cell and workload-key counts the generated axes imply, so property
+//! cell, schedule and prefix counts the generated axes imply, so property
 //! tests over the sweep jobserver (interrupt/resume parity, memoization
 //! byte-parity, `--jobs` independence) can assert exact expansion
 //! arithmetic without re-deriving it from the text. Cell counts are
@@ -21,6 +21,9 @@ const WORKLOADS: [&str; 1] = ["zipf"];
 /// `odlb_bench::sweep::CONTROLLERS`.
 const CONTROLLERS: [&str; 4] = ["selective", "cpu-only", "coarse", "vm-migration"];
 
+/// Replica counts the generator may reference.
+const REPLICAS: [&str; 3] = ["1", "2", "3"];
+
 /// MRC-mode spellings the generator may reference.
 const MRC: [&str; 3] = ["exact", "sampled:0.1", "sampled:0.5"];
 
@@ -31,10 +34,13 @@ pub struct ArbitraryMatrix {
     pub toml: String,
     /// Cells the matrix expands to (product of distinct axis lengths).
     pub expected_cells: usize,
-    /// Distinct workload keys — (seed, workload) pairs here, since the
-    /// generator keeps one `clients`/`replicas` value per matrix — i.e.
-    /// the number of schedules a memoized sweep generates.
-    pub expected_keys: usize,
+    /// Distinct schedule keys — (seed, workload) pairs, since the
+    /// generator keeps one `clients`/`intervals` value per matrix — i.e.
+    /// the schedules a memoized one-worker sweep generates.
+    pub expected_schedules: usize,
+    /// Distinct prefix keys — schedule keys × replica counts — i.e. the
+    /// controller-free prefixes a memoized one-worker sweep runs.
+    pub expected_prefixes: usize,
 }
 
 /// Draws `n` distinct elements of `pool` in pool order.
@@ -47,8 +53,8 @@ fn distinct_subset<'a>(g: &mut Gen, pool: &[&'a str], n: usize) -> Vec<&'a str> 
     picked
 }
 
-/// Generates a tiny matrix: 1–2 seeds × 1 replica count × 1 workload ×
-/// 1–2 MRC modes × 1–2 controllers, capped at 8 cells, with 2–3
+/// Generates a tiny matrix: 1–2 seeds × 1–2 replica counts × 1 workload
+/// × 1–2 MRC modes × 1–2 controllers, capped at 8 cells, with 2–3
 /// intervals and a warmup strictly below them. Quoting, spacing, comment
 /// placement and axis order are themselves randomised so the parser's
 /// tolerance is exercised alongside the jobserver.
@@ -58,9 +64,13 @@ pub fn arbitrary_matrix(g: &mut Gen) -> ArbitraryMatrix {
         let base = g.u64_in(1, 1_000);
         (0..n as u64).map(|i| base + i * 7).collect()
     };
-    let n_controllers = g.usize_in(1, 3);
+    let n_replicas = g.usize_in(1, 3);
+    let replicas = distinct_subset(g, &REPLICAS, n_replicas);
+    // What the seed and replica axes leave of the 8-cell cap.
+    let budget = 8 / (seeds.len() * replicas.len());
+    let n_controllers = g.usize_in(1, 3).min(budget);
     let controllers = distinct_subset(g, &CONTROLLERS, n_controllers);
-    let n_mrc = g.usize_in(1, 3);
+    let n_mrc = g.usize_in(1, 3).min(budget / n_controllers);
     let mrc = distinct_subset(g, &MRC, n_mrc);
     let workloads = distinct_subset(g, &WORKLOADS, 1);
     let intervals = g.usize_in(2, 4);
@@ -80,6 +90,7 @@ pub fn arbitrary_matrix(g: &mut Gen) -> ArbitraryMatrix {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
+        format!("replicas = [{}]", replicas.join(", ")),
         format!(
             "workloads = [{}]",
             workloads
@@ -114,13 +125,15 @@ pub fn arbitrary_matrix(g: &mut Gen) -> ArbitraryMatrix {
         lines.push(String::new());
     }
 
-    let expected_cells = seeds.len() * workloads.len() * mrc.len() * controllers.len();
-    let expected_keys = seeds.len() * workloads.len();
+    let expected_schedules = seeds.len() * workloads.len();
+    let expected_prefixes = expected_schedules * replicas.len();
+    let expected_cells = expected_prefixes * mrc.len() * controllers.len();
     assert!(expected_cells <= 8, "generator must stay test-suite cheap");
     ArbitraryMatrix {
         toml: lines.join("\n"),
         expected_cells,
-        expected_keys,
+        expected_schedules,
+        expected_prefixes,
     }
 }
 
@@ -134,8 +147,9 @@ mod tests {
         check("arbitrary_matrix_bounds", 64, |g: &mut Gen| {
             let m = arbitrary_matrix(g);
             assert!(m.expected_cells >= 1 && m.expected_cells <= 8);
-            assert!(m.expected_keys >= 1 && m.expected_keys <= m.expected_cells);
-            assert_eq!(m.expected_cells % m.expected_keys, 0);
+            assert!(m.expected_schedules >= 1);
+            assert_eq!(m.expected_prefixes % m.expected_schedules, 0);
+            assert_eq!(m.expected_cells % m.expected_prefixes, 0);
             assert!(m.toml.contains("controllers"));
         });
     }

@@ -7,9 +7,10 @@
 //!    skipping exactly `K` cells, and the merged `sweep.csv` +
 //!    `summary.txt` (which embeds every cell digest) are byte-identical
 //!    to an uninterrupted run.
-//! 2. **Memoization parity** — a memoized sweep (shared schedules) and a
-//!    cold sweep (per-cell generation) produce byte-identical artifacts:
-//!    caching may only move work, never change results.
+//! 2. **Memoization parity** — a memoized sweep (shared schedules,
+//!    prefixes and runs) at one and at two workers and a cold sweep
+//!    (everything per cell) produce byte-identical artifacts: sharing may
+//!    only move work, never change results.
 //! 3. **Job-count parity** — `jobs = 1` and `jobs = 4` produce
 //!    byte-identical artifacts *and* cell logs from the same starting
 //!    state.
@@ -111,25 +112,36 @@ fn memoized_and_cold_sweeps_are_byte_identical() {
     check("sweep_memo_parity", 4, |g: &mut Gen| {
         let m = arbitrary_matrix(g);
         let spec = parse_matrix(&m.toml).expect("generated matrix parses");
-        let memo_dir = scratch("memo");
         let cold_dir = scratch("cold");
-
-        let memo = sweep(&spec, &memo_dir, 2, true, None);
         let cold = sweep(&spec, &cold_dir, 2, false, None);
-        assert_eq!(memo.events, cold.events);
-
-        let (memo_csv, memo_sum) = merged_bytes(&memo_dir);
         let (cold_csv, cold_sum) = merged_bytes(&cold_dir);
-        assert_eq!(
-            memo_csv, cold_csv,
-            "memoized schedules must replay byte-identically"
-        );
-        assert_eq!(
-            memo_sum, cold_sum,
-            "cell digests must not depend on memoization"
-        );
+        // Memo off is the oracle: one schedule, prefix and run per cell.
+        assert_eq!(cold.work.schedules, m.expected_cells);
+        assert_eq!(cold.work.runs, m.expected_cells);
 
-        let _ = std::fs::remove_dir_all(&memo_dir);
+        // One worker keeps every MRC-blind twin inside its job; two cut
+        // a lone schedule key's cells into chunks, which may split twins.
+        for jobs in [1, 2] {
+            let memo_dir = scratch("memo");
+            let memo = sweep(&spec, &memo_dir, jobs, true, None);
+            assert_eq!(memo.events, cold.events);
+            if jobs == 1 {
+                assert_eq!(memo.work.schedules, m.expected_schedules);
+                assert_eq!(memo.work.prefixes, m.expected_prefixes);
+            }
+            assert!(memo.work.runs <= m.expected_cells);
+
+            let (memo_csv, memo_sum) = merged_bytes(&memo_dir);
+            assert_eq!(
+                memo_csv, cold_csv,
+                "memoized schedules must replay byte-identically (jobs {jobs})"
+            );
+            assert_eq!(
+                memo_sum, cold_sum,
+                "cell digests must not depend on memoization (jobs {jobs})"
+            );
+            let _ = std::fs::remove_dir_all(&memo_dir);
+        }
         let _ = std::fs::remove_dir_all(&cold_dir);
     });
 }
