@@ -7,20 +7,19 @@
 //! A5 ([`crate::experiments::ablations`], its only caller), which
 //! quantifies its deviation from [`MattsonTracker`].
 
-use odlb_mrc::{MattsonTracker, MissRatioCurve};
-use std::hash::Hash;
+use odlb_mrc::{MattsonTracker, MissRatioCurve, PageKey};
 
 /// Wraps the exact distance computation but coarsens histogram recording
 /// into geometric buckets of the given growth ratio.
 #[derive(Clone, Debug)]
-pub struct BucketedTracker<K> {
-    inner: MattsonTracker<K>,
+pub struct BucketedTracker {
+    inner: MattsonTracker,
     /// Pre-computed bucket upper edges, ascending.
     edges: Vec<u64>,
     curve: MissRatioCurve,
 }
 
-impl<K: Copy + Eq + Hash> BucketedTracker<K> {
+impl BucketedTracker {
     /// Creates a tracker with buckets growing by `ratio` (> 1.0) up to
     /// `cap_pages`.
     pub fn new(cap_pages: usize, ratio: f64) -> Self {
@@ -50,7 +49,7 @@ impl<K: Copy + Eq + Hash> BucketedTracker<K> {
     }
 
     /// Observes one reference.
-    pub fn access(&mut self, key: K) {
+    pub fn access(&mut self, key: impl PageKey) {
         match self.inner.access(key) {
             Some(d) => {
                 // Round the distance up to its bucket edge: pessimistic.
@@ -109,13 +108,13 @@ mod tests {
 
     #[test]
     fn bucket_count_is_logarithmic() {
-        let t = BucketedTracker::<u64>::new(1 << 20, 2.0);
+        let t = BucketedTracker::new(1 << 20, 2.0);
         assert!(t.buckets() <= 22, "got {}", t.buckets());
     }
 
     #[test]
     #[should_panic(expected = "ratio must exceed 1")]
     fn ratio_must_exceed_one() {
-        BucketedTracker::<u64>::new(100, 1.0);
+        BucketedTracker::new(100, 1.0);
     }
 }

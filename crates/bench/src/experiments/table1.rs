@@ -75,7 +75,7 @@ fn replay(
         for &p in &q.pages {
             misses += pool.access(q.class, p).is_miss() as u64;
             if let Some(start) = readahead.observe(q.class.as_u64(), p) {
-                pool.prefetch(q.class, (0..EXTENT_PAGES).map(|k| start.offset(k)));
+                pool.prefetch(q.class, start, EXTENT_PAGES);
             }
         }
         if i >= from {

@@ -1,12 +1,11 @@
-//! An O(1) LRU list: slab-allocated doubly-linked list plus a hash index.
+//! An O(1) LRU list: slab-allocated doubly-linked list plus a page-table
+//! index (a page finds its node by page number, not by hash).
 //!
 //! LRU is what makes Mattson's stack algorithm applicable (the inclusion
 //! property, paper §2), so the pool's policy and the MRC tracker must
 //! agree — a property the test suite checks explicitly.
 
-use odlb_sim::FastMap;
-use odlb_storage::PageId;
-use std::collections::hash_map::Entry;
+use odlb_storage::{PageId, PageTable, TableValue};
 
 const NIL: u32 = u32::MAX;
 
@@ -98,15 +97,19 @@ pub enum Reference {
 #[derive(Clone, Debug)]
 pub struct LruList {
     chain: Chain,
-    index: FastMap<PageId, u32>,
+    /// The node of each resident page.
+    index: PageTable<u32>,
+    /// Pages in `index`.
+    resident: usize,
     capacity: usize,
     evictions: u64,
 }
 
 impl LruList {
     /// Creates a list holding at most `capacity` pages. Nothing is
-    /// reserved: the index and the chain grow with the resident pages,
-    /// which many pools never bring to `capacity`.
+    /// reserved: the chain grows with the resident pages and the index
+    /// with the page ranges they fall in, which many pools never bring to
+    /// `capacity`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         LruList {
@@ -116,7 +119,8 @@ impl LruList {
                 head: NIL,
                 tail: NIL,
             },
-            index: FastMap::default(),
+            index: PageTable::new(),
+            resident: 0,
             capacity,
             evictions: 0,
         }
@@ -124,12 +128,12 @@ impl LruList {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// True when no page is resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.resident == 0
     }
 
     /// The configured capacity.
@@ -145,8 +149,8 @@ impl LruList {
 
     /// Promotes `page` to MRU if resident. Returns whether it was a hit.
     pub fn touch(&mut self, page: PageId) -> bool {
-        match self.index.get(&page) {
-            Some(&idx) => {
+        match self.index.get(page) {
+            Some(idx) => {
                 self.chain.promote(idx);
                 true
             }
@@ -154,39 +158,55 @@ impl LruList {
         }
     }
 
-    /// References `page` with one index probe: a resident page is
+    /// References `page` with one index lookup: a resident page is
     /// promoted to MRU when `promote` is set and otherwise left where it
     /// is; a missing page is installed at MRU, the LRU page giving up its
-    /// slot (and one index removal) when the list is full.
+    /// node (and its index entry) when the list is full.
     pub fn reference(&mut self, page: PageId, promote: bool) -> Reference {
-        let full = self.index.len() >= self.capacity;
-        let slot = match self.index.entry(page) {
-            Entry::Occupied(e) => {
-                if promote {
-                    self.chain.promote(*e.get());
-                }
-                return Reference::Resident;
+        let slot = self.index.slot(page);
+        if *slot != u32::VACANT {
+            if promote {
+                self.chain.promote(*slot);
             }
-            Entry::Vacant(slot) => slot,
-        };
+            return Reference::Resident;
+        }
         let chain = &mut self.chain;
-        let evicted = if full {
+        let evicted = if self.resident >= self.capacity {
             // Reuse the LRU node in place for the incoming page
             // (capacity >= 1, so a full list has a tail).
             let idx = chain.tail;
+            *slot = idx;
             let victim = std::mem::replace(&mut chain.nodes[idx as usize].page, page);
             chain.promote(idx);
-            slot.insert(idx);
-            self.index.remove(&victim);
+            self.index.remove(victim);
             self.evictions += 1;
             Some(victim)
         } else {
             let idx = chain.alloc(page);
+            *slot = idx;
             chain.push_front(idx);
-            slot.insert(idx);
+            self.resident += 1;
             None
         };
         Reference::Installed { evicted }
+    }
+
+    /// Installs the pages `start .. start + pages` that are not resident,
+    /// in page order and without counting them as references; resident
+    /// ones stay where they are. Runs of resident pages are skipped by a
+    /// walk over the index's adjacent slots. Returns how many pages were
+    /// installed.
+    pub fn prefetch(&mut self, start: PageId, pages: u64) -> u64 {
+        let mut installed = 0;
+        let mut i = 0;
+        while i < pages {
+            i += self.index.present_run(start.offset(i), pages - i);
+            if i < pages {
+                installed += (self.reference(start.offset(i), false) != Reference::Resident) as u64;
+                i += 1;
+            }
+        }
+        installed
     }
 
     /// Inserts `page` at MRU, evicting the LRU page if full. Returns the
@@ -202,17 +222,18 @@ impl LruList {
     pub fn set_capacity(&mut self, capacity: usize) {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         self.capacity = capacity;
-        while self.index.len() > capacity {
+        while self.resident > capacity {
             let idx = self.chain.tail;
             self.chain.unlink(idx);
-            self.index.remove(&self.chain.nodes[idx as usize].page);
+            self.index.remove(self.chain.nodes[idx as usize].page);
             self.chain.free.push(idx);
+            self.resident -= 1;
         }
     }
 
     /// Pages from MRU to LRU (debugging/tests; O(len)).
     pub fn pages_mru_to_lru(&self) -> Vec<PageId> {
-        let mut out = Vec::with_capacity(self.index.len());
+        let mut out = Vec::with_capacity(self.resident);
         let mut cur = self.chain.head;
         while cur != NIL {
             out.push(self.chain.nodes[cur as usize].page);
@@ -225,34 +246,47 @@ impl LruList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odlb_storage::page_table::LEAF_PAGES;
     use odlb_storage::SpaceId;
 
     fn pid(no: u64) -> PageId {
         PageId::new(SpaceId(0), no)
     }
 
-    /// Every resident page is one chain node plus one index bucket:
-    /// their sizes are the pool's per-page memory.
+    /// Every resident page is one chain node plus one index slot: their
+    /// sizes are the pool's per-page memory (the slot's leaf also holds
+    /// its neighbours' slots, resident or not).
     #[test]
-    fn node_and_index_bucket_stay_narrow() {
+    fn node_and_index_slot_stay_narrow() {
         assert!(std::mem::size_of::<Node>() <= 16);
-        assert_eq!(std::mem::size_of::<(PageId, u32)>(), 12);
+        assert_eq!(std::mem::size_of::<u32>(), 4);
+        assert_eq!(
+            std::mem::size_of::<Option<u32>>(),
+            8,
+            "why the slot is not an Option"
+        );
     }
 
-    /// The index and chain grow with the resident pages, not the
-    /// capacity: a 2,048-page list over 512 hot pages (the `scale_*`
-    /// pools) stays small, and once full it evicts in LRU order as ever.
+    /// The index and chain grow with the pages touched, not the capacity:
+    /// a 2,048-page list over 512 hot pages (the `scale_*` pools) holds
+    /// only the leaves they fall in, and once full it evicts in LRU order
+    /// as ever.
     #[test]
     fn index_is_sized_by_use() {
         let mut l = LruList::new(2_048);
-        assert_eq!((l.index.capacity(), l.chain.nodes.capacity()), (0, 0));
+        assert_eq!((l.index.leaves(), l.chain.nodes.capacity()), (0, 0));
         let mut x: u64 = 27;
         for _ in 0..100_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             l.reference(pid(x >> 33 & 511), true);
         }
         assert_eq!(l.len(), 512);
-        assert!(l.index.capacity() < 2_048, "{}", l.index.capacity());
+        assert_eq!(l.index.leaves(), 512usize.div_ceil(LEAF_PAGES));
+        assert!(
+            l.chain.nodes.capacity() < 2_048,
+            "{}",
+            l.chain.nodes.capacity()
+        );
         for i in 0..2_048 {
             l.reference(pid(1_000 + i), true);
         }
@@ -260,6 +294,25 @@ mod tests {
             let evicted = l.insert(pid(10_000 + i));
             assert_eq!(evicted, Some(pid(1_000 + i)), "oldest goes first");
         }
+    }
+
+    #[test]
+    fn prefetch_installs_the_gaps_in_page_order() {
+        let mut l = LruList::new(8);
+        l.insert(pid(2));
+        l.insert(pid(5));
+        l.insert(pid(100));
+        assert_eq!(l.prefetch(pid(1), 6), 4, "pages 1, 3, 4 and 6");
+        assert_eq!(
+            l.pages_mru_to_lru(),
+            vec![pid(6), pid(4), pid(3), pid(1), pid(100), pid(5), pid(2)],
+            "resident pages keep their place"
+        );
+        assert_eq!(l.prefetch(pid(1), 6), 0, "all resident now");
+        // A full list: each installed page evicts the LRU page in turn.
+        assert_eq!(l.prefetch(pid(7), 3), 3);
+        assert_eq!(l.evictions(), 2);
+        assert_eq!(l.pages_mru_to_lru()[..3], [pid(9), pid(8), pid(7)]);
     }
 
     #[test]

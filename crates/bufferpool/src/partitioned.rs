@@ -62,16 +62,13 @@ impl ClassAccess<'_> {
         }
     }
 
-    /// Installs prefetched pages (read-ahead) without counting them as
-    /// accesses. Already-resident pages are skipped *without* promotion
-    /// (prefetch must not distort recency). Returns how many pages were
-    /// actually installed.
-    pub fn prefetch(&mut self, pages: impl IntoIterator<Item = PageId>) -> u64 {
+    /// Installs the prefetched pages `start .. start + pages`
+    /// (read-ahead) without counting them as accesses. Already-resident
+    /// pages are skipped *without* promotion (prefetch must not distort
+    /// recency). Returns how many pages were actually installed.
+    pub fn prefetch(&mut self, start: PageId, pages: u64) -> u64 {
         let _span = enter_span(self.profiler, "bufferpool_prefetch");
-        let mut installed = 0;
-        for page in pages {
-            installed += (self.lru.reference(page, false) != Reference::Resident) as u64;
-        }
+        let installed = self.lru.prefetch(start, pages);
         span_units(self.profiler, installed);
         installed
     }
@@ -166,7 +163,7 @@ impl PartitionedPool {
     /// that serves it (its dedicated one if it has a quota, else the
     /// general one). The engine takes one per query;
     /// [`PartitionedPool::access`] and
-    /// [`PartitionedPool::prefetch`] are the per-page forms.
+    /// [`PartitionedPool::prefetch`] resolve it per call.
     pub fn class_access(&mut self, class: ClassId) -> ClassAccess<'_> {
         let lru = match self.quotas.get_mut(&class) {
             Some(p) => p,
@@ -184,9 +181,10 @@ impl PartitionedPool {
         self.class_access(class).access(page)
     }
 
-    /// Prefetches pages on behalf of `class` into its routed partition.
-    pub fn prefetch(&mut self, class: ClassId, pages: impl IntoIterator<Item = PageId>) -> u64 {
-        self.class_access(class).prefetch(pages)
+    /// Prefetches the pages `start .. start + pages` on behalf of `class`
+    /// into its routed partition.
+    pub fn prefetch(&mut self, class: ClassId, start: PageId, pages: u64) -> u64 {
+        self.class_access(class).prefetch(start, pages)
     }
 
     /// Resident pages of the general partition, LRU→MRU order (suitable
@@ -271,7 +269,7 @@ mod tests {
     #[test]
     fn prefetch_installs_without_access_counting() {
         let mut p = PartitionedPool::new(10);
-        assert_eq!(p.prefetch(class(1), (0..4).map(pid)), 4);
+        assert_eq!(p.prefetch(class(1), pid(0), 4), 4);
         assert_eq!(p.general_resident_pages().len(), 4);
         assert_eq!(p.access(class(1), pid(2)), AccessOutcome::Hit);
     }
@@ -281,7 +279,7 @@ mod tests {
         let mut p = PartitionedPool::new(2);
         p.access(class(1), pid(1));
         p.access(class(1), pid(2)); // MRU order: 2, 1
-        assert_eq!(p.prefetch(class(1), [pid(1)]), 0, "already resident");
+        assert_eq!(p.prefetch(class(1), pid(1), 1), 0, "already resident");
         // Page 1 must still be the LRU: next insert evicts it.
         p.access(class(1), pid(3));
         assert_eq!(p.general_resident_pages(), [pid(2), pid(3)]);
@@ -294,7 +292,7 @@ mod tests {
         p.access(class(1), pid(2));
         assert_eq!(p.evictions(), 0);
         p.access(class(1), pid(3)); // evicts 1
-        p.prefetch(class(1), [pid(4)]); // evicts 2
+        p.prefetch(class(1), pid(4), 1); // evicts 2
         assert_eq!(p.evictions(), 2);
     }
 
@@ -317,7 +315,7 @@ mod tests {
         p.preload((0..6).map(pid)); // evicts 0 and 1
         assert_eq!(p.evictions(), 2);
         p.access(class(1), pid(6)); // evicts 2
-        assert_eq!(p.prefetch(class(1), [pid(7)]), 1); // evicts 3
+        assert_eq!(p.prefetch(class(1), pid(7), 1), 1); // evicts 3
         assert_eq!(p.evictions(), 4);
         p.set_quota(class(2), 3).unwrap(); // drops 4, 5 and 6
         assert_eq!(p.general_resident_pages(), [pid(7)]);
@@ -443,7 +441,7 @@ mod tests {
     fn prefetch_routes_to_quota_partition() {
         let mut p = PartitionedPool::new(100);
         p.set_quota(class(8), 10).unwrap();
-        assert_eq!(p.prefetch(class(8), (0..5).map(pid)), 5);
+        assert_eq!(p.prefetch(class(8), pid(0), 5), 5);
         assert_eq!(p.access(class(8), pid(3)), AccessOutcome::Hit);
         // General partition never saw those pages.
         assert_eq!(p.access(class(1), pid(3)), AccessOutcome::Miss);

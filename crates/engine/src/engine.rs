@@ -163,7 +163,7 @@ impl DbEngine {
                     work.readahead();
                     // Asynchronous prefetch: occupies the disk, does not block.
                     io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                    pool.prefetch((0..EXTENT_PAGES).map(|i| start.offset(i)));
+                    pool.prefetch(start, EXTENT_PAGES);
                 }
             }
         }
@@ -428,8 +428,7 @@ mod tests {
             if let Some(start) = eng.readahead.observe(class.as_u64(), page) {
                 work.readahead();
                 io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                eng.pool
-                    .prefetch(class, (0..EXTENT_PAGES).map(|i| start.offset(i)));
+                eng.pool.prefetch(class, start, EXTENT_PAGES);
             }
         }
         eng.complete(now, spec, cpu, work)

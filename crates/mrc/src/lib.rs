@@ -41,7 +41,7 @@ pub mod sampled;
 pub mod solver;
 
 pub use curve::{MissRatioCurve, MrcParams};
-pub use mattson::MattsonTracker;
+pub use mattson::{MattsonTracker, PageKey};
 pub use sampled::{MrcMode, SampledTracker};
 pub use solver::{fit_quotas, QuotaRequest};
 
@@ -51,7 +51,7 @@ pub use solver::{fit_quotas, QuotaRequest};
 /// jobs, property tests).
 pub fn compute_curve<K, I>(mode: MrcMode, cap_pages: usize, keys: I) -> MissRatioCurve
 where
-    K: Copy + Eq + std::hash::Hash,
+    K: PageKey,
     I: IntoIterator<Item = K>,
 {
     match mode {

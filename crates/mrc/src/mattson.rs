@@ -2,27 +2,65 @@
 //!
 //! The naive LRU-stack formulation searches the stack linearly for each
 //! reference. We use the classic time-stamp reformulation (Bender/Olken):
-//! keep, for every key, the *time* of its most recent access, and a set of
-//! marked time slots where slot `t` is marked iff `t` is currently the
-//! most recent access of some key. The stack distance of a re-access of a
-//! key last touched at `t0` is the number of marked slots after `t0` plus
-//! one — exactly its LRU stack depth.
+//! keep, for every key, the *time slot* of its most recent access. A slot
+//! below the next one is *live* while it is some key's most recent access
+//! and *superseded* once that key is accessed again. The stack distance of
+//! a re-access of a key last touched at `t0` is the number of live slots
+//! from `t0` on — exactly its LRU stack depth.
 //!
-//! The mark set is a bitmap with a Fenwick tree over its 64-bit words, so
-//! the tree is 64x smaller than one node per slot (4 KiB for a 64k-slot
-//! window) and a rank query is a short tree walk plus one `count_ones`.
+//! Every slot is live when its access is made, so the tracker keeps only
+//! the superseded ones: an access supersedes at most one slot, one set
+//! update. The set is a bitmap with a Fenwick tree over its 64-bit words,
+//! so the tree is 64x smaller than one node per slot (4 KiB for a
+//! 64k-slot window) and a rank query is a short tree walk plus one
+//! `count_ones`.
 //!
-//! Time slots are compacted (rebuilt densely) whenever they run out,
-//! keeping memory proportional to the number of distinct pages.
+//! Each key's last access slot lives in a [`PageTable`], found by page
+//! number rather than by hash. A replay of a whole window uses stream
+//! positions as slots, with a set sized from the window's length: it
+//! never runs out of slots. An online tracker, fed one access at a time
+//! for as long as a figure runs, compacts its slots (renumbers the live
+//! ones densely) when they run out, keeping memory proportional to the
+//! number of distinct pages.
 
 use crate::curve::MissRatioCurve;
-use odlb_sim::FastMap;
+use odlb_storage::{PageId, PageTable, SpaceId, TableValue};
 use std::hash::Hash;
 
 const WORD_BITS: usize = u64::BITS as usize;
 
+/// Most slots a tracker numbers: slot values are `u32` and `u32::MAX` is
+/// the page table's vacant pattern, so slots stay below it, in whole
+/// bitmap words.
+const MAX_SLOTS: usize = u32::MAX as usize / WORD_BITS * WORD_BITS;
+
+/// A key a tracker follows: a page, or a test key standing for one.
+///
+/// `Hash` is the byte stream [`crate::SampledTracker`]'s spatial filter
+/// folds, so a key keeps its own (a `u64` is not hashed as a page).
+pub trait PageKey: Copy + Hash {
+    /// The page this key indexes the last-access table by.
+    fn page(self) -> PageId;
+}
+
+impl PageKey for PageId {
+    fn page(self) -> PageId {
+        self
+    }
+}
+
+/// A `u64` key stands for the page with its high half as the tablespace
+/// and its low half as the page number: small keys are the dense pages
+/// `0..n` of space 0, and every `u64` has its own page.
+impl PageKey for u64 {
+    fn page(self) -> PageId {
+        PageId::new(SpaceId((self >> 32) as u32), self & u64::from(u32::MAX))
+    }
+}
+
 /// A set of marked time slots: a bitmap plus a Fenwick (binary indexed)
-/// tree over the per-word mark counts.
+/// tree over the per-word mark counts. Slots are only ever marked; a
+/// compaction starts a new set.
 #[derive(Clone, Debug)]
 struct MarkSet {
     words: Vec<u64>,
@@ -42,27 +80,6 @@ impl MarkSet {
         }
     }
 
-    /// The set `{0, …, n-1}` with room for at least `slots` slots.
-    fn dense(n: usize, slots: usize) -> Self {
-        debug_assert!(n <= slots);
-        let mut set = MarkSet::with_slots(slots);
-        let full = n / WORD_BITS;
-        set.words[..full].fill(u64::MAX);
-        if !n.is_multiple_of(WORD_BITS) {
-            set.words[full] = (1 << (n % WORD_BITS)) - 1;
-        }
-        // Linear-time Fenwick construction: each node adds itself to its
-        // parent once its own range is complete.
-        for i in 1..set.tree.len() {
-            set.tree[i] += set.words[i - 1].count_ones();
-            let parent = i + (i & i.wrapping_neg());
-            if parent < set.tree.len() {
-                set.tree[parent] += set.tree[i];
-            }
-        }
-        set
-    }
-
     /// Slot capacity.
     fn slots(&self) -> usize {
         self.words.len() * WORD_BITS
@@ -80,23 +97,6 @@ impl MarkSet {
         }
     }
 
-    /// Unmarks `slot` (which must be marked).
-    fn clear(&mut self, slot: usize) {
-        let bit = 1 << (slot % WORD_BITS);
-        debug_assert_ne!(self.words[slot / WORD_BITS] & bit, 0, "slot not marked");
-        self.words[slot / WORD_BITS] &= !bit;
-        let mut i = slot / WORD_BITS + 1;
-        while i < self.tree.len() {
-            self.tree[i] -= 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// True when `slot` is marked.
-    fn is_marked(&self, slot: usize) -> bool {
-        self.words[slot / WORD_BITS] & (1 << (slot % WORD_BITS)) != 0
-    }
-
     /// Number of marked slots strictly below `slot`.
     fn rank(&self, slot: usize) -> usize {
         let mut i = slot / WORD_BITS;
@@ -112,15 +112,14 @@ impl MarkSet {
 
 /// Exact stack-distance tracker producing a [`MissRatioCurve`].
 #[derive(Clone, Debug)]
-pub struct MattsonTracker<K> {
+pub struct MattsonTracker {
     /// Most-recent access slot per live key.
-    last_slot: FastMap<K, usize>,
-    /// The key accessed at each slot below `next_slot`: how `rebuild`
-    /// finds the live keys without walking the table.
-    slot_key: Vec<K>,
-    /// Marks which slots are some key's most recent access.
-    marks: MarkSet,
-    /// Next free slot. Every marked slot is below it.
+    last_slot: PageTable<u32>,
+    /// Keys in `last_slot`: the live slots below `next_slot`.
+    live: usize,
+    /// The slots below `next_slot` that are no key's most recent access.
+    superseded: MarkSet,
+    /// Next free slot.
     next_slot: usize,
     /// The curve under construction. Distances above its capacity are
     /// recorded as "hits beyond cap", which every tracked size treats as a
@@ -128,20 +127,24 @@ pub struct MattsonTracker<K> {
     curve: MissRatioCurve,
 }
 
-impl<K: Copy + Eq + Hash> MattsonTracker<K> {
-    /// Creates a tracker recording distances up to `cap_pages` exactly.
+impl MattsonTracker {
+    /// Creates a tracker recording distances up to `cap_pages` exactly,
+    /// to be fed one access at a time.
     ///
-    /// The initial mark set is sized from `cap_pages` — two slots per
+    /// The initial slot set is sized from `cap_pages` — two slots per
     /// page of the cap, rounded up to a power of two and to at least one
-    /// 64-slot bitmap word — because `recompute_mrc` builds one small
-    /// tracker per problem class. A tracker that runs out of slots
-    /// rebuilds densely with headroom (`rebuild` keeps a 4096-slot floor
-    /// to amortise repeated growth).
+    /// 64-slot bitmap word. A tracker that runs out of slots compacts
+    /// them with headroom (`rebuild` keeps a 4096-slot floor to amortise
+    /// repeated growth).
     pub fn new(cap_pages: usize) -> Self {
+        Self::with_slots(cap_pages, ((cap_pages + 1) * 2).next_power_of_two())
+    }
+
+    fn with_slots(cap_pages: usize, slots: usize) -> Self {
         MattsonTracker {
-            last_slot: FastMap::default(),
-            slot_key: Vec::new(),
-            marks: MarkSet::with_slots(((cap_pages + 1) * 2).next_power_of_two()),
+            last_slot: PageTable::new(),
+            live: 0,
+            superseded: MarkSet::with_slots(slots.min(MAX_SLOTS)),
             next_slot: 0,
             curve: MissRatioCurve::new(cap_pages),
         }
@@ -149,18 +152,14 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
 
     /// Replays a whole reference stream into a fresh tracker.
     ///
-    /// The key table is sized up front instead of regrowing a dozen times
-    /// on the way: for the stream's length (its `size_hint` lower bound —
-    /// it cannot hold more distinct keys), but for no more than the cap.
-    /// A full 100k-access window holds far fewer distinct pages than
-    /// accesses, and a table reserved for all of them is both three times
-    /// the tracker's footprint and slower to probe than one that fits the
-    /// keys; a stream with more distinct pages than the cap regrows once
-    /// or twice.
-    pub fn replay(cap_pages: usize, keys: impl IntoIterator<Item = K>) -> Self {
+    /// Each access's stream position is its slot, and the slot set has
+    /// one slot per access of the stream (its `size_hint` lower bound,
+    /// exact for a window), so the replay never compacts: no slot is
+    /// renumbered and no slot→key array is kept. A stream longer than its
+    /// hint compacts as an online tracker does.
+    pub fn replay(cap_pages: usize, keys: impl IntoIterator<Item = impl PageKey>) -> Self {
         let keys = keys.into_iter();
-        let mut tracker = MattsonTracker::new(cap_pages);
-        tracker.last_slot.reserve(keys.size_hint().0.min(cap_pages));
+        let mut tracker = MattsonTracker::with_slots(cap_pages, keys.size_hint().0);
         for key in keys {
             tracker.access(key);
         }
@@ -169,38 +168,39 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
 
     /// Number of distinct keys seen and still tracked.
     pub fn distinct_keys(&self) -> usize {
-        self.last_slot.len()
+        self.live
     }
 
-    /// Current capacity in time *slots* (tests pin the cap-proportional
-    /// initial allocation).
+    /// Current capacity in time *slots* (tests pin the initial
+    /// allocation and the compaction headroom).
     pub fn slot_capacity(&self) -> usize {
-        self.marks.slots()
+        self.superseded.slots()
     }
 
     /// Observes one reference. Returns the LRU stack distance (1-based) of
     /// the reference, or `None` for a first access (infinite distance).
-    pub fn access(&mut self, key: K) -> Option<u64> {
-        if self.next_slot >= self.marks.slots() {
+    pub fn access(&mut self, key: impl PageKey) -> Option<u64> {
+        if self.next_slot >= self.superseded.slots() {
             self.rebuild();
         }
         let t = self.next_slot;
         self.next_slot += 1;
-        self.slot_key.push(key);
 
-        let distance = match self.last_slot.insert(key, t) {
-            Some(t0) => {
-                // One mark per live key, all below `t`: the marks after
-                // `t0`, plus one for the key itself, are all the marks
-                // but those below `t0`. That is the LRU stack depth.
-                debug_assert_eq!(self.marks.rank(t), self.last_slot.len());
-                let distance = self.last_slot.len() - self.marks.rank(t0);
-                self.marks.clear(t0);
-                Some(distance as u64)
-            }
-            None => None,
+        // `t < MAX_SLOTS < u32::MAX`, so the cast is exact.
+        let t0 = std::mem::replace(self.last_slot.slot(key.page()), t as u32);
+        let distance = if t0 == u32::VACANT {
+            self.live += 1;
+            None
+        } else {
+            // The live slots below `t` are one per live key. Those from
+            // `t0` on (the key's own included) are the LRU stack depth:
+            // all of them but the live slots below `t0`.
+            debug_assert_eq!(t - self.superseded.rank(t), self.live);
+            let t0 = t0 as usize;
+            let live_below = t0 - self.superseded.rank(t0);
+            self.superseded.set(t0);
+            Some((self.live - live_below) as u64)
         };
-        self.marks.set(t);
 
         match distance {
             Some(d) => self.curve.record_hit_at(d),
@@ -209,20 +209,19 @@ impl<K: Copy + Eq + Hash> MattsonTracker<K> {
         distance
     }
 
-    /// Re-numbers live keys' slots densely as `0..n` and sizes the mark
-    /// set with headroom, preserving relative recency order exactly.
+    /// Re-numbers live keys' slots densely as `0..n` and sizes the slot
+    /// set with headroom, preserving relative recency order exactly: a
+    /// live slot's new number is the count of live slots below it.
     fn rebuild(&mut self) {
-        let mut n = 0;
-        for slot in 0..self.next_slot {
-            if self.marks.is_marked(slot) {
-                let key = self.slot_key[slot];
-                self.last_slot.insert(key, n);
-                self.slot_key[n] = key;
-                n += 1;
-            }
+        let superseded = &self.superseded;
+        for slot in self.last_slot.values_mut() {
+            let old = *slot as usize;
+            *slot = (old - superseded.rank(old)) as u32;
         }
-        self.slot_key.truncate(n);
-        self.marks = MarkSet::dense(n, ((n + 1) * 2).next_power_of_two().max(4096));
+        let n = self.live;
+        let slots = ((n + 1) * 2).next_power_of_two().clamp(4096, MAX_SLOTS);
+        assert!(n < slots, "more than {MAX_SLOTS} live keys");
+        self.superseded = MarkSet::with_slots(slots);
         self.next_slot = n;
     }
 
@@ -324,32 +323,14 @@ mod tests {
             3,
             "rank is strict: the last slot is not below itself"
         );
-        m.clear(64);
-        assert_eq!(m.rank(65), 1);
-        assert_eq!(m.rank(last), 2);
-        m.clear(last);
-        m.clear(63);
-        m.clear(65);
-        assert_eq!(m.rank(last), 0);
-        assert!(m.tree.iter().all(|&n| n == 0), "tree returns to empty");
-    }
-
-    #[test]
-    fn dense_mark_set_matches_setting_each_slot() {
-        for n in [0, 1, 63, 64, 65, 130, 4095] {
-            let dense = MarkSet::dense(n, 4096);
-            let mut built = MarkSet::with_slots(4096);
-            for slot in 0..n {
-                built.set(slot);
-            }
-            assert_eq!(dense.words, built.words, "n = {n}");
-            assert_eq!(dense.tree, built.tree, "n = {n}");
-        }
+        m.set(0);
+        assert_eq!((m.rank(0), m.rank(1), m.rank(64)), (0, 1, 2));
+        assert_eq!(m.rank(last), 4);
     }
 
     #[test]
     fn mark_set_matches_per_slot_fenwick_on_random_ops() {
-        const SLOTS: usize = 1000;
+        const SLOTS: usize = 100_000;
         let mut fast = MarkSet::with_slots(SLOTS);
         let mut oracle = SlotFenwick::with_len(fast.slots());
         let mut marked = vec![false; fast.slots()];
@@ -359,14 +340,11 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let slot = (x >> 33) as usize % fast.slots();
-            if marked[slot] {
-                fast.clear(slot);
-                oracle.add(slot + 1, -1);
-            } else {
+            if !marked[slot] {
                 fast.set(slot);
                 oracle.add(slot + 1, 1);
+                marked[slot] = true;
             }
-            marked[slot] = !marked[slot];
             let probe = (x >> 13) as usize % fast.slots();
             // Oracle slots are 1-based: strictly below `probe` is 1..=probe.
             assert_eq!(
@@ -393,7 +371,18 @@ mod tests {
             t.next_slot, 41,
             "40 live keys renumbered 0..40, then one access"
         );
-        assert_eq!(t.marks.rank(t.next_slot), 40);
+        assert_eq!(
+            t.next_slot - t.superseded.rank(t.next_slot),
+            40,
+            "live slots"
+        );
+        // The page table holds the renumbered slots: keys 24..40 (last
+        // seen first) took 0..16 and keys 0..24 took 16..40, then key 7
+        // left 23 for the access at 40.
+        let mut slots: Vec<u32> = t.last_slot.values_mut().map(|s| *s).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..=40).filter(|&s| s != 23).collect::<Vec<u32>>());
+        assert_eq!(t.last_slot.get(7u64.page()), Some(40));
         for i in 0..500u64 {
             let key = (i * 7) % 45;
             assert_eq!(t.access(key), slow.access(key), "after rebuild, access {i}");
@@ -401,27 +390,35 @@ mod tests {
     }
 
     #[test]
-    fn presized_replay_never_regrows_the_key_table() {
-        // A controller recompute: 100k accesses over 20k distinct keys.
+    fn replay_never_compacts() {
+        // A controller recompute: 100k accesses over 20k distinct keys in
+        // three tablespaces, replayed at a cap far below the footprint.
         let mut x: u64 = 0xABCD;
-        let trace: Vec<u64> = (0..100_000)
+        let trace: Vec<PageId> = (0..100_000)
             .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (x >> 33) % 20_000
+                let key = (x >> 33) % 20_000;
+                PageId::new(SpaceId((key % 3) as u32 * 7), key / 3)
             })
             .collect();
-        // The cap covers the stream's footprint, so the up-front
-        // reservation does too.
-        let cap_pages = 20_000;
-        let t = MattsonTracker::replay(cap_pages, trace.iter().copied());
+        let mut t = MattsonTracker::replay(512, trace.iter().copied());
         assert!(t.distinct_keys() > 19_000);
-        // A table only ever grows, so ending at the capacity the
-        // reservation gives means it never regrew on the way.
-        let mut fresh = FastMap::<u64, usize>::default();
-        fresh.reserve(cap_pages);
-        assert_eq!(t.last_slot.capacity(), fresh.capacity());
+        // The slot set has one slot per access (in whole 64-slot words),
+        // and slots were never renumbered: the next one is the stream's
+        // length, and every live slot is a stream position.
+        assert_eq!(t.slot_capacity(), trace.len().div_ceil(64) * 64);
+        assert_eq!(t.next_slot, trace.len());
+        let live = t.next_slot - t.superseded.rank(t.next_slot);
+        assert_eq!(live, t.distinct_keys());
+        for (i, page) in trace.iter().enumerate().rev().take(100) {
+            let slot = t.last_slot.get(*page).expect("a replayed page is live");
+            assert!(
+                slot as usize >= i,
+                "page {page:?} last at {slot}, seen at {i}"
+            );
+        }
     }
 
     #[test]
@@ -488,15 +485,21 @@ mod tests {
 
     #[test]
     fn initial_mark_set_is_sized_from_the_cap() {
-        // Capacity is counted in slots, not bitmap words: two per page of
-        // the cap, at least one 64-slot word.
-        assert_eq!(MattsonTracker::<u64>::new(30).slot_capacity(), 64);
-        assert_eq!(MattsonTracker::<u64>::new(1).slot_capacity(), 64);
-        assert_eq!(MattsonTracker::<u64>::new(100).slot_capacity(), 256);
-        assert_eq!(MattsonTracker::<u64>::new(8000).slot_capacity(), 16384);
+        // An online tracker's capacity is counted in slots, not bitmap
+        // words: two per page of the cap, at least one 64-slot word.
+        assert_eq!(MattsonTracker::new(30).slot_capacity(), 64);
+        assert_eq!(MattsonTracker::new(1).slot_capacity(), 64);
+        assert_eq!(MattsonTracker::new(100).slot_capacity(), 256);
+        assert_eq!(MattsonTracker::new(8000).slot_capacity(), 16384);
+        // A replay's is sized from the stream, whatever the cap.
+        let replay = |cap, n: u64| MattsonTracker::replay(cap, 0..n).slot_capacity();
+        assert_eq!(
+            (replay(8000, 0), replay(8000, 100), replay(1, 1_000)),
+            (0, 128, 1_024)
+        );
         // Rebuild keeps its own (larger) floor once a tracker outgrows
         // the initial set.
-        let mut t = MattsonTracker::<u64>::new(16);
+        let mut t = MattsonTracker::new(16);
         for i in 0..10_000u64 {
             t.access(i % 8);
         }

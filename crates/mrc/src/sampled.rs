@@ -1,6 +1,6 @@
 //! SHARDS-style spatially-sampled stack-distance tracking.
 //!
-//! The exact tracker pays `O(log n)` (Fenwick update + hash-map probe)
+//! The exact tracker pays `O(log n)` (Fenwick walks + a page-table lookup)
 //! for *every* reference, which is the cost wall between per-class MRC
 //! maintenance for a handful of classes and the thousands of tenant
 //! classes a consolidated cluster carries. Spatial hash sampling (Waldspurger
@@ -25,7 +25,7 @@
 //! `RandomState`, and this file carries no `#[expect]` lifting a ban).
 
 use crate::curve::MissRatioCurve;
-use crate::mattson::MattsonTracker;
+use crate::mattson::{MattsonTracker, PageKey};
 use std::hash::{Hash, Hasher};
 
 /// Which tracker the MRC recomputation path instantiates.
@@ -84,7 +84,7 @@ fn sample_hash<K: Hash>(key: &K) -> u64 {
 /// [`MissRatioCurve`], implementing the [`MattsonTracker`] access/curve
 /// API surface.
 #[derive(Clone, Debug)]
-pub struct SampledTracker<K> {
+pub struct SampledTracker {
     /// Keys whose mixed hash is `<= threshold` survive the filter.
     threshold: u64,
     /// Sampling rate `R`.
@@ -93,14 +93,14 @@ pub struct SampledTracker<K> {
     scale: u64,
     /// Exact stack over the sampled key population only. Its own curve
     /// is vestigial (cap 1); only the returned distances are used.
-    inner: MattsonTracker<K>,
+    inner: MattsonTracker,
     /// The rescaled curve under construction (cap = full `cap_pages`).
     curve: MissRatioCurve,
     /// References that survived the filter.
     sampled: u64,
 }
 
-impl<K: Copy + Eq + Hash> SampledTracker<K> {
+impl SampledTracker {
     /// Creates a tracker recording (rescaled) distances up to `cap_pages`
     /// with spatial sampling rate `rate` in `(0, 1]`.
     pub fn new(cap_pages: usize, rate: f64) -> Self {
@@ -127,7 +127,7 @@ impl<K: Copy + Eq + Hash> SampledTracker<K> {
     /// Observes one reference. Returns the *rescaled* (estimated
     /// full-trace) LRU stack distance for a sampled re-access; `None`
     /// for a first access of a sampled key or any unsampled reference.
-    pub fn access(&mut self, key: K) -> Option<u64> {
+    pub fn access(&mut self, key: impl PageKey) -> Option<u64> {
         if sample_hash(&key) > self.threshold {
             return None;
         }
@@ -293,12 +293,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "sampling rate must be in (0, 1]")]
     fn zero_rate_rejected() {
-        SampledTracker::<u64>::new(100, 0.0);
+        SampledTracker::new(100, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "sampling rate must be in (0, 1]")]
     fn oversized_rate_rejected() {
-        SampledTracker::<u64>::new(100, 1.5);
+        SampledTracker::new(100, 1.5);
     }
 }

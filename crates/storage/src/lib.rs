@@ -3,6 +3,9 @@
 //! The storage substrate under the simulated database engines. It provides:
 //!
 //! * [`PageId`] / [`SpaceId`] — page addressing shared with the buffer pool.
+//! * [`PageTable`] — a page → value map indexed by page number, not by
+//!   hash: the buffer pool's LRU index and the Mattson replay's
+//!   last-access table.
 //! * [`DiskModel`] — a parametric service-time model (seek + rotation +
 //!   per-page transfer, with a sequential-access discount) for a single
 //!   spindle.
@@ -22,10 +25,12 @@
 
 pub mod disk;
 pub mod page;
+pub mod page_table;
 pub mod readahead;
 pub mod shared;
 
 pub use disk::{Disk, DiskModel, IoKind};
 pub use page::{PageId, SpaceId};
+pub use page_table::{PageTable, TableValue};
 pub use readahead::{ConsumerRuns, ReadAheadDetector, EXTENT_PAGES};
 pub use shared::{DomainId, SharedIoPath};

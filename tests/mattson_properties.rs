@@ -5,7 +5,7 @@
 
 use odlb::bufferpool::LruList;
 use odlb::mrc::mattson::NaiveStack;
-use odlb::mrc::{MattsonTracker, MissRatioCurve, SampledTracker};
+use odlb::mrc::{compute_curve, MattsonTracker, MissRatioCurve, MrcMode, SampledTracker};
 use odlb::storage::{PageId, SpaceId};
 use odlb_testkit::trace::{check_traces, TraceFamily};
 use odlb_testkit::{check, Gen};
@@ -201,4 +201,65 @@ fn named_families_have_their_signature_distances() {
         scan.iter().all(|&k| tracker.access(k).is_none()),
         "a one-pass scan never re-references"
     );
+}
+
+/// A window over several tablespaces, from the three bands the paper's
+/// schemas and the extremes use: 0-7, 16-21 and 40 on. `footprint`
+/// distinct pages, with a hot tenth drawn three times in four.
+fn multi_space_window(g: &mut Gen, len: usize, footprint: u64) -> Vec<PageId> {
+    let spaces: Vec<u32> = (0..g.usize_in(1, 6))
+        .map(|_| match g.weighted(&[2.0, 1.0, 1.0]) {
+            0 => g.u32_in(0, 8),
+            1 => g.u32_in(16, 22),
+            _ => g.u32_in(40, u32::MAX),
+        })
+        .collect();
+    let base = g.u64_in(0, 1 << 31);
+    (0..len)
+        .map(|_| {
+            let k = if g.chance(0.75) {
+                g.u64_in(0, footprint.div_ceil(10))
+            } else {
+                g.u64_in(0, footprint)
+            };
+            let space = spaces[(k % spaces.len() as u64) as usize];
+            PageId::new(SpaceId(space), base + k / spaces.len() as u64)
+        })
+        .collect()
+}
+
+/// The replay behind `compute_curve(MrcMode::Exact, …)` equals the curve
+/// the naive stack derives and the online `access` loop, on windows of
+/// 1-20k accesses whose distinct pages fall under and over the cap; and
+/// a replay of `n` accesses sizes its slots from `n`, never compacting.
+#[test]
+fn exact_replay_equals_naive_curve_and_online_loop() {
+    check("exact_replay_equals_naive_and_online", 24, |g| {
+        let cap = g.usize_in(16, 1_024);
+        let footprint = if g.chance(0.5) {
+            g.u64_in(1, cap as u64)
+        } else {
+            g.u64_in(cap as u64 + 1, 4 * cap as u64)
+        };
+        let len = g.usize_in(1, 20_001);
+        let window = multi_space_window(g, len, footprint);
+
+        let mut naive = NaiveStack::new();
+        let mut from_naive = MissRatioCurve::new(cap);
+        let mut online = MattsonTracker::new(cap);
+        for &page in &window {
+            let d = naive.access(page);
+            match d {
+                Some(d) => from_naive.record_hit_at(d),
+                None => from_naive.record_cold_miss(),
+            }
+            assert_eq!(online.access(page), d);
+        }
+        let replayed = compute_curve(MrcMode::Exact, cap, window.iter().copied());
+        assert_eq!(replayed, from_naive, "cap {cap}, footprint {footprint}");
+        assert_eq!(online.into_curve(), from_naive);
+
+        let replay = MattsonTracker::replay(cap, window.iter().copied());
+        assert_eq!(replay.slot_capacity(), window.len().div_ceil(64) * 64);
+    });
 }

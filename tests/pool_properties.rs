@@ -1,11 +1,13 @@
 //! Property tests for the partitioned buffer pool: the capacity invariant
 //! must hold under arbitrary interleavings of quota grants, clears,
 //! accesses and prefetches, and a quota must bound its class's residency.
+//! Under them, one `LruList` must equal a plain `VecDeque` LRU.
 
-use odlb::bufferpool::{PartitionedPool, QuotaError};
+use odlb::bufferpool::{LruList, PartitionedPool, QuotaError, Reference};
 use odlb::metrics::{AppId, ClassId};
 use odlb::storage::{PageId, SpaceId};
 use odlb_testkit::{check, Gen};
+use std::collections::VecDeque;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -43,10 +45,7 @@ fn apply(pool: &mut PartitionedPool, op: &Op) {
             pool.access(cid(class), PageId::new(SpaceId(0), page));
         }
         Op::Prefetch { class, start, len } => {
-            pool.prefetch(
-                cid(class),
-                (start..start + len).map(|p| PageId::new(SpaceId(0), p)),
-            );
+            pool.prefetch(cid(class), PageId::new(SpaceId(0), start), len);
         }
         Op::SetQuota { class, pages } => match pool.set_quota(cid(class), pages) {
             Ok(())
@@ -105,6 +104,77 @@ fn quota_bounds_residency() {
                 let outcome = pool.access(class, PageId::new(SpaceId(0), victim));
                 assert!(outcome.is_miss(), "evicted page must miss");
             }
+        }
+    });
+}
+
+/// The simplest LRU: pages MRU first, evicting from the back.
+struct ModelLru {
+    pages: VecDeque<PageId>,
+    capacity: usize,
+    evictions: u64,
+}
+
+impl ModelLru {
+    fn reference(&mut self, page: PageId, promote: bool) -> Reference {
+        if let Some(i) = self.pages.iter().position(|&p| p == page) {
+            if promote {
+                self.pages.remove(i);
+                self.pages.push_front(page);
+            }
+            return Reference::Resident;
+        }
+        let evicted = if self.pages.len() >= self.capacity {
+            self.evictions += 1;
+            self.pages.pop_back()
+        } else {
+            None
+        };
+        self.pages.push_front(page);
+        Reference::Installed { evicted }
+    }
+}
+
+/// `LruList` equals the model under random references (promoting or
+/// not), extent prefetches, and capacity shrinks and grows, over pages in
+/// several tablespaces.
+#[test]
+fn lru_list_equals_a_reference_model() {
+    check("lru_list_equals_a_reference_model", 256, |g| {
+        let capacity = g.usize_in(1, 48);
+        let mut lru = LruList::new(capacity);
+        let mut model = ModelLru {
+            pages: VecDeque::new(),
+            capacity,
+            evictions: 0,
+        };
+        let page = |g: &mut Gen| {
+            let space = [0, 3, 17, 40, u32::MAX][g.usize_in(0, 5)];
+            PageId::new(SpaceId(space), g.u64_in(0, 96))
+        };
+        for _ in 0..g.usize_in(1, 400) {
+            match g.weighted(&[8.0, 1.0, 1.0]) {
+                0 => {
+                    let (p, promote) = (page(g), g.chance(0.7));
+                    assert_eq!(lru.reference(p, promote), model.reference(p, promote));
+                }
+                1 => {
+                    let (start, n) = (page(g), g.u64_in(0, 70));
+                    let want = (0..n)
+                        .filter(|&i| model.reference(start.offset(i), false) != Reference::Resident)
+                        .count() as u64;
+                    assert_eq!(lru.prefetch(start, n), want);
+                }
+                _ => {
+                    let capacity = g.usize_in(1, 48);
+                    lru.set_capacity(capacity);
+                    model.capacity = capacity;
+                    model.pages.truncate(capacity);
+                }
+            }
+            assert_eq!(lru.pages_mru_to_lru(), Vec::from(model.pages.clone()));
+            assert_eq!(lru.len(), model.pages.len());
+            assert_eq!(lru.evictions(), model.evictions);
         }
     });
 }
