@@ -13,9 +13,9 @@
 
 use crate::lru::{LruList, Reference};
 use odlb_metrics::ClassId;
-use odlb_sim::FastMap;
 use odlb_storage::PageId;
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
+use std::collections::BTreeMap;
 
 /// The result of one page access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl AccessOutcome {
 pub struct PartitionedPool {
     total_pages: usize,
     general: LruList,
-    quotas: FastMap<ClassId, LruList>,
+    quotas: BTreeMap<ClassId, LruList>,
     profiler: Option<SharedSpanProfiler>,
 }
 
@@ -96,7 +96,7 @@ impl PartitionedPool {
         PartitionedPool {
             total_pages,
             general: LruList::new(total_pages),
-            quotas: FastMap::default(),
+            quotas: BTreeMap::new(),
             profiler: None,
         }
     }
@@ -205,7 +205,7 @@ impl PartitionedPool {
     /// Lifetime evictions across the live partitions (a cleared quota
     /// takes its share with it).
     pub fn evictions(&self) -> u64 {
-        let quotaed: u64 = self.quotas.iter_sorted().map(|(_, p)| p.evictions()).sum();
+        let quotaed: u64 = self.quotas.values().map(LruList::evictions).sum();
         self.general.evictions() + quotaed
     }
 
@@ -214,14 +214,14 @@ impl PartitionedPool {
     /// class order.
     pub fn partitions(&self) -> Vec<(Option<ClassId>, usize, usize)> {
         let mut out = vec![(None, self.general.capacity(), self.general.len())];
-        let quotaed = self.quotas.iter_sorted();
+        let quotaed = self.quotas.iter();
         out.extend(quotaed.map(|(class, p)| (Some(*class), p.capacity(), p.len())));
         out
     }
 
     /// Verifies the capacity invariant (for tests and debug assertions).
     pub fn capacity_invariant_holds(&self) -> bool {
-        let quota_sum: usize = self.quotas.iter_sorted().map(|(_, p)| p.capacity()).sum();
+        let quota_sum: usize = self.quotas.values().map(LruList::capacity).sum();
         self.general.capacity() + quota_sum == self.total_pages
     }
 }

@@ -18,9 +18,9 @@
 //!   model CPU sockets and disks. Latency under load emerges from queueing
 //!   at these stations, exactly the mechanism behind the paper's CPU
 //!   saturation and I/O interference scenarios.
-//! * [`hash`] — [`FastMap`]: a hash table placed by a deterministic
-//!   multiply-rotate hasher, for the hot-path tables keyed by the
-//!   simulator's own integer ids; lookups, and visits in key order only.
+//! * [`hash`] — the workspace's one FNV-1a and one splitmix64: fixed,
+//!   platform-independent functions for digests, content addresses,
+//!   sampling and seeding.
 //! * [`stats`] — the integer-exact nearest-rank quantile rule the
 //!   telemetry histograms use.
 //!
@@ -45,7 +45,6 @@ pub mod station;
 pub mod stats;
 pub mod time;
 
-pub use hash::{FastHasher, FastMap};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use station::Station;

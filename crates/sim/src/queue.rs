@@ -311,13 +311,7 @@ mod tests {
         // richer generator-driven suite lives in
         // tests/eventqueue_properties.rs.
         let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || crate::hash::splitmix64(&mut state);
         let mut q = EventQueue::new();
         let mut last = SimTime::ZERO;
         for round in 0..2_000u64 {

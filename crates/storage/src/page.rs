@@ -136,4 +136,16 @@ mod tests {
     fn offset_overflowing_u64_panics() {
         PageId::new(SpaceId(0), 1).offset(u64::MAX);
     }
+
+    #[test]
+    fn hash_stream_is_space_then_page_little_endian() {
+        use odlb_sim::hash::{fnv1a64, Fnv1a};
+        use std::hash::{Hash, Hasher};
+        let page = PageId::new(SpaceId(0x0102_0304), 0x0a0b_0c0d);
+        let mut h = Fnv1a::default();
+        page.hash(&mut h);
+        let mut bytes = 0x0102_0304u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0x0a0b_0c0du64.to_le_bytes());
+        assert_eq!(h.finish(), fnv1a64(&bytes));
+    }
 }

@@ -13,7 +13,6 @@
 //! the following extent per trigger.
 
 use crate::page::{PageId, SpaceId, MAX_PAGES_PER_SPACE};
-use odlb_sim::FastMap;
 
 /// Pages per extent (InnoDB constant).
 pub const EXTENT_PAGES: u64 = 64;
@@ -44,7 +43,9 @@ type SpaceRuns = Vec<(SpaceId, RunState)>;
 #[derive(Clone, Debug)]
 pub struct ReadAheadDetector {
     trigger: u32,
-    runs: FastMap<u64, SpaceRuns>,
+    /// Each consumer's runs, sorted by consumer for binary search (one
+    /// consumer per query class: a few dozen at most).
+    runs: Vec<(u64, SpaceRuns)>,
 }
 
 impl Default for ReadAheadDetector {
@@ -111,15 +112,22 @@ impl ReadAheadDetector {
         );
         ReadAheadDetector {
             trigger,
-            runs: FastMap::default(),
+            runs: Vec::new(),
         }
     }
 
     /// Resolves `consumer` once for a run of page accesses.
     pub fn consumer(&mut self, consumer: u64) -> ConsumerRuns<'_> {
+        let i = match self.runs.binary_search_by_key(&consumer, |r| r.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.runs.insert(i, (consumer, SpaceRuns::new()));
+                i
+            }
+        };
         ConsumerRuns {
             trigger: self.trigger,
-            spaces: self.runs.entry(consumer).or_default(),
+            spaces: &mut self.runs[i].1,
             current: 0,
         }
     }

@@ -12,8 +12,9 @@
 
 use crate::disk::{Disk, DiskModel, IoCounters, IoKind};
 use odlb_sim::station::Admission;
-use odlb_sim::{FastMap, SimDuration, SimTime};
+use odlb_sim::{SimDuration, SimTime};
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
+use std::collections::BTreeMap;
 
 /// Identifies a VM domain on one physical machine. Domain 0 is the control
 /// domain; guests are 1, 2, ….
@@ -24,7 +25,7 @@ pub struct DomainId(pub u32);
 #[derive(Clone, Debug)]
 pub struct SharedIoPath {
     disk: Disk,
-    per_domain: FastMap<DomainId, IoCounters>,
+    per_domain: BTreeMap<DomainId, IoCounters>,
     profiler: Option<SharedSpanProfiler>,
 }
 
@@ -33,7 +34,7 @@ impl SharedIoPath {
     pub fn new(model: DiskModel) -> Self {
         SharedIoPath {
             disk: Disk::new(model),
-            per_domain: FastMap::default(),
+            per_domain: BTreeMap::new(),
             profiler: None,
         }
     }
@@ -70,7 +71,7 @@ impl SharedIoPath {
     /// Counters summed over all domains.
     pub fn total_counters(&self) -> IoCounters {
         let mut total = IoCounters::default();
-        for (_, c) in self.per_domain.iter_sorted() {
+        for c in self.per_domain.values() {
             total.absorb(*c);
         }
         total
@@ -88,8 +89,7 @@ impl SharedIoPath {
 
     /// Cumulative per-domain counters, domains in sorted order.
     pub fn domain_counters(&self) -> Vec<(DomainId, IoCounters)> {
-        let domains = self.per_domain.iter_sorted();
-        domains.map(|(d, c)| (*d, *c)).collect()
+        self.per_domain.iter().map(|(d, c)| (*d, *c)).collect()
     }
 }
 

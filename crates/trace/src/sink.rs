@@ -1,8 +1,10 @@
 //! Trace sinks: where decision-trace events go.
 
 use crate::event::TraceEvent;
+use odlb_sim::hash::Fnv1a;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::hash::Hasher;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -98,47 +100,21 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 /// would write (each event's canonical JSON line plus `\n`). Equal
 /// digests ⇒ byte-identical decision traces; any behavioural drift in a
 /// seeded run changes the digest.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DigestSink {
-    state: u64,
+    state: Fnv1a,
     events: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a over a byte slice (the digest primitive, exposed so
-/// tests can cross-check sink output against raw bytes).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_fold(FNV_OFFSET, bytes)
-}
-
-fn fnv1a64_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
-impl Default for DigestSink {
-    fn default() -> Self {
-        DigestSink::new()
-    }
 }
 
 impl DigestSink {
     /// Creates an empty digest (offset-basis state).
     pub fn new() -> Self {
-        DigestSink {
-            state: FNV_OFFSET,
-            events: 0,
-        }
+        DigestSink::default()
     }
 
     /// The digest over everything emitted so far.
     pub fn digest(&self) -> u64 {
-        self.state
+        self.state.finish()
     }
 
     /// Events folded in so far.
@@ -149,8 +125,8 @@ impl DigestSink {
 
 impl TraceSink for DigestSink {
     fn emit(&mut self, event: &TraceEvent) {
-        self.state = fnv1a64_fold(self.state, event.to_json().as_bytes());
-        self.state = fnv1a64_fold(self.state, b"\n");
+        self.state.write(event.to_json().as_bytes());
+        self.state.write(b"\n");
         self.events += 1;
     }
 }
@@ -159,6 +135,7 @@ impl TraceSink for DigestSink {
 mod tests {
     use super::*;
     use crate::event::ActionKind;
+    use crate::fnv1a64;
 
     fn ev(seq: u64) -> TraceEvent {
         TraceEvent::IntervalClosed {
@@ -168,13 +145,6 @@ mod tests {
             instances: 1,
             classes: 1,
         }
-    }
-
-    #[test]
-    fn fnv_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

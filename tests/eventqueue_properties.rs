@@ -4,6 +4,7 @@
 //! payloads, clock trajectory, lengths) must be byte-identical between the
 //! two — the wheel is a pure performance substitution.
 
+use odlb_sim::hash::splitmix64;
 use odlb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use odlb_testkit::{check, Gen};
 use std::cmp::Reverse;
@@ -347,13 +348,7 @@ fn one_million_events_pop_identically() {
     // Deterministic splitmix64 scatter over a ~200s horizon with think-
     // time-like clustering (the fig-scale session regime).
     let mut state = 0x0123_4567_89ab_cdefu64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     for i in 0..n {
         let at = SimTime::from_micros(next() % 200_000_000);
         wheel.schedule(at, i);
