@@ -8,7 +8,7 @@
 //! stdout blocks, trace files, metric snapshots and run digests are
 //! committed strictly in job order, so a parallel run is byte-identical
 //! to a sequential one. Parallelism lives entirely *between*
-//! simulations, never inside one (see DESIGN.md, invariants catalogue).
+//! simulations, never inside one (see DESIGN.md, "Invariants catalogue").
 //!
 //! This module is the workspace's only home for threads: `clippy.toml`
 //! bans threads and `available_parallelism` everywhere, and the two

@@ -10,7 +10,7 @@
 //! any order on any worker, but their outputs *commit* strictly in
 //! canonical order, so a `--jobs N` run is byte-identical to a
 //! sequential one. Parallelism lives entirely between simulations,
-//! never inside one (see DESIGN.md, invariants catalogue).
+//! never inside one (see DESIGN.md, "Invariants catalogue").
 
 use crate::experiments::*;
 use crate::runner::{run_ordered, Job};

@@ -53,11 +53,6 @@ impl LockManager {
     pub fn gc(&mut self, now: SimTime) {
         self.held_until.retain(|_, &mut until| until > now);
     }
-
-    /// Locks currently tracked (live + not yet GC'd).
-    pub fn tracked(&self) -> usize {
-        self.held_until.len()
-    }
 }
 
 #[cfg(test)]
@@ -112,9 +107,9 @@ mod tests {
         let mut lm = LockManager::new();
         lm.acquire(at(0), &[pid(1)], ms(10));
         assert_eq!(lm.acquire(at(50), &[pid(1)], ms(10)), ms(0));
-        assert_eq!(lm.tracked(), 1);
+        assert_eq!(lm.held_until.len(), 1);
         lm.gc(at(100));
-        assert_eq!(lm.tracked(), 0);
+        assert_eq!(lm.held_until.len(), 0);
     }
 
     #[test]

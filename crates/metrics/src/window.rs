@@ -16,8 +16,6 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct AccessWindow {
     pages: VecDeque<PageId>,
     capacity: usize,
-    /// Total accesses ever observed (including those that fell out).
-    observed: u64,
 }
 
 impl AccessWindow {
@@ -27,7 +25,6 @@ impl AccessWindow {
         AccessWindow {
             pages: VecDeque::with_capacity(capacity),
             capacity,
-            observed: 0,
         }
     }
 
@@ -37,13 +34,11 @@ impl AccessWindow {
             self.pages.pop_front();
         }
         self.pages.push_back(page);
-        self.observed += 1;
     }
 
     /// Records a run of page accesses, oldest first — one query's page
     /// list in one step. Same result as pushing each page in turn.
     pub fn extend(&mut self, pages: &[PageId]) {
-        self.observed += pages.len() as u64;
         let kept = &pages[pages.len().saturating_sub(self.capacity)..];
         let overflow = (self.pages.len() + kept.len()).saturating_sub(self.capacity);
         self.pages.drain(..overflow);
@@ -58,11 +53,6 @@ impl AccessWindow {
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// Total accesses ever observed.
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     /// Iterates retained accesses oldest-first.
@@ -149,7 +139,6 @@ mod tests {
         }
         let kept: Vec<u64> = w.iter().map(|p| p.page_no()).collect();
         assert_eq!(kept, vec![2, 3, 4]);
-        assert_eq!(w.observed(), 5);
         assert_eq!(w.len(), 3);
     }
 
@@ -175,7 +164,6 @@ mod tests {
                     pushed.iter().collect::<Vec<_>>(),
                     "run {run_len} after {prefill}"
                 );
-                assert_eq!(extended.observed(), pushed.observed());
             }
         }
     }

@@ -29,10 +29,6 @@ pub struct Station {
     free_at: Vec<SimTime>,
     /// Cumulative busy time across all servers, for utilisation probes.
     busy: SimDuration,
-    /// Jobs admitted since creation.
-    jobs: u64,
-    /// Cumulative queueing delay.
-    total_wait: SimDuration,
     /// Busy time at the last `snapshot()` call.
     busy_at_snapshot: SimDuration,
     /// Clock value at the last `snapshot()` call.
@@ -46,8 +42,6 @@ impl Station {
         Station {
             free_at: vec![SimTime::ZERO; servers],
             busy: SimDuration::ZERO,
-            jobs: 0,
-            total_wait: SimDuration::ZERO,
             busy_at_snapshot: SimDuration::ZERO,
             snapshot_at: SimTime::ZERO,
         }
@@ -73,23 +67,7 @@ impl Station {
         let completion = start + service;
         self.free_at[idx] = completion;
         self.busy += service;
-        self.jobs += 1;
-        self.total_wait += start.since(now);
         Admission { start, completion }
-    }
-
-    /// Total jobs admitted since creation.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Mean queueing delay over all admitted jobs.
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.jobs == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.jobs
-        }
     }
 
     /// Utilisation (busy-server-time / capacity-time) since the last
@@ -175,16 +153,6 @@ mod tests {
         }
         let u = st.utilisation_since_snapshot(us(1_000_000));
         assert_eq!(u, 1.0);
-    }
-
-    #[test]
-    fn mean_wait_accumulates() {
-        let mut st = Station::new(1);
-        st.submit(us(0), dur(100)); // wait 0
-        st.submit(us(0), dur(100)); // wait 100
-        st.submit(us(0), dur(100)); // wait 200
-        assert_eq!(st.mean_wait(), dur(100));
-        assert_eq!(st.jobs(), 3);
     }
 
     #[test]

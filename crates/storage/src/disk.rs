@@ -94,11 +94,6 @@ impl Disk {
     pub fn utilisation_since_snapshot(&mut self, now: SimTime) -> f64 {
         self.station.utilisation_since_snapshot(now)
     }
-
-    /// Mean queueing delay over all requests.
-    pub fn mean_wait(&self) -> SimDuration {
-        self.station.mean_wait()
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use crate::disk::{Disk, DiskModel, IoCounters, IoKind};
 use odlb_sim::station::Admission;
-use odlb_sim::{SimDuration, SimTime};
+use odlb_sim::SimTime;
 use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 use std::collections::BTreeMap;
 
@@ -80,11 +80,6 @@ impl SharedIoPath {
     /// Back-end utilisation since the last probe.
     pub fn utilisation_since_snapshot(&mut self, now: SimTime) -> f64 {
         self.disk.utilisation_since_snapshot(now)
-    }
-
-    /// Mean queueing delay at the back-end over all requests.
-    pub fn mean_wait(&self) -> SimDuration {
-        self.disk.mean_wait()
     }
 
     /// Cumulative per-domain counters, domains in sorted order.

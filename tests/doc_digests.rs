@@ -3,9 +3,11 @@
 //! EXPERIMENTS.md whose figure is part of `all` or a `*-mini` is re-run
 //! through the suite and compared. (`fig-scale` is quoted too; CI runs it
 //! in release mode and greps the same line.) The ablation A6 table in
-//! EXPERIMENTS.md is checked the same way, row by row.
+//! EXPERIMENTS.md is checked the same way, row by row, and every quoted
+//! section citation against the cited file's headings.
 
 use odlb_bench::suite::{figure_info, run_suite, SuiteConfig};
+use std::path::{Path, PathBuf};
 
 /// The `(figure, quoted line)` pairs of one document.
 fn quoted_digests(text: &str) -> Vec<(&'static str, String)> {
@@ -94,4 +96,57 @@ fn quoted_a6_rows_match_what_the_ablation_prints() {
             .collect();
         assert_eq!(printed, quoted, "A6 printed:\n{}", out.stdout);
     });
+}
+
+/// Every `*.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A section cited by its quoted heading — the file name, then `, "` or
+/// ` "`, then the heading's first words — is a `#` heading of that file.
+/// A citation may wrap: each line is read without its indentation and
+/// leading `/`, `!` and `#` (comment markers), and line breaks read as one
+/// space.
+#[test]
+fn doc_citations_name_real_headings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: &Path| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let docs = ".github/workflows/ci.yml .claude/skills/verify/SKILL.md README.md DESIGN.md EXPERIMENTS.md";
+    files.extend(docs.split(' ').map(|doc| root.join(doc)));
+    let mut cited = 0;
+    for file in &files {
+        let text = read(file)
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches(['/', '!', '#']).trim())
+            .collect::<Vec<_>>()
+            .join(" ");
+        for form in ["DESIGN.md, \"", "DESIGN.md \"", "EXPERIMENTS.md, \""] {
+            let doc = form.split([',', ' ']).next().unwrap_or(form);
+            for (at, needle) in text.match_indices(form) {
+                let rest = &text[at + needle.len()..];
+                let title = &rest[..rest.find('"').unwrap_or(0)];
+                let heading = |h: &str| {
+                    h.starts_with('#') && h.trim_start_matches('#').trim().starts_with(title)
+                };
+                assert!(
+                    read(&root.join(doc)).lines().any(heading),
+                    "{file:?} cites {doc}, \"{title}\", which is no heading of {doc}"
+                );
+                cited += 1;
+            }
+        }
+    }
+    assert!(cited >= 10, "found only {cited} citations");
 }
