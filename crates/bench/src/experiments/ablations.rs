@@ -27,13 +27,6 @@ use odlb_workload::{ClientConfig, LoadFunction};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A1 at paper scale as a self-contained figure job: fence multiplier
-/// sensitivity on the Fig. 4 snapshot.
-pub fn figure_fences() -> String {
-    let snap = capture_detection_snapshot(50);
-    render_fences(&snap, &[0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
-}
-
 /// Renders the A1 table, one line per multiplier.
 pub fn render_fences(snap: &DetectionSnapshot, multipliers: &[f64]) -> String {
     let mut out = String::new();
@@ -50,13 +43,6 @@ pub fn render_fences(snap: &DetectionSnapshot, multipliers: &[f64]) -> String {
         );
     }
     out
-}
-
-/// A2 at paper scale as a self-contained figure job: impact weighting
-/// on/off on the Fig. 4 snapshot.
-pub fn figure_weights() -> String {
-    let snap = capture_detection_snapshot(50);
-    render_weights(&snap)
 }
 
 /// Renders the A2 table.
@@ -77,12 +63,6 @@ pub fn render_weights(snap: &DetectionSnapshot) -> String {
     out
 }
 
-/// A3 at paper scale as a self-contained figure job: controller
-/// granularity comparison on the Table 2 scenario.
-pub fn figure_coarse() -> String {
-    render_coarse(&controller_ablation(50, 30, 25))
-}
-
 /// Renders the A3 table.
 pub fn render_coarse(rows: &[ControllerAblationRow]) -> String {
     let mut out = String::new();
@@ -101,15 +81,6 @@ pub fn render_coarse(rows: &[ControllerAblationRow]) -> String {
     out
 }
 
-/// A4 at paper scale as a self-contained figure job: acceptability
-/// threshold vs the BestSeller quota.
-pub fn figure_threshold() -> String {
-    render_threshold(&mrc_threshold_ablation(
-        80,
-        &[0.01, 0.02, 0.05, 0.10, 0.15, 0.20],
-    ))
-}
-
 /// Renders the A4 table.
 pub fn render_threshold(rows: &[(f64, usize)]) -> String {
     let mut out = String::new();
@@ -118,12 +89,6 @@ pub fn render_threshold(rows: &[(f64, usize)]) -> String {
         let _ = writeln!(out, "{t:>12.2} {pages:>20}");
     }
     out
-}
-
-/// A5 at paper scale as a self-contained figure job: exact Mattson vs
-/// the bucketed approximation.
-pub fn figure_tracker() -> String {
-    render_tracker(&tracker_ablation(150, &[1.1, 1.2, 1.5, 2.0, 4.0]))
 }
 
 /// Renders the A5 table.
@@ -309,10 +274,7 @@ pub fn controller_ablation(
                 LoadFunction::Constant(tpcw_clients),
             );
             let rubis = sim.add_app(
-                rubis_workload(RubisConfig {
-                    app: AppId(1),
-                    ..Default::default()
-                }),
+                rubis_workload(RubisConfig { app: AppId(1) }),
                 Sla::one_second(),
                 ClientConfig::default(),
                 LoadFunction::Step {
@@ -368,7 +330,7 @@ pub fn mrc_threshold_ablation(queries: usize, thresholds: &[f64]) -> Vec<(f64, u
     }
     thresholds
         .iter()
-        .map(|&t| (t, tracker.curve().params(8192, t).acceptable_memory_needed))
+        .map(|&t| (t, tracker.curve().params(t).acceptable_memory_needed))
         .collect()
 }
 

@@ -15,12 +15,6 @@ pub fn run(queries: usize) -> MrcResult {
     class_mrc(&workload, BESTSELLER, queries, 8192, 0.05, 2007)
 }
 
-/// The paper-scale run as a self-contained figure job: returns the
-/// rendered table the experiments suite prints.
-pub fn figure() -> String {
-    crate::experiments::mrc_common::render(&run(120))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

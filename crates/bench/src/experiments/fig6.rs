@@ -20,12 +20,6 @@ pub fn run(queries: usize) -> MrcResult {
     )
 }
 
-/// The paper-scale run as a self-contained figure job: returns the
-/// rendered table the experiments suite prints.
-pub fn figure() -> String {
-    crate::experiments::mrc_common::render(&run(300))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ pub fn class_mrc(
     }
     let accesses = tracker.accesses();
     let curve = tracker.curve().sampled(33);
-    let params = tracker.curve().params(cap_pages, threshold);
+    let params = tracker.curve().params(threshold);
     MrcResult {
         class_name: workload.classes[class_index].name.to_string(),
         curve,

@@ -55,7 +55,7 @@ pub struct SampledAblationRow {
 /// against a canonical stale prior, and the quota `fit_quotas` grants,
 /// in enforcement units.
 fn decision(curve: &MissRatioCurve) -> (bool, usize) {
-    let params = curve.params(CAP, MRC_THRESHOLD);
+    let params = curve.params(MRC_THRESHOLD);
     // Canonical stale prior (the class used to be far cheaper), the
     // same reference the parity test in `tests/` uses.
     let stable = MrcParams {
@@ -99,7 +99,7 @@ pub fn sampled_ablation(queries: usize, rates: &[f64]) -> Vec<SampledAblationRow
     let trace = fig5_reference_trace(queries);
     let exact = compute_curve(MrcMode::Exact, CAP, trace.iter().copied());
     let exact_decision = decision(&exact);
-    let exact_acceptable = exact.params(CAP, MRC_THRESHOLD).acceptable_memory_needed;
+    let exact_acceptable = exact.params(MRC_THRESHOLD).acceptable_memory_needed;
     rates
         .iter()
         .map(|&rate| {
@@ -110,7 +110,7 @@ pub fn sampled_ablation(queries: usize, rates: &[f64]) -> Vec<SampledAblationRow
             let sampled_refs = tracker.sampled_refs();
             let curve = tracker.into_curve();
             let (mean_deviation, max_deviation) = deviations(&exact, &curve);
-            let sampled_acceptable = curve.params(CAP, MRC_THRESHOLD).acceptable_memory_needed;
+            let sampled_acceptable = curve.params(MRC_THRESHOLD).acceptable_memory_needed;
             SampledAblationRow {
                 rate,
                 sampled_refs,
@@ -146,11 +146,6 @@ pub fn render(rows: &[SampledAblationRow]) -> String {
         );
     }
     out
-}
-
-/// The paper-scale figure job.
-pub fn figure() -> String {
-    render(&sampled_ablation(120, &[0.5, 0.2, 0.1, 0.05, 0.01]))
 }
 
 #[cfg(test)]
@@ -191,7 +186,7 @@ mod tests {
             tracker.access(page);
         }
         assert_eq!(tracker.sampled_refs(), 7842);
-        let params = tracker.into_curve().params(CAP, MRC_THRESHOLD);
+        let params = tracker.into_curve().params(MRC_THRESHOLD);
         assert_eq!(params.acceptable_memory_needed, 6850);
     }
 

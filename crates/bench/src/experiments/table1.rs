@@ -112,7 +112,7 @@ pub fn run(queries: usize) -> Table1Result {
     // degenerate to a single page).
     let quota_pages = tracker
         .curve()
-        .params(POOL_PAGES, MRC_THRESHOLD)
+        .params(MRC_THRESHOLD)
         .acceptable_memory_needed
         .clamp(MIN_QUOTA_PAGES, POOL_PAGES - 1);
 
@@ -153,12 +153,6 @@ pub fn run(queries: usize) -> Table1Result {
 }
 
 /// Renders the table in the paper's layout.
-/// The paper-scale run as a self-contained figure job: returns the
-/// rendered table the experiments suite prints.
-pub fn figure() -> String {
-    render(&run(3_000))
-}
-
 pub fn render(r: &Table1Result) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -207,10 +201,7 @@ mod tests {
         let mut pool = PartitionedPool::new(POOL_PAGES);
         let replayed = replay(&mut pool, &trace, 0, &|_| true);
         let config = EngineConfig::default();
-        assert_eq!(
-            (config.pool_pages, config.readahead_trigger),
-            (POOL_PAGES, 56)
-        );
+        assert_eq!(config.pool_pages, POOL_PAGES);
         let mut engine = DbEngine::new(config, SimTime::ZERO);
         let (mut cpu, mut io) = (Station::new(4), SharedIoPath::new(DiskModel::default()));
         let mut executed = BTreeMap::new();

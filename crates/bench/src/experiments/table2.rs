@@ -66,10 +66,7 @@ pub fn run(
     );
     let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * alone_intervals as u64;
     let rubis = sim.add_app(
-        rubis_workload(RubisConfig {
-            app: AppId(1),
-            ..Default::default()
-        }),
+        rubis_workload(RubisConfig { app: AppId(1) }),
         Sla::one_second(),
         ClientConfig::default(),
         LoadFunction::Step {
@@ -170,12 +167,6 @@ pub fn run(
         };
     }
     result
-}
-
-/// The paper-scale run as a self-contained figure job: returns the
-/// rendered table the experiments suite prints.
-pub fn figure() -> String {
-    render(&run(45, 80, 10, 6, 15))
 }
 
 /// Renders the table in the paper's layout.

@@ -64,20 +64,14 @@ pub fn run(
     let inst1 = sim.add_instance(server, DomainId(1), EngineConfig::default());
     let inst2 = sim.add_instance(server, DomainId(2), EngineConfig::default());
     let app1 = sim.add_app(
-        rubis_workload(RubisConfig {
-            app: AppId(0),
-            ..Default::default()
-        }),
+        rubis_workload(RubisConfig { app: AppId(0) }),
         Sla::one_second(),
         ClientConfig::default(),
         LoadFunction::Constant(clients),
     );
     let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * baseline_intervals as u64;
     let app2 = sim.add_app(
-        rubis_workload(RubisConfig {
-            app: AppId(1),
-            ..Default::default()
-        }),
+        rubis_workload(RubisConfig { app: AppId(1) }),
         Sla::one_second(),
         ClientConfig::default(),
         LoadFunction::Step {
@@ -155,12 +149,6 @@ pub fn run(
 }
 
 /// Renders the table in the paper's layout.
-/// The paper-scale run as a self-contained figure job: returns the
-/// rendered table the experiments suite prints.
-pub fn figure() -> String {
-    render(&run(40, 8, 8, 10))
-}
-
 pub fn render(r: &Table3Result) -> String {
     let mut out = String::new();
     out.push_str("Table 3: Effect of I/O contention among different domains\n\n");

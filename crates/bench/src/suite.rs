@@ -48,21 +48,21 @@ pub const REGISTRY: [FigureInfo; 16] = [
         title: "Fig. 5 — MRC of BestSeller (normal configuration); paper: acceptable 6982 pages",
         traced: false,
         in_all: true,
-        job: |_| fig5::figure(),
+        job: |_| mrc_common::render(&fig5::run(120)),
     },
     FigureInfo {
         name: "fig6",
         title: "Fig. 6 — MRC of SearchItemsByRegion; paper: acceptable 7906 pages",
         traced: false,
         in_all: true,
-        job: |_| fig6::figure(),
+        job: |_| mrc_common::render(&fig6::run(300)),
     },
     FigureInfo {
         name: "table1",
         title: "Table 1 — buffer pool management algorithms (index dropped)",
         traced: false,
         in_all: true,
-        job: |_| table1::figure(),
+        job: |_| table1::render(&table1::run(3_000)),
     },
     FigureInfo {
         name: "fig3",
@@ -83,56 +83,68 @@ pub const REGISTRY: [FigureInfo; 16] = [
         title: "Table 2 — memory contention in a shared buffer pool",
         traced: false,
         in_all: true,
-        job: |_| table2::figure(),
+        job: |_| table2::render(&table2::run(45, 80, 10, 6, 15)),
     },
     FigureInfo {
         name: "table3",
         title: "Table 3 — I/O contention among VM domains",
         traced: false,
         in_all: true,
-        job: |_| table3::figure(),
+        job: |_| table3::render(&table3::run(40, 8, 8, 10)),
     },
     FigureInfo {
         name: "ablation-fences",
         title: "Ablation A1 — fence multiplier sensitivity",
         traced: false,
         in_all: true,
-        job: |_| ablations::figure_fences(),
+        job: |_| {
+            let snap = ablations::capture_detection_snapshot(50);
+            ablations::render_fences(&snap, &[0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
+        },
     },
     FigureInfo {
         name: "ablation-weights",
         title: "Ablation A2 — impact weighting",
         traced: false,
         in_all: true,
-        job: |_| ablations::figure_weights(),
+        job: |_| ablations::render_weights(&ablations::capture_detection_snapshot(50)),
     },
     FigureInfo {
         name: "ablation-coarse",
         title: "Ablation A3 — fine-grained vs coarse-grained vs CPU-only",
         traced: false,
         in_all: true,
-        job: |_| ablations::figure_coarse(),
+        job: |_| ablations::render_coarse(&ablations::controller_ablation(50, 30, 25)),
     },
     FigureInfo {
         name: "ablation-mrc-threshold",
         title: "Ablation A4 — MRC acceptability threshold vs BestSeller quota",
         traced: false,
         in_all: true,
-        job: |_| ablations::figure_threshold(),
+        job: |_| {
+            let thresholds = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20];
+            ablations::render_threshold(&ablations::mrc_threshold_ablation(80, &thresholds))
+        },
     },
     FigureInfo {
         name: "ablation-mrc-approx",
         title: "Ablation A5 — exact Mattson vs bucketed approximation",
         traced: false,
         in_all: true,
-        job: |_| ablations::figure_tracker(),
+        job: |_| {
+            let ratios = [1.1, 1.2, 1.5, 2.0, 4.0];
+            ablations::render_tracker(&ablations::tracker_ablation(150, &ratios))
+        },
     },
     FigureInfo {
         name: "ablation-mrc-sampled",
         title: "Ablation A6 — exact Mattson vs SHARDS-style sampled tracker",
         traced: false,
         in_all: true,
-        job: |_| sampled::figure(),
+        job: |_| {
+            let rates = [0.5, 0.2, 0.1, 0.05, 0.01];
+            sampled::render(&sampled::sampled_ablation(120, &rates))
+        },
     },
     FigureInfo {
         name: "fig3-mini",

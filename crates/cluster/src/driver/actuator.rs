@@ -174,10 +174,12 @@ impl Simulation {
         self.instances[instance.0 as usize].retired = true;
     }
 
-    /// Pins a query class of `app` to a sub-set of its replicas.
-    pub fn place_class(&mut self, app: AppId, class: ClassId, instances: Vec<InstanceId>) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.place_class(class, instances);
+    /// Pins a query class to a sub-set of its application's replicas;
+    /// `false` (and no change) when none of `instances` is one
+    /// ([`Scheduler::place_class`]).
+    pub fn place_class(&mut self, class: ClassId, instances: Vec<InstanceId>) -> bool {
+        let idx = self.app_index(class.app);
+        self.apps[idx].scheduler.place_class(class, instances)
     }
 
     /// The replica set of `app`.
@@ -187,8 +189,8 @@ impl Simulation {
     }
 
     /// The read placement of one class.
-    pub fn placement_of(&self, app: AppId, class: ClassId) -> Vec<InstanceId> {
-        let idx = self.app_index(app);
+    pub fn placement_of(&self, class: ClassId) -> Vec<InstanceId> {
+        let idx = self.app_index(class.app);
         self.apps[idx].scheduler.placement_of(class).to_vec()
     }
 
@@ -224,18 +226,17 @@ impl Simulation {
     }
 
     /// Recomputes a class's MRC from its access window on one instance,
-    /// with the tracker mode (exact / SHARDS-sampled)
-    /// configured on the controller driving this cluster.
+    /// up to the instance's pool size, with the tracker mode (exact /
+    /// SHARDS-sampled) configured on the controller driving this cluster.
     pub fn recompute_mrc_with(
         &self,
         instance: InstanceId,
         class: ClassId,
-        cap_pages: usize,
         mode: odlb_mrc::MrcMode,
     ) -> Option<MissRatioCurve> {
         self.instances[instance.0 as usize]
             .engine
-            .recompute_mrc_with(class, cap_pages, mode)
+            .recompute_mrc_with(class, mode)
     }
 
     /// Buffer pool size (pages) of an instance.

@@ -161,10 +161,7 @@ impl Simulation {
         // independent of any rack grouping).
         let mut tails: BTreeMap<AppId, LogLinearHistogram> = BTreeMap::new();
         for (class, hist) in outcome.reports.values().flat_map(|r| &r.latency_histograms) {
-            tails
-                .entry(class.app)
-                .or_insert_with(|| LogLinearHistogram::new(hist.grouping_power()))
-                .merge(hist);
+            tails.entry(class.app).or_default().merge(hist);
         }
         for app in &self.apps {
             let key = app.spec.app;

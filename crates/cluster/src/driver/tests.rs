@@ -142,10 +142,7 @@ fn in_flight_slab_recycles_slots_and_conserves_queries() {
         LoadFunction::Constant(tpcw_clients),
     );
     let rubis = sim.add_app(
-        rubis_workload(RubisConfig {
-            app: AppId(1),
-            ..Default::default()
-        }),
+        rubis_workload(RubisConfig { app: AppId(1) }),
         Sla::one_second(),
         clients,
         LoadFunction::Step {
@@ -279,7 +276,7 @@ fn class_pinning_confines_reads() {
     sim.assign_replica(app, i2);
     // Pin the read-only BestSeller class (index 8) to replica 2.
     let bs = ClassId::new(app, 8);
-    sim.place_class(app, bs, vec![i2]);
+    sim.place_class(bs, vec![i2]);
     sim.start();
     for _ in 0..3 {
         sim.run_interval();
@@ -309,6 +306,28 @@ fn provisioning_adds_capacity_after_delay() {
     sim.run_interval();
     assert_eq!(sim.replicas_of(app).len(), 2, "ready after the delay");
     assert_eq!(sim.replicas_of(app)[1], new);
+}
+
+/// A pin onto a replica that is still provisioning changes nothing and
+/// says so; once the replica serves, the same call takes effect.
+#[test]
+fn placing_onto_a_provisioning_replica_keeps_the_pin() {
+    let (mut sim, app) = small_sim(10);
+    let a = sim.replicas_of(app)[0];
+    let bs = ClassId::new(app, 8);
+    assert!(sim.place_class(bs, vec![a]));
+    sim.add_server(4);
+    let new = sim.provision_replica(app).expect("free server available");
+    assert!(!sim.place_class(bs, vec![new]), "not serving yet");
+    assert_eq!(sim.placement_of(bs), vec![a], "the pin is still A");
+    sim.run_interval();
+    sim.run_interval();
+    assert!(
+        sim.replicas_of(app).contains(&new),
+        "serving after the delay"
+    );
+    assert!(sim.place_class(bs, vec![new]));
+    assert_eq!(sim.placement_of(bs), vec![new]);
 }
 
 #[test]

@@ -72,18 +72,19 @@ impl Scheduler {
 
     /// Pins `class` to a sub-set of replicas (§3.3.2: "schedule a suspect
     /// query class on a different replica"). Instances not in the replica
-    /// set are ignored; an effectively empty placement clears the pin.
-    pub fn place_class(&mut self, class: ClassId, instances: Vec<InstanceId>) {
+    /// set are ignored; with none left the call changes nothing. Returns
+    /// whether the pin was set.
+    pub fn place_class(&mut self, class: ClassId, instances: Vec<InstanceId>) -> bool {
         assert_eq!(class.app, self.app, "class belongs to another application");
         let filtered: Vec<InstanceId> = instances
             .into_iter()
             .filter(|i| self.replicas.contains(i))
             .collect();
-        if filtered.is_empty() {
-            self.placement.remove(&class);
-        } else {
+        let placed = !filtered.is_empty();
+        if placed {
             self.placement.insert(class, filtered);
         }
+        placed
     }
 
     /// Removes a class pin, returning it to full load balancing.
@@ -197,11 +198,13 @@ mod tests {
     #[test]
     fn placement_filters_foreign_instances() {
         let mut s = sched();
-        s.place_class(class(1), vec![inst(9), inst(1)]);
+        assert!(s.place_class(class(1), vec![inst(9), inst(1)]));
         assert_eq!(s.placement_of(class(1)), &[inst(1)]);
-        // All-foreign placement clears the pin instead of blackholing.
-        s.place_class(class(1), vec![inst(9)]);
-        assert_eq!(s.placement_of(class(1)).len(), 3);
+        // An all-foreign placement changes nothing instead of blackholing.
+        assert!(!s.place_class(class(1), vec![inst(9)]));
+        assert_eq!(s.placement_of(class(1)), &[inst(1)]);
+        assert!(!s.place_class(class(2), vec![inst(9)]));
+        assert_eq!(s.placement_of(class(2)).len(), 3);
     }
 
     #[test]

@@ -240,7 +240,6 @@ mod tests {
         let b = sim.add_app(
             odlb_workload::rubis::rubis_workload(odlb_workload::rubis::RubisConfig {
                 app: odlb_metrics::AppId(1),
-                ..Default::default()
             }),
             Sla::one_second(),
             ClientConfig::default(),
@@ -276,7 +275,7 @@ mod tests {
         // Every class pinned to the new replica.
         let new_replica = *sim.replicas_of(app).last().unwrap();
         for idx in 0..sim.workload(app).classes.len() {
-            let placement = sim.placement_of(app, ClassId::new(app, idx as u32));
+            let placement = sim.placement_of(ClassId::new(app, idx as u32));
             assert_eq!(placement, vec![new_replica]);
         }
     }

@@ -111,10 +111,8 @@ impl SelectiveRetuning {
             for &class in report.per_class.keys() {
                 let has_mrc = self.stable.get(key, class).is_some_and(|s| s.mrc.is_some());
                 if sla_met(outcome, class.app) && !has_mrc {
-                    let cap = sim.pool_pages(instance);
-                    if let Some(curve) = sim.recompute_mrc_with(instance, class, cap, self.mrc_mode)
-                    {
-                        let params = curve.params(cap, MRC_THRESHOLD);
+                    if let Some(curve) = sim.recompute_mrc_with(instance, class, self.mrc_mode) {
+                        let params = curve.params(MRC_THRESHOLD);
                         self.stable.record_mrc(key, class, params, outcome.end);
                     }
                 }
@@ -152,7 +150,7 @@ impl SelectiveRetuning {
         }
         match pick_replacement_target(cx.sim, class, needed_pages, from) {
             Some(target) => {
-                cx.sim.place_class(class.app, class, vec![target]);
+                cx.sim.place_class(class, vec![target]);
                 cx.actions.push(placed(class.app, class, target));
             }
             None => {

@@ -36,9 +36,21 @@ const MRC_RATIO_SLACK: f64 = 0.10;
 pub const MIN_QUOTA_PAGES: usize = 512;
 
 /// Whether `fresh` MRC parameters differ from the stable `prior` enough
-/// to mark a problem class (§3.3.2): the rule diagnosis applies.
+/// to mark a problem class (§3.3.2), the rule diagnosis applies: the
+/// acceptable memory moved by more than `MRC_CHANGE_REL` in either
+/// direction (a localized plan change, e.g. a dropped index, can reshape
+/// the curve without growing it), the total memory need grew by more than
+/// that share, or the ideal miss ratio deteriorated by more than
+/// `MRC_RATIO_SLACK`.
 pub fn mrc_changed(fresh: &MrcParams, prior: &MrcParams) -> bool {
-    fresh.significantly_different_from(prior, MRC_CHANGE_REL, MRC_RATIO_SLACK)
+    let acceptable = fresh.acceptable_memory_needed as f64;
+    let stable_acceptable = prior.acceptable_memory_needed as f64;
+    let acceptable_moved =
+        (acceptable - stable_acceptable).abs() > stable_acceptable.max(1.0) * MRC_CHANGE_REL;
+    let need_grew = fresh.total_memory_needed as f64
+        > prior.total_memory_needed as f64 * (1.0 + MRC_CHANGE_REL);
+    let ratio_worse = fresh.ideal_miss_ratio > prior.ideal_miss_ratio + MRC_RATIO_SLACK;
+    acceptable_moved || need_grew || ratio_worse
 }
 
 /// Stable-store key for an instance (the paper's per-server context; one
@@ -96,7 +108,6 @@ pub fn find_problem_classes(
     now: SimTime,
     profiler: &Option<SharedSpanProfiler>,
 ) -> Vec<ExaminedClass> {
-    let cap = sim.pool_pages(instance);
     let key = instance_key(instance);
     let mut examined = Vec::new();
     for &class in suspects {
@@ -104,11 +115,11 @@ pub fn find_problem_classes(
         // suspect recomputation, so flamegraphs attribute it separately
         // from the bookkeeping around it.
         let Some(curve) = profile_span(profiler, "recompute", || {
-            sim.recompute_mrc_with(instance, class, cap, mrc_mode)
+            sim.recompute_mrc_with(instance, class, mrc_mode)
         }) else {
             continue;
         };
-        let params = curve.params(cap, MRC_THRESHOLD);
+        let params = curve.params(MRC_THRESHOLD);
         let prior = stable.get(key, class).and_then(|s| s.mrc);
         let changed = prior.is_some_and(|old| mrc_changed(&params, &old));
         stable.record_mrc(key, class, params, now);
@@ -151,7 +162,7 @@ pub fn plan_memory_action(
             let curve = match examined.iter().find(|e| e.class == class) {
                 Some(e) => Some(Cow::Borrowed(&e.curve)),
                 None => sim
-                    .recompute_mrc_with(instance, class, cap, mrc_mode)
+                    .recompute_mrc_with(instance, class, mrc_mode)
                     .map(Cow::Owned),
             };
             curves.extend(curve.map(|curve| (class, curve)));
@@ -163,7 +174,7 @@ pub fn plan_memory_action(
     let requests: Vec<QuotaRequest<'_>> = curves
         .iter()
         .map(|(class, curve)| {
-            let params = curve.params(cap, MRC_THRESHOLD);
+            let params = curve.params(MRC_THRESHOLD);
             QuotaRequest {
                 id: class.as_u64(),
                 curve,
@@ -369,5 +380,64 @@ mod tests {
             None,
             "nothing fits"
         );
+    }
+
+    #[test]
+    fn significant_change_detection() {
+        let stable = MrcParams {
+            total_memory_needed: 1000,
+            ideal_miss_ratio: 0.01,
+            acceptable_memory_needed: 800,
+            acceptable_miss_ratio: 0.03,
+        };
+        let grown = MrcParams {
+            total_memory_needed: 2000,
+            ..stable
+        };
+        let same = MrcParams {
+            total_memory_needed: 1100,
+            ..stable
+        };
+        let worse_ratio = MrcParams {
+            ideal_miss_ratio: 0.2,
+            ..stable
+        };
+        assert!(mrc_changed(&grown, &stable), "need 2,000 > 1,250");
+        assert!(
+            !mrc_changed(&same, &stable),
+            "need 1,100 < 1,250, acceptable unmoved"
+        );
+        assert!(mrc_changed(&worse_ratio, &stable), "ideal 0.2 > 0.11");
+    }
+
+    #[test]
+    fn significant_difference_sees_shrinkage_too() {
+        // The index-drop case: the curve flattens, so acceptable memory
+        // *shrinks* sharply — still a significant (plan) change.
+        let stable = MrcParams {
+            total_memory_needed: 8000,
+            ideal_miss_ratio: 0.01,
+            acceptable_memory_needed: 6982,
+            acceptable_miss_ratio: 0.03,
+        };
+        let flattened = MrcParams {
+            total_memory_needed: 4100,
+            ideal_miss_ratio: 0.02,
+            acceptable_memory_needed: 3695,
+            acceptable_miss_ratio: 0.05,
+        };
+        let same = MrcParams {
+            acceptable_memory_needed: 7100,
+            ..stable
+        };
+        assert!(mrc_changed(&flattened, &stable));
+        assert!(!mrc_changed(&same, &stable));
+        // Growth is also a difference.
+        let grown = MrcParams {
+            total_memory_needed: 12_000,
+            acceptable_memory_needed: 11_000,
+            ..stable
+        };
+        assert!(mrc_changed(&grown, &stable));
     }
 }

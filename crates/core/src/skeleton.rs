@@ -151,23 +151,21 @@ impl<S: Strategy> Controller<S> {
 fn complete_pending(cx: &mut Interval<'_>, pending_isolations: &mut Vec<(AppId, InstanceId)>) {
     let (sim, actions) = (&mut *cx.sim, &mut *cx.actions);
     cx.pending_placements.retain(|&(class, target)| {
-        let app = class.app;
-        let serving = sim.replicas_of(app).contains(&target);
-        if serving {
-            sim.place_class(app, class, vec![target]);
+        let placed = sim.place_class(class, vec![target]);
+        if placed {
             actions.push(Action::PlacedClass {
-                app,
+                app: class.app,
                 class,
                 to: target,
             });
         }
-        !serving
+        !placed
     });
     pending_isolations.retain(|&(app, target)| {
         let serving = sim.replicas_of(app).contains(&target);
         if serving {
             for idx in 0..sim.workload(app).classes.len() {
-                sim.place_class(app, ClassId::new(app, idx as u32), vec![target]);
+                sim.place_class(ClassId::new(app, idx as u32), vec![target]);
             }
             actions.push(Action::CoarseFallback { app });
         }

@@ -18,8 +18,6 @@ use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 pub struct EngineConfig {
     /// Buffer pool size in 16 KiB pages (8192 = the paper's 128 MB).
     pub pool_pages: usize,
-    /// Sequential accesses within an extent that trigger read-ahead.
-    pub readahead_trigger: u32,
     /// Recent page accesses retained per class for MRC recomputation.
     pub window_capacity: usize,
     /// Private log buffer capacity (records) before flush.
@@ -30,7 +28,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             pool_pages: 8192,
-            readahead_trigger: 56,
             window_capacity: 100_000,
             logbuf_capacity: 64,
         }
@@ -100,7 +97,7 @@ impl DbEngine {
     pub fn new(config: EngineConfig, now: SimTime) -> Self {
         DbEngine {
             pool: PartitionedPool::new(config.pool_pages),
-            readahead: ReadAheadDetector::new(config.readahead_trigger),
+            readahead: ReadAheadDetector::default(),
             windows: WindowRegistry::new(config.window_capacity),
             logbuf: PrivateLogBuffer::new(config.logbuf_capacity),
             collector: ClassStatsCollector::new(now),
@@ -231,19 +228,19 @@ impl DbEngine {
     }
 
     /// Recomputes the MRC of `class` from its recent access window
-    /// (§3.3.2's on-demand recomputation) with the tracker `mode` selects
-    /// — the controller threads its configured [`odlb_mrc::MrcMode`]
-    /// through here so web-scale tenancies can trade exactness for
-    /// throughput. `None` when the class has no window on this engine.
+    /// (§3.3.2's on-demand recomputation), over sizes up to the pool's,
+    /// with the tracker `mode` selects — the controller threads its
+    /// configured [`odlb_mrc::MrcMode`] through here so web-scale
+    /// tenancies can trade exactness for throughput. `None` when the
+    /// class has no window on this engine.
     pub fn recompute_mrc_with(
         &self,
         class: ClassId,
-        cap_pages: usize,
         mode: odlb_mrc::MrcMode,
     ) -> Option<MissRatioCurve> {
         self.windows
             .get(class)
-            .map(|w| w.compute_mrc_with(mode, cap_pages))
+            .map(|w| w.compute_mrc_with(mode, self.config.pool_pages))
     }
 
     /// Enforces a buffer-pool quota for a class (§3.3.2, option two).
@@ -308,7 +305,6 @@ mod tests {
                     // Must comfortably exceed one 64-page read-ahead
                     // extent plus the tests' working sets.
                     pool_pages: 256,
-                    readahead_trigger: 8,
                     window_capacity: 10_000,
                     logbuf_capacity: 4,
                 },
@@ -347,9 +343,9 @@ mod tests {
     #[test]
     fn sequential_scan_triggers_readahead() {
         let (mut eng, mut cpu, mut io) = rig();
-        let q = spec(2, (0..32).collect());
+        let q = spec(2, (0..64).collect());
         let r = eng.execute(SimTime::ZERO, &q, &mut cpu, &mut io, DomainId(1));
-        assert!(r.record.readaheads >= 1, "scan of 32 pages with trigger 8");
+        assert!(r.record.readaheads >= 1, "scan of 64 pages, trigger 56");
         // Prefetched extent is resident: a follow-up scan into it hits.
         let q2 = spec(2, (64..80).collect());
         let r2 = eng.execute(r.completion, &q2, &mut cpu, &mut io, DomainId(1));
@@ -389,13 +385,11 @@ mod tests {
             eng.execute(SimTime::ZERO, &q, &mut cpu, &mut io, DomainId(1));
         }
         let curve = eng
-            .recompute_mrc_with(class(3), 64, MrcMode::Exact)
+            .recompute_mrc_with(class(3), MrcMode::Exact)
             .expect("window exists");
         assert!(curve.miss_ratio(15) > 0.9);
         assert!(curve.miss_ratio(16) < 0.05);
-        assert!(eng
-            .recompute_mrc_with(class(99), 64, MrcMode::Exact)
-            .is_none());
+        assert!(eng.recompute_mrc_with(class(99), MrcMode::Exact).is_none());
     }
 
     #[test]
@@ -442,7 +436,6 @@ mod tests {
         // against a pool and windows small enough to overflow.
         let config = EngineConfig {
             pool_pages: 300,
-            readahead_trigger: 8,
             window_capacity: 400,
             logbuf_capacity: 4,
         };
@@ -479,7 +472,7 @@ mod tests {
                 if rng.below(3) == 0 {
                     *at = rng.below(2_000);
                 }
-                for _ in 0..rng.below(30) {
+                for _ in 0..rng.below(60) {
                     pages.push(PageId::new(SpaceId(space as u32), *at));
                     *at += 1;
                 }

@@ -9,9 +9,9 @@
 //!
 //! Besides the averages, each class's latency distribution is kept in a
 //! mergeable [`LogLinearHistogram`] (O(1) record, no retained samples,
-//! rank error below 0.8% at the default grouping power), so interval
-//! reports carry each class's tail — and feed the telemetry series —
-//! without the hot path ever holding per-query samples.
+//! rank error below 0.8%), so interval reports carry each class's tail —
+//! and feed the telemetry series — without the hot path ever holding
+//! per-query samples.
 
 use crate::ids::ClassId;
 use crate::kinds::{MetricKind, MetricVector};

@@ -96,11 +96,12 @@ impl MissRatioCurve {
         out
     }
 
-    /// Extracts the controller parameters (§3.3) for a server with
-    /// `server_memory_pages` of RAM and the given acceptability threshold
-    /// (absolute miss-ratio slack above ideal, e.g. 0.02).
-    pub fn params(&self, server_memory_pages: usize, threshold: f64) -> MrcParams {
-        let cap = self.hits.len().min(server_memory_pages);
+    /// Extracts the controller parameters (§3.3) over every tracked size
+    /// (a curve is built at its server's memory) for the given
+    /// acceptability threshold (absolute miss-ratio slack above ideal,
+    /// e.g. 0.02).
+    pub fn params(&self, threshold: f64) -> MrcParams {
+        let cap = self.hits.len();
         // Ideal: the miss ratio with all the memory we could ever give it.
         let ideal = self.miss_ratio(cap);
         // Total memory needed: smallest size achieving (within epsilon of)
@@ -111,7 +112,7 @@ impl MissRatioCurve {
         let mut cum = 0u64;
         let mut found_total = false;
         let mut found_acceptable = false;
-        for (i, &h) in self.hits.iter().take(cap).enumerate() {
+        for (i, &h) in self.hits.iter().enumerate() {
             cum += h;
             let mr = if self.total == 0 {
                 1.0
@@ -161,43 +162,6 @@ pub struct MrcParams {
     pub acceptable_memory_needed: usize,
     /// Miss ratio at `acceptable_memory_needed`.
     pub acceptable_miss_ratio: f64,
-}
-
-impl MrcParams {
-    /// The controller's "significant change" test (§3.3.2): has the total
-    /// memory need grown by more than `factor` (e.g. 1.25 = +25%) or the
-    /// ideal miss ratio deteriorated by more than `ratio_slack`?
-    ///
-    /// A class whose recomputed MRC shows significantly higher memory need
-    /// remains a *problem class* suspected of causing memory interference.
-    pub fn significantly_worse_than(
-        &self,
-        stable: &MrcParams,
-        factor: f64,
-        ratio_slack: f64,
-    ) -> bool {
-        let need_grew =
-            self.total_memory_needed as f64 > stable.total_memory_needed as f64 * factor;
-        let ratio_worse = self.ideal_miss_ratio > stable.ideal_miss_ratio + ratio_slack;
-        need_grew || ratio_worse
-    }
-
-    /// Broader change test used when a localized plan change (e.g. a
-    /// dropped index) reshapes the curve without necessarily growing it:
-    /// the acceptable memory moved by more than `rel` in either direction,
-    /// or the curve is significantly worse per
-    /// [`MrcParams::significantly_worse_than`].
-    pub fn significantly_different_from(
-        &self,
-        stable: &MrcParams,
-        rel: f64,
-        ratio_slack: f64,
-    ) -> bool {
-        let a = self.acceptable_memory_needed as f64;
-        let b = stable.acceptable_memory_needed as f64;
-        let acceptable_moved = (a - b).abs() > b.max(1.0) * rel;
-        acceptable_moved || self.significantly_worse_than(stable, 1.0 + rel, ratio_slack)
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +229,7 @@ mod tests {
         for _ in 0..100 {
             c.record_hit_at(20);
         }
-        let p = c.params(1000, 0.05);
+        let p = c.params(0.05);
         assert_eq!(p.total_memory_needed, 100);
         assert_eq!(p.ideal_miss_ratio, 0.0);
         // 5% slack: can lose up to 50 of 1000 accesses; distance-100 hits
@@ -283,7 +247,7 @@ mod tests {
         for _ in 0..90 {
             c.record_hit_at(5000);
         }
-        let p = c.params(8192, 0.02);
+        let p = c.params(0.02);
         assert_eq!(p.total_memory_needed, 5000);
         assert_eq!(p.acceptable_memory_needed, 10, "tail within threshold");
         assert!(p.acceptable_miss_ratio <= p.ideal_miss_ratio + 0.02);
@@ -295,69 +259,13 @@ mod tests {
         // ratio is 1.0 and it is reached with a single page — a class whose
         // footprint exceeds the server "needs" no quota because no quota
         // under the cap improves it (the scan case).
-        let mut c = MissRatioCurve::new(10_000);
+        let mut c = MissRatioCurve::new(4_096);
         for _ in 0..100 {
             c.record_hit_at(9_000);
         }
-        let p = c.params(4_096, 0.0);
+        let p = c.params(0.0);
         assert_eq!(p.total_memory_needed, 1);
         assert!((p.ideal_miss_ratio - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn significant_change_detection() {
-        let stable = MrcParams {
-            total_memory_needed: 1000,
-            ideal_miss_ratio: 0.01,
-            acceptable_memory_needed: 800,
-            acceptable_miss_ratio: 0.03,
-        };
-        let grown = MrcParams {
-            total_memory_needed: 2000,
-            ..stable
-        };
-        let same = MrcParams {
-            total_memory_needed: 1100,
-            ..stable
-        };
-        let worse_ratio = MrcParams {
-            ideal_miss_ratio: 0.2,
-            ..stable
-        };
-        assert!(grown.significantly_worse_than(&stable, 1.25, 0.05));
-        assert!(!same.significantly_worse_than(&stable, 1.25, 0.05));
-        assert!(worse_ratio.significantly_worse_than(&stable, 1.25, 0.05));
-    }
-
-    #[test]
-    fn significant_difference_sees_shrinkage_too() {
-        // The index-drop case: the curve flattens, so acceptable memory
-        // *shrinks* sharply — still a significant (plan) change.
-        let stable = MrcParams {
-            total_memory_needed: 8000,
-            ideal_miss_ratio: 0.01,
-            acceptable_memory_needed: 6982,
-            acceptable_miss_ratio: 0.03,
-        };
-        let flattened = MrcParams {
-            total_memory_needed: 4100,
-            ideal_miss_ratio: 0.02,
-            acceptable_memory_needed: 3695,
-            acceptable_miss_ratio: 0.05,
-        };
-        let same = MrcParams {
-            acceptable_memory_needed: 7100,
-            ..stable
-        };
-        assert!(flattened.significantly_different_from(&stable, 0.25, 0.1));
-        assert!(!same.significantly_different_from(&stable, 0.25, 0.1));
-        // Growth is also a difference.
-        let grown = MrcParams {
-            total_memory_needed: 12_000,
-            acceptable_memory_needed: 11_000,
-            ..stable
-        };
-        assert!(grown.significantly_different_from(&stable, 0.25, 0.1));
     }
 
     #[test]

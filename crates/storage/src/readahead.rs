@@ -17,10 +17,9 @@ use crate::page::{PageId, SpaceId, MAX_PAGES_PER_SPACE};
 /// Pages per extent (InnoDB constant).
 pub const EXTENT_PAGES: u64 = 64;
 
-/// Default number of sequentially increasing accesses within an extent that
-/// triggers prefetch of the next extent. InnoDB's default threshold is 56
-/// of 64; we keep that.
-pub const DEFAULT_TRIGGER: u32 = 56;
+/// Sequentially increasing accesses within an extent that trigger
+/// prefetch of the next extent: InnoDB's default threshold, 56 of 64.
+const TRIGGER: u32 = 56;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct RunState {
@@ -40,18 +39,11 @@ type SpaceRuns = Vec<(SpaceId, RunState)>;
 /// Keyed by an opaque `consumer` id (the engine keys by query class) and
 /// the tablespace, because concurrent streams must not break each other's
 /// run detection.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ReadAheadDetector {
-    trigger: u32,
     /// Each consumer's runs, sorted by consumer for binary search (one
     /// consumer per query class: a few dozen at most).
     runs: Vec<(u64, SpaceRuns)>,
-}
-
-impl Default for ReadAheadDetector {
-    fn default() -> Self {
-        Self::new(DEFAULT_TRIGGER)
-    }
 }
 
 /// One consumer's view of the detector for a run of page accesses (one
@@ -59,7 +51,6 @@ impl Default for ReadAheadDetector {
 /// tablespace is looked up again only when the tablespace changes.
 #[derive(Debug)]
 pub struct ConsumerRuns<'a> {
-    trigger: u32,
     spaces: &'a mut SpaceRuns,
     /// Index in `spaces` of the tablespace last observed.
     current: usize,
@@ -89,7 +80,7 @@ impl ConsumerRuns<'_> {
         state.last_page = Some(page_no);
 
         let extent = page_no / EXTENT_PAGES;
-        if state.run_len >= self.trigger && state.triggered_extent != Some(extent) {
+        if state.run_len >= TRIGGER && state.triggered_extent != Some(extent) {
             let next_extent_start = (extent + 1) * EXTENT_PAGES;
             if next_extent_start >= MAX_PAGES_PER_SPACE {
                 // A scan ending in the top extent: nothing addressable follows.
@@ -103,19 +94,6 @@ impl ConsumerRuns<'_> {
 }
 
 impl ReadAheadDetector {
-    /// Creates a detector that prefetches after `trigger` sequential
-    /// accesses within one extent.
-    pub fn new(trigger: u32) -> Self {
-        assert!(
-            (1..=EXTENT_PAGES as u32).contains(&trigger),
-            "trigger must be within one extent"
-        );
-        ReadAheadDetector {
-            trigger,
-            runs: Vec::new(),
-        }
-    }
-
     /// Resolves `consumer` once for a run of page accesses.
     pub fn consumer(&mut self, consumer: u64) -> ConsumerRuns<'_> {
         let i = match self.runs.binary_search_by_key(&consumer, |r| r.0) {
@@ -126,7 +104,6 @@ impl ReadAheadDetector {
             }
         };
         ConsumerRuns {
-            trigger: self.trigger,
             spaces: &mut self.runs[i].1,
             current: 0,
         }
@@ -145,28 +122,31 @@ mod tests {
     use super::*;
     use crate::page::SpaceId;
 
+    /// The trigger as a page count.
+    const T: u64 = TRIGGER as u64;
+
     fn pid(space: u32, no: u64) -> PageId {
         PageId::new(SpaceId(space), no)
     }
 
     #[test]
     fn long_sequential_run_triggers_prefetch_of_next_extent() {
-        let mut d = ReadAheadDetector::new(8);
+        let mut d = ReadAheadDetector::default();
         let mut fired = None;
-        for i in 0..10 {
+        for i in 0..T + 2 {
             if let Some(p) = d.observe(1, pid(0, i)) {
                 fired = Some((i, p));
                 break;
             }
         }
         let (at, p) = fired.expect("read-ahead should fire");
-        assert_eq!(at, 7, "fires on the trigger-th access");
+        assert_eq!(at, T - 1, "fires on the trigger-th access");
         assert_eq!(p, pid(0, EXTENT_PAGES), "prefetches the next extent");
     }
 
     #[test]
     fn random_access_never_triggers() {
-        let mut d = ReadAheadDetector::new(4);
+        let mut d = ReadAheadDetector::default();
         let pages = [5u64, 900, 3, 77, 12, 401, 9, 1000, 55, 2];
         for &p in &pages {
             assert_eq!(d.observe(1, pid(0, p)), None);
@@ -175,51 +155,55 @@ mod tests {
 
     #[test]
     fn run_must_be_within_one_consumer() {
-        let mut d = ReadAheadDetector::new(4);
+        let mut d = ReadAheadDetector::default();
         // Interleaved consumers each advance their own run.
-        for i in 0..3 {
+        for i in 0..T - 1 {
             assert_eq!(d.observe(1, pid(0, i)), None);
-            assert_eq!(d.observe(2, pid(0, 100 + i)), None);
+            assert_eq!(d.observe(2, pid(0, 200 + i)), None);
         }
-        // Fourth sequential access per consumer fires for each.
-        assert!(d.observe(1, pid(0, 3)).is_some());
-        assert!(d.observe(2, pid(0, 103)).is_some());
+        // The trigger-th sequential access per consumer fires for each.
+        assert!(d.observe(1, pid(0, T - 1)).is_some());
+        assert!(d.observe(2, pid(0, 200 + T - 1)).is_some());
     }
 
     #[test]
     fn retrigger_requires_new_extent() {
-        let mut d = ReadAheadDetector::new(4);
-        let fired = (0..4).filter_map(|i| d.observe(1, pid(0, i))).count();
+        let mut d = ReadAheadDetector::default();
+        let fired = (0..T).filter_map(|i| d.observe(1, pid(0, i))).count();
         assert_eq!(fired, 1);
         // Continuing within the same extent: no duplicate prefetch.
-        for i in 4..20 {
+        for i in T..EXTENT_PAGES {
             assert_eq!(d.observe(1, pid(0, i)), None);
         }
         // Crossing into the next extent and keeping the run: fires again.
-        let fired = (20..EXTENT_PAGES + 8).filter_map(|i| d.observe(1, pid(0, i)));
+        let fired = (EXTENT_PAGES..EXTENT_PAGES + 8).filter_map(|i| d.observe(1, pid(0, i)));
         assert_eq!(fired.count(), 1, "a scan fires once per extent");
     }
 
     #[test]
     fn broken_run_resets() {
-        let mut d = ReadAheadDetector::new(4);
-        d.observe(1, pid(0, 0));
-        d.observe(1, pid(0, 1));
-        d.observe(1, pid(0, 2));
-        d.observe(1, pid(0, 50)); // break
-        assert_eq!(d.observe(1, pid(0, 51)), None);
-        assert_eq!(d.observe(1, pid(0, 52)), None);
-        assert!(d.observe(1, pid(0, 53)).is_some(), "run of 4 from 50");
+        let mut d = ReadAheadDetector::default();
+        for i in 0..T - 1 {
+            d.observe(1, pid(0, i));
+        }
+        d.observe(1, pid(0, 1000)); // break
+        for i in 1001..1000 + T - 1 {
+            assert_eq!(d.observe(1, pid(0, i)), None);
+        }
+        assert!(
+            d.observe(1, pid(0, 1000 + T - 1)).is_some(),
+            "run of the trigger from 1000"
+        );
     }
 
     #[test]
     fn different_spaces_do_not_mix() {
-        let mut d = ReadAheadDetector::new(4);
-        for i in 0..3 {
+        let mut d = ReadAheadDetector::default();
+        for i in 0..T - 1 {
             d.observe(1, pid(0, i));
         }
         // Same consumer, other space: separate run, no trigger.
-        assert_eq!(d.observe(1, pid(9, 3)), None);
+        assert_eq!(d.observe(1, pid(9, T - 1)), None);
     }
 
     #[test]
@@ -227,8 +211,8 @@ mod tests {
         // One consumer hopping between three tablespaces mid-run: the
         // per-query view (space looked up again only on a change) must
         // fire exactly where per-page observation does.
-        let mut per_page = ReadAheadDetector::new(4);
-        let mut resolved = ReadAheadDetector::new(4);
+        let mut per_page = ReadAheadDetector::default();
+        let mut resolved = ReadAheadDetector::default();
         let mut x: u64 = 0xFEED;
         let mut next = [0u64; 3];
         let mut fired = 0;
@@ -240,7 +224,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let space = ((x >> 40) % 3) as usize;
                 // Mostly sequential within a space, sometimes a jump.
-                next[space] = if (x >> 20).is_multiple_of(11) {
+                next[space] = if (x >> 20).is_multiple_of(101) {
                     (x >> 50) % 500
                 } else {
                     next[space] + 1
@@ -258,27 +242,26 @@ mod tests {
     #[test]
     fn page_zero_never_continues_a_run() {
         // The last addressable page then page 0 is a wrap, not a scan.
-        let mut d = ReadAheadDetector::new(2);
+        let mut d = ReadAheadDetector::default();
         assert_eq!(d.observe(1, pid(0, MAX_PAGES_PER_SPACE - 1)), None);
-        assert_eq!(d.observe(1, pid(0, 0)), None, "run restarts at page 0");
-        assert!(d.observe(1, pid(0, 1)).is_some(), "run of 2 from page 0");
+        for i in 0..T - 1 {
+            assert_eq!(d.observe(1, pid(0, i)), None, "run restarts at page 0");
+        }
+        assert!(
+            d.observe(1, pid(0, T - 1)).is_some(),
+            "run of the trigger from page 0"
+        );
     }
 
     #[test]
     fn scan_ending_in_the_top_extent_prefetches_nothing() {
-        let mut d = ReadAheadDetector::new(4);
+        let mut d = ReadAheadDetector::default();
         let top = MAX_PAGES_PER_SPACE - EXTENT_PAGES;
         // The extent below the top one still prefetches the top extent.
         let mut fired = Vec::new();
-        for no in top - 4..MAX_PAGES_PER_SPACE {
+        for no in top - T..MAX_PAGES_PER_SPACE {
             fired.extend(d.observe(1, pid(0, no)));
         }
         assert_eq!(fired, vec![pid(0, top)], "no request for the top extent");
-    }
-
-    #[test]
-    #[should_panic(expected = "within one extent")]
-    fn zero_trigger_rejected() {
-        ReadAheadDetector::new(0);
     }
 }

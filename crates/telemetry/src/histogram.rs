@@ -5,11 +5,11 @@
 //! Values are non-negative integers (the workspace records latencies in
 //! integer microseconds, matching the simulation clock). The value range
 //! is split into powers of two, each power subdivided into `2^p` linear
-//! sub-buckets (`p` = [`LogLinearHistogram::grouping_power`]). Values
-//! below `2^p` get one bucket each and are therefore exact; larger values
-//! land in a bucket whose width is at most `2^-p` of its lower bound, so
-//! any quantile estimate is off by at most a factor of `1 + 2^-p` from
-//! the exact nearest-rank answer over the same sample.
+//! sub-buckets (`p` = `GROUPING_POWER` = 7). Values below `2^p` get one
+//! bucket each and are therefore exact; larger values land in a bucket
+//! whose width is at most `2^-p` of its lower bound, so any quantile
+//! estimate is off by at most a factor of `1 + 2^-p` from the exact
+//! nearest-rank answer over the same sample.
 //!
 //! Compared with retaining and sorting every sample (O(n log n) per
 //! query, unbounded memory), recording here is O(1), memory is bounded by
@@ -19,15 +19,13 @@
 
 use odlb_sim::stats::nearest_rank;
 
-/// Default linear sub-buckets per power of two (`2^7 = 128`), giving a
-/// guaranteed relative rank error of `2^-7 < 0.8%`.
-pub const DEFAULT_GROUPING_POWER: u32 = 7;
+/// `p`: each power of two splits into `2^7 = 128` linear sub-buckets,
+/// giving a guaranteed relative rank error of `2^-7 < 0.8%`.
+const GROUPING_POWER: u32 = 7;
 
 /// A mergeable log-linear histogram over `u64` values.
 #[derive(Clone, Debug)]
 pub struct LogLinearHistogram {
-    /// Linear sub-buckets per octave = `2^grouping_power`.
-    grouping_power: u32,
     /// Bucket counts, grown lazily up to the highest observed index.
     buckets: Vec<u64>,
     /// Total recorded values (always the sum of `buckets`).
@@ -45,21 +43,9 @@ pub struct LogLinearHistogram {
 }
 
 impl Default for LogLinearHistogram {
+    /// An empty histogram.
     fn default() -> Self {
-        LogLinearHistogram::new(DEFAULT_GROUPING_POWER)
-    }
-}
-
-impl LogLinearHistogram {
-    /// Creates an empty histogram with `2^grouping_power` sub-buckets per
-    /// power of two. `grouping_power` must be in `1..=16`.
-    pub fn new(grouping_power: u32) -> Self {
-        assert!(
-            (1..=16).contains(&grouping_power),
-            "grouping power out of range"
-        );
         LogLinearHistogram {
-            grouping_power,
             buckets: Vec::new(),
             count: 0,
             sum: 0,
@@ -68,21 +54,18 @@ impl LogLinearHistogram {
             max: 0,
         }
     }
+}
 
-    /// The configured grouping power.
-    pub fn grouping_power(&self) -> u32 {
-        self.grouping_power
-    }
-
+impl LogLinearHistogram {
     /// The guaranteed relative rank error: any quantile estimate `e` for
     /// exact nearest-rank answer `x` satisfies `x <= e <= x * (1 + err)`.
     pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.grouping_power) as f64
+        1.0 / (1u64 << GROUPING_POWER) as f64
     }
 
     /// Bucket index of `value`: identity below `2^p`, log-linear above.
     fn index_of(&self, value: u64) -> usize {
-        let p = self.grouping_power;
+        let p = GROUPING_POWER;
         if value < (1 << p) {
             return value as usize;
         }
@@ -95,7 +78,7 @@ impl LogLinearHistogram {
     /// upper bound — the representative quantiles report, so estimates
     /// never undershoot the exact answer).
     fn upper_bound_of(&self, index: usize) -> u64 {
-        let p = self.grouping_power;
+        let p = GROUPING_POWER;
         if index < (1 << p) {
             return index as u64;
         }
@@ -193,13 +176,8 @@ impl LogLinearHistogram {
     }
 
     /// Merges another histogram into this one by adding bucket counts —
-    /// O(buckets), count-conserving, commutative and associative. Both
-    /// histograms must share a grouping power.
+    /// O(buckets), count-conserving, commutative and associative.
     pub fn merge(&mut self, other: &LogLinearHistogram) {
-        assert_eq!(
-            self.grouping_power, other.grouping_power,
-            "cannot merge histograms with different grouping powers"
-        );
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -242,7 +220,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let mut h = LogLinearHistogram::new(7);
+        let mut h = LogLinearHistogram::default();
         for v in 0..128 {
             h.record(v);
         }
@@ -255,7 +233,7 @@ mod tests {
 
     #[test]
     fn index_and_upper_bound_are_consistent() {
-        let h = LogLinearHistogram::new(3);
+        let h = LogLinearHistogram::default();
         // Every value maps to a bucket whose upper bound is >= the value
         // and within the advertised relative width.
         let mut prev_idx = 0;
@@ -274,7 +252,7 @@ mod tests {
 
     #[test]
     fn quantile_error_bound_holds() {
-        let mut h = LogLinearHistogram::new(7);
+        let mut h = LogLinearHistogram::default();
         let mut exact: Vec<u64> = (0..5_000).map(|i| (i * i) % 700_001).collect();
         for &v in &exact {
             h.record(v);
@@ -294,9 +272,9 @@ mod tests {
 
     #[test]
     fn merge_conserves_counts_and_matches_combined() {
-        let mut a = LogLinearHistogram::new(7);
-        let mut b = LogLinearHistogram::new(7);
-        let mut all = LogLinearHistogram::new(7);
+        let mut a = LogLinearHistogram::default();
+        let mut b = LogLinearHistogram::default();
+        let mut all = LogLinearHistogram::default();
         for i in 0..1_000u64 {
             let v = i * 37 % 90_000;
             all.record(v);
@@ -326,7 +304,7 @@ mod tests {
 
     #[test]
     fn cumulative_buckets_are_monotone() {
-        let mut h = LogLinearHistogram::new(4);
+        let mut h = LogLinearHistogram::default();
         for v in [3u64, 3, 900, 17, 17, 17, 1_000_000] {
             h.record(v);
         }
@@ -344,7 +322,7 @@ mod tests {
     /// `(q * count).ceil()` computed `7.000000000000001` and picked rank 8.
     #[test]
     fn quantile_rank_is_exact_on_integer_boundaries() {
-        let mut h = LogLinearHistogram::new(7);
+        let mut h = LogLinearHistogram::default();
         for v in 1..=100 {
             h.record(v);
         }

@@ -30,7 +30,7 @@ pub use export::{
     render_csv, render_prometheus, validate_csv, validate_folded, validate_prometheus,
     ExpositionStats, FoldedStats,
 };
-pub use histogram::{LogLinearHistogram, DEFAULT_GROUPING_POWER};
+pub use histogram::LogLinearHistogram;
 pub use profiler::{
     enter_span, profile_span, span_units, PhaseStats, SharedSpanProfiler, SpanGuard, SpanProfiler,
     SpanStats,

@@ -57,18 +57,11 @@ pub const SEARCH_ITEMS_BY_REGION: usize = 3;
 pub struct RubisConfig {
     /// Application identity in the cluster.
     pub app: AppId,
-    /// When false, SearchItemsByRegion is excluded from the mix — the
-    /// paper's "RUBiS-1" configuration after the class is re-placed or
-    /// removed (Tables 2 and 3).
-    pub with_search_items_by_region: bool,
 }
 
 impl Default for RubisConfig {
     fn default() -> Self {
-        RubisConfig {
-            app: AppId(1),
-            with_search_items_by_region: true,
-        }
+        RubisConfig { app: AppId(1) }
     }
 }
 
@@ -77,7 +70,7 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
     use sizing::*;
     use spaces::*;
     let us = SimDuration::from_micros;
-    let mut classes = vec![
+    let classes = vec![
         QueryClassSpec {
             name: "BrowseCategories",
             sql: "SELECT * FROM categories",
@@ -203,15 +196,8 @@ pub fn rubis_workload(config: RubisConfig) -> WorkloadSpec {
             is_write: true,
         },
     ];
-    if !config.with_search_items_by_region {
-        classes[SEARCH_ITEMS_BY_REGION].weight = 0.0;
-    }
     WorkloadSpec {
-        name: if config.with_search_items_by_region {
-            "RUBiS".into()
-        } else {
-            "RUBiS-1".into()
-        },
+        name: "RUBiS".into(),
         app: config.app,
         classes,
     }
@@ -248,7 +234,7 @@ mod tests {
                 tracker.access(page);
             }
         }
-        let params = tracker.curve().params(10_000, 0.05);
+        let params = tracker.curve().params(0.05);
         assert!(
             (6_500..=9_500).contains(&params.acceptable_memory_needed),
             "acceptable memory {}",
@@ -273,11 +259,9 @@ mod tests {
 
     #[test]
     fn excluded_class_never_sampled() {
-        let w = rubis_workload(RubisConfig {
-            with_search_items_by_region: false,
-            ..Default::default()
-        });
-        assert_eq!(w.name, "RUBiS-1");
+        // Table 3 removes the class from the mix at run time.
+        let mut w = rubis_workload(RubisConfig::default());
+        w.classes[SEARCH_ITEMS_BY_REGION].weight = 0.0;
         let mut rng = SimRng::new(5);
         for _ in 0..5_000 {
             let q = w.sample_query(&mut rng);

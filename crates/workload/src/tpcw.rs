@@ -337,7 +337,7 @@ mod tests {
                 tracker.access(page);
             }
         }
-        tracker.curve().params(cap, 0.05)
+        tracker.curve().params(0.05)
     }
 
     #[test]

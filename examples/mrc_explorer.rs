@@ -54,7 +54,7 @@ fn main() {
         }
     }
     let curve = tracker.curve();
-    let params = curve.params(16_384, 0.05);
+    let params = curve.params(0.05);
     println!(
         "MRC of {}::{class_name} over {queries} executions ({} references)",
         workload.name,

@@ -129,10 +129,7 @@ fn shared_dbms_interference_names_the_right_culprit() {
         LoadFunction::Constant(45),
     );
     let rubis = sim.add_app(
-        rubis_workload(RubisConfig {
-            app: AppId(1),
-            ..Default::default()
-        }),
+        rubis_workload(RubisConfig { app: AppId(1) }),
         Sla::one_second(),
         ClientConfig::default(),
         LoadFunction::Step {
@@ -162,7 +159,7 @@ fn shared_dbms_interference_names_the_right_culprit() {
     }
     let target = moved.expect("SearchItemsByRegion must be re-placed");
     assert_ne!(target, inst, "must move off the shared instance");
-    assert_eq!(sim.placement_of(AppId(1), sibr), vec![target]);
+    assert_eq!(sim.placement_of(sibr), vec![target]);
 }
 
 #[test]

@@ -149,7 +149,7 @@ fn params_invariants() {
         for &k in &trace {
             tracker.access(k);
         }
-        let p = tracker.curve().params(2048, threshold);
+        let p = tracker.curve().params(threshold);
         assert!(p.acceptable_memory_needed <= 2048);
         assert!(p.total_memory_needed <= 2048);
         assert!(p.acceptable_memory_needed >= 1);

@@ -162,7 +162,7 @@ fn fig5_trace() -> Vec<odlb::storage::PageId> {
 fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
     let trace = fig5_trace();
     let curve = compute_curve(mode, CAP, trace.iter().copied());
-    let params = curve.params(CAP, MRC_THRESHOLD);
+    let params = curve.params(MRC_THRESHOLD);
 
     // Stable reference: the class used to be far cheaper (the fig. 4
     // index-drop narrative), so diagnosis must flag it as changed.

@@ -37,10 +37,12 @@ fn replication_invariants() {
             match op {
                 Op::Add(i) => sched.add_replica(InstanceId(i)),
                 Op::Remove(i) => sched.remove_replica(InstanceId(i)),
-                Op::Place { class, targets } => sched.place_class(
-                    ClassId::new(app, class),
-                    targets.into_iter().map(InstanceId).collect(),
-                ),
+                Op::Place { class, targets } => {
+                    let targets: Vec<InstanceId> = targets.into_iter().map(InstanceId).collect();
+                    let live = targets.iter().any(|i| sched.replicas().contains(i));
+                    let placed = sched.place_class(ClassId::new(app, class), targets);
+                    assert_eq!(placed, live, "a pin takes effect iff a target is live");
+                }
                 Op::Unplace(class) => sched.unplace_class(ClassId::new(app, class)),
             }
 
