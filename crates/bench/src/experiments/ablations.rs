@@ -138,7 +138,7 @@ pub fn capture_detection_snapshot(clients: usize) -> DetectionSnapshot {
             stable.insert(class, v);
         }
     }
-    sim.set_class_pattern(app, BESTSELLER, bestseller_pattern(false));
+    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
     let mut current = BTreeMap::new();
     for _ in 0..6 {
         let outcome = sim.run_interval();

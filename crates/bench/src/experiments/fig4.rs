@@ -109,7 +109,7 @@ pub fn run_observed(
     }
 
     // Drop the O_DATE index: BestSeller's plan degenerates into a scan.
-    sim.set_class_pattern(app, BESTSELLER, bestseller_pattern(false));
+    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
 
     let mut result = Fig4Result {
         ratios: BTreeMap::new(),

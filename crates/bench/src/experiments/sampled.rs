@@ -8,9 +8,7 @@
 //! [`MIN_QUOTA_PAGES`] enforcement granularity) is unchanged.
 
 use odlb_core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
-use odlb_mrc::{
-    compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
-};
+use odlb_mrc::{compute_curve, MissRatioCurve, MrcMode, MrcParams, SampledTracker};
 use odlb_sim::SimRng;
 use odlb_storage::PageId;
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
@@ -52,7 +50,7 @@ pub struct SampledAblationRow {
 }
 
 /// The controller decision a curve leads to: the problem-class verdict
-/// against a canonical stale prior, and the quota `fit_quotas` grants,
+/// against a canonical stale prior, and the quota the controller grants,
 /// in enforcement units.
 fn decision(curve: &MissRatioCurve) -> (bool, usize) {
     let params = curve.params(MRC_THRESHOLD);
@@ -65,15 +63,10 @@ fn decision(curve: &MissRatioCurve) -> (bool, usize) {
         acceptable_miss_ratio: 0.03,
     };
     let changed = mrc_changed(&params, &stable);
-    let requests = [QuotaRequest {
-        id: BESTSELLER as u64,
-        curve,
-        acceptable_pages: params.acceptable_memory_needed,
-    }];
-    let granted = match fit_quotas(CAP - 1, &requests) {
-        Some(a) => a[0].pages,
-        None => CAP, // over-committed sentinel: "re-place" decision
-    };
+    // Alone on the pool, the class gets its acceptable memory when that
+    // is below the cap; CAP stands for the over-committed "re-place"
+    // decision.
+    let granted = params.acceptable_memory_needed.min(CAP);
     (changed, granted.div_ceil(MIN_QUOTA_PAGES))
 }
 

@@ -138,7 +138,7 @@ pub fn run(
 
     // The remedy: remove the heaviest I/O context from domain 2, exactly
     // the paper's third row ("RUBiS-1").
-    sim.set_class_weight(app2, SEARCH_ITEMS_BY_REGION, 0.0);
+    sim.class_mut(app2, SEARCH_ITEMS_BY_REGION).weight = 0.0;
     for _ in 0..recovery_intervals {
         let outcome = sim.run_interval();
         if outcome.app_latency[&app1].is_some() {

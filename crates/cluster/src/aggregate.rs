@@ -28,9 +28,8 @@ use std::collections::BTreeMap;
 pub struct AppAggregate {
     /// Σ (instance mean latency × instance throughput).
     pub lat_weight: f64,
-    /// Σ instance throughput — the weight behind the mean.
-    pub weight: f64,
-    /// Σ instance throughput (queries/s).
+    /// Σ instance throughput (queries/s) — also the weight behind the
+    /// mean.
     pub tput: f64,
 }
 
@@ -38,8 +37,8 @@ impl AppAggregate {
     /// Throughput-weighted mean latency (seconds), `None` when the app
     /// saw no load — the SLA operand.
     pub fn mean_latency(&self) -> Option<f64> {
-        if self.weight > 1e-12 {
-            Some(self.lat_weight / self.weight)
+        if self.tput > 1e-12 {
+            Some(self.lat_weight / self.tput)
         } else {
             None
         }
@@ -47,7 +46,6 @@ impl AppAggregate {
 
     fn absorb(&mut self, other: AppAggregate) {
         self.lat_weight += other.lat_weight;
-        self.weight += other.weight;
         self.tput += other.tput;
     }
 }
@@ -57,8 +55,6 @@ impl AppAggregate {
 pub struct RackAggregate {
     /// Rack index ([`rack_of`]).
     pub rack: usize,
-    /// Instances folded into this partial.
-    pub instances: usize,
     /// Per-application partial sums.
     pub per_app: BTreeMap<AppId, AppAggregate>,
 }
@@ -86,9 +82,7 @@ pub fn aggregate_racks(
                 ..RackAggregate::default()
             });
         }
-        let partial = racks.last_mut().expect("rack just ensured");
-        partial.instances += 1;
-        absorb_report(partial, report);
+        absorb_report(racks.last_mut().expect("rack just ensured"), report);
     }
     racks
 }
@@ -118,7 +112,6 @@ fn absorb_report(rack: &mut RackAggregate, report: &IntervalReport) {
         let mean = lat_weighted / queries;
         let agg = rack.per_app.entry(app).or_default();
         agg.lat_weight += mean * tput;
-        agg.weight += tput;
         agg.tput += tput;
     }
 }
@@ -205,13 +198,11 @@ mod tests {
         for app in [AppId(0), AppId(1), AppId(7)] {
             let mut lat_weight = 0.0;
             let mut weight = 0.0;
-            let mut tput = 0.0;
             for report in reports.values() {
                 if let Some(mean) = report.app_mean_latency(app) {
                     let t = report.app_throughput(app);
                     lat_weight += mean * t;
                     weight += t;
-                    tput += t;
                 }
             }
             let flat_mean = if weight > 1e-12 {
@@ -221,8 +212,7 @@ mod tests {
             };
             let agg = cluster.get(&app).cloned().unwrap_or_default();
             assert_eq!(agg.lat_weight.to_bits(), lat_weight.to_bits(), "{app:?}");
-            assert_eq!(agg.weight.to_bits(), weight.to_bits(), "{app:?}");
-            assert_eq!(agg.tput.to_bits(), tput.to_bits(), "{app:?}");
+            assert_eq!(agg.tput.to_bits(), weight.to_bits(), "{app:?}");
             assert_eq!(
                 agg.mean_latency().map(f64::to_bits),
                 flat_mean.map(f64::to_bits),
@@ -239,7 +229,7 @@ mod tests {
         let flat = aggregate_cluster(&reports, 0);
         for rack_size in [1, 2, 3] {
             let racks = aggregate_racks(&reports, rack_size);
-            assert_eq!(racks.iter().map(|r| r.instances).sum::<usize>(), 4);
+            assert_eq!(racks.len(), 4_usize.div_ceil(rack_size));
             let racked = combine_racks(racks);
             assert_eq!(racked.len(), flat.len(), "rack_size {rack_size}");
             for (app, f) in &flat {

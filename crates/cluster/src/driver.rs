@@ -30,7 +30,7 @@ mod tests;
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;
 use odlb_engine::DbEngine;
-use odlb_metrics::{AppId, IntervalReport, QueryLogRecord, ServerId, Sla, SlaOutcome};
+use odlb_metrics::{AppId, IntervalReport, QueryLogRecord, Sla, SlaOutcome};
 use odlb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use odlb_storage::{DomainId, PageId, SharedIoPath};
 use odlb_telemetry::{SharedSpanProfiler, Telemetry};
@@ -183,8 +183,6 @@ struct AppState {
 /// Per-server utilisation over the closed interval.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerSnapshot {
-    /// Which server.
-    pub server: ServerId,
     /// CPU utilisation in [0, 1].
     pub cpu_utilisation: f64,
     /// Disk (domain-0 back-end) utilisation in [0, 1].
@@ -206,7 +204,7 @@ pub struct IntervalOutcome {
     pub app_throughput: BTreeMap<AppId, f64>,
     /// Per-application SLA outcome.
     pub sla: BTreeMap<AppId, SlaOutcome>,
-    /// Per-server vmstat-style utilisations.
+    /// Per-server vmstat-style utilisations, indexed by server id.
     pub servers: Vec<ServerSnapshot>,
 }
 

@@ -1,16 +1,16 @@
 //! Topology and the controller-facing mutation API: servers, instances,
 //! applications, replica provisioning/retirement, class placement,
-//! quotas, MRC recomputation, VM migration and workload-spec overrides.
+//! quotas, MRC recomputation, VM migration and class-spec overrides.
 
 use super::{AppState, Event, InstanceState, ServerState, Simulation};
 use crate::scheduler::Scheduler;
-use crate::topology::{InstanceId, ProvisionError};
+use crate::topology::InstanceId;
 use odlb_engine::{DbEngine, EngineConfig};
 use odlb_metrics::{AppId, ClassId, ServerId, Sla};
 use odlb_mrc::MissRatioCurve;
 use odlb_sim::{SimDuration, SimRng};
 use odlb_storage::{DiskModel, DomainId, SharedIoPath};
-use odlb_workload::{ClientConfig, ClientPool, LoadFunction, WorkloadSpec};
+use odlb_workload::{ClientConfig, ClientPool, LoadFunction, QueryClassSpec, WorkloadSpec};
 
 /// Data copy + warm-up delay before a provisioned replica serves: two
 /// measurement intervals (§5.2 Fig. 3; the paper reports the effect, not
@@ -126,9 +126,10 @@ impl Simulation {
     /// Provisions a new replica of `app` on a server that hosts none of
     /// its replicas yet (preferring empty servers), with the configured
     /// copy/warm-up delay before it starts serving. Returns the new
-    /// instance id. Mirrors the paper's reactive coarse-grained
-    /// provisioning (§3.3.3, Fig. 3(b)).
-    pub fn provision_replica(&mut self, app: AppId) -> Result<InstanceId, ProvisionError> {
+    /// instance id, or `None` when every server already hosts one of its
+    /// replicas. Mirrors the paper's reactive coarse-grained provisioning
+    /// (§3.3.3, Fig. 3(b)).
+    pub fn provision_replica(&mut self, app: AppId) -> Option<InstanceId> {
         let app_idx = self.app_index(app);
         let used: Vec<usize> = self.apps[app_idx]
             .scheduler
@@ -140,11 +141,7 @@ impl Simulation {
         // already hosting this app.
         let candidate = (0..self.servers.len())
             .filter(|s| !used.contains(s))
-            .min_by_key(|&s| self.instances.iter().filter(|i| i.server == s).count())
-            .ok_or(ProvisionError::NoFreeServer)?;
-        if used.contains(&candidate) {
-            return Err(ProvisionError::NoFreeServer);
-        }
+            .min_by_key(|&s| self.instances.iter().filter(|i| i.server == s).count())?;
         // Clone the engine configuration from an existing replica, or use
         // defaults for an app with no replicas yet.
         let engine_config = self.apps[app_idx]
@@ -161,7 +158,7 @@ impl Simulation {
                 instance: id.0,
             },
         );
-        Ok(id)
+        Some(id)
     }
 
     /// Retires a replica of `app`: it stops receiving traffic (in-flight
@@ -174,12 +171,11 @@ impl Simulation {
         self.instances[instance.0 as usize].retired = true;
     }
 
-    /// Pins a query class to a sub-set of its application's replicas;
-    /// `false` (and no change) when none of `instances` is one
-    /// ([`Scheduler::place_class`]).
-    pub fn place_class(&mut self, class: ClassId, instances: Vec<InstanceId>) -> bool {
+    /// Pins a query class to one replica of its application; `false` (and
+    /// no change) when `target` is not one ([`Scheduler::place_class`]).
+    pub fn place_class(&mut self, class: ClassId, target: InstanceId) -> bool {
         let idx = self.app_index(class.app);
-        self.apps[idx].scheduler.place_class(class, instances)
+        self.apps[idx].scheduler.place_class(class, target)
     }
 
     /// The replica set of `app`.
@@ -194,16 +190,11 @@ impl Simulation {
         self.apps[idx].scheduler.placement_of(class).to_vec()
     }
 
-    /// True when any pinned class of `app` is placed on `instance` —
-    /// retiring such a replica would silently undo a fine-grained
-    /// placement decision.
+    /// True when a class of `app` is pinned to `instance` — retiring such
+    /// a replica would silently undo a fine-grained placement decision.
     pub fn is_pinned_target(&self, app: AppId, instance: InstanceId) -> bool {
         let idx = self.app_index(app);
-        let sched = &self.apps[idx].scheduler;
-        sched
-            .pinned_classes()
-            .iter()
-            .any(|&class| sched.placement_of(class).contains(&instance))
+        self.apps[idx].scheduler.is_pin_target(instance)
     }
 
     /// Enforces a buffer-pool quota on one instance (§3.3.2).
@@ -252,25 +243,15 @@ impl Simulation {
         ServerId(self.instances[instance.0 as usize].server as u32)
     }
 
-    /// Overwrites the mix weight of one class (0 removes it from the mix —
-    /// the paper's "remove query contexts … in decreasing order of their
-    /// I/O rate" for I/O interference).
-    pub fn set_class_weight(&mut self, app: AppId, class_index: usize, weight: f64) {
+    /// One class's spec, for mid-run overrides; dispatch reads it live.
+    /// A zero `weight` removes the class from the mix (the paper's "remove
+    /// query contexts … in decreasing order of their I/O rate" for I/O
+    /// interference); a new `pattern` is a localized plan change like
+    /// §5.3's `O_DATE` index drop; new CPU demands model an added trigger
+    /// or a regressed plan.
+    pub fn class_mut(&mut self, app: AppId, class_index: usize) -> &mut QueryClassSpec {
         let idx = self.app_index(app);
-        self.apps[idx].spec.classes[class_index].weight = weight;
-    }
-
-    /// Swaps the access pattern of one class — the mechanism behind
-    /// localized plan changes like §5.3's `O_DATE` index drop, where one
-    /// query's plan degenerates while everything else is untouched.
-    pub fn set_class_pattern(
-        &mut self,
-        app: AppId,
-        class_index: usize,
-        pattern: odlb_workload::AccessPattern,
-    ) {
-        let idx = self.app_index(app);
-        self.apps[idx].spec.classes[class_index].pattern = pattern;
+        &mut self.apps[idx].spec.classes[class_index]
     }
 
     /// Live-migrates a database instance's VM to another physical server
@@ -307,21 +288,6 @@ impl Simulation {
         );
         self.instances[idx].server = to.0 as usize;
         true
-    }
-
-    /// Overrides one class's CPU demands — plan-cost changes (an added
-    /// trigger, a regressed plan) without touching its page accesses.
-    pub fn set_class_cpu(
-        &mut self,
-        app: AppId,
-        class_index: usize,
-        cpu_base: SimDuration,
-        cpu_per_page: SimDuration,
-    ) {
-        let idx = self.app_index(app);
-        let class = &mut self.apps[idx].spec.classes[class_index];
-        class.cpu_base = cpu_base;
-        class.cpu_per_page = cpu_per_page;
     }
 
     /// The workload spec of an app (current weights included).

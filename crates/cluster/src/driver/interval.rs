@@ -5,7 +5,6 @@
 use super::{IntervalOutcome, ServerSnapshot, Simulation, MEASUREMENT_INTERVAL};
 use crate::aggregate;
 use crate::topology::InstanceId;
-use odlb_metrics::ServerId;
 use odlb_sim::SimTime;
 use odlb_trace::TraceEvent;
 use std::collections::BTreeMap;
@@ -46,9 +45,7 @@ impl Simulation {
         let servers: Vec<ServerSnapshot> = self
             .servers
             .iter_mut()
-            .enumerate()
-            .map(|(i, s)| ServerSnapshot {
-                server: ServerId(i as u32),
+            .map(|s| ServerSnapshot {
                 cpu_utilisation: s.cpu.utilisation_since_snapshot(end),
                 io_utilisation: s.io.utilisation_since_snapshot(end),
             })

@@ -14,7 +14,7 @@ impl Simulation {
     /// closed-loop clients. Arrival times, classes and page accesses come
     /// verbatim from the schedule; CPU demands and the write flag are
     /// resolved against the *current* class spec at dispatch, so
-    /// mid-run plan changes ([`Simulation::set_class_cpu`]) still apply.
+    /// mid-run plan changes ([`Simulation::class_mut`]) still apply.
     /// The schedule is shared by `Arc`: parameter-sweep cells replay one
     /// generation without copying it per cell.
     pub fn add_replayed_app(

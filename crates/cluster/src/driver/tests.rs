@@ -1,8 +1,6 @@
 use super::*;
-use crate::topology::ProvisionError;
 use odlb_engine::EngineConfig;
-use odlb_metrics::ClassId;
-use odlb_metrics::MetricKind;
+use odlb_metrics::{ClassId, MetricKind, ServerId};
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
 use odlb_workload::{ClientConfig, LoadFunction};
 
@@ -276,7 +274,7 @@ fn class_pinning_confines_reads() {
     sim.assign_replica(app, i2);
     // Pin the read-only BestSeller class (index 8) to replica 2.
     let bs = ClassId::new(app, 8);
-    sim.place_class(bs, vec![i2]);
+    sim.place_class(bs, i2);
     sim.start();
     for _ in 0..3 {
         sim.run_interval();
@@ -294,10 +292,7 @@ fn provisioning_adds_capacity_after_delay() {
     let (mut sim, app) = small_sim(10);
     assert_eq!(sim.replicas_of(app).len(), 1);
     // No second server yet: provisioning must fail.
-    assert_eq!(
-        sim.provision_replica(app),
-        Err(ProvisionError::NoFreeServer)
-    );
+    assert_eq!(sim.provision_replica(app), None);
     sim.add_server(4);
     let new = sim.provision_replica(app).expect("free server available");
     // Not yet ready.
@@ -315,10 +310,10 @@ fn placing_onto_a_provisioning_replica_keeps_the_pin() {
     let (mut sim, app) = small_sim(10);
     let a = sim.replicas_of(app)[0];
     let bs = ClassId::new(app, 8);
-    assert!(sim.place_class(bs, vec![a]));
+    assert!(sim.place_class(bs, a));
     sim.add_server(4);
     let new = sim.provision_replica(app).expect("free server available");
-    assert!(!sim.place_class(bs, vec![new]), "not serving yet");
+    assert!(!sim.place_class(bs, new), "not serving yet");
     assert_eq!(sim.placement_of(bs), vec![a], "the pin is still A");
     sim.run_interval();
     sim.run_interval();
@@ -326,7 +321,7 @@ fn placing_onto_a_provisioning_replica_keeps_the_pin() {
         sim.replicas_of(app).contains(&new),
         "serving after the delay"
     );
-    assert!(sim.place_class(bs, vec![new]));
+    assert!(sim.place_class(bs, new));
     assert_eq!(sim.placement_of(bs), vec![new]);
 }
 
@@ -367,9 +362,9 @@ fn load_function_grows_population() {
 }
 
 #[test]
-fn set_class_weight_removes_class_from_mix() {
+fn zero_weight_removes_class_from_mix() {
     let (mut sim, app) = small_sim(10);
-    sim.set_class_weight(app, 8, 0.0);
+    sim.class_mut(app, 8).weight = 0.0;
     for _ in 0..2 {
         sim.run_interval();
     }

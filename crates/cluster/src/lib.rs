@@ -5,7 +5,7 @@
 //! * A **scheduler tier** with one [`Scheduler`] per application,
 //!   implementing read-one-write-all replication and *per-query-class*
 //!   placement and load balancing — the paper's fine-grained scheduling
-//!   unit (§3.2).
+//!   unit (§3.2). The controller pins a re-placed class to one replica.
 //! * A **resource manager** making global replica-allocation decisions
 //!   (which database instances an application runs on, provisioning new
 //!   ones from the free pool with a realistic copy/warm-up delay).
@@ -29,4 +29,4 @@ pub use driver::{
     IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, MEASUREMENT_INTERVAL,
 };
 pub use scheduler::Scheduler;
-pub use topology::{InstanceId, ProvisionError};
+pub use topology::InstanceId;

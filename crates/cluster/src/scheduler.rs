@@ -5,7 +5,9 @@
 //! read-only queries among the set of replicas allocated for the
 //! corresponding application … Each query class is placed by the
 //! scheduler on a sub-set of replicas of its application and load balanced
-//! across these replicas" under a read-one-write-all scheme.
+//! across these replicas" under a read-one-write-all scheme. The
+//! controller's sub-set is always one replica: a re-placed class is
+//! pinned to the replica it moved to.
 
 use crate::topology::InstanceId;
 use odlb_metrics::{AppId, ClassId};
@@ -27,9 +29,9 @@ pub struct Scheduler {
     app: AppId,
     /// The application's replica set, in allocation order.
     replicas: Vec<InstanceId>,
-    /// Read placement overrides per class; classes not present are load
-    /// balanced across the whole replica set.
-    placement: BTreeMap<ClassId, Vec<InstanceId>>,
+    /// The replica each pinned class reads from; classes not present are
+    /// load balanced across the whole replica set.
+    pins: BTreeMap<ClassId, InstanceId>,
 }
 
 impl Scheduler {
@@ -38,7 +40,7 @@ impl Scheduler {
         Scheduler {
             app,
             replicas,
-            placement: BTreeMap::new(),
+            pins: BTreeMap::new(),
         }
     }
 
@@ -54,56 +56,35 @@ impl Scheduler {
         }
     }
 
-    /// Removes a replica; any class placements pointing at it are pruned,
-    /// and placements that become empty fall back to the full set.
+    /// Removes a replica; classes pinned to it fall back to the full set.
     pub fn remove_replica(&mut self, instance: InstanceId) {
         self.replicas.retain(|&i| i != instance);
-        let mut emptied = Vec::new();
-        for (class, set) in self.placement.iter_mut() {
-            set.retain(|&i| i != instance);
-            if set.is_empty() {
-                emptied.push(*class);
-            }
-        }
-        for class in emptied {
-            self.placement.remove(&class);
-        }
+        self.pins.retain(|_, &mut pin| pin != instance);
     }
 
-    /// Pins `class` to a sub-set of replicas (§3.3.2: "schedule a suspect
-    /// query class on a different replica"). Instances not in the replica
-    /// set are ignored; with none left the call changes nothing. Returns
-    /// whether the pin was set.
-    pub fn place_class(&mut self, class: ClassId, instances: Vec<InstanceId>) -> bool {
+    /// Pins `class` to one replica (§3.3.2: "schedule a suspect query
+    /// class on a different replica"). A `target` outside the replica set
+    /// changes nothing. Returns whether the pin was set.
+    pub fn place_class(&mut self, class: ClassId, target: InstanceId) -> bool {
         assert_eq!(class.app, self.app, "class belongs to another application");
-        let filtered: Vec<InstanceId> = instances
-            .into_iter()
-            .filter(|i| self.replicas.contains(i))
-            .collect();
-        let placed = !filtered.is_empty();
+        let placed = self.replicas.contains(&target);
         if placed {
-            self.placement.insert(class, filtered);
+            self.pins.insert(class, target);
         }
         placed
     }
 
-    /// Removes a class pin, returning it to full load balancing.
-    pub fn unplace_class(&mut self, class: ClassId) {
-        self.placement.remove(&class);
-    }
-
-    /// The replicas `class` may currently read from.
+    /// The replicas `class` may currently read from: its pin, or the whole
+    /// replica set.
     pub fn placement_of(&self, class: ClassId) -> &[InstanceId] {
-        self.placement
+        self.pins
             .get(&class)
-            .map(|v| v.as_slice())
-            .unwrap_or(&self.replicas)
+            .map_or(&self.replicas, std::slice::from_ref)
     }
 
-    /// Classes currently pinned, in ascending order (`placement` is a
-    /// `BTreeMap`, so its key order is already sorted).
-    pub fn pinned_classes(&self) -> Vec<ClassId> {
-        self.placement.keys().copied().collect()
+    /// True when some class is pinned to `instance`.
+    pub fn is_pin_target(&self, instance: InstanceId) -> bool {
+        self.pins.values().any(|&pin| pin == instance)
     }
 
     /// Routes a read: the least-loaded replica in the class's placement
@@ -185,7 +166,7 @@ mod tests {
     #[test]
     fn placement_restricts_reads_but_not_write_all() {
         let mut s = sched();
-        s.place_class(class(3), vec![inst(2)]);
+        s.place_class(class(3), inst(2));
         assert_eq!(s.route_read(class(3), |_| 0), Some(inst(2)));
         // Other classes still load balance over everything.
         assert_eq!(s.placement_of(class(4)).len(), 3);
@@ -198,23 +179,16 @@ mod tests {
     #[test]
     fn placement_filters_foreign_instances() {
         let mut s = sched();
-        assert!(s.place_class(class(1), vec![inst(9), inst(1)]));
+        assert!(s.place_class(class(1), inst(1)));
         assert_eq!(s.placement_of(class(1)), &[inst(1)]);
-        // An all-foreign placement changes nothing instead of blackholing.
-        assert!(!s.place_class(class(1), vec![inst(9)]));
+        assert!(s.is_pin_target(inst(1)));
+        // A foreign target changes nothing instead of blackholing.
+        assert!(!s.place_class(class(1), inst(9)));
         assert_eq!(s.placement_of(class(1)), &[inst(1)]);
-        assert!(!s.place_class(class(2), vec![inst(9)]));
+        assert!(!s.place_class(class(2), inst(9)));
         assert_eq!(s.placement_of(class(2)).len(), 3);
-    }
-
-    #[test]
-    fn unplace_restores_full_balancing() {
-        let mut s = sched();
-        s.place_class(class(3), vec![inst(2)]);
-        assert_eq!(s.pinned_classes(), vec![class(3)]);
-        s.unplace_class(class(3));
-        assert!(s.pinned_classes().is_empty());
-        assert_eq!(s.placement_of(class(3)).len(), 3);
+        assert!(!s.is_pin_target(inst(9)));
+        assert!(!s.is_pin_target(inst(0)));
     }
 
     #[test]
@@ -223,11 +197,13 @@ mod tests {
         s.add_replica(inst(3));
         s.add_replica(inst(3)); // idempotent
         assert_eq!(s.replicas().len(), 4);
-        s.place_class(class(1), vec![inst(3)]);
+        assert!(s.place_class(class(1), inst(3)));
+        assert_eq!(s.placement_of(class(1)), &[inst(3)]);
         s.remove_replica(inst(3));
         assert_eq!(s.replicas().len(), 3);
         // The pin pointing at the removed replica fell back to everyone.
-        assert_eq!(s.placement_of(class(1)).len(), 3);
+        assert_eq!(s.placement_of(class(1)), s.replicas());
+        assert!(!s.is_pin_target(inst(3)));
     }
 
     #[test]
@@ -241,6 +217,6 @@ mod tests {
     #[should_panic(expected = "another application")]
     fn foreign_class_rejected() {
         let mut s = sched();
-        s.place_class(ClassId::new(AppId(9), 1), vec![inst(0)]);
+        s.place_class(ClassId::new(AppId(9), 1), inst(0));
     }
 }

@@ -19,23 +19,3 @@ impl fmt::Display for InstanceId {
         write!(f, "inst{}", self.0)
     }
 }
-
-/// Errors from replica provisioning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProvisionError {
-    /// Every server in the pool is already in use by this application.
-    NoFreeServer,
-    /// The application is unknown to the resource manager.
-    UnknownApp,
-}
-
-impl fmt::Display for ProvisionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProvisionError::NoFreeServer => write!(f, "no free server in the pool"),
-            ProvisionError::UnknownApp => write!(f, "unknown application"),
-        }
-    }
-}
-
-impl std::error::Error for ProvisionError {}

@@ -95,7 +95,7 @@ impl SelectiveRetuning {
             for (&class, &metrics) in &report.per_class {
                 if sla_met(outcome, class.app) {
                     self.stable
-                        .record_stable(instance_key(instance), class, metrics, outcome.end);
+                        .record_stable(instance_key(instance), class, metrics);
                 }
             }
         }
@@ -113,7 +113,7 @@ impl SelectiveRetuning {
                 if sla_met(outcome, class.app) && !has_mrc {
                     if let Some(curve) = sim.recompute_mrc_with(instance, class, self.mrc_mode) {
                         let params = curve.params(MRC_THRESHOLD);
-                        self.stable.record_mrc(key, class, params, outcome.end);
+                        self.stable.record_mrc(key, class, params);
                     }
                 }
             }
@@ -150,7 +150,7 @@ impl SelectiveRetuning {
         }
         match pick_replacement_target(cx.sim, class, needed_pages, from) {
             Some(target) => {
-                cx.sim.place_class(class, vec![target]);
+                cx.sim.place_class(class, target);
                 cx.actions.push(placed(class.app, class, target));
             }
             None => {
@@ -260,7 +260,6 @@ impl SelectiveRetuning {
                     &suspects,
                     &mut self.stable,
                     self.mrc_mode,
-                    outcome.end,
                     profiler,
                 )
             });

@@ -9,10 +9,8 @@
 
 use odlb_cluster::{InstanceId, Simulation};
 use odlb_metrics::{ClassId, IntervalReport, ServerId, StableStateStore};
-use odlb_mrc::{fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest};
-use odlb_sim::SimTime;
+use odlb_mrc::{MrcMode, MrcParams};
 use odlb_telemetry::{profile_span, SharedSpanProfiler};
-use std::borrow::Cow;
 
 /// MRC acceptability threshold (§2): acceptable memory is the smallest
 /// size whose miss ratio is within this of ideal. The paper's 5%.
@@ -64,9 +62,8 @@ pub fn instance_key(instance: InstanceId) -> ServerId {
 pub struct ExaminedClass {
     /// The class.
     pub class: ClassId,
-    /// The curve replayed from its access window.
-    pub curve: MissRatioCurve,
-    /// The curve's parameters, now the class's stable reference.
+    /// The parameters of the curve replayed from its access window, now
+    /// the class's stable reference.
     pub params: MrcParams,
     /// Whether the parameters differ significantly from the stable record
     /// they replace.
@@ -105,7 +102,6 @@ pub fn find_problem_classes(
     suspects: &[ClassId],
     stable: &mut StableStateStore,
     mrc_mode: MrcMode,
-    now: SimTime,
     profiler: &Option<SharedSpanProfiler>,
 ) -> Vec<ExaminedClass> {
     let key = instance_key(instance);
@@ -122,10 +118,9 @@ pub fn find_problem_classes(
         let params = curve.params(MRC_THRESHOLD);
         let prior = stable.get(key, class).and_then(|s| s.mrc);
         let changed = prior.is_some_and(|old| mrc_changed(&params, &old));
-        stable.record_mrc(key, class, params, now);
+        stable.record_mrc(key, class, params);
         examined.push(ExaminedClass {
             class,
-            curve,
             params,
             changed,
             // New class with no prior curve: problem by definition
@@ -151,71 +146,58 @@ pub fn plan_memory_action(
     if problems.is_empty() {
         return MemoryPlan::Nothing;
     }
-    let cap = sim.pool_pages(instance);
-    // The curve of every class active on this instance — the fit must
-    // account for "the rest of the application queries scheduled on the
-    // same physical server" — replaying only the windows diagnosis has
-    // not just replayed.
-    let mut curves = Vec::new();
+    // The acceptable memory of every class active on this instance — the
+    // fit must account for "the rest of the application queries scheduled
+    // on the same physical server" — replaying only the windows diagnosis
+    // has not just replayed.
+    let mut demands = Vec::new();
     profile_span(profiler, "recompute", || {
         for &class in report.per_class.keys() {
-            let curve = match examined.iter().find(|e| e.class == class) {
-                Some(e) => Some(Cow::Borrowed(&e.curve)),
+            let params = match examined.iter().find(|e| e.class == class) {
+                Some(e) => Some(e.params),
                 None => sim
                     .recompute_mrc_with(instance, class, mrc_mode)
-                    .map(Cow::Owned),
+                    .map(|curve| curve.params(MRC_THRESHOLD)),
             };
-            curves.extend(curve.map(|curve| (class, curve)));
+            demands.extend(params.map(|p| (class, p.acceptable_memory_needed)));
         }
     });
-    if curves.is_empty() {
+    if demands.is_empty() {
         return MemoryPlan::Nothing;
     }
-    let requests: Vec<QuotaRequest<'_>> = curves
-        .iter()
-        .map(|(class, curve)| {
-            let params = curve.params(MRC_THRESHOLD);
-            QuotaRequest {
-                id: class.as_u64(),
-                curve,
-                acceptable_pages: params.acceptable_memory_needed,
-            }
-        })
-        .collect();
 
     // Keep at least one page for the general partition.
-    let budget = cap.saturating_sub(1);
-    match profile_span(profiler, "fit_quotas", || fit_quotas(budget, &requests)) {
-        Some(assignments) => {
-            let quotas = problems
-                .iter()
-                .filter_map(|p| {
-                    assignments
-                        .iter()
-                        .find(|a| a.id == p.class.as_u64())
-                        .map(|a| (p.class, a.pages.max(MIN_QUOTA_PAGES).min(budget)))
-                })
-                .filter(|(_, pages)| *pages > 0)
-                .collect::<Vec<_>>();
-            if quotas.is_empty() {
-                MemoryPlan::Nothing
-            } else {
-                MemoryPlan::Quotas(quotas)
-            }
-        }
-        None => {
-            // Over-committed: move the problem class with the largest
-            // acceptable need.
-            let biggest = problems
-                .iter()
-                .max_by_key(|p| p.params.acceptable_memory_needed)
-                .expect("problems non-empty");
-            MemoryPlan::Replace {
-                class: biggest.class,
-                needed_pages: biggest.params.acceptable_memory_needed,
-            }
-        }
+    let budget = sim.pool_pages(instance).saturating_sub(1);
+    let fits = profile_span(profiler, "fit_quotas", || quotas_fit(&demands, budget));
+    if !fits {
+        // Over-committed: move the problem class with the largest
+        // acceptable need.
+        let biggest = problems
+            .iter()
+            .max_by_key(|p| p.params.acceptable_memory_needed)
+            .expect("problems non-empty");
+        return MemoryPlan::Replace {
+            class: biggest.class,
+            needed_pages: biggest.params.acceptable_memory_needed,
+        };
     }
+    let quotas: Vec<(ClassId, usize)> = problems
+        .iter()
+        .filter_map(|p| demands.iter().find(|(class, _)| *class == p.class))
+        .map(|&(class, pages)| (class, pages.max(MIN_QUOTA_PAGES).min(budget)))
+        .filter(|(_, pages)| *pages > 0)
+        .collect();
+    if quotas.is_empty() {
+        MemoryPlan::Nothing
+    } else {
+        MemoryPlan::Quotas(quotas)
+    }
+}
+
+/// The §3.3.2 feasibility rule: every class on the instance can have its
+/// acceptable memory at once when the demands sum to at most `budget`.
+fn quotas_fit(demands: &[(ClassId, usize)], budget: usize) -> bool {
+    demands.iter().map(|&(_, pages)| pages).sum::<usize>() <= budget
 }
 
 /// Picks the replica of `class.app` (other than `exclude`) best suited to
@@ -272,15 +254,7 @@ mod tests {
         suspects: &[ClassId],
         stable: &mut StableStateStore,
     ) -> Vec<ExaminedClass> {
-        find_problem_classes(
-            sim,
-            inst,
-            suspects,
-            stable,
-            MrcMode::Exact,
-            sim.now(),
-            &None,
-        )
+        find_problem_classes(sim, inst, suspects, stable, MrcMode::Exact, &None)
     }
 
     #[test]
@@ -326,7 +300,9 @@ mod tests {
             MemoryPlan::Quotas(quotas) => {
                 assert_eq!(quotas.len(), 1);
                 assert_eq!(quotas[0].0, ClassId::new(app, 0));
-                assert!(quotas[0].1 > 0);
+                // The grant is the class's acceptable memory, floored.
+                let acceptable = problems[0].params.acceptable_memory_needed;
+                assert_eq!(quotas[0].1, acceptable.max(MIN_QUOTA_PAGES));
             }
             other => panic!("expected quotas, got {other:?}"),
         }
@@ -337,6 +313,19 @@ mod tests {
         let (sim, _, inst, report) = sim_with_traffic();
         let plan = plan_memory_action(&sim, inst, &report, &[], MrcMode::Exact, &None);
         assert_eq!(plan, MemoryPlan::Nothing);
+    }
+
+    #[test]
+    fn quotas_fit_when_the_demands_sum_within_the_budget() {
+        let (a, b) = (ClassId::new(AppId(0), 1), ClassId::new(AppId(0), 2));
+        assert!(quotas_fit(&[(a, 100), (b, 200)], 8191), "300 pages fit");
+        // The paper's Table 2 situation: BestSeller needs 6,982 pages,
+        // SearchItemsByRegion 7,906 — they cannot share 8,191.
+        assert!(!quotas_fit(&[(a, 6982), (b, 7906)], 8191));
+        assert!(
+            quotas_fit(&[(a, 4096), (b, 4096)], 8192),
+            "exactly full is feasible"
+        );
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Interval<'_> {
     /// Provisions a replica of `app` and records the action; `None` when
     /// no server is free.
     pub fn provision(&mut self, app: AppId) -> Option<InstanceId> {
-        let instance = self.sim.provision_replica(app).ok()?;
+        let instance = self.sim.provision_replica(app)?;
         self.actions
             .push(Action::ProvisionedReplica { app, instance });
         Some(instance)
@@ -151,7 +151,7 @@ impl<S: Strategy> Controller<S> {
 fn complete_pending(cx: &mut Interval<'_>, pending_isolations: &mut Vec<(AppId, InstanceId)>) {
     let (sim, actions) = (&mut *cx.sim, &mut *cx.actions);
     cx.pending_placements.retain(|&(class, target)| {
-        let placed = sim.place_class(class, vec![target]);
+        let placed = sim.place_class(class, target);
         if placed {
             actions.push(Action::PlacedClass {
                 app: class.app,
@@ -165,7 +165,7 @@ fn complete_pending(cx: &mut Interval<'_>, pending_isolations: &mut Vec<(AppId, 
         let serving = sim.replicas_of(app).contains(&target);
         if serving {
             for idx in 0..sim.workload(app).classes.len() {
-                sim.place_class(ClassId::new(app, idx as u32), vec![target]);
+                sim.place_class(ClassId::new(app, idx as u32), target);
             }
             actions.push(Action::CoarseFallback { app });
         }

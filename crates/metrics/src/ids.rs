@@ -30,7 +30,7 @@ impl ClassId {
     }
 
     /// A stable 64-bit key for use with substrates that take opaque
-    /// consumer ids (read-ahead detector, quota solver).
+    /// consumer ids (the read-ahead detector).
     pub fn as_u64(self) -> u64 {
         ((self.app.0 as u64) << 32) | self.template as u64
     }

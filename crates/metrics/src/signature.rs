@@ -12,7 +12,6 @@
 use crate::ids::{ClassId, ServerId};
 use crate::kinds::MetricVector;
 use odlb_mrc::MrcParams;
-use odlb_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// The last-known-good record for one query context on one server.
@@ -25,8 +24,6 @@ pub struct StableStateSignature {
     /// system and is not recomputed unless an SLA violation occurs and
     /// memory related counters show outlier measurements".
     pub mrc: Option<MrcParams>,
-    /// When the signature was last refreshed.
-    pub recorded_at: SimTime,
 }
 
 /// Per-(server, class) stable-state storage.
@@ -43,37 +40,23 @@ impl StableStateStore {
 
     /// Refreshes the metric part of the signature after a stable interval,
     /// preserving any previously computed MRC parameters.
-    pub fn record_stable(
-        &mut self,
-        server: ServerId,
-        class: ClassId,
-        metrics: MetricVector,
-        at: SimTime,
-    ) {
+    pub fn record_stable(&mut self, server: ServerId, class: ClassId, metrics: MetricVector) {
         self.map
             .entry((server, class))
-            .and_modify(|sig| {
-                sig.metrics = metrics;
-                sig.recorded_at = at;
-            })
-            .or_insert(StableStateSignature {
-                metrics,
-                mrc: None,
-                recorded_at: at,
-            });
+            .and_modify(|sig| sig.metrics = metrics)
+            .or_insert(StableStateSignature { metrics, mrc: None });
     }
 
     /// Stores or replaces a class's MRC parameters on a server. No-op on
     /// the metric part; creates the signature when absent (a class whose
     /// MRC was computed at first scheduling, before any stable interval).
-    pub fn record_mrc(&mut self, server: ServerId, class: ClassId, mrc: MrcParams, at: SimTime) {
+    pub fn record_mrc(&mut self, server: ServerId, class: ClassId, mrc: MrcParams) {
         self.map
             .entry((server, class))
             .and_modify(|sig| sig.mrc = Some(mrc))
             .or_insert(StableStateSignature {
                 metrics: MetricVector::ZERO,
                 mrc: Some(mrc),
-                recorded_at: at,
             });
     }
 
@@ -121,18 +104,17 @@ mod tests {
     #[test]
     fn stable_record_round_trips() {
         let mut store = StableStateStore::new();
-        store.record_stable(ServerId(1), class(2), metrics(0.5), SimTime::from_secs(10));
+        store.record_stable(ServerId(1), class(2), metrics(0.5));
         let sig = store.get(ServerId(1), class(2)).unwrap();
         assert_eq!(sig.metrics[MetricKind::Latency], 0.5);
         assert_eq!(sig.mrc, None);
-        assert_eq!(sig.recorded_at, SimTime::from_secs(10));
     }
 
     #[test]
     fn refresh_preserves_mrc() {
         let mut store = StableStateStore::new();
-        store.record_mrc(ServerId(1), class(2), params(), SimTime::from_secs(1));
-        store.record_stable(ServerId(1), class(2), metrics(0.7), SimTime::from_secs(20));
+        store.record_mrc(ServerId(1), class(2), params());
+        store.record_stable(ServerId(1), class(2), metrics(0.7));
         let sig = store.get(ServerId(1), class(2)).unwrap();
         assert_eq!(sig.mrc, Some(params()), "MRC survives metric refresh");
         assert_eq!(sig.metrics[MetricKind::Latency], 0.7);
@@ -141,7 +123,7 @@ mod tests {
     #[test]
     fn mrc_before_any_stable_interval() {
         let mut store = StableStateStore::new();
-        store.record_mrc(ServerId(1), class(3), params(), SimTime::ZERO);
+        store.record_mrc(ServerId(1), class(3), params());
         let sig = store.get(ServerId(1), class(3)).unwrap();
         assert_eq!(sig.metrics, MetricVector::ZERO);
         assert!(sig.mrc.is_some());
@@ -150,8 +132,8 @@ mod tests {
     #[test]
     fn contexts_are_keyed_by_server_and_class() {
         let mut store = StableStateStore::new();
-        store.record_stable(ServerId(1), class(1), metrics(0.1), SimTime::ZERO);
-        store.record_stable(ServerId(2), class(1), metrics(0.2), SimTime::ZERO);
+        store.record_stable(ServerId(1), class(1), metrics(0.1));
+        store.record_stable(ServerId(2), class(1), metrics(0.2));
         assert_eq!(
             store.get(ServerId(1), class(1)).unwrap().metrics[MetricKind::Latency],
             0.1

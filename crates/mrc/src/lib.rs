@@ -30,20 +30,14 @@
 //! (smallest size reaching the ideal miss ratio, capped at server memory)
 //! and *acceptable memory needed* (smallest size whose miss ratio is within
 //! a threshold of ideal).
-//!
-//! [`solver`] implements the controller's quota search: can every class on
-//! a server be given a quota at which the MRC predicts its acceptable miss
-//! ratio, within the server's total memory?
 
 pub mod curve;
 pub mod mattson;
 pub mod sampled;
-pub mod solver;
 
 pub use curve::{MissRatioCurve, MrcParams};
 pub use mattson::{MattsonTracker, PageKey};
 pub use sampled::{MrcMode, SampledTracker};
-pub use solver::{fit_quotas, QuotaRequest};
 
 /// Replays one reference stream through the tracker `mode` selects,
 /// yielding its curve tracked up to `cap_pages`. The single dispatch

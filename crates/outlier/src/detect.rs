@@ -63,10 +63,9 @@ pub enum Direction {
 /// One outlier impact found in a query context.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OutlierFinding {
-    /// The metric whose impact escaped the fences.
+    /// The metric whose impact escaped the fences (the weighted value
+    /// itself is in [`DetectionReport::impacts`]).
     pub metric: MetricKind,
-    /// The weighted impact value.
-    pub impact: f64,
     /// The raw current/stable deviation ratio (before weighting).
     pub ratio: f64,
     /// Mild or extreme.
@@ -233,7 +232,6 @@ pub fn detect(
                 .or_default()
                 .push(OutlierFinding {
                     metric,
-                    impact,
                     ratio,
                     severity,
                     direction,

@@ -1,12 +1,10 @@
 //! Order statistics: quartiles, interquartile range and Tukey fences.
 
-/// First, second and third quartiles of a sample.
+/// First and third quartiles of a sample — all the fences read.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Quartiles {
     /// 25th percentile.
     pub q1: f64,
-    /// Median.
-    pub q2: f64,
     /// 75th percentile.
     pub q3: f64,
 }
@@ -64,7 +62,6 @@ pub fn quartiles(values: &[f64]) -> Option<Quartiles> {
     };
     Some(Quartiles {
         q1: q(0.25),
-        q2: q(0.50),
         q3: q(0.75),
     })
 }
@@ -78,7 +75,6 @@ mod tests {
         let v: Vec<f64> = (1..=9).map(|x| x as f64).collect();
         let q = quartiles(&v).unwrap();
         assert_eq!(q.q1, 3.0);
-        assert_eq!(q.q2, 5.0);
         assert_eq!(q.q3, 7.0);
         assert_eq!(q.iqr(), 4.0);
     }
@@ -88,7 +84,6 @@ mod tests {
         let v = [1.0, 2.0, 3.0, 4.0];
         let q = quartiles(&v).unwrap();
         assert_eq!(q.q1, 1.75);
-        assert_eq!(q.q2, 2.5);
         assert_eq!(q.q3, 3.25);
     }
 
@@ -96,13 +91,13 @@ mod tests {
     fn quartiles_are_ordered() {
         let v = [9.0, 1.0, 5.0, 5.0, 2.0, 8.0, 3.0];
         let q = quartiles(&v).unwrap();
-        assert!(q.q1 <= q.q2 && q.q2 <= q.q3);
+        assert!(q.q1 <= q.q3);
     }
 
     #[test]
     fn single_value_degenerates() {
         let q = quartiles(&[4.2]).unwrap();
-        assert_eq!((q.q1, q.q2, q.q3), (4.2, 4.2, 4.2));
+        assert_eq!((q.q1, q.q3), (4.2, 4.2));
         assert_eq!(q.iqr(), 0.0);
     }
 
@@ -113,11 +108,7 @@ mod tests {
 
     #[test]
     fn fences_and_membership() {
-        let q = Quartiles {
-            q1: 10.0,
-            q2: 15.0,
-            q3: 20.0,
-        };
+        let q = Quartiles { q1: 10.0, q3: 20.0 };
         let inner = q.fences(1.5);
         assert_eq!(inner.low, -5.0);
         assert_eq!(inner.high, 35.0);

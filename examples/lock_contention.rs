@@ -45,12 +45,9 @@ fn main() {
     for i in 0..16 {
         if i == 8 {
             println!("\n-- plan regression: each CounterUpdate now takes 45 ms --\n");
-            sim.set_class_cpu(
-                app,
-                idx,
-                SimDuration::from_millis(45),
-                SimDuration::from_micros(10),
-            );
+            let class = sim.class_mut(app, idx);
+            class.cpu_base = SimDuration::from_millis(45);
+            class.cpu_per_page = SimDuration::from_micros(10);
         }
         let outcome = sim.run_interval();
         let lock_wait = outcome.reports[&instance]

@@ -89,7 +89,7 @@ fn index_drop_triggers_detection_and_memory_action() {
         let outcome = sim.run_interval();
         controller.on_interval(&mut sim, &outcome);
     }
-    sim.set_class_pattern(app, BESTSELLER, bestseller_pattern(false));
+    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
     let bs = ClassId::new(app, BESTSELLER as u32);
     let mut detected_bs = false;
     let mut acted_on_bs = false;

@@ -77,11 +77,7 @@ fn controller_diagnoses_lock_contention() {
         .workload(app)
         .class_index_by_name("CounterUpdate")
         .unwrap();
-    let mut slow = sim.workload(app).classes[idx].clone();
-    slow.cpu_base = SimDuration::from_millis(45);
-    sim.set_class_pattern(app, idx, slow.pattern.clone());
-    // set_class_pattern keeps cpu; bump CPU via a dedicated knob:
-    sim.set_class_cpu(app, idx, SimDuration::from_millis(45), slow.cpu_per_page);
+    sim.class_mut(app, idx).cpu_base = SimDuration::from_millis(45);
 
     let counter = odlb::metrics::ClassId::new(app, idx as u32);
     let mut diagnosed = None;

@@ -19,9 +19,7 @@ use std::cell::Cell;
 // Quotas are meaningful at the granularity of the controller's quota
 // floor, so decision parity is defined over quota *units*, not raw pages.
 use odlb::core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
-use odlb::mrc::{
-    compute_curve, fit_quotas, MissRatioCurve, MrcMode, MrcParams, QuotaRequest, SampledTracker,
-};
+use odlb::mrc::{compute_curve, MissRatioCurve, MrcMode, MrcParams, SampledTracker};
 use odlb::sim::SimRng;
 use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
 use odlb::workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
@@ -157,8 +155,8 @@ fn fig5_trace() -> Vec<odlb::storage::PageId> {
 
 /// Replays the fig. 5 diagnosis under `mode` and emits the resulting
 /// controller actions through a digesting tracer: the problem-class
-/// verdict and the quota the real `fit_quotas` solver grants, rounded
-/// up to whole quota units. Returns the run digest and the event bytes.
+/// verdict and the quota the controller grants (the class's acceptable
+/// memory, which fits below the pool), rounded up to whole quota units. Returns the run digest and the event bytes.
 fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
     let trace = fig5_trace();
     let curve = compute_curve(mode, CAP, trace.iter().copied());
@@ -174,13 +172,8 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
     };
     let changed = mrc_changed(&params, &stable);
 
-    let requests = [QuotaRequest {
-        id: BESTSELLER as u64,
-        curve: &curve,
-        acceptable_pages: params.acceptable_memory_needed,
-    }];
-    let budget = CAP - 1;
-    let granted = fit_quotas(budget, &requests).expect("fig5 fits its own pool")[0].pages;
+    let granted = params.acceptable_memory_needed;
+    assert!(granted < CAP, "fig5 fits its own pool");
     let quota_units = granted.div_ceil(MIN_QUOTA_PAGES);
 
     let tracer = Tracer::new();

@@ -8,24 +8,23 @@ use odlb_testkit::{check, Gen};
 enum Op {
     Add(u32),
     Remove(u32),
-    Place { class: u32, targets: Vec<u32> },
-    Unplace(u32),
+    Place { class: u32, target: u32 },
 }
 
 fn ops(g: &mut Gen) -> Vec<Op> {
-    g.vec_of(1, 120, |g| match g.weighted(&[2.0, 1.0, 2.0, 1.0]) {
+    g.vec_of(1, 120, |g| match g.weighted(&[2.0, 1.0, 2.0]) {
         0 => Op::Add(g.u32_in(0, 12)),
         1 => Op::Remove(g.u32_in(0, 12)),
-        2 => Op::Place {
+        _ => Op::Place {
             class: g.u32_in(0, 8),
-            targets: g.vec_of(0, 4, |g| g.u32_in(0, 12)),
+            target: g.u32_in(0, 12),
         },
-        _ => Op::Unplace(g.u32_in(0, 8)),
     })
 }
 
 /// After any operation sequence:
-/// * every class placement is a subset of the live replica set;
+/// * every class placement is a non-empty subset of the live replica
+///   set (empty only when the set is);
 /// * a write reaches every live replica exactly once;
 /// * a read goes to a replica in the class's placement.
 #[test]
@@ -37,24 +36,26 @@ fn replication_invariants() {
             match op {
                 Op::Add(i) => sched.add_replica(InstanceId(i)),
                 Op::Remove(i) => sched.remove_replica(InstanceId(i)),
-                Op::Place { class, targets } => {
-                    let targets: Vec<InstanceId> = targets.into_iter().map(InstanceId).collect();
-                    let live = targets.iter().any(|i| sched.replicas().contains(i));
-                    let placed = sched.place_class(ClassId::new(app, class), targets);
-                    assert_eq!(placed, live, "a pin takes effect iff a target is live");
+                Op::Place { class, target } => {
+                    let target = InstanceId(target);
+                    let live = sched.replicas().contains(&target);
+                    let placed = sched.place_class(ClassId::new(app, class), target);
+                    assert_eq!(placed, live, "a pin takes effect iff its target is live");
+                    if placed {
+                        assert!(sched.is_pin_target(target));
+                    }
                 }
-                Op::Unplace(class) => sched.unplace_class(ClassId::new(app, class)),
             }
 
             let replicas: Vec<InstanceId> = sched.replicas().to_vec();
-            for class in sched.pinned_classes() {
+            for class in (0..8).map(|c| ClassId::new(app, c)) {
                 for inst in sched.placement_of(class) {
                     assert!(
                         replicas.contains(inst),
                         "placement of {class} contains dead {inst}"
                     );
                 }
-                assert!(!sched.placement_of(class).is_empty());
+                assert_eq!(sched.placement_of(class).is_empty(), replicas.is_empty());
             }
 
             let class = ClassId::new(app, 3);
