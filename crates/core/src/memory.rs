@@ -315,15 +315,25 @@ mod tests {
         assert_eq!(plan, MemoryPlan::Nothing);
     }
 
+    const A: ClassId = ClassId::new(AppId(0), 1);
+    const B: ClassId = ClassId::new(AppId(0), 2);
+
     #[test]
-    fn quotas_fit_when_the_demands_sum_within_the_budget() {
-        let (a, b) = (ClassId::new(AppId(0), 1), ClassId::new(AppId(0), 2));
-        assert!(quotas_fit(&[(a, 100), (b, 200)], 8191), "300 pages fit");
+    fn fit_succeeds_when_demands_fit() {
+        assert!(quotas_fit(&[(A, 100), (B, 200)], 8191), "300 pages fit");
+    }
+
+    #[test]
+    fn fit_fails_when_oversubscribed() {
         // The paper's Table 2 situation: BestSeller needs 6,982 pages,
         // SearchItemsByRegion 7,906 — they cannot share 8,191.
-        assert!(!quotas_fit(&[(a, 6982), (b, 7906)], 8191));
+        assert!(!quotas_fit(&[(A, 6982), (B, 7906)], 8191));
+    }
+
+    #[test]
+    fn fit_exact_boundary() {
         assert!(
-            quotas_fit(&[(a, 4096), (b, 4096)], 8192),
+            quotas_fit(&[(A, 4096), (B, 4096)], 8192),
             "exactly full is feasible"
         );
     }
