@@ -15,7 +15,7 @@
 //! workloads in `benchmark/`.
 
 use super::Observers;
-use odlb_cluster::{Simulation, SimulationConfig};
+use odlb_cluster::{Simulation, SimulationConfig, WorkCounts};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, ServerId, Sla};
 use odlb_sim::SimDuration;
@@ -38,8 +38,9 @@ pub struct ScaleRow {
     pub sessions: usize,
     /// Measurement intervals run.
     pub intervals: usize,
-    /// Events the driver dispatched over the whole row.
-    pub events: u64,
+    /// What the row made the model do; `work.events` is the events the
+    /// driver dispatched.
+    pub work: WorkCounts,
     /// Final-interval cluster throughput (queries/s, all apps).
     pub throughput: f64,
     /// Final-interval throughput-weighted mean latency (ms).
@@ -56,7 +57,7 @@ pub struct ScaleResult {
 impl ScaleResult {
     /// Events dispatched across the whole sweep.
     pub fn total_events(&self) -> u64 {
-        self.rows.iter().map(|r| r.events).sum()
+        self.rows.iter().map(|r| r.work.events).sum()
     }
 }
 
@@ -188,7 +189,7 @@ fn run_row(
         replicas,
         sessions,
         intervals,
-        events: sim.events_processed(),
+        work: sim.work(),
         throughput,
         latency_ms,
     }
@@ -229,7 +230,12 @@ pub fn render(r: &ScaleResult) -> String {
     for row in &r.rows {
         out.push_str(&format!(
             "{:>9}  {:>10}  {:>10}  {:>12}  {:>12.0}  {:>12.3}\n",
-            row.replicas, row.sessions, row.intervals, row.events, row.throughput, row.latency_ms
+            row.replicas,
+            row.sessions,
+            row.intervals,
+            row.work.events,
+            row.throughput,
+            row.latency_ms
         ));
     }
     out.push_str(&format!(
@@ -253,7 +259,7 @@ mod tests {
             // Every session issues at least once in the first interval
             // (and completes), so events strictly exceed 2 × sessions.
             assert!(
-                row.events > 2 * row.sessions as u64,
+                row.work.events > 2 * row.sessions as u64,
                 "row {row:?} dispatched too few events"
             );
             assert!(row.throughput > 0.0);

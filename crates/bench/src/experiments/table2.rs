@@ -9,7 +9,7 @@
 //! onto a different replica, after which TPC-W recovers most of its
 //! throughput and latency.
 
-use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
+use odlb_cluster::{Simulation, SimulationConfig, WorkCounts, MEASUREMENT_INTERVAL};
 use odlb_core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, Sla};
@@ -41,6 +41,8 @@ pub struct Table2Result {
     pub moved_sibr: bool,
     /// All actions, rendered.
     pub actions: Vec<String>,
+    /// What the run made the model do.
+    pub work: WorkCounts,
 }
 
 /// Runs the scenario. Phase lengths in 10 s measurement intervals.
@@ -96,6 +98,7 @@ pub fn run(
         },
         moved_sibr: false,
         actions: Vec::new(),
+        work: WorkCounts::default(),
     };
 
     // Phase A: alone (controller records stable states).
@@ -166,6 +169,7 @@ pub fn run(
             throughput: recovered_tput[from..].iter().sum::<f64>() / tail as f64,
         };
     }
+    result.work = sim.work();
     result
 }
 

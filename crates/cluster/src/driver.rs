@@ -36,6 +36,7 @@ use odlb_storage::{DomainId, PageId, SharedIoPath};
 use odlb_telemetry::{SharedSpanProfiler, Telemetry};
 use odlb_trace::Tracer;
 use odlb_workload::{ClientPool, GeneratedSchedule, WorkloadSpec};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -208,6 +209,27 @@ pub struct IntervalOutcome {
     pub servers: Vec<ServerSnapshot>,
 }
 
+/// What a run made the model do, counted rather than timed: the work
+/// ledger (`tests/work_ledger.rs`) pins these for fixed scenarios, so a
+/// change that moves the work shows as exact deltas.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Events dispatched.
+    pub events: u64,
+    /// Page references of the executed queries.
+    pub page_refs: u64,
+    /// Of those, the buffer-pool misses.
+    pub pool_misses: u64,
+    /// Read-ahead extent prefetches triggered.
+    pub prefetches: u64,
+    /// Miss ratio curves replayed from access windows.
+    pub curves_replayed: u64,
+    /// Window accesses those replays fed a tracker.
+    pub accesses_replayed: u64,
+    /// Heap bytes every access window holds now.
+    pub window_bytes: u64,
+}
+
 /// The simulated cluster.
 pub struct Simulation {
     config: SimulationConfig,
@@ -229,8 +251,13 @@ pub struct Simulation {
     /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
     /// back after dispatch, so steady-state sampling never allocates.
     spec_pages: Vec<PageId>,
-    /// Events dispatched since construction (events/sec accounting).
-    events_processed: u64,
+    /// Events, page references, pool misses and prefetches since
+    /// construction; [`Simulation::work`] adds the rest.
+    work: WorkCounts,
+    /// Curves and window accesses replayed by
+    /// [`Simulation::recompute_mrc_with`], which reads the model only.
+    curves_replayed: Cell<u64>,
+    accesses_replayed: Cell<u64>,
 }
 
 impl Simulation {
@@ -252,14 +279,27 @@ impl Simulation {
             profiler: None,
             interval_seq: 0,
             spec_pages: Vec::new(),
-            events_processed: 0,
+            work: WorkCounts::default(),
+            curves_replayed: Cell::new(0),
+            accesses_replayed: Cell::new(0),
         }
     }
 
     /// Total events dispatched by the loop since construction — the
     /// numerator of the events/sec scaling benchmark.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.work.events
+    }
+
+    /// The work done since construction, and the window bytes held now.
+    pub fn work(&self) -> WorkCounts {
+        let window_bytes = self.instances.iter().map(|i| i.engine.window_bytes());
+        WorkCounts {
+            curves_replayed: self.curves_replayed.get(),
+            accesses_replayed: self.accesses_replayed.get(),
+            window_bytes: window_bytes.sum::<usize>() as u64,
+            ..self.work
+        }
     }
 
     /// Installs a decision-trace handle. The driver emits
@@ -322,7 +362,9 @@ impl Simulation {
             last_tick: self.last_tick,
             started: self.started,
             interval_seq: self.interval_seq,
-            events_processed: self.events_processed,
+            work: self.work,
+            curves_replayed: self.curves_replayed.clone(),
+            accesses_replayed: self.accesses_replayed.clone(),
             ..Simulation::new(self.config)
         }
     }

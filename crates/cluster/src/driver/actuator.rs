@@ -225,9 +225,13 @@ impl Simulation {
         class: ClassId,
         mode: odlb_mrc::MrcMode,
     ) -> Option<MissRatioCurve> {
-        self.instances[instance.0 as usize]
-            .engine
-            .recompute_mrc_with(class, mode)
+        let engine = &self.instances[instance.0 as usize].engine;
+        let curve = engine.recompute_mrc_with(class, mode)?;
+        self.curves_replayed.set(self.curves_replayed.get() + 1);
+        let accesses = engine.window_len(class) as u64;
+        self.accesses_replayed
+            .set(self.accesses_replayed.get() + accesses);
+        Some(curve)
     }
 
     /// Buffer pool size (pages) of an instance.

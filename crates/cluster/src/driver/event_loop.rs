@@ -47,7 +47,7 @@ impl Simulation {
         // still lands ahead of it.
         while let Some((t, ev)) = self.queue.pop_until(tick_at) {
             self.now = t;
-            self.events_processed += 1;
+            self.work.events += 1;
             self.handle(t, ev);
         }
         self.now = tick_at;
@@ -224,6 +224,9 @@ impl Simulation {
             .engine
             .execute(now, spec, &mut srv.cpu, &mut srv.io, domain);
         span_units(&self.profiler, result.record.latency.as_micros());
+        self.work.page_refs += result.record.page_accesses;
+        self.work.pool_misses += result.record.buffer_misses;
+        self.work.prefetches += result.record.readaheads;
         instances[idx].outstanding += 1;
         self.queue.schedule(
             result.completion,

@@ -26,7 +26,7 @@ pub mod topology;
 
 pub use aggregate::{AppAggregate, RackAggregate};
 pub use driver::{
-    IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, MEASUREMENT_INTERVAL,
+    IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, WorkCounts, MEASUREMENT_INTERVAL,
 };
 pub use scheduler::Scheduler;
 pub use topology::InstanceId;

@@ -243,6 +243,16 @@ impl DbEngine {
             .map(|w| w.compute_mrc_with(mode, self.config.pool_pages))
     }
 
+    /// Accesses the window of `class` retains (0 when it has none).
+    pub fn window_len(&self, class: ClassId) -> usize {
+        self.windows.get(class).map_or(0, |w| w.len())
+    }
+
+    /// Heap bytes the per-class access windows hold.
+    pub fn window_bytes(&self) -> usize {
+        self.windows.heap_bytes()
+    }
+
     /// Enforces a buffer-pool quota for a class (§3.3.2, option two).
     pub fn set_quota(&mut self, class: ClassId, pages: usize) -> Result<(), QuotaError> {
         self.pool.set_quota(class, pages)

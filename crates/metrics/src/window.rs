@@ -60,6 +60,11 @@ impl AccessWindow {
         self.pages.iter().copied()
     }
 
+    /// Heap bytes the ring holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.pages.capacity() * std::mem::size_of::<PageId>()
+    }
+
     /// Replays the window through the tracker `mode` selects — exact
     /// Mattson or SHARDS-style spatial sampling — yielding the class's
     /// current miss ratio curve tracked up to `cap_pages`.
@@ -101,6 +106,11 @@ impl WindowRegistry {
     /// The window for `class`, if it has been seen.
     pub fn get(&self, class: ClassId) -> Option<&AccessWindow> {
         self.windows.get(&class)
+    }
+
+    /// Heap bytes the windows' buffers hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.windows.values().map(AccessWindow::heap_bytes).sum()
     }
 
     /// Classes with live windows, in ascending order (`windows` is a
