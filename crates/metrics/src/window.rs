@@ -5,64 +5,204 @@
 //! The window is the input to on-demand MRC recomputation: when a class's
 //! memory counters look like outliers, the controller replays the window
 //! through a Mattson tracker to re-derive the class's MRC parameters.
+//!
+//! A window stores each access as its difference from the one before,
+//! over the key `space << 32 | page_no`. A difference within ±32,767
+//! takes one `u16` word; anything else — a tablespace switch, a far jump
+//! — takes [`ESCAPE`] and the absolute key in four more words, so every
+//! [`PageId`] round-trips. Queries walk tables of at most a few thousand
+//! pages, so windows hold about 2 bytes an access rather than a
+//! `PageId`'s 8 (DESIGN.md, "Page addressing"). The words live in 4 KiB
+//! chunks allocated as the window fills. Whole chunks leave from the
+//! front once the rest still hold `capacity` accesses and come back as
+//! the next back chunk, so appending never decodes and a full window
+//! never allocates.
 
 use crate::ids::ClassId;
 use odlb_mrc::{compute_curve, MissRatioCurve, MrcMode};
-use odlb_storage::PageId;
+use odlb_storage::{PageId, SpaceId};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A bounded ring of recent page accesses for one query class.
+/// Words in one chunk: 4 KiB.
+const CHUNK_WORDS: usize = 2048;
+
+/// The most words one access takes: [`ESCAPE`] and a four-word key.
+const MAX_WORDS: usize = 5;
+
+/// The word that announces an absolute key in the next four words
+/// (low half first). It is the difference −32,768, which is always
+/// written out in full instead.
+const ESCAPE: u16 = 0x8000;
+
+/// The largest difference written as one word.
+const MAX_DELTA: i64 = i16::MAX as i64;
+
+fn key_of(page: PageId) -> u64 {
+    u64::from(page.space.0) << 32 | page.page_no()
+}
+
+fn page_of(key: u64) -> PageId {
+    PageId::new(SpaceId((key >> 32) as u32), key & u64::from(u32::MAX))
+}
+
+/// A run of encoded accesses, at most [`CHUNK_WORDS`] words.
+#[derive(Debug)]
+struct Chunk {
+    /// The key of the access before this chunk's first: what its first
+    /// difference is taken against.
+    base: u64,
+    /// Accesses encoded in `words`.
+    accesses: usize,
+    words: Vec<u16>,
+}
+
+/// A clone keeps a chunk's full capacity, so a forked window appends to
+/// its back chunk without growing it.
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        let mut words = Vec::with_capacity(CHUNK_WORDS);
+        words.extend_from_slice(&self.words);
+        Chunk {
+            base: self.base,
+            accesses: self.accesses,
+            words,
+        }
+    }
+}
+
+/// A bounded window of recent page accesses for one query class.
 #[derive(Clone, Debug)]
 pub struct AccessWindow {
-    pages: VecDeque<PageId>,
+    chunks: VecDeque<Chunk>,
+    /// Accesses in `chunks`. Those beyond the newest `capacity` are a
+    /// surplus at the front, fewer than the front chunk holds.
+    held: usize,
+    /// The newest access's key.
+    last: u64,
+    /// The words of the last chunk trimmed off, emptied, waiting to be
+    /// the next back chunk (empty and unallocated when there is none; a
+    /// clone starts without one).
+    spare: Vec<u16>,
     capacity: usize,
 }
 
 impl AccessWindow {
     /// Creates a window retaining the most recent `capacity` accesses.
+    /// Nothing is allocated until the first access.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "window must retain at least one access");
         AccessWindow {
-            pages: VecDeque::with_capacity(capacity),
+            chunks: VecDeque::new(),
+            held: 0,
+            last: 0,
+            spare: Vec::new(),
             capacity,
         }
     }
 
     /// Records one page access.
     pub fn push(&mut self, page: PageId) {
-        if self.pages.len() == self.capacity {
-            self.pages.pop_front();
-        }
-        self.pages.push_back(page);
+        self.extend(std::slice::from_ref(&page));
     }
 
     /// Records a run of page accesses, oldest first — one query's page
     /// list in one step. Same result as pushing each page in turn.
     pub fn extend(&mut self, pages: &[PageId]) {
-        let kept = &pages[pages.len().saturating_sub(self.capacity)..];
-        let overflow = (self.pages.len() + kept.len()).saturating_sub(self.capacity);
-        self.pages.drain(..overflow);
-        self.pages.extend(kept);
+        let mut rest = &pages[pages.len().saturating_sub(self.capacity)..];
+        while !rest.is_empty() {
+            // One room check per run that fits the back chunk: every
+            // page of it is encoded without another.
+            let room = self
+                .chunks
+                .back()
+                .map_or(0, |c| CHUNK_WORDS - c.words.len());
+            if room < MAX_WORDS {
+                self.start_chunk();
+                continue;
+            }
+            let (run, later) = rest.split_at(rest.len().min(room / MAX_WORDS));
+            let back = self.chunks.back_mut().expect("a back chunk has room");
+            let mut last = self.last;
+            for &page in run {
+                let key = key_of(page);
+                // Wrapping, so the decoder's wrapping add inverts it.
+                let delta = key.wrapping_sub(last) as i64;
+                if (-MAX_DELTA..=MAX_DELTA).contains(&delta) {
+                    back.words.push(delta as u16);
+                } else {
+                    back.words.push(ESCAPE);
+                    back.words
+                        .extend([0, 16, 32, 48].map(|shift| (key >> shift) as u16));
+                }
+                last = key;
+            }
+            back.accesses += run.len();
+            self.held += run.len();
+            self.last = last;
+            rest = later;
+        }
+        self.trim();
+    }
+
+    /// Opens a new back chunk, reusing the last trimmed one if any.
+    fn start_chunk(&mut self) {
+        self.trim();
+        let mut words = std::mem::take(&mut self.spare);
+        if words.capacity() == 0 {
+            words = Vec::with_capacity(CHUNK_WORDS);
+        }
+        self.chunks.push_back(Chunk {
+            base: self.last,
+            accesses: 0,
+            words,
+        });
+    }
+
+    /// Pops front chunks while the rest still hold `capacity` accesses.
+    fn trim(&mut self) {
+        while self
+            .chunks
+            .front()
+            .is_some_and(|c| self.held - c.accesses >= self.capacity)
+        {
+            let mut front = self.chunks.pop_front().expect("a front chunk");
+            self.held -= front.accesses;
+            front.words.clear();
+            self.spare = front.words;
+        }
     }
 
     /// Accesses currently retained.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.held.min(self.capacity)
     }
 
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.held == 0
     }
 
     /// Iterates retained accesses oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.pages.iter().copied()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PageId> + '_ {
+        let mut iter = Iter {
+            chunks: self.chunks.iter(),
+            words: [].iter(),
+            key: 0,
+            left: self.len(),
+        };
+        // The surplus in front of the window, less than one chunk.
+        for _ in self.len()..self.held {
+            iter.decode();
+        }
+        iter
     }
 
-    /// Heap bytes the ring holds.
+    /// Heap bytes the window holds: its chunks, the spare and the chunk
+    /// ring.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.pages.capacity() * std::mem::size_of::<PageId>()
+        let words: usize = self.chunks.iter().map(|c| c.words.capacity()).sum();
+        (words + self.spare.capacity()) * std::mem::size_of::<u16>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
     }
 
     /// Replays the window through the tracker `mode` selects — exact
@@ -72,6 +212,57 @@ impl AccessWindow {
         compute_curve(mode, cap_pages, self.iter())
     }
 }
+
+/// Decodes a window's chunks oldest-first; yields the last `left`.
+struct Iter<'a> {
+    chunks: std::collections::vec_deque::Iter<'a, Chunk>,
+    words: std::slice::Iter<'a, u16>,
+    key: u64,
+    left: usize,
+}
+
+impl Iter<'_> {
+    /// The next access's key, moving into the next chunk when this one
+    /// is spent.
+    fn decode(&mut self) -> u64 {
+        let word = loop {
+            if let Some(&word) = self.words.next() {
+                break word;
+            }
+            let chunk = self.chunks.next().expect("the window holds this access");
+            self.key = chunk.base;
+            self.words = chunk.words.iter();
+        };
+        self.key = if word == ESCAPE {
+            let mut key = 0;
+            for shift in [0, 16, 32, 48] {
+                key |= u64::from(*self.words.next().expect("four key words")) << shift;
+            }
+            key
+        } else {
+            self.key.wrapping_add(i64::from(word as i16) as u64)
+        };
+        self.key
+    }
+}
+
+impl Iterator for Iter<'_> {
+    type Item = PageId;
+
+    fn next(&mut self) -> Option<PageId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(page_of(self.decode()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 /// The per-class window registry for one server's engine.
 #[derive(Clone, Debug)]
@@ -130,15 +321,18 @@ mod tests {
         PageId::new(SpaceId(0), no)
     }
 
-    /// The ring is the per-(instance, class) memory of §3.3's window:
-    /// eight bytes an access, allocated once.
+    /// A sequential scan takes one word an access: a full window of
+    /// 100,000 holds at most 2 bytes an access plus one chunk, and an
+    /// unused window holds nothing.
     #[test]
-    fn ring_holds_eight_bytes_per_access() {
-        for n in [1usize, 1_000, 100_000] {
-            let w = AccessWindow::new(n);
-            let ring_bytes = w.pages.capacity() * std::mem::size_of::<PageId>();
-            assert_eq!(ring_bytes, n * 8, "window of {n}");
+    fn sequential_window_holds_two_bytes_per_access() {
+        assert_eq!(AccessWindow::new(100_000).heap_bytes(), 0);
+        let mut w = AccessWindow::new(100_000);
+        for i in 0..100_000 {
+            w.push(pid(i));
         }
+        let bytes = w.heap_bytes();
+        assert!(bytes <= 2 * 100_000 + 2 * CHUNK_WORDS, "{bytes} bytes");
     }
 
     #[test]

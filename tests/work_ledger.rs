@@ -24,7 +24,7 @@ fn table2_at_15_recovery_intervals() {
         prefetches: 11_458,
         curves_replayed: 196,
         accesses_replayed: 1_616_198,
-        window_bytes: 40_000_000,
+        window_bytes: 1_417_056,
     };
     assert_eq!(work, expected);
 }
@@ -44,7 +44,7 @@ fn fig_scale_mini() {
             prefetches: 0,
             curves_replayed: 0,
             accesses_replayed: 0,
-            window_bytes: 2_097_152,
+            window_bytes: 152_576,
         },
         WorkCounts {
             events: 90_419,
@@ -53,7 +53,7 @@ fn fig_scale_mini() {
             prefetches: 0,
             curves_replayed: 0,
             accesses_replayed: 0,
-            window_bytes: 4_194_304,
+            window_bytes: 321_536,
         },
     ];
     assert_eq!(work, expected);
