@@ -8,7 +8,7 @@
 //! acceptable memory, otherwise re-placement of the biggest problem class.
 
 use odlb_cluster::{InstanceId, Simulation};
-use odlb_metrics::{ClassId, IntervalReport, ServerId, StableStateStore};
+use odlb_metrics::{ClassId, IntervalReport, MetricKind, ServerId, StableStateStore};
 use odlb_mrc::{MrcMode, MrcParams};
 use odlb_telemetry::{profile_span, SharedSpanProfiler};
 
@@ -146,32 +146,74 @@ pub fn plan_memory_action(
     if problems.is_empty() {
         return MemoryPlan::Nothing;
     }
+    // Keep at least one page for the general partition.
+    let budget = sim.pool_pages(instance).saturating_sub(1);
     // The acceptable memory of every class active on this instance — the
     // fit must account for "the rest of the application queries scheduled
     // on the same physical server" — replaying only the windows diagnosis
-    // has not just replayed.
-    let mut demands = Vec::new();
-    profile_span(profiler, "recompute", || {
-        for &class in report.per_class.keys() {
-            let params = match examined.iter().find(|e| e.class == class) {
-                Some(e) => Some(e.params),
-                None => sim
-                    .recompute_mrc_with(instance, class, mrc_mode)
-                    .map(|curve| curve.params(MRC_THRESHOLD)),
-            };
-            demands.extend(params.map(|p| (class, p.acceptable_memory_needed)));
-        }
+    // has not just replayed, and only until the fit has failed.
+    let active = report
+        .per_class
+        .iter()
+        .map(|(&class, v)| (class, v[MetricKind::PageAccesses]));
+    let demands = profile_span(profiler, "recompute", || {
+        demands_until_overflow(active, examined, budget, |class| {
+            sim.recompute_mrc_with(instance, class, mrc_mode)
+                .map(|curve| curve.params(MRC_THRESHOLD).acceptable_memory_needed)
+        })
     });
     if demands.is_empty() {
         return MemoryPlan::Nothing;
     }
-
-    // Keep at least one page for the general partition.
-    let budget = sim.pool_pages(instance).saturating_sub(1);
     let fits = profile_span(profiler, "fit_quotas", || quotas_fit(&demands, budget));
+    plan_from(&problems, &demands, fits, budget)
+}
+
+/// The `(class, acceptable pages)` demands of the `active` classes
+/// (each with its page accesses this interval) that the fit needs. The
+/// `examined` ones cost nothing and are summed first; the others are
+/// replayed through `replay` busiest first, ties by class, until the sum
+/// exceeds `budget`. Past that point the fit has failed and no further
+/// demand can change the plan, so nothing more is replayed. When
+/// everything fits, every active class with a window is included.
+fn demands_until_overflow(
+    active: impl Iterator<Item = (ClassId, f64)>,
+    examined: &[ExaminedClass],
+    budget: usize,
+    mut replay: impl FnMut(ClassId) -> Option<usize>,
+) -> Vec<(ClassId, usize)> {
+    let mut demands = Vec::new();
+    let mut others = Vec::new();
+    for (class, accesses) in active {
+        match examined.iter().find(|e| e.class == class) {
+            Some(e) => demands.push((class, e.params.acceptable_memory_needed)),
+            None => others.push((class, accesses)),
+        }
+    }
+    others.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut sum: usize = demands.iter().map(|&(_, pages)| pages).sum();
+    for (class, _) in others {
+        if sum > budget {
+            break;
+        }
+        if let Some(pages) = replay(class) {
+            sum += pages;
+            demands.push((class, pages));
+        }
+    }
+    demands
+}
+
+/// The plan once the fit is known: quotas for the `problems` when the
+/// `demands` `fit`, else the re-placement of the problem class with the
+/// largest acceptable need.
+fn plan_from(
+    problems: &[&ExaminedClass],
+    demands: &[(ClassId, usize)],
+    fits: bool,
+    budget: usize,
+) -> MemoryPlan {
     if !fits {
-        // Over-committed: move the problem class with the largest
-        // acceptable need.
         let biggest = problems
             .iter()
             .max_by_key(|p| p.params.acceptable_memory_needed)
@@ -336,6 +378,68 @@ mod tests {
             quotas_fit(&[(A, 4096), (B, 4096)], 8192),
             "exactly full is feasible"
         );
+    }
+
+    /// Over random demand sets, stopping the replays once the sum has
+    /// passed the budget plans what replaying every class plans, and
+    /// nothing is replayed past that point.
+    #[test]
+    fn early_exit_plans_what_replaying_every_class_plans() {
+        let mut rng = odlb_sim::SimRng::new(39);
+        for case in 0..2_000 {
+            let budget = rng.range(0, 9_000) as usize;
+            let mut examined = Vec::new();
+            let mut windows = Vec::new();
+            let mut active = Vec::new();
+            for i in 0..rng.range(1, 12) as u32 {
+                let class = ClassId::new(AppId(i % 2), i);
+                let pages = rng.range(0, 4_000) as usize;
+                if rng.chance(0.3) {
+                    let params = MrcParams {
+                        total_memory_needed: pages,
+                        ideal_miss_ratio: 0.0,
+                        acceptable_memory_needed: pages,
+                        acceptable_miss_ratio: 0.0,
+                    };
+                    let problem = rng.chance(0.7);
+                    examined.push(ExaminedClass {
+                        class,
+                        params,
+                        changed: problem,
+                        problem,
+                    });
+                } else {
+                    windows.push((class, rng.chance(0.9).then_some(pages)));
+                }
+                // Few distinct access counts, so ties are common.
+                active.push((class, rng.range(0, 8) as f64));
+            }
+            let window = |class| windows.iter().find(|w| w.0 == class).and_then(|w| w.1);
+            let every =
+                demands_until_overflow(active.iter().copied(), &examined, usize::MAX, window);
+            let mut sum: usize = examined
+                .iter()
+                .map(|e| e.params.acceptable_memory_needed)
+                .sum();
+            let early =
+                demands_until_overflow(active.iter().copied(), &examined, budget, |class| {
+                    assert!(
+                        sum <= budget,
+                        "case {case}: {class:?} replayed after the fit failed"
+                    );
+                    let pages = window(class);
+                    sum += pages.unwrap_or(0);
+                    pages
+                });
+            let problems: Vec<&ExaminedClass> = examined.iter().filter(|e| e.problem).collect();
+            if problems.is_empty() || every.is_empty() {
+                assert_eq!(early.is_empty(), every.is_empty(), "case {case}");
+                continue;
+            }
+            let plan =
+                |d: &[(ClassId, usize)]| plan_from(&problems, d, quotas_fit(d, budget), budget);
+            assert_eq!(plan(&early), plan(&every), "case {case}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ fn table2_at_15_recovery_intervals() {
         page_refs: 927_911,
         pool_misses: 105_922,
         prefetches: 11_458,
-        curves_replayed: 196,
-        accesses_replayed: 1_616_198,
+        curves_replayed: 113,
+        accesses_replayed: 1_367_051,
         window_bytes: 1_417_056,
     };
     assert_eq!(work, expected);
