@@ -9,18 +9,19 @@
 //! A window stores each access as its difference from the one before,
 //! over the key `space << 32 | page_no`. A difference within ±32,767
 //! takes one `u16` word; anything else — a tablespace switch, a far jump
-//! — takes [`ESCAPE`] and the absolute key in four more words, so every
-//! [`PageId`] round-trips. Queries walk tables of at most a few thousand
-//! pages, so windows hold about 2 bytes an access rather than a
-//! `PageId`'s 8 (DESIGN.md, "Page addressing"). The words live in 4 KiB
+//! — takes `ESCAPE` and the absolute key in four more words, so every
+//! [`PageId`] round-trips. The workloads' tables span at most 16,000
+//! pages, so only tablespace switches escape and windows hold about 2
+//! bytes an access rather than a `PageId`'s 8 (DESIGN.md, "Page
+//! addressing"). The words live in 4 KiB
 //! chunks allocated as the window fills. Whole chunks leave from the
 //! front once the rest still hold `capacity` accesses and come back as
 //! the next back chunk, so appending never decodes and a full window
 //! never allocates.
 
 use crate::ids::ClassId;
-use odlb_mrc::{compute_curve, MissRatioCurve, MrcMode};
-use odlb_storage::{PageId, SpaceId};
+use odlb_mrc::{compute_curve, MissRatioCurve, MrcMode, PageKey};
+use odlb_storage::PageId;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Words in one chunk: 4 KiB.
@@ -37,12 +38,9 @@ const ESCAPE: u16 = 0x8000;
 /// The largest difference written as one word.
 const MAX_DELTA: i64 = i16::MAX as i64;
 
+/// The key a window encodes; [`PageKey::page`] of a `u64` inverts it.
 fn key_of(page: PageId) -> u64 {
     u64::from(page.space.0) << 32 | page.page_no()
-}
-
-fn page_of(key: u64) -> PageId {
-    PageId::new(SpaceId((key >> 32) as u32), key & u64::from(u32::MAX))
 }
 
 /// A run of encoded accesses, at most [`CHUNK_WORDS`] words.
@@ -254,7 +252,7 @@ impl Iterator for Iter<'_> {
             return None;
         }
         self.left -= 1;
-        Some(page_of(self.decode()))
+        Some(self.decode().page())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -4,9 +4,11 @@
 //! table or index in the simulated schema) and its page number within that
 //! space. 16 KiB pages match InnoDB, the engine the paper instrumented.
 //!
-//! A [`PageId`] is 8 bytes: every access window, pool node, key table and
-//! page list holds one per page, so its width is the memory cost of the
-//! paper's mechanism (DESIGN.md, "Page addressing").
+//! A [`PageId`] is 8 bytes: every pool node, key table and page list
+//! holds one per page, so its width is the memory cost of the paper's
+//! mechanism. Access windows hold about 2 bytes an access instead, as
+//! 16-bit differences between consecutive pages (DESIGN.md, "Page
+//! addressing").
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
