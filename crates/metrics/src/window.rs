@@ -39,37 +39,25 @@ const ESCAPE: u16 = 0x8000;
 const MAX_DELTA: i64 = i16::MAX as i64;
 
 /// The key a window encodes; [`PageKey::page`] of a `u64` inverts it.
+#[inline]
 fn key_of(page: PageId) -> u64 {
     u64::from(page.space.0) << 32 | page.page_no()
 }
 
-/// A run of encoded accesses, at most [`CHUNK_WORDS`] words.
-#[derive(Debug)]
+/// A run of encoded accesses in a fixed 4 KiB block of words.
+#[derive(Clone, Debug)]
 struct Chunk {
     /// The key of the access before this chunk's first: what its first
     /// difference is taken against.
     base: u64,
-    /// Accesses encoded in `words`.
+    /// Accesses encoded in the first `len` words.
     accesses: usize,
-    words: Vec<u16>,
-}
-
-/// A clone keeps a chunk's full capacity, so a forked window appends to
-/// its back chunk without growing it.
-impl Clone for Chunk {
-    fn clone(&self) -> Self {
-        let mut words = Vec::with_capacity(CHUNK_WORDS);
-        words.extend_from_slice(&self.words);
-        Chunk {
-            base: self.base,
-            accesses: self.accesses,
-            words,
-        }
-    }
+    len: usize,
+    words: Box<[u16]>,
 }
 
 /// A bounded window of recent page accesses for one query class.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AccessWindow {
     chunks: VecDeque<Chunk>,
     /// Accesses in `chunks`. Those beyond the newest `capacity` are a
@@ -77,11 +65,23 @@ pub struct AccessWindow {
     held: usize,
     /// The newest access's key.
     last: u64,
-    /// The words of the last chunk trimmed off, emptied, waiting to be
-    /// the next back chunk (empty and unallocated when there is none; a
-    /// clone starts without one).
-    spare: Vec<u16>,
+    /// The words of the last chunk trimmed off, waiting to be the next
+    /// back chunk.
+    spare: Option<Box<[u16]>>,
     capacity: usize,
+}
+
+/// A clone leaves the spare behind: it holds no access.
+impl Clone for AccessWindow {
+    fn clone(&self) -> Self {
+        AccessWindow {
+            chunks: self.chunks.clone(),
+            held: self.held,
+            last: self.last,
+            spare: None,
+            capacity: self.capacity,
+        }
+    }
 }
 
 impl AccessWindow {
@@ -93,7 +93,7 @@ impl AccessWindow {
             chunks: VecDeque::new(),
             held: 0,
             last: 0,
-            spare: Vec::new(),
+            spare: None,
             capacity,
         }
     }
@@ -110,30 +110,32 @@ impl AccessWindow {
         while !rest.is_empty() {
             // One room check per run that fits the back chunk: every
             // page of it is encoded without another.
-            let room = self
-                .chunks
-                .back()
-                .map_or(0, |c| CHUNK_WORDS - c.words.len());
+            let room = self.chunks.back().map_or(0, |c| CHUNK_WORDS - c.len);
             if room < MAX_WORDS {
                 self.start_chunk();
                 continue;
             }
             let (run, later) = rest.split_at(rest.len().min(room / MAX_WORDS));
             let back = self.chunks.back_mut().expect("a back chunk has room");
-            let mut last = self.last;
+            let out = &mut back.words[back.len..];
+            let (mut n, mut last) = (0, self.last);
             for &page in run {
                 let key = key_of(page);
                 // Wrapping, so the decoder's wrapping add inverts it.
                 let delta = key.wrapping_sub(last) as i64;
                 if (-MAX_DELTA..=MAX_DELTA).contains(&delta) {
-                    back.words.push(delta as u16);
+                    out[n] = delta as u16;
+                    n += 1;
                 } else {
-                    back.words.push(ESCAPE);
-                    back.words
-                        .extend([0, 16, 32, 48].map(|shift| (key >> shift) as u16));
+                    out[n] = ESCAPE;
+                    for (i, word) in out[n + 1..n + MAX_WORDS].iter_mut().enumerate() {
+                        *word = (key >> (16 * i)) as u16;
+                    }
+                    n += MAX_WORDS;
                 }
                 last = key;
             }
+            back.len += n;
             back.accesses += run.len();
             self.held += run.len();
             self.last = last;
@@ -145,14 +147,12 @@ impl AccessWindow {
     /// Opens a new back chunk, reusing the last trimmed one if any.
     fn start_chunk(&mut self) {
         self.trim();
-        let mut words = std::mem::take(&mut self.spare);
-        if words.capacity() == 0 {
-            words = Vec::with_capacity(CHUNK_WORDS);
-        }
+        let words = self.spare.take();
         self.chunks.push_back(Chunk {
             base: self.last,
             accesses: 0,
-            words,
+            len: 0,
+            words: words.unwrap_or_else(|| vec![0; CHUNK_WORDS].into_boxed_slice()),
         });
     }
 
@@ -163,10 +163,9 @@ impl AccessWindow {
             .front()
             .is_some_and(|c| self.held - c.accesses >= self.capacity)
         {
-            let mut front = self.chunks.pop_front().expect("a front chunk");
+            let front = self.chunks.pop_front().expect("a front chunk");
             self.held -= front.accesses;
-            front.words.clear();
-            self.spare = front.words;
+            self.spare = Some(front.words);
         }
     }
 
@@ -184,7 +183,7 @@ impl AccessWindow {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = PageId> + '_ {
         let mut iter = Iter {
             chunks: self.chunks.iter(),
-            words: [].iter(),
+            words: &[],
             key: 0,
             left: self.len(),
         };
@@ -198,8 +197,8 @@ impl AccessWindow {
     /// Heap bytes the window holds: its chunks, the spare and the chunk
     /// ring.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let words: usize = self.chunks.iter().map(|c| c.words.capacity()).sum();
-        (words + self.spare.capacity()) * std::mem::size_of::<u16>()
+        let chunks = self.chunks.len() + usize::from(self.spare.is_some());
+        chunks * CHUNK_WORDS * std::mem::size_of::<u16>()
             + self.chunks.capacity() * std::mem::size_of::<Chunk>()
     }
 
@@ -214,39 +213,44 @@ impl AccessWindow {
 /// Decodes a window's chunks oldest-first; yields the last `left`.
 struct Iter<'a> {
     chunks: std::collections::vec_deque::Iter<'a, Chunk>,
-    words: std::slice::Iter<'a, u16>,
+    /// The undecoded words of the current chunk.
+    words: &'a [u16],
     key: u64,
     left: usize,
 }
 
 impl Iter<'_> {
-    /// The next access's key, moving into the next chunk when this one
-    /// is spent.
+    /// The next access's key. Replays spend their time here: the state
+    /// stays in registers, and only a chunk switch calls out.
+    #[inline]
     fn decode(&mut self) -> u64 {
-        let word = loop {
-            if let Some(&word) = self.words.next() {
-                break word;
-            }
-            let chunk = self.chunks.next().expect("the window holds this access");
-            self.key = chunk.base;
-            self.words = chunk.words.iter();
-        };
-        self.key = if word == ESCAPE {
-            let mut key = 0;
-            for shift in [0, 16, 32, 48] {
-                key |= u64::from(*self.words.next().expect("four key words")) << shift;
-            }
-            key
+        if self.words.is_empty() {
+            (self.key, self.words) = next_chunk(&mut self.chunks);
+        }
+        let (&word, rest) = self.words.split_first().expect("chunks are never empty");
+        if word == ESCAPE {
+            let (key, rest) = rest.split_at(MAX_WORDS - 1);
+            self.key = key.iter().rev().fold(0, |k, &w| k << 16 | u64::from(w));
+            self.words = rest;
         } else {
-            self.key.wrapping_add(i64::from(word as i16) as u64)
-        };
+            self.key = self.key.wrapping_add(i64::from(word as i16) as u64);
+            self.words = rest;
+        }
         self.key
     }
+}
+
+/// The base key and the words of the next chunk.
+#[cold]
+fn next_chunk<'a>(chunks: &mut std::collections::vec_deque::Iter<'a, Chunk>) -> (u64, &'a [u16]) {
+    let chunk = chunks.next().expect("the window holds this access");
+    (chunk.base, &chunk.words[..chunk.len])
 }
 
 impl Iterator for Iter<'_> {
     type Item = PageId;
 
+    #[inline]
     fn next(&mut self) -> Option<PageId> {
         if self.left == 0 {
             return None;

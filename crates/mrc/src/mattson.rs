@@ -53,6 +53,7 @@ impl PageKey for PageId {
 /// and its low half as the page number: small keys are the dense pages
 /// `0..n` of space 0, and every `u64` has its own page.
 impl PageKey for u64 {
+    #[inline]
     fn page(self) -> PageId {
         PageId::new(SpaceId((self >> 32) as u32), self & u64::from(u32::MAX))
     }

@@ -48,6 +48,7 @@ impl PageId {
     ///
     /// # Panics
     /// When `page_no` is not below [`MAX_PAGES_PER_SPACE`].
+    #[inline]
     pub fn new(space: SpaceId, page_no: u64) -> Self {
         match u32::try_from(page_no) {
             Ok(page_no) => PageId { space, page_no },
