@@ -7,9 +7,12 @@
 //! references, pool misses and read-ahead prefetches of the executed
 //! queries, miss ratio curves and window accesses the controller
 //! replayed, and the heap bytes every access window holds at the end.
+//! The sweep scenario pins what a memoized sweep simulates instead:
+//! schedules, prefixes and runs, and the events of every cell.
 
 use odlb::cluster::WorkCounts;
 use odlb_bench::experiments::{scale, table2, Observers};
+use odlb_bench::sweep::{parse_matrix, run_sweep, SweepOptions, SweepWork};
 
 /// Table 2 as the suite runs it: TPC-W alone for 10 intervals, RUBiS
 /// joining for 6 with the controller held off, then 15 intervals of
@@ -57,4 +60,32 @@ fn fig_scale_mini() {
         },
     ];
     assert_eq!(work, expected);
+}
+
+/// A 16-cell sweep: one schedule, two replica counts, and per prefix the
+/// selective controller under two MRC modes plus the three blind
+/// baselines, which share one run across the modes.
+#[test]
+fn sweep_of_16_cells() {
+    let matrix = parse_matrix(
+        "intervals = 2\nwarmup = 0\nclients = 2\nreplicas = [1, 2]\n\
+         workloads = [\"zipf\"]\nmrc = [\"exact\", \"sampled:0.1\"]\n\
+         controllers = [\"selective\", \"cpu-only\", \"coarse\", \"vm-migration\"]",
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("odlb-work-ledger-{}", std::process::id()));
+    let opts = SweepOptions {
+        jobs: 1,
+        out_dir: dir.clone(),
+        memo: true,
+        max_cells: None,
+    };
+    let outcome = run_sweep(&matrix, &opts).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let expected = SweepWork {
+        schedules: 1,
+        prefixes: 2,
+        runs: 10,
+    };
+    assert_eq!((outcome.work, outcome.events), (expected, 1_824));
 }
