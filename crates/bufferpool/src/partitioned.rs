@@ -14,7 +14,6 @@
 use crate::lru::{LruList, Reference};
 use odlb_metrics::ClassId;
 use odlb_storage::PageId;
-use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 use std::collections::BTreeMap;
 
 /// The result of one page access.
@@ -40,7 +39,6 @@ pub struct PartitionedPool {
     total_pages: usize,
     general: LruList,
     quotas: BTreeMap<ClassId, LruList>,
-    profiler: Option<SharedSpanProfiler>,
 }
 
 /// One class's view of the pool for a run of page references: the
@@ -49,7 +47,6 @@ pub struct PartitionedPool {
 #[derive(Debug)]
 pub struct ClassAccess<'a> {
     lru: &'a mut LruList,
-    profiler: &'a Option<SharedSpanProfiler>,
 }
 
 impl ClassAccess<'_> {
@@ -67,10 +64,7 @@ impl ClassAccess<'_> {
     /// pages are skipped *without* promotion (prefetch must not distort
     /// recency). Returns how many pages were actually installed.
     pub fn prefetch(&mut self, start: PageId, pages: u64) -> u64 {
-        let _span = enter_span(self.profiler, "bufferpool_prefetch");
-        let installed = self.lru.prefetch(start, pages);
-        span_units(self.profiler, installed);
-        installed
+        self.lru.prefetch(start, pages)
     }
 }
 
@@ -97,15 +91,7 @@ impl PartitionedPool {
             total_pages,
             general: LruList::new(total_pages),
             quotas: BTreeMap::new(),
-            profiler: None,
         }
-    }
-
-    /// Installs a span profiler: each prefetch batch records a
-    /// `bufferpool_prefetch` span whose sim units are the pages actually
-    /// inserted. Observation-only.
-    pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        self.profiler = Some(profiler);
     }
 
     /// Total configured pages across all partitions.
@@ -169,10 +155,7 @@ impl PartitionedPool {
             Some(p) => p,
             None => &mut self.general,
         };
-        ClassAccess {
-            lru,
-            profiler: &self.profiler,
-        }
+        ClassAccess { lru }
     }
 
     /// Accesses one page: routed to the class's dedicated partition if it

@@ -320,17 +320,12 @@ impl Simulation {
 
     /// Installs a span profiler. The driver opens one `interval` span
     /// per [`Simulation::run_interval`] and an `engine_execute` span per
-    /// dispatched query; existing and future engines and every server's
-    /// I/O path share the same profiler, so their spans nest under the
-    /// driver's. Observation-only: results, traces and artifacts are
-    /// byte-identical with or without a profiler attached.
+    /// dispatched query, and hands the profiler to the engine for that
+    /// query, so the engine's spans nest under the driver's. Engines,
+    /// pools and I/O paths hold no copy. Observation-only: results,
+    /// traces and artifacts are byte-identical with or without a
+    /// profiler attached.
     pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        for inst in self.instances.iter_mut() {
-            inst.engine.set_profiler(profiler.clone());
-        }
-        for srv in self.servers.iter_mut() {
-            srv.io.set_profiler(profiler.clone());
-        }
         self.profiler = Some(profiler);
     }
 
@@ -342,16 +337,10 @@ impl Simulation {
     /// A copy of the model — queue, in-flight queries, servers, engines,
     /// applications with their RNG streams and replay cursors, clock and
     /// counters — that runs on exactly as this simulation would. It
-    /// carries no observers: a fresh inactive tracer, inactive telemetry,
-    /// no profiler. (`Simulation` is not `Clone`: a clone would share
-    /// those sinks.) Panics if a profiler or active telemetry is attached,
-    /// since engines, pools and I/O paths hold clones of the profiler.
+    /// carries no observers, whatever is attached here: a fresh inactive
+    /// tracer, inactive telemetry, no profiler. (`Simulation` is not
+    /// `Clone`: a clone would share those sinks.)
     pub fn fork(&self) -> Simulation {
-        let observed = self.profiler.is_some() || self.telemetry.is_active();
-        assert!(
-            !observed,
-            "cannot fork a simulation with a profiler or telemetry"
-        );
         Simulation {
             queue: self.queue.clone(),
             in_flight: self.in_flight.clone(),

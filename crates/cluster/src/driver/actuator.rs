@@ -26,13 +26,9 @@ impl Simulation {
     /// Adds a physical server with an explicit disk model (e.g. a wide
     /// RAID stripe for CPU-bound experiments).
     pub fn add_server_with_disk(&mut self, cores: usize, disk: DiskModel) -> ServerId {
-        let mut io = SharedIoPath::new(disk);
-        if let Some(p) = &self.profiler {
-            io.set_profiler(p.clone());
-        }
         self.servers.push(ServerState {
             cpu: odlb_sim::Station::new(cores),
-            io,
+            io: SharedIoPath::new(disk),
         });
         ServerId((self.servers.len() - 1) as u32)
     }
@@ -53,8 +49,7 @@ impl Simulation {
         self.push_instance(server.0 as usize, domain, engine, true)
     }
 
-    /// Creates an engine wired to the attached profiler and appends its
-    /// instance.
+    /// Creates an engine and appends its instance.
     fn push_instance(
         &mut self,
         server: usize,
@@ -63,14 +58,10 @@ impl Simulation {
         ready: bool,
     ) -> InstanceId {
         let id = InstanceId(self.instances.len() as u32);
-        let mut engine = DbEngine::new(config, self.now);
-        if let Some(p) = &self.profiler {
-            engine.set_profiler(p.clone());
-        }
         self.instances.push(InstanceState {
             server,
             domain,
-            engine,
+            engine: DbEngine::new(config, self.now),
             outstanding: 0,
             ready,
             retired: false,

@@ -220,9 +220,14 @@ impl Simulation {
         let _span = enter_span(&self.profiler, "engine_execute");
         let (instances, servers) = (&mut self.instances, &mut self.servers);
         let srv = &mut servers[server];
-        let result = instances[idx]
-            .engine
-            .execute(now, spec, &mut srv.cpu, &mut srv.io, domain);
+        let result = instances[idx].engine.execute_profiled(
+            now,
+            spec,
+            &mut srv.cpu,
+            &mut srv.io,
+            domain,
+            &self.profiler,
+        );
         span_units(&self.profiler, result.record.latency.as_micros());
         self.work.page_refs += result.record.page_accesses;
         self.work.pool_misses += result.record.buffer_misses;

@@ -89,7 +89,6 @@ pub struct DbEngine {
     logbuf: PrivateLogBuffer,
     collector: ClassStatsCollector,
     locks: LockManager,
-    profiler: Option<SharedSpanProfiler>,
 }
 
 impl DbEngine {
@@ -103,17 +102,7 @@ impl DbEngine {
             collector: ClassStatsCollector::new(now),
             locks: LockManager::new(),
             config,
-            profiler: None,
         }
-    }
-
-    /// Installs a span profiler on the engine and its buffer pool: query
-    /// execution records a `pages` span (sim units = pages accessed) and
-    /// prefetch batches a `bufferpool_prefetch` span. Observation-only —
-    /// execution outcomes are unchanged.
-    pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        self.pool.set_profiler(profiler.clone());
-        self.profiler = Some(profiler);
     }
 
     /// The engine's configuration.
@@ -140,10 +129,33 @@ impl DbEngine {
         io: &mut SharedIoPath,
         domain: DomainId,
     ) -> ExecutionResult {
+        self.execute_profiled(now, spec, cpu, io, domain, &None)
+    }
+
+    /// [`DbEngine::execute`] under the caller's span profiler: a `pages`
+    /// span (sim units = pages accessed) holding a `storage_read` span per
+    /// disk read (units = its simulated service µs) and a
+    /// `bufferpool_prefetch` span per read-ahead batch (units = pages
+    /// installed). Observation-only: the outcome is the same with `None`.
+    pub fn execute_profiled(
+        &mut self,
+        now: SimTime,
+        spec: &QuerySpec,
+        cpu: &mut Station,
+        io: &mut SharedIoPath,
+        domain: DomainId,
+        profiler: &Option<SharedSpanProfiler>,
+    ) -> ExecutionResult {
         let class = spec.class;
         let mut work = PageWork::starting(now);
-        let pages_span = enter_span(&self.profiler, "pages");
-        span_units(&self.profiler, spec.pages.len() as u64);
+        let pages_span = enter_span(profiler, "pages");
+        span_units(profiler, spec.pages.len() as u64);
+        let mut read = |kind, pages, readahead| {
+            let _span = enter_span(profiler, "storage_read");
+            let adm = io.read(domain, now, kind, pages, readahead);
+            span_units(profiler, adm.completion.since(adm.start).as_micros());
+            adm
+        };
         // Everything that is constant for the query is resolved here,
         // once, not per page: the class's window, its pool partition and
         // its read-ahead runs. (A query without pages
@@ -154,13 +166,14 @@ impl DbEngine {
             let mut runs = self.readahead.consumer(class.as_u64());
             for &page in &spec.pages {
                 if pool.access(page).is_miss() {
-                    work.miss(io.read(domain, now, IoKind::Random, 1, false));
+                    work.miss(read(IoKind::Random, 1, false));
                 }
                 if let Some(start) = runs.observe(page) {
                     work.readahead();
                     // Asynchronous prefetch: occupies the disk, does not block.
-                    io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                    pool.prefetch(start, EXTENT_PAGES);
+                    read(IoKind::Sequential, EXTENT_PAGES, true);
+                    let _span = enter_span(profiler, "bufferpool_prefetch");
+                    span_units(profiler, pool.prefetch(start, EXTENT_PAGES));
                 }
             }
         }

@@ -13,7 +13,6 @@
 use crate::disk::{Disk, DiskModel, IoCounters, IoKind};
 use odlb_sim::station::Admission;
 use odlb_sim::SimTime;
-use odlb_telemetry::{enter_span, span_units, SharedSpanProfiler};
 use std::collections::BTreeMap;
 
 /// Identifies a VM domain on one physical machine. Domain 0 is the control
@@ -26,7 +25,6 @@ pub struct DomainId(pub u32);
 pub struct SharedIoPath {
     disk: Disk,
     per_domain: BTreeMap<DomainId, IoCounters>,
-    profiler: Option<SharedSpanProfiler>,
 }
 
 impl SharedIoPath {
@@ -35,15 +33,7 @@ impl SharedIoPath {
         SharedIoPath {
             disk: Disk::new(model),
             per_domain: BTreeMap::new(),
-            profiler: None,
         }
-    }
-
-    /// Installs a span profiler: every read records a `storage_read`
-    /// span whose sim units are the request's simulated service time
-    /// (microseconds). Observation-only.
-    pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        self.profiler = Some(profiler);
     }
 
     /// Submits a read on behalf of `domain`. All domains share one FCFS
@@ -56,16 +46,13 @@ impl SharedIoPath {
         pages: u64,
         readahead: bool,
     ) -> Admission {
-        let _span = enter_span(&self.profiler, "storage_read");
         let entry = self.per_domain.entry(domain).or_default();
         entry.requests += 1;
         entry.pages += pages;
         if readahead {
             entry.readahead_requests += 1;
         }
-        let adm = self.disk.read(now, kind, pages);
-        span_units(&self.profiler, adm.completion.since(adm.start).as_micros());
-        adm
+        self.disk.read(now, kind, pages)
     }
 
     /// Counters summed over all domains.

@@ -2,7 +2,8 @@
 //! scenario under the selective retuning controller, forked right after
 //! the interval in which it provisions a replica (its `ReplicaReady` still
 //! queued, a class placement live). The controller is not `Clone`, so the
-//! fork's comes from a twin run with the same seed and calls.
+//! fork's comes from a twin run with the same seed and calls. A fork
+//! carries none of its parent's observers, whichever are attached.
 
 use odlb::cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb::core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
@@ -18,8 +19,11 @@ use odlb::workload::{ClientConfig, LoadFunction};
 
 /// Runs Table 2 (RUBiS joins after 10 intervals; the controller is held
 /// off for the 6 after that) through the first interval in which the
-/// controller provisions a replica.
-fn until_provisioned(tracer: &Tracer) -> (Simulation, SelectiveRetuningController) {
+/// controller provisions a replica, with the observers `observe`
+/// attaches before the start.
+fn until_provisioned(
+    observe: impl FnOnce(&mut Simulation, &mut SelectiveRetuningController),
+) -> (Simulation, SelectiveRetuningController) {
     let mut sim = Simulation::new(SimulationConfig {
         seed: 2_2007,
         ..Default::default()
@@ -39,10 +43,9 @@ fn until_provisioned(tracer: &Tracer) -> (Simulation, SelectiveRetuningControlle
         let app = sim.add_app(spec, Sla::one_second(), ClientConfig::default(), load);
         sim.assign_replica(app, inst);
     }
-    sim.set_tracer(tracer.clone());
-    sim.start();
     let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    controller.set_tracer(tracer.clone());
+    observe(&mut sim, &mut controller);
+    sim.start();
     let provisions = |a: &Action| matches!(a, Action::ProvisionedReplica { .. });
     for interval in 0..40 {
         let outcome = sim.run_interval();
@@ -81,8 +84,11 @@ fn ten_more(sim: &mut Simulation, controller: &mut dyn ClusterController) -> Str
 fn a_fork_continues_exactly_where_its_parent_would() {
     let parent_tracer = Tracer::new();
     let parent_sink = parent_tracer.attach(DigestSink::new());
-    let (mut parent, mut parent_controller) = until_provisioned(&parent_tracer);
-    let (_, mut fork_controller) = until_provisioned(&Tracer::new());
+    let (mut parent, mut parent_controller) = until_provisioned(|sim, controller| {
+        sim.set_tracer(parent_tracer.clone());
+        controller.set_tracer(parent_tracer.clone());
+    });
+    let (_, mut fork_controller) = until_provisioned(|_, _| {});
     let mut fork = parent.fork();
     let seen = parent_sink.borrow().events();
     let forked = ten_more(&mut fork, &mut fork_controller);
@@ -96,9 +102,28 @@ fn a_fork_continues_exactly_where_its_parent_would() {
 }
 
 #[test]
-#[should_panic(expected = "cannot fork a simulation with a profiler")]
-fn forking_a_profiled_simulation_panics() {
-    let mut sim = Simulation::new(SimulationConfig::default());
-    sim.set_profiler(SpanProfiler::shared());
-    let _ = sim.fork();
+fn a_fork_of_an_observed_simulation_continues_unobserved() {
+    let tracer = Tracer::new();
+    let sink = tracer.attach(DigestSink::new());
+    let telemetry = Telemetry::attached();
+    let profiler = SpanProfiler::shared();
+    let (mut parent, mut parent_controller) = until_provisioned(|sim, controller| {
+        sim.set_tracer(tracer.clone());
+        sim.set_telemetry(telemetry.clone());
+        sim.set_profiler(profiler.clone());
+        controller.set_tracer(tracer.clone());
+        controller.set_profiler(profiler.clone());
+    });
+    let (_, mut fork_controller) = until_provisioned(|_, _| {});
+    let mut fork = parent.fork();
+    let trace = || (sink.borrow().events(), sink.borrow().digest());
+    let folded = || profiler.borrow().folded_sim();
+    let before = (trace(), telemetry.render_csv(), folded());
+    assert!(before.0 .0 > 0 && before.2.contains("storage_read"));
+    let forked = ten_more(&mut fork, &mut fork_controller);
+    let after = (trace(), telemetry.render_csv(), folded());
+    assert!(after == before, "the fork reached the parent's observers");
+    let continued = ten_more(&mut parent, &mut parent_controller);
+    assert!(forked == continued, "the fork diverged from its parent");
+    assert!(folded() != before.2, "the parent's profiler is attached");
 }
