@@ -10,8 +10,8 @@
 //!   interval close, SLA evaluation, per-metric outlier findings, MRC
 //!   validation verdicts, and every applied control action.
 //! * [`TraceSink`] — where events go. Ships with three implementations:
-//!   [`RingBufferSink`] (bounded in-memory readback for tests and live
-//!   inspection), [`JsonlSink`] (one canonical JSON object per line, for
+//!   [`MemorySink`] (every event kept in memory, for tests to read
+//!   back), [`JsonlSink`] (one canonical JSON object per line, for
 //!   offline analysis), and [`DigestSink`] (folds the canonical event
 //!   stream into a stable 64-bit FNV-1a digest — two runs produced the
 //!   same decisions iff their digests match).
@@ -39,7 +39,7 @@ pub mod sink;
 
 pub use event::{ActionKind, TraceEvent};
 pub use odlb_sim::hash::fnv1a64;
-pub use sink::{DigestSink, JsonlSink, RingBufferSink, SharedSink, TraceSink};
+pub use sink::{DigestSink, JsonlSink, MemorySink, SharedSink, TraceSink};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -61,7 +61,7 @@ impl Tracer {
     }
 
     /// Attaches a sink, returning a shared handle for later readback
-    /// (ring buffers and digests are read after the run completes).
+    /// (in-memory sinks and digests are read after the run completes).
     pub fn attach<S: TraceSink + 'static>(&self, sink: S) -> Rc<RefCell<S>> {
         let handle = Rc::new(RefCell::new(sink));
         self.sinks.borrow_mut().push(handle.clone());
@@ -107,11 +107,11 @@ mod tests {
     #[test]
     fn fanout_reaches_every_sink() {
         let tracer = Tracer::new();
-        let ring = tracer.attach(RingBufferSink::new(16));
+        let memory = tracer.attach(MemorySink::new());
         let digest = tracer.attach(DigestSink::new());
         assert!(tracer.is_active());
         tracer.emit(sample_event());
-        assert_eq!(ring.borrow().events().len(), 1);
+        assert_eq!(memory.borrow().events().len(), 1);
         assert_eq!(digest.borrow().events(), 1);
     }
 
@@ -119,9 +119,9 @@ mod tests {
     fn clones_share_the_sink_set() {
         let tracer = Tracer::new();
         let clone = tracer.clone();
-        let ring = tracer.attach(RingBufferSink::new(4));
+        let memory = tracer.attach(MemorySink::new());
         clone.emit(sample_event());
-        assert_eq!(ring.borrow().events().len(), 1);
+        assert_eq!(memory.borrow().events().len(), 1);
     }
 
     #[test]

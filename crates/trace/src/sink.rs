@@ -3,7 +3,6 @@
 use crate::event::TraceEvent;
 use odlb_sim::hash::Fnv1a;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::io::Write;
 use std::rc::Rc;
@@ -20,47 +19,28 @@ pub trait TraceSink {
 /// A shared, dynamically typed sink handle as stored by a `Tracer`.
 pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
-/// Bounded in-memory sink keeping the most recent events.
-///
-/// Tests and live dashboards read the retained window back after (or
-/// during) a run; when the buffer is full the oldest event is dropped.
-#[derive(Clone, Debug)]
-pub struct RingBufferSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    /// Total events ever emitted (including dropped ones).
-    seen: u64,
+/// In-memory sink keeping every event, for tests to read back after a
+/// run.
+#[derive(Clone, Debug, Default)]
+pub struct MemorySink {
+    events: Vec<TraceEvent>,
 }
 
-impl RingBufferSink {
-    /// Creates a ring retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBufferSink {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            seen: 0,
-        }
+impl MemorySink {
+    /// Creates an empty sink.
+    pub fn new() -> Self {
+        MemorySink::default()
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> &VecDeque<TraceEvent> {
+    /// Every event emitted, oldest first.
+    pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Total events emitted over the sink's lifetime.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
 }
 
-impl TraceSink for RingBufferSink {
+impl TraceSink for MemorySink {
     fn emit(&mut self, event: &TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event.clone());
-        self.seen += 1;
+        self.events.push(event.clone());
     }
 }
 
@@ -145,24 +125,6 @@ mod tests {
             instances: 1,
             classes: 1,
         }
-    }
-
-    #[test]
-    fn ring_drops_oldest_beyond_capacity() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..5 {
-            ring.emit(&ev(i));
-        }
-        assert_eq!(ring.seen(), 5);
-        let seqs: Vec<u64> = ring
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::IntervalClosed { seq, .. } => *seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use odlb::engine::EngineConfig;
 use odlb::metrics::{AppId, Sla};
 use odlb::sim::SimDuration;
 use odlb::storage::DomainId;
-use odlb::trace::{fnv1a64, ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
+use odlb::trace::{fnv1a64, ActionKind, DigestSink, MemorySink, TraceEvent, Tracer};
 use odlb::workload::synthetic::cpu_bound_workload;
 use odlb::workload::{generate_schedule, ClientConfig, LoadFunction, ScheduleConfig};
 use odlb_bench::experiments::{fig3, fig4, scale, Observers};
@@ -56,10 +56,10 @@ total events dispatched: 112718
 /// full event stream.
 fn traced(scenario: impl FnOnce(Tracer)) -> (u64, Vec<TraceEvent>) {
     let tracer = Tracer::new();
-    let ring = tracer.attach(RingBufferSink::new(100_000));
+    let memory = tracer.attach(MemorySink::new());
     let digest = tracer.attach(DigestSink::new());
     scenario(tracer);
-    let events: Vec<TraceEvent> = ring.borrow().events().iter().cloned().collect();
+    let events = memory.borrow().events().to_vec();
     let d = digest.borrow().digest();
     (d, events)
 }

@@ -8,7 +8,7 @@ use odlb::core::{ClusterController, ControllerConfig, SelectiveRetuningControlle
 use odlb::engine::EngineConfig;
 use odlb::metrics::Sla;
 use odlb::storage::DomainId;
-use odlb::trace::{DigestSink, JsonlSink, RingBufferSink, Tracer};
+use odlb::trace::{DigestSink, JsonlSink, MemorySink, Tracer};
 use odlb::workload::tpcw::{tpcw_workload, TpcwConfig};
 use odlb::workload::{ClientConfig, LoadFunction};
 
@@ -18,7 +18,7 @@ fn traced_run(seed: u64, intervals: usize) -> (Vec<u8>, u64, u64) {
     let tracer = Tracer::new();
     let jsonl = tracer.attach(JsonlSink::new(Vec::new()));
     let digest = tracer.attach(DigestSink::new());
-    let ring = tracer.attach(RingBufferSink::new(10_000));
+    let memory = tracer.attach(MemorySink::new());
 
     let mut sim = Simulation::new(SimulationConfig {
         seed,
@@ -47,7 +47,7 @@ fn traced_run(seed: u64, intervals: usize) -> (Vec<u8>, u64, u64) {
     let events = digest.borrow().events();
     assert_eq!(
         events,
-        ring.borrow().seen(),
+        memory.borrow().events().len() as u64,
         "every sink sees the same stream"
     );
     let bytes = jsonl.borrow().writer().clone();
