@@ -12,7 +12,7 @@ use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
 /// through Mattson's algorithm.
 pub fn run(queries: usize) -> MrcResult {
     let workload = tpcw_workload(TpcwConfig::default());
-    class_mrc(&workload, BESTSELLER, queries, 8192, 0.05, 2007)
+    class_mrc(&workload, BESTSELLER, queries, 8192)
 }
 
 #[cfg(test)]

@@ -10,14 +10,7 @@ use odlb_workload::rubis::{rubis_workload, RubisConfig, SEARCH_ITEMS_BY_REGION};
 /// Runs the Fig. 6 experiment.
 pub fn run(queries: usize) -> MrcResult {
     let workload = rubis_workload(RubisConfig::default());
-    class_mrc(
-        &workload,
-        SEARCH_ITEMS_BY_REGION,
-        queries,
-        10_000,
-        0.05,
-        2007,
-    )
+    class_mrc(&workload, SEARCH_ITEMS_BY_REGION, queries, 10_000)
 }
 
 #[cfg(test)]

@@ -2,9 +2,14 @@
 //! per-class reference trace from a workload model, run it through
 //! Mattson's algorithm, and render the curve.
 
+use odlb_core::memory::MRC_THRESHOLD;
 use odlb_mrc::{MattsonTracker, MrcParams};
 use odlb_sim::SimRng;
+use odlb_storage::PageId;
 use odlb_workload::WorkloadSpec;
+
+/// Seed of every MRC figure's reference trace.
+const TRACE_SEED: u64 = 2007;
 
 /// The result of one MRC experiment.
 #[derive(Clone, Debug)]
@@ -13,10 +18,20 @@ pub struct MrcResult {
     pub class_name: String,
     /// `(memory size in pages, miss ratio)` samples across the cap.
     pub curve: Vec<(usize, f64)>,
-    /// The controller-facing parameters at the given threshold.
+    /// The controller-facing parameters at the controller's threshold.
     pub params: MrcParams,
     /// References in the trace.
     pub accesses: u64,
+}
+
+/// The page references of `queries` executions of one class, in order.
+pub fn class_trace(
+    workload: &WorkloadSpec,
+    class_index: usize,
+    queries: usize,
+) -> impl Iterator<Item = PageId> + '_ {
+    let mut rng = SimRng::new(TRACE_SEED);
+    (0..queries).flat_map(move |_| workload.query_of_class(class_index, &mut rng).pages)
 }
 
 /// Replays `queries` executions of one class through a Mattson tracker.
@@ -25,19 +40,14 @@ pub fn class_mrc(
     class_index: usize,
     queries: usize,
     cap_pages: usize,
-    threshold: f64,
-    seed: u64,
 ) -> MrcResult {
-    let mut rng = SimRng::new(seed);
     let mut tracker = MattsonTracker::new(cap_pages);
-    for _ in 0..queries {
-        for page in workload.query_of_class(class_index, &mut rng).pages {
-            tracker.access(page);
-        }
+    for page in class_trace(workload, class_index, queries) {
+        tracker.access(page);
     }
     let accesses = tracker.accesses();
     let curve = tracker.curve().sampled(33);
-    let params = tracker.curve().params(threshold);
+    let params = tracker.curve().params(MRC_THRESHOLD);
     MrcResult {
         class_name: workload.classes[class_index].name.to_string(),
         curve,
@@ -77,7 +87,7 @@ mod tests {
     #[test]
     fn curve_is_monotone_and_rendered() {
         let w = tpcw_workload(TpcwConfig::default());
-        let r = class_mrc(&w, BESTSELLER, 20, 8192, 0.05, 7);
+        let r = class_mrc(&w, BESTSELLER, 20, 8192);
         for pair in r.curve.windows(2) {
             assert!(pair[0].1 >= pair[1].1 - 1e-12, "MRC must not increase");
         }

@@ -7,9 +7,9 @@
 //! derive (problem-class verdict plus granted quota at the
 //! [`MIN_QUOTA_PAGES`] enforcement granularity) is unchanged.
 
+use crate::experiments::mrc_common::class_trace;
 use odlb_core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb_mrc::{compute_curve, MissRatioCurve, MrcMode, MrcParams, SampledTracker};
-use odlb_sim::SimRng;
 use odlb_storage::PageId;
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
 use std::fmt::Write as _;
@@ -17,16 +17,9 @@ use std::fmt::Write as _;
 /// Fig. 5 pool size (pages).
 const CAP: usize = 8192;
 
-/// The fig. 5 reference trace (`queries` BestSeller executions, seed
-/// 2007) — byte-identical to what `fig5::run(queries)` replays.
+/// The fig. 5 reference trace: what `fig5::run(queries)` replays.
 pub fn fig5_reference_trace(queries: usize) -> Vec<PageId> {
-    let workload = tpcw_workload(TpcwConfig::default());
-    let mut rng = SimRng::new(2007);
-    let mut pages = Vec::new();
-    for _ in 0..queries {
-        pages.extend(workload.query_of_class(BESTSELLER, &mut rng).pages);
-    }
-    pages
+    class_trace(&tpcw_workload(TpcwConfig::default()), BESTSELLER, queries).collect()
 }
 
 /// One grid point of the sampling-rate sweep.

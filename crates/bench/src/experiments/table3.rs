@@ -17,7 +17,7 @@ use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{AppId, MetricKind, Sla};
 use odlb_sim::SimTime;
-use odlb_storage::DomainId;
+use odlb_storage::{DomainId, EXTENT_PAGES};
 use odlb_workload::rubis::{rubis_workload, RubisConfig, SEARCH_ITEMS_BY_REGION};
 use odlb_workload::{ClientConfig, LoadFunction};
 
@@ -123,9 +123,10 @@ pub fn run(
         }
         // Administrator's-eye diagnosis: per-class I/O traffic on domain
         // 2, in transferred pages (a read-ahead request carries a whole
-        // 64-page extent, so requests alone understate scan traffic).
+        // extent, so requests alone understate scan traffic; `IoRequests`
+        // already counts one page of each).
         let pages_of = |v: &odlb_metrics::MetricVector| {
-            v[MetricKind::IoRequests] + 63.0 * v[MetricKind::ReadAheads]
+            v[MetricKind::IoRequests] + (EXTENT_PAGES - 1) as f64 * v[MetricKind::ReadAheads]
         };
         let report2 = &outcome.reports[&inst2];
         let total_io: f64 = report2.per_class.values().map(pages_of).sum();

@@ -20,9 +20,9 @@ use std::cell::Cell;
 // floor, so decision parity is defined over quota *units*, not raw pages.
 use odlb::core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb::mrc::{compute_curve, MissRatioCurve, MrcMode, MrcParams, SampledTracker};
-use odlb::sim::SimRng;
-use odlb::trace::{ActionKind, DigestSink, RingBufferSink, TraceEvent, Tracer};
-use odlb::workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
+use odlb::trace::{ActionKind, DigestSink, MemorySink, TraceEvent, Tracer};
+use odlb::workload::tpcw::BESTSELLER;
+use odlb_bench::experiments::sampled::fig5_reference_trace;
 use odlb_testkit::trace::{check_traces, TraceFamily};
 use odlb_testkit::{check, Gen};
 
@@ -141,24 +141,13 @@ fn sampled_curve_is_deterministic() {
 // Controller-decision parity on fig. 5 (ISSUE satellite 3).
 // ---------------------------------------------------------------------
 
-/// The fig. 5 reference trace: 120 BestSeller executions, seed 2007 —
-/// byte-identical to `odlb_bench::experiments::fig5::run(120)`.
-fn fig5_trace() -> Vec<odlb::storage::PageId> {
-    let workload = tpcw_workload(TpcwConfig::default());
-    let mut rng = SimRng::new(2007);
-    let mut pages = Vec::new();
-    for _ in 0..120 {
-        pages.extend(workload.query_of_class(BESTSELLER, &mut rng).pages);
-    }
-    pages
-}
-
-/// Replays the fig. 5 diagnosis under `mode` and emits the resulting
-/// controller actions through a digesting tracer: the problem-class
-/// verdict and the quota the controller grants (the class's acceptable
-/// memory, which fits below the pool), rounded up to whole quota units. Returns the run digest and the event bytes.
+/// Replays the fig. 5 diagnosis (120 BestSeller executions) under `mode`
+/// and emits the resulting controller actions through a digesting
+/// tracer: the problem-class verdict and the quota the controller grants
+/// (the class's acceptable memory, which fits below the pool), rounded up
+/// to whole quota units. Returns the run digest and the event bytes.
 fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
-    let trace = fig5_trace();
+    let trace = fig5_reference_trace(120);
     let curve = compute_curve(mode, CAP, trace.iter().copied());
     let params = curve.params(MRC_THRESHOLD);
 
@@ -178,7 +167,7 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
 
     let tracer = Tracer::new();
     let digest = tracer.attach(DigestSink::new());
-    let ring = tracer.attach(RingBufferSink::new(16));
+    let memory = tracer.attach(MemorySink::new());
     tracer.emit(TraceEvent::ActionApplied {
         end_us: 0,
         kind: ActionKind::SetQuota,
@@ -188,7 +177,7 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
         pages: Some((quota_units * MIN_QUOTA_PAGES) as u64),
         detail: format!("changed={changed} quota_units={quota_units}"),
     });
-    let bytes = ring
+    let bytes = memory
         .borrow()
         .events()
         .iter()
