@@ -119,7 +119,7 @@ fn a_fork_of_an_observed_simulation_continues_unobserved() {
     let trace = || (sink.borrow().events(), sink.borrow().digest());
     let folded = || profiler.borrow().folded_sim();
     let before = (trace(), telemetry.render_csv(), folded());
-    assert!(before.0 .0 > 0 && before.2.contains("storage_read"));
+    assert!(trace().0 > 0 && folded().contains("storage_read"));
     let forked = ten_more(&mut fork, &mut fork_controller);
     let after = (trace(), telemetry.render_csv(), folded());
     assert!(after == before, "the fork reached the parent's observers");
