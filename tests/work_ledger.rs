@@ -8,11 +8,35 @@
 //! queries, miss ratio curves and window accesses the controller
 //! replayed, and the heap bytes every access window holds at the end.
 //! The sweep scenario pins what a memoized sweep simulates instead:
-//! schedules, prefixes and runs, and the events of every cell.
+//! schedules, prefixes and runs, and the events of every cell. The heap
+//! allocations of one steady-state interval are counted too, by a
+//! thread-local counting allocator.
 
 use odlb::cluster::WorkCounts;
 use odlb_bench::experiments::{scale, table2, Observers};
 use odlb_bench::sweep::{parse_matrix, run_sweep, SweepOptions, SweepWork};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local!(static ALLOCATIONS: Cell<usize> = const { Cell::new(0) });
+
+/// Counts this thread's allocations; the default `realloc` is one.
+struct Counting;
+
+// SAFETY: every call goes to `System` unchanged; counting never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
 
 /// Table 2 as the suite runs it: TPC-W alone for 10 intervals, RUBiS
 /// joining for 6 with the controller held off, then 15 intervals of
@@ -60,6 +84,20 @@ fn fig_scale_mini() {
         },
     ];
     assert_eq!(work, expected);
+}
+
+/// The heap allocations of one steady-state interval: the second
+/// interval of `fig-scale-mini`'s 40,000-session row, after the first
+/// has ramped every session into the event queue.
+#[test]
+fn fig_scale_mini_steady_interval_allocations() {
+    let mut sim = scale::cluster(9_2027, 32, 40_000);
+    sim.start();
+    sim.run_interval();
+    let before = ALLOCATIONS.with(Cell::get);
+    sim.run_interval();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocations, 1_161);
 }
 
 /// A 16-cell sweep: one schedule, two replica counts, and per prefix the
