@@ -74,23 +74,23 @@ impl Default for SimulationConfig {
 /// admission refuses to hand out this top value.
 const NO_CLIENT: u32 = u32::MAX;
 
-/// A queued event: 16 bytes, because every resident session holds one.
-/// Applications, instances, clients and in-flight records travel as `u32`
-/// indices.
+/// A queued event: 8 bytes, because every resident session holds one
+/// (the queue adds the low half of its fire time: 12 bytes an entry).
+/// Clients, instances and in-flight records travel as `u32` indices,
+/// applications as `u16` ([`app_slot`] bounds them); a `QueryDone`
+/// carries only its [`InFlight`] slot.
 #[derive(Clone)]
 enum Event {
     ClientIssue {
-        app: u32,
+        app: u16,
         client: u32,
     },
     QueryDone {
-        app: u32,
-        instance: u32,
-        /// The query's parked record and client (see [`InFlight`]).
+        /// The query's parked record, client, app and instance.
         record: u32,
     },
     ReplicaReady {
-        app: u32,
+        app: u16,
         instance: u32,
     },
     LoadTick,
@@ -98,32 +98,48 @@ enum Event {
     /// schedule. One such event is in flight per replayed app; each
     /// dispatch chains the next.
     ReplayIssue {
-        app: u32,
+        app: u16,
     },
 }
 
-/// The log records of the queries in flight, each beside its issuing
-/// client or [`NO_CLIENT`], parked between dispatch and the `QueryDone`
-/// that commits them, so the queue carries an index instead of 68 bytes.
-/// Freed slots are reused first: the slab is as long as the most queries
-/// ever in flight at once, not the number of resident sessions.
+/// The index events carry for the application at `index` in the app
+/// list: applications past 65,536 are refused.
+fn app_slot(index: usize) -> u16 {
+    u16::try_from(index).expect("at most 65,536 applications: events carry a u16 app index")
+}
+
+/// A query in flight: its log record, its issuing client or
+/// [`NO_CLIENT`], and the app and instance its completion reaches.
+#[derive(Clone, Copy)]
+struct Parked {
+    record: QueryLogRecord,
+    client: u32,
+    app: u16,
+    instance: u32,
+}
+
+/// The queries in flight, parked between dispatch and the `QueryDone`
+/// that commits them, so the queue carries a `u32` slot instead of the
+/// record, client, app and instance. Freed slots are reused first: the
+/// slab is as long as the most queries ever in flight at once, not the
+/// number of resident sessions.
 #[derive(Clone, Default)]
 struct InFlight {
-    records: Vec<(QueryLogRecord, u32)>,
+    records: Vec<Parked>,
     free: Vec<u32>,
 }
 
 impl InFlight {
-    fn park(&mut self, record: QueryLogRecord, client: u32) -> u32 {
+    fn park(&mut self, parked: Parked) -> u32 {
         if let Some(slot) = self.free.pop() {
-            self.records[slot as usize] = (record, client);
+            self.records[slot as usize] = parked;
             return slot;
         }
-        self.records.push((record, client));
+        self.records.push(parked);
         u32::try_from(self.records.len() - 1).expect("fewer than 2^32 queries in flight")
     }
 
-    fn take(&mut self, slot: u32) -> (QueryLogRecord, u32) {
+    fn take(&mut self, slot: u32) -> Parked {
         self.free.push(slot);
         self.records[slot as usize]
     }

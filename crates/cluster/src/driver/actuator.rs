@@ -2,7 +2,7 @@
 //! applications, replica provisioning/retirement, class placement,
 //! quotas, MRC recomputation, VM migration and class-spec overrides.
 
-use super::{AppState, Event, InstanceState, ServerState, Simulation};
+use super::{app_slot, AppState, Event, InstanceState, ServerState, Simulation};
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;
 use odlb_engine::{DbEngine, EngineConfig};
@@ -71,6 +71,7 @@ impl Simulation {
 
     /// Registers an application with its SLA, client behaviour and load.
     /// Replicas are assigned separately with [`Simulation::assign_replica`].
+    /// Panics on a duplicate id and on a 65,537th application.
     pub fn add_app(
         &mut self,
         spec: WorkloadSpec,
@@ -83,7 +84,7 @@ impl Simulation {
             self.apps.iter().all(|a| a.spec.app != app_id),
             "duplicate application id"
         );
-        let idx = self.apps.len() as u64;
+        let idx = u64::from(app_slot(self.apps.len()));
         let root = SimRng::new(self.config.seed);
         self.apps.push(AppState {
             scheduler: Scheduler::new(app_id, Vec::new()),
@@ -145,7 +146,7 @@ impl Simulation {
         self.queue.schedule(
             self.now + PROVISIONING_DELAY,
             Event::ReplicaReady {
-                app: app_idx as u32,
+                app: app_slot(app_idx),
                 instance: id.0,
             },
         );

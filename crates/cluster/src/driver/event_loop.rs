@@ -3,7 +3,9 @@
 //! `dispatch_spec` (routing) and `execute_on` (engine execution and
 //! completion scheduling).
 
-use super::{Event, IntervalOutcome, Simulation, MEASUREMENT_INTERVAL, NO_CLIENT};
+use super::{
+    app_slot, Event, IntervalOutcome, Parked, Simulation, MEASUREMENT_INTERVAL, NO_CLIENT,
+};
 use crate::topology::InstanceId;
 use odlb_engine::QuerySpec;
 use odlb_sim::{SimDuration, SimTime};
@@ -29,8 +31,8 @@ impl Simulation {
             })
             .collect();
         for (app, at) in firsts {
-            self.queue
-                .schedule(at, Event::ReplayIssue { app: app as u32 });
+            let issue = Event::ReplayIssue { app: app_slot(app) };
+            self.queue.schedule(at, issue);
         }
     }
 
@@ -72,7 +74,7 @@ impl Simulation {
                         let stagger = app.rng.below(tick.as_micros().max(1));
                         let at = now + SimDuration::from_micros(stagger);
                         let issue = Event::ClientIssue {
-                            app: app_idx as u32,
+                            app: app_slot(app_idx),
                             client,
                         };
                         self.queue.schedule(at, issue);
@@ -83,16 +85,17 @@ impl Simulation {
                 self.queue.schedule(now + tick, Event::LoadTick);
             }
             Event::ClientIssue { app, client } => self.client_issue(now, app as usize, client),
-            Event::QueryDone {
-                app,
-                instance,
-                record,
-            } => {
+            Event::QueryDone { record } => {
+                let Parked {
+                    record,
+                    client,
+                    app,
+                    instance,
+                } = self.in_flight.take(record);
                 let inst = &mut self.instances[instance as usize];
                 let left = inst.outstanding.checked_sub(1);
                 debug_assert!(left.is_some(), "inst{instance} completed a query twice");
                 inst.outstanding = left.unwrap_or(0);
-                let (record, client) = self.in_flight.take(record);
                 inst.engine.commit_record(record);
                 if client != NO_CLIENT {
                     let think = self.apps[app as usize].clients.next_think();
@@ -145,7 +148,7 @@ impl Simulation {
         if !self.dispatch_spec(now, app, Some(client), spec) {
             // No ready replica (all still provisioning): retry shortly.
             let retry = Event::ClientIssue {
-                app: app as u32,
+                app: app_slot(app),
                 client,
             };
             self.queue
@@ -233,15 +236,13 @@ impl Simulation {
         self.work.pool_misses += result.record.buffer_misses;
         self.work.prefetches += result.record.readaheads;
         instances[idx].outstanding += 1;
-        self.queue.schedule(
-            result.completion,
-            Event::QueryDone {
-                app: app as u32,
-                instance: instance.0,
-                record: self
-                    .in_flight
-                    .park(result.record, client.unwrap_or(NO_CLIENT)),
-            },
-        );
+        let record = self.in_flight.park(Parked {
+            record: result.record,
+            client: client.unwrap_or(NO_CLIENT),
+            app: app_slot(app),
+            instance: instance.0,
+        });
+        self.queue
+            .schedule(result.completion, Event::QueryDone { record });
     }
 }

@@ -1,7 +1,7 @@
 //! Schedule replay: applications that dispatch a pregenerated open-loop
 //! schedule instead of running closed-loop clients.
 
-use super::{Event, ReplayState, Simulation};
+use super::{app_slot, Event, ReplayState, Simulation};
 use odlb_engine::QuerySpec;
 use odlb_metrics::{AppId, Sla};
 use odlb_sim::{SimDuration, SimTime};
@@ -69,7 +69,7 @@ impl Simulation {
                 },
             }
         };
-        let again = Event::ReplayIssue { app: app as u32 };
+        let again = Event::ReplayIssue { app: app_slot(app) };
         if !self.dispatch_spec(now, app, None, spec) {
             self.queue
                 .schedule(now + SimDuration::from_millis(100), again);

@@ -29,12 +29,22 @@ fn observe(sim: &mut Simulation) -> Telemetry {
     t
 }
 
-/// Every resident session is one queued `Event`: its size, plus the
-/// queue's 8-byte fire time, is the per-session memory of the scale
-/// regime (24 bytes in release).
+/// Every resident session is one queued `Event`: its size, plus the low
+/// half of its fire time, is the queue's per-session memory in the scale
+/// regime (12 bytes in release).
 #[test]
-fn event_is_16_bytes() {
-    assert_eq!(std::mem::size_of::<Event>(), 16);
+fn event_is_8_bytes() {
+    assert_eq!(std::mem::size_of::<Event>(), 8);
+}
+
+/// Events carry a `u16` app index, so `add_app` (and through it
+/// `add_replayed_app`) takes the index through `app_slot`: the 65,536th
+/// app's index is the last that fits, the 65,537th's is refused.
+#[test]
+#[should_panic(expected = "at most 65,536 applications")]
+fn app_slot_refuses_the_65537th_app() {
+    assert_eq!(app_slot(65_535), u16::MAX);
+    app_slot(65_536);
 }
 
 /// The client id of a session is a `u32` whose top value is
@@ -102,7 +112,7 @@ fn every_session_holds_one_queued_event_through_the_slab() {
         sim.run_interval();
         // Live slots parked with NO_CLIENT: all such slots but the freed.
         let slab = &sim.in_flight;
-        let no_client = |slot: usize| slab.records[slot].1 == NO_CLIENT;
+        let no_client = |slot: usize| slab.records[slot].client == NO_CLIENT;
         let parked = (0..slab.records.len()).filter(|&s| no_client(s)).count()
             - slab.free.iter().filter(|&&s| no_client(s as usize)).count();
         let sessions: usize = sim.apps.iter().map(|a| a.active_clients).sum();

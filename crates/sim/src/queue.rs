@@ -5,7 +5,7 @@
 //! `u64`. An event lives at the level of the *highest digit in which its
 //! time differs from the wheel cursor* (`now`), in the slot named by that
 //! digit of its own time — so `schedule` is one XOR, one `leading_zeros`
-//! and an append to one of 704 vectors whose tails stay hot, and a level-0
+//! and an append to the tail block of one of 704 slots, and a level-0
 //! slot is one exact microsecond. One occupancy word per level plus a
 //! level mask find the next slot: the lowest occupied slot of the lowest
 //! occupied level holds the minimum, because its events share every
@@ -21,6 +21,14 @@
 //! `tests/eventqueue_properties.rs`, which pins the two pop orders
 //! against each other over randomized interleavings.
 //!
+//! Each slot is a chain of fixed [`BLOCK`]-entry blocks in one arena.
+//! A block holds the high 32 bits of its entries' fire times, so an entry
+//! is the low 32 bits plus the event — 12 bytes for the driver's 8-byte
+//! events. A cascade moves a slot block by block and hands each drained
+//! block to a free list that the next appends draw from: no buffer
+//! doubles, no slot is copied whole, and the blocks held are the most
+//! ever in use at once.
+//!
 //! Invariants the implementation leans on:
 //!
 //! * every pending event fires at or after the cursor (`schedule` clamps,
@@ -29,10 +37,16 @@
 //!   sits at the level and slot its time and the *current* cursor name;
 //!   when the cursor enters a slot every lower level is empty, so only
 //!   that slot's events change level;
-//! * every slot vector is in insertion order at all times: a cascade
-//!   visits its source in order and lands in empty slots, and a direct
-//!   append carries the largest seq so far — debug builds assert it on
-//!   every append. So no sequence number is ever compared to pop in order.
+//! * every slot chain is in insertion order at all times, block after
+//!   block: a cascade visits its source in order and lands in empty
+//!   slots, and a direct append carries the largest seq so far — debug
+//!   builds assert it on every append. So no sequence number is ever
+//!   compared to pop in order;
+//! * every entry of a block shares the block's high half, and every
+//!   block of a chain holds at least one entry. A slot starts a new block
+//!   when its tail is full or the high half changes; the latter needs
+//!   entries that differ from the cursor in bit 36 or above (level 6 and
+//!   up), since a level-`l` slot's entries share every bit from `6·l` up.
 
 use crate::time::SimTime;
 
@@ -41,15 +55,57 @@ const DIGIT_BITS: u32 = 6;
 const SLOTS: usize = 1 << DIGIT_BITS;
 /// Levels covering all 64 bits of a timestamp.
 const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
+/// Entries per block.
+const BLOCK: usize = 64;
+/// No block: the end of a chain, an empty slot or an empty free list.
+const NIL: u32 = u32::MAX;
 
-/// A pending event: fire time plus, in debug builds, its insertion
-/// sequence number, which only the insertion-order assertion reads.
+/// A pending event: the low 32 bits of its fire time (its block holds the
+/// high 32) plus, in debug builds, its insertion sequence number, which
+/// only the insertion-order assertion reads.
 #[derive(Clone)]
 struct Pending<E> {
-    at: u64,
+    lo: u32,
     #[cfg(debug_assertions)]
     seq: u64,
     event: E,
+}
+
+/// Up to [`BLOCK`] entries in insertion order whose fire times share the
+/// high half `high`, and the next block of their slot (or of the free
+/// list). `entries` keeps its capacity of `BLOCK` for life.
+struct Block<E> {
+    high: u32,
+    next: u32,
+    entries: Vec<Pending<E>>,
+}
+
+impl<E: Clone> Clone for Block<E> {
+    /// Keeps the capacity of [`BLOCK`], which a derived clone would trim
+    /// to the length.
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(BLOCK);
+        entries.extend_from_slice(&self.entries);
+        Block {
+            high: self.high,
+            next: self.next,
+            entries,
+        }
+    }
+}
+
+/// A slot: the first and last block of its chain, both [`NIL`] when empty.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 /// A deterministic event queue over a user-defined event type.
@@ -59,18 +115,21 @@ struct Pending<E> {
 /// A clone pops the same events in the same order as its original.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// `LEVELS × SLOTS` vectors, level-major, each in insertion order. A
-    /// slot is emptied whole, buffer and all, unless it holds a single
-    /// event, so capacity follows the resident count.
-    slots: Vec<Vec<Pending<E>>>,
+    /// Every block ever taken: in a slot chain, in `due` or free.
+    blocks: Vec<Block<E>>,
+    /// The head of the chain of emptied blocks.
+    free: u32,
+    /// `LEVELS × SLOTS` chains, level-major.
+    slots: Vec<Chain>,
     /// One occupancy word per level: bit `d` is set when slot `d` holds
     /// events.
     occ: [u64; LEVELS],
     /// Bit `l` is set when `occ[l] != 0`.
     levels: u32,
-    /// Events firing exactly at `now`: a level-0 slot that held several,
-    /// taken whole so ties drain front to back in O(1) each.
-    due: std::vec::IntoIter<Pending<E>>,
+    /// The chain of events firing exactly at `now`: a level-0 slot that
+    /// held several, taken whole. Its head block is reversed, so ties
+    /// drain front to back by popping its entries from the back.
+    due: u32,
     len: usize,
     #[cfg(debug_assertions)]
     seq: u64,
@@ -88,10 +147,12 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Self {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            blocks: Vec::new(),
+            free: NIL,
+            slots: vec![Chain::EMPTY; LEVELS * SLOTS],
             occ: [0; LEVELS],
             levels: 0,
-            due: Vec::new().into_iter(),
+            due: NIL,
             len: 0,
             #[cfg(debug_assertions)]
             seq: 0,
@@ -125,28 +186,112 @@ impl<E> EventQueue<E> {
             self.seq += 1;
             self.seq
         };
-        self.place(Pending {
+        self.place(
             at,
-            #[cfg(debug_assertions)]
-            seq,
-            event,
-        });
+            Pending {
+                lo: at as u32,
+                #[cfg(debug_assertions)]
+                seq,
+                event,
+            },
+        );
     }
 
-    /// Appends `p` to the slot its time names relative to the cursor.
-    fn place(&mut self, p: Pending<E>) {
+    /// Appends `p`, which fires at `at`, to the slot its time names
+    /// relative to the cursor.
+    fn place(&mut self, at: u64, p: Pending<E>) {
         // `| 1`: a time equal to the cursor differs in "digit 0".
-        let level = ((63 - ((p.at ^ self.now) | 1).leading_zeros()) / DIGIT_BITS) as usize;
-        let digit = (p.at >> (level as u32 * DIGIT_BITS)) as usize % SLOTS;
-        let slot = &mut self.slots[level * SLOTS + digit];
-        #[cfg(debug_assertions)]
-        assert!(
-            slot.last().is_none_or(|last| last.seq < p.seq),
-            "slot out of insertion order"
-        );
-        slot.push(p);
+        let level = ((63 - ((at ^ self.now) | 1).leading_zeros()) / DIGIT_BITS) as usize;
+        let digit = (at >> (level as u32 * DIGIT_BITS)) as usize % SLOTS;
+        let high = (at >> 32) as u32;
+        let slot = level * SLOTS + digit;
+        let tail = self.slots[slot].tail;
+        if tail == NIL {
+            let block = self.take_block(high);
+            self.slots[slot] = Chain {
+                head: block,
+                tail: block,
+            };
+        } else {
+            let last = &self.blocks[tail as usize];
+            #[cfg(debug_assertions)]
+            assert!(
+                last.entries.last().is_none_or(|last| last.seq < p.seq),
+                "slot out of insertion order"
+            );
+            if last.high != high || last.entries.len() == BLOCK {
+                let block = self.take_block(high);
+                self.blocks[tail as usize].next = block;
+                self.slots[slot].tail = block;
+            }
+        }
+        let tail = self.slots[slot].tail as usize;
+        self.blocks[tail].entries.push(p);
         self.occ[level] |= 1 << digit;
         self.levels |= 1 << level;
+    }
+
+    /// An empty block for entries of high half `high`: the free list's
+    /// head, or a new one when the list is empty.
+    fn take_block(&mut self, high: u32) -> u32 {
+        if self.free == NIL {
+            let index = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
+            self.blocks.push(Block {
+                high,
+                next: NIL,
+                entries: Vec::with_capacity(BLOCK),
+            });
+            return index;
+        }
+        let index = self.free;
+        let block = &mut self.blocks[index as usize];
+        self.free = block.next;
+        block.high = high;
+        block.next = NIL;
+        index
+    }
+
+    /// Hands an emptied block to the free list.
+    fn give_back(&mut self, index: u32) {
+        let block = &mut self.blocks[index as usize];
+        debug_assert!(block.entries.is_empty(), "a freed block holds entries");
+        block.next = self.free;
+        self.free = index;
+    }
+
+    /// Pops the front of the due chain, freeing each block it empties.
+    fn pop_due(&mut self) -> Option<E> {
+        if self.due == NIL {
+            return None;
+        }
+        let head = self.due;
+        let block = &mut self.blocks[head as usize];
+        let p = block.entries.pop().expect("a chained block holds entries");
+        if block.entries.is_empty() {
+            self.due = block.next;
+            self.give_back(head);
+            if self.due != NIL {
+                self.blocks[self.due as usize].entries.reverse();
+            }
+        }
+        Some(p.event)
+    }
+
+    /// Moves every event of the chain starting at `head` to the slot its
+    /// time names relative to the cursor, block by block, handing each
+    /// drained block back.
+    fn cascade(&mut self, mut head: u32) {
+        while head != NIL {
+            let block = &mut self.blocks[head as usize];
+            let (high, next) = ((block.high as u64) << 32, block.next);
+            let mut entries = std::mem::take(&mut block.entries);
+            for p in entries.drain(..) {
+                self.place(high | p.lo as u64, p);
+            }
+            self.blocks[head as usize].entries = entries;
+            self.give_back(head);
+            head = next;
+        }
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -170,9 +315,9 @@ impl<E> EventQueue<E> {
             return None;
         }
         loop {
-            if let Some(p) = self.due.next() {
+            if let Some(event) = self.pop_due() {
                 self.len -= 1;
-                return Some((self.now(), p.event));
+                return Some((self.now(), event));
             }
             if self.levels == 0 {
                 self.now = limit;
@@ -192,23 +337,27 @@ impl<E> EventQueue<E> {
             if self.occ[level] == 0 {
                 self.levels &= !(1 << level);
             }
-            let slot = &mut self.slots[level * SLOTS + digit];
-            if slot.len() == 1 && slot[0].at <= limit {
-                // A lone event pops where it sits, without a cascade.
-                let p = slot.pop().expect("one event");
-                self.now = p.at;
-                self.len -= 1;
-                return Some((self.now(), p.event));
+            let chain = std::mem::replace(&mut self.slots[level * SLOTS + digit], Chain::EMPTY);
+            let block = &mut self.blocks[chain.head as usize];
+            if chain.head == chain.tail && block.entries.len() == 1 {
+                let at = (block.high as u64) << 32 | block.entries[0].lo as u64;
+                if at <= limit {
+                    // A lone event pops where it sits, without a cascade.
+                    let p = block.entries.pop().expect("one event");
+                    self.give_back(chain.head);
+                    self.now = at;
+                    self.len -= 1;
+                    return Some((self.now(), p.event));
+                }
             }
             // Enter the slot: its events now share this digit with the
-            // cursor and move down — or, on level 0, are due. Its buffer
-            // goes back to the allocator either way.
-            let batch = std::mem::take(slot).into_iter();
+            // cursor and move down — or, on level 0, are due.
             self.now = start;
             if level == 0 {
-                self.due = batch;
+                block.entries.reverse();
+                self.due = chain.head;
             } else {
-                batch.for_each(|p| self.place(p));
+                self.cascade(chain.head);
             }
         }
     }
@@ -234,12 +383,13 @@ mod tests {
         A(u32),
     }
 
-    /// A queued 16-byte event costs its 8-byte fire time on top; debug
-    /// builds add the sequence number the insertion-order check reads.
+    /// A queued 8-byte event costs the low half of its fire time on top
+    /// (its block holds the high half); debug builds add the sequence
+    /// number the insertion-order check reads.
     #[test]
     fn pending_entry_is_the_event_plus_its_fire_time() {
-        let size = std::mem::size_of::<Pending<[u32; 4]>>();
-        assert_eq!(size, if cfg!(debug_assertions) { 32 } else { 24 });
+        let size = std::mem::size_of::<Pending<[u32; 2]>>();
+        assert_eq!(size, if cfg!(debug_assertions) { 24 } else { 12 });
     }
 
     #[test]
@@ -404,27 +554,29 @@ mod tests {
     }
 
     /// The deterministic memory gate: 1M resident sessions thinking
-    /// exp(200 s) hold at most twice their own count in slot capacity,
-    /// after the fill and after 1M hold steps — emptied slots give their
-    /// buffers back instead of each staying at its peak.
+    /// exp(200 s) hold block capacity for their own count plus one
+    /// partial block per slot, the due chain's and a cascade's source,
+    /// after the fill and after 1M hold steps. That counts every block
+    /// there is — in slots, in `due` and on the free list — so neither
+    /// doubling slack nor a free list outgrowing the peak can hide.
     #[test]
-    fn slot_capacity_stays_within_twice_the_resident_count() {
+    fn block_capacity_stays_within_one_partial_block_per_slot() {
         const N: usize = 1_000_000;
+        let bound = N + BLOCK * (LEVELS * SLOTS + 2);
         let mut rng = crate::rng::SimRng::new(19);
         let mut think = move || SimDuration::from_micros(rng.exponential(200e6) as u64);
-        let held = |q: &EventQueue<u64>| -> usize {
-            q.slots.iter().map(Vec::capacity).sum::<usize>() + q.due.len()
-        };
+        let held =
+            |q: &EventQueue<u64>| -> usize { q.blocks.iter().map(|b| b.entries.capacity()).sum() };
         let mut q = EventQueue::new();
         for session in 0..N as u64 {
             q.schedule(SimTime::ZERO + think(), session);
         }
-        assert!(held(&q) <= 2 * N, "after the fill: {}", held(&q));
+        assert!(held(&q) <= bound, "after the fill: {}", held(&q));
         for _ in 0..N {
             let (t, session) = q.pop().expect("queue stays resident");
             q.schedule(t + think(), session);
         }
         assert_eq!(q.len(), N);
-        assert!(held(&q) <= 2 * N, "after the hold: {}", held(&q));
+        assert!(held(&q) <= bound, "after the hold: {}", held(&q));
     }
 }

@@ -264,6 +264,37 @@ fn digit_boundaries_and_the_top_level_match_heap_oracle() {
     });
 }
 
+/// The one path that starts a block before its slot's tail is full: a
+/// slot whose entries differ in the high 32 bits of their fire times.
+/// From a cursor below 2^36 µs, a level-6 slot spans 16 high halves, so
+/// times past 2^36 µs scattered over `k·2^32` land in one slot with mixed
+/// halves; times around 2^32 µs straddle one half boundary, and near
+/// events keep the clock moving through them.
+#[test]
+fn mixed_high_halves_in_one_slot_match_heap_oracle() {
+    check("eventqueue/high-halves", 200, |g: &mut Gen| {
+        let mut q = Pair::new();
+        for _ in 0..g.usize_in(1, 400) {
+            let now = q.now().as_micros();
+            let at = match g.usize_in(0, 4) {
+                0 => (1 << 32) + g.u64_in(0, 2_000) - 1_000,
+                1 => (1 << 36) * g.u64_in(1, 3) + (g.u64_in(0, 16) << 32) + g.u64_in(0, 1_000),
+                _ => now + g.u64_in(0, 5_000),
+            };
+            match g.usize_in(0, 5) {
+                0..=2 => q.schedule(us(at.max(now))),
+                3 => {
+                    q.pop();
+                }
+                _ => {
+                    q.pop_until(us(now + g.u64_in(0, 1 << 34)));
+                }
+            }
+        }
+        q.drain();
+    });
+}
+
 /// The clock never runs backwards, whatever the push sequence — the
 /// regression property for the time-travel bug (release builds clamp
 /// past scheduling to `now`; debug builds panic, so here every push is

@@ -2,8 +2,8 @@
 //! the scale regime. The `fig-scale` topology at 16 replicas and 100,000
 //! sessions is built, started and run one interval; nearly every session
 //! then sits in the event queue, so the live bytes per session are the
-//! queue entry, its share of slot slack and the replicas' pools, windows
-//! and tables spread over the sessions. The count is exact and repeats,
+//! queue entry, its share of partial blocks and the replicas' pools,
+//! windows and tables spread over the sessions. The count is exact and repeats,
 //! so it guards the regime's memory without a timer.
 
 use odlb_bench::experiments::scale;
@@ -42,11 +42,12 @@ fn live_heap_bytes_per_resident_session_stay_bounded() {
     sim.run_interval();
     let live = (LIVE.with(Cell::get) - before) as f64;
     drop(sim);
-    // Measured: 63.2 bytes per session in release (a 24-byte queue entry,
-    // pool indexes sized by use) and 74.5 in debug, whose entries keep the
-    // 8-byte seq of the insertion-order check. With a 40-byte entry and
-    // indexes reserved for full pools it read 95.8 in both.
-    let bound = if cfg!(debug_assertions) { 77.0 } else { 66.0 };
+    // Measured: 24.7 bytes per session in release (a 12-byte queue entry
+    // in pooled 64-entry blocks) and 38.3 in debug, whose entries keep the
+    // 8-byte seq of the insertion-order check. With a 24-byte entry in
+    // per-slot vectors it read 44.2 and 55.5; with a 40-byte entry and
+    // indexes reserved for full pools, 95.8 in both.
+    let bound = if cfg!(debug_assertions) { 39.0 } else { 25.5 };
     let per_session = live / SESSIONS as f64;
     assert!(
         per_session <= bound,
