@@ -3,8 +3,8 @@
 //! sessions is built, started and run one interval; nearly every session
 //! then sits in the event queue, so the live bytes per session are the
 //! queue entry, its share of partial blocks and the replicas' pools,
-//! windows and tables spread over the sessions. The count is exact and repeats,
-//! so it guards the regime's memory without a timer.
+//! windows and tables spread over the sessions. The count is exact and
+//! repeats, so it guards the regime's memory without a timer.
 
 use odlb_bench::experiments::scale;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -88,9 +88,7 @@ fn fig_scale_mini() {
 
 /// The heap allocations of one steady-state interval: the second
 /// interval of `fig-scale-mini`'s 40,000-session row, after the first
-/// has ramped every session into the event queue. 1,161 while each
-/// cascade gave its slot's buffer back and regrew its targets; the
-/// queue's pooled blocks now recycle through a free list.
+/// has ramped every session into the event queue.
 #[test]
 fn fig_scale_mini_steady_interval_allocations() {
     let mut sim = scale::cluster(9_2027, 32, 40_000);
