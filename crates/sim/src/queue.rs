@@ -26,8 +26,8 @@
 //! is the low 32 bits plus the event — 12 bytes for the driver's 8-byte
 //! events. A cascade moves a slot block by block and hands each drained
 //! block to a free list that the next appends draw from: no buffer
-//! doubles, no slot is copied whole, and the blocks held are the most
-//! ever in use at once.
+//! doubles or is copied to grow, and the blocks held are the most ever
+//! in use at once.
 //!
 //! Invariants the implementation leans on:
 //!
