@@ -8,9 +8,10 @@
 //! queries, miss ratio curves and window accesses the controller
 //! replayed, and the heap bytes every access window holds at the end.
 //! The sweep scenario pins what a memoized sweep simulates instead:
-//! schedules, prefixes and runs, and the events of every cell. The heap
-//! allocations of one steady-state interval are counted too, by a
-//! thread-local counting allocator.
+//! schedules, prefixes and runs, and the events of every cell. Heap
+//! allocations and the peak of the live heap are counted too, by a
+//! thread-local counting allocator: for the whole of Table 2, and for
+//! the ramp and a steady-state interval of `fig-scale-mini`.
 
 use odlb::cluster::WorkCounts;
 use odlb_bench::experiments::{scale, table2, Observers};
@@ -18,19 +19,30 @@ use odlb_bench::sweep::{parse_matrix, run_sweep, SweepOptions, SweepWork};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-thread_local!(static ALLOCATIONS: Cell<usize> = const { Cell::new(0) });
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
-/// Counts this thread's allocations; the default `realloc` is one.
+/// Counts this thread's allocations and tracks its live and peak live
+/// bytes; the default `realloc` is one allocation (an `alloc` plus a
+/// `dealloc`).
 struct Counting;
 
 // SAFETY: every call goes to `System` unchanged; counting never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as isize);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -38,12 +50,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
+/// What `f` asks of this thread's heap: its allocations, and the peak of
+/// the live heap while it runs, in bytes above `base` (a live-heap reading
+/// taken earlier, so the peak can include what was built before `f`).
+fn heap_of<R>(base: isize, f: impl FnOnce() -> R) -> (R, usize, isize) {
+    let allocations = ALLOCATIONS.with(Cell::get);
+    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
+    let r = f();
+    let peak = PEAK.with(Cell::get) - base;
+    (r, ALLOCATIONS.with(Cell::get) - allocations, peak)
+}
+
 /// Table 2 as the suite runs it: TPC-W alone for 10 intervals, RUBiS
 /// joining for 6 with the controller held off, then 15 intervals of
 /// diagnosis and re-placement.
 #[test]
 fn table2_at_15_recovery_intervals() {
-    let work = table2::run(45, 80, 10, 6, 15).work;
+    let (result, allocations, _) = heap_of(0, || table2::run(45, 80, 10, 6, 15));
+    let work = result.work;
     let expected = WorkCounts {
         events: 35_972,
         page_refs: 927_911,
@@ -54,6 +78,7 @@ fn table2_at_15_recovery_intervals() {
         window_bytes: 1_417_056,
     };
     assert_eq!(work, expected);
+    assert_eq!(allocations, 8_328);
 }
 
 /// `fig-scale-mini`'s two rows: 16 replicas with 10,000 resident
@@ -84,6 +109,26 @@ fn fig_scale_mini() {
         },
     ];
     assert_eq!(work, expected);
+}
+
+/// The ramp interval of `fig-scale-mini`'s 40,000-session row: the first,
+/// which admits every session into the event queue. Pins its heap
+/// allocations and the peak of the live heap during it, counted from
+/// before the cluster is built. The allocations are the same in debug and
+/// release; the peak is not, because debug queue entries keep the 8-byte
+/// seq of the insertion-order check.
+#[test]
+fn fig_scale_mini_ramp_interval_heap() {
+    let base = LIVE.with(Cell::get);
+    let mut sim = scale::cluster(9_2027, 32, 40_000);
+    sim.start();
+    let (_, allocations, peak) = heap_of(base, || sim.run_interval());
+    let expected_peak = if cfg!(debug_assertions) {
+        2_849_376
+    } else {
+        2_224_224
+    };
+    assert_eq!((allocations, peak), (3_098, expected_peak));
 }
 
 /// The heap allocations of one steady-state interval: the second
