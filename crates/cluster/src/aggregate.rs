@@ -164,7 +164,6 @@ mod tests {
             start: SimTime::from_secs(start_s),
             end: SimTime::from_secs(end_s),
             per_class,
-            latency_histograms: BTreeMap::new(),
         }
     }
 

@@ -97,6 +97,10 @@ impl Simulation {
                 debug_assert!(left.is_some(), "inst{instance} completed a query twice");
                 inst.outstanding = left.unwrap_or(0);
                 inst.engine.commit_record(record);
+                if self.telemetry.is_active() {
+                    let (class, latency) = (record.class, record.latency);
+                    self.series.record_latency(instance, app, class, latency);
+                }
                 if client != NO_CLIENT {
                     let think = self.apps[app as usize].clients.next_think();
                     self.queue
@@ -167,34 +171,37 @@ impl Simulation {
         client: Option<u32>,
         spec: QuerySpec,
     ) -> bool {
+        // Execution never reads the apps. Setting them aside lets a write's
+        // applies walk the replica set in place while the engines run.
+        let apps = std::mem::take(&mut self.apps);
+        let scheduler = &apps[app].scheduler;
         let instances = &self.instances;
         let outstanding = |i: InstanceId| instances[i.0 as usize].outstanding;
         let route = if spec.is_write {
-            self.apps[app]
-                .scheduler
-                .route_write(spec.class, outstanding)
-                .map(|r| (r.primary, r.applies))
+            let route = scheduler.route_write(spec.class, outstanding);
+            route.map(|r| (r.primary, Some(r)))
         } else {
-            self.apps[app]
-                .scheduler
-                .route_read(spec.class, outstanding)
-                .map(|p| (p, Vec::new()))
+            let primary = scheduler.route_read(spec.class, outstanding);
+            primary.map(|p| (p, None))
         };
-        let Some((primary, applies)) = route else {
+        let Some((primary, write)) = route else {
+            self.apps = apps;
             self.recycle_pages(spec.pages);
             return false;
         };
-        self.apps[app].offered_this_interval += 1;
         self.execute_on(now, app, client, primary, &spec);
-        let spec = if applies.is_empty() {
-            spec
-        } else {
-            let apply_spec = spec.into_replica_apply();
-            for target in applies {
-                self.execute_on(now, app, None, target, &apply_spec);
+        let spec = match write {
+            None => spec,
+            Some(route) => {
+                let apply_spec = spec.into_replica_apply();
+                for target in route.applies() {
+                    self.execute_on(now, app, None, target, &apply_spec);
+                }
+                apply_spec
             }
-            apply_spec
         };
+        self.apps = apps;
+        self.apps[app].offered_this_interval += 1;
         self.recycle_pages(spec.pages);
         true
     }

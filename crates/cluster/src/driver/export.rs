@@ -2,11 +2,14 @@
 //! cluster's `odlb_*` series (type, labels and source accessor of each:
 //! DESIGN.md, "Runtime telemetry"). Engines, pools and I/O paths expose
 //! plain state; everything here reads it and the closed
-//! [`IntervalOutcome`].
+//! [`IntervalOutcome`]. The one per-query input is each completed query's
+//! latency, which the driver hands to [`SeriesCache::record_latency`]
+//! while telemetry is attached.
 
 use super::{IntervalOutcome, Simulation};
 use crate::topology::InstanceId;
-use odlb_metrics::{AppId, ClassId, MetricKind, ServerId};
+use odlb_metrics::{ClassId, MetricKind, ServerId};
+use odlb_sim::SimDuration;
 use odlb_telemetry::{Counter, Gauge, Histogram, LogLinearHistogram, Telemetry};
 use std::collections::BTreeMap;
 
@@ -37,9 +40,19 @@ const CLASS_COUNTERS: [(&str, &str, MetricKind); 4] = [
 
 /// The exporter's handle cache: a series' registry lookup is paid the
 /// first interval it is written, later closes write through the handle.
+/// It also holds the open interval's latency histograms, which only the
+/// exporter reads.
 #[derive(Default)]
 pub(super) struct SeriesCache {
     classes: BTreeMap<(InstanceId, ClassId), ClassSeries>,
+    /// The open interval's latency distribution (simulated microseconds)
+    /// of each class on each instance, indexed by instance, app index and
+    /// template: a query finds its histogram in three `Vec` indexings.
+    /// Reset in place at interval close, so their buffers are reused.
+    interval: Vec<Vec<Vec<LogLinearHistogram>>>,
+    /// Each app's interval tail, indexed by app: the flat merge of its
+    /// classes' interval histograms across instances.
+    tails: Vec<LogLinearHistogram>,
     /// Every per-instance, per-app and per-server series.
     gauges: BTreeMap<SeriesKey, Gauge>,
     counters: BTreeMap<SeriesKey, Counter>,
@@ -58,6 +71,30 @@ struct ClassSeries {
     queries: Counter,
     /// One per [`CLASS_COUNTERS`] row.
     counters: [Counter; 4],
+}
+
+/// The element at `index`, growing `v` with defaults to reach it.
+fn slot<T: Default>(v: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= v.len() {
+        v.resize_with(index + 1, T::default);
+    }
+    &mut v[index]
+}
+
+impl SeriesCache {
+    /// Records a completed query's latency into its (instance, class)'s
+    /// interval histogram; `app` is the class's index in the app list.
+    pub(super) fn record_latency(
+        &mut self,
+        instance: u32,
+        app: u16,
+        class: ClassId,
+        latency: SimDuration,
+    ) {
+        let apps = slot(&mut self.interval, instance as usize);
+        let classes = slot(apps, usize::from(app));
+        slot(classes, class.template as usize).record(latency.as_micros());
+    }
 }
 
 impl ClassSeries {
@@ -140,30 +177,37 @@ impl Simulation {
                 );
             }
             // The collector is the one place queries are accounted; the
-            // registry adds its interval totals.
+            // registry adds its interval totals. The classes it reports
+            // are exactly those with a non-empty interval histogram: both
+            // take every query that completed in the interval.
             let report = &outcome.reports[&id];
             for (class, v) in &report.per_class {
                 let series = cache
                     .classes
                     .entry((id, *class))
                     .or_insert_with(|| ClassSeries::register(t, &instance, *class));
-                let latency = &report.latency_histograms[class];
+                let app = self.apps.iter().position(|a| a.spec.app == class.app);
+                let app = app.expect("a reported class belongs to an app");
+                let latency = &mut cache.interval[i][app][class.template as usize];
                 series.latency.merge(latency);
                 series.cluster.merge(latency);
                 series.queries.add(latency.count());
                 for (counter, (_, _, kind)) in series.counters.iter().zip(CLASS_COUNTERS) {
                     counter.add(v[kind] as u64);
                 }
+                // Interval tail latency per app: the flat merge of its
+                // classes' interval histograms across instances (integer
+                // bucket sums, so independent of any rack grouping).
+                slot(&mut cache.tails, app).merge(latency);
+                latency.reset();
             }
         }
-        // Interval tail latency per app: the flat merge of its classes'
-        // interval histograms across instances (integer bucket sums, so
-        // independent of any rack grouping).
-        let mut tails: BTreeMap<AppId, LogLinearHistogram> = BTreeMap::new();
-        for (class, hist) in outcome.reports.values().flat_map(|r| &r.latency_histograms) {
-            tails.entry(class.app).or_default().merge(hist);
-        }
-        for app in &self.apps {
+        let mut slots = cache.interval.iter().flatten().flatten();
+        debug_assert!(
+            slots.all(|h| h.count() == 0),
+            "a query completed in a class its engine did not report"
+        );
+        for (a, app) in self.apps.iter().enumerate() {
             let key = app.spec.app;
             let id = key.to_string();
             let labels = [("app", id.as_str())];
@@ -175,7 +219,8 @@ impl Simulation {
                     latency,
                 );
             }
-            if let Some(p95) = tails.get(&key).and_then(|h| h.quantile(0.95)) {
+            let tail = slot(&mut cache.tails, a);
+            if let Some(p95) = tail.quantile(0.95) {
                 gauge(
                     ("odlb_app_latency_p95_us", key.0, None),
                     "95th-percentile query latency over the closed interval \
@@ -184,6 +229,7 @@ impl Simulation {
                     p95 as f64,
                 );
             }
+            tail.reset();
             gauge(
                 ("odlb_app_throughput_qps", key.0, None),
                 "Queries per second over the closed interval.",

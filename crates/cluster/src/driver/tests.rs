@@ -484,8 +484,10 @@ fn telemetry_records_per_class_latency_and_counters() {
     let prom = t.render_prometheus().unwrap();
     let report = &outcome.reports[&InstanceId(0)];
     assert!(report.per_class.len() >= 5, "several classes observed");
+    let seconds = MEASUREMENT_INTERVAL.as_secs_f64();
     for (class, v) in &report.per_class {
-        let queries = report.latency_histograms[class].count();
+        // The collector's count, recovered from its rate.
+        let queries = (v[MetricKind::Throughput] * seconds).round() as u64;
         for (series, value) in [
             ("odlb_queries_total", queries),
             ("odlb_query_latency_us_count", queries),
@@ -597,20 +599,22 @@ fn app_p95_gauge_is_the_flat_merge_quantile_at_any_rack_size() {
             let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
             sim.assign_replica(app, inst);
         }
-        let t = observe(&mut sim);
         sim.start();
         sim.run_interval();
+        // Attached after the first interval, the cumulative latency series
+        // hold exactly the second interval's distributions.
+        let t = observe(&mut sim);
         let outcome = sim.run_interval();
         let mut flat = odlb_telemetry::LogLinearHistogram::default();
-        for report in outcome.reports.values() {
-            assert!(
-                !report.latency_histograms.is_empty(),
-                "every replica serves"
-            );
-            report
-                .latency_histograms
-                .values()
-                .for_each(|h| flat.merge(h));
+        for (instance, report) in &outcome.reports {
+            assert!(!report.per_class.is_empty(), "every replica serves");
+            let instance = instance.to_string();
+            for class in report.per_class.keys() {
+                let class = class.to_string();
+                let labels = [("class", class.as_str()), ("instance", instance.as_str())];
+                let series = t.histogram("odlb_query_latency_us", "", &labels).unwrap();
+                series.with(|h| flat.merge(h));
+            }
         }
         let gauge = t
             .with_registry(|r| r.sample_rows())

@@ -13,14 +13,22 @@ use crate::topology::InstanceId;
 use odlb_metrics::{AppId, ClassId};
 use std::collections::BTreeMap;
 
-/// Routing decision for one write query.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WriteRoute {
+/// Routing decision for one write query: it borrows the replica set
+/// rather than copying out the apply targets.
+#[derive(Clone, Copy, Debug)]
+pub struct WriteRoute<'a> {
     /// The replica executing the full query.
     pub primary: InstanceId,
-    /// Replicas receiving the cheaper apply (all other replicas of the
-    /// application — write-all).
-    pub applies: Vec<InstanceId>,
+    replicas: &'a [InstanceId],
+}
+
+impl<'a> WriteRoute<'a> {
+    /// Replicas receiving the cheaper apply: every other replica of the
+    /// application (write-all), in replica-set order.
+    pub fn applies(&self) -> impl Iterator<Item = InstanceId> + 'a {
+        let primary = self.primary;
+        self.replicas.iter().copied().filter(move |&i| i != primary)
+    }
 }
 
 /// One application's scheduler.
@@ -107,15 +115,12 @@ impl Scheduler {
         &self,
         class: ClassId,
         load: impl Fn(InstanceId) -> usize,
-    ) -> Option<WriteRoute> {
+    ) -> Option<WriteRoute<'_>> {
         let primary = self.route_read(class, load)?;
-        let applies = self
-            .replicas
-            .iter()
-            .copied()
-            .filter(|&i| i != primary)
-            .collect();
-        Some(WriteRoute { primary, applies })
+        Some(WriteRoute {
+            primary,
+            replicas: &self.replicas,
+        })
     }
 }
 
@@ -156,8 +161,8 @@ mod tests {
         let s = sched();
         let route = s.route_write(class(1), |_| 0).unwrap();
         assert_eq!(route.primary, inst(0));
-        assert_eq!(route.applies, vec![inst(1), inst(2)]);
-        let mut all = route.applies.clone();
+        assert_eq!(route.applies().collect::<Vec<_>>(), vec![inst(1), inst(2)]);
+        let mut all: Vec<InstanceId> = route.applies().collect();
         all.push(route.primary);
         all.sort();
         assert_eq!(all, vec![inst(0), inst(1), inst(2)], "write-all invariant");
@@ -173,7 +178,7 @@ mod tests {
         // A pinned write still applies everywhere else.
         let route = s.route_write(class(3), |_| 0).unwrap();
         assert_eq!(route.primary, inst(2));
-        assert_eq!(route.applies, vec![inst(0), inst(1)]);
+        assert_eq!(route.applies().collect::<Vec<_>>(), vec![inst(0), inst(1)]);
     }
 
     #[test]

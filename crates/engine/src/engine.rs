@@ -236,7 +236,6 @@ impl DbEngine {
         let remainder = self.logbuf.flush();
         self.collector.record_batch(&remainder);
         self.logbuf.recycle(remainder);
-        self.locks.gc(now);
         self.collector.close_interval(now)
     }
 

@@ -14,13 +14,28 @@ use odlb_sim::{SimDuration, SimTime};
 use odlb_storage::PageId;
 use std::collections::BTreeMap;
 
+/// A table this small is never pruned: pruning it would cost more than
+/// the entries it frees.
+const PRUNE_FLOOR: usize = 64;
+
 /// Exclusive page locks with FCFS waiting, bookkept analytically: each
 /// page stores the time until which it is held; an acquisition at `now`
 /// starts after every requested page is free and holds them until the
 /// caller-provided release time.
+///
+/// Acquisition times never decrease (one engine's queries arrive in
+/// event order), so an entry held until `now` or earlier can no longer
+/// delay anyone: it waits exactly as an absent one. The table drops such
+/// entries whenever it has doubled since its last prune (and holds at
+/// least [`PRUNE_FLOOR`]), so it stays within twice the most pages ever
+/// held at once, plus the floor.
 #[derive(Clone, Debug, Default)]
 pub struct LockManager {
     held_until: BTreeMap<PageId, SimTime>,
+    /// The table's size after its last prune.
+    pruned_to: usize,
+    /// The latest acquisition time.
+    last_acquire: SimTime,
 }
 
 impl LockManager {
@@ -32,8 +47,14 @@ impl LockManager {
     /// Acquires exclusive locks on `pages` for a write arriving at `now`
     /// whose execution (once running) lasts `exec`. Returns the lock wait
     /// — the delay until every page is free. All pages are then held
-    /// until `now + wait + exec`.
+    /// until `now + wait + exec`. `now` must not precede an earlier
+    /// acquisition's.
     pub fn acquire(&mut self, now: SimTime, pages: &[PageId], exec: SimDuration) -> SimDuration {
+        debug_assert!(
+            now >= self.last_acquire,
+            "lock acquisitions went back in time"
+        );
+        self.last_acquire = now;
         let mut free_at = now;
         for page in pages {
             if let Some(&until) = self.held_until.get(page) {
@@ -45,19 +66,18 @@ impl LockManager {
         for &page in pages {
             self.held_until.insert(page, release);
         }
+        if self.held_until.len() >= (2 * self.pruned_to).max(PRUNE_FLOOR) {
+            self.held_until.retain(|_, &mut until| until > now);
+            self.pruned_to = self.held_until.len();
+        }
         wait
-    }
-
-    /// Drops expired entries (call at interval close; keeps the table
-    /// proportional to in-flight writes, not history).
-    pub fn gc(&mut self, now: SimTime) {
-        self.held_until.retain(|_, &mut until| until > now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odlb_sim::SimRng;
     use odlb_storage::SpaceId;
 
     fn pid(no: u64) -> PageId {
@@ -103,13 +123,72 @@ mod tests {
     }
 
     #[test]
-    fn expired_locks_are_free_and_gc_drops_them() {
+    fn expired_locks_are_free_and_pruned_once_the_table_doubles() {
         let mut lm = LockManager::new();
         lm.acquire(at(0), &[pid(1)], ms(10));
         assert_eq!(lm.acquire(at(50), &[pid(1)], ms(10)), ms(0));
         assert_eq!(lm.held_until.len(), 1);
-        lm.gc(at(100));
-        assert_eq!(lm.held_until.len(), 0);
+        // Below the floor nothing is pruned; the acquisition that reaches
+        // it drops every expired entry, its own pages kept.
+        let pages: Vec<PageId> = (2..PRUNE_FLOOR as u64).map(pid).collect();
+        lm.acquire(at(60), &pages, ms(1));
+        assert_eq!(lm.held_until.len(), PRUNE_FLOOR - 1);
+        lm.acquire(at(100), &[pid(500)], ms(10));
+        assert_eq!(lm.held_until.len(), 1, "only page 500 is still held");
+        assert_eq!(lm.pruned_to, 1);
+    }
+
+    /// Random multi-page writes at non-decreasing times wait exactly as
+    /// they would on a table that never forgets, while the pruned table
+    /// stays within twice the most pages held at once, plus the floor.
+    #[test]
+    fn pruned_table_waits_like_an_unpruned_oracle() {
+        for seed in 0..24 {
+            let mut rng = SimRng::new(seed);
+            let mut lm = LockManager::new();
+            let mut oracle: BTreeMap<PageId, SimTime> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            let mut peak_live = 0;
+            // Some seeds keep a few pages hot, others spread over many.
+            let universe = [40, 400, 4_000][seed as usize % 3];
+            for _ in 0..1_500 {
+                now += SimDuration::from_micros(rng.below(3_000));
+                let pages: Vec<PageId> = (0..rng.below(7))
+                    .map(|_| pid(rng.below(universe)))
+                    .collect();
+                let exec = SimDuration::from_micros(rng.below(200_000));
+                let mut free_at = now;
+                for page in &pages {
+                    if let Some(&until) = oracle.get(page) {
+                        free_at = free_at.max(until);
+                    }
+                }
+                let release = free_at + exec;
+                for &page in &pages {
+                    oracle.insert(page, release);
+                }
+                assert_eq!(
+                    lm.acquire(now, &pages, exec),
+                    free_at.since(now),
+                    "seed {seed}"
+                );
+                peak_live = peak_live.max(oracle.values().filter(|&&until| until > now).count());
+                assert!(
+                    lm.held_until.len() <= 2 * peak_live + PRUNE_FLOOR,
+                    "seed {seed}: {} entries, at most {peak_live} held at once",
+                    lm.held_until.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "back in time")]
+    fn acquisitions_going_back_in_time_are_refused() {
+        let mut lm = LockManager::new();
+        lm.acquire(at(10), &[pid(1)], ms(1));
+        lm.acquire(at(9), &[pid(2)], ms(1));
     }
 
     #[test]

@@ -6,25 +6,17 @@
 //! interval the decision manager closes the interval and receives an
 //! [`IntervalReport`] — a per-class [`MetricVector`] of interval averages
 //! and rates, exactly the operand of outlier detection.
-//!
-//! Besides the averages, each class's latency distribution is kept in a
-//! mergeable [`LogLinearHistogram`] (O(1) record, no retained samples,
-//! rank error below 0.8%), so interval reports carry each class's tail —
-//! and feed the telemetry series — without the hot path ever holding
-//! per-query samples.
 
 use crate::ids::ClassId;
 use crate::kinds::{MetricKind, MetricVector};
 use crate::logbuf::QueryLogRecord;
 use odlb_sim::{SimDuration, SimTime};
-use odlb_telemetry::LogLinearHistogram;
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug, Default)]
 struct ClassAccumulator {
     queries: u64,
     latency_sum: SimDuration,
-    latency_hist: LogLinearHistogram,
     page_accesses: u64,
     buffer_misses: u64,
     io_requests: u64,
@@ -50,10 +42,6 @@ pub struct IntervalReport {
     /// Interval metrics per class observed during the interval, ordered
     /// by class for deterministic aggregation.
     pub per_class: BTreeMap<ClassId, MetricVector>,
-    /// Latency distribution (simulated microseconds) per class for this
-    /// interval. Same key set as `per_class`; histograms merge across
-    /// classes and replicas for application-level tails.
-    pub latency_histograms: BTreeMap<ClassId, LogLinearHistogram>,
 }
 
 impl IntervalReport {
@@ -102,7 +90,6 @@ impl ClassStatsCollector {
         let acc = self.per_class.entry(r.class).or_default();
         acc.queries += 1;
         acc.latency_sum += r.latency;
-        acc.latency_hist.record(r.latency.as_micros());
         acc.page_accesses += r.page_accesses;
         acc.buffer_misses += r.buffer_misses;
         acc.io_requests += r.io_requests;
@@ -128,7 +115,6 @@ impl ClassStatsCollector {
         let start = self.interval_start;
         let duration = now.since(start).as_secs_f64().max(1e-9);
         let mut per_class = BTreeMap::new();
-        let mut latency_histograms = BTreeMap::new();
         for (class, acc) in std::mem::take(&mut self.per_class) {
             if acc.queries == 0 {
                 continue;
@@ -142,14 +128,12 @@ impl ClassStatsCollector {
             v[MetricKind::ReadAheads] = acc.readaheads as f64;
             v[MetricKind::LockWaits] = acc.lock_wait_sum.as_secs_f64();
             per_class.insert(class, v);
-            latency_histograms.insert(class, acc.latency_hist);
         }
         self.interval_start = now;
         IntervalReport {
             start,
             end: now,
             per_class,
-            latency_histograms,
         }
     }
 }
@@ -243,42 +227,6 @@ mod tests {
         let report = c.close_interval(SimTime::from_secs(1));
         assert!((report.app_throughput(AppId(0)) - 2.0).abs() < 1e-9);
         assert!((report.app_throughput(AppId(1)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interval_latency_quantiles_come_from_histograms() {
-        let mut c = ClassStatsCollector::new(SimTime::ZERO);
-        // 99 fast queries and one slow one: the mean hides the tail,
-        // the histogram quantiles expose it.
-        for _ in 0..99 {
-            c.record(&rec(0, 1, 10, 1, 0));
-        }
-        c.record(&rec(0, 1, 2_000, 1, 0));
-        let report = c.close_interval(SimTime::from_secs(10));
-        let class = ClassId::new(AppId(0), 1);
-        let hist = &report.latency_histograms[&class];
-        let p50 = hist.quantile(0.5).unwrap();
-        let p995 = hist.quantile(0.995).unwrap();
-        // 10ms = 10_000µs, 2s = 2_000_000µs; estimates are within the
-        // histogram's 0.8% relative error.
-        assert!((9_900..=10_100).contains(&p50), "p50 = {p50}");
-        assert!(p995 >= 1_980_000, "p995 = {p995}");
-        assert!(
-            !report
-                .latency_histograms
-                .contains_key(&ClassId::new(AppId(9), 0)),
-            "unseen class has no distribution"
-        );
-    }
-
-    #[test]
-    fn closed_interval_histograms_reset_like_the_vectors() {
-        let mut c = ClassStatsCollector::new(SimTime::ZERO);
-        c.record(&rec(0, 1, 100, 1, 0));
-        let first = c.close_interval(SimTime::from_secs(10));
-        assert_eq!(first.latency_histograms.len(), 1);
-        let empty = c.close_interval(SimTime::from_secs(20));
-        assert!(empty.latency_histograms.is_empty());
     }
 
     #[test]

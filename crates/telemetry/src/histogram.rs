@@ -122,6 +122,18 @@ impl LogLinearHistogram {
         self.max = self.max.max(value);
     }
 
+    /// Empties the histogram in place: it then equals a fresh one, but
+    /// keeps its bucket buffer, so refilling it allocates nothing until
+    /// a value lands past the widest range seen.
+    pub fn reset(&mut self) {
+        self.buckets.clear();
+        self.count = 0;
+        self.sum = 0;
+        self.saturated = false;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count

@@ -2,7 +2,7 @@
 //! stay within the advertised relative rank error of the exact
 //! nearest-rank answer, and merge must conserve counts, commute and
 //! associate — the invariants that make per-class × per-replica series
-//! aggregatable across instances.
+//! aggregatable across instances. A reset histogram must equal a fresh one.
 
 use odlb::telemetry::LogLinearHistogram;
 use odlb_testkit::{check, Gen};
@@ -142,5 +142,39 @@ fn record_n_matches_repeated_record() {
             one_by_one.record(v);
         }
         assert_eq!(fingerprint(&bulk), fingerprint(&one_by_one));
+    });
+}
+
+/// A histogram reset in place and refilled is indistinguishable from a
+/// fresh one given the same values — the exporter's interval histograms
+/// rely on it, reusing their bucket buffers across intervals.
+#[test]
+fn reset_then_record_equals_a_fresh_histogram() {
+    check("reset_then_record_equals_a_fresh_histogram", 128, |g| {
+        // Either fill may saturate the sum, so the flag is compared both ways.
+        let fill = |g: &mut Gen| {
+            let mut values = samples(g);
+            if g.chance(0.2) {
+                values.extend([u64::MAX, u64::MAX]);
+            }
+            values
+        };
+        let before = fill(g);
+        let after = fill(g);
+        let mut reused = LogLinearHistogram::default();
+        for &v in &before {
+            reused.record(v);
+        }
+        reused.reset();
+        let mut fresh = LogLinearHistogram::default();
+        for &v in &after {
+            reused.record(v);
+            fresh.record(v);
+        }
+        assert_eq!(fingerprint(&reused), fingerprint(&fresh));
+        assert_eq!(reused.saturated(), fresh.saturated());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            assert_eq!(reused.quantile(q), fresh.quantile(q), "q={q}");
+        }
     });
 }

@@ -61,7 +61,7 @@ fn replication_invariants() {
             let class = ClassId::new(app, 3);
             match sched.route_write(class, |i| i.0 as usize % 3) {
                 Some(route) => {
-                    let mut all = route.applies.clone();
+                    let mut all: Vec<InstanceId> = route.applies().collect();
                     all.push(route.primary);
                     all.sort();
                     all.dedup();

@@ -78,7 +78,9 @@ fn table2_at_15_recovery_intervals() {
         window_bytes: 1_417_056,
     };
     assert_eq!(work, expected);
-    assert_eq!(allocations, 8_328);
+    // 8,328 before write applies walked the replica set in place, the
+    // lock table pruned itself and latency histograms left the collector.
+    assert_eq!(allocations, 5_052);
 }
 
 /// `fig-scale-mini`'s two rows: 16 replicas with 10,000 resident
@@ -123,12 +125,16 @@ fn fig_scale_mini_ramp_interval_heap() {
     let mut sim = scale::cluster(9_2027, 32, 40_000);
     sim.start();
     let (_, allocations, peak) = heap_of(base, || sim.run_interval());
+    // 3,098 allocations and a peak of 2,224,224 bytes (2,849,376 in debug)
+    // while every engine grew a latency histogram per class and kept every
+    // page written in the interval locked in its table, and each write
+    // collected its apply targets.
     let expected_peak = if cfg!(debug_assertions) {
-        2_849_376
+        2_366_912
     } else {
-        2_224_224
+        1_741_760
     };
-    assert_eq!((allocations, peak), (3_098, expected_peak));
+    assert_eq!((allocations, peak), (2_155, expected_peak));
 }
 
 /// The heap allocations of one steady-state interval: the second
@@ -139,10 +145,10 @@ fn fig_scale_mini_steady_interval_allocations() {
     let mut sim = scale::cluster(9_2027, 32, 40_000);
     sim.start();
     sim.run_interval();
-    let before = ALLOCATIONS.with(Cell::get);
-    sim.run_interval();
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(allocations, 225);
+    let (_, allocations, _) = heap_of(0, || sim.run_interval());
+    // 1,161 with the event queue's per-slot vectors, 225 before the
+    // histograms, lock table and write applies above.
+    assert_eq!(allocations, 125);
 }
 
 /// A 16-cell sweep: one schedule, two replica counts, and per prefix the
