@@ -98,8 +98,8 @@ impl Simulation {
                 inst.outstanding = left.unwrap_or(0);
                 inst.engine.commit_record(record);
                 if self.telemetry.is_active() {
-                    let (class, latency) = (record.class, record.latency);
-                    self.series.record_latency(instance, app, class, latency);
+                    let (t, class, latency) = (&self.telemetry, record.class, record.latency);
+                    self.series.record_latency(t, instance, app, class, latency);
                 }
                 if client != NO_CLIENT {
                     let think = self.apps[app as usize].clients.next_think();

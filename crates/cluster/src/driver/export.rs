@@ -2,9 +2,9 @@
 //! cluster's `odlb_*` series (type, labels and source accessor of each:
 //! DESIGN.md, "Runtime telemetry"). Engines, pools and I/O paths expose
 //! plain state; everything here reads it and the closed
-//! [`IntervalOutcome`]. The one per-query input is each completed query's
-//! latency, which the driver hands to [`SeriesCache::record_latency`]
-//! while telemetry is attached.
+//! [`IntervalOutcome`], except each completed query's latency, which the
+//! driver hands to [`SeriesCache::record_latency`] while telemetry is
+//! attached.
 
 use super::{IntervalOutcome, Simulation};
 use crate::topology::InstanceId;
@@ -40,18 +40,15 @@ const CLASS_COUNTERS: [(&str, &str, MetricKind); 4] = [
 
 /// The exporter's handle cache: a series' registry lookup is paid the
 /// first interval it is written, later closes write through the handle.
-/// It also holds the open interval's latency histograms, which only the
-/// exporter reads.
 #[derive(Default)]
 pub(super) struct SeriesCache {
-    classes: BTreeMap<(InstanceId, ClassId), ClassSeries>,
-    /// The open interval's latency distribution (simulated microseconds)
-    /// of each class on each instance, indexed by instance, app index and
-    /// template: a query finds its histogram in three `Vec` indexings.
-    /// Reset in place at interval close, so their buffers are reused.
-    interval: Vec<Vec<Vec<LogLinearHistogram>>>,
-    /// Each app's interval tail, indexed by app: the flat merge of its
-    /// classes' interval histograms across instances.
+    /// The series of each class on each instance, indexed by instance,
+    /// app index and template: a completed query finds its histograms in
+    /// three `Vec` indexings, no search.
+    classes: Vec<Vec<Vec<Option<ClassSeries>>>>,
+    /// Each app's latency distribution over the open interval, indexed
+    /// by app, for its p95 gauge; reset in place at close, so its buffer
+    /// is reused.
     tails: Vec<LogLinearHistogram>,
     /// Every per-instance, per-app and per-server series.
     gauges: BTreeMap<SeriesKey, Gauge>,
@@ -82,18 +79,26 @@ fn slot<T: Default>(v: &mut Vec<T>, index: usize) -> &mut T {
 }
 
 impl SeriesCache {
-    /// Records a completed query's latency into its (instance, class)'s
-    /// interval histogram; `app` is the class's index in the app list.
+    /// Records a completed query's latency (simulated microseconds) in
+    /// its (instance, class)'s series, its class's cluster-wide series
+    /// and its app's interval tail; `app` is the class's index in the app
+    /// list. Registers the class's series on its first query.
     pub(super) fn record_latency(
         &mut self,
+        t: &Telemetry,
         instance: u32,
         app: u16,
         class: ClassId,
         latency: SimDuration,
     ) {
-        let apps = slot(&mut self.interval, instance as usize);
-        let classes = slot(apps, usize::from(app));
-        slot(classes, class.template as usize).record(latency.as_micros());
+        let apps = slot(&mut self.classes, instance as usize);
+        let register = || ClassSeries::register(t, &InstanceId(instance).to_string(), class);
+        let series = slot(slot(apps, usize::from(app)), class.template as usize)
+            .get_or_insert_with(register);
+        let us = latency.as_micros();
+        series.latency.record(us);
+        series.cluster.record(us);
+        slot(&mut self.tails, usize::from(app)).record(us);
     }
 }
 
@@ -176,37 +181,23 @@ impl Simulation {
                     resident as f64,
                 );
             }
-            // The collector is the one place queries are accounted; the
-            // registry adds its interval totals. The classes it reports
-            // are exactly those with a non-empty interval histogram: both
-            // take every query that completed in the interval.
+            // The collector is the one place query counters are
+            // accounted; the registry adds its interval totals. Latencies
+            // were recorded as queries completed, so a reported class has
+            // its series: both take every query completed in the interval.
             let report = &outcome.reports[&id];
             for (class, v) in &report.per_class {
-                let series = cache
-                    .classes
-                    .entry((id, *class))
-                    .or_insert_with(|| ClassSeries::register(t, &instance, *class));
                 let app = self.apps.iter().position(|a| a.spec.app == class.app);
                 let app = app.expect("a reported class belongs to an app");
-                let latency = &mut cache.interval[i][app][class.template as usize];
-                series.latency.merge(latency);
-                series.cluster.merge(latency);
-                series.queries.add(latency.count());
+                let series = cache.classes[i][app][class.template as usize].as_ref();
+                let series = series.expect("a reported class completed a query");
+                let queries = series.latency.with(LogLinearHistogram::count);
+                series.queries.set_total(queries);
                 for (counter, (_, _, kind)) in series.counters.iter().zip(CLASS_COUNTERS) {
                     counter.add(v[kind] as u64);
                 }
-                // Interval tail latency per app: the flat merge of its
-                // classes' interval histograms across instances (integer
-                // bucket sums, so independent of any rack grouping).
-                slot(&mut cache.tails, app).merge(latency);
-                latency.reset();
             }
         }
-        let mut slots = cache.interval.iter().flatten().flatten();
-        debug_assert!(
-            slots.all(|h| h.count() == 0),
-            "a query completed in a class its engine did not report"
-        );
         for (a, app) in self.apps.iter().enumerate() {
             let key = app.spec.app;
             let id = key.to_string();
