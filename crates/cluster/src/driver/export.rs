@@ -39,7 +39,7 @@ const CLASS_COUNTERS: [(&str, &str, MetricKind); 4] = [
 ];
 
 /// The exporter's handle cache: a series' registry lookup is paid the
-/// first interval it is written, later closes write through the handle.
+/// first time it is written, later writes go through the handle.
 #[derive(Default)]
 pub(super) struct SeriesCache {
     /// The series of each class on each instance, indexed by instance,

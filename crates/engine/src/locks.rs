@@ -143,20 +143,23 @@ mod tests {
     /// stays within twice the most pages held at once, plus the floor.
     #[test]
     fn pruned_table_waits_like_an_unpruned_oracle() {
+        // (pages, largest gap, longest hold) in µs: a few hot pages; long
+        // holds over many pages; and holds of a few µs with ties in time,
+        // so pruned entries are often about to be asked for again.
+        let regimes = [(40, 3_000, 200_000), (4_000, 3_000, 200_000), (300, 3, 6)];
         for seed in 0..24 {
             let mut rng = SimRng::new(seed);
             let mut lm = LockManager::new();
             let mut oracle: BTreeMap<PageId, SimTime> = BTreeMap::new();
             let mut now = SimTime::ZERO;
             let mut peak_live = 0;
-            // Some seeds keep a few pages hot, others spread over many.
-            let universe = [40, 400, 4_000][seed as usize % 3];
+            let (universe, gap, hold) = regimes[seed as usize % regimes.len()];
             for _ in 0..1_500 {
-                now += SimDuration::from_micros(rng.below(3_000));
+                now += SimDuration::from_micros(rng.below(gap));
                 let pages: Vec<PageId> = (0..rng.below(7))
                     .map(|_| pid(rng.below(universe)))
                     .collect();
-                let exec = SimDuration::from_micros(rng.below(200_000));
+                let exec = SimDuration::from_micros(rng.below(hold));
                 let mut free_at = now;
                 for page in &pages {
                     if let Some(&until) = oracle.get(page) {
