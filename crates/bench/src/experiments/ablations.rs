@@ -9,23 +9,21 @@
 //!   would grant BestSeller moves with the threshold.
 //! * **A5** — exact Mattson vs bucketed approximation: curve deviation.
 
+use super::scenario::{self, Phase, APP, INST, TENANT};
 use crate::bucketed::BucketedTracker;
-use odlb_cluster::{Simulation, SimulationConfig};
 use odlb_core::{
     ClusterController, CoarseGrainedController, ControllerConfig, CpuOnlyController,
     SelectiveRetuningController,
 };
-use odlb_engine::EngineConfig;
-use odlb_metrics::{AppId, ClassId, MetricVector, Sla};
+use odlb_metrics::{ClassId, MetricVector};
 use odlb_mrc::MattsonTracker;
 use odlb_outlier::{detect, OutlierConfig, Weighting};
-use odlb_sim::{SimRng, SimTime};
-use odlb_storage::DomainId;
+use odlb_sim::SimRng;
 use odlb_workload::rubis::{rubis_workload, RubisConfig};
-use odlb_workload::tpcw::{bestseller_pattern, tpcw_workload, TpcwConfig, BESTSELLER};
-use odlb_workload::{ClientConfig, LoadFunction};
-use std::collections::BTreeMap;
+use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 /// Renders the A1 table, one line per multiplier.
 pub fn render_fences(snap: &DetectionSnapshot, multipliers: &[f64]) -> String {
@@ -117,36 +115,23 @@ pub struct DetectionSnapshot {
 /// Runs the index-drop scenario just far enough to capture one violated
 /// interval against its stable baseline.
 pub fn capture_detection_snapshot(clients: usize) -> DetectionSnapshot {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 41_2007,
-        ..Default::default()
-    });
-    let server = sim.add_server(4);
-    let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
-    let app = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(clients),
-    );
-    sim.assign_replica(app, inst);
+    let mut sim = scenario::index_drop(41_2007, clients, 0);
     sim.start();
-    let mut stable = BTreeMap::new();
-    for _ in 0..10 {
-        let outcome = sim.run_interval();
-        for (&class, &v) in &outcome.reports[&inst].per_class {
-            stable.insert(class, v);
+    let (mut stable, mut current) = (BTreeMap::new(), BTreeMap::new());
+    let phases = [
+        Phase::held_off(10),
+        Phase::held_off(6).after(scenario::drop_odate_index),
+    ];
+    scenario::drive(&mut sim, None, &phases, |phase, _, _, out, _| {
+        let per_class = &out.reports[&INST].per_class;
+        if phase == 0 {
+            stable.extend(per_class.iter().map(|(&class, &v)| (class, v)));
+        } else if out.sla[&APP].is_violation() {
+            current = per_class.clone();
+            return ControlFlow::Break(());
         }
-    }
-    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
-    let mut current = BTreeMap::new();
-    for _ in 0..6 {
-        let outcome = sim.run_interval();
-        if outcome.sla[&app].is_violation() {
-            current = outcome.reports[&inst].per_class.clone();
-            break;
-        }
-    }
+        ControlFlow::Continue(())
+    });
     DetectionSnapshot { current, stable }
 }
 
@@ -257,57 +242,28 @@ pub fn controller_ablation(
     rubis_clients: usize,
     intervals: usize,
 ) -> Vec<ControllerAblationRow> {
-    let run_with =
-        |name: &'static str, mut ctl: Box<dyn ClusterController>| -> ControllerAblationRow {
-            let mut sim = Simulation::new(SimulationConfig {
-                seed: 43_2007,
-                ..Default::default()
-            });
-            let s0 = sim.add_server(4);
-            sim.add_server(4);
-            sim.add_server(4);
-            let inst = sim.add_instance(s0, DomainId(1), EngineConfig::default());
-            let tpcw = sim.add_app(
-                tpcw_workload(TpcwConfig::default()),
-                Sla::one_second(),
-                ClientConfig::default(),
-                LoadFunction::Constant(tpcw_clients),
-            );
-            let rubis = sim.add_app(
-                rubis_workload(RubisConfig { app: AppId(1) }),
-                Sla::one_second(),
-                ClientConfig::default(),
-                LoadFunction::Step {
-                    before: 0,
-                    after: rubis_clients,
-                    at: SimTime::from_secs(60),
-                },
-            );
-            sim.assign_replica(tpcw, inst);
-            sim.assign_replica(rubis, inst);
-            sim.start();
-            let mut final_latency = f64::NAN;
-            for _ in 0..intervals {
-                let outcome = sim.run_interval();
-                ctl.on_interval(&mut sim, &outcome);
-                if let Some(lat) = outcome.app_latency[&tpcw] {
-                    final_latency = lat;
-                }
+    let run_with = |controller: &'static str, mut ctl: Box<dyn ClusterController>| {
+        let mut sim = scenario::shared_pool(43_2007, tpcw_clients, rubis_clients, 2, 6);
+        sim.start();
+        let mut final_latency_s = f64::NAN;
+        let phases = [Phase::controlled(intervals)];
+        scenario::drive(&mut sim, Some(ctl.as_mut()), &phases, |_, _, _, out, _| {
+            if let Some(lat) = out.app_latency[&APP] {
+                final_latency_s = lat;
             }
-            let mut servers: Vec<odlb_metrics::ServerId> = sim
-                .replicas_of(tpcw)
-                .into_iter()
-                .chain(sim.replicas_of(rubis))
-                .map(|i| sim.server_of(i))
-                .collect();
-            servers.sort();
-            servers.dedup();
-            ControllerAblationRow {
-                controller: name,
-                final_latency_s: final_latency,
-                servers_used: servers.len(),
-            }
-        };
+            ControlFlow::Continue(())
+        });
+        let servers: BTreeSet<_> = [APP, TENANT]
+            .into_iter()
+            .flat_map(|app| sim.replicas_of(app))
+            .map(|i| sim.server_of(i))
+            .collect();
+        ControllerAblationRow {
+            controller,
+            final_latency_s,
+            servers_used: servers.len(),
+        }
+    };
     vec![
         run_with(
             "selective-retuning",

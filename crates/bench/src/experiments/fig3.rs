@@ -12,14 +12,12 @@
 //! scaled up to stand in for the co-located PHP tier; once warm, latency
 //! is CPU-dominated exactly as in the testbed.
 
+use super::scenario::{self, Phase, APP};
 use super::Observers;
-use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
-use odlb_core::{Action, ClusterController};
-use odlb_engine::EngineConfig;
-use odlb_metrics::Sla;
-use odlb_storage::DomainId;
-use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
-use odlb_workload::{ClientConfig, LoadFunction, WorkloadSpec};
+use odlb_cluster::MEASUREMENT_INTERVAL;
+use odlb_core::Action;
+use odlb_workload::{LoadFunction, WorkloadSpec};
+use std::ops::ControlFlow;
 
 /// Time series for the three panels.
 #[derive(Clone, Debug)]
@@ -63,38 +61,13 @@ pub fn run_observed(
     max_clients: usize,
     servers: usize,
 ) -> Fig3Result {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 3_2007,
-        ..Default::default()
-    });
-    for _ in 0..servers {
-        // Wide RAID stripe: CPU, not the disk, is the studied bottleneck.
-        sim.add_server_with_disk(
-            4,
-            odlb_storage::DiskModel {
-                positioning: odlb_sim::SimDuration::from_micros(400),
-                transfer_per_page: odlb_sim::SimDuration::from_micros(30),
-            },
-        );
-    }
-    let engine = EngineConfig {
-        pool_pages: 32_768,
-        ..Default::default()
+    let load = LoadFunction::Sinusoid {
+        min: min_clients,
+        max: max_clients,
+        period: MEASUREMENT_INTERVAL * (intervals - warmup_intervals) as u64,
     };
-    let inst = sim.add_instance(odlb_metrics::ServerId(0), DomainId(1), engine);
-    let period = MEASUREMENT_INTERVAL * (intervals - warmup_intervals) as u64;
-    let app = sim.add_app(
-        scale_cpu(tpcw_workload(TpcwConfig::default()), 12),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Sinusoid {
-            min: min_clients,
-            max: max_clients,
-            period,
-        },
-    );
-    sim.assign_replica(app, inst);
-    let mut controller = observers.start(&mut sim);
+    let mut sim = scenario::sinusoid(3_2007, servers, load.clone());
+    let ctl = &mut observers.start(&mut sim);
     let mut result = Fig3Result {
         load: Vec::new(),
         machines: Vec::new(),
@@ -103,28 +76,31 @@ pub fn run_observed(
         control_from: warmup_intervals,
         actions: Vec::new(),
     };
-    for i in 0..intervals {
-        let outcome = sim.run_interval();
-        let t = outcome.end.as_secs_f64();
-        let nominal = min_clients
-            + ((max_clients - min_clients) as f64
-                * (1.0 - (2.0 * std::f64::consts::PI * t / period.as_secs_f64()).cos())
-                / 2.0)
-                .round() as usize;
-        result.load.push((t, nominal));
-        result.machines.push((t, sim.replicas_of(app).len()));
-        result
-            .latency
-            .push((t, outcome.app_latency[&app].unwrap_or(f64::NAN)));
-        result.sla_met.push(!outcome.sla[&app].is_violation());
-        if i >= warmup_intervals {
-            for action in controller.on_interval(&mut sim, &outcome) {
-                if !matches!(action, Action::DetectedOutliers { .. }) {
-                    result.actions.push((t, action.to_string()));
-                }
+    let phases = [
+        Phase::held_off(warmup_intervals),
+        Phase::controlled(intervals - warmup_intervals),
+    ];
+    scenario::drive(&mut sim, Some(ctl), &phases, |_, _, sim, out, actions| {
+        let t = out.end.as_secs_f64();
+        let mut machines = sim.replicas_of(APP).len();
+        for action in actions {
+            match action {
+                // The controller has acted, and a retirement (unlike a
+                // provisioning) leaves the set at once: count it back in
+                // for the machines the interval ran on.
+                Action::RetiredReplica { .. } => machines += 1,
+                Action::DetectedOutliers { .. } => continue,
+                _ => {}
             }
+            result.actions.push((t, action.to_string()));
         }
-    }
+        let latency = out.app_latency[&APP].unwrap_or(f64::NAN);
+        result.load.push((t, load.clients_at(out.end)));
+        result.machines.push((t, machines));
+        result.latency.push((t, latency));
+        result.sla_met.push(!out.sla[&APP].is_violation());
+        ControlFlow::Continue(())
+    });
     observers.tracer.flush();
     result
 }
@@ -157,6 +133,7 @@ pub fn render(r: &Fig3Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
 
     #[test]
     fn provisioning_tracks_the_sine() {

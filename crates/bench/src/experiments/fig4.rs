@@ -15,15 +15,13 @@
 //! * MRC recomputation then isolates BestSeller as the one class whose
 //!   parameters changed, and a quota is enforced for it.
 
+use super::scenario::{self, Phase, APP, INST};
 use super::Observers;
-use odlb_cluster::{Simulation, SimulationConfig};
-use odlb_core::{Action, ClusterController};
-use odlb_engine::EngineConfig;
-use odlb_metrics::{MetricKind, Sla};
-use odlb_storage::DomainId;
-use odlb_workload::tpcw::{bestseller_pattern, tpcw_workload, TpcwConfig, BESTSELLER};
-use odlb_workload::{ClientConfig, LoadFunction};
+use odlb_core::Action;
+use odlb_metrics::{MetricKind, MetricVector};
+use odlb_workload::tpcw::BESTSELLER;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 /// Per-class deviation ratios at the violated interval.
 #[derive(Clone, Debug)]
@@ -73,115 +71,81 @@ pub fn run_observed(
     stable_intervals: usize,
     recovery_intervals: usize,
 ) -> Fig4Result {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 4_2007,
-        ..Default::default()
-    });
-    let server = sim.add_server(4);
-    let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
-    let app = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(clients),
-    );
-    sim.assign_replica(app, inst);
-    let mut controller = observers.start(&mut sim);
-    let mut latency_before = f64::NAN;
-    let mut stable_metrics: BTreeMap<u32, [f64; 4]> = BTreeMap::new();
-    for _ in 0..stable_intervals {
-        let outcome = sim.run_interval();
-        controller.on_interval(&mut sim, &outcome);
-        if let Some(lat) = outcome.app_latency[&app] {
-            latency_before = lat;
-        }
-        for (class, v) in &outcome.reports[&inst].per_class {
-            stable_metrics.insert(
-                class.template,
-                [
-                    v[MetricKind::Latency],
-                    v[MetricKind::Throughput],
-                    v[MetricKind::BufferMisses],
-                    v[MetricKind::ReadAheads],
-                ],
-            );
-        }
-    }
-
-    // Drop the O_DATE index: BestSeller's plan degenerates into a scan.
-    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
-
+    let mut sim = scenario::index_drop(4_2007, clients, 0);
+    let ctl = &mut observers.start(&mut sim);
+    let mut stable: BTreeMap<u32, MetricVector> = BTreeMap::new();
     let mut result = Fig4Result {
         ratios: BTreeMap::new(),
         outlier_contexts: Vec::new(),
         mild: 0,
         extreme: 0,
         mrc_changed: Vec::new(),
-        latency_before,
+        latency_before: f64::NAN,
         latency_after_drop: f64::NAN,
         latency_after_action: f64::NAN,
         actions: Vec::new(),
     };
+    let phases = [
+        Phase::controlled(stable_intervals),
+        Phase::controlled(recovery_intervals).after(scenario::drop_odate_index),
+    ];
     let mut captured = false;
-    for _ in 0..recovery_intervals {
-        let outcome = sim.run_interval();
-        let violated = outcome.sla[&app].is_violation();
-        if violated && !captured {
+    scenario::drive(&mut sim, Some(ctl), &phases, |phase, _, _, out, actions| {
+        let per_class = &out.reports[&INST].per_class;
+        if phase == 0 {
+            result.latency_before = out.app_latency[&APP].unwrap_or(result.latency_before);
+            stable.extend(per_class.iter().map(|(class, &v)| (class.template, v)));
+            return ControlFlow::Continue(());
+        }
+        if out.sla[&APP].is_violation() && !captured {
             captured = true;
-            result.latency_after_drop = outcome.app_latency[&app].unwrap_or(f64::NAN);
-            let report = &outcome.reports[&inst];
-            for (class, v) in &report.per_class {
-                let cur = [
-                    v[MetricKind::Latency],
-                    v[MetricKind::Throughput],
-                    v[MetricKind::BufferMisses],
-                    v[MetricKind::ReadAheads],
-                ];
-                let stable = stable_metrics
-                    .get(&class.template)
-                    .copied()
-                    .unwrap_or([f64::NAN; 4]);
-                let ratio = |c: f64, s: f64| if s.abs() < 1e-12 { f64::NAN } else { c / s };
-                result.ratios.insert(
-                    class.template,
-                    [
-                        ratio(cur[0], stable[0]),
-                        ratio(cur[1], stable[1]),
-                        ratio(cur[2], stable[2]),
-                        ratio(cur[3], stable[3]),
-                    ],
-                );
+            result.latency_after_drop = out.app_latency[&APP].unwrap_or(f64::NAN);
+            for (class, v) in per_class {
+                let s = stable.get(&class.template);
+                let ratio = |k| match s.map(|s| s[k]) {
+                    Some(s) if s.abs() >= 1e-12 => v[k] / s,
+                    _ => f64::NAN,
+                };
+                result.ratios.insert(class.template, PANELS.map(ratio));
             }
         }
-        for action in controller.on_interval(&mut sim, &outcome) {
-            match &action {
+        for action in actions {
+            match action {
                 Action::DetectedOutliers {
                     contexts,
                     mild,
                     extreme,
                     ..
-                } if result.outlier_contexts.is_empty() => {
-                    result.outlier_contexts = contexts.iter().map(|c| c.template).collect();
-                    result.mild = *mild;
-                    result.extreme = *extreme;
-                }
-                Action::RecomputedMrc { class, changed, .. } => {
-                    if *changed && !result.mrc_changed.contains(&class.template) {
-                        result.mrc_changed.push(class.template);
+                } => {
+                    if result.outlier_contexts.is_empty() {
+                        result.outlier_contexts = contexts.iter().map(|c| c.template).collect();
+                        (result.mild, result.extreme) = (*mild, *extreme);
                     }
-                    result.actions.push(action.to_string());
+                    continue;
                 }
-                Action::DetectedOutliers { .. } => {}
-                _ => result.actions.push(action.to_string()),
+                Action::RecomputedMrc { class, changed, .. }
+                    if *changed && !result.mrc_changed.contains(&class.template) =>
+                {
+                    result.mrc_changed.push(class.template)
+                }
+                _ => {}
             }
+            result.actions.push(action.to_string());
         }
-        if let Some(lat) = outcome.app_latency[&app] {
-            result.latency_after_action = lat;
-        }
-    }
+        result.latency_after_action = out.app_latency[&APP].unwrap_or(result.latency_after_action);
+        ControlFlow::Continue(())
+    });
     observers.tracer.flush();
     result
 }
+
+/// The four panels' metrics, in [`Fig4Result::ratios`] order.
+const PANELS: [MetricKind; 4] = [
+    MetricKind::Latency,
+    MetricKind::Throughput,
+    MetricKind::BufferMisses,
+    MetricKind::ReadAheads,
+];
 
 /// Renders the four ratio panels plus the diagnosis summary.
 pub fn render(r: &Fig4Result) -> String {

@@ -8,6 +8,7 @@ pub mod fig6;
 pub mod mrc_common;
 pub mod sampled;
 pub mod scale;
+pub mod scenario;
 pub mod table1;
 pub mod table2;
 pub mod table3;

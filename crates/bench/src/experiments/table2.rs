@@ -9,15 +9,12 @@
 //! onto a different replica, after which TPC-W recovers most of its
 //! throughput and latency.
 
-use odlb_cluster::{Simulation, SimulationConfig, WorkCounts, MEASUREMENT_INTERVAL};
-use odlb_core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
-use odlb_engine::EngineConfig;
-use odlb_metrics::{AppId, Sla};
-use odlb_sim::SimTime;
-use odlb_storage::DomainId;
-use odlb_workload::rubis::{rubis_workload, RubisConfig, SEARCH_ITEMS_BY_REGION};
-use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
-use odlb_workload::{ClientConfig, LoadFunction};
+use super::scenario::{self, Phase, APP, TENANT};
+use odlb_cluster::WorkCounts;
+use odlb_core::{Action, ControllerConfig, SelectiveRetuningController};
+use odlb_metrics::ClassId;
+use odlb_workload::rubis::SEARCH_ITEMS_BY_REGION;
+use std::ops::ControlFlow;
 
 /// One row of Table 2 (TPC-W's view).
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +42,19 @@ pub struct Table2Result {
     pub work: WorkCounts,
 }
 
-/// Runs the scenario. Phase lengths in 10 s measurement intervals.
+/// The scenario's phases, lengths in 10 s measurement intervals: TPC-W
+/// alone (the controller records stable states), RUBiS joined with the
+/// controller held off (the paper measures the broken placement as its
+/// own row before applying the remedy), then diagnosis and re-placement.
+pub fn phases(alone: usize, shared: usize, recovery: usize) -> [Phase; 3] {
+    [
+        Phase::controlled(alone),
+        Phase::held_off(shared),
+        Phase::controlled(recovery),
+    ]
+}
+
+/// Runs the scenario over [`phases`].
 pub fn run(
     tpcw_clients: usize,
     rubis_clients: usize,
@@ -53,117 +62,64 @@ pub fn run(
     shared_intervals: usize,
     recovery_intervals: usize,
 ) -> Table2Result {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 2_2007,
-        ..Default::default()
-    });
-    let s0 = sim.add_server(4);
-    sim.add_server(4); // free pool for the re-placement target
-    let inst = sim.add_instance(s0, DomainId(1), EngineConfig::default());
-    let tpcw = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(tpcw_clients),
-    );
-    let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * alone_intervals as u64;
-    let rubis = sim.add_app(
-        rubis_workload(RubisConfig { app: AppId(1) }),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Step {
-            before: 0,
-            after: rubis_clients,
-            at: join_at,
-        },
-    );
-    sim.assign_replica(tpcw, inst);
-    sim.assign_replica(rubis, inst);
+    let mut sim = scenario::shared_pool(2_2007, tpcw_clients, rubis_clients, 1, alone_intervals);
     sim.start();
-
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    let sibr = odlb_metrics::ClassId::new(AppId(1), SEARCH_ITEMS_BY_REGION as u32);
+    let ctl = &mut SelectiveRetuningController::new(ControllerConfig::default());
+    let sibr = ClassId::new(TENANT, SEARCH_ITEMS_BY_REGION as u32);
+    let unseen = Table2Row {
+        latency_s: f64::NAN,
+        throughput: 0.0,
+    };
     let mut result = Table2Result {
-        alone: Table2Row {
-            latency_s: f64::NAN,
-            throughput: 0.0,
-        },
+        alone: unseen,
         shared: Table2Row {
             latency_s: 0.0,
             throughput: f64::INFINITY,
         },
-        recovered: Table2Row {
-            latency_s: f64::NAN,
-            throughput: 0.0,
-        },
+        recovered: unseen,
         moved_sibr: false,
         actions: Vec::new(),
         work: WorkCounts::default(),
     };
-
-    // Phase A: alone (controller records stable states).
-    for _ in 0..alone_intervals {
-        let outcome = sim.run_interval();
-        controller.on_interval(&mut sim, &outcome);
-        if let Some(lat) = outcome.app_latency[&tpcw] {
-            result.alone = Table2Row {
-                latency_s: lat,
-                throughput: outcome.app_throughput[&tpcw],
-            };
-        }
-    }
-
-    // Phase B: RUBiS joins; the controller is held off so the row shows
-    // the full damage of the shared configuration (the paper measures the
-    // broken placement as its own table row before applying the remedy).
-    for _ in 0..shared_intervals {
-        let outcome = sim.run_interval();
-        if let Some(lat) = outcome.app_latency[&tpcw] {
-            if lat > result.shared.latency_s {
-                result.shared = Table2Row {
-                    latency_s: lat,
-                    throughput: outcome.app_throughput[&tpcw],
-                };
-            }
-        }
-    }
-
-    // Phase C: the controller diagnoses and re-places. The "recovered"
-    // row averages the intervals after the SearchItemsByRegion placement
-    // and before any coarse-grained fallback — the paper's third row is
-    // measured exactly at that stage.
+    // The "recovered" row averages the intervals after the
+    // SearchItemsByRegion placement and before any coarse-grained
+    // fallback — the paper's third row is measured exactly at that stage.
     let mut recovered_lat = Vec::new();
     let mut recovered_tput = Vec::new();
     let mut fallback_seen = false;
-    for _ in 0..recovery_intervals {
-        let outcome = sim.run_interval();
-        for action in controller.on_interval(&mut sim, &outcome) {
-            match &action {
-                Action::PlacedClass { class, .. } if *class == sibr => {
-                    result.moved_sibr = true;
+    let phases = phases(alone_intervals, shared_intervals, recovery_intervals);
+    scenario::drive(&mut sim, Some(ctl), &phases, |phase, _, _, out, actions| {
+        let row = out.app_latency[&APP].map(|latency_s| Table2Row {
+            latency_s,
+            throughput: out.app_throughput[&APP],
+        });
+        match (phase, row) {
+            (0, Some(row)) => result.alone = row,
+            (1, Some(row)) if row.latency_s > result.shared.latency_s => result.shared = row,
+            (2, _) => {
+                for action in actions {
+                    match action {
+                        Action::PlacedClass { class, .. } if *class == sibr => {
+                            result.moved_sibr = true
+                        }
+                        Action::CoarseFallback { .. } => fallback_seen = true,
+                        Action::DetectedOutliers { .. } => continue,
+                        _ => {}
+                    }
                     result.actions.push(action.to_string());
                 }
-                Action::CoarseFallback { .. } => {
-                    fallback_seen = true;
-                    result.actions.push(action.to_string());
+                if let Some(row) = row.filter(|_| result.moved_sibr && !fallback_seen) {
+                    recovered_lat.push(row.latency_s);
+                    recovered_tput.push(row.throughput);
                 }
-                Action::DetectedOutliers { .. } => {}
-                _ => result.actions.push(action.to_string()),
             }
+            _ => {}
         }
-        if result.moved_sibr && !fallback_seen {
-            if let Some(lat) = outcome.app_latency[&tpcw] {
-                recovered_lat.push(lat);
-                recovered_tput.push(outcome.app_throughput[&tpcw]);
-            }
-        }
-    }
+        ControlFlow::Continue(())
+    });
     // Skip the first post-placement interval (warm-up of the new replica).
-    let tail = recovered_lat
-        .len()
-        .min(recovered_lat.len().saturating_sub(1).max(1));
-    if !recovered_lat.is_empty() {
-        let from = recovered_lat.len() - tail;
+    let tail = recovered_lat.len().saturating_sub(1).max(1);
+    if let Some(from) = recovered_lat.len().checked_sub(tail) {
         result.recovered = Table2Row {
             latency_s: recovered_lat[from..].iter().sum::<f64>() / tail as f64,
             throughput: recovered_tput[from..].iter().sum::<f64>() / tail as f64,

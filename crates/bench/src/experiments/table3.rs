@@ -13,13 +13,11 @@
 //! this case"); the harness does the same, and reports the per-class I/O
 //! shares that justify the choice.
 
-use odlb_cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
-use odlb_engine::EngineConfig;
-use odlb_metrics::{AppId, MetricKind, Sla};
-use odlb_sim::SimTime;
-use odlb_storage::{DomainId, EXTENT_PAGES};
-use odlb_workload::rubis::{rubis_workload, RubisConfig, SEARCH_ITEMS_BY_REGION};
-use odlb_workload::{ClientConfig, LoadFunction};
+use super::scenario::{self, Phase, APP, DOMAIN_2, TENANT};
+use odlb_metrics::{ClassId, MetricKind, MetricVector};
+use odlb_storage::EXTENT_PAGES;
+use odlb_workload::rubis::SEARCH_ITEMS_BY_REGION;
+use std::ops::ControlFlow;
 
 /// One row of Table 3 (application 1's view, the domain-1 tenant).
 #[derive(Clone, Copy, Debug)]
@@ -53,99 +51,62 @@ pub fn run(
     contended_intervals: usize,
     recovery_intervals: usize,
 ) -> Table3Result {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 3_3007,
-        ..Default::default()
-    });
-    let server = sim.add_server(4);
-    // Two database instances in two VM domains on one machine: separate
-    // pools, separate CPU shares (the station has cores to spare), shared
-    // domain-0 I/O path.
-    let inst1 = sim.add_instance(server, DomainId(1), EngineConfig::default());
-    let inst2 = sim.add_instance(server, DomainId(2), EngineConfig::default());
-    let app1 = sim.add_app(
-        rubis_workload(RubisConfig { app: AppId(0) }),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(clients),
-    );
-    let join_at = SimTime::ZERO + MEASUREMENT_INTERVAL * baseline_intervals as u64;
-    let app2 = sim.add_app(
-        rubis_workload(RubisConfig { app: AppId(1) }),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Step {
-            before: 0,
-            after: clients,
-            at: join_at,
-        },
-    );
-    sim.assign_replica(app1, inst1);
-    sim.assign_replica(app2, inst2);
+    let mut sim = scenario::vm_domains(3_3007, clients, baseline_intervals);
     sim.start();
-
-    let row = |outcome: &odlb_cluster::IntervalOutcome| Table3Row {
-        latency_s: outcome.app_latency[&app1].unwrap_or(f64::NAN),
-        throughput: outcome.app_throughput[&app1],
+    let unseen = Table3Row {
+        latency_s: f64::NAN,
+        throughput: 0.0,
     };
-
     let mut result = Table3Result {
-        baseline: Table3Row {
-            latency_s: f64::NAN,
-            throughput: 0.0,
-        },
+        baseline: unseen,
         contended: Table3Row {
             latency_s: 0.0,
             throughput: f64::INFINITY,
         },
-        after_removal: Table3Row {
-            latency_s: f64::NAN,
-            throughput: 0.0,
-        },
+        after_removal: unseen,
         sibr_io_share: 0.0,
         contended_io_utilisation: 0.0,
     };
-
-    for _ in 0..baseline_intervals {
-        let outcome = sim.run_interval();
-        if outcome.app_latency[&app1].is_some() {
-            result.baseline = row(&outcome);
-        }
-    }
-
-    for _ in 0..contended_intervals {
-        let outcome = sim.run_interval();
-        if let Some(lat) = outcome.app_latency[&app1] {
-            if lat > result.contended.latency_s {
-                result.contended = row(&outcome);
-                result.contended_io_utilisation = outcome.servers[0].io_utilisation;
-            }
-        }
-        // Administrator's-eye diagnosis: per-class I/O traffic on domain
-        // 2, in transferred pages (a read-ahead request carries a whole
-        // extent, so requests alone understate scan traffic; `IoRequests`
-        // already counts one page of each).
-        let pages_of = |v: &odlb_metrics::MetricVector| {
-            v[MetricKind::IoRequests] + (EXTENT_PAGES - 1) as f64 * v[MetricKind::ReadAheads]
-        };
-        let report2 = &outcome.reports[&inst2];
-        let total_io: f64 = report2.per_class.values().map(pages_of).sum();
-        if total_io > 0.0 {
-            let sibr = odlb_metrics::ClassId::new(AppId(1), SEARCH_ITEMS_BY_REGION as u32);
-            let sibr_io = report2.per_class.get(&sibr).map(pages_of).unwrap_or(0.0);
-            result.sibr_io_share = sibr_io / total_io;
-        }
-    }
-
-    // The remedy: remove the heaviest I/O context from domain 2, exactly
+    // The remedy removes the heaviest I/O context from domain 2, exactly
     // the paper's third row ("RUBiS-1").
-    sim.class_mut(app2, SEARCH_ITEMS_BY_REGION).weight = 0.0;
-    for _ in 0..recovery_intervals {
-        let outcome = sim.run_interval();
-        if outcome.app_latency[&app1].is_some() {
-            result.after_removal = row(&outcome);
+    let phases = [
+        Phase::held_off(baseline_intervals),
+        Phase::held_off(contended_intervals),
+        Phase::held_off(recovery_intervals).after(scenario::remove_search_items_by_region),
+    ];
+    scenario::drive(&mut sim, None, &phases, |phase, _, _, out, _| {
+        let row = out.app_latency[&APP].map(|latency_s| Table3Row {
+            latency_s,
+            throughput: out.app_throughput[&APP],
+        });
+        match (phase, row) {
+            (0, Some(row)) => result.baseline = row,
+            (2, Some(row)) => result.after_removal = row,
+            (1, _) => {
+                if let Some(row) = row.filter(|r| r.latency_s > result.contended.latency_s) {
+                    result.contended = row;
+                    result.contended_io_utilisation = out.servers[0].io_utilisation;
+                }
+                // Administrator's-eye diagnosis: per-class I/O traffic on
+                // domain 2, in transferred pages (a read-ahead request
+                // carries a whole extent, so requests alone understate scan
+                // traffic; `IoRequests` already counts one page of each).
+                let pages_of = |v: &MetricVector| {
+                    v[MetricKind::IoRequests]
+                        + (EXTENT_PAGES - 1) as f64 * v[MetricKind::ReadAheads]
+                };
+                let report2 = &out.reports[&DOMAIN_2];
+                let total_io: f64 = report2.per_class.values().map(pages_of).sum();
+                if total_io > 0.0 {
+                    let sibr = ClassId::new(TENANT, SEARCH_ITEMS_BY_REGION as u32);
+                    let sibr_io = report2.per_class.get(&sibr).map(pages_of).unwrap_or(0.0);
+                    result.sibr_io_share = sibr_io / total_io;
+                }
+            }
+            _ => {}
         }
-    }
+        ControlFlow::Continue(())
+    });
     result
 }
 

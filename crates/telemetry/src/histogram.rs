@@ -26,8 +26,11 @@ const GROUPING_POWER: u32 = 7;
 /// A mergeable log-linear histogram over `u64` values.
 #[derive(Clone, Debug)]
 pub struct LogLinearHistogram {
-    /// Bucket counts, grown lazily up to the highest observed index.
+    /// Bucket counts from index `offset` up to the highest observed
+    /// index, grown lazily at either end.
     buckets: Vec<u64>,
+    /// Bucket index of `buckets[0]`: the lowest observed index.
+    offset: usize,
     /// Total recorded values (always the sum of `buckets`).
     count: u64,
     /// Sum of recorded values; pinned at `u64::MAX` once it overflows
@@ -47,6 +50,7 @@ impl Default for LogLinearHistogram {
     fn default() -> Self {
         LogLinearHistogram {
             buckets: Vec::new(),
+            offset: 0,
             count: 0,
             sum: 0,
             saturated: false,
@@ -90,6 +94,21 @@ impl LogLinearHistogram {
         ((((m as u128 + 1) << shift) - 1).min(u64::MAX as u128)) as u64
     }
 
+    /// Grows `buckets` to hold bucket indices `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.buckets.is_empty() {
+            self.offset = lo;
+        } else if lo < self.offset {
+            let below = self.offset - lo;
+            self.buckets.resize(self.buckets.len() + below, 0);
+            self.buckets.rotate_right(below);
+            self.offset = lo;
+        }
+        if hi - self.offset >= self.buckets.len() {
+            self.buckets.resize(hi - self.offset + 1, 0);
+        }
+    }
+
     /// Records one value.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
@@ -101,10 +120,8 @@ impl LogLinearHistogram {
             return;
         }
         let idx = self.index_of(value);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += n;
+        self.cover(idx, idx);
+        self.buckets[idx - self.offset] += n;
         self.count += n;
         // Checked, not saturating: the old silent saturation let the
         // mean collapse near u64::MAX with no trace.
@@ -124,9 +141,10 @@ impl LogLinearHistogram {
 
     /// Empties the histogram in place: it then equals a fresh one, but
     /// keeps its bucket buffer, so refilling it allocates nothing until
-    /// a value lands past the widest range seen.
+    /// the values span more buckets than the widest range seen.
     pub fn reset(&mut self) {
         self.buckets.clear();
+        self.offset = 0;
         self.count = 0;
         self.sum = 0;
         self.saturated = false;
@@ -176,7 +194,7 @@ impl LogLinearHistogram {
         }
         let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (idx, &c) in (self.offset..).zip(&self.buckets) {
             seen += c;
             if seen >= rank {
                 // Never report past the tracked extrema: the last bucket's
@@ -190,11 +208,12 @@ impl LogLinearHistogram {
     /// Merges another histogram into this one by adding bucket counts —
     /// O(buckets), count-conserving, commutative and associative.
     pub fn merge(&mut self, other: &LogLinearHistogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+        if !other.buckets.is_empty() {
+            self.cover(other.offset, other.offset + other.buckets.len() - 1);
+            let from = other.offset - self.offset;
+            for (b, &o) in self.buckets[from..].iter_mut().zip(&other.buckets) {
+                *b += o;
+            }
         }
         self.count += other.count;
         match self.sum.checked_add(other.sum) {
@@ -216,7 +235,7 @@ impl LogLinearHistogram {
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (idx, &c) in (self.offset..).zip(&self.buckets) {
             if c > 0 {
                 cum += c;
                 out.push((self.upper_bound_of(idx), cum));
@@ -408,6 +427,27 @@ mod tests {
         assert_eq!(buckets, vec![(u64::MAX, 1)]);
         assert_eq!(h.quantile(0.5), Some(u64::MAX));
         assert_eq!(h.quantile(1.0), Some(u64::MAX));
+    }
+
+    /// Values only in `[2^19, 2^20)` hold that octave's buckets, not the
+    /// ~1,700 below it, and answer exactly as the layout from index 0 did.
+    #[test]
+    fn one_octave_holds_only_its_buckets() {
+        let (mut a, mut b) = (LogLinearHistogram::default(), LogLinearHistogram::default());
+        for v in ((1u64 << 19)..(1 << 20)).step_by(4_099) {
+            b.record(v);
+            // Descending, so `a` grows downward.
+            a.record((1 << 20) + (1 << 19) - 1 - v);
+        }
+        a.merge(&b);
+        assert!(a.buckets.len() <= 129, "{} buckets", a.buckets.len());
+        let mut dense = a.clone();
+        dense.buckets.splice(0..0, std::iter::repeat_n(0, a.offset));
+        dense.offset = 0;
+        assert_eq!(a.cumulative_buckets(), dense.cumulative_buckets());
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.999, 1.0] {
+            assert_eq!(a.quantile(q), dense.quantile(q));
+        }
     }
 
     #[test]

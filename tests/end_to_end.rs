@@ -1,60 +1,43 @@
 //! End-to-end integration scenarios across all crates: miniature versions
 //! of the paper's evaluation flows, driven through the public facade.
 
-use odlb::cluster::{Simulation, SimulationConfig};
-use odlb::core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
+use odlb::cluster::Simulation;
+use odlb::core::{Action, ControllerConfig, SelectiveRetuningController};
 use odlb::engine::EngineConfig;
-use odlb::metrics::{AppId, ClassId, MetricKind, Sla};
-use odlb::sim::SimTime;
+use odlb::metrics::{ClassId, MetricKind, ServerId};
 use odlb::storage::DomainId;
-use odlb::workload::rubis::{rubis_workload, RubisConfig, SEARCH_ITEMS_BY_REGION};
-use odlb::workload::tpcw::{bestseller_pattern, tpcw_workload, TpcwConfig, BESTSELLER};
-use odlb::workload::{ClientConfig, LoadFunction};
+use odlb::workload::rubis::SEARCH_ITEMS_BY_REGION;
+use odlb::workload::tpcw::BESTSELLER;
+use odlb_bench::experiments::scenario::{self, Phase, APP, INST, TENANT};
+use std::ops::ControlFlow::{Break, Continue};
 
-fn tpcw_sim(clients: usize, seed: u64) -> (Simulation, AppId) {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed,
-        ..Default::default()
-    });
-    let server = sim.add_server(4);
-    sim.add_server(4);
-    let inst = sim.add_instance(server, DomainId(1), EngineConfig::default());
-    let app = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(clients),
-    );
-    sim.assign_replica(app, inst);
+/// `sim`, started, and a fresh selective retuning controller.
+fn started(mut sim: Simulation) -> (Simulation, SelectiveRetuningController) {
     sim.start();
-    (sim, app)
+    (
+        sim,
+        SelectiveRetuningController::new(ControllerConfig::default()),
+    )
 }
 
 #[test]
 fn stable_tpcw_meets_sla_and_builds_signatures() {
-    let (mut sim, app) = tpcw_sim(20, 11);
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
+    let (mut sim, mut ctl) = started(scenario::index_drop(11, 20, 1));
     let mut met = 0;
-    for _ in 0..8 {
-        let outcome = sim.run_interval();
-        controller.on_interval(&mut sim, &outcome);
-        if !outcome.sla[&app].is_violation() {
-            met += 1;
-        }
-    }
+    let phases = [Phase::controlled(8)];
+    scenario::drive(&mut sim, Some(&mut ctl), &phases, |_, _, _, out, _| {
+        met += usize::from(!out.sla[&APP].is_violation());
+        Continue(())
+    });
     assert!(met >= 6, "mostly stable, got {met}/8");
     // All active classes have signatures with MRC parameters.
     let with_mrc = sim
-        .workload(app)
+        .workload(APP)
         .class_ids()
         .iter()
         .filter(|&&c| {
-            controller
-                .stable_store()
-                .get(
-                    odlb::core::memory::instance_key(odlb::cluster::InstanceId(0)),
-                    c,
-                )
+            ctl.stable_store()
+                .get(odlb::core::memory::instance_key(INST), c)
                 .is_some_and(|s| s.mrc.is_some())
         })
         .count();
@@ -64,18 +47,19 @@ fn stable_tpcw_meets_sla_and_builds_signatures() {
 #[test]
 fn full_simulation_is_deterministic() {
     let run = || {
-        let (mut sim, app) = tpcw_sim(25, 99);
-        let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
+        let (mut sim, mut ctl) = started(scenario::index_drop(99, 25, 1));
         let mut trace = Vec::new();
-        for _ in 0..6 {
-            let outcome = sim.run_interval();
-            let actions = controller.on_interval(&mut sim, &outcome);
-            trace.push((
-                outcome.app_latency[&app],
-                outcome.app_throughput[&app].to_bits(),
-                actions.len(),
-            ));
-        }
+        let phases = [Phase::controlled(6)];
+        scenario::drive(
+            &mut sim,
+            Some(&mut ctl),
+            &phases,
+            |_, _, _, out, actions| {
+                let tput = out.app_throughput[&APP].to_bits();
+                trace.push((out.app_latency[&APP], tput, actions.len()));
+                Continue(())
+            },
+        );
         trace
     };
     assert_eq!(run(), run());
@@ -83,110 +67,74 @@ fn full_simulation_is_deterministic() {
 
 #[test]
 fn index_drop_triggers_detection_and_memory_action() {
-    let (mut sim, app) = tpcw_sim(50, 4_2007);
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    for _ in 0..10 {
-        let outcome = sim.run_interval();
-        controller.on_interval(&mut sim, &outcome);
-    }
-    sim.class_mut(app, BESTSELLER).pattern = bestseller_pattern(false);
-    let bs = ClassId::new(app, BESTSELLER as u32);
+    let (mut sim, mut ctl) = started(scenario::index_drop(4_2007, 50, 1));
+    let bs = ClassId::new(APP, BESTSELLER as u32);
     let mut detected_bs = false;
     let mut acted_on_bs = false;
-    for _ in 0..8 {
-        let outcome = sim.run_interval();
-        for action in controller.on_interval(&mut sim, &outcome) {
-            match action {
-                Action::DetectedOutliers { contexts, .. } if contexts.contains(&bs) => {
-                    detected_bs = true;
+    let dropped = Phase::controlled(8).after(scenario::drop_odate_index);
+    let phases = [Phase::controlled(10), dropped];
+    scenario::drive(
+        &mut sim,
+        Some(&mut ctl),
+        &phases,
+        |phase, _, _, _, actions| {
+            for action in actions.iter().filter(|_| phase == 1) {
+                match action {
+                    Action::DetectedOutliers { contexts, .. } if contexts.contains(&bs) => {
+                        detected_bs = true;
+                    }
+                    Action::SetQuota { class, .. } | Action::PlacedClass { class, .. }
+                        if *class == bs =>
+                    {
+                        acted_on_bs = true;
+                    }
+                    _ => {}
                 }
-                Action::SetQuota { class, .. } | Action::PlacedClass { class, .. }
-                    if class == bs =>
-                {
-                    acted_on_bs = true;
-                }
-                _ => {}
             }
-        }
-    }
+            Continue(())
+        },
+    );
     assert!(detected_bs, "outlier detection must flag BestSeller");
     assert!(acted_on_bs, "controller must quota or re-place BestSeller");
 }
 
 #[test]
 fn shared_dbms_interference_names_the_right_culprit() {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 77,
-        ..Default::default()
-    });
-    let s0 = sim.add_server(4);
-    sim.add_server(4);
-    let inst = sim.add_instance(s0, DomainId(1), EngineConfig::default());
-    let tpcw = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(45),
-    );
-    let rubis = sim.add_app(
-        rubis_workload(RubisConfig { app: AppId(1) }),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Step {
-            before: 0,
-            after: 80,
-            at: SimTime::from_secs(80),
-        },
-    );
-    sim.assign_replica(tpcw, inst);
-    sim.assign_replica(rubis, inst);
-    sim.start();
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    let sibr = ClassId::new(AppId(1), SEARCH_ITEMS_BY_REGION as u32);
+    let (mut sim, mut ctl) = started(scenario::shared_pool(77, 45, 80, 1, 8));
+    let sibr = ClassId::new(TENANT, SEARCH_ITEMS_BY_REGION as u32);
     let mut moved = None;
-    for _ in 0..22 {
-        let outcome = sim.run_interval();
-        for action in controller.on_interval(&mut sim, &outcome) {
-            if let Action::PlacedClass { class, to, .. } = action {
+    let phases = [Phase::controlled(22)];
+    scenario::drive(&mut sim, Some(&mut ctl), &phases, |_, _, _, _, actions| {
+        for action in actions {
+            if let Action::PlacedClass { class, to, .. } = *action {
                 if class == sibr {
                     moved = Some(to);
                 }
             }
         }
-        if moved.is_some() {
-            break;
+        match moved {
+            Some(_) => Break(()),
+            None => Continue(()),
         }
-    }
+    });
     let target = moved.expect("SearchItemsByRegion must be re-placed");
-    assert_ne!(target, inst, "must move off the shared instance");
+    assert_ne!(target, INST, "must move off the shared instance");
     assert_eq!(sim.placement_of(sibr), vec![target]);
 }
 
 #[test]
 fn per_class_accounting_survives_replication_and_writes() {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 5,
-        ..Default::default()
-    });
-    let s1 = sim.add_server(4);
-    let s2 = sim.add_server(4);
-    let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-    let i2 = sim.add_instance(s2, DomainId(1), EngineConfig::default());
-    let app = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(20),
-    );
-    sim.assign_replica(app, i1);
-    sim.assign_replica(app, i2);
+    // Fig. 4's cluster with TPC-W replicated onto the spare server.
+    let mut sim = scenario::index_drop(5, 20, 1);
+    let i2 = sim.add_instance(ServerId(1), DomainId(1), EngineConfig::default());
+    sim.assign_replica(APP, i2);
     sim.start();
     sim.run_interval();
     let outcome = sim.run_interval();
     // Write classes (e.g. ShoppingCart, template 5) appear on both
     // replicas; their per-interval metrics carry real page traffic.
-    let write_class = ClassId::new(app, 5);
-    for inst in [i1, i2] {
+    let write_class = ClassId::new(APP, 5);
+    for inst in [INST, i2] {
         let v = outcome.reports[&inst]
             .per_class
             .get(&write_class)

@@ -5,59 +5,36 @@
 //! fork's comes from a twin run with the same seed and calls. A fork
 //! carries none of its parent's observers, whichever are attached.
 
-use odlb::cluster::{Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
+use odlb::cluster::Simulation;
 use odlb::core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
-use odlb::engine::EngineConfig;
-use odlb::metrics::Sla;
-use odlb::sim::SimTime;
-use odlb::storage::DomainId;
 use odlb::telemetry::{SpanProfiler, Telemetry};
 use odlb::trace::{DigestSink, Tracer};
-use odlb::workload::rubis::{rubis_workload, RubisConfig};
-use odlb::workload::tpcw::{tpcw_workload, TpcwConfig};
-use odlb::workload::{ClientConfig, LoadFunction};
+use odlb_bench::experiments::scenario::{self, Phase};
+use odlb_bench::experiments::table2;
+use std::ops::ControlFlow::{Break, Continue};
 
-/// Runs Table 2 (RUBiS joins after 10 intervals; the controller is held
-/// off for the 6 after that) through the first interval in which the
-/// controller provisions a replica, with the observers `observe`
-/// attaches before the start.
+/// Runs Table 2 at its seed (RUBiS joins after 10 intervals; the
+/// controller is held off for the 6 after that) through the first
+/// interval in which the controller provisions a replica, with the
+/// observers `observe` attaches before the start.
 fn until_provisioned(
     observe: impl FnOnce(&mut Simulation, &mut SelectiveRetuningController),
 ) -> (Simulation, SelectiveRetuningController) {
-    let mut sim = Simulation::new(SimulationConfig {
-        seed: 2_2007,
-        ..Default::default()
-    });
-    let s0 = sim.add_server(4);
-    sim.add_server(4);
-    let inst = sim.add_instance(s0, DomainId(1), EngineConfig::default());
-    let tpcw = tpcw_workload(TpcwConfig::default());
-    let rubis = rubis_workload(RubisConfig::default());
-    let at = SimTime::ZERO + MEASUREMENT_INTERVAL * 10;
-    let join = LoadFunction::Step {
-        before: 0,
-        after: 80,
-        at,
-    };
-    for (spec, load) in [(tpcw, LoadFunction::Constant(45)), (rubis, join)] {
-        let app = sim.add_app(spec, Sla::one_second(), ClientConfig::default(), load);
-        sim.assign_replica(app, inst);
-    }
-    let mut controller = SelectiveRetuningController::new(ControllerConfig::default());
-    observe(&mut sim, &mut controller);
+    let mut sim = scenario::shared_pool(2_2007, 45, 80, 1, 10);
+    let mut ctl = SelectiveRetuningController::new(ControllerConfig::default());
+    observe(&mut sim, &mut ctl);
     sim.start();
     let provisions = |a: &Action| matches!(a, Action::ProvisionedReplica { .. });
-    for interval in 0..40 {
-        let outcome = sim.run_interval();
-        if (10..16).contains(&interval) {
-            continue;
-        }
-        let actions = controller.on_interval(&mut sim, &outcome);
+    let phases = table2::phases(10, 6, 24);
+    let provisioned = scenario::drive(&mut sim, Some(&mut ctl), &phases, |_, _, _, _, actions| {
         if actions.iter().any(provisions) {
-            return (sim, controller);
+            Break(())
+        } else {
+            Continue(())
         }
-    }
-    panic!("the controller never provisioned a replica");
+    });
+    assert!(provisioned, "the controller never provisioned a replica");
+    (sim, ctl)
 }
 
 /// Ten more controlled intervals through fresh sinks: their outcomes and
@@ -70,11 +47,11 @@ fn ten_more(sim: &mut Simulation, controller: &mut dyn ClusterController) -> Str
     let telemetry = Telemetry::attached();
     sim.set_telemetry(telemetry.clone());
     let mut log = String::new();
-    for _ in 0..10 {
-        let outcome = sim.run_interval();
-        let actions = controller.on_interval(sim, &outcome);
+    let ten = [Phase::controlled(10)];
+    scenario::drive(sim, Some(controller), &ten, |_, _, _, outcome, actions| {
         log += &format!("{outcome:?} {actions:?}\n");
-    }
+        Continue(())
+    });
     let digest = digest.borrow().digest();
     log += &format!("{} events, digest {digest:#x}\n", sim.events_processed());
     log + &telemetry.render_prometheus().expect("attached")
