@@ -238,6 +238,9 @@ pub struct WorkCounts {
     pub pool_misses: u64,
     /// Read-ahead extent prefetches triggered.
     pub prefetches: u64,
+    /// Page locks the executed writes acquired (each replica apply
+    /// locks its own copy).
+    pub pages_locked: u64,
     /// Miss ratio curves replayed from access windows.
     pub curves_replayed: u64,
     /// Window accesses those replays fed a tracker.
@@ -267,8 +270,8 @@ pub struct Simulation {
     /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
     /// back after dispatch, so steady-state sampling never allocates.
     spec_pages: Vec<PageId>,
-    /// Events, page references, pool misses and prefetches since
-    /// construction; [`Simulation::work`] adds the rest.
+    /// Events, page references, pool misses, prefetches and page locks
+    /// since construction; [`Simulation::work`] adds the rest.
     work: WorkCounts,
     /// Curves and window accesses replayed by
     /// [`Simulation::recompute_mrc_with`], which reads the model only.

@@ -4,8 +4,8 @@
 //! move it is held to the same numbers.
 //!
 //! Each scenario pins [`WorkCounts`]: events dispatched, page
-//! references, pool misses and read-ahead prefetches of the executed
-//! queries, miss ratio curves and window accesses the controller
+//! references, pool misses, read-ahead prefetches and page locks of the
+//! executed queries, miss ratio curves and window accesses the controller
 //! replayed, and the heap bytes every access window holds at the end.
 //! The sweep scenario pins what a memoized sweep simulates instead:
 //! schedules, prefixes and runs, and the events of every cell. Heap
@@ -73,6 +73,7 @@ fn table2_at_15_recovery_intervals() {
         page_refs: 927_911,
         pool_misses: 105_922,
         prefetches: 11_458,
+        pages_locked: 14_514,
         curves_replayed: 113,
         accesses_replayed: 1_367_051,
         window_bytes: 1_417_056,
@@ -96,6 +97,7 @@ fn fig_scale_mini() {
             page_refs: 11_342,
             pool_misses: 3_660,
             prefetches: 0,
+            pages_locked: 528,
             curves_replayed: 0,
             accesses_replayed: 0,
             window_bytes: 152_576,
@@ -105,6 +107,7 @@ fn fig_scale_mini() {
             page_refs: 46_604,
             pool_misses: 9_456,
             prefetches: 0,
+            pages_locked: 3_200,
             curves_replayed: 0,
             accesses_replayed: 0,
             window_bytes: 321_536,
