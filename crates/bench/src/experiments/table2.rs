@@ -83,9 +83,11 @@ pub fn run(
     };
     // The "recovered" row averages the intervals after the
     // SearchItemsByRegion placement and before any coarse-grained
-    // fallback — the paper's third row is measured exactly at that stage.
-    let mut recovered_lat = Vec::new();
-    let mut recovered_tput = Vec::new();
+    // fallback — the paper's third row is measured exactly at that stage —
+    // skipping the first (warm-up of the new replica) unless it is the
+    // only one: the first row, then sums and a count from the second on.
+    let mut first_recovered = None;
+    let (mut latency_sum, mut throughput_sum, mut summed) = (0.0, 0.0, 0);
     let mut fallback_seen = false;
     let phases = phases(alone_intervals, shared_intervals, recovery_intervals);
     scenario::drive(&mut sim, Some(ctl), &phases, |phase, _, _, out, actions| {
@@ -109,20 +111,26 @@ pub fn run(
                     result.actions.push(action.to_string());
                 }
                 if let Some(row) = row.filter(|_| result.moved_sibr && !fallback_seen) {
-                    recovered_lat.push(row.latency_s);
-                    recovered_tput.push(row.throughput);
+                    if first_recovered.is_none() {
+                        first_recovered = Some(row);
+                    } else {
+                        latency_sum += row.latency_s;
+                        throughput_sum += row.throughput;
+                        summed += 1;
+                    }
                 }
             }
             _ => {}
         }
         ControlFlow::Continue(())
     });
-    // Skip the first post-placement interval (warm-up of the new replica).
-    let tail = recovered_lat.len().saturating_sub(1).max(1);
-    if let Some(from) = recovered_lat.len().checked_sub(tail) {
-        result.recovered = Table2Row {
-            latency_s: recovered_lat[from..].iter().sum::<f64>() / tail as f64,
-            throughput: recovered_tput[from..].iter().sum::<f64>() / tail as f64,
+    if let Some(first) = first_recovered {
+        result.recovered = match summed {
+            0 => first,
+            n => Table2Row {
+                latency_s: latency_sum / n as f64,
+                throughput: throughput_sum / n as f64,
+            },
         };
     }
     result.work = sim.work();

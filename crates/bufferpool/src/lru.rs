@@ -1,5 +1,6 @@
-//! An O(1) LRU list: slab-allocated doubly-linked list plus a page-table
-//! index (a page finds its node by page number, not by hash).
+//! An O(1) LRU list whose recency links live in the page table that finds
+//! its pages: a resident page's slot holds its neighbours' slot positions,
+//! so a reference is one lookup and a relink writes only those slots.
 //!
 //! LRU is what makes Mattson's stack algorithm applicable (the inclusion
 //! property, paper §2), so the pool's policy and the MRC tracker must
@@ -7,77 +8,24 @@
 
 use odlb_storage::{PageId, PageTable, TableValue};
 
+/// No neighbour: the end of the list. [`PageTable`] positions stay below
+/// `u32::MAX - 1`, so neither this nor [`Link::VACANT`]'s pattern is one.
 const NIL: u32 = u32::MAX;
 
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    page: PageId,
+/// A resident page's neighbours: the slot positions of the pages used
+/// just more (`prev`) and just less (`next`) recently, [`NIL`] at the ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Link {
     prev: u32,
     next: u32,
 }
 
-/// The recency chain: a slab of nodes linked MRU→LRU. Kept apart from
-/// the index so a reference can relink while it holds an index entry.
-#[derive(Clone, Debug)]
-struct Chain {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    head: u32, // MRU
-    tail: u32, // LRU
-}
-
-impl Chain {
-    fn unlink(&mut self, idx: u32) {
-        let Node { prev, next, .. } = self.nodes[idx as usize];
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: u32) {
-        self.nodes[idx as usize].prev = NIL;
-        self.nodes[idx as usize].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn promote(&mut self, idx: u32) {
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-    }
-
-    /// A detached node holding `page`, from the free list or a new slot.
-    fn alloc(&mut self, page: PageId) -> u32 {
-        let node = Node {
-            page,
-            prev: NIL,
-            next: NIL,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
+/// Not `{NIL, NIL}`: that is a page alone in its list.
+impl TableValue for Link {
+    const VACANT: Link = Link {
+        prev: NIL - 1,
+        next: NIL - 1,
+    };
 }
 
 /// What one reference to a page found (see [`LruList::reference`]).
@@ -96,10 +44,10 @@ pub enum Reference {
 /// A fixed-capacity LRU list of pages.
 #[derive(Clone, Debug)]
 pub struct LruList {
-    chain: Chain,
-    /// The node of each resident page.
-    index: PageTable<u32>,
-    /// Pages in `index`.
+    /// Each resident page's [`Link`]; [`Link::VACANT`] for the rest.
+    table: PageTable<Link>,
+    head: u32, // MRU
+    tail: u32, // LRU
     resident: usize,
     capacity: usize,
     evictions: u64,
@@ -107,19 +55,14 @@ pub struct LruList {
 
 impl LruList {
     /// Creates a list holding at most `capacity` pages. Nothing is
-    /// reserved: the chain grows with the resident pages and the index
-    /// with the page ranges they fall in, which many pools never bring to
-    /// `capacity`.
+    /// reserved: the table grows with the page ranges the resident pages
+    /// fall in, which many pools never bring to `capacity`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         LruList {
-            chain: Chain {
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            },
-            index: PageTable::new(),
+            table: PageTable::new(),
+            head: NIL,
+            tail: NIL,
             resident: 0,
             capacity,
             evictions: 0,
@@ -147,60 +90,90 @@ impl LruList {
         self.evictions
     }
 
-    /// Promotes `page` to MRU if resident. Returns whether it was a hit.
-    pub fn touch(&mut self, page: PageId) -> bool {
-        match self.index.get(page) {
-            Some(idx) => {
-                self.chain.promote(idx);
-                true
-            }
-            None => false,
+    /// Unlinks the page at `pos`; its slot keeps its stale links.
+    fn unlink(&mut self, pos: u32) {
+        let Link { prev, next } = self.table[pos];
+        match prev {
+            NIL => self.head = next,
+            _ => self.table[prev].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.table[next].prev = prev,
         }
     }
 
-    /// References `page` with one index lookup: a resident page is
+    /// Links the page at `pos` in at MRU.
+    fn push_front(&mut self, pos: u32) {
+        self.table[pos] = Link {
+            prev: NIL,
+            next: self.head,
+        };
+        match self.head {
+            NIL => self.tail = pos,
+            head => self.table[head].prev = pos,
+        }
+        self.head = pos;
+    }
+
+    fn promote(&mut self, pos: u32) {
+        if self.head != pos {
+            self.unlink(pos);
+            self.push_front(pos);
+        }
+    }
+
+    /// Unlinks and vacates the LRU page, found by position, not by page.
+    fn pop_back(&mut self) -> PageId {
+        let pos = self.tail;
+        self.unlink(pos);
+        self.table[pos] = Link::VACANT;
+        self.table.page_at(pos)
+    }
+
+    /// Promotes `page` to MRU if resident. Returns whether it was a hit.
+    pub fn touch(&mut self, page: PageId) -> bool {
+        match self.table.find(page) {
+            Some(pos) if self.table[pos] != Link::VACANT => self.promote(pos),
+            _ => return false,
+        }
+        true
+    }
+
+    /// References `page` with one table lookup: a resident page is
     /// promoted to MRU when `promote` is set and otherwise left where it
     /// is; a missing page is installed at MRU, the LRU page giving up its
-    /// node (and its index entry) when the list is full.
+    /// place when the list is full.
     pub fn reference(&mut self, page: PageId, promote: bool) -> Reference {
-        let slot = self.index.slot(page);
-        if *slot != u32::VACANT {
+        let pos = self.table.locate(page);
+        if self.table[pos] != Link::VACANT {
             if promote {
-                self.chain.promote(*slot);
+                self.promote(pos);
             }
             return Reference::Resident;
         }
-        let chain = &mut self.chain;
+        // Capacity >= 1, so a full list has a tail.
         let evicted = if self.resident >= self.capacity {
-            // Reuse the LRU node in place for the incoming page
-            // (capacity >= 1, so a full list has a tail).
-            let idx = chain.tail;
-            *slot = idx;
-            let victim = std::mem::replace(&mut chain.nodes[idx as usize].page, page);
-            chain.promote(idx);
-            self.index.remove(victim);
             self.evictions += 1;
-            Some(victim)
+            Some(self.pop_back())
         } else {
-            let idx = chain.alloc(page);
-            *slot = idx;
-            chain.push_front(idx);
             self.resident += 1;
             None
         };
+        self.push_front(pos);
         Reference::Installed { evicted }
     }
 
     /// Installs the pages `start .. start + pages` that are not resident,
     /// in page order and without counting them as references; resident
     /// ones stay where they are. Runs of resident pages are skipped by a
-    /// walk over the index's adjacent slots. Returns how many pages were
+    /// walk over the table's adjacent slots. Returns how many pages were
     /// installed.
     pub fn prefetch(&mut self, start: PageId, pages: u64) -> u64 {
         let mut installed = 0;
         let mut i = 0;
         while i < pages {
-            i += self.index.present_run(start.offset(i), pages - i);
+            i += self.table.present_run(start.offset(i), pages - i);
             if i < pages {
                 installed += (self.reference(start.offset(i), false) != Reference::Resident) as u64;
                 i += 1;
@@ -223,10 +196,7 @@ impl LruList {
         assert!(capacity >= 1, "an LRU list needs capacity >= 1");
         self.capacity = capacity;
         while self.resident > capacity {
-            let idx = self.chain.tail;
-            self.chain.unlink(idx);
-            self.index.remove(self.chain.nodes[idx as usize].page);
-            self.chain.free.push(idx);
+            self.pop_back();
             self.resident -= 1;
         }
     }
@@ -234,10 +204,10 @@ impl LruList {
     /// Pages from MRU to LRU (debugging/tests; O(len)).
     pub fn pages_mru_to_lru(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.resident);
-        let mut cur = self.chain.head;
+        let mut cur = self.head;
         while cur != NIL {
-            out.push(self.chain.nodes[cur as usize].page);
-            cur = self.chain.nodes[cur as usize].next;
+            out.push(self.table.page_at(cur));
+            cur = self.table[cur].next;
         }
         out
     }
@@ -253,40 +223,34 @@ mod tests {
         PageId::new(SpaceId(0), no)
     }
 
-    /// Every resident page is one chain node plus one index slot: their
-    /// sizes are the pool's per-page memory (the slot's leaf also holds
-    /// its neighbours' slots, resident or not).
+    /// Every resident page is one link slot: its size is the pool's
+    /// per-page memory (the slot's leaf also holds its neighbours' slots,
+    /// resident or not).
     #[test]
-    fn node_and_index_slot_stay_narrow() {
-        assert!(std::mem::size_of::<Node>() <= 16);
-        assert_eq!(std::mem::size_of::<u32>(), 4);
+    fn link_slot_stays_narrow() {
+        assert_eq!(std::mem::size_of::<Link>(), 8);
         assert_eq!(
-            std::mem::size_of::<Option<u32>>(),
-            8,
+            std::mem::size_of::<Option<Link>>(),
+            12,
             "why the slot is not an Option"
         );
     }
 
-    /// The index and chain grow with the pages touched, not the capacity:
-    /// a 2,048-page list over 512 hot pages (the `scale_*` pools) holds
-    /// only the leaves they fall in, and once full it evicts in LRU order
-    /// as ever.
+    /// The table grows with the pages touched, not the capacity: a
+    /// 2,048-page list over 512 hot pages (the `scale_*` pools) holds only
+    /// the leaves they fall in, and once full it evicts in LRU order as
+    /// ever.
     #[test]
     fn index_is_sized_by_use() {
         let mut l = LruList::new(2_048);
-        assert_eq!((l.index.leaves(), l.chain.nodes.capacity()), (0, 0));
+        assert_eq!(l.table.leaves(), 0);
         let mut x: u64 = 27;
         for _ in 0..100_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             l.reference(pid(x >> 33 & 511), true);
         }
         assert_eq!(l.len(), 512);
-        assert_eq!(l.index.leaves(), 512usize.div_ceil(LEAF_PAGES));
-        assert!(
-            l.chain.nodes.capacity() < 2_048,
-            "{}",
-            l.chain.nodes.capacity()
-        );
+        assert_eq!(l.table.leaves(), 512usize.div_ceil(LEAF_PAGES));
         for i in 0..2_048 {
             l.reference(pid(1_000 + i), true);
         }
@@ -362,24 +326,23 @@ mod tests {
     }
 
     #[test]
-    fn reference_reuses_the_victims_slot() {
-        // A full list churns without growing the slab, and shrinking then
-        // regrowing goes through the free list.
+    fn a_full_list_churns_without_allocating_a_leaf() {
+        // An eviction vacates the victim's slot in place: a full list
+        // cycling over more pages than it holds, all in one leaf, never
+        // grows the table, nor does shrinking and regrowing it.
         let mut l = LruList::new(4);
         for i in 0..1000 {
-            l.reference(pid(i), true);
+            l.reference(pid(i % 100), true);
         }
-        assert_eq!(l.chain.nodes.len(), 4);
-        assert!(l.chain.free.is_empty());
+        assert_eq!((l.table.leaves(), l.evictions()), (1, 996));
         l.set_capacity(2);
-        assert_eq!(l.chain.free.len(), 2);
         l.set_capacity(4);
-        l.reference(pid(5000), true);
-        l.reference(pid(5001), true);
-        assert_eq!(l.chain.nodes.len(), 4);
+        l.reference(pid(100), true);
+        l.reference(pid(101), true);
+        assert_eq!(l.table.leaves(), 1);
         assert_eq!(
             l.pages_mru_to_lru(),
-            vec![pid(5001), pid(5000), pid(999), pid(998)]
+            vec![pid(101), pid(100), pid(99), pid(98)]
         );
     }
 

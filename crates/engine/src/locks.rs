@@ -10,13 +10,21 @@
 //! then flows through exactly the same stable-state / outlier pipeline as
 //! every other counter.
 
-use odlb_sim::{SimDuration, SimTime};
+use odlb_sim::{hash::Mix64, SimDuration, SimTime};
 use odlb_storage::PageId;
-use std::collections::BTreeMap;
+use std::hash::BuildHasherDefault;
 
 /// A table this small is never pruned: pruning it would cost more than
 /// the entries it frees.
 const PRUNE_FLOOR: usize = 64;
+
+/// Held pages by [`PageId::key`], hashed by [`Mix64`]: a fixed function,
+/// so the table's layout repeats run to run.
+#[expect(
+    clippy::disallowed_types,
+    reason = "looked up and pruned, never visited: no hasher order reaches an output"
+)]
+type Table = std::collections::HashMap<u64, SimTime, BuildHasherDefault<Mix64>>;
 
 /// Exclusive page locks with FCFS waiting, bookkept analytically: each
 /// page stores the time until which it is held; an acquisition at `now`
@@ -31,7 +39,7 @@ const PRUNE_FLOOR: usize = 64;
 /// held at once, plus the floor.
 #[derive(Clone, Debug, Default)]
 pub struct LockManager {
-    held_until: BTreeMap<PageId, SimTime>,
+    held_until: Table,
     /// The table's size after its last prune.
     pruned_to: usize,
     /// The latest acquisition time.
@@ -55,17 +63,20 @@ impl LockManager {
             "lock acquisitions went back in time"
         );
         self.last_acquire = now;
-        let mut free_at = now;
-        for page in pages {
-            if let Some(&until) = self.held_until.get(page) {
-                free_at = free_at.max(until);
+        let wait = if let [page] = pages {
+            // One probe: a page not in the table is free at `now`.
+            let until = self.held_until.entry(page.key()).or_insert(now);
+            let wait = (*until).max(now).since(now);
+            *until = now + wait + exec;
+            wait
+        } else {
+            let held = pages.iter().filter_map(|&p| self.held_until.get(&p.key()));
+            let wait = held.copied().fold(now, SimTime::max).since(now);
+            for &page in pages {
+                self.held_until.insert(page.key(), now + wait + exec);
             }
-        }
-        let wait = free_at.since(now);
-        let release = now + wait + exec;
-        for &page in pages {
-            self.held_until.insert(page, release);
-        }
+            wait
+        };
         if self.held_until.len() >= (2 * self.pruned_to).max(PRUNE_FLOOR) {
             self.held_until.retain(|_, &mut until| until > now);
             self.pruned_to = self.held_until.len();
@@ -79,6 +90,7 @@ mod tests {
     use super::*;
     use odlb_sim::SimRng;
     use odlb_storage::SpaceId;
+    use std::collections::BTreeMap;
 
     fn pid(no: u64) -> PageId {
         PageId::new(SpaceId(0), no)

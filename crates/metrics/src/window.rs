@@ -38,12 +38,6 @@ const ESCAPE: u16 = 0x8000;
 /// The largest difference written as one word.
 const MAX_DELTA: i64 = i16::MAX as i64;
 
-/// The key a window encodes; [`PageKey::page`] of a `u64` inverts it.
-#[inline]
-fn key_of(page: PageId) -> u64 {
-    u64::from(page.space.0) << 32 | page.page_no()
-}
-
 /// A run of encoded accesses in a fixed 4 KiB block of words.
 #[derive(Clone, Debug)]
 struct Chunk {
@@ -120,7 +114,7 @@ impl AccessWindow {
             let out = &mut back.words[back.len..];
             let (mut n, mut last) = (0, self.last);
             for &page in run {
-                let key = key_of(page);
+                let key = page.key();
                 // Wrapping, so the decoder's wrapping add inverts it.
                 let delta = key.wrapping_sub(last) as i64;
                 if (-MAX_DELTA..=MAX_DELTA).contains(&delta) {

@@ -7,8 +7,10 @@
 //! fit for what the workspace hashes: trace digests and sweep cell
 //! addresses ([`fnv1a64`]), the keys a sampled MRC tracker follows (a
 //! model input), property-test seeds, and PRNG seeding
-//! ([`splitmix64`]). The workspace keeps no hash table: its keyed state
-//! lives in `BTreeMap`s and sorted `Vec`s, which visit in key order.
+//! ([`splitmix64`]), and the engine's lock table ([`Mix64`]). That table
+//! is the workspace's one hash table; it is looked up and pruned, never
+//! visited. The rest of its keyed state lives in `BTreeMap`s and sorted
+//! `Vec`s, which visit in key order.
 
 use std::hash::Hasher;
 
@@ -70,6 +72,27 @@ impl Hasher for Fnv1a {
     }
 }
 
+/// A [`Hasher`] for keys that are one `u64`: the key's [`mix64`]. The
+/// lock table is keyed so; its keys need no byte folding.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mix64(u64);
+
+impl Hasher for Mix64 {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Mix64 hashes one u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(key);
+    }
+}
+
 /// The splitmix64 finalizer: full-avalanche mixing of one word.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
@@ -108,6 +131,13 @@ mod tests {
         bytes.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
         bytes.extend_from_slice(&(3usize).to_le_bytes());
         assert_eq!(h.finish(), fnv1a64(&bytes));
+    }
+
+    #[test]
+    fn mix64_hasher_finishes_with_the_mixed_key() {
+        let mut h = Mix64::default();
+        h.write_u64(0x0000_0003_0000_0010);
+        assert_eq!(h.finish(), mix64(0x0000_0003_0000_0010));
     }
 
     #[test]

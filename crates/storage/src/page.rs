@@ -61,6 +61,12 @@ impl PageId {
         u64::from(self.page_no)
     }
 
+    /// The page as one word, `space << 32 | page_no`: what access windows
+    /// encode and the lock table hashes.
+    pub fn key(self) -> u64 {
+        u64::from(self.space.0) << 32 | self.page_no()
+    }
+
     /// The page `n` positions after this one in the same space.
     ///
     /// # Panics

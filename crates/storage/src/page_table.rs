@@ -1,10 +1,10 @@
 //! A map from pages to small values, indexed by page number, not by hash.
 //!
-//! The buffer pool's LRU index and the Mattson replay's last-access table
-//! both map every page they touch to a `u32`. The page space is small and
-//! dense (a handful of tablespaces, each numbered from 0), so a radix
-//! layout finds a page in two array loads where a hash table would hash
-//! and probe:
+//! The buffer pool's LRU list keeps each resident page's recency links in
+//! its slot, and the Mattson replay its last access. The page space is
+//! small and dense (a handful of tablespaces, each numbered from 0), so a
+//! radix layout finds a page in two array loads where a hash table would
+//! hash and probe:
 //!
 //! * a page number splits into a top index, a directory index and an
 //!   offset. The tablespace and top index name a *directory* of 1,024
@@ -20,8 +20,11 @@
 //! pages touched, not the largest page number or [`SpaceId`]: the last
 //! page of the last tablespace costs one leaf and one directory. Leaves
 //! are short because a quota partition touches few pages of each range.
+//! A slot's position never changes, so values may name slots by position
+//! (the LRU list's links do); [`PageTable::page_at`] maps one back.
 
 use crate::page::{PageId, SpaceId, MAX_PAGES_PER_SPACE};
+use std::ops::{Index, IndexMut};
 
 /// Page-number bits one leaf covers.
 const LEAF_BITS: u32 = 7;
@@ -58,6 +61,8 @@ pub struct PageTable<V> {
     dirs: Vec<u32>,
     /// Every leaf, [`LEAF_PAGES`] values each, in allocation order.
     leaves: Vec<V>,
+    /// The first page of each leaf, in allocation order.
+    bases: Vec<PageId>,
 }
 
 impl<V: TableValue> Default for PageTable<V> {
@@ -68,6 +73,7 @@ impl<V: TableValue> Default for PageTable<V> {
             names: Vec::new(),
             dirs: Vec::new(),
             leaves: Vec::new(),
+            bases: Vec::new(),
         }
     }
 }
@@ -110,28 +116,25 @@ impl<V: TableValue> PageTable<V> {
         Some(self.hot.2)
     }
 
-    /// Where `page`'s slot lives in `leaves`, if its leaf exists.
-    fn position(&mut self, page: PageId) -> Option<usize> {
+    /// The position of `page`'s slot, if its leaf exists; allocates nothing.
+    pub fn find(&mut self, page: PageId) -> Option<u32> {
         let (top, l, offset) = split(page);
         let dir = self.dir(page.space, top)?;
         let leaf = self.dirs[dir + l];
-        (leaf != NO_LEAF).then(|| leaf as usize * LEAF_PAGES + offset)
+        (leaf != NO_LEAF).then(|| leaf * LEAF_PAGES as u32 + offset as u32)
     }
 
-    /// Where `page`'s slot lives in `leaves`, allocating its directory and
-    /// leaf on first touch.
-    fn position_or_insert(&mut self, page: PageId) -> usize {
-        match self.position(page) {
-            Some(i) => i,
-            None => self.insert_leaf(page),
-        }
+    /// The position of `page`'s slot, allocating its directory and leaf
+    /// on first touch.
+    pub fn locate(&mut self, page: PageId) -> u32 {
+        self.find(page).unwrap_or_else(|| self.insert_leaf(page))
     }
 
     /// Allocates `page`'s leaf, and its directory if it has none; returns
-    /// where `page`'s slot lives. Kept off the lookup path: only the first
-    /// touch of a 128-page range allocates.
+    /// the position of `page`'s slot. Kept off the lookup path: only the
+    /// first touch of a 128-page range allocates.
     #[cold]
-    fn insert_leaf(&mut self, page: PageId) -> usize {
+    fn insert_leaf(&mut self, page: PageId) -> u32 {
         let (top, l, offset) = split(page);
         let dir = match self.dir(page.space, top) {
             Some(dir) => dir,
@@ -142,35 +145,34 @@ impl<V: TableValue> PageTable<V> {
                 self.hot.2
             }
         };
-        // A leaf is 128 slots, so the leaf count runs out of memory long
-        // before it reaches `NO_LEAF`.
-        self.dirs[dir + l] = (self.leaves.len() / LEAF_PAGES) as u32;
+        // At most 2^31 slots: no position reaches `u32::MAX - 1`.
+        assert!(self.bases.len() < 1 << 24, "page table full");
+        let leaf = self.bases.len() as u32;
+        self.dirs[dir + l] = leaf;
+        self.bases
+            .push(PageId::new(page.space, page.page_no() - offset as u64));
         self.leaves
             .resize(self.leaves.len() + LEAF_PAGES, V::VACANT);
-        self.dirs[dir + l] as usize * LEAF_PAGES + offset
+        leaf * LEAF_PAGES as u32 + offset as u32
+    }
+
+    /// The page whose slot is at `position`.
+    pub fn page_at(&self, position: u32) -> PageId {
+        let base = self.bases[position as usize / LEAF_PAGES];
+        base.offset(u64::from(position) % LEAF_PAGES as u64)
     }
 
     /// `page`'s value, if it has one. Takes `&mut self` to keep the
     /// directory it used at hand.
     pub fn get(&mut self, page: PageId) -> Option<V> {
-        let i = self.position(page)?;
-        let value = self.leaves[i];
-        (value != V::VACANT).then_some(value)
+        self.find(page).map(|i| self[i]).filter(|&v| v != V::VACANT)
     }
 
     /// `page`'s slot, allocated on first touch: [`TableValue::VACANT`]
     /// while the page has no value, and writing `VACANT` removes it.
     pub fn slot(&mut self, page: PageId) -> &mut V {
-        let i = self.position_or_insert(page);
-        &mut self.leaves[i]
-    }
-
-    /// Removes `page`'s value, returning it. Allocates nothing, and frees
-    /// nothing: the leaf stays for the page's neighbours.
-    pub fn remove(&mut self, page: PageId) -> Option<V> {
-        let i = self.position(page)?;
-        let old = std::mem::replace(&mut self.leaves[i], V::VACANT);
-        (old != V::VACANT).then_some(old)
+        let i = self.locate(page);
+        &mut self[i]
     }
 
     /// How many pages from `start` on, at most `max`, have a value before
@@ -183,9 +185,10 @@ impl<V: TableValue> PageTable<V> {
             if page_no >= MAX_PAGES_PER_SPACE {
                 break;
             }
-            let Some(i) = self.position(PageId::new(start.space, page_no)) else {
+            let Some(i) = self.find(PageId::new(start.space, page_no)) else {
                 break;
             };
+            let i = i as usize;
             let in_leaf = (LEAF_PAGES - i % LEAF_PAGES).min((max - run) as usize);
             let present = self.leaves[i..i + in_leaf]
                 .iter()
@@ -203,6 +206,20 @@ impl<V: TableValue> PageTable<V> {
     /// place.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.leaves.iter_mut().filter(|v| **v != V::VACANT)
+    }
+}
+
+/// The slot at a position from [`PageTable::find`] or [`PageTable::locate`].
+impl<V> Index<u32> for PageTable<V> {
+    type Output = V;
+    fn index(&self, position: u32) -> &V {
+        &self.leaves[position as usize]
+    }
+}
+
+impl<V> IndexMut<u32> for PageTable<V> {
+    fn index_mut(&mut self, position: u32) -> &mut V {
+        &mut self.leaves[position as usize]
     }
 }
 
@@ -235,6 +252,6 @@ mod tests {
         *t.slot(pid(2, 2)) = 5;
         *t.slot(pid(2, 2)) = u32::VACANT;
         assert_eq!(t.get(pid(2, 2)), None);
-        assert_eq!(t.remove(pid(2, 2)), None);
+        assert_eq!(t.find(pid(2, 2)).map(|i| t[i]), Some(u32::VACANT));
     }
 }

@@ -1,8 +1,10 @@
 //! `PageTable` against a `BTreeMap` oracle on pages drawn from the
 //! boundaries: extreme tablespaces and page numbers at both ends of a
 //! space. No sequence of lookups, writes and removes may panic or
-//! disagree with the oracle, and memory must follow the pages given a
-//! slot, not the largest page number or tablespace.
+//! disagree with the oracle, a slot's position must lead back to its
+//! page, a lookup that finds no slot must allocate nothing, and memory
+//! must follow the pages given a slot, not the largest page number or
+//! tablespace.
 
 use odlb::storage::page::MAX_PAGES_PER_SPACE;
 use odlb::storage::page_table::LEAF_PAGES;
@@ -32,6 +34,7 @@ fn boundary_page(g: &mut Gen) -> PageId {
 #[derive(Debug)]
 enum Op {
     Get(PageId),
+    Locate(PageId),
     Write(PageId, u32),
     Remove(PageId),
     Run(PageId, u64),
@@ -52,21 +55,44 @@ fn table_equals_btreemap_oracle() {
                 boundary_page(g)
             };
             seen.push(page);
-            let op = match g.weighted(&[2.0, 3.0, 1.0, 1.0]) {
+            let op = match g.weighted(&[2.0, 1.0, 3.0, 1.0, 1.0]) {
                 0 => Op::Get(page),
-                1 => Op::Write(page, g.u32_in(0, u32::VACANT)),
-                2 => Op::Remove(page),
+                1 => Op::Locate(page),
+                2 => Op::Write(page, g.u32_in(0, u32::VACANT)),
+                3 => Op::Remove(page),
                 _ => Op::Run(page, g.u64_in(0, 80)),
             };
+            let leaf = (page.space, page.page_no() / LEAF_PAGES as u64);
             match op {
-                Op::Get(p) => assert_eq!(table.get(p), oracle.get(&p).copied(), "{op:?}"),
+                Op::Get(p) => {
+                    let arenas = (table.leaves(), table.directories());
+                    let found = table.find(p);
+                    assert_eq!((table.leaves(), table.directories()), arenas, "{op:?}");
+                    assert_eq!(found.is_some(), leaves.contains(&leaf), "{op:?}");
+                    if let Some(i) = found {
+                        assert_eq!(table.page_at(i), p, "{op:?}");
+                    }
+                    assert_eq!(table.get(p), oracle.get(&p).copied(), "{op:?}");
+                }
+                Op::Locate(p) => {
+                    let i = table.locate(p);
+                    assert_eq!(table.page_at(i), p, "{op:?}");
+                    assert_eq!(table[i], oracle.get(&p).copied().unwrap_or(u32::VACANT));
+                    leaves.insert(leaf);
+                }
                 Op::Write(p, v) => {
                     let old = std::mem::replace(table.slot(p), v);
                     let want = oracle.insert(p, v).unwrap_or(u32::VACANT);
                     assert_eq!(old, want, "{op:?}");
-                    leaves.insert((p.space, p.page_no() / LEAF_PAGES as u64));
+                    leaves.insert(leaf);
                 }
-                Op::Remove(p) => assert_eq!(table.remove(p), oracle.remove(&p), "{op:?}"),
+                Op::Remove(p) => {
+                    let old = table
+                        .find(p)
+                        .map(|i| std::mem::replace(&mut table[i], u32::VACANT));
+                    let want = oracle.remove(&p);
+                    assert_eq!(old.filter(|&v| v != u32::VACANT), want, "{op:?}");
+                }
                 Op::Run(start, max) => {
                     let want = (0..max)
                         .take_while(|&i| {
@@ -78,7 +104,7 @@ fn table_equals_btreemap_oracle() {
                 }
             }
         }
-        assert_eq!(table.leaves(), leaves.len(), "one leaf per range written");
+        assert_eq!(table.leaves(), leaves.len(), "one leaf per range located");
         let mut values: Vec<u32> = table.values_mut().map(|v| *v).collect();
         let mut want: Vec<u32> = oracle.values().copied().collect();
         values.sort_unstable();
@@ -100,6 +126,8 @@ fn extreme_pages_allocate_a_leaf_each() {
     }
     for (i, &p) in extremes.iter().enumerate() {
         assert_eq!(table.get(p), Some(i as u32));
+        let position = table.find(p).unwrap();
+        assert_eq!(table.page_at(position), p);
     }
     assert_eq!(table.leaves(), 3, "not a table sized by the page number");
     assert_eq!(table.directories(), 3);

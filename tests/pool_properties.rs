@@ -5,9 +5,13 @@
 
 use odlb::bufferpool::{LruList, PartitionedPool, QuotaError, Reference};
 use odlb::metrics::{AppId, ClassId};
+use odlb::storage::page::MAX_PAGES_PER_SPACE;
+use odlb::storage::page_table::LEAF_PAGES;
 use odlb::storage::{PageId, SpaceId};
 use odlb_testkit::{check, Gen};
 use std::collections::VecDeque;
+
+const LAST_PAGE: u64 = MAX_PAGES_PER_SPACE - 1;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -138,7 +142,9 @@ impl ModelLru {
 
 /// `LruList` equals the model under random references (promoting or
 /// not), extent prefetches, and capacity shrinks and grows, over pages in
-/// several tablespaces.
+/// several tablespaces. Pages cluster around the page table's leaf and
+/// directory boundaries and the last page of a space, so the list's links
+/// cross leaves and directories.
 #[test]
 fn lru_list_equals_a_reference_model() {
     check("lru_list_equals_a_reference_model", 256, |g| {
@@ -151,7 +157,10 @@ fn lru_list_equals_a_reference_model() {
         };
         let page = |g: &mut Gen| {
             let space = [0, 3, 17, 40, u32::MAX][g.usize_in(0, 5)];
-            PageId::new(SpaceId(space), g.u64_in(0, 96))
+            // A leaf spans 128 pages and a directory 2^17.
+            let edge = [0, LEAF_PAGES as u64, 1 << 17, LAST_PAGE][g.usize_in(0, 4)];
+            let low = edge.saturating_sub(24).min(LAST_PAGE - 47);
+            PageId::new(SpaceId(space), low + g.u64_in(0, 48))
         };
         for _ in 0..g.usize_in(1, 400) {
             match g.weighted(&[8.0, 1.0, 1.0]) {
@@ -160,7 +169,8 @@ fn lru_list_equals_a_reference_model() {
                     assert_eq!(lru.reference(p, promote), model.reference(p, promote));
                 }
                 1 => {
-                    let (start, n) = (page(g), g.u64_in(0, 70));
+                    let start = page(g);
+                    let n = g.u64_in(0, 70).min(LAST_PAGE + 1 - start.page_no());
                     let want = (0..n)
                         .filter(|&i| model.reference(start.offset(i), false) != Reference::Resident)
                         .count() as u64;
