@@ -6,7 +6,7 @@
 //! respective query class" — a dedicated partition of the pool — while all
 //! other classes keep sharing the rest (§3.3.2, Table 1).
 //!
-//! * [`LruList`] — an O(1) intrusive LRU list (slab + page-table index), the
+//! * [`LruList`] — an O(1) LRU list whose links live in its page table, the
 //!   replacement policy under everything; one per partition, counting
 //!   the pages capacity pressure evicts from it.
 //! * [`PartitionedPool`] — the quota mechanism: a *general* partition plus

@@ -4,7 +4,7 @@
 //!
 //! * [`PageId`] / [`SpaceId`] — page addressing shared with the buffer pool.
 //! * [`PageTable`] — a page → value map indexed by page number, not by
-//!   hash: the buffer pool's LRU index and the Mattson replay's
+//!   hash: the buffer pool's LRU links and the Mattson replay's
 //!   last-access table.
 //! * [`DiskModel`] — a parametric service-time model (seek + rotation +
 //!   per-page transfer, with a sequential-access discount) for a single

@@ -4,9 +4,8 @@
 //! table or index in the simulated schema) and its page number within that
 //! space. 16 KiB pages match InnoDB, the engine the paper instrumented.
 //!
-//! A [`PageId`] is 8 bytes: every pool node, key table and page list
-//! holds one per page, so its width is the memory cost of the paper's
-//! mechanism. Access windows hold about 2 bytes an access instead, as
+//! A [`PageId`] is 8 bytes: every key table and page list holds one per
+//! page, so its width is the memory cost of the paper's mechanism. Access windows hold about 2 bytes an access instead, as
 //! 16-bit differences between consecutive pages (DESIGN.md, "Page
 //! addressing").
 
@@ -22,8 +21,8 @@ pub const MAX_PAGES_PER_SPACE: u64 = 1 << 32;
 
 /// Identifies one 16 KiB page within a tablespace.
 ///
-/// Ordered by `(space, page_no)`: the lock manager's deadlock-free
-/// acquisition order and every `BTreeMap<PageId, _>` depend on it.
+/// Ordered by `(space, page_no)`: every `BTreeMap<PageId, _>` visits in
+/// that order. The lock manager keys its table by [`PageId::key`] instead.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PageId {
     /// The tablespace this page belongs to.
