@@ -5,9 +5,9 @@
 //! space. 16 KiB pages match InnoDB, the engine the paper instrumented.
 //!
 //! A [`PageId`] is 8 bytes: every key table and page list holds one per
-//! page, so its width is the memory cost of the paper's mechanism. Access windows hold about 2 bytes an access instead, as
-//! 16-bit differences between consecutive pages (DESIGN.md, "Page
-//! addressing").
+//! page, so its width is the memory cost of the paper's mechanism. Access
+//! windows hold about 2 bytes an access instead, as 16-bit differences
+//! between consecutive pages (DESIGN.md, "Page addressing").
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -61,7 +61,8 @@ impl PageId {
     }
 
     /// The page as one word, `space << 32 | page_no`: what access windows
-    /// encode and the lock table hashes.
+    /// encode and the lock table hashes. `odlb_mrc`'s `PageKey` for `u64`
+    /// inverts it.
     pub fn key(self) -> u64 {
         u64::from(self.space.0) << 32 | self.page_no()
     }
