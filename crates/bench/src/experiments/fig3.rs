@@ -85,9 +85,11 @@ pub fn run_observed(
         let mut machines = sim.replicas_of(APP).len();
         for action in actions {
             match action {
-                // The controller has acted, and a retirement (unlike a
-                // provisioning) leaves the set at once: count it back in
-                // for the machines the interval ran on.
+                // The controller has acted, and a retirement is the one
+                // actuation that leaves the set at once (pinned by
+                // `only_retirement_changes_the_replica_set_at_once` in
+                // odlb-cluster's driver tests): count it back in for the
+                // machines the interval ran on.
                 Action::RetiredReplica { .. } => machines += 1,
                 Action::DetectedOutliers { .. } => continue,
                 _ => {}

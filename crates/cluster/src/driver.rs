@@ -8,13 +8,13 @@
 //! interval, evaluates SLAs, and returns an [`IntervalOutcome`]. A
 //! controller (the `odlb-core` crate or a baseline) then inspects the
 //! outcome and applies actions — quotas, class placements, provisioning —
-//! through the driver's mutation API before the next interval runs.
+//! through [`Simulation::apply`] before the next interval runs.
 //! This mirrors the paper's decision managers acting between measurement
 //! intervals.
 //!
 //! This file holds the state; the behaviour is one `impl Simulation`
-//! block per job in the sub-modules: `actuator` (topology and the
-//! controller-facing mutation API), `event_loop` (`run_interval` →
+//! block per job in the sub-modules: `actuator` (topology, the reads a
+//! controller makes and [`Simulation::apply`]), `event_loop` (`run_interval` →
 //! `handle` → `dispatch_spec` → `execute_on`), `interval` (interval
 //! close), `export` (telemetry export at interval close) and `replay`
 //! (pregenerated-schedule replay).
@@ -26,6 +26,8 @@ mod interval;
 mod replay;
 #[cfg(test)]
 mod tests;
+
+pub use actuator::{Actuation, Applied};
 
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;

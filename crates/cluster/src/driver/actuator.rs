@@ -1,6 +1,6 @@
-//! Topology and the controller-facing mutation API: servers, instances,
-//! applications, replica provisioning/retirement, class placement,
-//! quotas, MRC recomputation, VM migration and class-spec overrides.
+//! Topology set-up (servers, instances, applications, class-spec
+//! overrides), the reads a controller makes, and [`Simulation::apply`]:
+//! the one entry point through which a controller changes the cluster.
 
 use super::{app_slot, AppState, Event, InstanceState, ServerState, Simulation};
 use crate::scheduler::Scheduler;
@@ -16,6 +16,50 @@ use odlb_workload::{ClientConfig, ClientPool, LoadFunction, QueryClassSpec, Work
 /// measurement intervals (§5.2 Fig. 3; the paper reports the effect, not
 /// a number).
 const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(20);
+
+/// One change a controller makes to the cluster between intervals: the
+/// paper's action set (§3.3) plus the live migration its baselines use.
+/// Each variant says when [`Simulation::apply`] refuses it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Actuation {
+    /// A buffer-pool partition of `pages` for `class` (§3.3.2); refused
+    /// when it has one or the general partition cannot spare the pages.
+    SetQuota {
+        instance: InstanceId,
+        class: ClassId,
+        pages: usize,
+    },
+    /// Dissolve `class`'s partition; refused when there is none.
+    ClearQuota {
+        instance: InstanceId,
+        class: ClassId,
+    },
+    /// Pin `class`'s reads to `to`; refused unless `to` serves its app.
+    PlaceClass { class: ClassId, to: InstanceId },
+    /// A replica on a server hosting none of the app's yet (empty servers
+    /// first), serving after the copy/warm-up delay (§3.3.3, Fig. 3(b));
+    /// refused when every server hosts one.
+    Provision { app: AppId },
+    /// Stop routing to `instance` (in-flight queries drain; one still
+    /// provisioning never comes up) and free its server; refused when it
+    /// is already retired.
+    Retire { app: AppId, instance: InstanceId },
+    /// Live-migrate the instance's VM (the coarse remedy, §1): the switch
+    /// is immediate, the pool arrives warm (pre-copy), and both servers'
+    /// disks pay one sequential burst; refused when it is already on `to`.
+    Migrate { instance: InstanceId, to: ServerId },
+}
+
+/// What an accepted [`Actuation`] hands back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Applied {
+    /// A quota, placement or retirement took effect.
+    Done,
+    /// The new replica, serving after the provisioning delay.
+    Provisioned(InstanceId),
+    /// The server the migrated instance left.
+    Migrated(ServerId),
+}
 
 impl Simulation {
     /// Adds a physical server with `cores` CPU cores and a default disk.
@@ -115,61 +159,6 @@ impl Simulation {
         self.apps[idx].scheduler.add_replica(instance);
     }
 
-    /// Provisions a new replica of `app` on a server that hosts none of
-    /// its replicas yet (preferring empty servers), with the configured
-    /// copy/warm-up delay before it starts serving. Returns the new
-    /// instance id, or `None` when every server already hosts one of its
-    /// replicas. Mirrors the paper's reactive coarse-grained provisioning
-    /// (§3.3.3, Fig. 3(b)).
-    pub fn provision_replica(&mut self, app: AppId) -> Option<InstanceId> {
-        let app_idx = self.app_index(app);
-        let used: Vec<usize> = self.apps[app_idx]
-            .scheduler
-            .replicas()
-            .iter()
-            .map(|i| self.instances[i.0 as usize].server)
-            .collect();
-        // Prefer a server with no instances at all, then any server not
-        // already hosting this app.
-        let candidate = (0..self.servers.len())
-            .filter(|s| !used.contains(s))
-            .min_by_key(|&s| self.instances.iter().filter(|i| i.server == s).count())?;
-        // Clone the engine configuration from an existing replica, or use
-        // defaults for an app with no replicas yet.
-        let engine_config = self.apps[app_idx]
-            .scheduler
-            .replicas()
-            .first()
-            .map(|i| self.instances[i.0 as usize].engine.config())
-            .unwrap_or_default();
-        let id = self.push_instance(candidate, DomainId(1), engine_config, false);
-        self.queue.schedule(
-            self.now + PROVISIONING_DELAY,
-            Event::ReplicaReady {
-                app: app_slot(app_idx),
-                instance: id.0,
-            },
-        );
-        Some(id)
-    }
-
-    /// Retires a replica of `app`: it stops receiving traffic (in-flight
-    /// queries drain naturally) and its server returns to the pool. The
-    /// release half of the paper's reactive provisioning (Fig. 3(b)).
-    pub fn retire_replica(&mut self, app: AppId, instance: InstanceId) {
-        let idx = self.app_index(app);
-        self.apps[idx].scheduler.remove_replica(instance);
-        self.instances[instance.0 as usize].ready = false;
-        self.instances[instance.0 as usize].retired = true;
-    }
-
-    /// Pins a query class to one replica of its application; `false` (and
-    /// no change) when `target` is not one ([`Scheduler::place_class`]).
-    pub fn place_class(&mut self, class: ClassId, target: InstanceId) -> bool {
-        let idx = self.app_index(class.app);
-        self.apps[idx].scheduler.place_class(class, target)
-    }
-
     /// The replica set of `app`.
     pub fn replicas_of(&self, app: AppId) -> Vec<InstanceId> {
         let idx = self.app_index(app);
@@ -187,25 +176,6 @@ impl Simulation {
     pub fn is_pinned_target(&self, app: AppId, instance: InstanceId) -> bool {
         let idx = self.app_index(app);
         self.apps[idx].scheduler.is_pin_target(instance)
-    }
-
-    /// Enforces a buffer-pool quota on one instance (§3.3.2).
-    pub fn set_quota(
-        &mut self,
-        instance: InstanceId,
-        class: ClassId,
-        pages: usize,
-    ) -> Result<(), odlb_bufferpool::QuotaError> {
-        self.instances[instance.0 as usize]
-            .engine
-            .set_quota(class, pages)
-    }
-
-    /// Clears a quota; returns whether one existed.
-    pub fn clear_quota(&mut self, instance: InstanceId, class: ClassId) -> bool {
-        self.instances[instance.0 as usize]
-            .engine
-            .clear_quota(class)
     }
 
     /// Recomputes a class's MRC from its access window on one instance,
@@ -250,44 +220,91 @@ impl Simulation {
         &mut self.apps[idx].spec.classes[class_index]
     }
 
-    /// Live-migrates a database instance's VM to another physical server
-    /// (the coarse remedy the paper argues is usually overkill, §1).
-    /// What is modelled: the switch is immediate (queries arriving after
-    /// `now` run on `to`), the buffer pool arrives warm (pre-copy
-    /// transfers memory pages), and the transfer costs one sequential
-    /// read burst on both servers' disks. Returns false when the instance
-    /// is already on `to`.
-    pub fn migrate_instance(&mut self, instance: InstanceId, to: ServerId) -> bool {
-        assert!((to.0 as usize) < self.servers.len(), "unknown server");
-        let idx = instance.0 as usize;
-        if self.instances[idx].server == to.0 as usize {
-            return false;
-        }
-        // The analytic execution model books resource time at arrival,
-        // hence the immediate switch.
-        let pool_pages = self.instances[idx].engine.config().pool_pages as u64;
-        let old_server = self.instances[idx].server;
-        let burst_pages = pool_pages.min(16_384);
-        self.servers[old_server].io.read(
-            odlb_storage::DomainId(0),
-            self.now,
-            odlb_storage::IoKind::Sequential,
-            burst_pages,
-            false,
-        );
-        self.servers[to.0 as usize].io.read(
-            odlb_storage::DomainId(0),
-            self.now,
-            odlb_storage::IoKind::Sequential,
-            burst_pages,
-            false,
-        );
-        self.instances[idx].server = to.0 as usize;
-        true
-    }
-
     /// The workload spec of an app (current weights included).
     pub fn workload(&self, app: AppId) -> &WorkloadSpec {
         &self.apps[self.app_index(app)].spec
+    }
+
+    /// Applies one controller action; `None` means refused, and then
+    /// nothing changed.
+    pub fn apply(&mut self, actuation: &Actuation) -> Option<Applied> {
+        let accepted = match *actuation {
+            Actuation::SetQuota {
+                instance,
+                class,
+                pages,
+            } => {
+                let engine = &mut self.instances[instance.0 as usize].engine;
+                engine.set_quota(class, pages).is_ok()
+            }
+            Actuation::ClearQuota { instance, class } => {
+                let engine = &mut self.instances[instance.0 as usize].engine;
+                engine.clear_quota(class)
+            }
+            Actuation::PlaceClass { class, to } => {
+                let idx = self.app_index(class.app);
+                self.apps[idx].scheduler.place_class(class, to)
+            }
+            Actuation::Provision { app } => {
+                let app_idx = self.app_index(app);
+                let replicas = self.apps[app_idx].scheduler.replicas();
+                let used: Vec<usize> = replicas
+                    .iter()
+                    .map(|i| self.instances[i.0 as usize].server)
+                    .collect();
+                // An empty server first, then any not hosting this app.
+                let candidate = (0..self.servers.len())
+                    .filter(|s| !used.contains(s))
+                    .min_by_key(|&s| self.instances.iter().filter(|i| i.server == s).count())?;
+                // A replica's engine configuration, or the default.
+                let engine_config = replicas
+                    .first()
+                    .map(|i| self.instances[i.0 as usize].engine.config())
+                    .unwrap_or_default();
+                let id = self.push_instance(candidate, DomainId(1), engine_config, false);
+                self.queue.schedule(
+                    self.now + PROVISIONING_DELAY,
+                    Event::ReplicaReady {
+                        app: app_slot(app_idx),
+                        instance: id.0,
+                    },
+                );
+                return Some(Applied::Provisioned(id));
+            }
+            Actuation::Retire { app, instance } => {
+                let idx = self.app_index(app);
+                let state = &mut self.instances[instance.0 as usize];
+                if state.retired {
+                    return None;
+                }
+                (state.ready, state.retired) = (false, true);
+                self.apps[idx].scheduler.remove_replica(instance);
+                true
+            }
+            Actuation::Migrate { instance, to } => {
+                assert!((to.0 as usize) < self.servers.len(), "unknown server");
+                let idx = instance.0 as usize;
+                let from = self.instances[idx].server;
+                if from == to.0 as usize {
+                    return None;
+                }
+                // The analytic execution model books resource time at
+                // arrival, hence the immediate switch.
+                let pool_pages = self.instances[idx].engine.config().pool_pages as u64;
+                let burst_pages = pool_pages.min(16_384);
+                for server in [from, to.0 as usize] {
+                    self.servers[server].io.read(
+                        DomainId(0),
+                        self.now,
+                        odlb_storage::IoKind::Sequential,
+                        burst_pages,
+                        false,
+                    );
+                }
+                self.instances[idx].server = to.0 as usize;
+                return Some(Applied::Migrated(ServerId(from as u32)));
+            }
+        };
+        accepted.then_some(Applied::Done)
     }
 }

@@ -1,4 +1,5 @@
 use super::*;
+use crate::{Actuation, Applied};
 use odlb_engine::EngineConfig;
 use odlb_metrics::{ClassId, MetricKind, ServerId};
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig};
@@ -284,7 +285,7 @@ fn class_pinning_confines_reads() {
     sim.assign_replica(app, i2);
     // Pin the read-only BestSeller class (index 8) to replica 2.
     let bs = ClassId::new(app, 8);
-    sim.place_class(bs, i2);
+    sim.apply(&Actuation::PlaceClass { class: bs, to: i2 });
     sim.start();
     for _ in 0..3 {
         sim.run_interval();
@@ -302,9 +303,11 @@ fn provisioning_adds_capacity_after_delay() {
     let (mut sim, app) = small_sim(10);
     assert_eq!(sim.replicas_of(app).len(), 1);
     // No second server yet: provisioning must fail.
-    assert_eq!(sim.provision_replica(app), None);
+    assert_eq!(sim.apply(&Actuation::Provision { app }), None);
     sim.add_server(4);
-    let new = sim.provision_replica(app).expect("free server available");
+    let Some(Applied::Provisioned(new)) = sim.apply(&Actuation::Provision { app }) else {
+        panic!("free server available");
+    };
     // Not yet ready.
     assert_eq!(sim.replicas_of(app).len(), 1);
     sim.run_interval(); // 10 s > 20 s? no — one more interval
@@ -320,10 +323,13 @@ fn placing_onto_a_provisioning_replica_keeps_the_pin() {
     let (mut sim, app) = small_sim(10);
     let a = sim.replicas_of(app)[0];
     let bs = ClassId::new(app, 8);
-    assert!(sim.place_class(bs, a));
+    let pin = |to| Actuation::PlaceClass { class: bs, to };
+    assert_eq!(sim.apply(&pin(a)), Some(Applied::Done));
     sim.add_server(4);
-    let new = sim.provision_replica(app).expect("free server available");
-    assert!(!sim.place_class(bs, new), "not serving yet");
+    let Some(Applied::Provisioned(new)) = sim.apply(&Actuation::Provision { app }) else {
+        panic!("free server available");
+    };
+    assert_eq!(sim.apply(&pin(new)), None, "not serving yet");
     assert_eq!(sim.placement_of(bs), vec![a], "the pin is still A");
     sim.run_interval();
     sim.run_interval();
@@ -331,8 +337,51 @@ fn placing_onto_a_provisioning_replica_keeps_the_pin() {
         sim.replicas_of(app).contains(&new),
         "serving after the delay"
     );
-    assert!(sim.place_class(bs, new));
+    assert_eq!(sim.apply(&pin(new)), Some(Applied::Done));
     assert_eq!(sim.placement_of(bs), vec![new]);
+}
+
+/// Within the interval it is applied in, only `Retire` changes
+/// `replicas_of`: `Provision` adds its replica at `ReplicaReady`, and
+/// quotas, placements and migrations leave the set alone. Fig. 3's
+/// machine panel counts this interval's retirements back in on this.
+#[test]
+fn only_retirement_changes_the_replica_set_at_once() {
+    let (mut sim, app) = small_sim(10);
+    let i1 = sim.replicas_of(app)[0];
+    let s2 = sim.add_server(4);
+    sim.add_server(4);
+    let class = ClassId::new(app, 8);
+    for actuation in [
+        Actuation::SetQuota {
+            instance: i1,
+            class,
+            pages: 512,
+        },
+        Actuation::ClearQuota {
+            instance: i1,
+            class,
+        },
+        Actuation::PlaceClass { class, to: i1 },
+        Actuation::Migrate {
+            instance: i1,
+            to: s2,
+        },
+    ] {
+        assert!(sim.apply(&actuation).is_some(), "{actuation:?}");
+        assert_eq!(sim.replicas_of(app), vec![i1], "{actuation:?}");
+    }
+    let Some(Applied::Provisioned(new)) = sim.apply(&Actuation::Provision { app }) else {
+        panic!("free server available");
+    };
+    assert_eq!(sim.replicas_of(app), vec![i1], "provisioning");
+    sim.run_interval();
+    assert_eq!(sim.replicas_of(app), vec![i1], "still warming up");
+    sim.run_interval();
+    assert_eq!(sim.replicas_of(app), vec![i1, new], "at ReplicaReady");
+    let retire = Actuation::Retire { app, instance: new };
+    assert_eq!(sim.apply(&retire), Some(Applied::Done));
+    assert_eq!(sim.replicas_of(app), vec![i1], "retired at once");
 }
 
 #[test]
@@ -402,7 +451,7 @@ fn retired_replica_stops_serving() {
     sim.assign_replica(app, i2);
     sim.start();
     sim.run_interval();
-    sim.retire_replica(app, i2);
+    sim.apply(&Actuation::Retire { app, instance: i2 });
     assert_eq!(sim.replicas_of(app), vec![i1]);
     sim.run_interval(); // drain
     let outcome = sim.run_interval();
@@ -516,7 +565,13 @@ fn export_telemetry_reports_partitions_and_evictions() {
     let (mut sim, _) = small_sim(8);
     let t = observe(&mut sim);
     let quotaed = ClassId::new(AppId(0), 8);
-    sim.set_quota(InstanceId(0), quotaed, 512).unwrap();
+    let instance = InstanceId(0);
+    sim.apply(&Actuation::SetQuota {
+        instance,
+        class: quotaed,
+        pages: 512,
+    })
+    .unwrap();
     sim.run_interval();
     let prom = t.render_prometheus().unwrap();
     let pool = sim.instances[0].engine.pool();

@@ -26,7 +26,8 @@ pub mod topology;
 
 pub use aggregate::{AppAggregate, RackAggregate};
 pub use driver::{
-    IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, WorkCounts, MEASUREMENT_INTERVAL,
+    Actuation, Applied, IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, WorkCounts,
+    MEASUREMENT_INTERVAL,
 };
 pub use scheduler::Scheduler;
 pub use topology::InstanceId;

@@ -7,7 +7,8 @@ use odlb_telemetry::Telemetry;
 use odlb_trace::{ActionKind, TraceEvent, Tracer};
 use std::fmt;
 
-/// One control action (or notable diagnosis event) in an interval.
+/// One control action (or notable diagnosis event) in an interval. A row
+/// reporting a state change is built by the skeleton from what was applied.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Action {
     /// Outlier detection ran and flagged these contexts.
@@ -103,21 +104,26 @@ pub enum Action {
 }
 
 impl Action {
-    /// A stable kebab-case label for telemetry counters
-    /// (`odlb_controller_actions_total{action="..."}`).
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            Action::DetectedOutliers { .. } => "detected-outliers",
-            Action::RecomputedMrc { .. } => "recomputed-mrc",
-            Action::SetQuota { .. } => "set-quota",
-            Action::PlacedClass { .. } => "placed-class",
-            Action::ProvisionedReplica { .. } => "provisioned-replica",
-            Action::RetiredReplica { .. } => "retired-replica",
-            Action::CoarseFallback { .. } => "coarse-fallback",
-            Action::DetectedLockContention { .. } => "detected-lock-contention",
-            Action::MigratedVm { .. } => "migrated-vm",
-            Action::MovedIoHeavyClass { .. } => "moved-io-heavy-class",
-        }
+    /// The trace kind (none for an MRC recomputation, traced as an
+    /// `mrc_validation` event) and the stable kebab-case label of the
+    /// telemetry counter (`odlb_controller_actions_total{action="..."}`).
+    fn kind(&self) -> (Option<ActionKind>, &'static str) {
+        use ActionKind as K;
+        let (kind, label) = match self {
+            Action::DetectedOutliers { .. } => (K::DetectedOutliers, "detected-outliers"),
+            Action::RecomputedMrc { .. } => return (None, "recomputed-mrc"),
+            Action::SetQuota { .. } => (K::SetQuota, "set-quota"),
+            Action::PlacedClass { .. } => (K::PlacedClass, "placed-class"),
+            Action::ProvisionedReplica { .. } => (K::ProvisionedReplica, "provisioned-replica"),
+            Action::RetiredReplica { .. } => (K::RetiredReplica, "retired-replica"),
+            Action::CoarseFallback { .. } => (K::CoarseFallback, "coarse-fallback"),
+            Action::DetectedLockContention { .. } => {
+                (K::LockContention, "detected-lock-contention")
+            }
+            Action::MigratedVm { .. } => (K::MigratedVm, "migrated-vm"),
+            Action::MovedIoHeavyClass { .. } => (K::MovedIoHeavyClass, "moved-io-heavy-class"),
+        };
+        (Some(kind), label)
     }
 
     /// Maps this action to its decision-trace event at interval end
@@ -125,7 +131,8 @@ impl Action {
     /// events; everything else becomes an `action_applied` record whose
     /// `detail` is the action's human-readable rendering.
     pub fn to_trace_event(&self, end_us: u64) -> TraceEvent {
-        let (kind, app, instance, template, pages) = match self {
+        let (kind, _) = self.kind();
+        let (app, instance, class) = match *self {
             Action::RecomputedMrc {
                 instance,
                 class,
@@ -137,79 +144,35 @@ impl Action {
                     instance: instance.0,
                     app: class.app.0,
                     template: class.template,
-                    acceptable_pages: *acceptable_pages as u64,
-                    changed: *changed,
+                    acceptable_pages: acceptable_pages as u64,
+                    changed,
                 }
             }
-            Action::DetectedOutliers { instance, .. } => (
-                ActionKind::DetectedOutliers,
-                None,
-                Some(instance.0),
-                None,
-                None,
-            ),
+            Action::DetectedOutliers { instance, .. } | Action::MigratedVm { instance, .. } => {
+                (None, Some(instance), None)
+            }
             Action::SetQuota {
-                instance,
-                class,
-                pages,
-            } => (
-                ActionKind::SetQuota,
-                Some(class.app.0),
-                Some(instance.0),
-                Some(class.template),
-                Some(*pages as u64),
-            ),
-            Action::PlacedClass { app, class, to } => (
-                ActionKind::PlacedClass,
-                Some(app.0),
-                Some(to.0),
-                Some(class.template),
-                None,
-            ),
-            Action::ProvisionedReplica { app, instance } => (
-                ActionKind::ProvisionedReplica,
-                Some(app.0),
-                Some(instance.0),
-                None,
-                None,
-            ),
-            Action::RetiredReplica { app, instance } => (
-                ActionKind::RetiredReplica,
-                Some(app.0),
-                Some(instance.0),
-                None,
-                None,
-            ),
-            Action::CoarseFallback { app } => {
-                (ActionKind::CoarseFallback, Some(app.0), None, None, None)
-            }
-            Action::DetectedLockContention {
                 instance, class, ..
-            } => (
-                ActionKind::LockContention,
-                Some(class.app.0),
-                Some(instance.0),
-                Some(class.template),
-                None,
-            ),
-            Action::MigratedVm { instance, .. } => {
-                (ActionKind::MigratedVm, None, Some(instance.0), None, None)
             }
-            Action::MovedIoHeavyClass { app, class, to } => (
-                ActionKind::MovedIoHeavyClass,
-                Some(app.0),
-                Some(to.0),
-                Some(class.template),
-                None,
-            ),
+            | Action::DetectedLockContention {
+                instance, class, ..
+            } => (Some(class.app), Some(instance), Some(class)),
+            Action::PlacedClass { app, class, to }
+            | Action::MovedIoHeavyClass { app, class, to } => (Some(app), Some(to), Some(class)),
+            Action::ProvisionedReplica { app, instance }
+            | Action::RetiredReplica { app, instance } => (Some(app), Some(instance), None),
+            Action::CoarseFallback { app } => (Some(app), None, None),
         };
         TraceEvent::ActionApplied {
             end_us,
-            kind,
-            app,
-            instance,
-            template,
-            pages,
+            kind: kind.expect("only an MRC recomputation has no kind"),
+            app: app.map(|a| a.0),
+            instance: instance.map(|i| i.0),
+            template: class.map(|c| c.template),
+            pages: match *self {
+                Action::SetQuota { pages, .. } => Some(pages as u64),
+                _ => None,
+            },
             detail: self.to_string(),
         }
     }
@@ -227,7 +190,7 @@ pub fn report_actions(tracer: &Tracer, telemetry: &Telemetry, end_us: u64, actio
         if let Some(c) = telemetry.counter(
             "odlb_controller_actions_total",
             "Controller actions applied or diagnoses surfaced, by kind.",
-            &[("action", action.kind_label())],
+            &[("action", action.kind().1)],
         ) {
             c.inc();
         }

@@ -13,8 +13,8 @@
 //!   Effective but wasteful in machines — ablation A3 counts exactly that.
 //! * [`VmMigrationController`] — live-migrate the whole database VM.
 
-use crate::actions::Action;
 use crate::skeleton::{Controller, Interval, Strategy, Verdict};
+use odlb_cluster::Actuation;
 use odlb_metrics::{AppId, ServerId};
 
 /// Tivoli-style: provision on CPU saturation, otherwise shrug.
@@ -36,7 +36,9 @@ impl CpuOnlyController {
 impl Strategy for CpuOnly {
     fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, _streak: u32) -> Verdict {
         // Not CPU? Then this controller has no idea what to do.
-        if cx.cpu_saturated(app, self.cpu_saturation) && cx.provision(app).is_some() {
+        if cx.cpu_saturated(app, self.cpu_saturation)
+            && cx.apply(Actuation::Provision { app }).is_some()
+        {
             Verdict::Acted
         } else {
             Verdict::Idle
@@ -96,23 +98,20 @@ impl Default for VmMigrationController {
 impl Strategy for VmMigration {
     fn on_violation(&mut self, cx: &mut Interval<'_>, app: AppId, _streak: u32) -> Verdict {
         // Migrate the app's first replica to the emptiest other server.
-        let Some(&instance) = cx.sim.replicas_of(app).first() else {
+        let Some(&instance) = cx.sim().replicas_of(app).first() else {
             return Verdict::Idle;
         };
-        let from = cx.sim.server_of(instance);
-        let target = (0..cx.sim.server_count() as u32)
+        let from = cx.sim().server_of(instance);
+        let target = (0..cx.sim().server_count() as u32)
             .map(ServerId)
             .filter(|&s| s != from)
             .min_by_key(|&s| {
                 let snap = cx.outcome.servers.get(s.0 as usize);
                 snap.map_or(u64::MAX, |snap| (snap.cpu_utilisation * 1000.0) as u64)
             });
-        match target {
-            Some(to) if cx.sim.migrate_instance(instance, to) => {
-                cx.actions.push(Action::MigratedVm { instance, from, to });
-                Verdict::Acted
-            }
-            _ => Verdict::Idle,
+        match target.and_then(|to| cx.apply(Actuation::Migrate { instance, to })) {
+            Some(_) => Verdict::Acted,
+            None => Verdict::Idle,
         }
     }
 }
@@ -120,6 +119,7 @@ impl Strategy for VmMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::Action;
     use crate::skeleton::ClusterController;
     use odlb_cluster::{Simulation, SimulationConfig};
     use odlb_engine::EngineConfig;

@@ -7,8 +7,8 @@ use crate::memory::{
     find_problem_classes, instance_key, pick_replacement_target, plan_memory_action, MemoryPlan,
     MRC_THRESHOLD,
 };
-use crate::skeleton::{Controller, Interval, Strategy, Verdict, COOLDOWN_INTERVALS};
-use odlb_cluster::{InstanceId, IntervalOutcome, Simulation};
+use crate::skeleton::{Cause, Controller, Interval, Strategy, Verdict, COOLDOWN_INTERVALS};
+use odlb_cluster::{Actuation, Applied, InstanceId, IntervalOutcome, Simulation};
 use odlb_metrics::{AppId, ClassId, MetricKind, StableStateStore};
 use odlb_mrc::MrcMode;
 use odlb_outlier::{detect, top_k_heavyweight, OutlierConfig, Severity, Weighting};
@@ -133,28 +133,28 @@ impl SelectiveRetuning {
     }
 
     /// Moves `class` away from `from`: onto an existing fitting replica
-    /// (logged as the action `placed` builds), or provisions one and
-    /// defers the placement.
+    /// (reported for `cause`), or provisions one and defers the placement.
     fn replace_class(
         &self,
         cx: &mut Interval<'_>,
         from: InstanceId,
         class: ClassId,
         needed_pages: usize,
-        placed: fn(AppId, ClassId, InstanceId) -> Action,
+        cause: Cause,
     ) {
         // A placement for this class may already be in flight (e.g. two
         // applications diagnosed the same interferer this interval).
         if cx.pending_placements.iter().any(|(c, _)| *c == class) {
             return;
         }
-        match pick_replacement_target(cx.sim, class, needed_pages, from) {
-            Some(target) => {
-                cx.sim.place_class(class, target);
-                cx.actions.push(placed(class.app, class, target));
+        match pick_replacement_target(cx.sim(), class, needed_pages, from) {
+            Some(to) => {
+                cx.apply_as(Actuation::PlaceClass { class, to }, cause);
             }
             None => {
-                if let Some(instance) = cx.provision(class.app) {
+                let app = class.app;
+                if let Some(Applied::Provisioned(instance)) = cx.apply(Actuation::Provision { app })
+                {
                     cx.pending_placements.push((class, instance));
                 }
                 // No free server: nothing to do this interval; the streak
@@ -168,7 +168,7 @@ impl SelectiveRetuning {
     fn diagnose_and_act(&mut self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
         // (a) CPU saturation → reactive replica provisioning (§5.2).
         if cx.cpu_saturated(app, CPU_SATURATION) {
-            return match cx.provision(app) {
+            return match cx.apply(Actuation::Provision { app }) {
                 Some(_) => Verdict::Acted,
                 None => Verdict::Idle,
             };
@@ -178,7 +178,7 @@ impl SelectiveRetuning {
         // there (interference can come from another application).
         let (outcome, profiler) = (cx.outcome, cx.profiler);
         let mut verdict = Verdict::Idle;
-        for inst in cx.sim.replicas_of(app) {
+        for inst in cx.sim().replicas_of(app) {
             let Some(report) = outcome.reports.get(&inst) else {
                 continue;
             };
@@ -247,7 +247,7 @@ impl SelectiveRetuning {
                 if lock_contention {
                     // The violation is explained by lock waits; probing
                     // heavyweight classes for memory problems would only
-                    // produce spurious quotas.
+                    // produce spurious quotas. Acted, nothing applied: 1(b) site 3.
                     verdict = Verdict::Acted;
                     continue;
                 }
@@ -255,7 +255,7 @@ impl SelectiveRetuning {
             }
             let examined = profile_span(profiler, "mrc_update", || {
                 find_problem_classes(
-                    cx.sim,
+                    cx.sim(),
                     inst,
                     &suspects,
                     &mut self.stable,
@@ -272,29 +272,28 @@ impl SelectiveRetuning {
                 });
             }
             match profile_span(profiler, "action_selection", || {
-                plan_memory_action(cx.sim, inst, report, &examined, self.mrc_mode, profiler)
+                plan_memory_action(cx.sim(), inst, report, &examined, self.mrc_mode, profiler)
             }) {
                 MemoryPlan::Quotas(quotas) => {
                     for (class, pages) in quotas {
                         // Re-quota: drop any existing partition first.
-                        cx.sim.clear_quota(inst, class);
-                        if cx.sim.set_quota(inst, class, pages).is_ok() {
-                            cx.actions.push(Action::SetQuota {
-                                instance: inst,
-                                class,
-                                pages,
-                            });
-                        }
+                        let instance = inst;
+                        cx.apply(Actuation::ClearQuota { instance, class });
+                        cx.apply(Actuation::SetQuota {
+                            instance,
+                            class,
+                            pages,
+                        });
                     }
+                    // Acted even if every quota was refused: 1(b) site 1.
                     return Verdict::Acted;
                 }
                 MemoryPlan::Replace {
                     class,
                     needed_pages,
                 } => {
-                    self.replace_class(cx, inst, class, needed_pages, |app, class, to| {
-                        Action::PlacedClass { app, class, to }
-                    });
+                    self.replace_class(cx, inst, class, needed_pages, Cause::Own);
+                    // Acted even with no target and no free server: 1(b) site 2.
                     return Verdict::Acted;
                 }
                 MemoryPlan::Nothing => {}
@@ -305,7 +304,7 @@ impl SelectiveRetuning {
         // off the saturated server. Gated on stable state existing, like
         // the memory path: a cold pool saturates the disk transiently and
         // must not trigger re-placements.
-        let io_saturated = cx.sim.replicas_of(app).into_iter().find(|&inst| {
+        let io_saturated = cx.sim().replicas_of(app).into_iter().find(|&inst| {
             cx.server_of(inst)
                 .is_some_and(|s| s.io_utilisation >= IO_SATURATION)
         });
@@ -323,16 +322,15 @@ impl SelectiveRetuning {
             .and_then(|s| s.mrc)
             .map(|m| m.acceptable_memory_needed)
             .unwrap_or(0);
-        self.replace_class(cx, inst, class, needed, |app, class, to| {
-            Action::MovedIoHeavyClass { app, class, to }
-        });
+        self.replace_class(cx, inst, class, needed, Cause::IoRelief);
+        // Acted even when nothing was placed: 1(b) site 4.
         Verdict::Acted
     }
 
     /// Releases a replica when the application is comfortably under its
     /// SLA and its servers are mostly idle.
     fn maybe_release(&self, cx: &mut Interval<'_>, app: AppId) -> Verdict {
-        let replicas = cx.sim.replicas_of(app);
+        let replicas = cx.sim().replicas_of(app);
         if replicas.len() <= MIN_REPLICAS {
             return Verdict::Idle;
         }
@@ -349,15 +347,17 @@ impl SelectiveRetuning {
         // replica that carries a pinned class — that would silently
         // undo a fine-grained placement decision.
         let victim = *replicas.last().expect("non-empty");
-        if !all_idle || projected >= CPU_SATURATION * 0.75 || cx.sim.is_pinned_target(app, victim) {
+        if !all_idle || projected >= CPU_SATURATION * 0.75 || cx.sim().is_pinned_target(app, victim)
+        {
             return Verdict::Idle;
         }
-        cx.sim.retire_replica(app, victim);
-        cx.actions.push(Action::RetiredReplica {
+        match cx.apply(Actuation::Retire {
             app,
             instance: victim,
-        });
-        Verdict::Acted
+        }) {
+            Some(_) => Verdict::Acted,
+            None => Verdict::Idle,
+        }
     }
 }
 
@@ -367,7 +367,7 @@ impl Strategy for SelectiveRetuning {
             self.record_stable_states(cx.outcome)
         });
         profile_span(cx.profiler, "initial_mrcs", || {
-            self.ensure_initial_mrcs(cx.sim, cx.outcome)
+            self.ensure_initial_mrcs(cx.sim(), cx.outcome)
         });
     }
 
@@ -513,27 +513,29 @@ mod tests {
         let outcome = sim.run_interval();
         let ctl = SelectiveRetuningController::new(ControllerConfig::default());
         let class = ClassId::new(app, 8);
-        // What `complete_pending` logs for a deferred pin finished earlier
-        // in the same interval.
+        // What `complete_pending` reports for a deferred pin finished
+        // earlier in the same interval.
         let deferred = Action::PlacedClass { app, class, to: i1 };
         let mut actions = vec![deferred.clone()];
-        let mut cx = Interval {
-            sim: &mut sim,
-            outcome: &outcome,
-            actions: &mut actions,
-            pending_placements: &mut Vec::new(),
-            tracer: &odlb_trace::Tracer::new(),
-            profiler: &None,
-        };
-        let io_path: fn(AppId, ClassId, InstanceId) -> Action =
-            |app, class, to| Action::MovedIoHeavyClass { app, class, to };
+        let (mut pending, tracer) = (Vec::new(), odlb_trace::Tracer::new());
+        let mut cx = Interval::new(
+            &mut sim,
+            &outcome,
+            &mut actions,
+            &mut pending,
+            &tracer,
+            &None,
+        );
         // No pool holds a million pages and no server is free: nothing
-        // is logged, and the deferred pin keeps its label.
+        // is applied or reported, and the deferred pin keeps its row.
         let rule = &ctl.strategy;
-        rule.replace_class(&mut cx, i1, class, 1_000_000, io_path);
+        rule.replace_class(&mut cx, i1, class, 1_000_000, Cause::IoRelief);
         assert_eq!(cx.actions.as_slice(), std::slice::from_ref(&deferred));
-        // The other replica fits: one action, the caller's.
-        rule.replace_class(&mut cx, i1, class, 0, io_path);
+        assert!(cx.pending_placements.is_empty());
+        // The other replica fits: one placement, reported as the I/O
+        // path's move.
+        rule.replace_class(&mut cx, i1, class, 0, Cause::IoRelief);
+        assert_eq!(sim.placement_of(class), vec![i2]);
         let moved = Action::MovedIoHeavyClass { app, class, to: i2 };
         assert_eq!(actions, [deferred, moved]);
     }

@@ -11,7 +11,7 @@
 //! [`Strategy`] and touches neither this loop nor the cluster driver.
 
 use crate::actions::{report_actions, Action};
-use odlb_cluster::{InstanceId, IntervalOutcome, ServerSnapshot, Simulation};
+use odlb_cluster::{Actuation, Applied, InstanceId, IntervalOutcome, ServerSnapshot, Simulation};
 use odlb_metrics::{AppId, ClassId};
 use odlb_telemetry::{enter_span, profile_span, SharedSpanProfiler, Telemetry};
 use odlb_trace::Tracer;
@@ -53,11 +53,12 @@ pub enum Verdict {
 
 /// One closed interval as a strategy sees it.
 pub struct Interval<'a> {
-    /// The cluster, for actuation.
-    pub sim: &'a mut Simulation,
+    /// Read through [`Interval::sim`], changed only by [`Interval::apply`].
+    sim: &'a mut Simulation,
     /// The interval's measurements.
     pub outcome: &'a IntervalOutcome,
-    /// Actions applied so far this interval; strategies push what they do.
+    /// The interval's report so far: `apply` adds what it applied, and
+    /// strategies push only diagnoses.
     pub actions: &'a mut Vec<Action>,
     /// Class pins deferred until their (provisioning) target serves; the
     /// skeleton completes them.
@@ -68,7 +69,72 @@ pub struct Interval<'a> {
     pub profiler: &'a Option<SharedSpanProfiler>,
 }
 
+/// Why an actuation was applied, where its report row depends on it.
+pub(crate) enum Cause {
+    /// The actuation's own row.
+    Own,
+    /// A class moved at once off a disk-saturated server (§3.3.3).
+    IoRelief,
+    /// One class pin of a whole-application isolation.
+    Isolation,
+}
+
+/// The report row of an accepted actuation: the one place an [`Action`]
+/// that reports a state change is built. A cleared quota has no row, and
+/// an isolation is one `CoarseFallback` row however many classes it
+/// pins, carried by its first (template 0).
+fn report(actuation: &Actuation, applied: Applied, cause: Cause) -> Option<Action> {
+    Some(match *actuation {
+        Actuation::SetQuota {
+            instance,
+            class,
+            pages,
+        } => Action::SetQuota {
+            instance,
+            class,
+            pages,
+        },
+        Actuation::ClearQuota { .. } => return None,
+        Actuation::PlaceClass { class, to } => {
+            let app = class.app;
+            match cause {
+                Cause::Own => Action::PlacedClass { app, class, to },
+                Cause::IoRelief => Action::MovedIoHeavyClass { app, class, to },
+                Cause::Isolation if class.template == 0 => Action::CoarseFallback { app },
+                Cause::Isolation => return None,
+            }
+        }
+        Actuation::Provision { app } => match applied {
+            Applied::Provisioned(instance) => Action::ProvisionedReplica { app, instance },
+            _ => unreachable!("apply hands back the new replica"),
+        },
+        Actuation::Retire { app, instance } => Action::RetiredReplica { app, instance },
+        Actuation::Migrate { instance, to } => match applied {
+            Applied::Migrated(from) => Action::MigratedVm { instance, from, to },
+            _ => unreachable!("apply hands back the source server"),
+        },
+    })
+}
+
 impl Interval<'_> {
+    /// The cluster, for reads.
+    pub fn sim(&self) -> &Simulation {
+        self.sim
+    }
+
+    /// Applies `actuation` and, when the cluster accepts it, adds its
+    /// report row; `None` (refused) changes nothing and reports nothing.
+    pub fn apply(&mut self, actuation: Actuation) -> Option<Applied> {
+        self.apply_as(actuation, Cause::Own)
+    }
+
+    /// [`Interval::apply`], reporting for `cause`.
+    pub(crate) fn apply_as(&mut self, actuation: Actuation, cause: Cause) -> Option<Applied> {
+        let applied = self.sim.apply(&actuation)?;
+        self.actions.extend(report(&actuation, applied, cause));
+        Some(applied)
+    }
+
     /// The interval's snapshot of the server hosting `instance`.
     pub fn server_of(&self, instance: InstanceId) -> Option<&ServerSnapshot> {
         // Snapshots are index-aligned with server ids, so no scan.
@@ -83,15 +149,6 @@ impl Interval<'_> {
             self.server_of(inst)
                 .is_some_and(|s| s.cpu_utilisation >= threshold)
         })
-    }
-
-    /// Provisions a replica of `app` and records the action; `None` when
-    /// no server is free.
-    pub fn provision(&mut self, app: AppId) -> Option<InstanceId> {
-        let instance = self.sim.provision_replica(app)?;
-        self.actions
-            .push(Action::ProvisionedReplica { app, instance });
-        Some(instance)
     }
 }
 
@@ -149,25 +206,16 @@ impl<S: Strategy> Controller<S> {
 
 /// Finishes deferred pins whose target replica is now serving.
 fn complete_pending(cx: &mut Interval<'_>, pending_isolations: &mut Vec<(AppId, InstanceId)>) {
-    let (sim, actions) = (&mut *cx.sim, &mut *cx.actions);
-    cx.pending_placements.retain(|&(class, target)| {
-        let placed = sim.place_class(class, target);
-        if placed {
-            actions.push(Action::PlacedClass {
-                app: class.app,
-                class,
-                to: target,
-            });
-        }
-        !placed
-    });
-    pending_isolations.retain(|&(app, target)| {
-        let serving = sim.replicas_of(app).contains(&target);
+    let mut pending = std::mem::take(cx.pending_placements);
+    pending.retain(|&(class, to)| cx.apply(Actuation::PlaceClass { class, to }).is_none());
+    *cx.pending_placements = pending;
+    pending_isolations.retain(|&(app, to)| {
+        let serving = cx.sim.replicas_of(app).contains(&to);
         if serving {
-            for idx in 0..sim.workload(app).classes.len() {
-                sim.place_class(ClassId::new(app, idx as u32), target);
+            for idx in 0..cx.sim.workload(app).classes.len() {
+                let class = ClassId::new(app, idx as u32);
+                cx.apply_as(Actuation::PlaceClass { class, to }, Cause::Isolation);
             }
-            actions.push(Action::CoarseFallback { app });
         }
         !serving
     });
@@ -211,13 +259,13 @@ impl<S: Strategy> ClusterController for Controller<S> {
                 self.strategy.on_met(&mut cx, app)
             };
             if verdict == Verdict::Isolate {
-                verdict = match cx.provision(app) {
-                    Some(instance) => {
+                verdict = match cx.apply(Actuation::Provision { app }) {
+                    Some(Applied::Provisioned(instance)) => {
                         self.pending_isolations.push((app, instance));
                         *streak = 0;
                         Verdict::Acted
                     }
-                    None => Verdict::Idle,
+                    _ => Verdict::Idle,
                 };
             }
             if verdict == Verdict::Acted {
@@ -239,5 +287,27 @@ impl<S: Strategy> ClusterController for Controller<S> {
 
     fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
         self.profiler = Some(profiler);
+    }
+}
+
+#[cfg(test)]
+impl<'a> Interval<'a> {
+    /// An interval for driving one strategy step by hand.
+    pub(crate) fn new(
+        sim: &'a mut Simulation,
+        outcome: &'a IntervalOutcome,
+        actions: &'a mut Vec<Action>,
+        pending_placements: &'a mut Vec<(ClassId, InstanceId)>,
+        tracer: &'a Tracer,
+        profiler: &'a Option<SharedSpanProfiler>,
+    ) -> Self {
+        Interval {
+            sim,
+            outcome,
+            actions,
+            pending_placements,
+            tracer,
+            profiler,
+        }
     }
 }

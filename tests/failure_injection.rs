@@ -2,7 +2,7 @@
 //! world misbehaves — replicas retired mid-provisioning, empty stable
 //! state, no free servers, infeasible quotas, zero-variance populations.
 
-use odlb::cluster::{Simulation, SimulationConfig};
+use odlb::cluster::{Actuation, Applied, Simulation, SimulationConfig};
 use odlb::core::{ClusterController, ControllerConfig, SelectiveRetuningController};
 use odlb::engine::EngineConfig;
 use odlb::metrics::{AppId, ClassId, MetricKind, MetricVector, Sla};
@@ -27,10 +27,16 @@ fn replica_retired_while_provisioning_never_resurrects() {
     );
     sim.assign_replica(app, i1);
     sim.start();
-    let pending = sim.provision_replica(app).unwrap();
+    let Some(Applied::Provisioned(pending)) = sim.apply(&Actuation::Provision { app }) else {
+        panic!("a free server exists");
+    };
     // Kill it before its ReplicaReady fires (delay is 20 s; interval 10 s).
     sim.run_interval();
-    sim.retire_replica(app, pending);
+    let retire = Actuation::Retire {
+        app,
+        instance: pending,
+    };
+    assert_eq!(sim.apply(&retire), Some(Applied::Done));
     for _ in 0..4 {
         sim.run_interval();
         assert_eq!(
@@ -39,25 +45,6 @@ fn replica_retired_while_provisioning_never_resurrects() {
             "retired-in-flight replica must not come back"
         );
     }
-}
-
-#[test]
-fn provisioning_with_no_free_server_fails_cleanly() {
-    let mut sim = Simulation::new(SimulationConfig::default());
-    let s1 = sim.add_server(4);
-    let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
-    let app = sim.add_app(
-        tpcw_workload(TpcwConfig::default()),
-        Sla::one_second(),
-        ClientConfig::default(),
-        LoadFunction::Constant(5),
-    );
-    sim.assign_replica(app, i1);
-    assert_eq!(sim.provision_replica(app), None);
-    // The cluster still runs fine afterwards.
-    sim.start();
-    let outcome = sim.run_interval();
-    assert!(outcome.app_throughput[&app] >= 0.0);
 }
 
 #[test]
@@ -106,26 +93,80 @@ fn detection_with_single_class_population() {
     assert!(report.findings.is_empty(), "no population, no outliers");
 }
 
+/// Applies `actuation` to a fork of `sim`, which must refuse it, and
+/// shows that the refusal changed nothing: a second fork, taken beside
+/// the first, runs four intervals with the same outcomes and the same
+/// work. (Two forks, since a fork's access windows hold no spare
+/// capacity and its parent's may.)
+fn assert_refused(sim: &Simulation, actuation: Actuation) {
+    let (mut refused, mut untouched) = (sim.fork(), sim.fork());
+    assert_eq!(
+        refused.apply(&actuation),
+        None,
+        "{actuation:?} was accepted"
+    );
+    for _ in 0..4 {
+        let (a, b) = (refused.run_interval(), untouched.run_interval());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{actuation:?}");
+    }
+    assert_eq!(refused.work(), untouched.work(), "{actuation:?}");
+}
+
+/// One refused case per `Actuation` variant, on one TPC-W replica that
+/// later gets a second server.
 #[test]
-fn quota_on_unknown_class_is_rejected_not_fatal() {
+fn every_refused_actuation_changes_nothing() {
     let mut sim = Simulation::new(SimulationConfig::default());
     let s1 = sim.add_server(4);
-    let i1 = sim.add_instance(
-        s1,
-        DomainId(1),
-        EngineConfig {
-            pool_pages: 64,
-            ..Default::default()
+    let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
+    let app = sim.add_app(
+        tpcw_workload(TpcwConfig::default()),
+        Sla::one_second(),
+        ClientConfig::default(),
+        LoadFunction::Constant(5),
+    );
+    sim.assign_replica(app, i1);
+    sim.start();
+    sim.run_interval();
+    // Every server already hosts a replica.
+    assert_refused(&sim, Actuation::Provision { app });
+    // A quota as large as the pool leaves the general partition nothing.
+    let ghost = ClassId::new(AppId(9), 0);
+    let quota = |pages| Actuation::SetQuota {
+        instance: i1,
+        class: ghost,
+        pages,
+    };
+    assert_refused(&sim, quota(sim.pool_pages(i1)));
+    // A valid quota on a never-seen class is accepted (it is used when
+    // the class shows up) and clearable, once.
+    let clear = Actuation::ClearQuota {
+        instance: i1,
+        class: ghost,
+    };
+    assert_eq!(sim.apply(&quota(16)), Some(Applied::Done));
+    assert_eq!(sim.apply(&clear), Some(Applied::Done));
+    assert_refused(&sim, clear);
+    // The instance is already on its own server.
+    assert_refused(
+        &sim,
+        Actuation::Migrate {
+            instance: i1,
+            to: s1,
         },
     );
-    let ghost = ClassId::new(AppId(9), 0);
-    // Quota larger than the pool must error, not panic.
-    assert!(sim.set_quota(i1, ghost, 1_000).is_err());
-    // A valid quota on a never-seen class is fine (it will be used when
-    // the class shows up) and clearable.
-    assert!(sim.set_quota(i1, ghost, 16).is_ok());
-    assert!(sim.clear_quota(i1, ghost));
-    assert!(!sim.clear_quota(i1, ghost));
+    // A replica still provisioning serves no class yet.
+    sim.add_server(4);
+    let Some(Applied::Provisioned(i2)) = sim.apply(&Actuation::Provision { app }) else {
+        panic!("the new server is free");
+    };
+    let class = ClassId::new(app, 8);
+    assert_refused(&sim, Actuation::PlaceClass { class, to: i2 });
+    // Retiring a replica twice.
+    let retire = Actuation::Retire { app, instance: i2 };
+    assert_eq!(sim.apply(&retire), Some(Applied::Done));
+    assert_refused(&sim, retire);
+    assert_eq!(sim.replicas_of(app), vec![i1]);
 }
 
 #[test]
