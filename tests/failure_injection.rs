@@ -93,6 +93,56 @@ fn detection_with_single_class_population() {
     assert!(report.findings.is_empty(), "no population, no outliers");
 }
 
+#[test]
+fn provisioning_with_no_free_server_fails_cleanly() {
+    let mut sim = Simulation::new(SimulationConfig::default());
+    let s1 = sim.add_server(4);
+    let i1 = sim.add_instance(s1, DomainId(1), EngineConfig::default());
+    let app = sim.add_app(
+        tpcw_workload(TpcwConfig::default()),
+        Sla::one_second(),
+        ClientConfig::default(),
+        LoadFunction::Constant(5),
+    );
+    sim.assign_replica(app, i1);
+    assert_eq!(sim.apply(&Actuation::Provision { app }), None);
+    // The cluster still runs fine afterwards.
+    sim.start();
+    let outcome = sim.run_interval();
+    assert!(outcome.app_throughput[&app] >= 0.0);
+}
+
+#[test]
+fn quota_on_unknown_class_is_rejected_not_fatal() {
+    let mut sim = Simulation::new(SimulationConfig::default());
+    let s1 = sim.add_server(4);
+    let i1 = sim.add_instance(
+        s1,
+        DomainId(1),
+        EngineConfig {
+            pool_pages: 64,
+            ..Default::default()
+        },
+    );
+    let ghost = ClassId::new(AppId(9), 0);
+    let quota = |pages| Actuation::SetQuota {
+        instance: i1,
+        class: ghost,
+        pages,
+    };
+    let clear = Actuation::ClearQuota {
+        instance: i1,
+        class: ghost,
+    };
+    // Quota larger than the pool must be refused, not panic.
+    assert_eq!(sim.apply(&quota(1_000)), None);
+    // A valid quota on a never-seen class is fine (it will be used when
+    // the class shows up) and clearable.
+    assert_eq!(sim.apply(&quota(16)), Some(Applied::Done));
+    assert_eq!(sim.apply(&clear), Some(Applied::Done));
+    assert_eq!(sim.apply(&clear), None);
+}
+
 /// Applies `actuation` to a fork of `sim`, which must refuse it, and
 /// shows that the refusal changed nothing: a second fork, taken beside
 /// the first, runs four intervals with the same outcomes and the same
