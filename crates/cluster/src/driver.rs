@@ -240,6 +240,9 @@ pub struct WorkCounts {
     pub pool_misses: u64,
     /// Read-ahead extent prefetches triggered.
     pub prefetches: u64,
+    /// Pages those prefetches installed (an extent's resident pages are
+    /// skipped).
+    pub prefetched_pages: u64,
     /// Page locks the executed writes acquired (each replica apply
     /// locks its own copy).
     pub pages_locked: u64,

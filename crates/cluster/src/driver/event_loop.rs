@@ -242,6 +242,7 @@ impl Simulation {
         self.work.page_refs += result.record.page_accesses;
         self.work.pool_misses += result.record.buffer_misses;
         self.work.prefetches += result.record.readaheads;
+        self.work.prefetched_pages += result.prefetched_pages;
         self.work.pages_locked += spec.locked_pages().len() as u64;
         instances[idx].outstanding += 1;
         let record = self.in_flight.park(Parked {

@@ -41,6 +41,8 @@ pub struct ExecutionResult {
     pub completion: SimTime,
     /// The instrumentation record, stamped with completion and latency.
     pub record: QueryLogRecord,
+    /// Pages the query's read-ahead prefetches installed in the pool.
+    pub prefetched_pages: u64,
 }
 
 /// What playing a query's page sequence cost: the I/O it issued and when
@@ -49,6 +51,7 @@ struct PageWork {
     misses: u64,
     io_requests: u64,
     readaheads: u64,
+    prefetched_pages: u64,
     last_io_done: SimTime,
     io_service: SimDuration,
 }
@@ -59,6 +62,7 @@ impl PageWork {
             misses: 0,
             io_requests: 0,
             readaheads: 0,
+            prefetched_pages: 0,
             last_io_done: now,
             io_service: SimDuration::ZERO,
         }
@@ -72,10 +76,12 @@ impl PageWork {
         self.last_io_done = self.last_io_done.max(read.completion);
     }
 
-    /// A triggered read-ahead (its extent read does not block).
-    fn readahead(&mut self) {
+    /// A triggered read-ahead (its extent read does not block) that
+    /// installed `pages` pages.
+    fn readahead(&mut self, pages: u64) {
         self.readaheads += 1;
         self.io_requests += 1;
+        self.prefetched_pages += pages;
     }
 }
 
@@ -169,11 +175,12 @@ impl DbEngine {
                     work.miss(read(IoKind::Random, 1, false));
                 }
                 if let Some(start) = runs.observe(page) {
-                    work.readahead();
                     // Asynchronous prefetch: occupies the disk, does not block.
                     read(IoKind::Sequential, EXTENT_PAGES, true);
                     let _span = enter_span(profiler, "bufferpool_prefetch");
-                    span_units(profiler, pool.prefetch(start, EXTENT_PAGES));
+                    let installed = pool.prefetch(start, EXTENT_PAGES);
+                    span_units(profiler, installed);
+                    work.readahead(installed);
                 }
             }
         }
@@ -217,7 +224,11 @@ impl DbEngine {
             readaheads: work.readaheads,
             lock_wait,
         };
-        ExecutionResult { completion, record }
+        ExecutionResult {
+            completion,
+            record,
+            prefetched_pages: work.prefetched_pages,
+        }
     }
 
     /// Commits a completed query's record through the private log buffer
@@ -442,9 +453,8 @@ mod tests {
                 work.miss(io.read(domain, now, IoKind::Random, 1, false));
             }
             if let Some(start) = eng.readahead.observe(class.as_u64(), page) {
-                work.readahead();
                 io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                eng.pool.prefetch(class, start, EXTENT_PAGES);
+                work.readahead(eng.pool.prefetch(class, start, EXTENT_PAGES));
             }
         }
         eng.complete(now, spec, cpu, work)
@@ -512,6 +522,7 @@ mod tests {
             let a = fast.execute(now, &q, &mut fast_cpu, &mut fast_io, DomainId(1));
             let b = execute_per_page(&mut slow, now, &q, &mut slow_cpu, &mut slow_io, DomainId(1));
             assert_eq!(a.record, b.record, "step {step}");
+            assert_eq!(a.prefetched_pages, b.prefetched_pages, "step {step}");
             readaheads += a.record.readaheads;
             assert_eq!(a.completion, b.completion, "step {step}");
         }

@@ -23,6 +23,7 @@ use odlb::trace::{fnv1a64, ActionKind, DigestSink, MemorySink, TraceEvent, Trace
 use odlb::workload::synthetic::cpu_bound_workload;
 use odlb::workload::{generate_schedule, ClientConfig, LoadFunction, ScheduleConfig};
 use odlb_bench::experiments::{fig3, fig4, scale, Observers};
+use odlb_bench::suite::{run_suite, SuiteConfig};
 use odlb_bench::sweep::WORKLOADS;
 
 /// Fig. 3 miniature (seed 3_2007 inside `fig3::run_observed`): sinusoid load
@@ -284,6 +285,33 @@ fn scale_mini_rows_and_digest_are_stable() {
     assert_eq!(
         digest, SCALE_MINI_GOLDEN_DIGEST,
         "fig-scale-mini digest drifted: got {digest:#018x}"
+    );
+}
+
+/// FNV-1a and line count of `fig3-mini`'s sim-unit folded dump, as
+/// `experiments fig3-mini --profile-folded` writes it: calls and units of
+/// every driver, engine and controller span path. The CI profile step
+/// only diffs one job count against another, which a miscount made the
+/// same way at both would pass.
+const FIG3_MINI_FOLDED_SIM: (u64, usize) = (0xc5b2264deddce170, 13);
+
+#[test]
+fn fig3_mini_sim_profile_is_stable() {
+    let cfg = SuiteConfig {
+        jobs: 1,
+        trace_path: None,
+        metrics_dir: None,
+        profile: true,
+    };
+    let mut folded = String::new();
+    run_suite(&["fig3-mini"], &cfg, |out| {
+        folded = out.profile.expect("profiled figure").folded_sim();
+    });
+    let pin = (fnv1a64(folded.as_bytes()), folded.lines().count());
+    assert_eq!(
+        pin, FIG3_MINI_FOLDED_SIM,
+        "fig3-mini sim folded dump drifted: got ({:#018x}, {}):\n{folded}",
+        pin.0, pin.1
     );
 }
 
