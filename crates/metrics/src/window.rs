@@ -65,14 +65,18 @@ pub struct AccessWindow {
     capacity: usize,
 }
 
-/// A clone leaves the spare behind: it holds no access.
+/// A clone holds what its original holds: the spare and the chunk ring's
+/// unused slots too, so it reports the same heap bytes and reuses the
+/// spare where the original would.
 impl Clone for AccessWindow {
     fn clone(&self) -> Self {
+        let mut chunks = VecDeque::with_capacity(self.chunks.capacity());
+        chunks.extend(self.chunks.iter().cloned());
         AccessWindow {
-            chunks: self.chunks.clone(),
+            chunks,
             held: self.held,
             last: self.last,
-            spare: None,
+            spare: self.spare.clone(),
             capacity: self.capacity,
         }
     }
@@ -329,6 +333,27 @@ mod tests {
         }
         let bytes = w.heap_bytes();
         assert!(bytes <= 2 * 100_000 + 2 * CHUNK_WORDS, "{bytes} bytes");
+    }
+
+    /// A clone holds the spare and the ring's slack, so it reports the
+    /// original's heap bytes and goes on allocating as the original does.
+    #[test]
+    fn a_clone_holds_what_its_original_holds() {
+        let mut w = AccessWindow::new(3_000);
+        let mut next = 0;
+        while w.spare.is_none() {
+            w.push(pid(next));
+            next += 1;
+        }
+        let mut c = w.clone();
+        assert_eq!(c.chunks.capacity(), w.chunks.capacity());
+        assert_eq!(c.heap_bytes(), w.heap_bytes());
+        for i in next..next + 5_000 {
+            w.push(pid(i));
+            c.push(pid(i));
+            assert_eq!(c.heap_bytes(), w.heap_bytes(), "after access {i}");
+        }
+        assert!(c.iter().eq(w.iter()));
     }
 
     #[test]

@@ -146,8 +146,7 @@ fn quota_on_unknown_class_is_rejected_not_fatal() {
 /// Applies `actuation` to a fork of `sim`, which must refuse it, and
 /// shows that the refusal changed nothing: a second fork, taken beside
 /// the first, runs four intervals with the same outcomes and the same
-/// work. (Two forks, since a fork's access windows hold no spare
-/// capacity and its parent's may.)
+/// work. (Two forks, so `sim` is left as it was for the next case.)
 fn assert_refused(sim: &Simulation, actuation: Actuation) {
     let (mut refused, mut untouched) = (sim.fork(), sim.fork());
     assert_eq!(

@@ -67,6 +67,11 @@ fn a_fork_continues_exactly_where_its_parent_would() {
     });
     let (_, mut fork_controller) = until_provisioned(|_, _| {});
     let mut fork = parent.fork();
+    assert_eq!(
+        fork.work(),
+        parent.work(),
+        "a fork reports its parent's work"
+    );
     let seen = parent_sink.borrow().events();
     let forked = ten_more(&mut fork, &mut fork_controller);
     let leaked = parent_sink.borrow().events() != seen;
@@ -102,5 +107,6 @@ fn a_fork_of_an_observed_simulation_continues_unobserved() {
     assert!(after == before, "the fork reached the parent's observers");
     let continued = ten_more(&mut parent, &mut parent_controller);
     assert!(forked == continued, "the fork diverged from its parent");
+    assert_eq!(fork.work(), parent.work(), "the fork's work diverged");
     assert!(folded() != before.2, "the parent's profiler is attached");
 }
