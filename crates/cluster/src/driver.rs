@@ -270,6 +270,9 @@ pub struct Simulation {
     /// The exporter's handle cache: one registry lookup per series.
     series: export::SeriesCache,
     profiler: Option<SharedSpanProfiler>,
+    /// The engine spans of the executes run untimed since the last
+    /// interval's event loop ended, and how many executes ran profiled.
+    untimed: event_loop::UntimedSpans,
     interval_seq: u64,
     /// Recycled page buffer for sampled query specs: each issued query
     /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
@@ -301,6 +304,7 @@ impl Simulation {
             telemetry: Telemetry::inactive(),
             series: export::SeriesCache::default(),
             profiler: None,
+            untimed: event_loop::UntimedSpans::default(),
             interval_seq: 0,
             spec_pages: Vec::new(),
             work: WorkCounts::default(),
@@ -344,11 +348,15 @@ impl Simulation {
 
     /// Installs a span profiler. The driver opens one `interval` span
     /// per [`Simulation::run_interval`] and an `engine_execute` span per
-    /// dispatched query, and hands the profiler to the engine for that
-    /// query, so the engine's spans nest under the driver's. Engines,
+    /// timed query (one dispatched query in 64), and hands the profiler
+    /// to the engine for that query, so the engine's spans nest under the
+    /// driver's. One other query in 64 runs under its `engine_execute`
+    /// span alone. The spans the rest would open are counted and tallied
+    /// into the profiler once per interval: every path's calls and sim
+    /// units are exact, and only their wall time is estimated. Engines,
     /// pools and I/O paths hold no copy. Observation-only: results,
-    /// traces and artifacts are byte-identical with or without a
-    /// profiler attached.
+    /// traces and artifacts are byte-identical with or without a profiler
+    /// attached.
     pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
         self.profiler = Some(profiler);
     }

@@ -10,7 +10,33 @@ use crate::topology::InstanceId;
 use odlb_engine::QuerySpec;
 use odlb_sim::{SimDuration, SimTime};
 use odlb_storage::PageId;
-use odlb_telemetry::{enter_span, profile_span, span_units};
+use odlb_telemetry::{enter_span, profile_span, span_units, SharedSpanProfiler};
+
+/// One profiled execute in this many runs under every engine span, and
+/// one other under its `engine_execute` span alone, which times an
+/// execute without the engine's spans and so what those spans cost. The
+/// rest are tallied. A span's two clock reads cost more than a short
+/// query's engine work, and a timed sample of the executes is enough to
+/// estimate their wall time.
+const TIMED_EVERY: u64 = 64;
+
+/// The engine span paths of an execute, under the `interval` span, and
+/// the [`UntimedSpans::calls_units`] slot each is tallied in.
+const ENGINE_PATHS: [&[&str]; 4] = [
+    &["engine_execute"],
+    &["engine_execute", "pages"],
+    &["engine_execute", "pages", "storage_read"],
+    &["engine_execute", "pages", "bufferpool_prefetch"],
+];
+
+/// Profiled executes so far, and the calls and sim units the spans of
+/// the untimed ones would have recorded on each of [`ENGINE_PATHS`]
+/// since the last fold.
+#[derive(Debug, Default)]
+pub(super) struct UntimedSpans {
+    executes: u64,
+    calls_units: [(u64, u64); 4],
+}
 
 impl Simulation {
     /// Starts client arrival processes. Must be called once before
@@ -51,6 +77,13 @@ impl Simulation {
             self.now = t;
             self.work.events += 1;
             self.handle(t, ev);
+        }
+        if let Some(profiler) = &self.profiler {
+            let mut profiler = profiler.borrow_mut();
+            for (path, slot) in ENGINE_PATHS.iter().zip(&mut self.untimed.calls_units) {
+                let (calls, units) = std::mem::take(slot);
+                profiler.tally(path, calls, units);
+            }
         }
         self.now = tick_at;
         self.last_tick = tick_at;
@@ -224,10 +257,20 @@ impl Simulation {
         let idx = instance.0 as usize;
         let server = self.instances[idx].server;
         let domain = self.instances[idx].domain;
-        // One span per dispatched query; its sim units are the query's
-        // simulated latency, so the deterministic flamegraph shows where
-        // simulated time goes (engine sub-spans attribute I/O and CPU).
-        let _span = enter_span(&self.profiler, "engine_execute");
+        // The `engine_execute` span's sim units are the query's simulated
+        // latency, so the deterministic flamegraph shows where simulated
+        // time goes (engine sub-spans attribute I/O and CPU). What a
+        // span would have counted is tallied for the executes that do
+        // not open it.
+        let untimed = &mut self.untimed;
+        let phase = self.profiler.as_ref().map(|_| {
+            untimed.executes += 1;
+            untimed.executes % TIMED_EVERY
+        });
+        let (timed, alone) = (phase == Some(1), phase == Some(TIMED_EVERY / 2 + 1));
+        let none: Option<SharedSpanProfiler> = None;
+        let spanned = |on: bool| if on { &self.profiler } else { &none };
+        let _span = enter_span(spanned(timed || alone), "engine_execute");
         let (instances, servers) = (&mut self.instances, &mut self.servers);
         let srv = &mut servers[server];
         let result = instances[idx].engine.execute_profiled(
@@ -236,9 +279,22 @@ impl Simulation {
             &mut srv.cpu,
             &mut srv.io,
             domain,
-            &self.profiler,
+            spanned(timed),
         );
-        span_units(&self.profiler, result.record.latency.as_micros());
+        let record = &result.record;
+        span_units(spanned(timed || alone), record.latency.as_micros());
+        if phase.is_some() && !timed {
+            let counts = [
+                (1, record.latency.as_micros()),
+                (1, record.page_accesses),
+                (record.io_requests, result.read_service.as_micros()),
+                (record.readaheads, result.prefetched_pages),
+            ];
+            let slots = untimed.calls_units.iter_mut().zip(counts);
+            for (slot, (calls, units)) in slots.skip(usize::from(alone)) {
+                *slot = (slot.0 + calls, slot.1 + units);
+            }
+        }
         self.work.page_refs += result.record.page_accesses;
         self.work.pool_misses += result.record.buffer_misses;
         self.work.prefetches += result.record.readaheads;

@@ -43,6 +43,9 @@ pub struct ExecutionResult {
     pub record: QueryLogRecord,
     /// Pages the query's read-ahead prefetches installed in the pool.
     pub prefetched_pages: u64,
+    /// Summed service time of every disk read the query issued, blocking
+    /// or read-ahead.
+    pub read_service: SimDuration,
 }
 
 /// What playing a query's page sequence cost: the I/O it issued and when
@@ -53,7 +56,10 @@ struct PageWork {
     readaheads: u64,
     prefetched_pages: u64,
     last_io_done: SimTime,
+    /// Service time of the blocking reads.
     io_service: SimDuration,
+    /// Service time of every read, read-ahead included.
+    read_service: SimDuration,
 }
 
 impl PageWork {
@@ -65,6 +71,7 @@ impl PageWork {
             prefetched_pages: 0,
             last_io_done: now,
             io_service: SimDuration::ZERO,
+            read_service: SimDuration::ZERO,
         }
     }
 
@@ -72,15 +79,18 @@ impl PageWork {
     fn miss(&mut self, read: Admission) {
         self.misses += 1;
         self.io_requests += 1;
-        self.io_service += read.completion.since(read.start);
+        let service = read.completion.since(read.start);
+        self.io_service += service;
+        self.read_service += service;
         self.last_io_done = self.last_io_done.max(read.completion);
     }
 
-    /// A triggered read-ahead (its extent read does not block) that
-    /// installed `pages` pages.
-    fn readahead(&mut self, pages: u64) {
+    /// A triggered read-ahead: the extent read `read`, which does not
+    /// block, and the prefetch that installed `pages` pages.
+    fn readahead(&mut self, read: Admission, pages: u64) {
         self.readaheads += 1;
         self.io_requests += 1;
+        self.read_service += read.completion.since(read.start);
         self.prefetched_pages += pages;
     }
 }
@@ -142,7 +152,11 @@ impl DbEngine {
     /// span (sim units = pages accessed) holding a `storage_read` span per
     /// disk read (units = its simulated service µs) and a
     /// `bufferpool_prefetch` span per read-ahead batch (units = pages
-    /// installed). Observation-only: the outcome is the same with `None`.
+    /// installed). Observation-only: the outcome is the same with `None`,
+    /// and it carries what those spans count, so a caller that times only
+    /// some queries can tally the rest: `record.page_accesses`,
+    /// `record.io_requests` reads of `read_service` in all, and
+    /// `record.readaheads` prefetches of `prefetched_pages`.
     pub fn execute_profiled(
         &mut self,
         now: SimTime,
@@ -176,11 +190,11 @@ impl DbEngine {
                 }
                 if let Some(start) = runs.observe(page) {
                     // Asynchronous prefetch: occupies the disk, does not block.
-                    read(IoKind::Sequential, EXTENT_PAGES, true);
+                    let extent = read(IoKind::Sequential, EXTENT_PAGES, true);
                     let _span = enter_span(profiler, "bufferpool_prefetch");
                     let installed = pool.prefetch(start, EXTENT_PAGES);
                     span_units(profiler, installed);
-                    work.readahead(installed);
+                    work.readahead(extent, installed);
                 }
             }
         }
@@ -228,6 +242,7 @@ impl DbEngine {
             completion,
             record,
             prefetched_pages: work.prefetched_pages,
+            read_service: work.read_service,
         }
     }
 
@@ -453,8 +468,8 @@ mod tests {
                 work.miss(io.read(domain, now, IoKind::Random, 1, false));
             }
             if let Some(start) = eng.readahead.observe(class.as_u64(), page) {
-                io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
-                work.readahead(eng.pool.prefetch(class, start, EXTENT_PAGES));
+                let extent = io.read(domain, now, IoKind::Sequential, EXTENT_PAGES, true);
+                work.readahead(extent, eng.pool.prefetch(class, start, EXTENT_PAGES));
             }
         }
         eng.complete(now, spec, cpu, work)
@@ -523,6 +538,7 @@ mod tests {
             let b = execute_per_page(&mut slow, now, &q, &mut slow_cpu, &mut slow_io, DomainId(1));
             assert_eq!(a.record, b.record, "step {step}");
             assert_eq!(a.prefetched_pages, b.prefetched_pages, "step {step}");
+            assert_eq!(a.read_service, b.read_service, "step {step}");
             readaheads += a.record.readaheads;
             assert_eq!(a.completion, b.completion, "step {step}");
         }

@@ -20,6 +20,16 @@
 //! [`enter_span`]); self-time is the span's elapsed time minus the time
 //! spent in child spans, so a phase re-entered under itself never
 //! double-counts in the flat report.
+//!
+//! Entries too frequent to time one by one are counted instead and
+//! folded in per batch by [`SpanProfiler::tally`]: their calls and sim
+//! units are exact, and their wall time is estimated from the same
+//! path's timed entries, net of what the profiler's own clock reads and
+//! bookkeeping add to those. That per-span cost is calibrated on a
+//! scratch profiler, and read in place where the caller times some
+//! entries of a tallied path with no span inside: they run what the
+//! entries timed with spans inside run, so the difference is what those
+//! spans cost, cold caches included.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -66,6 +76,67 @@ struct Node {
     /// The full path, root first.
     path: Vec<&'static str>,
     stats: SpanStats,
+    /// What the path's timed entries measured: the base of the wall
+    /// estimate for its tallied entries, which never feed back into it.
+    timed: Timed,
+    /// Tallied directly under an open span: its caller chooses which
+    /// entries to time, and how.
+    sampled: bool,
+}
+
+/// The timed (entered and exited) invocations of one path, split by
+/// whether a span was timed inside them.
+#[derive(Clone, Copy, Debug, Default)]
+struct Timed {
+    /// Entries with timed spans inside: their count, self and inclusive
+    /// time, and the timed spans entered directly under them.
+    nested: u64,
+    nested_self: Duration,
+    nested_total: Duration,
+    child_calls: u64,
+    /// Entries with no timed span inside (every entry of a leaf path):
+    /// their count and time.
+    flat: u64,
+    flat_wall: Duration,
+}
+
+/// The wall time one span's bookkeeping adds, in nanoseconds: `own`
+/// lands in the span's self time (what runs between its two clock
+/// reads), `parent` in its parent's (what runs around them).
+#[derive(Clone, Copy, Debug)]
+struct Overhead {
+    own: u128,
+    parent: u128,
+}
+
+impl Overhead {
+    /// The least per-span cost of four rounds of 256 spans, each
+    /// attributing units, under one parent, through the same guard path
+    /// the instrumented code takes. The least is the round no other work
+    /// interrupted.
+    fn calibrate() -> Overhead {
+        const SPANS: u128 = 256;
+        let mut least = Overhead {
+            own: u128::MAX,
+            parent: u128::MAX,
+        };
+        for _ in 0..4 {
+            let shared = SpanProfiler::shared();
+            let opt = Some(Rc::clone(&shared));
+            {
+                let _parent = enter_span(&opt, "parent");
+                for _ in 0..SPANS {
+                    let _span = enter_span(&opt, "span");
+                    span_units(&opt, 1);
+                }
+            }
+            let p = shared.borrow();
+            let per_span = |node: usize| p.nodes[node].stats.wall_self.as_nanos() / SPANS;
+            least.parent = least.parent.min(per_span(0));
+            least.own = least.own.min(per_span(1));
+        }
+        least
+    }
 }
 
 /// One open span on the stack.
@@ -77,6 +148,8 @@ struct Frame {
     child_wall: Duration,
     /// Units attributed while this span was innermost.
     sim_units: u64,
+    /// Whether a span was timed inside this one.
+    nested: bool,
 }
 
 /// Accumulates wall-clock and sim-unit time per stack path.
@@ -84,6 +157,8 @@ struct Frame {
 pub struct SpanProfiler {
     nodes: Vec<Node>,
     stack: Vec<Frame>,
+    /// Calibrated at the first [`SpanProfiler::tally`] that estimates.
+    calibrated: Option<Overhead>,
 }
 
 /// A shareable profiler handle (single-threaded, like the tracer).
@@ -114,6 +189,8 @@ impl SpanProfiler {
             parent,
             path,
             stats: SpanStats::default(),
+            timed: Timed::default(),
+            sampled: false,
         });
         self.nodes.len() - 1
     }
@@ -133,6 +210,7 @@ impl SpanProfiler {
             start: Instant::now(),
             child_wall: Duration::ZERO,
             sim_units: 0,
+            nested: false,
         });
     }
 
@@ -141,14 +219,133 @@ impl SpanProfiler {
     pub fn exit(&mut self) {
         let frame = self.stack.pop().expect("exit() without a matching enter()");
         let elapsed = frame.start.elapsed();
-        let stats = &mut self.nodes[frame.node].stats;
+        let self_wall = elapsed.saturating_sub(frame.child_wall);
+        let node = &mut self.nodes[frame.node];
+        let timed = &mut node.timed;
+        if frame.nested {
+            timed.nested += 1;
+            timed.nested_self += self_wall;
+            timed.nested_total += elapsed;
+        } else {
+            timed.flat += 1;
+            timed.flat_wall += elapsed;
+        }
+        let stats = &mut node.stats;
         stats.calls += 1;
         stats.wall_total += elapsed;
-        stats.wall_self += elapsed.saturating_sub(frame.child_wall);
+        stats.wall_self += self_wall;
         stats.wall_max = stats.wall_max.max(elapsed);
         stats.sim_units += 1 + frame.sim_units;
         if let Some(parent) = self.stack.last_mut() {
             parent.child_wall += elapsed;
+            parent.nested = true;
+            self.nodes[parent.node].timed.child_calls += 1;
+        }
+    }
+
+    /// Folds `calls` entries of `path` that ran untimed, `units` sim
+    /// units attributed to them, into the path under the innermost open
+    /// span. Calls and units are added exactly (one unit per call plus
+    /// `units`), as if each entry had been entered and exited. Their wall
+    /// time is estimated as `calls` times the path's mean timed self time
+    /// net of the profiler's per-span cost (never below zero; zero when
+    /// the path has no timed entry), and at most the open span's time not
+    /// yet charged to a child. A path tallied directly under the open
+    /// span is sampled: if some of its timed entries have timed spans
+    /// inside, the mean is over those. The estimate is self time of
+    /// `path`, inclusive time of it and of every path between it and the
+    /// open span, and child time of the open span, so self time plus
+    /// direct children's inclusive time still equals inclusive time on
+    /// every path. Tally a path's ancestors below the open span too, or
+    /// they go unlisted.
+    pub fn tally(&mut self, path: &[&'static str], calls: u64, units: u64) {
+        if calls == 0 {
+            return;
+        }
+        let open = self.stack.last().map(|f| f.node);
+        let node = path
+            .iter()
+            .fold(open, |at, &name| Some(self.child(at, name)));
+        let node = node.expect("a tallied path is non-empty");
+        self.nodes[node].sampled |= path.len() == 1;
+        let stats = &mut self.nodes[node].stats;
+        stats.calls += calls;
+        stats.sim_units += calls + units;
+        let mut estimate = self.estimate(node, calls);
+        if let Some(top) = self.stack.last() {
+            let room = top.start.elapsed().saturating_sub(top.child_wall);
+            estimate = estimate.min(room);
+        }
+        if estimate.is_zero() {
+            return;
+        }
+        self.nodes[node].stats.wall_self += estimate;
+        let mut at = Some(node);
+        while at != open {
+            let n = &mut self.nodes[at.expect("the open span is an ancestor")];
+            n.stats.wall_total += estimate;
+            at = n.parent;
+        }
+        if let Some(top) = self.stack.last_mut() {
+            top.child_wall += estimate;
+        }
+    }
+
+    /// The wall time of `calls` untimed entries of `node`, from its timed
+    /// entries' self time less each one's own span cost and the cost of
+    /// its timed children.
+    fn estimate(&mut self, node: usize, calls: u64) -> Duration {
+        let Node {
+            timed: t, sampled, ..
+        } = self.nodes[node];
+        // A sampled path's entries with no span inside measured all of it.
+        let (entries, wall) = if sampled && t.nested > 0 {
+            (t.nested, t.nested_self)
+        } else {
+            (t.nested + t.flat, t.nested_self + t.flat_wall)
+        };
+        let children = t.child_calls;
+        if entries == 0 {
+            return Duration::ZERO;
+        }
+        let cost = self.overhead();
+        let spent = cost.own * u128::from(entries) + cost.parent * u128::from(children);
+        let net = wall.as_nanos().saturating_sub(spent);
+        let nanos = net * u128::from(calls) / u128::from(entries);
+        Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+    }
+
+    /// The profiler's cost per span. A sampled path timed both ways
+    /// measures it in place: its entries with timed spans inside took
+    /// longer than those with none by what those spans cost. Split as the
+    /// calibration splits it, and never below the calibration (in place,
+    /// caches are colder than in its tight loop).
+    fn overhead(&mut self) -> Overhead {
+        let calibrated = *self.calibrated.get_or_insert_with(Overhead::calibrate);
+        let (mut excess, mut spans) = (0u128, 0u128);
+        let both_ways = |n: &&Node| n.sampled && n.timed.nested > 0 && n.timed.flat > 0;
+        for n in self.nodes.iter().filter(both_ways) {
+            let t = n.timed;
+            let flat_mean = t.flat_wall.as_nanos() / u128::from(t.flat);
+            let nested_wall = t.nested_total.as_nanos();
+            excess += nested_wall.saturating_sub(flat_mean * u128::from(t.nested));
+            let inside = self
+                .nodes
+                .iter()
+                .filter(|d| d.path.len() > n.path.len() && d.path.starts_with(&n.path));
+            spans += inside
+                .map(|d| u128::from(d.timed.nested + d.timed.flat))
+                .sum::<u128>();
+        }
+        let per_span = calibrated.own + calibrated.parent;
+        let measured = excess.checked_div(spans).unwrap_or(0);
+        if measured <= per_span {
+            return calibrated;
+        }
+        let own = measured * calibrated.own / per_span.max(1);
+        Overhead {
+            own,
+            parent: measured - own,
         }
     }
 

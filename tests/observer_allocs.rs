@@ -1,6 +1,7 @@
-//! Counts beside timers: a warm span allocates nothing; a snapshot, and
-//! `render_csv` but for its output doubling, as often at 1,000 series as
-//! at 100. Also the row-by-row CSV that compact snapshots replaced.
+//! Counts beside timers: a warm span and a tally allocate nothing; a
+//! snapshot, and `render_csv` but for its output doubling, as often at
+//! 1,000 series as at 100. Also the row-by-row CSV that compact
+//! snapshots replaced.
 
 use odlb_telemetry::{render_csv, MetricsRegistry, SpanProfiler};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,6 +79,12 @@ fn observers_allocate_by_what_they_record() {
     };
     cycles(1);
     assert_eq!(allocations(|| cycles(10_000)), 0);
+    // A tally over a known path allocates nothing either, once the first
+    // has calibrated the profiler's overhead.
+    profiler.enter(path[0]);
+    let mut tallies = |n| (0..n).for_each(|_| profiler.tally(&path[1..], 3, 5));
+    tallies(1);
+    assert_eq!(allocations(|| tallies(1_000)), 0);
 
     let ((mut small, _), (mut large, _)) = (registry(100), registry(1_000));
     let snapshot = |reg: &mut MetricsRegistry| allocations(|| reg.snapshot(30_000_000, 3));

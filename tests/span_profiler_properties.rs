@@ -4,8 +4,14 @@
 //! and deterministic, and splitting a workload across several profilers
 //! then merging must render the identical sim folded dump — the
 //! invariant the parallel experiment runner's per-figure merge rests on.
+//! Programs whose spans run partly untimed, folded in by
+//! `SpanProfiler::tally`, must render the same sim dump and keep the
+//! partition, and the wall estimates of their untimed spans must never
+//! take time away from any path.
 
-use odlb_telemetry::{enter_span, span_units, validate_folded, SharedSpanProfiler, SpanProfiler};
+use odlb_telemetry::{
+    enter_span, span_units, validate_folded, SharedSpanProfiler, SpanProfiler, SpanStats,
+};
 use odlb_testkit::{check, Gen};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -120,6 +126,158 @@ fn apply(profiler: &mut SpanProfiler, program: &[Op]) {
     }
 }
 
+/// One open span of [`apply_tallied`]: timed ones collect the calls and
+/// units of their untimed descendants by path relative to themselves.
+struct Open {
+    timed: bool,
+    units: u64,
+    /// Untimed: the path below the nearest timed ancestor.
+    relative: Vec<&'static str>,
+    pending: BTreeMap<Vec<&'static str>, (u64, u64)>,
+}
+
+/// Replays `program` on `p`, running each span opened under a timed span
+/// untimed with probability `untimed` (its whole subtree with it). A
+/// timed span's units cost busy work, so timed entries take measurable
+/// wall time. The untimed subtrees' calls and units are tallied just
+/// before their timed ancestor exits, and each tally is checked to add
+/// exactly its calls and units and to take wall time from no path.
+fn apply_tallied(p: &mut SpanProfiler, program: &[Op], g: &mut Gen, untimed: f64) {
+    let mut stack: Vec<Open> = Vec::new();
+    for op in program {
+        match *op {
+            Op::Enter(name) => {
+                let (timed, relative) = match stack.last() {
+                    Some(top) if !top.timed => (false, [&top.relative[..], &[name]].concat()),
+                    Some(_) if g.chance(untimed) => (false, vec![name]),
+                    _ => (true, Vec::new()),
+                };
+                if timed {
+                    p.enter(name);
+                }
+                let (units, pending) = (0, BTreeMap::new());
+                stack.push(Open {
+                    timed,
+                    units,
+                    relative,
+                    pending,
+                });
+            }
+            Op::Units(n) => match stack.last_mut() {
+                Some(top) if !top.timed => top.units += n,
+                _ => {
+                    spin(n);
+                    p.add_units(n);
+                }
+            },
+            Op::Exit => {
+                let span = stack.pop().expect("balanced");
+                if span.timed {
+                    for (path, (calls, units)) in &span.pending {
+                        checked_tally(p, path, *calls, *units);
+                    }
+                    p.exit();
+                } else {
+                    let timed = stack.iter_mut().rev().find(|s| s.timed);
+                    let timed = timed.expect("top-level spans are timed");
+                    let slot = timed.pending.entry(span.relative).or_default();
+                    *slot = (slot.0 + 1, slot.1 + span.units);
+                }
+            }
+        }
+    }
+}
+
+/// Busy work that takes wall time in proportion to `n`.
+fn spin(n: u64) {
+    for i in 0..n {
+        std::hint::black_box(i);
+    }
+}
+
+/// `p.tally(path, calls, units)`, asserting that the tallied path gains
+/// exactly `calls` calls and `calls + units` units and that no path's
+/// self or inclusive wall time shrinks.
+fn checked_tally(p: &mut SpanProfiler, path: &[&'static str], calls: u64, units: u64) {
+    let stats = |p: &SpanProfiler| -> BTreeMap<Vec<&'static str>, SpanStats> {
+        p.span_paths()
+            .map(|(path, s)| (path.to_vec(), *s))
+            .collect()
+    };
+    let before = stats(p);
+    p.tally(path, calls, units);
+    let after = stats(p);
+    let mut gained = 0;
+    for (q, s) in &after {
+        let old = before.get(q).copied().unwrap_or_default();
+        assert!(s.wall_self >= old.wall_self, "self time of {q:?} shrank");
+        assert!(
+            s.wall_total >= old.wall_total,
+            "inclusive time of {q:?} shrank"
+        );
+        if s.calls != old.calls {
+            assert_eq!(
+                (s.calls - old.calls, s.sim_units - old.sim_units),
+                (calls, calls + units),
+                "{q:?} tallied"
+            );
+            gained += 1;
+        }
+    }
+    assert_eq!(gained, 1, "one path takes the tally");
+}
+
+#[test]
+fn tallied_programs_fold_like_timed_ones() {
+    check("profiler_tally_folds_exactly", 200, |g: &mut Gen| {
+        let program = gen_program(g);
+        let mut p = SpanProfiler::new();
+        apply_tallied(&mut p, &program, g, 0.5);
+        assert_eq!(p.depth(), 0, "programs are balanced");
+        assert_matches_path_map(&p, std::slice::from_ref(&program));
+        let mut timed = SpanProfiler::new();
+        apply(&mut timed, &program);
+        assert_eq!(p.folded_sim(), timed.folded_sim());
+    });
+}
+
+#[test]
+fn a_tallied_path_without_timed_entries_reports_zero_wall() {
+    let mut p = SpanProfiler::new();
+    p.enter("interval");
+    p.enter("engine_execute");
+    spin(10_000);
+    p.exit();
+    // Never timed: the estimate is zero, whatever the count; the timed
+    // path's estimate is bounded by the time the open span has run.
+    p.tally(&["never_timed"], u64::MAX / 4, 7);
+    p.tally(&["never_timed", "below"], 1 << 40, 0);
+    p.tally(&["engine_execute"], 1 << 50, 0);
+    p.exit();
+    let paths: BTreeMap<Vec<&str>, SpanStats> = p
+        .span_paths()
+        .map(|(path, s)| (path.to_vec(), *s))
+        .collect();
+    for path in [
+        vec!["interval", "never_timed"],
+        vec!["interval", "never_timed", "below"],
+    ] {
+        let stats = paths[&path];
+        assert_eq!(stats.wall_self, Duration::ZERO, "{path:?}");
+        assert_eq!(stats.wall_total, Duration::ZERO, "{path:?}");
+    }
+    assert_eq!(paths[&vec!["interval", "never_timed"]].calls, u64::MAX / 4);
+    assert_eq!(
+        paths[&vec!["interval", "never_timed"]].sim_units,
+        u64::MAX / 4 + 7
+    );
+    let interval = paths[&vec!["interval"]];
+    let execute = paths[&vec!["interval", "engine_execute"]];
+    assert_eq!(execute.calls, 1 + (1 << 50));
+    assert!(execute.wall_total <= interval.wall_total);
+    assert_eq!(interval.wall_self + execute.wall_total, interval.wall_total);
+}
+
 #[test]
 fn replayed_programs_fold_deterministically() {
     check("profiler_folded_sim_deterministic", 200, |g: &mut Gen| {
@@ -145,7 +303,8 @@ fn self_time_partitions_inclusive_time() {
     check("profiler_self_time_partition", 200, |g: &mut Gen| {
         let program = gen_program(g);
         let mut p = SpanProfiler::new();
-        apply(&mut p, &program);
+        let untimed = g.f64_in(0.0, 1.0);
+        apply_tallied(&mut p, &program, g, untimed);
         let paths: BTreeMap<Vec<&str>, _> = p
             .span_paths()
             .map(|(path, s)| (path.to_vec(), *s))
