@@ -7,7 +7,7 @@ use super::{
     app_slot, Event, IntervalOutcome, Parked, Simulation, MEASUREMENT_INTERVAL, NO_CLIENT,
 };
 use crate::topology::InstanceId;
-use odlb_engine::QuerySpec;
+use odlb_engine::{ExecutionResult, QuerySpec};
 use odlb_sim::{SimDuration, SimTime};
 use odlb_storage::PageId;
 use odlb_telemetry::{enter_span, profile_span, span_units, SharedSpanProfiler};
@@ -255,35 +255,57 @@ impl Simulation {
         spec: &QuerySpec,
     ) {
         let idx = instance.0 as usize;
-        let server = self.instances[idx].server;
-        let domain = self.instances[idx].domain;
-        // The `engine_execute` span's sim units are the query's simulated
-        // latency, so the deterministic flamegraph shows where simulated
-        // time goes (engine sub-spans attribute I/O and CPU). What a
-        // span would have counted is tallied for the executes that do
-        // not open it.
-        let untimed = &mut self.untimed;
-        let phase = self.profiler.as_ref().map(|_| {
-            untimed.executes += 1;
-            untimed.executes % TIMED_EVERY
+        let result = if self.profiler.is_some() {
+            self.execute_sampled(idx, now, spec)
+        } else {
+            let inst = &mut self.instances[idx];
+            let srv = &mut self.servers[inst.server];
+            inst.engine
+                .execute(now, spec, &mut srv.cpu, &mut srv.io, inst.domain)
+        };
+        self.work.page_refs += result.record.page_accesses;
+        self.work.pool_misses += result.record.buffer_misses;
+        self.work.prefetches += result.record.readaheads;
+        self.work.prefetched_pages += result.prefetched_pages;
+        self.work.pages_locked += spec.locked_pages().len() as u64;
+        self.instances[idx].outstanding += 1;
+        let record = self.in_flight.park(Parked {
+            record: result.record,
+            client: client.unwrap_or(NO_CLIENT),
+            app: app_slot(app),
+            instance: instance.0,
         });
-        let (timed, alone) = (phase == Some(1), phase == Some(TIMED_EVERY / 2 + 1));
+        self.queue
+            .schedule(result.completion, Event::QueryDone { record });
+    }
+
+    /// Executes `spec` on instance `idx` with the profiler attached: under
+    /// every engine span, under `engine_execute` alone, or with no span,
+    /// adding what the spans would have counted to the interval's tally.
+    fn execute_sampled(&mut self, idx: usize, now: SimTime, spec: &QuerySpec) -> ExecutionResult {
+        let untimed = &mut self.untimed;
+        untimed.executes += 1;
+        let phase = untimed.executes % TIMED_EVERY;
+        let (timed, alone) = (phase == 1, phase == TIMED_EVERY / 2 + 1);
         let none: Option<SharedSpanProfiler> = None;
         let spanned = |on: bool| if on { &self.profiler } else { &none };
+        // The `engine_execute` span's sim units are the query's simulated
+        // latency, so the deterministic flamegraph shows where simulated
+        // time goes (engine sub-spans attribute I/O and CPU).
         let _span = enter_span(spanned(timed || alone), "engine_execute");
-        let (instances, servers) = (&mut self.instances, &mut self.servers);
-        let srv = &mut servers[server];
-        let result = instances[idx].engine.execute_profiled(
+        let inst = &mut self.instances[idx];
+        let srv = &mut self.servers[inst.server];
+        let result = inst.engine.execute_profiled(
             now,
             spec,
             &mut srv.cpu,
             &mut srv.io,
-            domain,
+            inst.domain,
             spanned(timed),
         );
         let record = &result.record;
         span_units(spanned(timed || alone), record.latency.as_micros());
-        if phase.is_some() && !timed {
+        if !timed {
             let counts = [
                 (1, record.latency.as_micros()),
                 (1, record.page_accesses),
@@ -295,19 +317,6 @@ impl Simulation {
                 *slot = (slot.0 + calls, slot.1 + units);
             }
         }
-        self.work.page_refs += result.record.page_accesses;
-        self.work.pool_misses += result.record.buffer_misses;
-        self.work.prefetches += result.record.readaheads;
-        self.work.prefetched_pages += result.prefetched_pages;
-        self.work.pages_locked += spec.locked_pages().len() as u64;
-        instances[idx].outstanding += 1;
-        let record = self.in_flight.park(Parked {
-            record: result.record,
-            client: client.unwrap_or(NO_CLIENT),
-            app: app_slot(app),
-            instance: instance.0,
-        });
-        self.queue
-            .schedule(result.completion, Event::QueryDone { record });
+        result
     }
 }
