@@ -40,12 +40,14 @@
 //!    [`SweepOptions::memo`] off every job is one cell and nothing is
 //!    shared — the differential oracle; byte-parity between the two paths
 //!    is pinned by tests, and [`SweepOutcome::work`] counts what ran.
-//! 3. **Deterministic merge** — `sweep.csv` (long format, one row per
+//! 3. **Deterministic merge** — every cell is one [`CellRecord`]: rows,
+//!    digest, event count and summary line, rendered by its run or read
+//!    back once by the resume scan. `sweep.csv` (long format, one row per
 //!    cell-interval) and `summary.txt` (one line per cell) are assembled
-//!    from the on-disk cell artifacts in canonical order, so a resumed
-//!    sweep reproduces an uninterrupted one byte for byte. A job commits
-//!    its cells when it finishes, so a killed sweep re-runs the jobs in
-//!    flight, at most one per worker.
+//!    from the records in canonical order, so a resumed sweep reproduces
+//!    an uninterrupted one byte for byte. A job commits its cells when it
+//!    finishes, so a killed sweep re-runs the jobs in flight, at most one
+//!    per worker.
 //!
 //! Simulated results never mix with wall-clock content: cell CSV rows and
 //! manifests carry simulation-derived values only, while per-cell wall
@@ -496,14 +498,16 @@ fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
     }
 }
 
-/// Everything one executed cell produces. CSV rows and the summary line
-/// derive from simulation state only; the wall clock rides separately.
-struct CellResult {
+/// One cell: its `cell.csv` rows, run digest, event count and summary
+/// line, rendered by a run or read back from `CELL_OK` and `cell.csv`.
+/// Everything here derives from simulation state only; a run's wall clock
+/// rides beside it.
+#[derive(Debug)]
+struct CellRecord {
     rows: String,
     digest: u64,
     events: u64,
     summary: String,
-    wall: Duration,
 }
 
 /// What a prefix produced: its replayed app, the outcomes of intervals
@@ -600,7 +604,7 @@ fn run_controller(cell: &CellConfig, mut sim: Simulation, prefix: &Prefix) -> Ru
 
 /// Renders `cell`'s `cell.csv` rows and summary line from `run`: only the
 /// id and the `mrc` label set one cell of a run apart from another.
-fn render(cell: &CellConfig, run: &Run, wall: Duration) -> CellResult {
+fn render(cell: &CellConfig, run: &Run) -> CellRecord {
     let id = cell.dir_name();
     let mrc = mrc_label(cell.mrc);
     let mut rows = String::new();
@@ -646,12 +650,11 @@ fn render(cell: &CellConfig, run: &Run, wall: Duration) -> CellResult {
         cell.intervals,
         run.digest,
     );
-    CellResult {
+    CellRecord {
         rows,
         digest: run.digest,
         events: run.events,
         summary,
-        wall,
     }
 }
 
@@ -703,17 +706,18 @@ pub struct SweepWork {
 /// Runs one job: the schedule once, each distinct prefix once, each
 /// distinct run once on a fork of its prefix (a prefix's last run on the
 /// prefix itself), and renders every cell from its run. Results come in
-/// `job` order. A cell's wall clock runs from the previous cell's render,
-/// so a run's first cell carries the run and whatever was built for it.
+/// `job` order, each beside its wall clock, which runs from the end of the
+/// previous cell's render to the end of its own, so a run's first cell
+/// carries the run and whatever was built for it.
 #[expect(
     clippy::disallowed_methods,
     reason = "per-cell wall clocks are the sweep's bench payload, carried out of \
               band in SweepOutcome; cell content hashes and merged artifacts are \
               derived from the canonical config and simulation clock only"
 )]
-fn run_job(job: &[CellConfig]) -> (Vec<CellResult>, SweepWork) {
+fn run_job(job: &[CellConfig]) -> (Vec<(CellRecord, Duration)>, SweepWork) {
     let mut since = Instant::now();
-    let mut results: Vec<Option<CellResult>> = job.iter().map(|_| None).collect();
+    let mut results: Vec<Option<(CellRecord, Duration)>> = job.iter().map(|_| None).collect();
     let mut work = SweepWork {
         schedules: 1,
         ..SweepWork::default()
@@ -732,7 +736,7 @@ fn run_job(job: &[CellConfig]) -> (Vec<CellResult>, SweepWork) {
         work.runs += runs.len();
         let mut finish = |twins: &[usize], run: Run| {
             for &c in twins {
-                results[c] = Some(render(&job[c], &run, since.elapsed()));
+                results[c] = Some((render(&job[c], &run), since.elapsed()));
                 since = Instant::now();
             }
         };
@@ -793,23 +797,15 @@ pub struct SweepOutcome {
     pub summary_path: PathBuf,
 }
 
-/// Parsed-back fields of a `CELL_OK` manifest.
-#[derive(Debug)]
-struct Manifest {
-    digest: u64,
-    events: u64,
-    summary: String,
-}
-
-fn manifest_text(cell: &CellConfig, res: &CellResult) -> String {
+fn manifest_text(cell: &CellConfig, record: &CellRecord) -> String {
     format!(
         "canonical={}\nhash={}\ndigest={:#018x}\nevents={}\nrows={}\nsummary={}\n",
         cell.canonical(),
         cell.dir_name(),
-        res.digest,
-        res.events,
+        record.digest,
+        record.events,
         cell.intervals,
-        res.summary,
+        record.summary,
     )
 }
 
@@ -822,12 +818,13 @@ fn write_atomic(path: &Path, bytes: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Reads and validates a cell's manifest. `None` means "not completed":
-/// missing, cut short anywhere (every line, the last included, must end
-/// in a newline), not UTF-8, rows not led by the cell's id, or written
-/// for a different config (a content-hash collision in the directory
-/// name would surface here as a canonical mismatch and force a re-run).
-fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
+/// Reads and validates a cell's manifest and rows into its record. `None`
+/// means "not completed": missing, cut short anywhere (every line, the
+/// last included, must end in a newline), not UTF-8, rows not led by the
+/// cell's id, or written for a different config (a content-hash collision
+/// in the directory name would surface here as a canonical mismatch and
+/// force a re-run).
+fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<CellRecord> {
     let text = std::fs::read_to_string(dir.join("CELL_OK")).ok()?;
     let text = text.strip_suffix('\n')?;
     let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
@@ -848,7 +845,8 @@ fn read_manifest(dir: &Path, cell: &CellConfig) -> Option<Manifest> {
         return None;
     }
     let digest = fields.get("digest")?.strip_prefix("0x")?;
-    Some(Manifest {
+    Some(CellRecord {
+        rows: csv,
         digest: u64::from_str_radix(digest, 16).ok()?,
         events: fields.get("events")?.parse().ok()?,
         summary: fields.get("summary")?.to_string(),
@@ -863,8 +861,9 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
     std::fs::create_dir_all(&cells_dir)
         .map_err(|e| format!("{}: cannot create: {e}", cells_dir.display()))?;
 
-    // Resume scan: a valid manifest marks a cell done.
-    let mut done: Vec<Option<Manifest>> = cells
+    // Resume scan, the only read: a valid manifest marks a cell done, and
+    // its record is what the merge uses.
+    let mut done: Vec<Option<CellRecord>> = cells
         .iter()
         .map(|c| read_manifest(&cells_dir.join(c.dir_name()), c))
         .collect();
@@ -876,7 +875,7 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
     }
 
     let job_cells = jobs(&cells, &pending, opts.memo, opts.jobs.max(1));
-    type JobResult = (Vec<CellResult>, SweepWork);
+    type JobResult = (Vec<(CellRecord, Duration)>, SweepWork);
     let tasks: Vec<Job<JobResult>> = job_cells
         .iter()
         .map(|job| {
@@ -893,29 +892,25 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         total_work.schedules += work.schedules;
         total_work.prefixes += work.prefixes;
         total_work.runs += work.runs;
-        for (&i, res) in job_cells[j].iter().zip(results) {
+        for (&i, (record, wall)) in job_cells[j].iter().zip(results) {
             if io_error.is_some() {
                 return;
             }
             let dir = cells_dir.join(cells[i].dir_name());
             let commit = (|| -> std::io::Result<()> {
                 std::fs::create_dir_all(&dir)?;
-                write_atomic(&dir.join("cell.csv"), &res.rows)?;
+                write_atomic(&dir.join("cell.csv"), &record.rows)?;
                 // The manifest is written last: its presence certifies the
                 // cell, so a crash between the two writes re-runs the cell.
-                write_atomic(&dir.join("CELL_OK"), &manifest_text(&cells[i], &res))
+                write_atomic(&dir.join("CELL_OK"), &manifest_text(&cells[i], &record))
             })();
             if let Err(e) = commit {
                 io_error = Some(format!("{}: cannot commit cell: {e}", dir.display()));
                 return;
             }
-            cell_walls.push((cells[i].dir_name(), res.wall));
+            cell_walls.push((cells[i].dir_name(), wall));
             ran_now[i] = true;
-            done[i] = Some(Manifest {
-                digest: res.digest,
-                events: res.events,
-                summary: res.summary,
-            });
+            done[i] = Some(record);
         }
     });
     if let Some(e) = io_error {
@@ -957,21 +952,18 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         return Ok(outcome);
     }
 
-    // Deterministic merge: every artifact is read back from disk in
-    // canonical cell order, so fresh, resumed and re-merged sweeps write
-    // byte-identical files at any job count.
+    // Deterministic merge: every cell's record, scanned or just committed,
+    // in canonical cell order (an uninterrupted sweep holds them all), so
+    // fresh, resumed and re-merged sweeps write byte-identical files at
+    // any job count. The loop consumes the records, so each one's rows
+    // are freed once appended rather than held beside the merged copy.
     let mut csv = String::from(CSV_HEADER);
     let mut summary = format!("sweep {}: {} cells\n", spec.name, cells.len());
-    for cell in &cells {
-        let dir = cells_dir.join(cell.dir_name());
-        let manifest = read_manifest(&dir, cell)
-            .ok_or_else(|| format!("{}: manifest vanished during merge", dir.display()))?;
-        let rows = std::fs::read_to_string(dir.join("cell.csv"))
-            .map_err(|e| format!("{}: cannot read cell.csv: {e}", dir.display()))?;
-        csv.push_str(&rows);
-        summary.push_str(&manifest.summary);
+    for record in done.into_iter().flatten() {
+        csv.push_str(&record.rows);
+        summary.push_str(&record.summary);
         summary.push('\n');
-        outcome.events += manifest.events;
+        outcome.events += record.events;
     }
     summary.push_str(&format!("total simulated events: {}\n", outcome.events));
     for (path, text) in [(&outcome.csv_path, csv), (&outcome.summary_path, summary)] {
@@ -1234,15 +1226,14 @@ mod tests {
             let seen: Vec<(u64, Vec<String>)> = cells
                 .iter()
                 .map(|cell| {
-                    let cell_dir = dir.join("cells").join(cell.dir_name());
-                    let manifest = read_manifest(&cell_dir, cell).unwrap();
-                    let csv = std::fs::read_to_string(cell_dir.join("cell.csv")).unwrap();
+                    let record = read_manifest(&dir.join("cells").join(cell.dir_name()), cell);
+                    let record = record.unwrap();
                     // Drop the `cell` and `mrc` columns.
-                    let rows = csv.lines().map(|line| {
+                    let rows = record.rows.lines().map(|line| {
                         let cols: Vec<&str> = line.split(',').collect();
                         [&cols[1..4], &cols[5..]].concat().join(",")
                     });
-                    (manifest.digest, rows.collect())
+                    (record.digest, rows.collect())
                 })
                 .collect();
             assert_eq!(seen[0], seen[1], "{} moved with the MRC mode", row.0);
@@ -1265,12 +1256,11 @@ mod tests {
         let (cells, _) = expand(&m);
         let cell = &cells[0];
         let id = cell.dir_name();
-        let res = CellResult {
+        let res = CellRecord {
             rows: format!("{id},r1\n{id},r2\n"),
             digest: 0xdead_beef,
             events: 123,
             summary: "summary line".to_string(),
-            wall: Duration::ZERO,
         };
         let dir = std::env::temp_dir().join(format!("odlb-manifest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1279,6 +1269,7 @@ mod tests {
         write_atomic(&dir.join("CELL_OK"), &text).unwrap();
         assert!(!dir.join("CELL_OK.tmp").exists(), "temp file renamed away");
         let m = read_manifest(&dir, cell).expect("valid manifest");
+        assert_eq!(m.rows, res.rows, "the rows come back as written");
         assert_eq!(m.digest, 0xdead_beef);
         assert_eq!(m.events, 123);
         assert_eq!(m.summary, "summary line");

@@ -4,8 +4,9 @@
 //! once *per application* (`O(apps × instances × classes)` per
 //! interval), which dominates the close path once the cluster reaches
 //! 100+ replicas. The aggregator instead makes **one** pass over each
-//! instance report, bucketing class rows by application into per-rack
-//! partial sums, then folds the rack partials into the cluster view —
+//! instance report, bucketing class rows by application into the open
+//! rack's partial sums, and folds each rack's partial into the cluster
+//! view as the rack closes, in rack order —
 //! `O(instances × classes + racks × apps)`.
 //!
 //! Floating-point care: within one instance, an application's classes
@@ -22,8 +23,8 @@ use crate::topology::InstanceId;
 use odlb_metrics::{AppId, IntervalReport, MetricKind};
 use std::collections::BTreeMap;
 
-/// Per-application partial sums over one rack — or, after
-/// [`combine_racks`], over the whole cluster.
+/// Per-application partial sums over one rack — or, once every rack is
+/// folded in, over the whole cluster.
 #[derive(Clone, Debug, Default)]
 pub struct AppAggregate {
     /// Σ (instance mean latency × instance throughput).
@@ -43,53 +44,45 @@ impl AppAggregate {
             None
         }
     }
-
-    fn absorb(&mut self, other: AppAggregate) {
-        self.lat_weight += other.lat_weight;
-        self.tput += other.tput;
-    }
-}
-
-/// One rack's partial aggregation over its instances' interval reports.
-#[derive(Clone, Debug, Default)]
-pub struct RackAggregate {
-    /// Rack index ([`rack_of`]).
-    pub rack: usize,
-    /// Per-application partial sums.
-    pub per_app: BTreeMap<AppId, AppAggregate>,
 }
 
 /// The rack an instance belongs to. `rack_size == 0` means one
 /// cluster-wide rack (the flat layout).
-pub fn rack_of(instance: InstanceId, rack_size: usize) -> usize {
+fn rack_of(instance: InstanceId, rack_size: usize) -> usize {
     (instance.0 as usize).checked_div(rack_size).unwrap_or(0)
 }
 
-/// First aggregation level: folds each instance report into its rack's
-/// partial. Reports arrive keyed by instance id (ascending), so rack
-/// ids are non-decreasing and each rack's instances fold in id order —
-/// the same order the flat pass visited them.
-pub fn aggregate_racks(
+/// Aggregates the interval's instance reports into per-application
+/// cluster sums. Reports arrive keyed by instance id (ascending), so rack
+/// ids are non-decreasing and each rack's instances fold into its partial
+/// in id order — the same order the flat pass visited them. A rack's
+/// partial folds into the cluster view when its last instance is in;
+/// with one rack the cluster view is the partial, bit for bit.
+pub fn aggregate_cluster(
     reports: &BTreeMap<InstanceId, IntervalReport>,
     rack_size: usize,
-) -> Vec<RackAggregate> {
-    let mut racks: Vec<RackAggregate> = Vec::new();
-    for (&instance, report) in reports {
-        let rack = rack_of(instance, rack_size);
-        if racks.last().is_none_or(|r| r.rack != rack) {
-            racks.push(RackAggregate {
-                rack,
-                ..RackAggregate::default()
-            });
+) -> BTreeMap<AppId, AppAggregate> {
+    let mut cluster: BTreeMap<AppId, AppAggregate> = BTreeMap::new();
+    let mut rack = BTreeMap::new();
+    let mut reports = reports.iter().peekable();
+    while let Some((&instance, report)) = reports.next() {
+        absorb_report(&mut rack, report);
+        let next_rack = reports.peek().map(|(&next, _)| rack_of(next, rack_size));
+        if next_rack != Some(rack_of(instance, rack_size)) {
+            // `0.0 + x` is `x` bit for bit: no partial is `-0.0`.
+            for (app, partial) in std::mem::take(&mut rack) {
+                let agg = cluster.entry(app).or_default();
+                agg.lat_weight += partial.lat_weight;
+                agg.tput += partial.tput;
+            }
         }
-        absorb_report(racks.last_mut().expect("rack just ensured"), report);
     }
-    racks
+    cluster
 }
 
 /// Folds one instance report into a rack partial in a single pass over
 /// its per-class rows.
-fn absorb_report(rack: &mut RackAggregate, report: &IntervalReport) {
+fn absorb_report(rack: &mut BTreeMap<AppId, AppAggregate>, report: &IntervalReport) {
     let duration = report.end.since(report.start).as_secs_f64();
     // (lat_weighted, queries, tput) per app, accumulated in the class
     // walk order `app_mean_latency` used.
@@ -110,38 +103,10 @@ fn absorb_report(rack: &mut RackAggregate, report: &IntervalReport) {
             continue;
         }
         let mean = lat_weighted / queries;
-        let agg = rack.per_app.entry(app).or_default();
+        let agg = rack.entry(app).or_default();
         agg.lat_weight += mean * tput;
         agg.tput += tput;
     }
-}
-
-/// Second aggregation level: folds rack partials (in rack order) into
-/// the cluster view. With one rack this moves the partial through
-/// unchanged.
-pub fn combine_racks(racks: Vec<RackAggregate>) -> BTreeMap<AppId, AppAggregate> {
-    let mut cluster: BTreeMap<AppId, AppAggregate> = BTreeMap::new();
-    for rack in racks {
-        for (app, partial) in rack.per_app {
-            match cluster.entry(app) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(partial);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().absorb(partial);
-                }
-            }
-        }
-    }
-    cluster
-}
-
-/// Convenience: both levels at once.
-pub fn aggregate_cluster(
-    reports: &BTreeMap<InstanceId, IntervalReport>,
-    rack_size: usize,
-) -> BTreeMap<AppId, AppAggregate> {
-    combine_racks(aggregate_racks(reports, rack_size))
 }
 
 #[cfg(test)]
@@ -227,9 +192,7 @@ mod tests {
         let reports = sample_reports();
         let flat = aggregate_cluster(&reports, 0);
         for rack_size in [1, 2, 3] {
-            let racks = aggregate_racks(&reports, rack_size);
-            assert_eq!(racks.len(), 4_usize.div_ceil(rack_size));
-            let racked = combine_racks(racks);
+            let racked = aggregate_cluster(&reports, rack_size);
             assert_eq!(racked.len(), flat.len(), "rack_size {rack_size}");
             for (app, f) in &flat {
                 let r = &racked[app];

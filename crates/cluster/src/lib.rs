@@ -24,7 +24,7 @@ pub mod driver;
 pub mod scheduler;
 pub mod topology;
 
-pub use aggregate::{AppAggregate, RackAggregate};
+pub use aggregate::AppAggregate;
 pub use driver::{
     Actuation, Applied, IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, WorkCounts,
     MEASUREMENT_INTERVAL,

@@ -4,7 +4,8 @@
 //! [`odlb_sim::SimRng`], used by the workspace-level property suites.
 //! It exists because the build must work fully offline: the usual
 //! `proptest` dependency is not available in this environment, and the
-//! invariants it guarded are too valuable to drop.
+//! invariants it guarded are too valuable to drop. [`heap`] is the
+//! counting allocator the heap tests install.
 //!
 //! Differences from proptest, deliberately accepted:
 //!
@@ -29,6 +30,7 @@
 //! });
 //! ```
 
+pub mod heap;
 pub mod matrix;
 pub mod trace;
 

@@ -4,36 +4,11 @@
 //! snapshots replaced.
 
 use odlb_telemetry::{render_csv, MetricsRegistry, SpanProfiler};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use odlb_testkit::heap::{allocations, Counting};
 use std::fmt::Write as _;
-
-thread_local!(static ALLOCATIONS: Cell<usize> = const { Cell::new(0) });
-
-/// Counts this thread's allocations; the default `realloc` is one.
-struct Counting;
-
-// SAFETY: every call goes to `System` unchanged; counting never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// Allocations made while `f` runs.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 /// `n` series (counter, gauge, histogram in turn) appearing in three waves
 /// between snapshots, so row ids interleave in name and label order; and

@@ -7,27 +7,7 @@
 //! repeats, so it guards the regime's memory without a timer.
 
 use odlb_bench::experiments::scale;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local!(static LIVE: Cell<isize> = const { Cell::new(0) });
-
-/// Tracks this thread's live bytes; the default `realloc` is an `alloc`
-/// plus a `dealloc`.
-struct Counting;
-
-// SAFETY: every call goes to `System` unchanged; counting never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-}
+use odlb_testkit::heap::{live_bytes, Counting};
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
@@ -36,11 +16,11 @@ const SESSIONS: usize = 100_000;
 
 #[test]
 fn live_heap_bytes_per_resident_session_stay_bounded() {
-    let before = LIVE.with(Cell::get);
+    let before = live_bytes();
     let mut sim = scale::cluster(9_2026, 16, SESSIONS);
     sim.start();
     sim.run_interval();
-    let live = (LIVE.with(Cell::get) - before) as f64;
+    let live = (live_bytes() - before) as f64;
     drop(sim);
     // Measured: 24.7 bytes per session in release (a 12-byte queue entry
     // in pooled 64-entry blocks) and 38.3 in debug, whose entries keep the

@@ -14,12 +14,18 @@
 //! 3. **Job-count parity** — `jobs = 1` and `jobs = 4` produce
 //!    byte-identical artifacts *and* cell logs from the same starting
 //!    state.
+//! 4. **The merge is the cells** — fresh or resumed, `sweep.csv` and
+//!    `summary.txt` are exactly what the committed `cell.csv` and
+//!    `CELL_OK` files say, in canonical order. The merge builds them from
+//!    records in memory, so only this checks the two agree.
 //!
 //! Matrices come from `odlb_testkit::matrix::arbitrary_matrix`, so axis
 //! shapes, key order, quoting and comments vary per case while the cell
 //! arithmetic stays exact.
 
-use odlb_bench::sweep::{parse_matrix, run_sweep, MatrixSpec, SweepOptions, SweepOutcome};
+use odlb_bench::sweep::{
+    expand, parse_matrix, run_sweep, MatrixSpec, SweepOptions, SweepOutcome, CSV_HEADER,
+};
 use odlb_testkit::matrix::arbitrary_matrix;
 use odlb_testkit::{check, Gen};
 use std::path::{Path, PathBuf};
@@ -59,6 +65,54 @@ fn merged_bytes(dir: &Path) -> (String, String) {
         std::fs::read_to_string(dir.join("sweep.csv")).expect("sweep.csv"),
         std::fs::read_to_string(dir.join("summary.txt")).expect("summary.txt"),
     )
+}
+
+/// Asserts that `dir`'s merged files are its cells' files in canonical
+/// order: `sweep.csv` is the header and every `cell.csv`; `summary.txt`
+/// the header line, every manifest's `summary=` value and a total equal
+/// to the sum of their `events=`, which is also the outcome's `events`.
+fn assert_merge_is_the_cells(spec: &MatrixSpec, dir: &Path, outcome: &SweepOutcome) {
+    let read = |path: PathBuf| std::fs::read_to_string(&path).expect("cell file");
+    let cells = expand(spec).0;
+    let mut csv = CSV_HEADER.to_string();
+    let mut summary = format!("sweep {}: {} cells\n", spec.name, cells.len());
+    let mut events = 0u64;
+    for cell in &cells {
+        let cell_dir = dir.join("cells").join(cell.dir_name());
+        csv += &read(cell_dir.join("cell.csv"));
+        let manifest = read(cell_dir.join("CELL_OK"));
+        let field = |key: &str| manifest.lines().find_map(|l| l.strip_prefix(key));
+        summary += &format!("{}\n", field("summary=").expect("summary="));
+        events += field("events=")
+            .and_then(|v| v.parse::<u64>().ok())
+            .expect("events=");
+    }
+    summary += &format!("total simulated events: {events}\n");
+    assert_eq!(merged_bytes(dir), (csv, summary), "merge is not the cells");
+    assert_eq!(outcome.events, events);
+}
+
+#[test]
+fn merged_artifacts_are_the_committed_cells_in_canonical_order() {
+    check("sweep_merge_is_the_cells", 3, |g: &mut Gen| {
+        let m = arbitrary_matrix(g);
+        let spec = parse_matrix(&m.toml).expect("generated matrix parses");
+        let fresh_dir = scratch("fresh");
+        let fresh = sweep(&spec, &fresh_dir, 2, true, None);
+        assert_merge_is_the_cells(&spec, &fresh_dir, &fresh);
+
+        // Cut before the last cell, then resume: cached records merge
+        // with the ones run now.
+        let cut_dir = scratch("cut");
+        let k = g.usize_in(0, m.expected_cells);
+        assert!(sweep(&spec, &cut_dir, 2, true, Some(k)).interrupted);
+        let resumed = sweep(&spec, &cut_dir, 2, true, None);
+        assert_eq!(resumed.skipped, k);
+        assert_merge_is_the_cells(&spec, &cut_dir, &resumed);
+
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+        let _ = std::fs::remove_dir_all(&cut_dir);
+    });
 }
 
 #[test]
