@@ -1,9 +1,12 @@
 //! Table 1 — hit ratio of different buffer pool management algorithms.
 //!
 //! The paper's own methodology: "We use a simulator of buffer pool
-//! management driven by traces of page accesses per query class." Under
-//! the index-dropped configuration it compares, for BestSeller and for
-//! all other TPC-W queries, the hit ratio when:
+//! management driven by traces of page accesses per query class." Here
+//! that simulator is the engine itself: each sampled query of the trace
+//! executes on a [`DbEngine`], whose page loop plays it through the pool
+//! and read-ahead (the throwaway CPU station and disk path's timing is
+//! ignored). Under the index-dropped configuration the table compares,
+//! for BestSeller and for all other TPC-W queries, the hit ratio when:
 //!
 //! * **Shared** — everyone shares the 8192-page pool.
 //! * **Partitioned** — BestSeller is confined to a quota derived from its
@@ -20,16 +23,14 @@
 //! the non-BestSeller row improves sharply under partitioning while
 //! BestSeller barely moves.
 
-use odlb_bufferpool::PartitionedPool;
 use odlb_core::memory::{MIN_QUOTA_PAGES, MRC_THRESHOLD};
-use odlb_engine::QuerySpec;
+use odlb_engine::{DbEngine, EngineConfig, QuerySpec};
 use odlb_metrics::ClassId;
 use odlb_mrc::MattsonTracker;
-use odlb_sim::SimRng;
-use odlb_storage::{ReadAheadDetector, EXTENT_PAGES};
+use odlb_sim::{SimRng, SimTime, Station};
+use odlb_storage::{DiskModel, DomainId, SharedIoPath};
 use odlb_workload::tpcw::{tpcw_workload, TpcwConfig, BESTSELLER};
 use odlb_workload::WorkloadSpec;
-use std::collections::BTreeMap;
 
 /// The table's measurements.
 #[derive(Clone, Copy, Debug)]
@@ -57,38 +58,10 @@ fn sample_trace(workload: &WorkloadSpec, queries: usize) -> Vec<QuerySpec> {
         .collect()
 }
 
-/// Replays the queries of `trace` that `keep` admits through `pool` the
-/// way `DbEngine::execute` plays a query's pages: InnoDB-style read-ahead
-/// prefetches the next extent of a sequential run on behalf of (and,
-/// under a quota, into the partition of) the class. Returns each class's
-/// `(accesses, misses)` over the queries from index `from` on.
-fn replay(
-    pool: &mut PartitionedPool,
-    trace: &[QuerySpec],
-    from: usize,
-    keep: &dyn Fn(ClassId) -> bool,
-) -> BTreeMap<ClassId, (u64, u64)> {
-    let mut readahead = ReadAheadDetector::default();
-    let mut tally = BTreeMap::new();
-    for (i, q) in trace.iter().enumerate().filter(|(_, q)| keep(q.class)) {
-        let mut misses = 0;
-        for &p in &q.pages {
-            misses += pool.access(q.class, p).is_miss() as u64;
-            if let Some(start) = readahead.observe(q.class.as_u64(), p) {
-                pool.prefetch(q.class, start, EXTENT_PAGES);
-            }
-        }
-        if i >= from {
-            let t: &mut (u64, u64) = tally.entry(q.class).or_default();
-            t.0 += q.pages.len() as u64;
-            t.1 += misses;
-        }
-    }
-    tally
-}
-
 /// Runs the trace-driven comparison over `queries` sampled TPC-W queries
-/// (index dropped). A fifth of the trace warms each pool before counting.
+/// (index dropped), executing the trace on a fresh [`DbEngine`] per
+/// column and ignoring its timing. A fifth of the trace warms each pool
+/// before counting.
 pub fn run(queries: usize) -> Table1Result {
     let workload = tpcw_workload(TpcwConfig {
         odate_index: false,
@@ -116,34 +89,38 @@ pub fn run(queries: usize) -> Table1Result {
         .acceptable_memory_needed
         .clamp(MIN_QUOTA_PAGES, POOL_PAGES - 1);
 
-    // Hit ratios of BestSeller and of everyone else after warm-up.
-    let hit_ratios = |pool: &mut PartitionedPool, keep: &dyn Fn(ClassId) -> bool| -> (f64, f64) {
+    // Hit ratios of BestSeller and of everyone else after warm-up, on an
+    // engine that executes the queries `keep` admits and, given a quota,
+    // confines BestSeller to it.
+    let hit_ratios = |quota: Option<usize>, keep: &dyn Fn(ClassId) -> bool| -> (f64, f64) {
+        let config = EngineConfig {
+            pool_pages: POOL_PAGES,
+            ..Default::default()
+        };
+        let mut engine = DbEngine::new(config, SimTime::ZERO);
+        if let Some(pages) = quota {
+            engine.set_quota(bs_class, pages).expect("quota fits");
+        }
+        let (mut cpu, mut io) = (Station::new(4), SharedIoPath::new(DiskModel::default()));
         let mut sides = [(0u64, 0u64); 2];
-        for (class, (accesses, misses)) in replay(pool, &trace, warmup, keep) {
-            let side = &mut sides[(class != bs_class) as usize];
-            side.0 += accesses;
-            side.1 += misses;
+        for (i, q) in trace.iter().enumerate().filter(|(_, q)| keep(q.class)) {
+            let r = engine.execute(SimTime::ZERO, q, &mut cpu, &mut io, DomainId(1));
+            if i >= warmup {
+                let side = &mut sides[(q.class != bs_class) as usize];
+                side.0 += r.record.page_accesses;
+                side.1 += r.record.buffer_misses;
+            }
         }
         let ratio = |(accesses, misses): (u64, u64)| (accesses - misses) as f64 / accesses as f64;
         (ratio(sides[0]), ratio(sides[1]))
     };
 
-    // Shared.
-    let mut shared = PartitionedPool::new(POOL_PAGES);
-    let (bs_shared, rest_shared) = hit_ratios(&mut shared, &|_| true);
-
+    let (bs_shared, rest_shared) = hit_ratios(None, &|_| true);
     // Partitioned: BestSeller gets its quota.
-    let mut partitioned = PartitionedPool::new(POOL_PAGES);
-    partitioned
-        .set_quota(bs_class, quota_pages)
-        .expect("quota fits");
-    let (bs_part, rest_part) = hit_ratios(&mut partitioned, &|_| true);
-
+    let (bs_part, rest_part) = hit_ratios(Some(quota_pages), &|_| true);
     // Exclusive: each side alone in the full pool.
-    let mut bs_only = PartitionedPool::new(POOL_PAGES);
-    let (bs_excl, _) = hit_ratios(&mut bs_only, &|c| c == bs_class);
-    let mut rest_only = PartitionedPool::new(POOL_PAGES);
-    let (_, rest_excl) = hit_ratios(&mut rest_only, &|c| c != bs_class);
+    let (bs_excl, _) = hit_ratios(None, &|c| c == bs_class);
+    let (_, rest_excl) = hit_ratios(None, &|c| c != bs_class);
 
     Table1Result {
         bestseller: [bs_shared, bs_part, bs_excl],
@@ -184,40 +161,6 @@ pub fn render(r: &Table1Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odlb_engine::{DbEngine, EngineConfig};
-    use odlb_sim::{SimTime, Station};
-    use odlb_storage::{DiskModel, DomainId, SharedIoPath};
-
-    /// Table 1 is a trace-driven simulator of the engine's page loop: its
-    /// shared-pool replay counts, per class, exactly the accesses and
-    /// misses the engine's log records report for the same trace.
-    #[test]
-    fn replay_equals_the_engine_page_loop() {
-        let workload = tpcw_workload(TpcwConfig {
-            odate_index: false,
-            ..Default::default()
-        });
-        let trace = sample_trace(&workload, 300);
-        let mut pool = PartitionedPool::new(POOL_PAGES);
-        let replayed = replay(&mut pool, &trace, 0, &|_| true);
-        let config = EngineConfig::default();
-        assert_eq!(config.pool_pages, POOL_PAGES);
-        let mut engine = DbEngine::new(config, SimTime::ZERO);
-        let (mut cpu, mut io) = (Station::new(4), SharedIoPath::new(DiskModel::default()));
-        let mut executed = BTreeMap::new();
-        for q in &trace {
-            let r = engine.execute(SimTime::ZERO, q, &mut cpu, &mut io, DomainId(1));
-            let t: &mut (u64, u64) = executed.entry(q.class).or_default();
-            t.0 += r.record.page_accesses;
-            t.1 += r.record.buffer_misses;
-        }
-        assert_eq!(replayed, executed);
-        assert!(
-            replayed.values().map(|t| t.1).sum::<u64>() > 0,
-            "the pool must miss"
-        );
-        assert!(replayed.len() > 5, "the trace must span the mix");
-    }
 
     #[test]
     fn partitioning_recovers_rest_without_hurting_bestseller() {

@@ -78,9 +78,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The load-update tick every cell (and schedule) runs on.
-const TICK: SimDuration = SimDuration::from_secs(2);
-
 /// Header of the merged long-format `sweep.csv`.
 pub const CSV_HEADER: &str =
     "cell,seed,replicas,workload,mrc,controller,interval,latency_ms,throughput_qps,\
@@ -494,7 +491,7 @@ fn schedule_config(cell: &CellConfig) -> ScheduleConfig {
         horizon: SimDuration::from_micros(MEASUREMENT_INTERVAL.as_micros() * cell.intervals as u64),
         load: LoadFunction::Constant(cell.clients),
         client: ClientConfig::default(),
-        tick: TICK,
+        tick: SimulationConfig::default().load_update_interval,
     }
 }
 

@@ -2,7 +2,6 @@
 //! schedule instead of running closed-loop clients.
 
 use super::{app_slot, Event, ReplayState, Simulation};
-use odlb_engine::QuerySpec;
 use odlb_metrics::{AppId, Sla};
 use odlb_sim::{SimDuration, SimTime};
 use odlb_workload::{ClientConfig, GeneratedSchedule, LoadFunction, WorkloadSpec};
@@ -53,21 +52,9 @@ impl Simulation {
             let mut pages = std::mem::take(&mut self.spec_pages);
             pages.clear();
             pages.extend_from_slice(sched.pages_of(idx));
-            let a = &self.apps[app];
-            let class = q.class as usize;
-            let c = &a.spec.classes[class];
-            QuerySpec {
-                class: a.spec.class_id(class),
-                pages,
-                cpu_base: c.cpu_base,
-                cpu_per_page: c.cpu_per_page,
-                is_write: c.is_write,
-                lock_prefix: if c.is_write {
-                    q.lock_prefix as usize
-                } else {
-                    0
-                },
-            }
+            self.apps[app]
+                .spec
+                .query_from_pages(q.class as usize, pages, q.lock_prefix as usize)
         };
         let again = Event::ReplayIssue { app: app_slot(app) };
         if !self.dispatch_spec(now, app, None, spec) {

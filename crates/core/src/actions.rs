@@ -4,7 +4,7 @@
 use odlb_cluster::InstanceId;
 use odlb_metrics::{AppId, ClassId};
 use odlb_telemetry::Telemetry;
-use odlb_trace::{ActionKind, TraceEvent, Tracer};
+use odlb_trace::{TraceEvent, Tracer};
 use std::fmt;
 
 /// One control action (or notable diagnosis event) in an interval. A row
@@ -104,24 +104,24 @@ pub enum Action {
 }
 
 impl Action {
-    /// The trace kind (none for an MRC recomputation, traced as an
-    /// `mrc_validation` event) and the stable kebab-case label of the
-    /// telemetry counter (`odlb_controller_actions_total{action="..."}`).
-    fn kind(&self) -> (Option<ActionKind>, &'static str) {
-        use ActionKind as K;
+    /// The wire name of its `action_applied` trace event (none for an MRC
+    /// recomputation, traced as an `mrc_validation` event) and the stable
+    /// kebab-case label of the telemetry counter
+    /// (`odlb_controller_actions_total{action="..."}`).
+    fn kind(&self) -> (Option<&'static str>, &'static str) {
         let (kind, label) = match self {
-            Action::DetectedOutliers { .. } => (K::DetectedOutliers, "detected-outliers"),
+            Action::DetectedOutliers { .. } => ("detected_outliers", "detected-outliers"),
             Action::RecomputedMrc { .. } => return (None, "recomputed-mrc"),
-            Action::SetQuota { .. } => (K::SetQuota, "set-quota"),
-            Action::PlacedClass { .. } => (K::PlacedClass, "placed-class"),
-            Action::ProvisionedReplica { .. } => (K::ProvisionedReplica, "provisioned-replica"),
-            Action::RetiredReplica { .. } => (K::RetiredReplica, "retired-replica"),
-            Action::CoarseFallback { .. } => (K::CoarseFallback, "coarse-fallback"),
+            Action::SetQuota { .. } => ("set_quota", "set-quota"),
+            Action::PlacedClass { .. } => ("placed_class", "placed-class"),
+            Action::ProvisionedReplica { .. } => ("provisioned_replica", "provisioned-replica"),
+            Action::RetiredReplica { .. } => ("retired_replica", "retired-replica"),
+            Action::CoarseFallback { .. } => ("coarse_fallback", "coarse-fallback"),
             Action::DetectedLockContention { .. } => {
-                (K::LockContention, "detected-lock-contention")
+                ("lock_contention", "detected-lock-contention")
             }
-            Action::MigratedVm { .. } => (K::MigratedVm, "migrated-vm"),
-            Action::MovedIoHeavyClass { .. } => (K::MovedIoHeavyClass, "moved-io-heavy-class"),
+            Action::MigratedVm { .. } => ("migrated_vm", "migrated-vm"),
+            Action::MovedIoHeavyClass { .. } => ("moved_io_heavy_class", "moved-io-heavy-class"),
         };
         (Some(kind), label)
     }
@@ -263,6 +263,7 @@ impl fmt::Display for Action {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn display_is_informative() {
@@ -274,5 +275,73 @@ mod tests {
         let s = a.to_string();
         assert!(s.contains("3695"));
         assert!(s.contains("app0#8"));
+    }
+
+    /// One action of each variant: nine trace wire names (an MRC
+    /// recomputation is an `mrc_validation` event) and ten telemetry
+    /// labels, each distinct.
+    #[test]
+    fn every_action_has_a_distinct_wire_name_and_label() {
+        let (instance, to, app) = (InstanceId(0), InstanceId(1), AppId(0));
+        let class = ClassId::new(app, 8);
+        let actions = [
+            Action::DetectedOutliers {
+                instance,
+                contexts: vec![class],
+                mild: 1,
+                extreme: 0,
+            },
+            Action::RecomputedMrc {
+                instance,
+                class,
+                acceptable_pages: 10,
+                changed: true,
+            },
+            Action::SetQuota {
+                instance,
+                class,
+                pages: 10,
+            },
+            Action::PlacedClass { app, class, to },
+            Action::ProvisionedReplica { app, instance },
+            Action::RetiredReplica { app, instance },
+            Action::CoarseFallback { app },
+            Action::DetectedLockContention {
+                instance,
+                class,
+                ratio: 2.0,
+            },
+            Action::MigratedVm {
+                instance,
+                from: odlb_metrics::ServerId(0),
+                to: odlb_metrics::ServerId(1),
+            },
+            Action::MovedIoHeavyClass { app, class, to },
+        ];
+        let kinds: Vec<&str> = actions
+            .iter()
+            .filter_map(|a| match a.to_trace_event(0) {
+                TraceEvent::ActionApplied { kind, .. } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "detected_outliers",
+                "set_quota",
+                "placed_class",
+                "provisioned_replica",
+                "retired_replica",
+                "coarse_fallback",
+                "lock_contention",
+                "migrated_vm",
+                "moved_io_heavy_class",
+            ]
+        );
+        let distinct = |names: &[&str]| names.iter().collect::<BTreeSet<_>>().len();
+        assert_eq!(distinct(&kinds), kinds.len());
+        let labels: Vec<&str> = actions.iter().map(|a| a.kind().1).collect();
+        assert_eq!(distinct(&labels), actions.len());
     }
 }

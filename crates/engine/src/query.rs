@@ -7,7 +7,7 @@ use odlb_storage::PageId;
 /// One query instance, fully materialised: its class (template) and the
 /// resource demands its execution generates. Workload models produce these
 /// from per-class access-pattern generators.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuerySpec {
     /// The query's class — the paper's scheduling and accounting unit.
     pub class: ClassId,

@@ -7,46 +7,6 @@
 
 use std::fmt::Write as _;
 
-/// The kind of control action (or surfaced diagnosis) that was applied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ActionKind {
-    /// Outlier detection flagged one or more query contexts.
-    DetectedOutliers,
-    /// A buffer-pool quota was enforced on a class.
-    SetQuota,
-    /// A class's reads were re-placed onto another replica.
-    PlacedClass,
-    /// A fresh replica was provisioned.
-    ProvisionedReplica,
-    /// A replica was released back to the pool.
-    RetiredReplica,
-    /// The coarse-grained fallback isolated a whole application.
-    CoarseFallback,
-    /// Lock contention surfaced to the operator (no automatic remedy).
-    LockContention,
-    /// A whole VM was live-migrated (baseline remedy).
-    MigratedVm,
-    /// An I/O-heavy class was moved off a disk-saturated server.
-    MovedIoHeavyClass,
-}
-
-impl ActionKind {
-    /// Stable wire name, used in the JSON encoding (and thus the digest).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            ActionKind::DetectedOutliers => "detected_outliers",
-            ActionKind::SetQuota => "set_quota",
-            ActionKind::PlacedClass => "placed_class",
-            ActionKind::ProvisionedReplica => "provisioned_replica",
-            ActionKind::RetiredReplica => "retired_replica",
-            ActionKind::CoarseFallback => "coarse_fallback",
-            ActionKind::LockContention => "lock_contention",
-            ActionKind::MigratedVm => "migrated_vm",
-            ActionKind::MovedIoHeavyClass => "moved_io_heavy_class",
-        }
-    }
-}
-
 /// One structured record in the decision trace.
 ///
 /// Times are the simulation clock in integer microseconds (`*_us`);
@@ -119,8 +79,8 @@ pub enum TraceEvent {
     ActionApplied {
         /// Interval end (µs).
         end_us: u64,
-        /// What was done.
-        kind: ActionKind,
+        /// What was done: the action's wire name (e.g. `"set_quota"`).
+        kind: &'static str,
         /// Application involved, when applicable.
         app: Option<u32>,
         /// Instance involved, when applicable.
@@ -226,7 +186,7 @@ impl TraceEvent {
                 detail,
             } => {
                 field_u64(&mut s, "end_us", *end_us);
-                field_str(&mut s, "kind", kind.as_str());
+                field_str(&mut s, "kind", kind);
                 field_opt_u64(&mut s, "app", app.map(u64::from));
                 field_opt_u64(&mut s, "instance", instance.map(u64::from));
                 field_opt_u64(&mut s, "template", template.map(u64::from));
@@ -343,7 +303,7 @@ mod tests {
     fn strings_are_escaped() {
         let e = TraceEvent::ActionApplied {
             end_us: 0,
-            kind: ActionKind::CoarseFallback,
+            kind: "coarse_fallback",
             app: Some(1),
             instance: None,
             template: None,
@@ -353,24 +313,5 @@ mod tests {
         let json = e.to_json();
         assert!(json.contains("say \\\"hi\\\"\\n\\\\done"));
         assert!(json.contains("\"instance\":null"));
-    }
-
-    #[test]
-    fn every_kind_has_a_distinct_wire_name() {
-        let kinds = [
-            ActionKind::DetectedOutliers,
-            ActionKind::SetQuota,
-            ActionKind::PlacedClass,
-            ActionKind::ProvisionedReplica,
-            ActionKind::RetiredReplica,
-            ActionKind::CoarseFallback,
-            ActionKind::LockContention,
-            ActionKind::MigratedVm,
-            ActionKind::MovedIoHeavyClass,
-        ];
-        let mut names: Vec<&str> = kinds.iter().map(|k| k.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), kinds.len());
     }
 }

@@ -37,7 +37,7 @@
 pub mod event;
 pub mod sink;
 
-pub use event::{ActionKind, TraceEvent};
+pub use event::TraceEvent;
 pub use odlb_sim::hash::fnv1a64;
 pub use sink::{DigestSink, JsonlSink, MemorySink, SharedSink, TraceSink};
 
@@ -95,7 +95,7 @@ mod tests {
     fn sample_event() -> TraceEvent {
         TraceEvent::ActionApplied {
             end_us: 180_000_000,
-            kind: ActionKind::SetQuota,
+            kind: "set_quota",
             app: Some(0),
             instance: Some(1),
             template: Some(8),

@@ -114,7 +114,6 @@ impl TraceSink for DigestSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ActionKind;
     use crate::fnv1a64;
 
     fn ev(seq: u64) -> TraceEvent {
@@ -133,7 +132,7 @@ mod tests {
         sink.emit(&ev(0));
         sink.emit(&TraceEvent::ActionApplied {
             end_us: 20,
-            kind: ActionKind::ProvisionedReplica,
+            kind: "provisioned_replica",
             app: Some(0),
             instance: Some(2),
             template: None,

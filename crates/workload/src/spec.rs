@@ -112,8 +112,17 @@ impl WorkloadSpec {
         mut pages: Vec<PageId>,
     ) -> QuerySpec {
         pages.clear();
+        let prefix = self.classes[idx]
+            .pattern
+            .generate_with_prefix_into(rng, &mut pages);
+        self.query_from_pages(idx, pages, prefix)
+    }
+
+    /// Assembles a query of the `idx`-th class from its generated `pages`,
+    /// whose first `prefix` belong to the pattern's first component. The
+    /// costs and write flag are the class's as it stands now.
+    pub fn query_from_pages(&self, idx: usize, pages: Vec<PageId>, prefix: usize) -> QuerySpec {
         let c = &self.classes[idx];
-        let prefix = c.pattern.generate_with_prefix_into(rng, &mut pages);
         QuerySpec {
             class: self.class_id(idx),
             pages,
@@ -207,6 +216,22 @@ mod tests {
         assert_eq!(q.cpu_base, SimDuration::from_micros(150));
         assert!(q.is_write);
         assert_eq!(q.pages.len(), 1);
+
+        // The lock rule: a write locks its pattern prefix, a read nothing.
+        let pages: Vec<PageId> = (0..3).map(|n| PageId::new(SpaceId(0), n)).collect();
+        let write = w.query_from_pages(1, pages.clone(), 2);
+        assert_eq!(write.locked_pages(), &pages[..2]);
+        assert_eq!(w.query_from_pages(0, pages.clone(), 2).lock_prefix, 0);
+
+        // Sampling (into a recycled buffer) assembles its query through
+        // the same constructor, from the pages and prefix it generated.
+        for idx in 0..2 {
+            let sampled = w.query_of_class_into(idx, &mut SimRng::new(3), pages.clone());
+            let mut generated = Vec::new();
+            let pattern = &w.classes[idx].pattern;
+            let prefix = pattern.generate_with_prefix_into(&mut SimRng::new(3), &mut generated);
+            assert_eq!(sampled, w.query_from_pages(idx, generated, prefix));
+        }
     }
 
     #[test]

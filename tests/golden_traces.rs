@@ -19,7 +19,7 @@ use odlb::engine::EngineConfig;
 use odlb::metrics::{AppId, Sla};
 use odlb::sim::SimDuration;
 use odlb::storage::DomainId;
-use odlb::trace::{fnv1a64, ActionKind, DigestSink, MemorySink, TraceEvent, Tracer};
+use odlb::trace::{fnv1a64, DigestSink, MemorySink, TraceEvent, Tracer};
 use odlb::workload::synthetic::cpu_bound_workload;
 use odlb::workload::{generate_schedule, ClientConfig, LoadFunction, ScheduleConfig};
 use odlb_bench::experiments::{fig3, fig4, scale, Observers};
@@ -84,7 +84,7 @@ fn run_fig4() -> (u64, Vec<TraceEvent>) {
 
 /// Runs the baseline miniature under `controller`; returns the digest and
 /// the applied actions as `(kind, interval-end seconds)`.
-fn run_baseline(mut controller: impl ClusterController) -> (u64, Vec<(ActionKind, u64)>) {
+fn run_baseline(mut controller: impl ClusterController) -> (u64, Vec<(&'static str, u64)>) {
     let (digest, events) = traced(|tracer| {
         let mut sim = Simulation::new(SimulationConfig {
             seed: 13_2007,
@@ -147,7 +147,7 @@ fn fig3_digest_and_provisioning_sequence_are_stable() {
         .iter()
         .filter_map(|e| match e {
             TraceEvent::ActionApplied {
-                kind: ActionKind::ProvisionedReplica,
+                kind: "provisioned_replica",
                 end_us,
                 ..
             } => Some(*end_us),
@@ -224,7 +224,7 @@ fn fig4_digest_and_quota_sequence_are_stable() {
     // (3) the remedy is a quota on BestSeller, on the shared instance.
     let quota = events.iter().find_map(|e| match e {
         TraceEvent::ActionApplied {
-            kind: ActionKind::SetQuota,
+            kind: "set_quota",
             template: Some(8),
             pages,
             instance,
@@ -255,18 +255,17 @@ fn fig4_digest_and_quota_sequence_are_stable() {
 /// (coarse: provision, then pin the whole app once the replica serves).
 #[test]
 fn baseline_digests_and_action_sequences_are_stable() {
-    use ActionKind::{CoarseFallback, MigratedVm, ProvisionedReplica};
     let (digest, actions) = run_baseline(CpuOnlyController::new(0.85));
-    assert_eq!(actions, [10, 40].map(|t| (ProvisionedReplica, t)));
+    assert_eq!(actions, [10, 40].map(|t| ("provisioned_replica", t)));
     assert_eq!(digest, CPU_ONLY_GOLDEN_DIGEST, "cpu-only digest drifted");
 
     let (digest, actions) = run_baseline(CoarseGrainedController::new());
-    let isolations = [10, 40].map(|t| [(ProvisionedReplica, t), (CoarseFallback, t + 20)]);
+    let isolations = [10, 40].map(|t| [("provisioned_replica", t), ("coarse_fallback", t + 20)]);
     assert_eq!(actions, isolations.concat());
     assert_eq!(digest, COARSE_GOLDEN_DIGEST, "coarse digest drifted");
 
     let (digest, actions) = run_baseline(VmMigrationController::new());
-    assert_eq!(actions, [10, 40, 70, 100].map(|t| (MigratedVm, t)));
+    assert_eq!(actions, [10, 40, 70, 100].map(|t| ("migrated_vm", t)));
     assert_eq!(digest, VM_MIGRATION_GOLDEN_DIGEST, "vm digest drifted");
 }
 

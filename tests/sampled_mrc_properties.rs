@@ -20,7 +20,7 @@ use std::cell::Cell;
 // floor, so decision parity is defined over quota *units*, not raw pages.
 use odlb::core::memory::{mrc_changed, MIN_QUOTA_PAGES, MRC_THRESHOLD};
 use odlb::mrc::{compute_curve, MissRatioCurve, MrcMode, MrcParams, SampledTracker};
-use odlb::trace::{ActionKind, DigestSink, MemorySink, TraceEvent, Tracer};
+use odlb::trace::{DigestSink, MemorySink, TraceEvent, Tracer};
 use odlb::workload::tpcw::BESTSELLER;
 use odlb_bench::experiments::sampled::fig5_reference_trace;
 use odlb_testkit::trace::{check_traces, TraceFamily};
@@ -170,7 +170,7 @@ fn fig5_controller_actions(mode: MrcMode) -> (u64, String, MrcParams) {
     let memory = tracer.attach(MemorySink::new());
     tracer.emit(TraceEvent::ActionApplied {
         end_us: 0,
-        kind: ActionKind::SetQuota,
+        kind: "set_quota",
         app: Some(0),
         instance: Some(0),
         template: Some(BESTSELLER as u32),
