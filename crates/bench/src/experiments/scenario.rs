@@ -5,8 +5,9 @@
 //! `(scenario, phase, interval)`.
 //!
 //! Every builder returns the simulation unstarted (observers attach
-//! before [`Simulation::start`]). Its handles are fixed: [`APP`] runs on
-//! [`INST`], and [`TENANT`], where present, is the second application.
+//! before [`odlb_cluster::Model::start`]). Its handles are fixed:
+//! [`APP`] runs on [`INST`], and [`TENANT`], where present, is the
+//! second application.
 
 use super::fig3::scale_cpu;
 use odlb_cluster::{

@@ -13,8 +13,11 @@
 //! This module is the workspace's only home for threads: `clippy.toml`
 //! bans threads and `available_parallelism` everywhere, and the two
 //! `#[expect]`s below lift the ban here because worker threads never
-//! touch a running simulation — a job owns its entire simulation from
-//! construction to result, and only plain `Send` data crosses back.
+//! share a running simulation — a job owns its entire simulation from
+//! construction to result, and only plain `Send` data crosses back. A
+//! job may start from a forked `odlb_cluster::Model` instead of building
+//! one: the fork is its own copy, and the job still owns the simulation
+//! it runs.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -29,17 +29,19 @@
 //!      cells under every mode are one run.
 //!
 //!    A job ([`jobs`]) is one schedule key's pending cells in
-//!    first-appearance order. It generates the schedule once, runs one
-//!    prefix per replica count and each distinct run on a
-//!    [`Simulation::fork`] of its prefix (the prefix's last run on the
-//!    prefix itself). A run yields per-interval values, a digest and an
-//!    event count; every cell renders its own rows and summary from them.
-//!    A job holds one schedule, one prefix and one fork at a time. With
-//!    fewer schedule keys than workers, each key's cells are cut into
-//!    chunks that build their own, so parallelism spans cells. With
-//!    [`SweepOptions::memo`] off every job is one cell and nothing is
-//!    shared — the differential oracle; byte-parity between the two paths
-//!    is pinned by tests, and [`SweepOutcome::work`] counts what ran.
+//!    first-appearance order, at any worker count. It generates the
+//!    schedule once, runs one prefix per replica count and each distinct
+//!    run on a fork of its prefix's [`Model`], taken when the run starts
+//!    (the last run takes the prefix's model itself). A run yields
+//!    per-interval values, a digest and an event count; every cell
+//!    renders its own rows and summary from them. On one worker a job
+//!    holds one schedule, one prefix and one fork at a time. With fewer
+//!    schedule keys than workers, the idle workers are split among the
+//!    jobs, and each job fans its runs out on its share, because a model
+//!    is `Send`. With [`SweepOptions::memo`] off every job is one cell and
+//!    nothing is shared — the differential oracle; byte-parity between the
+//!    two paths is pinned by tests, and [`SweepOutcome::work`] counts what
+//!    ran.
 //! 3. **Deterministic merge** — every cell is one [`CellRecord`]: rows,
 //!    digest, event count and summary line, rendered by its run or read
 //!    back once by the resume scan. `sweep.csv` (long format, one row per
@@ -55,7 +57,7 @@
 //! workload of `benchmark/` reads them).
 
 use crate::runner::{run_ordered, Job};
-use odlb_cluster::{IntervalOutcome, Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
+use odlb_cluster::{IntervalOutcome, Model, Simulation, SimulationConfig, MEASUREMENT_INTERVAL};
 use odlb_core::{
     ClusterController, CoarseGrainedController, ControllerConfig, CpuOnlyController,
     SelectiveRetuningController, VmMigrationController,
@@ -75,7 +77,7 @@ use odlb_workload::{
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Header of the merged long-format `sweep.csv`.
@@ -672,20 +674,13 @@ fn group_by<K: Ord>(items: &[usize], key: impl Fn(usize) -> K) -> Vec<Vec<usize>
 
 /// Splits `pending` (indices into `cells`, in order) into jobs: each
 /// schedule key's pending cells in first-appearance order, or one cell
-/// each with `memo` off. With fewer keys than `workers`, each key's
-/// cells are cut into about `workers / keys` chunks, each with its own
-/// schedule, so no worker idles for want of a key.
-fn jobs(cells: &[CellConfig], pending: &[usize], memo: bool, workers: usize) -> Vec<Vec<usize>> {
-    let out = if memo {
+/// each with `memo` off.
+fn jobs(cells: &[CellConfig], pending: &[usize], memo: bool) -> Vec<Vec<usize>> {
+    if memo {
         group_by(pending, |i| cells[i].schedule_key())
     } else {
         pending.iter().map(|&i| vec![i]).collect()
-    };
-    let parts = (workers / out.len().max(1)).max(1);
-    let chunks = out
-        .iter()
-        .flat_map(|job| job.chunks(job.len().div_ceil(parts)));
-    chunks.map(<[usize]>::to_vec).collect()
+    }
 }
 
 /// What a sweep invocation simulated, counted out of band like
@@ -700,19 +695,49 @@ pub struct SweepWork {
     pub runs: usize,
 }
 
-/// Runs one job: the schedule once, each distinct prefix once, each
-/// distinct run once on a fork of its prefix (a prefix's last run on the
-/// prefix itself), and renders every cell from its run. Results come in
+/// One task per distinct run of a prefix, each on a fork of the prefix's
+/// `model` taken when the task starts. A task that finds no other task
+/// holding the model runs on the model itself: in order on one thread,
+/// that is the last run.
+fn fork_runs(
+    job: &[CellConfig],
+    runs: &[Vec<usize>],
+    model: Model,
+    prefix: Prefix,
+) -> Vec<Job<Run>> {
+    let (model, prefix) = (Arc::new(Mutex::new(model)), Arc::new(prefix));
+    let task = |twins: &Vec<usize>| -> Job<Run> {
+        let (cell, model, prefix) = (
+            job[twins[0]].clone(),
+            Arc::clone(&model),
+            Arc::clone(&prefix),
+        );
+        Box::new(move || {
+            let model = match Arc::try_unwrap(model) {
+                Ok(only) => only.into_inner().ok(),
+                Err(shared) => shared.lock().ok().map(|model| model.clone()),
+            };
+            let model = model.expect("no fork of this prefix panicked");
+            run_controller(&cell, Simulation::from_model(model), &prefix)
+        })
+    };
+    runs.iter().map(task).collect()
+}
+
+/// Runs one job: the schedule once, each distinct prefix once, and each
+/// distinct run once on a fork of its prefix ([`fork_runs`]), fanned out
+/// on `threads` workers; renders every cell from its run. Results come in
 /// `job` order, each beside its wall clock, which runs from the end of the
 /// previous cell's render to the end of its own, so a run's first cell
-/// carries the run and whatever was built for it.
+/// carries the run (or, fanned out, the wait for it) and whatever was
+/// built for it.
 #[expect(
     clippy::disallowed_methods,
     reason = "per-cell wall clocks are the sweep's bench payload, carried out of \
               band in SweepOutcome; cell content hashes and merged artifacts are \
               derived from the canonical config and simulation clock only"
 )]
-fn run_job(job: &[CellConfig]) -> (Vec<(CellRecord, Duration)>, SweepWork) {
+fn run_job(job: &[CellConfig], threads: usize) -> (Vec<(CellRecord, Duration)>, SweepWork) {
     let mut since = Instant::now();
     let mut results: Vec<Option<(CellRecord, Duration)>> = job.iter().map(|_| None).collect();
     let mut work = SweepWork {
@@ -731,17 +756,13 @@ fn run_job(job: &[CellConfig]) -> (Vec<(CellRecord, Duration)>, SweepWork) {
         let runs = group_by(&cells, |c| job[c].run_key());
         work.prefixes += 1;
         work.runs += runs.len();
-        let mut finish = |twins: &[usize], run: Run| {
-            for &c in twins {
+        let tasks = fork_runs(job, &runs, sim.into_model(), prefix);
+        run_ordered(tasks, threads, |r, run| {
+            for &c in &runs[r] {
                 results[c] = Some((render(&job[c], &run), since.elapsed()));
                 since = Instant::now();
             }
-        };
-        let (last, forked) = runs.split_last().expect("a prefix has a run");
-        for twins in forked {
-            finish(twins, run_controller(&job[twins[0]], sim.fork(), &prefix));
-        }
-        finish(last, run_controller(&job[last[0]], sim, &prefix));
+        });
     }
     let results = results.into_iter().map(|r| r.expect("every cell rendered"));
     (results.collect(), work)
@@ -784,7 +805,10 @@ pub struct SweepOutcome {
     /// Wall clock of every cell executed this invocation, keyed by cell
     /// directory name, in commit order. A run's first cell carries the
     /// run and the schedule and prefix built for it; its other cells only
-    /// their rendering.
+    /// their rendering. When a job fans its runs out, a run's first cell
+    /// carries the wait from the previous cell's render until its run
+    /// finished, so a job's walls sum to its elapsed time, not to the
+    /// time its workers spent.
     pub cell_walls: Vec<(String, Duration)>,
     /// Schedules, prefixes and runs this invocation simulated.
     pub work: SweepWork,
@@ -871,13 +895,15 @@ pub fn run_sweep(spec: &MatrixSpec, opts: &SweepOptions) -> Result<SweepOutcome,
         pending.truncate(k);
     }
 
-    let job_cells = jobs(&cells, &pending, opts.memo, opts.jobs.max(1));
+    let job_cells = jobs(&cells, &pending, opts.memo);
+    // Workers the jobs leave idle fan the runs of each job out.
+    let threads = (opts.jobs.max(1) / job_cells.len().max(1)).max(1);
     type JobResult = (Vec<(CellRecord, Duration)>, SweepWork);
     let tasks: Vec<Job<JobResult>> = job_cells
         .iter()
         .map(|job| {
             let job: Vec<CellConfig> = job.iter().map(|&i| cells[i].clone()).collect();
-            Box::new(move || run_job(&job)) as Job<JobResult>
+            Box::new(move || run_job(&job, threads)) as Job<JobResult>
         })
         .collect();
 
@@ -1132,27 +1158,53 @@ mod tests {
     fn jobs_are_each_schedule_keys_pending_cells_in_first_appearance_order() {
         let (cells, _) = expand(&parse_matrix(BENCH).unwrap());
         let all: Vec<usize> = (0..cells.len()).collect();
-        let sizes = |pending: &[usize], memo: bool, workers: usize| -> Vec<usize> {
-            jobs(&cells, pending, memo, workers)
-                .iter()
-                .map(Vec::len)
-                .collect()
+        let sizes = |pending: &[usize], memo: bool| -> Vec<usize> {
+            jobs(&cells, pending, memo).iter().map(Vec::len).collect()
         };
-        assert_eq!(sizes(&all, true, 1), vec![16; 6]);
+        assert_eq!(sizes(&all, true), vec![16; 6]);
         // Seed 11's TPC-W cells at one replica, then at three.
         let tpcw: Vec<usize> = (0..8).chain(24..32).collect();
-        assert_eq!(jobs(&cells, &all, true, 6)[0], tpcw);
+        assert_eq!(jobs(&cells, &all, true)[0], tpcw);
         // `--max-cells 13` cuts the second job; the resume runs it first,
         // since its key appears first among the pending cells.
-        assert_eq!(sizes(&all[..13], true, 1), vec![8, 5]);
-        assert_eq!(sizes(&all[13..], true, 1), vec![11, 16, 8, 16, 16, 16]);
+        assert_eq!(sizes(&all[..13], true), vec![8, 5]);
+        assert_eq!(sizes(&all[13..], true), vec![11, 16, 8, 16, 16, 16]);
         // Memo off: every cell generates and runs its own prefix.
-        assert_eq!(sizes(&all, false, 1), vec![1; 96]);
-        // Fewer schedule keys than workers: each key's cells are cut in
-        // chunks.
-        assert_eq!(sizes(&all[..8], true, 3), vec![3, 3, 2]);
-        assert_eq!(sizes(&all[..16], true, 8), vec![2; 8]);
-        assert_eq!(jobs(&cells, &all[..16], true, 5).concat(), &all[..16]);
+        assert_eq!(sizes(&all, false), vec![1; 96]);
+    }
+
+    /// CI's smoke matrix: one schedule key, four cells.
+    const SMOKE: &str = "intervals = 2\nwarmup = 1\nclients = 8\nseeds = [42]\n\
+        workloads = [\"zipf\"]\nmrc = [\"exact\", \"sampled:0.1\"]\n\
+        controllers = [\"selective\", \"coarse\"]";
+
+    /// Each schedule, prefix and run is simulated once at any job count:
+    /// with fewer schedule keys than workers, a key's runs fan out as
+    /// forks of its one prefix. The bench matrix runs shortened here;
+    /// its work depends on the axes alone.
+    #[test]
+    fn sweep_work_is_exact_at_every_job_count() {
+        let short = format!("{BENCH}\nintervals = 2\nwarmup = 1\nclients = 2");
+        for (matrix, work) in [(SMOKE, (1, 1, 3)), (&short, (6, 12, 60))] {
+            let m = parse_matrix(matrix).unwrap();
+            for jobs in [1, 2] {
+                let dir = temp_dir(&format!("work-{jobs}"));
+                let opts = SweepOptions {
+                    jobs,
+                    out_dir: dir.clone(),
+                    memo: true,
+                    max_cells: None,
+                };
+                let SweepWork {
+                    schedules,
+                    prefixes,
+                    runs,
+                } = run_sweep(&m, &opts).unwrap().work;
+                let at = format!("{matrix} at --jobs {jobs}");
+                assert_eq!((schedules, prefixes, runs), work, "{at}");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     /// A temporary directory per tag, removed by the caller.

@@ -8,15 +8,17 @@
 //! interval, evaluates SLAs, and returns an [`IntervalOutcome`]. A
 //! controller (the `odlb-core` crate or a baseline) then inspects the
 //! outcome and applies actions — quotas, class placements, provisioning —
-//! through [`Simulation::apply`] before the next interval runs.
+//! through [`Model::apply`] before the next interval runs.
 //! This mirrors the paper's decision managers acting between measurement
 //! intervals.
 //!
-//! This file holds the state; the behaviour is one `impl Simulation`
-//! block per job in the sub-modules: `actuator` (topology, the reads a
-//! controller makes and [`Simulation::apply`]), `event_loop` (`run_interval` →
-//! `handle` → `dispatch_spec` → `execute_on`), `interval` (interval
-//! close), `export` (telemetry export at interval close) and `replay`
+//! A simulation is a [`Model`], which is `Clone` and `Send`, plus the
+//! observers that watch it: tracer, telemetry and span profiler. This
+//! file holds the state; the behaviour is one `impl` block per job in the
+//! sub-modules: `actuator` (topology, the reads a controller makes and
+//! [`Model::apply`]), `event_loop` (`run_interval` → `handle` →
+//! `dispatch_spec` → `execute_on`), `interval` (interval close),
+//! `export` (telemetry export at interval close) and `replay`
 //! (pregenerated-schedule replay).
 
 mod actuator;
@@ -40,6 +42,7 @@ use odlb_trace::Tracer;
 use odlb_workload::{ClientPool, GeneratedSchedule, WorkloadSpec};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// The measurement interval: SLA checks, signature refresh and diagnosis
@@ -152,7 +155,7 @@ impl InFlight {
 }
 
 /// Cursor over a shared pregenerated schedule (see
-/// [`Simulation::add_replayed_app`]). The schedule itself is behind an
+/// [`Model::add_replayed_app`]). The schedule itself is behind an
 /// `Arc` so many isolated simulations can replay one generation.
 #[derive(Clone)]
 struct ReplayState {
@@ -254,8 +257,15 @@ pub struct WorkCounts {
     pub window_bytes: u64,
 }
 
-/// The simulated cluster.
-pub struct Simulation {
+/// The simulated cluster: queue, in-flight queries, servers, engines,
+/// applications with their RNG streams and replay cursors, clock and
+/// counters. Everything a run's results depend on lives here, and no
+/// observer does, so a clone runs on exactly as the original would, on
+/// any thread. The builders, the controller's reads and
+/// [`Model::apply`] are its methods; a [`Simulation`] reaches them
+/// through `Deref`.
+#[derive(Clone)]
+pub struct Model {
     config: SimulationConfig,
     queue: EventQueue<Event>,
     in_flight: InFlight,
@@ -265,6 +275,31 @@ pub struct Simulation {
     now: SimTime,
     last_tick: SimTime,
     started: bool,
+    interval_seq: u64,
+    /// Recycled page buffer for sampled query specs: each issued query
+    /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
+    /// back after dispatch, so steady-state sampling never allocates.
+    spec_pages: Vec<PageId>,
+    /// Events, page references, pool misses, prefetches and page locks
+    /// since construction; [`Model::work`] adds the rest.
+    work: WorkCounts,
+    /// Curves and window accesses replayed by
+    /// [`Model::recompute_mrc_with`], which reads the model only.
+    curves_replayed: Cell<u64>,
+    accesses_replayed: Cell<u64>,
+}
+
+// A forked model crosses threads: the sweep fans a prefix's runs out as
+// forks. Each thread gets its own clone, so `Sync` is not needed.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Model>();
+};
+
+/// What watches a run without steering it. The event loop, interval
+/// close and export take it by argument.
+#[derive(Default)]
+struct Observers {
     tracer: Tracer,
     telemetry: Telemetry,
     /// The exporter's handle cache: one registry lookup per series.
@@ -273,24 +308,32 @@ pub struct Simulation {
     /// The engine spans of the executes run untimed since the last
     /// interval's event loop ended, and how many executes ran profiled.
     untimed: event_loop::UntimedSpans,
-    interval_seq: u64,
-    /// Recycled page buffer for sampled query specs: each issued query
-    /// borrows it via [`WorkloadSpec::sample_query_into`] and hands it
-    /// back after dispatch, so steady-state sampling never allocates.
-    spec_pages: Vec<PageId>,
-    /// Events, page references, pool misses, prefetches and page locks
-    /// since construction; [`Simulation::work`] adds the rest.
-    work: WorkCounts,
-    /// Curves and window accesses replayed by
-    /// [`Simulation::recompute_mrc_with`], which reads the model only.
-    curves_replayed: Cell<u64>,
-    accesses_replayed: Cell<u64>,
+}
+
+/// A [`Model`] with its observers attached.
+pub struct Simulation {
+    model: Model,
+    observers: Observers,
+}
+
+impl Deref for Simulation {
+    type Target = Model;
+
+    fn deref(&self) -> &Model {
+        &self.model
+    }
+}
+
+impl DerefMut for Simulation {
+    fn deref_mut(&mut self) -> &mut Model {
+        &mut self.model
+    }
 }
 
 impl Simulation {
     /// Creates an empty cluster.
     pub fn new(config: SimulationConfig) -> Self {
-        Simulation {
+        Simulation::from_model(Model {
             config,
             queue: EventQueue::new(),
             in_flight: InFlight::default(),
@@ -300,19 +343,72 @@ impl Simulation {
             now: SimTime::ZERO,
             last_tick: SimTime::ZERO,
             started: false,
-            tracer: Tracer::new(),
-            telemetry: Telemetry::inactive(),
-            series: export::SeriesCache::default(),
-            profiler: None,
-            untimed: event_loop::UntimedSpans::default(),
             interval_seq: 0,
             spec_pages: Vec::new(),
             work: WorkCounts::default(),
             curves_replayed: Cell::new(0),
             accesses_replayed: Cell::new(0),
+        })
+    }
+
+    /// Runs `model` with no observers attached: a fresh inactive tracer,
+    /// inactive telemetry, no profiler.
+    pub fn from_model(model: Model) -> Self {
+        Simulation {
+            model,
+            observers: Observers::default(),
         }
     }
 
+    /// A copy of the model, which runs on exactly as this simulation
+    /// would. It carries none of the observers attached here.
+    pub fn fork_model(&self) -> Model {
+        self.model.clone()
+    }
+
+    /// The model, with the observers attached here dropped.
+    pub fn into_model(self) -> Model {
+        self.model
+    }
+
+    /// [`Simulation::fork_model`], run unobserved.
+    pub fn fork(&self) -> Simulation {
+        Simulation::from_model(self.fork_model())
+    }
+
+    /// Installs a decision-trace handle. The driver emits
+    /// `interval_closed` and `sla_evaluated` events at the end of every
+    /// measurement interval; a controller holding a clone of the same
+    /// tracer emits the diagnosis and action events in between.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.observers.tracer = tracer;
+    }
+
+    /// Installs a telemetry handle: every interval close then writes the
+    /// series of `export` (per instance×class, pool, app, server, domain)
+    /// and records one registry snapshot.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.observers.telemetry = telemetry;
+        self.observers.series = export::SeriesCache::default();
+    }
+
+    /// Installs a span profiler. The driver opens one `interval` span
+    /// per [`Simulation::run_interval`] and an `engine_execute` span per
+    /// timed query (one dispatched query in 64), and hands the profiler
+    /// to the engine for that query, so the engine's spans nest under the
+    /// driver's. One other query in 64 runs under its `engine_execute`
+    /// span alone. The spans the rest would open are counted and tallied
+    /// into the profiler once per interval: every path's calls and sim
+    /// units are exact, and only their wall time is estimated. Engines,
+    /// pools and I/O paths hold no copy. Observation-only: results,
+    /// traces and artifacts are byte-identical with or without a profiler
+    /// attached.
+    pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
+        self.observers.profiler = Some(profiler);
+    }
+}
+
+impl Model {
     /// Total events dispatched by the loop since construction — the
     /// numerator of the events/sec scaling benchmark.
     pub fn events_processed(&self) -> u64 {
@@ -330,63 +426,8 @@ impl Simulation {
         }
     }
 
-    /// Installs a decision-trace handle. The driver emits
-    /// `interval_closed` and `sla_evaluated` events at the end of every
-    /// measurement interval; a controller holding a clone of the same
-    /// tracer emits the diagnosis and action events in between.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Installs a telemetry handle: every interval close then writes the
-    /// series of `export` (per instance×class, pool, app, server, domain)
-    /// and records one registry snapshot.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        self.series = export::SeriesCache::default();
-    }
-
-    /// Installs a span profiler. The driver opens one `interval` span
-    /// per [`Simulation::run_interval`] and an `engine_execute` span per
-    /// timed query (one dispatched query in 64), and hands the profiler
-    /// to the engine for that query, so the engine's spans nest under the
-    /// driver's. One other query in 64 runs under its `engine_execute`
-    /// span alone. The spans the rest would open are counted and tallied
-    /// into the profiler once per interval: every path's calls and sim
-    /// units are exact, and only their wall time is estimated. Engines,
-    /// pools and I/O paths hold no copy. Observation-only: results,
-    /// traces and artifacts are byte-identical with or without a profiler
-    /// attached.
-    pub fn set_profiler(&mut self, profiler: SharedSpanProfiler) {
-        self.profiler = Some(profiler);
-    }
-
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// A copy of the model — queue, in-flight queries, servers, engines,
-    /// applications with their RNG streams and replay cursors, clock and
-    /// counters — that runs on exactly as this simulation would. It
-    /// carries no observers, whatever is attached here: a fresh inactive
-    /// tracer, inactive telemetry, no profiler. (`Simulation` is not
-    /// `Clone`: a clone would share those sinks.)
-    pub fn fork(&self) -> Simulation {
-        Simulation {
-            queue: self.queue.clone(),
-            in_flight: self.in_flight.clone(),
-            servers: self.servers.clone(),
-            instances: self.instances.clone(),
-            apps: self.apps.clone(),
-            now: self.now,
-            last_tick: self.last_tick,
-            started: self.started,
-            interval_seq: self.interval_seq,
-            work: self.work,
-            curves_replayed: self.curves_replayed.clone(),
-            accesses_replayed: self.accesses_replayed.clone(),
-            ..Simulation::new(self.config)
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Topology set-up (servers, instances, applications, class-spec
-//! overrides), the reads a controller makes, and [`Simulation::apply`]:
+//! overrides), the reads a controller makes, and [`Model::apply`]:
 //! the one entry point through which a controller changes the cluster.
 
-use super::{app_slot, AppState, Event, InstanceState, ServerState, Simulation};
+use super::{app_slot, AppState, Event, InstanceState, Model, ServerState};
 use crate::scheduler::Scheduler;
 use crate::topology::InstanceId;
 use odlb_engine::{DbEngine, EngineConfig};
@@ -19,7 +19,7 @@ const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(20);
 
 /// One change a controller makes to the cluster between intervals: the
 /// paper's action set (§3.3) plus the live migration its baselines use.
-/// Each variant says when [`Simulation::apply`] refuses it.
+/// Each variant says when [`Model::apply`] refuses it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Actuation {
     /// A buffer-pool partition of `pages` for `class` (§3.3.2); refused
@@ -61,7 +61,7 @@ pub enum Applied {
     Migrated(ServerId),
 }
 
-impl Simulation {
+impl Model {
     /// Adds a physical server with `cores` CPU cores and a default disk.
     pub fn add_server(&mut self, cores: usize) -> ServerId {
         self.add_server_with_disk(cores, DiskModel::default())
@@ -114,7 +114,7 @@ impl Simulation {
     }
 
     /// Registers an application with its SLA, client behaviour and load.
-    /// Replicas are assigned separately with [`Simulation::assign_replica`].
+    /// Replicas are assigned separately with [`Model::assign_replica`].
     /// Panics on a duplicate id and on a 65,537th application.
     pub fn add_app(
         &mut self,

@@ -1,10 +1,12 @@
 //! The event loop: [`Simulation::run_interval`] pops events up to the
 //! interval boundary into `handle`, which issues queries through
 //! `dispatch_spec` (routing) and `execute_on` (engine execution and
-//! completion scheduling).
+//! completion scheduling). The model's methods take the observers by
+//! argument.
 
 use super::{
-    app_slot, Event, IntervalOutcome, Parked, Simulation, MEASUREMENT_INTERVAL, NO_CLIENT,
+    app_slot, Event, IntervalOutcome, Model, Observers, Parked, Simulation, MEASUREMENT_INTERVAL,
+    NO_CLIENT,
 };
 use crate::topology::InstanceId;
 use odlb_engine::{ExecutionResult, QuerySpec};
@@ -39,6 +41,40 @@ pub(super) struct UntimedSpans {
 }
 
 impl Simulation {
+    /// Runs one measurement interval and closes it.
+    pub fn run_interval(&mut self) -> IntervalOutcome {
+        let Simulation { model, observers } = self;
+        assert!(model.started, "call start() first");
+        // The driver-level span: event dispatch and interval close nest
+        // under it. Its sim units are the interval's simulated length.
+        let _interval = enter_span(&observers.profiler, "interval");
+        span_units(&observers.profiler, MEASUREMENT_INTERVAL.as_micros());
+        let tick_at = model.last_tick + MEASUREMENT_INTERVAL;
+        // `pop_until` stops the queue's clock at the boundary, so what the
+        // controller schedules between intervals (`ReplicaReady`, retries)
+        // still lands ahead of it.
+        while let Some((t, ev)) = model.queue.pop_until(tick_at) {
+            model.now = t;
+            model.work.events += 1;
+            model.handle(t, ev, observers);
+        }
+        if let Some(profiler) = &observers.profiler {
+            let mut profiler = profiler.borrow_mut();
+            for (path, slot) in ENGINE_PATHS.iter().zip(&mut observers.untimed.calls_units) {
+                let (calls, units) = std::mem::take(slot);
+                profiler.tally(path, calls, units);
+            }
+        }
+        model.now = tick_at;
+        model.last_tick = tick_at;
+        let profiler = observers.profiler.clone();
+        profile_span(&profiler, "close_interval", || {
+            model.close_interval(tick_at, observers)
+        })
+    }
+}
+
+impl Model {
     /// Starts client arrival processes. Must be called once before
     /// [`Simulation::run_interval`].
     pub fn start(&mut self) {
@@ -62,36 +98,7 @@ impl Simulation {
         }
     }
 
-    /// Runs one measurement interval and closes it.
-    pub fn run_interval(&mut self) -> IntervalOutcome {
-        assert!(self.started, "call start() first");
-        // The driver-level span: event dispatch and interval close nest
-        // under it. Its sim units are the interval's simulated length.
-        let _interval = enter_span(&self.profiler, "interval");
-        span_units(&self.profiler, MEASUREMENT_INTERVAL.as_micros());
-        let tick_at = self.last_tick + MEASUREMENT_INTERVAL;
-        // `pop_until` stops the queue's clock at the boundary, so what the
-        // controller schedules between intervals (`ReplicaReady`, retries)
-        // still lands ahead of it.
-        while let Some((t, ev)) = self.queue.pop_until(tick_at) {
-            self.now = t;
-            self.work.events += 1;
-            self.handle(t, ev);
-        }
-        if let Some(profiler) = &self.profiler {
-            let mut profiler = profiler.borrow_mut();
-            for (path, slot) in ENGINE_PATHS.iter().zip(&mut self.untimed.calls_units) {
-                let (calls, units) = std::mem::take(slot);
-                profiler.tally(path, calls, units);
-            }
-        }
-        self.now = tick_at;
-        self.last_tick = tick_at;
-        let profiler = self.profiler.clone();
-        profile_span(&profiler, "close_interval", || self.close_interval(tick_at))
-    }
-
-    fn handle(&mut self, now: SimTime, event: Event) {
+    fn handle(&mut self, now: SimTime, event: Event, obs: &mut Observers) {
         match event {
             Event::LoadTick => {
                 let tick = self.config.load_update_interval;
@@ -117,7 +124,7 @@ impl Simulation {
                 }
                 self.queue.schedule(now + tick, Event::LoadTick);
             }
-            Event::ClientIssue { app, client } => self.client_issue(now, app as usize, client),
+            Event::ClientIssue { app, client } => self.client_issue(now, app as usize, client, obs),
             Event::QueryDone { record } => {
                 let Parked {
                     record,
@@ -130,9 +137,9 @@ impl Simulation {
                 debug_assert!(left.is_some(), "inst{instance} completed a query twice");
                 inst.outstanding = left.unwrap_or(0);
                 inst.engine.commit_record(record);
-                if self.telemetry.is_active() {
-                    let (t, class, latency) = (&self.telemetry, record.class, record.latency);
-                    self.series.record_latency(t, instance, app, class, latency);
+                if obs.telemetry.is_active() {
+                    let (t, class, latency) = (&obs.telemetry, record.class, record.latency);
+                    obs.series.record_latency(t, instance, app, class, latency);
                 }
                 if client != NO_CLIENT {
                     let think = self.apps[app as usize].clients.next_think();
@@ -165,11 +172,11 @@ impl Simulation {
                     .scheduler
                     .add_replica(InstanceId(instance as u32));
             }
-            Event::ReplayIssue { app } => self.replay_issue(now, app as usize),
+            Event::ReplayIssue { app } => self.replay_issue(now, app as usize, obs),
         }
     }
 
-    fn client_issue(&mut self, now: SimTime, app: usize, client: u32) {
+    fn client_issue(&mut self, now: SimTime, app: usize, client: u32, obs: &mut Observers) {
         // Lazy retirement keeps the population at the load target.
         if self.apps[app].active_clients > self.apps[app].target_clients {
             self.apps[app].active_clients -= 1;
@@ -182,7 +189,7 @@ impl Simulation {
             let a = &mut self.apps[app];
             a.spec.sample_query_into(&mut a.rng, pages)
         };
-        if !self.dispatch_spec(now, app, Some(client), spec) {
+        if !self.dispatch_spec(now, app, Some(client), spec, obs) {
             // No ready replica (all still provisioning): retry shortly.
             let retry = Event::ClientIssue {
                 app: app_slot(app),
@@ -203,6 +210,7 @@ impl Simulation {
         app: usize,
         client: Option<u32>,
         spec: QuerySpec,
+        obs: &mut Observers,
     ) -> bool {
         // Execution never reads the apps. Setting them aside lets a write's
         // applies walk the replica set in place while the engines run.
@@ -222,13 +230,13 @@ impl Simulation {
             self.recycle_pages(spec.pages);
             return false;
         };
-        self.execute_on(now, app, client, primary, &spec);
+        self.execute_on(now, app, client, primary, &spec, obs);
         let spec = match write {
             None => spec,
             Some(route) => {
                 let apply_spec = spec.into_replica_apply();
                 for target in route.applies() {
-                    self.execute_on(now, app, None, target, &apply_spec);
+                    self.execute_on(now, app, None, target, &apply_spec, obs);
                 }
                 apply_spec
             }
@@ -253,10 +261,11 @@ impl Simulation {
         client: Option<u32>,
         instance: InstanceId,
         spec: &QuerySpec,
+        obs: &mut Observers,
     ) {
         let idx = instance.0 as usize;
-        let result = if self.profiler.is_some() {
-            self.execute_sampled(idx, now, spec)
+        let result = if obs.profiler.is_some() {
+            self.execute_sampled(idx, now, spec, obs)
         } else {
             let inst = &mut self.instances[idx];
             let srv = &mut self.servers[inst.server];
@@ -282,13 +291,19 @@ impl Simulation {
     /// Executes `spec` on instance `idx` with the profiler attached: under
     /// every engine span, under `engine_execute` alone, or with no span,
     /// adding what the spans would have counted to the interval's tally.
-    fn execute_sampled(&mut self, idx: usize, now: SimTime, spec: &QuerySpec) -> ExecutionResult {
-        let untimed = &mut self.untimed;
+    fn execute_sampled(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        spec: &QuerySpec,
+        obs: &mut Observers,
+    ) -> ExecutionResult {
+        let untimed = &mut obs.untimed;
         untimed.executes += 1;
         let phase = untimed.executes % TIMED_EVERY;
         let (timed, alone) = (phase == 1, phase == TIMED_EVERY / 2 + 1);
         let none: Option<SharedSpanProfiler> = None;
-        let spanned = |on: bool| if on { &self.profiler } else { &none };
+        let spanned = |on: bool| if on { &obs.profiler } else { &none };
         // The `engine_execute` span's sim units are the query's simulated
         // latency, so the deterministic flamegraph shows where simulated
         // time goes (engine sub-spans attribute I/O and CPU).

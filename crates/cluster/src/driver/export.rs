@@ -6,7 +6,7 @@
 //! driver hands to [`SeriesCache::record_latency`] while telemetry is
 //! attached.
 
-use super::{IntervalOutcome, Simulation};
+use super::{IntervalOutcome, Model, Observers};
 use crate::topology::InstanceId;
 use odlb_metrics::{ClassId, MetricKind, ServerId};
 use odlb_sim::SimDuration;
@@ -125,14 +125,14 @@ impl ClassSeries {
     }
 }
 
-impl Simulation {
+impl Model {
     /// Writes every series for the interval `outcome` closes, then one
     /// registry snapshot stamped with the interval end, so the CSV time
     /// series aligns with the controller's decision points. Called only
     /// with telemetry attached.
-    pub(super) fn export_interval_telemetry(&mut self, outcome: &IntervalOutcome) {
-        let t = &self.telemetry;
-        let cache: &mut SeriesCache = &mut self.series;
+    pub(super) fn export_interval_telemetry(&self, outcome: &IntervalOutcome, obs: &mut Observers) {
+        let t = &obs.telemetry;
+        let cache: &mut SeriesCache = &mut obs.series;
         let mut gauge = |key: SeriesKey, help: &str, labels: &[(&str, &str)], v: f64| {
             let register = || t.gauge(key.0, help, labels).expect("active");
             cache.gauges.entry(key).or_insert_with(register).set(v)

@@ -2,15 +2,15 @@
 //! evaluation, server snapshots, and the `interval_closed` /
 //! `sla_evaluated` trace events.
 
-use super::{IntervalOutcome, ServerSnapshot, Simulation, MEASUREMENT_INTERVAL};
+use super::{IntervalOutcome, Model, Observers, ServerSnapshot, MEASUREMENT_INTERVAL};
 use crate::aggregate;
 use crate::topology::InstanceId;
 use odlb_sim::SimTime;
 use odlb_trace::TraceEvent;
 use std::collections::BTreeMap;
 
-impl Simulation {
-    pub(super) fn close_interval(&mut self, end: SimTime) -> IntervalOutcome {
+impl Model {
+    pub(super) fn close_interval(&mut self, end: SimTime, obs: &mut Observers) -> IntervalOutcome {
         // Conservation: every dispatched query is parked exactly once
         // until its completion commits it.
         debug_assert_eq!(
@@ -61,12 +61,12 @@ impl Simulation {
             sla,
             servers,
         };
-        if self.telemetry.is_active() {
-            self.export_interval_telemetry(&outcome);
+        if obs.telemetry.is_active() {
+            self.export_interval_telemetry(&outcome, obs);
         }
-        if self.tracer.is_active() {
+        if obs.tracer.is_active() {
             let reports = &outcome.reports;
-            self.tracer.emit(TraceEvent::IntervalClosed {
+            obs.tracer.emit(TraceEvent::IntervalClosed {
                 seq: self.interval_seq,
                 start_us: start.as_micros(),
                 end_us: end.as_micros(),
@@ -74,7 +74,7 @@ impl Simulation {
                 classes: reports.values().map(|r| r.per_class.len() as u32).sum(),
             });
             for (app, verdict) in &outcome.sla {
-                self.tracer.emit(TraceEvent::SlaEvaluated {
+                obs.tracer.emit(TraceEvent::SlaEvaluated {
                     end_us: end.as_micros(),
                     app: app.0,
                     latency_s: outcome.app_latency[app],

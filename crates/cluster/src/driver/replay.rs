@@ -1,19 +1,19 @@
 //! Schedule replay: applications that dispatch a pregenerated open-loop
 //! schedule instead of running closed-loop clients.
 
-use super::{app_slot, Event, ReplayState, Simulation};
+use super::{app_slot, Event, Model, Observers, ReplayState};
 use odlb_metrics::{AppId, Sla};
 use odlb_sim::{SimDuration, SimTime};
 use odlb_workload::{ClientConfig, GeneratedSchedule, LoadFunction, WorkloadSpec};
 use std::sync::Arc;
 
-impl Simulation {
+impl Model {
     /// Registers an application that replays a pregenerated open-loop
     /// schedule ([`odlb_workload::generate_schedule`]) instead of running
     /// closed-loop clients. Arrival times, classes and page accesses come
     /// verbatim from the schedule; CPU demands and the write flag are
     /// resolved against the *current* class spec at dispatch, so
-    /// mid-run plan changes ([`Simulation::class_mut`]) still apply.
+    /// mid-run plan changes ([`Model::class_mut`]) still apply.
     /// The schedule is shared by `Arc`: parameter-sweep cells replay one
     /// generation without copying it per cell.
     pub fn add_replayed_app(
@@ -40,7 +40,7 @@ impl Simulation {
     /// the following one. When every replica is still provisioning the
     /// cursor does not advance; the same query retries shortly, so the
     /// schedule is delayed, never truncated.
-    pub(super) fn replay_issue(&mut self, now: SimTime, app: usize) {
+    pub(super) fn replay_issue(&mut self, now: SimTime, app: usize, obs: &mut Observers) {
         let (sched, idx) = {
             let r = self.apps[app].replay.as_ref().expect("replayed app");
             (Arc::clone(&r.schedule), r.next)
@@ -57,7 +57,7 @@ impl Simulation {
                 .query_from_pages(q.class as usize, pages, q.lock_prefix as usize)
         };
         let again = Event::ReplayIssue { app: app_slot(app) };
-        if !self.dispatch_spec(now, app, None, spec) {
+        if !self.dispatch_spec(now, app, None, spec, obs) {
             self.queue
                 .schedule(now + SimDuration::from_millis(100), again);
             return;

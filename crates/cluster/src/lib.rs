@@ -12,9 +12,10 @@
 //! * **Physical servers** (multi-core FCFS CPU stations + a shared
 //!   domain-0 I/O path), hosting one or more **database instances**
 //!   ([`odlb_engine::DbEngine`]s), possibly in separate VM domains.
-//! * The **simulation driver** ([`Simulation`]) — the discrete-event loop
-//!   gluing client sessions, schedulers, engines and servers together. It
-//!   runs one *measurement interval* at a time and hands the interval's
+//! * The **simulation driver** ([`Simulation`], a [`Model`] plus its
+//!   observers) — the discrete-event loop gluing client sessions,
+//!   schedulers, engines and servers together. It runs one *measurement
+//!   interval* at a time and hands the interval's
 //!   per-instance reports and SLA outcomes back to the caller, so a
 //!   controller (the `odlb-core` crate, or a baseline) can diagnose and
 //!   act between intervals exactly like the paper's decision managers.
@@ -26,8 +27,8 @@ pub mod topology;
 
 pub use aggregate::AppAggregate;
 pub use driver::{
-    Actuation, Applied, IntervalOutcome, ServerSnapshot, Simulation, SimulationConfig, WorkCounts,
-    MEASUREMENT_INTERVAL,
+    Actuation, Applied, IntervalOutcome, Model, ServerSnapshot, Simulation, SimulationConfig,
+    WorkCounts, MEASUREMENT_INTERVAL,
 };
 pub use scheduler::Scheduler;
 pub use topology::InstanceId;

@@ -36,11 +36,14 @@ pub struct ArbitraryMatrix {
     pub expected_cells: usize,
     /// Distinct schedule keys — (seed, workload) pairs, since the
     /// generator keeps one `clients`/`intervals` value per matrix — i.e.
-    /// the schedules a memoized one-worker sweep generates.
+    /// the schedules a memoized sweep generates.
     pub expected_schedules: usize,
     /// Distinct prefix keys — schedule keys × replica counts — i.e. the
-    /// controller-free prefixes a memoized one-worker sweep runs.
+    /// controller-free prefixes a memoized sweep runs.
     pub expected_prefixes: usize,
+    /// Distinct run keys — per prefix, one run per MRC mode for
+    /// selective retuning and one for each MRC-blind baseline.
+    pub expected_runs: usize,
 }
 
 /// Draws `n` distinct elements of `pool` in pool order.
@@ -129,11 +132,13 @@ pub fn arbitrary_matrix(g: &mut Gen) -> ArbitraryMatrix {
     let expected_prefixes = expected_schedules * replicas.len();
     let expected_cells = expected_prefixes * mrc.len() * controllers.len();
     assert!(expected_cells <= 8, "generator must stay test-suite cheap");
+    let runs = |c: &&str| if *c == "selective" { mrc.len() } else { 1 };
     ArbitraryMatrix {
         toml: lines.join("\n"),
         expected_cells,
         expected_schedules,
         expected_prefixes,
+        expected_runs: expected_prefixes * controllers.iter().map(runs).sum::<usize>(),
     }
 }
 

@@ -11,7 +11,7 @@
 //! think/stagger clocks, and every page access — into a
 //! [`GeneratedSchedule`] that depends only on its [`ScheduleConfig`] and
 //! the workload spec. The cluster driver replays it query by query
-//! (`Simulation::add_replayed_app`), so cells sharing a (seed, workload,
+//! (`Model::add_replayed_app`), so cells sharing a (seed, workload,
 //! cluster-size) key replay one cached schedule byte-for-byte while the
 //! controller under test varies freely. Replayed cells are also
 //! *scientifically paired*: every controller variant faces the identical

@@ -3,14 +3,16 @@
 //! the interval in which it provisions a replica (its `ReplicaReady` still
 //! queued, a class placement live). The controller is not `Clone`, so the
 //! fork's comes from a twin run with the same seed and calls. A fork
-//! carries none of its parent's observers, whichever are attached.
+//! carries none of its parent's observers, whichever are attached, and
+//! its `Model` is `Send`: it continues the same on another thread.
 
-use odlb::cluster::Simulation;
+use odlb::cluster::{Model, Simulation};
 use odlb::core::{Action, ClusterController, ControllerConfig, SelectiveRetuningController};
 use odlb::telemetry::{SpanProfiler, Telemetry};
 use odlb::trace::{DigestSink, Tracer};
 use odlb_bench::experiments::scenario::{self, Phase};
 use odlb_bench::experiments::table2;
+use odlb_bench::runner::{run_ordered, Job};
 use std::ops::ControlFlow::{Break, Continue};
 
 /// Runs Table 2 at its seed (RUBiS joins after 10 intervals; the
@@ -109,4 +111,24 @@ fn a_fork_of_an_observed_simulation_continues_unobserved() {
     assert!(forked == continued, "the fork diverged from its parent");
     assert_eq!(fork.work(), parent.work(), "the fork's work diverged");
     assert!(folded() != before.2, "the parent's profiler is attached");
+}
+
+#[test]
+fn a_forked_model_continues_exactly_on_another_thread() {
+    let (mut parent, mut parent_controller) = until_provisioned(|_, _| {});
+    // Two jobs, so the pool spawns its two workers.
+    let forked = |model: Model| -> Job<String> {
+        Box::new(move || {
+            let (_, mut controller) = until_provisioned(|_, _| {});
+            ten_more(&mut Simulation::from_model(model), &mut controller)
+        })
+    };
+    let jobs = vec![forked(parent.fork_model()), forked(parent.fork_model())];
+    let mut logs = Vec::new();
+    run_ordered(jobs, 2, |_, log| logs.push(log));
+    let continued = ten_more(&mut parent, &mut parent_controller);
+    assert_eq!(logs.len(), 2);
+    for log in logs {
+        assert!(log == continued, "a fork diverged on another thread");
+    }
 }
